@@ -15,36 +15,39 @@ bit-identical to running the same campaigns serially:
    scheduling (and retries after crashes or timeouts) can reorder
    *execution* but never *output*.
 
-``jobs=1`` (the default) runs shards in-process with no serialization
-at all — the exact historical ``replicate``/``sweep`` code path —
-while ``jobs>=2`` fans shards out over a worker-process pool with
-per-shard timeouts and a bounded retry budget for worker *crashes*
-(an exception raised inside a campaign is deterministic and fails the
-fleet immediately; re-running it could only fail identically).
+This module is dispatch policy and result handling only: one FIFO
+queue in spec order, ``jobs`` attempts in flight, the first
+unrecoverable shard raises :class:`~repro.errors.FleetError`.  How a
+shard runs — in-process for ``jobs=1`` (no serialization at all, the
+exact historical ``replicate``/``sweep`` code path), in a worker
+process for ``jobs>=2`` — and how a crashed, timed-out or failed
+attempt is classified belong to :mod:`repro.fleet.pool`, shared with
+the campaign service's scheduler (``docs/fleet.md``, "Failure
+policy").
 
 With an output directory, completed shards are persisted through the
 :class:`~repro.fleet.store.ArtifactStore` as they finish, and a
 re-invocation against the same directory skips every shard whose
 stored records are digest-valid — checkpoint/resume for free.
-
-The executor itself runs on the host, outside the simulation: its
-wall-clock timeouts and scheduling influence only *when* a shard
-executes, never what it computes.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import time
-import traceback
 from collections import deque
-from dataclasses import dataclass, field
-from multiprocessing import connection
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable
 
 from repro.errors import ConfigurationError, FleetError
 from repro.fleet.digest import fleet_signature
+from repro.fleet.pool import (
+    Attempt,
+    ShardRunner,
+    ShardTask,
+    WorkPool,
+    records_to_jsonable,
+    result_from_records,
+    run_shard,
+)
 from repro.fleet.spec import FleetSpec, ShardJob
 from repro.fleet.store import ArtifactStore
 from repro.methodology.runner import CampaignResult
@@ -60,14 +63,10 @@ from repro.obs.events import (
 )
 
 __all__ = ["run_fleet", "execute_shard", "FleetOutcome",
-           "DEFAULT_MAX_RETRIES"]
+           "ShardRunner", "DEFAULT_MAX_RETRIES"]
 
 #: Extra attempts granted to a shard after a worker crash or timeout.
 DEFAULT_MAX_RETRIES = 2
-
-#: A shard runner: ShardJob -> CampaignResult.  Must be picklable
-#: (module-level) to cross the worker-process boundary.
-ShardRunner = Callable[[ShardJob], CampaignResult]
 
 
 def execute_shard(job: ShardJob) -> CampaignResult:
@@ -192,7 +191,7 @@ def run_fleet(spec: FleetSpec, *,
     for job in all_jobs:
         if store is not None and \
                 store.shard_state(job.shard_id) == "complete":
-            results[job.index] = _result_from_records(
+            results[job.index] = result_from_records(
                 job, store.load_shard_records(job.shard_id),
                 obs=store.load_shard_obs(job.shard_id),
             )
@@ -200,25 +199,76 @@ def run_fleet(spec: FleetSpec, *,
         else:
             pending.append(job)
 
+    def announce(cls, job: ShardJob, **extra) -> None:
+        emit(cls(shard_id=job.shard_id, index=job.index, total=total,
+                 service=job.service, seed=job.seed, label=job.label,
+                 **extra))
+
     emit(FleetStarted(total_shards=total, jobs=jobs,
                       resumed=len(skipped)))
     skipped_ids = set(skipped)
     for job in all_jobs:
         if job.shard_id in skipped_ids:
-            emit(_shard_event(ShardSkipped, job, total,
-                              reason="complete in store"))
+            announce(ShardSkipped, job, reason="complete in store")
+
+    def test_checked(task: ShardTask, _tag, message: dict) -> None:
+        announce(ShardTestChecked, task.job, **message)
+
+    def complete(task: ShardTask, result: CampaignResult,
+                 records: list[dict] | None = None) -> None:
+        if store is not None:
+            store.write_shard(
+                task.job, records if records is not None
+                else records_to_jsonable(result),
+                obs=result.obs,
+            )
+        results[task.job.index] = result
+        announce(ShardCompleted, task.job, attempts=task.attempt,
+                 records=len(result.records))
+
+    queue: deque[ShardTask] = deque()
+    for job in pending:
+        if stream:
+            trace_path = (str(store.trace_path(job.shard_id))
+                          if store is not None else None)
+            queue.append(ShardTask(job, trace_path=trace_path))
+        else:
+            queue.append(ShardTask(job, runner=runner))
 
     retries = 0
-    if jobs == 1:
-        if stream:
-            _run_stream_serial(pending, store, emit, total, results)
+
+    def settle(done: Attempt) -> None:
+        nonlocal retries
+        task = done.task
+        if done.kind == "result":
+            complete(task, done.result, done.records)
+        elif done.kind == "error":
+            raise FleetError(f"shard {task.job.shard_id!r} campaign "
+                             f"failed:\n{done.detail}")
+        elif task.attempt > max_retries:
+            raise FleetError(f"shard {task.job.shard_id!r} failed after "
+                             f"{task.attempt} attempts: {done.detail}")
         else:
-            _run_serial(pending, runner, store, emit, total, results)
+            retries += 1
+            retry = replace(task, attempt=task.attempt + 1)
+            announce(ShardRetried, task.job, attempt=retry.attempt,
+                     reason=done.detail)
+            queue.appendleft(retry)
+
+    if jobs == 1:
+        for task in queue:
+            announce(ShardStarted, task.job, attempt=1)
+            complete(task, run_shard(task, test_checked))
     else:
-        retries = _run_parallel(
-            pending, jobs, runner, store, emit, total, results,
-            shard_timeout, max_retries, stream,
-        )
+        with WorkPool(test_checked, timeout=shard_timeout) as pool:
+            while queue or pool.in_flight:
+                while queue and pool.in_flight < jobs:
+                    task = queue.popleft()
+                    pool.submit(task)
+                    announce(ShardStarted, task.job,
+                             attempt=task.attempt)
+                for done in pool.wait():
+                    settle(done)
 
     merged = [results[job.index] for job in all_jobs]
     executed = tuple(job.shard_id for job in pending)
@@ -228,298 +278,3 @@ def run_fleet(spec: FleetSpec, *,
         spec=spec, jobs=tuple(all_jobs), results=merged,
         skipped=tuple(skipped), executed=executed, retries=retries,
     )
-
-
-# -- Shared helpers -----------------------------------------------------
-
-
-def _shard_event(cls, job: ShardJob, total: int, **extra):
-    return cls(shard_id=job.shard_id, index=job.index, total=total,
-               service=job.service, seed=job.seed, label=job.label,
-               **extra)
-
-
-def _result_from_records(job: ShardJob,
-                         jsonable_records: list[dict],
-                         obs: dict | None = None) -> CampaignResult:
-    from repro.io import record_from_dict
-
-    result = CampaignResult(service=job.service, config=job.config,
-                            obs=obs)
-    result.records.extend(record_from_dict(record, job.service)
-                          for record in jsonable_records)
-    return result
-
-
-def _records_to_jsonable(result: CampaignResult) -> list[dict]:
-    from repro.io import record_to_dict
-
-    return [record_to_dict(record) for record in result.records]
-
-
-def _anomaly_summary(record) -> dict[str, int]:
-    """Nonzero per-kind observation counts of one test record."""
-    return {kind: len(observations) for kind, observations
-            in record.report.observations.items() if observations}
-
-
-# -- Serial path --------------------------------------------------------
-
-
-def _run_serial(pending: list[ShardJob], runner: ShardRunner,
-                store: ArtifactStore | None, emit, total: int,
-                results: dict[int, CampaignResult]) -> None:
-    """In-process execution: the exact historical serial code path.
-
-    Results stay live objects (no serialization round trip), so
-    ``keep_traces`` campaigns retain their traces and an exception
-    inside a campaign propagates unwrapped.
-    """
-    for job in pending:
-        emit(_shard_event(ShardStarted, job, total, attempt=1))
-        result = runner(job)
-        if store is not None:
-            store.write_shard(job, _records_to_jsonable(result),
-                              obs=result.obs)
-        results[job.index] = result
-        emit(_shard_event(ShardCompleted, job, total, attempts=1,
-                          records=len(result.records)))
-
-
-def _run_stream_serial(pending: list[ShardJob],
-                       store: ArtifactStore | None, emit, total: int,
-                       results: dict[int, CampaignResult]) -> None:
-    """Serial execution through the streaming engine.
-
-    Identical merged results (parity contract), plus a
-    :class:`ShardTestChecked` event per test and, with a store, the
-    shard's archived operation stream.
-    """
-    from repro.stream.fleet import run_stream_shard
-
-    for job in pending:
-        emit(_shard_event(ShardStarted, job, total, attempt=1))
-        checked = 0
-
-        def on_test(meta, record, engine, job=job):
-            nonlocal checked
-            emit(_shard_event(
-                ShardTestChecked, job, total,
-                test_id=record.test_id, test_index=checked,
-                anomalies=_anomaly_summary(record),
-                state_size=engine.state_size(),
-            ))
-            checked += 1
-
-        trace_path = (store.trace_path(job.shard_id)
-                      if store is not None else None)
-        result = run_stream_shard(job, on_test, trace_path)
-        if store is not None:
-            store.write_shard(job, _records_to_jsonable(result),
-                              obs=result.obs)
-        results[job.index] = result
-        emit(_shard_event(ShardCompleted, job, total, attempts=1,
-                          records=len(result.records)))
-
-
-# -- Parallel path ------------------------------------------------------
-
-
-def _shard_worker(conn, runner: ShardRunner, job: ShardJob) -> None:
-    """Worker-process entry point: run one shard, ship its records."""
-    try:
-        result = runner(job)
-        payload = {"ok": True,
-                   "records": _records_to_jsonable(result),
-                   "obs": result.obs}
-    except BaseException:
-        payload = {"ok": False, "error": traceback.format_exc()}
-    try:
-        conn.send(payload)
-    finally:
-        conn.close()
-
-
-def _stream_shard_worker(conn, job: ShardJob,
-                         trace_path: str | None) -> None:
-    """Streaming worker: interim per-test messages, then the payload.
-
-    Interim messages (``{"type": "test", ...}``) ride the same pipe as
-    the final result; the host forwards them as
-    :class:`ShardTestChecked` events while the shard is still running.
-    A broken pipe on an interim send is ignored — the host may already
-    have abandoned this attempt (timeout), and the final send's
-    failure handling covers the result itself.
-    """
-    from repro.stream.fleet import run_stream_shard
-
-    checked = 0
-
-    def on_test(meta, record, engine):
-        nonlocal checked
-        message = {
-            "type": "test",
-            "test_id": record.test_id,
-            "test_index": checked,
-            "anomalies": _anomaly_summary(record),
-            "state_size": engine.state_size(),
-        }
-        checked += 1
-        try:
-            conn.send(message)
-        except (BrokenPipeError, OSError):
-            pass
-
-    try:
-        result = run_stream_shard(job, on_test, trace_path)
-        payload = {"ok": True,
-                   "records": _records_to_jsonable(result),
-                   "obs": result.obs}
-    except BaseException:
-        payload = {"ok": False, "error": traceback.format_exc()}
-    try:
-        conn.send(payload)
-    finally:
-        conn.close()
-
-
-def _mp_context():
-    """Prefer fork (cheap, inherits the loaded package); fall back."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context("spawn")
-
-
-@dataclass
-class _Running:
-    job: ShardJob
-    attempt: int
-    process: object
-    deadline: float | None
-
-
-def _run_parallel(pending: list[ShardJob], jobs: int,
-                  runner: ShardRunner, store: ArtifactStore | None,
-                  emit, total: int,
-                  results: dict[int, CampaignResult],
-                  shard_timeout: float | None,
-                  max_retries: int,
-                  stream: bool = False) -> int:
-    ctx = _mp_context()
-    queue: deque[tuple[ShardJob, int]] = deque(
-        (job, 1) for job in pending
-    )
-    running: dict[object, _Running] = {}
-    retries = 0
-
-    def fail_or_retry(entry: _Running, reason: str) -> None:
-        nonlocal retries
-        if entry.attempt > max_retries:
-            raise FleetError(
-                f"shard {entry.job.shard_id!r} failed after "
-                f"{entry.attempt} attempts: {reason}"
-            )
-        retries += 1
-        emit(_shard_event(ShardRetried, entry.job, total,
-                          attempt=entry.attempt + 1, reason=reason))
-        queue.appendleft((entry.job, entry.attempt + 1))
-
-    try:
-        while queue or running:
-            while queue and len(running) < jobs:
-                job, attempt = queue.popleft()
-                recv, send = ctx.Pipe(duplex=False)
-                if stream:
-                    trace_path = (str(store.trace_path(job.shard_id))
-                                  if store is not None else None)
-                    target, args = _stream_shard_worker, (
-                        send, job, trace_path,
-                    )
-                else:
-                    target, args = _shard_worker, (send, runner, job)
-                process = ctx.Process(
-                    target=target, args=args,
-                    name=f"fleet-{job.shard_id}", daemon=True,
-                )
-                process.start()
-                send.close()
-                deadline = (time.monotonic() + shard_timeout
-                            if shard_timeout is not None else None)
-                running[recv] = _Running(job, attempt, process,
-                                         deadline)
-                emit(_shard_event(ShardStarted, job, total,
-                                  attempt=attempt))
-
-            # Wake on result/EOF, or in time to enforce a deadline.
-            poll = 0.5
-            now = time.monotonic()
-            deadlines = [entry.deadline for entry in running.values()
-                         if entry.deadline is not None]
-            if deadlines:
-                poll = max(0.0, min(poll,
-                                    min(deadlines) - now))
-            ready = connection.wait(list(running), timeout=poll)
-
-            for conn in ready:
-                entry = running[conn]
-                try:
-                    payload = conn.recv()
-                except EOFError:
-                    payload = None
-                if isinstance(payload, dict) and \
-                        payload.get("type") == "test":
-                    # Interim telemetry; the shard is still running.
-                    emit(_shard_event(
-                        ShardTestChecked, entry.job, total,
-                        test_id=payload["test_id"],
-                        test_index=payload["test_index"],
-                        anomalies=payload["anomalies"],
-                        state_size=payload["state_size"],
-                    ))
-                    continue
-                running.pop(conn)
-                conn.close()
-                entry.process.join()
-                if payload is None:
-                    fail_or_retry(entry, "worker crashed (exit code "
-                                  f"{entry.process.exitcode})")
-                elif payload["ok"]:
-                    result = _result_from_records(
-                        entry.job, payload["records"],
-                        obs=payload.get("obs"),
-                    )
-                    if store is not None:
-                        store.write_shard(entry.job,
-                                          payload["records"],
-                                          obs=payload.get("obs"))
-                    results[entry.job.index] = result
-                    emit(_shard_event(
-                        ShardCompleted, entry.job, total,
-                        attempts=entry.attempt,
-                        records=len(result.records),
-                    ))
-                else:
-                    # A campaign exception is a pure function of the
-                    # shard: retrying cannot change the outcome.
-                    raise FleetError(
-                        f"shard {entry.job.shard_id!r} campaign "
-                        f"failed:\n{payload['error']}"
-                    )
-
-            now = time.monotonic()
-            for conn, entry in list(running.items()):
-                if entry.deadline is not None and now > entry.deadline:
-                    running.pop(conn)
-                    entry.process.terminate()
-                    entry.process.join()
-                    conn.close()
-                    fail_or_retry(
-                        entry,
-                        f"timed out after {shard_timeout:.1f}s",
-                    )
-    finally:
-        for entry in running.values():
-            entry.process.terminate()
-            entry.process.join()
-    return retries

@@ -1,0 +1,288 @@
+"""The one work pool: everything process-shaped about running shards.
+
+``run_fleet`` and ``run_hunts`` decide *which* shard runs next; this
+module is *how* a shard runs — in this process (:func:`run_shard`) or
+in a worker process (:class:`WorkPool`) — and how an attempt that did
+not end in a result is classified (:class:`Attempt`, the failure
+policy both clients share; ``docs/fleet.md``, "Failure policy").  A
+shard is always ``run_campaign(service, config)`` underneath, so
+nothing here can change what a shard computes, only where and when:
+the pool runs on the host, outside the simulation, and its wall-clock
+timeouts never reach a result.
+"""
+
+from __future__ import annotations
+
+import multiprocessing
+import time
+import traceback
+from dataclasses import KW_ONLY, dataclass
+from multiprocessing import connection
+from typing import Any, Callable, Iterator
+
+from repro.fleet.spec import ShardJob
+from repro.methodology.runner import CampaignResult, TestRecord
+
+__all__ = ["ShardRunner", "ShardTask", "Attempt", "WorkPool",
+           "run_shard", "records_to_jsonable", "result_from_records"]
+
+#: A shard runner: ShardJob -> CampaignResult.  Must be picklable
+#: (module-level) to cross the worker-process boundary.
+ShardRunner = Callable[[ShardJob], CampaignResult]
+
+#: Longest the host sleeps in :meth:`WorkPool.wait` with no deadline
+#: due, so a client's control polling stays responsive.
+POLL_SECONDS = 0.5
+
+
+@dataclass(frozen=True)
+class ShardTask:
+    """What one shard attempt executes.  All of it crosses the pipe,
+    so all but the job is keyword-only: ``repro.lint`` (PAR001) checks
+    by name each callable headed for a worker process."""
+
+    job: ShardJob
+    _: KW_ONLY
+    #: Batch shard runner; ``None`` runs the shard through the
+    #: streaming engine (:func:`repro.stream.fleet.run_stream_shard`),
+    #: which reports every closed test as an interim message.
+    runner: ShardRunner | None = None
+    #: 1-based; the client's retry bookkeeping, unused by the worker.
+    attempt: int = 1
+    #: Streaming only: archive the shard's operation stream here.
+    trace_path: str | None = None
+    #: Streaming only: extra interim-message fields computed from each
+    #: closed test's record where the shard runs.
+    verdicts: Callable[[TestRecord], dict] | None = None
+
+
+@dataclass(frozen=True)
+class Attempt:
+    """How one pooled shard attempt ended — exactly one of three ways.
+
+    ``"result"``
+        The worker shipped the shard's records through the compact
+        JSON encoding of :mod:`repro.io`, whose round trip is exact
+        for everything the analysis pipeline consumes.
+    ``"error"``
+        An exception was raised inside the campaign.  That is a pure
+        function of the shard — re-running it could only fail
+        identically — so clients surface ``detail`` (the traceback)
+        and never retry.
+    ``"failure"``
+        The worker died without a payload (pipe EOF) or outlived the
+        per-attempt wall-clock budget and was terminated.  Both are
+        environmental, so clients may retry within their budget;
+        ``detail`` is the reason.
+    """
+
+    task: ShardTask
+    #: The client's bookkeeping, exactly as given to ``submit``.
+    tag: Any
+    kind: str
+    result: CampaignResult | None = None
+    #: The result's records as they crossed the pipe (store-ready).
+    records: list[dict] | None = None
+    detail: str = ""
+
+
+def records_to_jsonable(result: CampaignResult) -> list[dict]:
+    """A result's records in the wire/store encoding."""
+    from repro.io import record_to_dict
+
+    return [record_to_dict(record) for record in result.records]
+
+
+def result_from_records(job: ShardJob, jsonable_records: list[dict],
+                        obs: dict | None = None) -> CampaignResult:
+    """Rebuild a shard's result from its wire/store encoding."""
+    from repro.io import record_from_dict
+
+    result = CampaignResult(service=job.service, config=job.config,
+                            obs=obs)
+    result.records.extend(record_from_dict(record, job.service)
+                          for record in jsonable_records)
+    return result
+
+
+def _anomaly_summary(record: TestRecord) -> dict[str, int]:
+    """Nonzero per-kind observation counts of one test record."""
+    return {kind: len(observations) for kind, observations
+            in record.report.observations.items() if observations}
+
+
+#: Interim-message callback: ``(task, tag, message)`` for each closed
+#: test of a streaming task, while its shard is still running.
+OnTest = Callable[[ShardTask, Any, dict], None]
+
+
+def run_shard(task: ShardTask, on_test: OnTest,
+              tag: Any = None) -> CampaignResult:
+    """Run one shard in this process and return its live result.
+
+    The ``jobs=1`` / ``workers=1`` path calls this directly — no
+    serialization, so ``keep_traces`` campaigns retain their traces
+    and an exception inside a campaign propagates unwrapped; a pool
+    worker calls it with ``on_test`` bound to its pipe.  A streaming
+    task reports each closed test to ``on_test`` as a dict of
+    ``test_id``, ``test_index`` (0-based within the shard),
+    ``anomalies``, ``state_size`` and the task's ``verdicts`` fields.
+    """
+    if task.runner is not None:
+        return task.runner(task.job)
+    from repro.stream.fleet import run_stream_shard
+
+    checked = 0
+
+    def closed(meta, record, engine):
+        nonlocal checked
+        message = {"test_id": record.test_id,
+                   "test_index": checked,
+                   "anomalies": _anomaly_summary(record),
+                   "state_size": engine.state_size()}
+        if task.verdicts is not None:
+            message.update(task.verdicts(record))
+        checked += 1
+        on_test(task, tag, message)
+
+    return run_stream_shard(task.job, closed, task.trace_path)
+
+
+def _worker(conn, task: ShardTask) -> None:
+    """Worker-process entry point: interim messages, then the payload.
+
+    A broken pipe on an interim send is ignored — the host may already
+    have abandoned this attempt (timeout), and the final send's
+    failure handling covers the result itself.
+    """
+    def send_test(_task, _tag, message: dict) -> None:
+        try:
+            conn.send(message)
+        except OSError:
+            pass
+
+    try:
+        result = run_shard(task, send_test)
+        payload = {"ok": True,
+                   "records": records_to_jsonable(result),
+                   "obs": result.obs}
+    except BaseException:
+        # The process boundary: whatever ended the campaign is
+        # reported to the host, then this process exits.
+        payload = {"ok": False, "error": traceback.format_exc()}
+    try:
+        conn.send(payload)
+    finally:
+        conn.close()
+
+
+def _mp_context():
+    """Prefer fork (cheap, inherits the loaded package); fall back."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        return multiprocessing.get_context("spawn")
+
+
+@dataclass
+class _Running:
+    task: ShardTask
+    tag: Any
+    process: Any
+    deadline: float | None
+
+
+class WorkPool:
+    """Process-per-attempt shard execution behind one wait loop.
+
+    The client owns dispatch: it calls :meth:`submit` whenever it
+    wants another attempt in flight (bounding ``in_flight`` itself)
+    and drains :meth:`wait` for the attempts that ended.  ``timeout``
+    is the wall-clock seconds one attempt may run.  Leaving the
+    ``with`` block terminates whatever is still in flight.
+    """
+
+    def __init__(self, on_test: OnTest, *,
+                 timeout: float | None = None) -> None:
+        self._on_test = on_test
+        self._timeout = timeout
+        self._ctx = _mp_context()
+        self._running: dict[Any, _Running] = {}
+
+    def __enter__(self) -> "WorkPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for conn in list(self._running):
+            self._reap(conn, kill=True)
+
+    @property
+    def in_flight(self) -> int:
+        return len(self._running)
+
+    def submit(self, task: ShardTask, tag: Any = None) -> None:
+        """Start one attempt of ``task`` in a fresh worker process."""
+        recv, send = self._ctx.Pipe(duplex=False)
+        process = self._ctx.Process(
+            target=_worker, args=(send, task), daemon=True,
+            name=f"shard-{task.job.shard_id}-{task.attempt}",
+        )
+        process.start()
+        send.close()
+        deadline = (time.monotonic() + self._timeout
+                    if self._timeout is not None else None)
+        self._running[recv] = _Running(task, tag, process, deadline)
+
+    def _reap(self, conn, kill: bool = False) -> _Running:
+        entry = self._running.pop(conn)
+        if kill:
+            entry.process.terminate()
+        entry.process.join()
+        conn.close()
+        return entry
+
+    def wait(self) -> Iterator[Attempt]:
+        """Yield the attempts that ended, waking on a pipe or deadline.
+
+        Blocks at most :data:`POLL_SECONDS`; may yield nothing.  Each
+        yielded attempt is already reaped (process joined, pipe
+        closed), so the client may raise out of the loop.
+        """
+        poll = POLL_SECONDS
+        deadlines = [entry.deadline for entry in self._running.values()
+                     if entry.deadline is not None]
+        if deadlines:
+            poll = max(0.0, min(poll,
+                                min(deadlines) - time.monotonic()))
+        for conn in connection.wait(list(self._running), timeout=poll):
+            entry = self._running[conn]
+            try:
+                payload = conn.recv()
+            except EOFError:
+                payload = None
+            if payload is not None and "ok" not in payload:
+                # Interim message; the shard is still running.
+                self._on_test(entry.task, entry.tag, payload)
+                continue
+            self._reap(conn)
+            if payload is None:
+                yield Attempt(entry.task, entry.tag, "failure",
+                              detail="worker crashed (exit code "
+                                     f"{entry.process.exitcode})")
+            elif payload["ok"]:
+                result = result_from_records(
+                    entry.task.job, payload["records"],
+                    obs=payload["obs"])
+                yield Attempt(entry.task, entry.tag, "result",
+                              result=result, records=payload["records"])
+            else:
+                yield Attempt(entry.task, entry.tag, "error",
+                              detail=payload["error"])
+
+        now = time.monotonic()
+        for conn, entry in list(self._running.items()):
+            if entry.deadline is not None and now > entry.deadline:
+                self._reap(conn, kill=True)
+                yield Attempt(
+                    entry.task, entry.tag, "failure",
+                    detail=f"timed out after {self._timeout:.1f}s")

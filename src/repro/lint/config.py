@@ -21,29 +21,21 @@ determinism contract:
                                          # ...except in these modules
     exclude = ["**/_generated_*.py"]     # glob on posix paths
 
-Parsing uses :mod:`tomllib` where available (Python ≥ 3.11).  On 3.10
-— which this project still supports and CI exercises — a minimal
-built-in TOML subset parser handles the ``[tool.repro-lint]`` table, so
-the linter has zero third-party dependencies everywhere.
+Parsing uses the standard library's :mod:`tomllib`, so the linter has
+zero third-party dependencies.
 """
 
 from __future__ import annotations
 
-import re
+import tomllib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-
-try:
-    import tomllib
-except ImportError:  # pragma: no cover - Python 3.10
-    tomllib = None  # type: ignore[assignment]
 
 __all__ = [
     "LintConfig",
     "load_config",
     "find_pyproject",
     "config_from_table",
-    "parse_minimal_toml_table",
     "DEFAULT_SIM_SCOPES",
     "DEFAULT_TRACE_SCOPES",
     "DEFAULT_RANDOM_ALLOWLIST",
@@ -96,12 +88,15 @@ DEFAULT_AGGREGATION_SCOPES = DEFAULT_SIM_SCOPES + (
 )
 
 #: Functions whose transitive callees constitute "the computation a
-#: campaign result depends on": the serial campaign runner and the
-#: fleet worker/driver.  The whole-program pass starts reachability
+#: campaign result depends on": the serial campaign runner, the two
+#: clients of the work pool (both reach ``repro.fleet.pool.run_shard``,
+#: the code a worker runs), and the default shard runner the pool
+#: calls through a task.  The whole-program pass starts reachability
 #: (DET005, TRACE002) and scope inference here.
 DEFAULT_ENTRY_POINTS = (
     "repro.methodology.runner.run_campaign",
     "repro.fleet.executor.run_fleet",
+    "repro.serve.scheduler.run_hunts",
     "repro.fleet.executor.execute_shard",
 )
 
@@ -111,13 +106,19 @@ DEFAULT_ENTRY_POINTS = (
 #: ``Pool``-style method names are recognised structurally on top.  A
 #: ``target:arg,arg`` suffix restricts the check to the named keyword
 #: arguments (``run_fleet`` keeps ``on_event`` host-side — only the
-#: shard runner is shipped to workers).
+#: shard runner is shipped to workers).  The repo's own boundary is
+#: declared once, at the pool's entry — a ``ShardTask`` is what crosses
+#: the pipe — plus the public aliases through which a caller hands the
+#: pool clients a runner.
 DEFAULT_PIPE_BOUNDARIES = (
     "multiprocessing.Process",
     "multiprocessing.get_context",
     "concurrent.futures.ProcessPoolExecutor",
+    "repro.fleet.pool.ShardTask:runner,verdicts",
     "repro.fleet.run_fleet:shard_runner",
     "repro.fleet.executor.run_fleet:shard_runner",
+    "repro.serve.run_hunts:shard_runner",
+    "repro.serve.scheduler.run_hunts:shard_runner",
 )
 
 #: Method names through which a trace/operation record is *emitted* to
@@ -260,12 +261,8 @@ def load_config(pyproject: Path | None) -> LintConfig:
     """Build a :class:`LintConfig` from a ``pyproject.toml`` (or defaults)."""
     if pyproject is None:
         return LintConfig()
-    text = pyproject.read_text(encoding="utf-8")
-    if tomllib is not None:
-        data = tomllib.loads(text)
-        table = data.get("tool", {}).get("repro-lint", {})
-    else:  # pragma: no cover - exercised on Python 3.10 only
-        table = parse_minimal_toml_table(text, "tool.repro-lint")
+    data = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    table = data.get("tool", {}).get("repro-lint", {})
     return config_from_table(table, source=str(pyproject))
 
 
@@ -305,113 +302,3 @@ def config_from_table(table: dict, source: str = "<table>") -> LintConfig:
         source=source,
     )
 
-
-# -- Minimal TOML subset parsing (Python 3.10 fallback) -----------------
-
-_HEADER_RE = re.compile(r"^\s*\[\s*([^\]]+?)\s*\]\s*(?:#.*)?$")
-_KEY_RE = re.compile(r"^\s*([A-Za-z0-9_\-\"']+)\s*=\s*(.*)$")
-
-
-def _normalize_header(raw: str) -> str:
-    parts = [part.strip().strip('"').strip("'")
-             for part in raw.split(".")]
-    return ".".join(parts)
-
-
-def _strip_comment(line: str) -> str:
-    out = []
-    quote: str | None = None
-    for char in line:
-        if quote:
-            if char == quote:
-                quote = None
-        elif char in ("'", '"'):
-            quote = char
-        elif char == "#":
-            break
-        out.append(char)
-    return "".join(out)
-
-
-def _parse_scalar(text: str):
-    text = text.strip()
-    if not text:
-        return None
-    if text[0] in ("'", '"'):
-        return text[1:-1]
-    if text in ("true", "false"):
-        return text == "true"
-    try:
-        return int(text)
-    except ValueError:
-        try:
-            return float(text)
-        except ValueError:
-            return text
-
-
-def _parse_value(text: str):
-    text = text.strip()
-    if text.startswith("["):
-        body = text[1:-1]
-        items: list = []
-        current = []
-        quote: str | None = None
-        for char in body:
-            if quote:
-                current.append(char)
-                if char == quote:
-                    quote = None
-            elif char in ("'", '"'):
-                quote = char
-                current.append(char)
-            elif char == ",":
-                items.append("".join(current))
-                current = []
-            else:
-                current.append(char)
-        items.append("".join(current))
-        return [_parse_scalar(item) for item in items
-                if item.strip()]
-    return _parse_scalar(text)
-
-
-def parse_minimal_toml_table(text: str, table_name: str) -> dict:
-    """Extract one flat table from TOML without :mod:`tomllib`.
-
-    Supports exactly what ``[tool.repro-lint]`` needs — string, bool,
-    and numeric scalars plus (possibly multi-line) arrays of them.  It
-    is *not* a general TOML parser; Python ≥ 3.11 always uses
-    :mod:`tomllib` instead.
-    """
-    table: dict = {}
-    in_table = False
-    pending_key: str | None = None
-    pending_value: list[str] = []
-    for raw_line in text.splitlines():
-        line = _strip_comment(raw_line)
-        header = _HEADER_RE.match(line)
-        if header and pending_key is None:
-            in_table = _normalize_header(header.group(1)) == table_name
-            continue
-        if not in_table:
-            continue
-        if pending_key is not None:
-            pending_value.append(line)
-            joined = " ".join(pending_value)
-            if joined.count("[") <= joined.count("]"):
-                table[pending_key] = _parse_value(joined)
-                pending_key = None
-                pending_value = []
-            continue
-        match = _KEY_RE.match(line)
-        if not match:
-            continue
-        key = match.group(1).strip().strip('"').strip("'")
-        value = match.group(2).strip()
-        if value.startswith("[") and value.count("[") > value.count("]"):
-            pending_key = key
-            pending_value = [value]
-        else:
-            table[key] = _parse_value(value)
-    return table

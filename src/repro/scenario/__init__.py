@@ -19,7 +19,6 @@ layer (:mod:`repro.scenario.policies`).
 from repro.scenario.loader import (
     load_scenario,
     load_scenarios,
-    parse_scenario_toml,
     scenario_from_mapping,
 )
 from repro.scenario.policies import (
@@ -66,7 +65,6 @@ __all__ = [
     "apply_policy",
     "load_scenario",
     "load_scenarios",
-    "parse_scenario_toml",
     "scenario_from_mapping",
     "register_scenario",
     "get_scenario",

@@ -2,12 +2,7 @@
 
 Two layers:
 
-* a parser front-end — :mod:`tomllib` where the interpreter has it
-  (3.11+), otherwise :func:`parse_scenario_toml`, a minimal TOML subset
-  parser (tables, dotted/array-of-table headers, quoted dotted keys,
-  strings/bools/ints/floats/inline arrays) sufficient for scenario
-  files, so the 3.10 CI leg loads the same files byte-for-byte
-  identically;
+* a parser front-end — :mod:`tomllib` or :mod:`json`, by file suffix;
 * :func:`scenario_from_mapping` — the strict mapping → dataclass
   conversion.  Unknown keys, version skew, type errors, and
   out-of-range values all raise
@@ -24,6 +19,7 @@ scenario in a different key order produce the same
 from __future__ import annotations
 
 import json
+import tomllib
 from pathlib import Path
 from typing import Any
 
@@ -38,219 +34,11 @@ from repro.scenario.schema import (
     WorkloadSpec,
 )
 
-try:  # Python >= 3.11
-    import tomllib
-except ModuleNotFoundError:  # pragma: no cover - 3.10 CI leg
-    tomllib = None
-
 __all__ = [
     "load_scenario",
     "load_scenarios",
     "scenario_from_mapping",
-    "parse_scenario_toml",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Minimal TOML subset parser (tomllib-free fallback)
-# ---------------------------------------------------------------------------
-
-
-def _strip_comment(line: str) -> str:
-    out = []
-    in_string = False
-    for ch in line:
-        if ch == '"' and (not out or out[-1] != "\\"):
-            in_string = not in_string
-        if ch == "#" and not in_string:
-            break
-        out.append(ch)
-    return "".join(out)
-
-
-def _parse_header_path(text: str, where: str) -> list[str]:
-    parts = []
-    for part in text.split("."):
-        part = part.strip()
-        if part.startswith('"') and part.endswith('"') and \
-                len(part) >= 2:
-            part = part[1:-1]
-        if not part:
-            raise ConfigurationError(
-                f"{where}: empty table-header segment"
-            )
-        parts.append(part)
-    return parts
-
-
-def _split_assignment(line: str, where: str) -> tuple[str, str]:
-    if line.startswith('"'):
-        end = line.find('"', 1)
-        if end < 0:
-            raise ConfigurationError(
-                f"{where}: unterminated quoted key"
-            )
-        key = line[1:end]
-        rest = line[end + 1:].lstrip()
-    else:
-        eq = line.find("=")
-        if eq < 0:
-            raise ConfigurationError(
-                f"{where}: expected `key = value`"
-            )
-        key = line[:eq].strip()
-        rest = line[eq:]
-    if not rest.startswith("="):
-        raise ConfigurationError(f"{where}: expected `=` after key")
-    if not key:
-        raise ConfigurationError(f"{where}: empty key")
-    return key, rest[1:].strip()
-
-
-def _split_array_items(body: str, where: str) -> list[str]:
-    items: list[str] = []
-    depth = 0
-    in_string = False
-    current: list[str] = []
-    previous = ""
-    for ch in body:
-        if ch == '"' and previous != "\\":
-            in_string = not in_string
-        if not in_string:
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-                if depth < 0:
-                    raise ConfigurationError(
-                        f"{where}: unbalanced `]` in array"
-                    )
-            elif ch == "," and depth == 0:
-                items.append("".join(current).strip())
-                current = []
-                previous = ch
-                continue
-        current.append(ch)
-        previous = ch
-    if in_string or depth != 0:
-        raise ConfigurationError(f"{where}: unterminated array")
-    tail = "".join(current).strip()
-    if tail:
-        items.append(tail)
-    return [item for item in items if item]
-
-
-_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\", "r": "\r"}
-
-
-def _parse_value(text: str, where: str) -> Any:
-    if not text:
-        raise ConfigurationError(f"{where}: missing value")
-    if text.startswith('"'):
-        if len(text) < 2 or not text.endswith('"'):
-            raise ConfigurationError(
-                f"{where}: unterminated string"
-            )
-        out = []
-        i = 1
-        while i < len(text) - 1:
-            ch = text[i]
-            if ch == "\\":
-                i += 1
-                if i >= len(text) - 1:
-                    raise ConfigurationError(
-                        f"{where}: dangling escape in string"
-                    )
-                esc = text[i]
-                if esc not in _ESCAPES:
-                    raise ConfigurationError(
-                        f"{where}: unsupported escape \\{esc}"
-                    )
-                out.append(_ESCAPES[esc])
-            else:
-                out.append(ch)
-            i += 1
-        return "".join(out)
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise ConfigurationError(
-                f"{where}: arrays must be single-line"
-            )
-        return [_parse_value(item, where)
-                for item in _split_array_items(text[1:-1], where)]
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        body = text.lstrip("+-")
-        if body.isdigit():
-            return int(text)
-        return float(text)
-    except ValueError:
-        raise ConfigurationError(
-            f"{where}: cannot parse value {text!r}"
-        ) from None
-
-
-def parse_scenario_toml(text: str, source: str) -> dict:
-    """Parse the TOML subset scenario files use into nested dicts.
-
-    Supports ``[a.b]`` table headers, ``[[name]]`` array-of-table
-    headers, quoted (dotted) keys, strings with basic escapes, bools,
-    ints, floats, and single-line (nested) arrays — deliberately no
-    more.  Matches :mod:`tomllib` output on every file in
-    ``examples/scenarios/``.
-    """
-    root: dict[str, Any] = {}
-    current = root
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        where = f"{source}:{lineno}"
-        if line.startswith("[["):
-            if not line.endswith("]]"):
-                raise ConfigurationError(
-                    f"{where}: malformed array-table header"
-                )
-            path = _parse_header_path(line[2:-2], where)
-            parent = root
-            for part in path[:-1]:
-                parent = parent.setdefault(part, {})
-                if not isinstance(parent, dict):
-                    raise ConfigurationError(
-                        f"{where}: {part!r} is not a table"
-                    )
-            entries = parent.setdefault(path[-1], [])
-            if not isinstance(entries, list):
-                raise ConfigurationError(
-                    f"{where}: {path[-1]!r} is not an array of tables"
-                )
-            current = {}
-            entries.append(current)
-        elif line.startswith("["):
-            if not line.endswith("]"):
-                raise ConfigurationError(
-                    f"{where}: malformed table header"
-                )
-            path = _parse_header_path(line[1:-1], where)
-            node = root
-            for part in path:
-                node = node.setdefault(part, {})
-                if not isinstance(node, dict):
-                    raise ConfigurationError(
-                        f"{where}: {part!r} is not a table"
-                    )
-            current = node
-        else:
-            key, value_text = _split_assignment(line, where)
-            if key in current:
-                raise ConfigurationError(
-                    f"{where}: duplicate key {key!r}"
-                )
-            current[key] = _parse_value(value_text, where)
-    return root
 
 
 # ---------------------------------------------------------------------------
@@ -591,15 +379,13 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
             raise ConfigurationError(
                 f"{source}: invalid JSON ({exc})"
             ) from None
-    elif tomllib is not None:
+    else:
         try:
             data = tomllib.loads(text)
         except tomllib.TOMLDecodeError as exc:
             raise ConfigurationError(
                 f"{source}: invalid TOML ({exc})"
             ) from None
-    else:
-        data = parse_scenario_toml(text, source)
     return scenario_from_mapping(data, source)
 
 

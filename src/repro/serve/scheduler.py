@@ -26,10 +26,11 @@ here is byte-identical to the same spec under ``run_fleet`` — the
 parity gate (``tools/serve_parity_check.py``) holds the scheduler to
 that.
 
-Failure policy mirrors the fleet executor: a worker *crash or timeout*
-is environmental and retried within a bounded budget; an exception
-raised inside a campaign is deterministic, so it fails the hunt
-immediately (only that hunt — the pool keeps serving the others).
+How a shard runs and how a crashed, timed-out or failed attempt is
+classified belong to :mod:`repro.fleet.pool`, shared with the fleet
+executor (``docs/fleet.md``, "Failure policy").  What differs here is
+the consequence: an unrecoverable shard halts only its own hunt — the
+pool keeps serving the others.
 
 This is the serving shell: it runs on the host, outside any
 simulation, and is allowed wall-clock time (``repro.lint`` scope
@@ -39,22 +40,21 @@ shard executes, never what it computes.
 
 from __future__ import annotations
 
-import time
 from collections import deque
-from dataclasses import dataclass, field
-from multiprocessing import connection
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.fleet.digest import fleet_signature
-from repro.fleet.executor import (
-    DEFAULT_MAX_RETRIES,
+from repro.fleet.executor import DEFAULT_MAX_RETRIES, execute_shard
+from repro.fleet.pool import (
+    Attempt,
     ShardRunner,
-    _mp_context,
-    _records_to_jsonable,
-    _result_from_records,
-    _shard_worker,
-    execute_shard,
+    ShardTask,
+    WorkPool,
+    records_to_jsonable,
+    result_from_records,
+    run_shard,
 )
 from repro.fleet.spec import ShardJob
 from repro.fleet.store import ArtifactStore
@@ -120,19 +120,27 @@ class HuntOutcome:
         return fleet_signature(list(self.results))
 
 
-def _resume(run: HuntRun) -> None:
+def _resume(run: HuntRun, shard_runner: ShardRunner | None) -> None:
     """Load digest-valid completed shards; queue the rest (FIFO)."""
     skipped = []
     for job in run.jobs:
         if run.store is not None and \
                 run.store.shard_state(job.shard_id) == "complete":
-            run.results[job.index] = _result_from_records(
+            run.results[job.index] = result_from_records(
                 job, run.store.load_shard_records(job.shard_id),
                 obs=run.store.load_shard_obs(job.shard_id),
             )
             skipped.append(job.shard_id)
+        elif shard_runner is not None or not run.stream:
+            # A custom runner replaces the execution path, stream
+            # included.
+            run.queue.append(ShardTask(
+                job, runner=shard_runner or execute_shard))
         else:
-            run.queue.append((job, 1))
+            trace_path = (str(run.store.trace_path(job.shard_id))
+                          if run.store is not None else None)
+            run.queue.append(ShardTask(job, trace_path=trace_path,
+                                       verdicts=window_verdicts))
     run.skipped = tuple(skipped)
 
 
@@ -141,7 +149,7 @@ def _complete(run: HuntRun, job: ShardJob, result: CampaignResult,
     if run.store is not None:
         run.store.write_shard(
             job, jsonable if jsonable is not None
-            else _records_to_jsonable(result),
+            else records_to_jsonable(result),
             obs=result.obs,
         )
     run.results[job.index] = result
@@ -149,6 +157,32 @@ def _complete(run: HuntRun, job: ShardJob, result: CampaignResult,
         hunt_id=run.hunt_id, shard_id=job.shard_id,
         done=len(run.results), total=len(run.jobs),
     ))
+
+
+def _halt(run: HuntRun, error: str) -> None:
+    """Fail one hunt: drop its queue; the others keep being served."""
+    run.queue.clear()
+    run.halt = error
+
+
+def _settle(run: HuntRun, done: Attempt, emit: EventFn) -> None:
+    """Apply one ended pool attempt to its hunt: result, halt or retry."""
+    task, job = done.task, done.task.job
+    if done.kind == "result":
+        _complete(run, job, done.result, done.records, emit)
+    elif done.kind == "error":
+        _halt(run, f"shard {job.shard_id!r} campaign "
+                   f"failed:\n{done.detail}")
+    elif task.attempt > run.max_retries:
+        _halt(run, f"shard {job.shard_id!r} failed after "
+                   f"{task.attempt} attempts: {done.detail}")
+    else:
+        run.retries += 1
+        emit(HuntShardRetried(
+            hunt_id=run.hunt_id, shard_id=job.shard_id,
+            attempt=task.attempt + 1, reason=done.detail,
+        ))
+        run.queue.appendleft(replace(task, attempt=task.attempt + 1))
 
 
 def _outcome(run: HuntRun) -> HuntOutcome:
@@ -209,14 +243,11 @@ def run_hunts(runs: list[HuntRun], *,
             f"unknown scheduler policy {policy!r} "
             f"(expected one of {SCHEDULER_POLICIES})"
         )
-    runner = shard_runner or execute_shard
     emit = on_event or (lambda event: None)
     verdict = control or (lambda hunt_id: "run")
-    #: A custom runner replaces the execution path, stream included.
-    stream_ok = shard_runner is None
 
     for run in runs:
-        _resume(run)
+        _resume(run, shard_runner)
 
     def apply_control() -> None:
         for run in runs:
@@ -229,12 +260,52 @@ def run_hunts(runs: list[HuntRun], *,
                 run.queue.clear()
                 run.halt = "cancelled"
 
+    def test_checked(task: ShardTask, run: HuntRun,
+                     message: dict) -> None:
+        emit(HuntTestChecked(hunt_id=run.hunt_id,
+                             shard_id=task.job.shard_id, **message))
+
     if workers == 1:
-        _run_inline(runs, policy, runner, emit, apply_control,
-                    stream_ok)
-    else:
-        _run_pool(runs, workers, policy, runner, emit, apply_control,
-                  shard_timeout, stream_ok)
+        # In-process: a campaign exception still fails just its hunt.
+        affinity: str | None = None
+        while True:
+            apply_control()
+            run = _next_run(runs, policy, affinity)
+            if run is None:
+                break
+            affinity = run.hunt_id
+            task = run.queue.popleft()
+            try:
+                result = run_shard(task, test_checked, run)
+            except Exception as exc:  # noqa: BLE001 - isolate per hunt
+                _halt(run, f"shard {task.job.shard_id!r} campaign "
+                           f"failed: {exc}")
+                continue
+            _complete(run, task.job, result, None, emit)
+        return [_outcome(run) for run in runs]
+
+    #: One entry per idle worker slot: the hunt it last served (its
+    #: affinity), None until it has served one.
+    idle: deque[str | None] = deque([None] * workers)
+    with WorkPool(test_checked, timeout=shard_timeout) as pool:
+        while pool.in_flight or any(_dispatchable(run) for run in runs):
+            apply_control()
+            while idle:
+                run = _next_run(runs, policy, idle[0])
+                if run is None:
+                    break
+                idle.popleft()
+                pool.submit(run.queue.popleft(), run)
+                run.running += 1
+            if not pool.in_flight:
+                # Nothing running and nothing dispatchable right now
+                # (every remaining hunt halted).
+                break
+            for done in pool.wait():
+                run = done.tag
+                idle.append(run.hunt_id)
+                run.running -= 1
+                _settle(run, done, emit)
     return [_outcome(run) for run in runs]
 
 
@@ -271,12 +342,14 @@ def _next_run(runs: list[HuntRun], policy: str,
 # -- Streaming verdicts --------------------------------------------------
 
 
-def _window_payload(record) -> dict[str, list[dict]]:
+def window_verdicts(record) -> dict[str, dict[str, list[dict]]]:
     """One test record's divergence windows, JSON-safe.
 
     The per-pair verdicts a follow-mode consumer of the event feed
     acts on: which agent pairs diverged, over which intervals, and
-    whether they reconverged before the test closed.
+    whether they reconverged before the test closed.  Computed where
+    the shard runs and carried to the host as the ``windows`` field of
+    each :class:`~repro.obs.events.HuntTestChecked`.
     """
     def encode(windows) -> list[dict]:
         return [
@@ -286,274 +359,5 @@ def _window_payload(record) -> dict[str, list[dict]]:
              "converged": result.converged}
             for _pair, result in sorted(windows.items())
         ]
-    return {"content": encode(record.content_windows),
-            "order": encode(record.order_windows)}
-
-
-def _test_message(record, engine, checked: int) -> dict:
-    """One closed test as an interim wire/event payload."""
-    from repro.fleet.executor import _anomaly_summary
-
-    return {
-        "type": "test",
-        "test_id": record.test_id,
-        "test_index": checked,
-        "anomalies": _anomaly_summary(record),
-        "windows": _window_payload(record),
-        "state_size": engine.state_size(),
-    }
-
-
-def _emit_test_checked(run_id: str, shard_id: str, message: dict,
-                       emit: EventFn) -> None:
-    emit(HuntTestChecked(
-        hunt_id=run_id, shard_id=shard_id,
-        test_id=message["test_id"],
-        test_index=message["test_index"],
-        anomalies=message["anomalies"],
-        windows=message["windows"],
-        state_size=message["state_size"],
-    ))
-
-
-def _run_stream_shard(run: HuntRun, job: ShardJob,
-                      emit: EventFn) -> CampaignResult:
-    """One shard through the streaming engine, verdicts to ``emit``."""
-    from repro.stream.fleet import run_stream_shard
-
-    checked = 0
-
-    def on_test(meta, record, engine):
-        nonlocal checked
-        _emit_test_checked(
-            run.hunt_id, job.shard_id,
-            _test_message(record, engine, checked), emit,
-        )
-        checked += 1
-
-    trace_path = (run.store.trace_path(job.shard_id)
-                  if run.store is not None else None)
-    return run_stream_shard(job, on_test, trace_path)
-
-
-def _stream_hunt_worker(conn, job: ShardJob,
-                        trace_path: str | None) -> None:
-    """Streaming worker: interim per-test messages, then the result.
-
-    Like the fleet executor's ``_stream_shard_worker``, but the
-    interim messages also carry the test's divergence-window verdicts
-    (``windows``) for the hunt event feed.  A broken pipe on an
-    interim send is ignored — the host may have abandoned this
-    attempt, and the final send's failure handling covers the result.
-    """
-    import traceback
-
-    from repro.stream.fleet import run_stream_shard
-
-    checked = 0
-
-    def on_test(meta, record, engine):
-        nonlocal checked
-        message = _test_message(record, engine, checked)
-        checked += 1
-        try:
-            conn.send(message)
-        except (BrokenPipeError, OSError):
-            pass
-
-    try:
-        result = run_stream_shard(job, on_test, trace_path)
-        payload = {"ok": True,
-                   "records": _records_to_jsonable(result),
-                   "obs": result.obs}
-    except BaseException:
-        payload = {"ok": False, "error": traceback.format_exc()}
-    try:
-        conn.send(payload)
-    finally:
-        conn.close()
-
-
-# -- Inline path (workers == 1) -----------------------------------------
-
-
-def _run_inline(runs: list[HuntRun], policy: str, runner: ShardRunner,
-                emit: EventFn, apply_control,
-                stream_ok: bool = True) -> None:
-    """In-process execution; campaign exceptions fail just the hunt."""
-    affinity: str | None = None
-    while True:
-        apply_control()
-        run = _next_run(runs, policy, affinity)
-        if run is None:
-            return
-        affinity = run.hunt_id
-        job, _ = run.queue.popleft()
-        try:
-            if run.stream and stream_ok:
-                result = _run_stream_shard(run, job, emit)
-            else:
-                result = runner(job)
-        except Exception as exc:  # noqa: BLE001 - isolate per hunt
-            run.queue.clear()
-            run.halt = (f"shard {job.shard_id!r} campaign failed: "
-                        f"{exc}")
-            continue
-        _complete(run, job, result, None, emit)
-
-
-# -- Pool path (workers >= 2) -------------------------------------------
-
-
-@dataclass
-class _InFlight:
-    run: HuntRun
-    job: ShardJob
-    attempt: int
-    process: object
-    deadline: float | None
-
-
-def _fail_or_retry(entry: _InFlight, reason: str,
-                   emit: EventFn) -> None:
-    run = entry.run
-    if entry.attempt > run.max_retries:
-        run.queue.clear()
-        run.halt = (f"shard {entry.job.shard_id!r} failed after "
-                    f"{entry.attempt} attempts: {reason}")
-        return
-    run.retries += 1
-    emit(HuntShardRetried(
-        hunt_id=run.hunt_id, shard_id=entry.job.shard_id,
-        attempt=entry.attempt + 1, reason=reason,
-    ))
-    run.queue.appendleft((entry.job, entry.attempt + 1))
-
-
-def _run_pool(runs: list[HuntRun], workers: int, policy: str,
-              runner: ShardRunner, emit: EventFn, apply_control,
-              shard_timeout: float | None,
-              stream_ok: bool = True) -> None:
-    ctx = _mp_context()
-    in_flight: dict[object, _InFlight] = {}
-    #: worker slot -> hunt affinity; slots are just indexes 0..N-1.
-    affinity: dict[int, str | None] = {slot: None
-                                       for slot in range(workers)}
-    free_slots = deque(range(workers))
-    slot_of: dict[object, int] = {}
-
-    def anything_left() -> bool:
-        return bool(in_flight) or any(_dispatchable(run)
-                                      for run in runs)
-
-    try:
-        while anything_left():
-            apply_control()
-            while free_slots:
-                slot = free_slots[0]
-                run = _next_run(runs, policy, affinity[slot])
-                if run is None:
-                    break
-                free_slots.popleft()
-                affinity[slot] = run.hunt_id
-                job, attempt = run.queue.popleft()
-                recv, send = ctx.Pipe(duplex=False)
-                if run.stream and stream_ok:
-                    trace_path = (
-                        str(run.store.trace_path(job.shard_id))
-                        if run.store is not None else None
-                    )
-                    target, args = _stream_hunt_worker, (
-                        send, job, trace_path,
-                    )
-                else:
-                    target, args = _shard_worker, (send, runner, job)
-                process = ctx.Process(
-                    target=target, args=args,
-                    name=f"hunt-{run.hunt_id}-{job.shard_id}",
-                    daemon=True,
-                )
-                process.start()
-                send.close()
-                deadline = (time.monotonic() + shard_timeout
-                            if shard_timeout is not None else None)
-                in_flight[recv] = _InFlight(run, job, attempt,
-                                            process, deadline)
-                slot_of[recv] = slot
-                run.running += 1
-            if not in_flight:
-                # Nothing running and nothing dispatchable right now
-                # (every remaining hunt halted).
-                break
-
-            poll = 0.5
-            now = time.monotonic()
-            deadlines = [entry.deadline
-                         for entry in in_flight.values()
-                         if entry.deadline is not None]
-            if deadlines:
-                poll = max(0.0, min(poll, min(deadlines) - now))
-            ready = connection.wait(list(in_flight), timeout=poll)
-
-            for conn in ready:
-                entry = in_flight[conn]
-                try:
-                    payload = conn.recv()
-                except EOFError:
-                    payload = None
-                if isinstance(payload, dict) and \
-                        payload.get("type") == "test":
-                    # Interim verdict; the shard is still running.
-                    _emit_test_checked(entry.run.hunt_id,
-                                       entry.job.shard_id,
-                                       payload, emit)
-                    continue
-                in_flight.pop(conn)
-                slot = slot_of.pop(conn)
-                free_slots.append(slot)
-                entry.run.running -= 1
-                conn.close()
-                entry.process.join()
-                if payload is None:
-                    _fail_or_retry(
-                        entry,
-                        "worker crashed (exit code "
-                        f"{entry.process.exitcode})", emit,
-                    )
-                elif payload["ok"]:
-                    result = _result_from_records(
-                        entry.job, payload["records"],
-                        obs=payload.get("obs"),
-                    )
-                    _complete(entry.run, entry.job, result,
-                              payload["records"], emit)
-                else:
-                    # Deterministic campaign failure: fail the hunt,
-                    # keep the pool serving the others.
-                    entry.run.queue.clear()
-                    entry.run.halt = (
-                        f"shard {entry.job.shard_id!r} campaign "
-                        f"failed:\n{payload['error']}"
-                    )
-
-            now = time.monotonic()
-            for conn, entry in list(in_flight.items()):
-                if entry.deadline is not None and \
-                        now > entry.deadline:
-                    in_flight.pop(conn)
-                    slot = slot_of.pop(conn)
-                    free_slots.append(slot)
-                    entry.run.running -= 1
-                    entry.process.terminate()
-                    entry.process.join()
-                    conn.close()
-                    _fail_or_retry(
-                        entry,
-                        f"timed out after {shard_timeout:.1f}s",
-                        emit,
-                    )
-    finally:
-        for entry in in_flight.values():
-            entry.process.terminate()
-            entry.process.join()
-            entry.run.running -= 1
+    return {"windows": {"content": encode(record.content_windows),
+                        "order": encode(record.order_windows)}}

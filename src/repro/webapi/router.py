@@ -2,12 +2,12 @@
 
 Historically each :class:`~repro.webapi.endpoint.ServiceEndpoint`
 carried its own ad-hoc ``(method, path) -> handler`` dict, populated
-imperatively with ``endpoint.route(...)`` calls.  That was fine for
-five services with two static paths each, but the campaign service
-(:mod:`repro.serve`) needs versioned paths, path parameters
-(``/v1/hunts/{hunt_id}``), and resources that register several related
-routes at once — and it must share the auth/rate-limit/pagination
-pipeline with the simulated services rather than grow a second stack.
+imperatively.  That was fine for five services with two static paths
+each, but the campaign service (:mod:`repro.serve`) needs versioned
+paths, path parameters (``/v1/hunts/{hunt_id}``), and resources that
+register several related routes at once — and it must share the
+auth/rate-limit/pagination pipeline with the simulated services rather
+than grow a second stack.
 
 This module is the shared routing layer:
 
@@ -65,8 +65,7 @@ class RouteSpec:
 
     ``pattern`` is an absolute path whose ``{name}`` segments match any
     single concrete segment and bind it as a path parameter.  The
-    optional processing-delay overrides mirror the historical
-    ``endpoint.route(...)`` keywords: they replace the endpoint's
+    optional processing-delay overrides replace the endpoint's
     defaults when this route is dispatched.
     """
 

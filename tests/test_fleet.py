@@ -27,6 +27,7 @@ from repro.fleet import (
     ShardRetried,
     ShardSkipped,
     ShardStarted,
+    ShardTestChecked,
     derive_fleet_seeds,
     execute_shard,
     fleet_signature,
@@ -189,6 +190,24 @@ class TestGoldenSignatureParity:
         resumed = run_fleet(spec, jobs=2, out_dir=tmp_path / "store")
         assert stored.signature() == serial.signature()
         assert resumed.signature() == serial.signature()
+
+    def test_pooled_streaming_matches_serial_batch(self, tmp_path):
+        spec = FleetSpec(services=("blogger", "googleplus"),
+                         base_config=SMALL, seeds=(1, 2))
+        events = []
+        streamed = run_fleet(spec, jobs=2, stream=True,
+                             out_dir=tmp_path, on_event=events.append)
+        assert streamed.signature() == run_fleet(spec).signature()
+        # One interim verdict per test, piped while shards ran, with
+        # a contiguous 0-based index within each shard.
+        for job in spec.jobs():
+            checked = [e for e in events
+                       if isinstance(e, ShardTestChecked)
+                       and e.shard_id == job.shard_id]
+            assert [e.test_index for e in checked] == \
+                list(range(SMALL.num_tests))
+            assert (tmp_path / "traces"
+                    / f"{job.shard_id}.ops.jsonl").is_file()
 
     def test_replicate_parallel_matches_serial(self):
         serial = replicate("googleplus", SMALL, seeds=[1, 2])

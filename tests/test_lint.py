@@ -1,9 +1,8 @@
 """Tests for the determinism & trace-safety linter (repro.lint).
 
 Covers every shipped rule with known-bad and known-clean fixture
-snippets, waiver handling, configuration loading (including the
-Python 3.10 TOML fallback parser), JSON output schema, exit codes, and
-— crucially — the meta-test that the linter reports zero unwaived
+snippets, waiver handling, configuration loading, JSON output schema,
+exit codes, and — crucially — the meta-test that the linter reports zero unwaived
 findings over this repository's own ``src/`` tree.
 """
 
@@ -25,11 +24,7 @@ from repro.lint import (
     rule_codes,
 )
 from repro.lint.cli import main as lint_main
-from repro.lint.config import (
-    config_from_table,
-    find_pyproject,
-    parse_minimal_toml_table,
-)
+from repro.lint.config import find_pyproject
 from repro.lint.waivers import collect_waivers
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -653,41 +648,6 @@ class TestConfig:
         nested = tmp_path / "a" / "b"
         nested.mkdir(parents=True)
         assert find_pyproject(nested) == tmp_path / "pyproject.toml"
-
-    def test_minimal_toml_fallback_matches_schema(self):
-        # The 3.10 fallback parser must read the same table tomllib
-        # does; exercised unconditionally so CI on 3.12 still covers
-        # the 3.10 code path.
-        text = textwrap.dedent("""\
-            [project]
-            name = "repro"  # unrelated table
-
-            [tool.repro-lint]
-            select = ["DET001", "DET002"]  # trailing comment
-            ignore = []
-            sim-scopes = [
-                "repro.sim",
-                "repro.services",
-            ]
-            random-allowlist = ["repro.sim.random_source"]
-
-            [tool.other]
-            select = ["NOT-OURS"]
-        """)
-        table = parse_minimal_toml_table(text, "tool.repro-lint")
-        assert table["select"] == ["DET001", "DET002"]
-        assert table["ignore"] == []
-        assert table["sim-scopes"] == ["repro.sim", "repro.services"]
-        config = config_from_table(table)
-        assert config.select == ("DET001", "DET002")
-        assert config.sim_scopes == ("repro.sim", "repro.services")
-
-    def test_fallback_agrees_with_tomllib_on_repo_pyproject(self):
-        tomllib = pytest.importorskip("tomllib")
-        text = (REPO_ROOT / "pyproject.toml").read_text()
-        expected = tomllib.loads(text)["tool"]["repro-lint"]
-        assert parse_minimal_toml_table(text, "tool.repro-lint") == \
-            expected
 
 
 class TestEngineAndModuleNames:

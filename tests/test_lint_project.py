@@ -432,6 +432,34 @@ class TestPAR001:
         assert len(par) == 1
         assert "argument 'runner'" in par[0].message
 
+    def test_default_boundaries_cover_both_pool_clients(self, tmp_path):
+        # A lambda handed to either pool client is shipped to worker
+        # processes; host-side callbacks stay free to be closures.
+        root = write_package(tmp_path, "pkg6b", {
+            "__init__.py": '"""pkg6b."""\n\n__all__ = []\n',
+            "caller.py": """\
+                from repro.fleet import run_fleet
+                from repro.serve import run_hunts
+
+                __all__ = ["go"]
+
+
+                def go(spec, runs):
+                    run_fleet(spec, jobs=2,
+                              shard_runner=lambda job: None,
+                              on_event=lambda event: None)
+                    return run_hunts(runs, workers=2,
+                                     shard_runner=lambda job: None,
+                                     on_event=lambda event: None)
+            """,
+        })
+        result = lint_paths([root], LintConfig(), project=True)
+        par = [f for f in result.findings if f.code == "PAR001"]
+        assert len(par) == 2
+        assert "boundary call 'run_fleet()'" in par[0].message
+        assert "boundary call 'run_hunts()'" in par[1].message
+        assert all("argument 'shard_runner'" in f.message for f in par)
+
 
 class TestTRACE002:
     def test_direct_mutation_after_emission(self, tmp_path):
@@ -573,7 +601,7 @@ class TestProjectSelfApplication:
         assert result.ok, "\n".join(
             f"{f.location()}: {f.code} {f.message}"
             for f in result.findings)
-        assert len(result.project["entry_points"]) == 3
+        assert len(result.project["entry_points"]) == 4
         assert result.project["functions"] > 500
         assert result.project["reachable_functions"] > 100
 

@@ -11,12 +11,11 @@ Three equalities make spec-defined metrics trustworthy:
 * **serial == parallel** — a fleet run with metrics enabled must
   produce byte-identical records at any job count.
 
-Plus the end-to-end surfaces: scenario files, campaign save/load, the
-CLI flag, and the deprecation shim.
+Plus the end-to-end surfaces: scenario files, campaign save/load, and
+the CLI flag.
 """
 
 import dataclasses
-import warnings
 
 import pytest
 
@@ -249,22 +248,6 @@ class TestCliSurface:
         with pytest.raises(ConfigurationError):
             main(["run", "--service", "blogger", "--tests", "1",
                   "--metrics", "bogus"])
-
-
-class TestDeprecationShim:
-    def test_legacy_module_warns_and_reexports(self):
-        import importlib
-        import sys
-
-        sys.modules.pop("repro.relations.legacy", None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = importlib.import_module("repro.relations.legacy")
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        from repro.core import ALL_ANOMALIES
-
-        assert legacy.ALL_ANOMALIES is ALL_ANOMALIES
 
 
 class TestStoreDigestMessages:

@@ -2,14 +2,11 @@
 
 The loader contract under test: a malformed scenario file must raise
 :class:`ConfigurationError` naming the offending file and table/key —
-never silently fall back to a default — and the tomllib-free fallback
-parser must agree byte-for-byte with :mod:`tomllib` on every example
-file (that is what the 3.10 CI leg runs on).
+never silently fall back to a default.
 """
 
 import dataclasses
 import json
-from pathlib import Path
 
 import pytest
 
@@ -32,7 +29,6 @@ from repro.scenario import (
     get_scenario,
     load_scenario,
     load_scenarios,
-    parse_scenario_toml,
     register_scenario,
     registered_scenarios,
     scenario_config,
@@ -42,17 +38,6 @@ from repro.scenario import (
     scenario_params,
     scenario_plan,
     scenario_space,
-)
-
-try:
-    import tomllib
-except ModuleNotFoundError:  # pragma: no cover - 3.10 leg
-    tomllib = None
-
-EXAMPLES = sorted(
-    (Path(__file__).parent.parent / "examples" / "scenarios").glob(
-        "*.toml"
-    )
 )
 
 MINIMAL_GOSSIP = """\
@@ -290,33 +275,6 @@ class TestLoader:
         }
         assert scenario_from_mapping(base, "a").digest() == \
             scenario_from_mapping(flipped, "b").digest()
-
-
-class TestFallbackParser:
-    @pytest.mark.parametrize(
-        "path", EXAMPLES, ids=[p.stem for p in EXAMPLES])
-    def test_matches_tomllib_on_every_example(self, path):
-        if tomllib is None:  # pragma: no cover - 3.10 leg
-            pytest.skip("tomllib missing; the fallback is the parser")
-        text = path.read_text(encoding="utf-8")
-        assert parse_scenario_toml(text, str(path)) == \
-            tomllib.loads(text)
-
-    @pytest.mark.parametrize(
-        "path", EXAMPLES, ids=[p.stem for p in EXAMPLES])
-    def test_examples_validate_under_the_fallback(self, path):
-        data = parse_scenario_toml(
-            path.read_text(encoding="utf-8"), str(path))
-        spec = scenario_from_mapping(data, str(path))
-        assert spec.name == path.stem
-
-    def test_parse_errors_carry_line_numbers(self):
-        with pytest.raises(ConfigurationError, match="f.toml:2"):
-            parse_scenario_toml("[scenario]\nname\n", "f.toml")
-        with pytest.raises(ConfigurationError, match="duplicate"):
-            parse_scenario_toml('[s]\na = 1\na = 2\n', "f.toml")
-        with pytest.raises(ConfigurationError, match="array"):
-            parse_scenario_toml('[s]\na = [1, 2\n', "f.toml")
 
 
 class TestRegistry:

@@ -27,17 +27,22 @@ from repro.errors import (
 from repro.fleet import FleetSpec, run_fleet
 from repro.fleet.executor import execute_shard
 from repro.methodology import CampaignConfig
+from repro.obs.events import HuntShardRetried
 from repro.serve import (
     ACTIVE_STATUSES,
     TERMINAL_STATUSES,
     CampaignService,
+    HuntRun,
     HuntServer,
     HuntSpec,
     HuntState,
     HuntStore,
     check_transition,
     follow_events,
+    run_hunts,
 )
+from tests.test_fleet import MARKER_ENV as FLEET_MARKER_ENV
+from tests.test_fleet import hang_once_runner
 
 MARKER_ENV = "REPRO_SERVE_TEST_MARKERS"
 
@@ -328,9 +333,9 @@ class TestServiceLifecycle:
         artifact_store.initialize(fleet_spec)
         first_job = fleet_spec.jobs()[0]
         result = execute_shard(first_job)
-        from repro.fleet.executor import _records_to_jsonable
+        from repro.fleet.pool import records_to_jsonable
         artifact_store.write_shard(
-            first_job, _records_to_jsonable(result), obs=result.obs)
+            first_job, records_to_jsonable(result), obs=result.obs)
 
         assert [s.hunt_id for s in service.runnable_hunts()] == \
             [hunt_id]
@@ -437,6 +442,23 @@ class TestSchedulerPool:
         assert final.retries == 2
         direct = run_fleet(spec.fleet_spec(), jobs=1)
         assert final.fleet_signature == direct.signature()
+
+    def test_hung_worker_times_out_and_is_retried(self, markers,
+                                                  monkeypatch):
+        monkeypatch.setenv(FLEET_MARKER_ENV, str(markers))
+        spec = HuntSpec(services=("blogger",), **TINY).fleet_spec()
+        events = []
+        outcomes = run_hunts(
+            [HuntRun(hunt_id="h0000", jobs=tuple(spec.jobs()))],
+            workers=2, shard_timeout=1.0,
+            shard_runner=hang_once_runner, on_event=events.append,
+        )
+        retried = [e for e in events if isinstance(e, HuntShardRetried)]
+        assert len(retried) == 1
+        assert "timed out" in retried[0].reason
+        assert outcomes[0].status == "done"
+        assert outcomes[0].retries == 1
+        assert outcomes[0].signature() == run_fleet(spec).signature()
 
     def test_retry_budget_exhaustion_fails_hunt_only(self, tmp_path):
         service = CampaignService(tmp_path, workers=2, max_retries=1)

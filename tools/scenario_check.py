@@ -2,11 +2,8 @@
 
 Three properties, one per layer of the scenario DSL:
 
-1. **parser parity** — every ``examples/scenarios/*.toml`` produces
-   the identical ``ScenarioSpec`` (same content digest) under
-   :mod:`tomllib` and under the built-in fallback parser, so the 3.10
-   CI leg (which has no tomllib) loads the same scenarios
-   byte-for-byte;
+1. **validation** — every ``examples/scenarios/*.toml`` loads into a
+   ``ScenarioSpec`` named after its file;
 2. **builtin equivalence** — a builtin-archetype scenario file is the
    service it names: a short campaign through the scenario path must
    produce the same ``campaign_signature`` as a plain
@@ -24,17 +21,7 @@ from pathlib import Path
 
 from repro.fleet.digest import campaign_signature
 from repro.methodology import CampaignConfig, run_campaign
-from repro.scenario import (
-    load_scenario,
-    parse_scenario_toml,
-    scenario_campaign,
-    scenario_from_mapping,
-)
-
-try:
-    import tomllib
-except ModuleNotFoundError:  # 3.10 leg: the fallback is the parser
-    tomllib = None
+from repro.scenario import load_scenario, scenario_campaign
 
 __all__ = ["main"]
 
@@ -51,25 +38,13 @@ GOSSIP_MESH_SIGNATURE = (
 BUILTIN_EXAMPLE = "blogger"
 
 
-def check_parser_parity(paths, failures):
+def check_files_validate(paths, failures):
     for path in paths:
-        text = path.read_text(encoding="utf-8")
-        fallback = scenario_from_mapping(
-            parse_scenario_toml(text, str(path)), str(path))
-        if fallback.name != path.stem:
+        spec = load_scenario(path)
+        if spec.name != path.stem:
             failures.append(
-                f"{path.name}: scenario name {fallback.name!r} does "
+                f"{path.name}: scenario name {spec.name!r} does "
                 "not match the file stem"
-            )
-        if tomllib is None:
-            continue
-        via_tomllib = scenario_from_mapping(
-            tomllib.loads(text), str(path))
-        if via_tomllib != fallback or \
-                via_tomllib.digest() != fallback.digest():
-            failures.append(
-                f"{path.name}: tomllib and the fallback parser "
-                "disagree on the parsed spec"
             )
 
 
@@ -106,7 +81,7 @@ def main():
               f"{SCENARIO_DIR}")
         return 1
     failures = []
-    check_parser_parity(paths, failures)
+    check_files_validate(paths, failures)
     check_builtin_equivalence(failures)
     check_engine_golden(failures)
     if failures:
@@ -114,9 +89,8 @@ def main():
         for failure in failures:
             print(f"  - {failure}")
         return 1
-    parser = "tomllib+fallback" if tomllib else "fallback only"
-    print(f"scenario check passed: {len(paths)} files validated "
-          f"({parser}), builtin equivalence holds, gossip golden "
+    print(f"scenario check passed: {len(paths)} files validated, "
+          f"builtin equivalence holds, gossip golden "
           f"signature {GOSSIP_MESH_SIGNATURE[:16]} replayed")
     return 0
 
