@@ -10,9 +10,11 @@ Layout under one output directory::
         r0/                # the rung's fleet ArtifactStore (records,
                            # obs snapshots, its own manifest)
 
-The store mirrors the fleet :class:`~repro.fleet.store.ArtifactStore`
-contract batch-for-shard: the manifest binds the directory to exactly
-one search via :func:`~repro.calibrate.search.search_key`, each batch
+The store shares the fleet :class:`~repro.fleet.store.ArtifactStore`'s
+manifest core (:class:`~repro.fleet.store.ManifestStore`), so the
+contract is the same batch-for-shard: the manifest binds the directory
+to exactly one search via
+:func:`~repro.calibrate.search.search_key`, each batch
 file is written through :func:`repro.io.write_digest_jsonl` (canonical
 JSON, embedded digest header) *and* its byte digest is recorded in the
 manifest, and a batch counts as done only while both digests still
@@ -26,43 +28,34 @@ falls back to the rung's fleet store, which resumes shard-by-shard.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from pathlib import Path
 
 from repro.errors import CalibrationError
+from repro.fleet.store import ManifestStore
 from repro.io import read_digest_jsonl, write_digest_jsonl
 
 __all__ = ["TrialStore", "TRIAL_STORE_VERSION", "TRIALS_KIND"]
 
 TRIAL_STORE_VERSION = 1
-MANIFEST_NAME = "manifest.json"
 #: ``kind`` tag of the digest-validated batch files.
 TRIALS_KIND = "calibrate-trials"
 TRIALS_SCHEMA_VERSION = 1
 
 
-def _file_digest(path: Path) -> str:
-    hasher = hashlib.sha256()
-    with path.open("rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            hasher.update(chunk)
-    return f"sha256:{hasher.hexdigest()}"
-
-
-class TrialStore:
+class TrialStore(ManifestStore):
     """One calibration search's on-disk trials, with resume."""
 
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self._manifest: dict | None = None
+    _error = CalibrationError
+    _version = TRIAL_STORE_VERSION
+    _binding = "search_key"
+    _units = "batches"
+    _noun = "trial store"
+    _manifest_noun = "trial-store manifest"
+    _version_noun = "trial-store version"
+    _run_noun = "search"
+    _initialize_arg = "search_key"
 
     # -- Paths ----------------------------------------------------------
-
-    @property
-    def manifest_path(self) -> Path:
-        return self.root / MANIFEST_NAME
 
     @property
     def trials_dir(self) -> Path:
@@ -71,54 +64,13 @@ class TrialStore:
     def batch_path(self, batch_id: str) -> Path:
         return self.trials_dir / f"{batch_id}.jsonl"
 
+    _unit_path = batch_path
+
     def fleet_dir(self, batch_id: str) -> Path:
         """The rung's fleet artifact-store directory."""
         return self.root / "fleet" / batch_id
 
     # -- Manifest -------------------------------------------------------
-
-    def _load_manifest(self) -> dict | None:
-        if not self.manifest_path.is_file():
-            return None
-        try:
-            manifest = json.loads(self.manifest_path.read_text(
-                encoding="utf-8"
-            ))
-        except (OSError, ValueError) as exc:
-            raise CalibrationError(
-                f"unreadable trial-store manifest "
-                f"{self.manifest_path}: {exc}"
-            ) from exc
-        version = manifest.get("store_version")
-        if version != TRIAL_STORE_VERSION:
-            raise CalibrationError(
-                f"unsupported trial-store version {version!r} in "
-                f"{self.manifest_path} (expected "
-                f"{TRIAL_STORE_VERSION})"
-            )
-        return manifest
-
-    def _write_manifest(self) -> None:
-        assert self._manifest is not None
-        self.root.mkdir(parents=True, exist_ok=True)
-        temp = self.manifest_path.with_suffix(".json.tmp")
-        temp.write_text(
-            json.dumps(self._manifest, indent=1, sort_keys=True),
-            encoding="utf-8",
-        )
-        os.replace(temp, self.manifest_path)
-
-    @property
-    def manifest(self) -> dict:
-        if self._manifest is None:
-            loaded = self._load_manifest()
-            if loaded is None:
-                raise CalibrationError(
-                    f"trial store {self.root} has no manifest; call "
-                    "initialize(search_key) first"
-                )
-            self._manifest = loaded
-        return self._manifest
 
     @property
     def search_key(self) -> str:
@@ -126,24 +78,7 @@ class TrialStore:
 
     def initialize(self, search_key: str) -> None:
         """Bind the store to one search, creating or validating it."""
-        existing = self._load_manifest()
-        if existing is not None:
-            if existing["search_key"] != search_key:
-                raise CalibrationError(
-                    f"trial store {self.root} belongs to search "
-                    f"{existing['search_key'][:12]}..., not "
-                    f"{search_key[:12]}...; use a fresh output "
-                    "directory per search"
-                )
-            self._manifest = existing
-            return
-        self._manifest = {
-            "store_version": TRIAL_STORE_VERSION,
-            "search_key": search_key,
-            "batches": {},
-        }
-        self.trials_dir.mkdir(parents=True, exist_ok=True)
-        self._write_manifest()
+        self._bind(search_key, self.trials_dir)
 
     # -- Batches --------------------------------------------------------
 
@@ -158,35 +93,16 @@ class TrialStore:
         path = self.batch_path(batch_id)
         write_digest_jsonl(path, trial_payloads, kind=TRIALS_KIND,
                            schema_version=TRIALS_SCHEMA_VERSION)
-        digest = _file_digest(path)
-        self.manifest["batches"][batch_id] = {
-            "status": "complete",
-            "digest": digest,
-            "trials": len(trial_payloads),
-            "rung": rung,
-            "num_tests": num_tests,
-        }
-        self._write_manifest()
-        return digest
+        return self._commit_unit(batch_id, trials=len(trial_payloads),
+                                 rung=rung, num_tests=num_tests)
 
     def batch_state(self, batch_id: str) -> str:
         """``complete`` | ``missing`` | ``corrupt`` for one batch."""
-        entry = self.manifest["batches"].get(batch_id)
-        if entry is None or entry.get("status") != "complete":
-            return "missing"
-        path = self.batch_path(batch_id)
-        if not path.is_file():
-            return "missing"
-        if _file_digest(path) != entry.get("digest"):
-            return "corrupt"
-        return "complete"
+        return self._unit_state(batch_id)
 
     def completed_batches(self) -> list[str]:
         """Batch ids that are complete *and* digest-valid, sorted."""
-        return sorted(
-            batch_id for batch_id in self.manifest["batches"]
-            if self.batch_state(batch_id) == "complete"
-        )
+        return self._completed_units()
 
     def load_batch(self, batch_id: str) -> list[dict]:
         """The trial payloads of one digest-valid batch, in order."""

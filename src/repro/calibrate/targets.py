@@ -17,7 +17,7 @@ publishes about that service:
 
 These dicts are the *single source of truth*: ``tools/calibrate.py``
 renders them, :mod:`repro.calibrate.objective` scores against them,
-and ``tools/fidelity_check.py`` gates CI on them.  Prevalences and
+and ``tools/gates.py fidelity`` gates CI on them.  Prevalences and
 read counts are the paper's stated values; per-pair rates and window
 medians are read off the published figures to the nearest sensible
 value (the paper prints CDFs, not tables), which is why they carry

@@ -11,7 +11,7 @@ untouched: the calibrated profile is opt-in via
 
 ``FIDELITY_BUDGETS`` are the CI gate's ceilings: the weighted
 fidelity loss of each service's calibrated profile at the gate's
-fixed evaluation (``tools/fidelity_check.py``) plus headroom for
+fixed evaluation (``tools/gates.py fidelity``) plus headroom for
 target revisions.  The gate fails when a model drifts past its
 budget — fidelity regressions become CI failures, not footnotes.
 """
@@ -57,7 +57,7 @@ CALIBRATED_ASSIGNMENTS: dict[str, dict[str, Any]] = {
     },
 }
 
-#: Weighted-loss ceilings for tools/fidelity_check.py (its fixed
+#: Weighted-loss ceilings for tools/gates.py fidelity (its fixed
 #: seed/test-count evaluation), with ~25% headroom over the measured
 #: loss at the time the winner was checked in.
 FIDELITY_BUDGETS: dict[str, float] = {

@@ -407,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
             "world engine (repro.world): author-sharded sessions and "
             "replicas on N shards joined by a deterministic message "
             "bus.  The signature printed is byte-identical for every "
-            "--shards value — the contract tools/world_parity_check.py "
-            "gates in CI."
+            "--shards value — the contract tools/gates.py world gates "
+            "in CI."
         ),
     )
     world_cmd.add_argument(
@@ -419,10 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     world_cmd.add_argument(
         "--shards", type=int, default=None,
         help="override topology.shards (placement only)",
-    )
-    world_cmd.add_argument(
-        "--lanes", type=int, default=None,
-        help="override execution lanes (placement only)",
     )
     world_cmd.add_argument(
         "--sessions", type=int, default=None,
@@ -1132,8 +1128,7 @@ def _cmd_world(args: argparse.Namespace) -> int:
     try:
         scenario = load_scenario(args.scenario)
         spec = world_from_scenario(
-            scenario, shards=args.shards, lanes=args.lanes,
-            sessions=args.sessions,
+            scenario, shards=args.shards, sessions=args.sessions,
         )
     except ConfigurationError as exc:
         print(f"world: {exc}", file=sys.stderr)

@@ -75,7 +75,7 @@ class CrossShardAccessRule(Rule):
         "shard collection applies the effect in physical execution "
         "order instead, so the world's history starts depending on "
         "how replicas were partitioned — exactly what "
-        "tools/world_parity_check.py exists to rule out."
+        "tools/gates.py world exists to rule out."
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:

@@ -30,7 +30,7 @@ This package is that layer:
 Everything here is deterministic by construction: no wall clock, no
 ambient randomness, snapshots sorted by stable keys — two runs with
 the same seed export byte-identical files (the
-``tools/obs_parity_check.py`` CI gate).
+``tools/gates.py obs`` CI gate).
 """
 
 from repro.obs.context import ObsContext, merge_obs_snapshots

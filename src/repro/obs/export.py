@@ -7,7 +7,7 @@ version, and the body digest; then one ``{"record": "meta"}`` line,
 every metric as a ``{"record": "metric"}`` line (registry sort
 order), and every span as a ``{"record": "span"}`` line (finish
 order).  All lines are canonical JSON, so an export is a byte-stable
-function of the snapshot — the ``tools/obs_parity_check.py`` contract.
+function of the snapshot — the ``tools/gates.py obs`` contract.
 
 This module imports :mod:`repro.io` (which pulls the methodology
 stack), so it is *not* re-exported from ``repro.obs.__init__`` —

@@ -3,7 +3,7 @@
 Two equalities anchor the relation subsystem, both stated here as
 mismatch-listing helpers (empty list == proved for that trace), both
 enforced per-commit by ``tests/test_relations_parity.py`` and per-push
-by the ``tools/relations_parity_check.py`` CI gate:
+by the ``tools/gates.py relations`` CI gate:
 
 * **streaming == batch** — replaying a finished trace through
   :class:`~repro.relations.streaming.StreamingMetricEvaluator` in

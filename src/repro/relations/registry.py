@@ -6,7 +6,7 @@ staleness counts, per-session monotonicity-violation depth) and two
 re-expressions of the paper's §IV predicates (read-your-writes,
 monotonic reads) whose verdicts are proved identical to the legacy
 checkers by ``tests/test_relations.py`` and the
-``tools/relations_parity_check.py`` CI gate.
+``tools/gates.py relations`` CI gate.
 
 Campaign configs, scenario files, and the ``--metrics`` CLI flag all
 name metrics by these registry keys; :func:`resolve_metrics` turns

@@ -299,8 +299,7 @@ def _topology_spec(table: Any, source: str) -> TopologySpec | None:
         return None
     table = _require_table(table, source, "topology")
     int_keys = ("shards", "sessions", "replicas", "cohort_size",
-                "lanes", "writes_per_session", "reads_per_session",
-                "fanout")
+                "writes_per_session", "reads_per_session", "fanout")
     float_keys = ("arrival_window", "think_median", "service_time",
                   "hop_median", "hop_sigma", "epoch")
     _check_keys(table, int_keys + float_keys, source, "topology")

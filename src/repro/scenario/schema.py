@@ -302,7 +302,6 @@ class TopologySpec:
     sessions: int = 1000
     replicas: int = 6
     cohort_size: int = 4
-    lanes: int | None = None
     writes_per_session: int = 2
     reads_per_session: int = 2
     arrival_window: float = 50.0
@@ -326,10 +325,6 @@ class TopologySpec:
             raise ConfigurationError(
                 f"topology.shards must be in [1, replicas="
                 f"{self.replicas}], got {self.shards}"
-            )
-        if self.lanes is not None and self.lanes < 1:
-            raise ConfigurationError(
-                "topology.lanes must be >= 1 when set"
             )
         if self.cohort_size < 2:
             raise ConfigurationError(

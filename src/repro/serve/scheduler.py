@@ -23,7 +23,7 @@ Determinism: scheduling moves shards between workers and reorders
 results merge by shard index; completed shards persist through each
 hunt's own :class:`~repro.fleet.store.ArtifactStore`.  A hunt executed
 here is byte-identical to the same spec under ``run_fleet`` — the
-parity gate (``tools/serve_parity_check.py``) holds the scheduler to
+parity gate (``tools/gates.py serve``) holds the scheduler to
 that.
 
 How a shard runs and how a crashed, timed-out or failed attempt is

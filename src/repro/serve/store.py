@@ -132,6 +132,8 @@ class HuntStore:
             raise NotFoundError(f"no hunt {hunt_id!r}")
         try:
             document = json.loads(path.read_text(encoding="utf-8"))
+            if not isinstance(document, dict):
+                raise ValueError("not a JSON object")
         except (OSError, ValueError) as exc:
             raise FleetError(
                 f"unreadable hunt state {path}: {exc}"
@@ -170,15 +172,37 @@ class HuntStore:
             handle.write(canonical_json(record) + "\n")
         return record
 
-    def _next_event_seq(self, hunt_id: str) -> int:
+    def _read_events(self, hunt_id: str) -> Iterator[dict[str, Any]]:
+        """Every record of the feed file, validated line by line.
+
+        A line that does not decode to an object with an integer
+        ``seq`` (a kill mid-append leaves such a tail) fails closed:
+        skipping it would hand out its ``seq`` twice.
+        """
         path = self.events_path(hunt_id)
         if not path.is_file():
-            return 0
-        last = -1
+            return
         with path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                if line.strip():
-                    last = json.loads(line)["seq"]
+            for number, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                    if not isinstance(record, dict) or \
+                            not isinstance(record.get("seq"), int):
+                        raise ValueError(
+                            "not an object with an integer seq")
+                except ValueError as exc:
+                    raise FleetError(
+                        f"unreadable hunt event {path}:{number}: "
+                        f"{exc}"
+                    ) from exc
+                yield record
+
+    def _next_event_seq(self, hunt_id: str) -> int:
+        last = -1
+        for record in self._read_events(hunt_id):
+            last = record["seq"]
         return last + 1
 
     def events(self, hunt_id: str,
@@ -186,16 +210,9 @@ class HuntStore:
         """Lifecycle events with ``seq > after``, in order."""
         if not self.exists(hunt_id):
             raise NotFoundError(f"no hunt {hunt_id!r}")
-        path = self.events_path(hunt_id)
-        if not path.is_file():
-            return
-        with path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-                if record["seq"] > after:
-                    yield record
+        for record in self._read_events(hunt_id):
+            if record["seq"] > after:
+                yield record
 
     # -- Artifact browsing ----------------------------------------------
 

@@ -15,7 +15,7 @@ module states that claim as executable checks:
   list means exact parity.
 
 The parity tests (:mod:`tests.test_stream_parity`) and the CI gate
-(``tools/stream_parity_check.py``) are thin wrappers over these.
+(``tools/gates.py stream``) are thin wrappers over these.
 """
 
 from __future__ import annotations

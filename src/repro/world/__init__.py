@@ -7,7 +7,7 @@ author-sharded slice of sessions and replicas, connected by a
 deterministic cross-shard message bus whose lamport-style
 ``(time, origin, seq)`` total order makes serial and sharded
 execution byte-identical — the contract CI enforces through
-``tools/world_parity_check.py``.
+``tools/gates.py world``.
 
 Layering:
 

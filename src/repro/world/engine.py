@@ -16,7 +16,7 @@ order.  The soundness argument, in one paragraph:
     shard's history is independent of which other replicas share its
     simulator.  Together: the world's observable history is a pure
     function of (spec-sans-topology, seed), which is exactly the
-    byte-identity contract ``tools/world_parity_check.py`` enforces.
+    byte-identity contract ``tools/gates.py world`` enforces.
 
 Retired cohorts flush at the barrier too, sorted by
 ``(close_time, cohort_id)``, each replayed through one shared
@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
 from repro.fleet.digest import canonical_json
-from repro.fleet.topology import plan_assignment
 from repro.io import record_to_dict
 from repro.sim import RandomSource, Simulator
 from repro.stream.engine import StreamEngine
@@ -59,8 +58,6 @@ class WorldResult:
     sessions: int
     replicas: int
     shards: int
-    #: Execution-lane plan: shard indexes per lane (placement echo).
-    lanes: tuple[tuple[int, ...], ...]
     tests: int = 0
     ops: int = 0
     epochs: int = 0
@@ -85,7 +82,6 @@ class WorldResult:
             "sessions": self.sessions,
             "replicas": self.replicas,
             "shards": self.shards,
-            "lanes": [list(lane) for lane in self.lanes],
             "tests": self.tests,
             "ops": self.ops,
             "epochs": self.epochs,
@@ -120,17 +116,10 @@ class WorldEngine:
         self._engine = (stream_engine if stream_engine is not None
                         else StreamEngine(horizon=1))
         self._hasher = hashlib.sha256()
-        weights = [0.0] * spec.shards
-        for cohort in range(spec.cohort_count):
-            weights[spec.replica_shard(spec.home_replica(cohort))] += \
-                spec.cohort_sessions(cohort)
-        self._lanes = plan_assignment(
-            weights, spec.lanes if spec.lanes is not None
-            else spec.shards)
         self.result = WorldResult(
             spec_digest=spec.digest(), seed=self.seed,
             sessions=spec.sessions, replicas=spec.replicas,
-            shards=spec.shards, lanes=self._lanes,
+            shards=spec.shards,
         )
         self._ran = False
 
@@ -211,9 +200,8 @@ class WorldEngine:
                     self.spec.replica_shard(message.target)]
                 sim.schedule_at(message.deliver_time,
                                 replica.deliver, message)
-            for lane in self._lanes:
-                for shard_index in lane:
-                    self._sims[shard_index].run_until(end)
+            for sim in self._sims:
+                sim.run_until(end)
             self._flush_cohorts()
             self.result.epochs += 1
         self._flush_cohorts()

@@ -9,7 +9,7 @@ archetype lowers today — the world's propagation model *is* rumor
 relay with author-sharded fanout, so other archetypes would silently
 misrepresent their scenario.
 
-The physical knobs (``shards``, ``lanes``) may be overridden at the
+The physical knob (``shards``) may be overridden at the
 call site (CLI ``--shards``, the parity harness) without touching the
 scenario's logical identity; overriding ``sessions`` rescales the
 world for smoke runs.
@@ -28,7 +28,6 @@ def world_from_scenario(
     scenario: ScenarioSpec,
     *,
     shards: int | None = None,
-    lanes: int | None = None,
     sessions: int | None = None,
     partitions: tuple[WorldPartition, ...] = (),
 ) -> WorldSpec:
@@ -52,7 +51,6 @@ def world_from_scenario(
         else topology.sessions,
         replicas=topology.replicas,
         shards=shards if shards is not None else topology.shards,
-        lanes=lanes if lanes is not None else topology.lanes,
         cohort_size=topology.cohort_size,
         writes_per_session=topology.writes_per_session,
         reads_per_session=topology.reads_per_session,

@@ -19,7 +19,7 @@ Placement vocabulary (all derived, never stored):
 * a **shard** owns a contiguous block of replicas
   (:meth:`replica_shard`); because every ordering decision keys on
   logical replica indices, the replica -> shard cut is invisible to
-  results — the property ``tools/world_parity_check.py`` enforces.
+  results — the property ``tools/gates.py world`` enforces.
 """
 
 from __future__ import annotations
@@ -78,8 +78,6 @@ class WorldSpec:
     replicas: int = 6
     #: Physical shards the replicas are cut into (1 = serial world).
     shards: int = 1
-    #: Execution lanes worker shards are packed onto (None = shards).
-    lanes: int | None = None
     #: Sessions per measurement cohort (1 writer + readers).
     cohort_size: int = 4
     writes_per_session: int = 2
@@ -109,8 +107,6 @@ class WorldSpec:
                 f"shards must be in [1, replicas={self.replicas}], "
                 f"got {self.shards}"
             )
-        if self.lanes is not None and self.lanes < 1:
-            raise SimulationError("lanes must be >= 1 when set")
         if self.cohort_size < 2:
             raise SimulationError(
                 "cohorts need a writer and at least one reader"
@@ -168,10 +164,9 @@ class WorldSpec:
         """The physical shard hosting ``replica`` (contiguous blocks)."""
         return replica * self.shards // self.replicas
 
-    def with_topology(self, shards: int,
-                      lanes: int | None = None) -> "WorldSpec":
+    def with_topology(self, shards: int) -> "WorldSpec":
         """The same logical world on a different physical cut."""
-        return replace(self, shards=shards, lanes=lanes)
+        return replace(self, shards=shards)
 
     def digest(self) -> str:
         """Content digest binding results to the spec that made them."""

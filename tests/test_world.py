@@ -2,13 +2,12 @@
 
 The load-bearing property throughout is byte-identity across physical
 topology: a world spec run on 1 shard and the same spec run on N
-shards (on any lane packing) must produce identical signatures,
-because every ordering decision keys on logical replica identities and
-simulated times, never on the shard cut.  The suite checks the parts
-(spec placement, bus total order, columnar buffer value-key
-materialization, lane planning) and then the whole — including a
-hypothesis sweep over randomized topologies and a regression for a
-partition nemesis spanning the shard cut.
+shards must produce identical signatures, because every ordering
+decision keys on logical replica identities and simulated times, never
+on the shard cut.  The suite checks the parts (spec placement, bus
+total order, columnar buffer value-key materialization) and then the
+whole — including a hypothesis sweep over randomized topologies and a
+regression for a partition nemesis spanning the shard cut.
 """
 
 from dataclasses import replace
@@ -18,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.fleet.topology import lane_loads, plan_assignment
 from repro.scenario import load_scenario
 from repro.scenario.schema import ServiceSpec
 from repro.sim import Simulator
@@ -109,9 +107,9 @@ class TestWorldSpec:
 
     def test_with_topology_changes_placement_only(self):
         spec = small_spec()
-        moved = spec.with_topology(3, lanes=2)
-        assert (moved.shards, moved.lanes) == (3, 2)
-        assert replace(moved, shards=1, lanes=None) == spec
+        moved = spec.with_topology(3)
+        assert moved.shards == 3
+        assert replace(moved, shards=1) == spec
 
 
 class TestWorldBus:
@@ -179,23 +177,6 @@ class TestCohortBuffer:
         assert buffer.complete and len(buffer) == 2
 
 
-class TestPlanAssignment:
-    def test_lpt_greedy_with_index_tiebreaks(self):
-        plan = plan_assignment([5.0, 4.0, 3.0, 3.0], lanes=2)
-        assert plan == ((0, 3), (1, 2))
-        assert lane_loads([5.0, 4.0, 3.0, 3.0], plan) == [8.0, 7.0]
-
-    def test_fewer_items_than_lanes_leaves_empty_lanes(self):
-        plan = plan_assignment([1.0, 1.0], lanes=4)
-        assert plan == ((0,), (1,), (), ())
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            plan_assignment([1.0], lanes=0)
-        with pytest.raises(ValueError):
-            plan_assignment([-1.0], lanes=1)
-
-
 class TestSimulatorPeek:
     def test_next_event_time_tracks_the_live_head(self):
         sim = Simulator()
@@ -220,15 +201,6 @@ class TestWorldParity:
             assert sharded.signature == serial.signature
             assert sharded.anomalies == serial.anomalies
             assert sharded.tests == serial.tests
-
-    def test_lane_packing_is_result_neutral(self):
-        spec = small_spec(shards=3)
-        signatures = {
-            run_world(spec.with_topology(3, lanes=lanes),
-                      seed=1).signature
-            for lanes in (1, 2, 3)
-        }
-        assert len(signatures) == 1
 
     def test_same_seed_repeats_and_seeds_differ(self):
         spec = small_spec(shards=2)
@@ -259,8 +231,6 @@ class TestWorldParity:
         assert result.shards == 2 and result.replicas == spec.replicas
         assert result.epochs > 0 and result.events_processed > 0
         assert result.bus_messages > 0
-        assert sorted(index for lane in result.lanes
-                      for index in lane) == [0, 1]
         assert result.max_stream_state > 0
         assert result.summary()["signature"] == result.signature
 
@@ -285,7 +255,7 @@ class TestWorldParity:
 def test_randomized_topologies_match_serial(replicas, shard_pick,
                                             sessions, cohort_size,
                                             fanout, seed):
-    """Property: whatever the (shards, lanes) cut drawn, the signature
+    """Property: whatever the shard cut drawn, the signature
     equals the serial (shards=1) run of the same logical world."""
     shards = 1 + shard_pick % replicas
     spec = small_spec(
@@ -293,10 +263,7 @@ def test_randomized_topologies_match_serial(replicas, shard_pick,
         fanout=fanout,
     )
     serial = run_world(spec, seed=seed)
-    sharded = run_world(
-        spec.with_topology(shards, lanes=max(1, shards - 1)),
-        seed=seed,
-    )
+    sharded = run_world(spec.with_topology(shards), seed=seed)
     assert sharded.signature == serial.signature
     assert sharded.anomalies == serial.anomalies
 
@@ -334,6 +301,19 @@ class TestScenarioLowering:
         with pytest.raises(ConfigurationError):
             world_from_scenario(builtin)
 
+    def test_removed_lanes_key_fails_closed(self):
+        import tomllib
+
+        from repro.scenario.loader import scenario_from_mapping
+
+        with open(SCENARIO, "rb") as handle:
+            mapping = tomllib.load(handle)
+        scenario_from_mapping(mapping, SCENARIO)  # valid as shipped
+        mapping["topology"]["lanes"] = 2
+        with pytest.raises(ConfigurationError,
+                           match=r"unknown key \[topology\].lanes"):
+            scenario_from_mapping(mapping, SCENARIO)
+
 
 class TestWorldCli:
     def test_world_command_prints_the_signature(self, capsys):
@@ -349,6 +329,14 @@ class TestWorldCli:
             world_from_scenario(load_scenario(SCENARIO), shards=2,
                                 sessions=36), seed=5)
         assert expected.signature in out
+
+    def test_removed_lanes_flag_is_a_usage_error(self):
+        from repro.cli import main as repro_main
+
+        with pytest.raises(SystemExit) as exit_info:
+            repro_main(["world", "--scenario", SCENARIO,
+                        "--lanes", "2"])
+        assert exit_info.value.code == 2
 
     def test_world_command_json_summary(self, capsys):
         import json
