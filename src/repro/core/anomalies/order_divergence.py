@@ -38,11 +38,23 @@ def first_inversion(view_a: tuple[str, ...],
     """Find one (x, y) with x before y in ``view_a`` but after in ``view_b``.
 
     Returns None when every pair of commonly-visible messages agrees.
+    """
+    return _first_descent(view_a, _positions(view_b))
+
+
+def _positions(view: tuple[str, ...]) -> dict[str, int]:
+    return {mid: i for i, mid in enumerate(view)}
+
+
+def _first_descent(view_a: tuple[str, ...],
+                   positions_b: dict[str, int],
+                   ) -> tuple[str, str] | None:
+    """:func:`first_inversion` against precomputed ``view_b`` positions.
+
     The scan walks the common messages in ``view_a`` order and looks for
     a descent in their ``view_b`` positions — an inversion exists iff
     the position sequence is not non-decreasing.
     """
-    positions_b = {mid: i for i, mid in enumerate(view_b)}
     best_so_far: tuple[int, str] | None = None  # (pos_b, message_id)
     for mid in view_a:
         pos_b = positions_b.get(mid)
@@ -95,11 +107,25 @@ class OrderDivergenceChecker(AnomalyChecker):
         count = 0
         example: dict | None = None
         detecting_read: ReadOp | None = None
+        # Agents poll, so most reads repeat a view: index each distinct
+        # right-hand view once and decide each distinct view pair once.
+        positions = {
+            view: _positions(view)
+            for view in dict.fromkeys(read.observed
+                                      for read in right_reads)
+        }
+        decided: dict[tuple[str, ...],
+                      dict[tuple[str, ...], tuple[str, str] | None]] = {}
         for left_read in left_reads:
+            against = decided.setdefault(left_read.observed, {})
             for right_read in right_reads:
-                inversion = first_inversion(
-                    left_read.observed, right_read.observed
-                )
+                right_view = right_read.observed
+                if right_view in against:
+                    inversion = against[right_view]
+                else:
+                    inversion = against[right_view] = _first_descent(
+                        left_read.observed, positions[right_view]
+                    )
                 if inversion is None:
                     continue
                 count += 1

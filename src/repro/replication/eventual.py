@@ -54,7 +54,7 @@ from repro.errors import ConfigurationError
 from repro.net.network import Message, Network
 from repro.replication.ordering import timestamp_key
 from repro.replication.sharding import AuthorShardMap
-from repro.replication.store import VersionedStore
+from repro.replication.store import DoublingPrune, VersionedStore
 from repro.sim.event_loop import Simulator
 from repro.sim.random_source import RandomSource
 
@@ -200,6 +200,7 @@ class DatacenterReplica:
         self._backend_visible: dict[
             str, list[tuple[float, float, float]]
         ] = {}
+        self._prune_backend_visible = DoublingPrune(4096)
         #: (author, backend) -> latest visible_from so far; enforces
         #: per-author session order in backend visibility.
         self._author_floor: dict[tuple[str, int], float] = {}
@@ -480,20 +481,15 @@ class DatacenterReplica:
                 )
             windows.append((visible_from, flicker_start, flicker_end))
         self._backend_visible[message_id] = windows
-        self._prune_visibility(now)
-
-    def _prune_visibility(self, now: float) -> None:
-        if len(self._backend_visible) < 4096:
-            return
         horizon = now - self._params.retention
-        stale = [
-            mid for mid, windows in self._backend_visible.items()
-            if all(start < horizon
-                   and (fs == float("inf") or end < horizon)
-                   for start, fs, end in windows)
-        ]
-        for mid in stale:
-            del self._backend_visible[mid]
+        self._prune_backend_visible(
+            self._backend_visible,
+            lambda windows: all(
+                start < horizon
+                and (flicker_start == float("inf") or end < horizon)
+                for start, flicker_start, end in windows
+            ),
+        )
 
     # -- Reads ------------------------------------------------------------
 
@@ -515,23 +511,20 @@ class DatacenterReplica:
                 f"stale.{self.host}.age",
                 self._params.stale_snapshot_age_mean,
             )
-        view = self._store.view_at(as_of)
-        return tuple(
-            mid for mid in view
-            if self._visible_on(mid, backend, as_of)
-        )
-
-    def _visible_on(self, message_id: str, backend: int,
-                    now: float) -> bool:
-        windows = self._backend_visible.get(message_id)
-        if windows is None:
-            # Entry predates our visibility record (e.g. pruned):
-            # treat as fully propagated.
-            return True
-        visible_from, flicker_start, flicker_end = windows[backend]
-        if now < visible_from:
-            return False
-        return not flicker_start <= now < flicker_end
+        backend_visible = self._backend_visible
+        served: list[str] = []
+        for message_id in self._store.view_at(as_of):
+            # No visibility record means the entry predates it (e.g.
+            # pruned): treat as fully propagated.
+            windows = backend_visible.get(message_id)
+            if windows is not None:
+                visible_from, flicker_start, flicker_end = \
+                    windows[backend]
+                if (as_of < visible_from
+                        or flicker_start <= as_of < flicker_end):
+                    continue
+            served.append(message_id)
+        return tuple(served)
 
 
 class EventualGroup:

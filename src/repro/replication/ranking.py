@@ -23,18 +23,52 @@ This module implements that semantic:
   than typical inter-post age gaps reorders freely (order divergence,
   monotonic-writes reordering); selection churn makes already-seen
   posts vanish (monotonic reads) and fuels content divergence.
+
+A read is an *exact two-phase top-k*: its cost follows the reply it
+returns, not the history the store retains, and the reply is the one
+an exhaustive scan would give.
+
+* **Phase 1 — the draws that have an order.**  One pass over the
+  retained entries in store order samples ``index.{reader}`` for every
+  entry the reader has not met and takes exactly one ``drop.{reader}``
+  draw per indexed entry.  Both are sequential streams: which value an
+  entry gets depends on how many draws came before it, so this pass
+  may never skip, reorder or short-circuit — every campaign signature
+  depends on it.  It is kept cheap instead (one dict lookup and one
+  bound ``random()`` per entry).
+* **Phase 2 — the draws that have none.**  Interest noise is seeded by
+  name from ``(reader, post, epoch)``; evaluating it for one post
+  neither consumes nor shifts anything another post sees, so it may be
+  skipped for posts that cannot make the reply.  Survivors are visited
+  in descending *base* score (``-recency_weight * age``; sorted, so no
+  assumption that newest is best) and the scan stops at the first one
+  with ``base + GAUSS_MAX_SIGMAS * noise_sd`` strictly below the
+  current ``feed_size``-th best score: every later survivor has a
+  base no larger, and no ``gauss`` draw exceeds that many sigmas
+  (:data:`repro.sim.random_source.GAUSS_MAX_SIGMAS` — Box-Muller over
+  53-bit uniforms gives ``|z| <= sqrt(-2 ln 2**-53) ~= 8.572``), so
+  none of them can score as high as the reply's last post, ties
+  included.  The bound is a theorem about the generator, not a
+  tolerance; float rounding is monotone, so it survives the additions.
+  The scored candidates then go through the same
+  ``(-score, message_id)`` sort and cut as ever.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.replication.ordering import timestamp_key
 from repro.replication.sharding import AuthorShardMap
-from repro.replication.store import VersionedStore
+from repro.replication.store import (
+    DoublingPrune,
+    StoredWrite,
+    VersionedStore,
+)
 from repro.sim.event_loop import Simulator
-from repro.sim.random_source import RandomSource
+from repro.sim.random_source import GAUSS_MAX_SIGMAS, RandomSource
 
 __all__ = ["RankedFeedParams", "RankedFeedStore"]
 
@@ -107,8 +141,11 @@ class RankedFeedStore:
         #: which is why indexing lag causes read-your-writes but not
         #: monotonic-writes violations.
         self._index_floor: dict[tuple[str, str], float] = {}
-        #: Memoized epoch noise, keyed (reader, message_id, epoch).
-        self._noise_cache: dict[tuple[str, str, int], float] = {}
+        self._prune_visible_at = DoublingPrune(8192)
+        #: Memoized epoch noise, ``{epoch: {(reader, message_id):
+        #: noise}}``.  Simulated time only moves forward, so asking for
+        #: an epoch retires every older one.
+        self._noise_cache: dict[int, dict[tuple[str, str], float]] = {}
         self._shard_map = AuthorShardMap(params.author_shards)
 
     @property
@@ -130,27 +167,48 @@ class RankedFeedStore:
 
     def read(self, reader: str) -> tuple[str, ...]:
         """One ranked read for ``reader`` (highest interest first)."""
+        params = self._params
         now = self._sim.now
-        drop_stream = f"drop.{reader}"
-        scored: list[tuple[float, str]] = []
+        # Phase 1: ordered draws, one pass in store order.
+        visible_at = self._visible_at
+        drop_prob = params.drop_prob
+        drop_draw = self._rng.stream(f"drop.{reader}").random
+        falloff = -params.recency_weight
+        survivors: list[tuple[float, str]] = []
         for entry in self._store.entries():
-            if self._feed_index_time(entry.message_id, reader,
-                                     entry.author,
-                                     entry.origin_ts) > now:
+            message_id = entry.message_id
+            when = visible_at.get((message_id, reader))
+            if when is None:
+                when = self._sample_index_time(entry, reader)
+            if when > now:
                 continue  # not yet indexed into this reader's feed
-            if self._rng.bernoulli(drop_stream, self._params.drop_prob):
+            if drop_draw() < drop_prob:
                 continue  # selection churn
-            age = now - entry.origin_ts
-            score = (-self._params.recency_weight * age
-                     + self._interest_noise(reader, entry.message_id,
-                                            now))
-            scored.append((score, entry.message_id))
+            survivors.append((falloff * (now - entry.origin_ts),
+                              message_id))
+        # Phase 2: order-free noise, only where it can change the reply.
+        survivors.sort(reverse=True)
+        feed_size = params.feed_size
+        reach = GAUSS_MAX_SIGMAS * params.noise_sd
+        epoch = int(now / params.noise_period)
+        best: list[float] = []  # min-heap of the feed_size best scores
+        scored: list[tuple[float, str]] = []
+        for base, message_id in survivors:
+            if len(best) == feed_size and base + reach < best[0]:
+                break  # nor can anything after it
+            score = base + self._interest_noise(reader, message_id,
+                                                epoch)
+            scored.append((score, message_id))
+            if len(best) < feed_size:
+                heapq.heappush(best, score)
+            elif score > best[0]:
+                heapq.heapreplace(best, score)
         scored.sort(key=lambda pair: (-pair[0], pair[1]))
-        top = scored[:self._params.feed_size]
-        return tuple(message_id for _score, message_id in top)
+        return tuple(message_id
+                     for _score, message_id in scored[:feed_size])
 
     def _interest_noise(self, reader: str, message_id: str,
-                        now: float) -> float:
+                        epoch: int) -> float:
         """Epoch-stable interest noise for one (reader, post) pair.
 
         Deterministic in (seed, reader, post, epoch): the same value
@@ -159,53 +217,44 @@ class RankedFeedStore:
         """
         if self._params.noise_sd == 0:
             return 0.0
-        epoch = int(now / self._params.noise_period)
-        key = (reader, message_id, epoch)
-        noise = self._noise_cache.get(key)
+        memo = self._noise_cache.get(epoch)
+        if memo is None:
+            for old in [e for e in self._noise_cache if e < epoch]:
+                del self._noise_cache[old]
+            memo = self._noise_cache[epoch] = {}
+        noise = memo.get((reader, message_id))
         if noise is None:
-            noise = self._rng.ephemeral(
+            noise = memo[reader, message_id] = self._rng.ephemeral(
                 f"interest.{reader}.{message_id}.{epoch}"
             ).gauss(0.0, self._params.noise_sd)
-            if len(self._noise_cache) > 16384:
-                # Old epochs are never asked for again.
-                self._noise_cache.clear()
-            self._noise_cache[key] = noise
         return noise
 
-    def _feed_index_time(self, message_id: str, reader: str,
-                         author: str, origin_ts: float) -> float:
-        key = (message_id, reader)
-        when = self._visible_at.get(key)
-        if when is None:
-            lag = self._rng.lognormal(
-                f"index.{reader}",
-                median=self._params.index_lag_median,
-                sigma=self._params.index_lag_sigma,
+    def _sample_index_time(self, entry: StoredWrite,
+                           reader: str) -> float:
+        """First sight of ``entry`` by ``reader``: draw its index time."""
+        lag = self._rng.lognormal(
+            f"index.{reader}",
+            median=self._params.index_lag_median,
+            sigma=self._params.index_lag_sigma,
+        )
+        when = entry.origin_ts + lag
+        # Per-author FIFO: never indexed before a session
+        # predecessor.  (Entries are scanned in timestamp order, so
+        # predecessors are always sampled first.)  With author
+        # sharding the floor is per shard — one pipeline drains a
+        # whole shard's posts in order.
+        if self._params.author_shards > 1:
+            floor_key = (
+                reader,
+                f"shard:{self._shard_map.shard_of(entry.author)}",
             )
-            when = origin_ts + lag
-            # Per-author FIFO: never indexed before a session
-            # predecessor.  (Entries are scanned in timestamp order, so
-            # predecessors are always sampled first.)  With author
-            # sharding the floor is per shard — one pipeline drains a
-            # whole shard's posts in order.
-            if self._params.author_shards > 1:
-                floor_key = (
-                    reader,
-                    f"shard:{self._shard_map.shard_of(author)}",
-                )
-            else:
-                floor_key = (reader, author)
-            floor = self._index_floor.get(floor_key, float("-inf"))
-            when = max(when, floor)
-            self._index_floor[floor_key] = when
-            self._visible_at[key] = when
-            self._prune(origin_ts)
+        else:
+            floor_key = (reader, entry.author)
+        floor = self._index_floor.get(floor_key, float("-inf"))
+        when = max(when, floor)
+        self._index_floor[floor_key] = when
+        self._visible_at[entry.message_id, reader] = when
+        horizon = entry.origin_ts - self._params.retention
+        self._prune_visible_at(self._visible_at,
+                               lambda indexed: indexed < horizon)
         return when
-
-    def _prune(self, now: float) -> None:
-        if len(self._visible_at) < 8192:
-            return
-        horizon = now - self._params.retention
-        for key in [k for k, when in self._visible_at.items()
-                    if when < horizon]:
-            del self._visible_at[key]

@@ -14,17 +14,56 @@ versions older than ``retention`` seconds are pruned, as are entries for
 writes older than the horizon (the measurement harness only ever asks
 about the current test's messages, mirroring how the paper's agents
 parse only their own posts out of API responses).
+
+The order is *maintained, not rebuilt*: live entries sit in one list
+kept sorted by ``(sort_key, seq)`` — a new write is bisected into
+place, a repair removes and re-inserts one entry, and entries leave
+through an age heap when they cross the horizon.  A mutation therefore
+costs one tuple copy of that list (the new immutable version) instead
+of a sort plus a retention scan, and :meth:`VersionedStore.entries`
+costs a list copy.  ``seq`` breaks ``sort_key`` ties, which is the
+order a stable sort over arrival-ordered entries produces.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Callable
+import heapq
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.errors import ConfigurationError
 
-__all__ = ["StoredWrite", "VersionedStore"]
+__all__ = ["StoredWrite", "VersionedStore", "DoublingPrune"]
+
+
+class DoublingPrune:
+    """Amortised pruning of a side table that grows with the writes.
+
+    Substrates keep per-write bookkeeping (index times, backend
+    windows) that is dead weight once the write is older than the
+    retention horizon.  Scanning the table for stale values on every
+    insert is O(n) per insert for as long as it legitimately holds
+    that many live keys, so a scan runs only when the table has
+    reached ``floor`` keys *and* doubled since the last scan left it:
+    O(1) amortised per insert, and the table stays within 2x of its
+    live size (or under ``floor``).  A scan deletes exactly the keys
+    whose value ``is_stale`` — when it runs is the only thing the
+    schedule decides.
+    """
+
+    def __init__(self, floor: int) -> None:
+        self._floor = floor
+        self._scan_at = floor
+
+    def __call__(self, table: dict,
+                 is_stale: Callable[[Any], bool]) -> None:
+        if len(table) < self._scan_at:
+            return
+        for key in [key for key, value in table.items()
+                    if is_stale(value)]:
+            del table[key]
+        self._scan_at = max(self._floor, 2 * len(table))
 
 
 @dataclass
@@ -60,6 +99,11 @@ class StoredWrite:
             self.sort_key = (self.origin_ts, self.seq)
 
 
+def _position(entry: StoredWrite) -> tuple[tuple, int]:
+    """Total order of live entries: ``sort_key``, arrival breaks ties."""
+    return (entry.sort_key, entry.seq)
+
+
 class VersionedStore:
     """An ordered write store that remembers every past version.
 
@@ -80,6 +124,12 @@ class VersionedStore:
         self._now_fn = now_fn
         self._retention = retention
         self._entries: dict[str, StoredWrite] = {}
+        #: The live entries, always sorted by :func:`_position`.
+        self._order: list[StoredWrite] = []
+        #: Min-heap of (origin_ts, seq, message_id) over the live
+        #: entries: retention is by origin timestamp, which no ordering
+        #: policy is obliged to follow.
+        self._by_age: list[tuple[float, int, str]] = []
         self._next_seq = 0
         #: Parallel arrays: version i was in force from _version_times[i].
         self._version_times: list[float] = []
@@ -106,6 +156,8 @@ class VersionedStore:
         )
         self._next_seq += 1
         self._entries[message_id] = entry
+        bisect.insort(self._order, entry, key=_position)
+        heapq.heappush(self._by_age, (origin_ts, entry.seq, message_id))
         self._record_version()
         return entry
 
@@ -116,18 +168,20 @@ class VersionedStore:
             return  # pruned or never arrived; nothing to repair
         if entry.sort_key == sort_key:
             return
+        del self._order[self._index_of(entry)]
         entry.sort_key = sort_key
+        bisect.insort(self._order, entry, key=_position)
         self._record_version()
+
+    def _index_of(self, entry: StoredWrite) -> int:
+        return bisect.bisect_left(self._order, _position(entry),
+                                  key=_position)
 
     def _record_version(self) -> None:
         now = self._now_fn()
         # Prune first so the new version reflects post-retention state.
         self._prune(now)
-        ordered = tuple(
-            entry.message_id
-            for entry in sorted(self._entries.values(),
-                                key=lambda e: e.sort_key)
-        )
+        ordered = tuple([entry.message_id for entry in self._order])
         if (self._version_times and self._version_times[-1] == now):
             # Same-instant mutations collapse into one version.
             self._versions[-1] = ordered
@@ -143,10 +197,10 @@ class VersionedStore:
         if cut > 0:
             del self._version_times[:cut]
             del self._versions[:cut]
-        stale_ids = [mid for mid, entry in self._entries.items()
-                     if entry.origin_ts < horizon]
-        for mid in stale_ids:
-            del self._entries[mid]
+        by_age = self._by_age
+        while by_age and by_age[0][0] < horizon:
+            entry = self._entries.pop(heapq.heappop(by_age)[2])
+            del self._order[self._index_of(entry)]
 
     # -- Queries -----------------------------------------------------------
 
@@ -169,7 +223,7 @@ class VersionedStore:
 
     def entries(self) -> list[StoredWrite]:
         """All live entries in current order."""
-        return sorted(self._entries.values(), key=lambda e: e.sort_key)
+        return list(self._order)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -25,7 +25,17 @@ import math
 import random
 from typing import Iterator
 
-__all__ = ["RandomSource", "derive_seed"]
+__all__ = ["RandomSource", "derive_seed", "GAUSS_MAX_SIGMAS"]
+
+#: No ``random.Random.gauss(mu, sigma)`` draw lies further than this
+#: many sigmas from ``mu``.  CPython's ``gauss`` is Box-Muller,
+#: ``z = cos(2*pi*u1) * sqrt(-2 * ln(1 - u2))``, over uniforms
+#: ``u = k / 2**53`` with ``0 <= k < 2**53``, so ``1 - u2 >= 2**-53``
+#: and ``|z| <= sqrt(-2 * ln(2**-53)) = sqrt(106 * ln 2) ~= 8.5716``.
+#: Rounded up, which also absorbs the last-place error of ``log``,
+#: ``sqrt`` and ``cos``.  Callers that rank by ``base + gauss noise``
+#: may use it to discard candidates exactly, not approximately.
+GAUSS_MAX_SIGMAS = 8.58
 
 
 def derive_seed(root_seed: int, name: str) -> int:
