@@ -1,10 +1,24 @@
 """Canonical serialization and content digests for fleet artifacts.
 
 Everything the fleet engine persists or compares is reduced to one
-*canonical JSON* encoding — sorted keys, compact separators, tuples
-and dataclasses lowered to deterministic structures — so that equal
-inputs produce byte-identical encodings regardless of construction
-order.  Digests over that encoding are the engine's equality oracle:
+*canonical JSON* encoding — sorted keys, compact separators — so that
+equal inputs produce byte-identical encodings regardless of
+construction order.  A value is *lowered* when the JSON encoder
+already reads it that way: ``dict`` with ``str`` keys, ``list`` /
+``tuple``, and ``str`` / ``int`` / ``float`` / ``bool`` / ``None``
+leaves, all of exactly those types.  :func:`canonical` lowers
+everything else it knows (dataclasses, non-``str`` keys, sets,
+subclasses) and refuses the rest: a digest must be a function of its
+input, so a value with no content-determined encoding is an error,
+never a ``repr``.
+
+:func:`canonical_json` is the one way a value becomes bytes: it walks
+the value once to *check* that it is lowered — every record dict
+``repro.io.record_to_dict`` builds is — and hands it to the C encoder
+as it stands; only a value that fails the check is copied through
+:func:`canonical` first.  Either way the bytes are those of
+``json.dumps(canonical(value), sort_keys=True, separators=(",", ":"))``.
+Digests over that encoding are the engine's equality oracle:
 
 * :func:`records_digest` / :func:`campaign_signature` — one campaign's
   records, used for shard integrity in the artifact store.
@@ -22,6 +36,8 @@ import hashlib
 import json
 from typing import TYPE_CHECKING, Any, Iterable
 
+from repro.errors import ConfigurationError
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.methodology.runner import CampaignResult, TestRecord
 
@@ -35,15 +51,31 @@ __all__ = [
     "spec_digest",
 ]
 
+#: Leaf types the encoder writes as they stand.  Matched by exact
+#: type (one hash lookup): a subclass — an enum, a ``str`` key with its
+#: own ``__str__`` — takes the :func:`canonical` path.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+# No circular check: what reaches the encoder is either a value
+# ``_is_lowered`` walked to its leaves or the fresh tree ``canonical``
+# built, and both recurse (``RecursionError``) on a cyclic input first.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                           check_circular=False).encode
+
 
 def canonical(value: Any) -> Any:
     """Lower ``value`` to a structure with one deterministic encoding.
 
     Dataclasses carry their type name so two configs of different
-    classes with equal fields never alias; sets are sorted by their
-    canonical encoding (never iterated raw); unknown objects fall back
-    to ``repr`` — dataclass reprs are field-ordered and stable.
+    classes with equal fields never alias; dict keys become ``str``
+    *before* they are sorted (``{1:…, 10:…, 2:…}`` orders
+    ``"1","10","2"``, ``True`` is the key ``"True"``); sets are sorted
+    by their canonical encoding (never iterated raw).  Any other
+    object raises :class:`~repro.errors.ConfigurationError` — its
+    ``repr`` may carry a memory address.
     """
+    if type(value) in _SCALARS:
+        return value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         lowered = {
             field.name: canonical(getattr(value, field.name))
@@ -61,15 +93,42 @@ def canonical(value: Any) -> Any:
             (canonical(item) for item in value),
             key=lambda item: json.dumps(item, sort_keys=True),
         )
-    if value is None or isinstance(value, (bool, int, float, str)):
+    if isinstance(value, (bool, int, float, str)):
         return value
-    return repr(value)
+    raise ConfigurationError(
+        f"no canonical encoding for {type(value).__qualname__} "
+        "objects: lower the value to dataclasses, dicts, lists, "
+        "sets and scalars before digesting it"
+    )
+
+
+def _is_lowered(value: Any) -> bool:
+    """Whether :func:`canonical` would change nothing the encoder sees.
+
+    Scalars are tested inline so a leaf costs no call; the encoder
+    writes a ``tuple`` as it writes a ``list``.
+    """
+    kind = type(value)
+    if kind is dict:
+        for key, item in value.items():
+            if type(key) is not str:
+                return False
+            if type(item) not in _SCALARS and not _is_lowered(item):
+                return False
+        return True
+    if kind is list or kind is tuple:
+        for item in value:
+            if type(item) not in _SCALARS and not _is_lowered(item):
+                return False
+        return True
+    return kind in _SCALARS
 
 
 def canonical_json(value: Any) -> str:
     """The canonical JSON encoding of ``value`` (sorted, compact)."""
-    return json.dumps(canonical(value), sort_keys=True,
-                      separators=(",", ":"))
+    if not _is_lowered(value):
+        value = canonical(value)
+    return _encode(value)
 
 
 def sha256_hex(text: str) -> str:

@@ -389,8 +389,11 @@ def iter_trace_events(lines: Iterable[str]) -> Iterator[dict]:
 
 
 def _canonical_line(payload: dict) -> str:
-    return json.dumps(_jsonable(payload), sort_keys=True,
-                      separators=(",", ":"))
+    # Imported here: the repro.fleet package init loads the executor
+    # and multiprocessing, which reading a saved campaign never needs.
+    from repro.fleet.digest import canonical_json
+
+    return canonical_json(_jsonable(payload))
 
 
 def write_digest_jsonl(path: str | Path, payloads: Iterable[dict], *,

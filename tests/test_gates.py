@@ -1,7 +1,9 @@
-"""Smoke tests for the one CI gate runner, ``tools/gates.py``.
+"""Smoke tests for the CI gate tools, ``tools/gates.py`` and
+``tools/bench_check.py``.
 
-The gates themselves run in CI (``python tools/gates.py``); here only
-the table and the argument handling are checked, which costs nothing.
+The gates themselves run in CI (``python tools/gates.py``,
+``python tools/bench_check.py``); here only the table, the argument
+handling and the baseline comparison are checked, which costs nothing.
 """
 
 import importlib.util
@@ -9,15 +11,35 @@ from pathlib import Path
 
 import pytest
 
-GATES_PATH = Path(__file__).parent.parent / "tools" / "gates.py"
+TOOLS = Path(__file__).parent.parent / "tools"
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(
+        name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def gates():
-    spec = importlib.util.spec_from_file_location("gates", GATES_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_tool("gates")
+
+
+@pytest.fixture(scope="module")
+def compare():
+    """``compare_payloads`` at the gate's default band, returning the
+    failure lines."""
+    bench_check = load_tool("bench_check")
+
+    def compare(baseline, fresh):
+        failures = []
+        bench_check.compare_payloads("bench", baseline, fresh, 0.1,
+                                     failures)
+        return failures
+
+    return compare
 
 
 def test_list_names_exactly_the_eight_gates(gates, capsys):
@@ -47,3 +69,38 @@ def test_named_gates_run_alone_and_a_failure_exits_1(gates, capsys,
     out = capsys.readouterr().out
     assert out.startswith("scenario check FAILED (")
     assert "  - gossip golden signature drifted" in out
+
+
+@pytest.mark.parametrize("field", ["sessions_per_s",
+                                   "stream_ops_per_second"])
+def test_throughput_up_passes_and_a_collapse_fails(compare, field):
+    assert compare({field: 100.0}, {field: 1000.0}) == []
+    assert compare({field: 100.0}, {field: 11.0}) == []
+    (failure,) = compare({field: 100.0}, {field: 9.0})
+    assert f"{field} regressed 100.0 -> 9.0 (floor 10.0" in failure
+
+
+def test_cost_down_passes_and_a_blow_up_fails(compare):
+    baseline = {"serial_seconds": 1.0, "stream_over_batch": 2.0}
+    assert compare(baseline, {"serial_seconds": 0.1,
+                              "stream_over_batch": 19.0}) == []
+    (failure,) = compare(baseline, {"serial_seconds": 1.0,
+                                    "stream_over_batch": 21.0})
+    assert "stream_over_batch regressed 2.000 -> 21.000" in failure
+
+
+def test_a_nested_dict_is_banded_like_the_key_that_holds_it(compare):
+    baseline = {"trials_per_second": {"1": 40.0, "4": 90.0},
+                "trials": {"1": 12, "4": 12}}
+    assert compare(baseline, {"trials_per_second": {"1": 55.0,
+                                                    "4": 300.0},
+                              "trials": {"1": 12, "4": 12}}) == []
+    failures = compare(baseline, {"trials_per_second": {"1": 3.0,
+                                                        "4": 90.0},
+                                  "trials": {"1": 12, "4": 13}})
+    assert len(failures) == 2
+    assert "trials_per_second.1 regressed 40.0 -> 3.0" in failures[1]
+    assert "deterministic field trials.4 drifted" in failures[0]
+    # A nested key with a class of its own keeps it.
+    assert compare({"runs_per_s": {"wall_seconds": 1.0}},
+                   {"runs_per_s": {"wall_seconds": 0.2}}) == []

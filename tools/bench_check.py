@@ -8,10 +8,12 @@ scratch directory and compares fresh against baseline field by field:
 * **deterministic fields** (counts, totals, signatures, config echo)
   must match *exactly* — a drift means simulated behaviour changed
   and the baseline must be consciously regenerated;
-* **performance fields** (named ``*_per_s``, ``*_seconds``,
-  ``*_over_*``, ``*elapsed*``) get a tolerance band: CI machines are
+* **performance fields** get a tolerance band: CI machines are
   noisy, so only an order-of-magnitude regression fails the gate
-  (``--min-ratio`` tightens or loosens it).
+  (``--min-ratio`` tightens or loosens it).  Throughput (named
+  ``*_per_s`` / ``*_per_second``) may not collapse; costs
+  (``*_seconds``, ``*_over_*``, ``*elapsed*``) may not balloon; a
+  nested dict is banded like the key that holds it.
 
     python tools/bench_check.py [--update] [names...]
 
@@ -34,23 +36,35 @@ __all__ = ["compare_payloads", "run_benchmark", "main"]
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_DIR = REPO_ROOT / "benchmarks" / "baselines"
 
-#: Substrings that mark a field as performance-dependent (banded)
-#: rather than deterministic (exact).
-PERF_MARKERS = ("_per_s", "_seconds", "_over_", "elapsed")
+#: Suffixes of throughput fields: banded, higher is better.
+THROUGHPUT_SUFFIXES = ("_per_s", "_per_second")
+
+#: Substrings of cost fields (durations, cost ratios): banded, lower
+#: is better.
+COST_MARKERS = ("_seconds", "_over_", "elapsed")
 
 #: The REPRO_BENCH_TESTS scale baselines are recorded at.  Fixed so a
 #: fresh run is comparable: deterministic fields depend on it.
 BASELINE_BENCH_TESTS = "60"
 
 
-def is_perf_field(key: str) -> bool:
-    return any(marker in key for marker in PERF_MARKERS)
+def perf_class(key: str) -> str | None:
+    """``"throughput"`` | ``"cost"`` | ``None`` (deterministic)."""
+    if key.endswith(THROUGHPUT_SUFFIXES):
+        return "throughput"
+    if any(marker in key for marker in COST_MARKERS):
+        return "cost"
+    return None
 
 
 def compare_payloads(name, baseline, fresh, min_ratio, failures):
-    """Append a failure line per mismatched field (recursing dicts)."""
+    """Append a failure line per mismatched field (recursing dicts).
 
-    def walk(path, base_value, fresh_value):
+    A key that names no class of its own inherits its parent's, so
+    ``trials_per_second: {"1": ..., "4": ...}`` is banded per entry.
+    """
+
+    def walk(path, base_value, fresh_value, kind):
         if isinstance(base_value, dict) and \
                 isinstance(fresh_value, dict):
             for key in sorted(set(base_value) | set(fresh_value)):
@@ -64,18 +78,17 @@ def compare_payloads(name, baseline, fresh, min_ratio, failures):
                         "fresh run")
                 else:
                     walk(f"{path}{key}.", base_value[key],
-                         fresh_value[key])
+                         fresh_value[key], perf_class(key) or kind)
             return
         leaf = path.rstrip(".")
-        field = leaf.rsplit(".", 1)[-1]
-        if is_perf_field(field):
+        if kind is not None:
             if not isinstance(base_value, (int, float)) or \
                     not isinstance(fresh_value, (int, float)):
                 failures.append(
                     f"{name}: perf field {leaf} is not numeric "
                     f"({base_value!r} vs {fresh_value!r})")
-            elif field.endswith("_per_s"):
-                # Throughput: higher is better, only a collapse fails.
+            elif kind == "throughput":
+                # Higher is better, only a collapse fails.
                 if fresh_value < base_value * min_ratio:
                     failures.append(
                         f"{name}: {leaf} regressed "
@@ -97,7 +110,7 @@ def compare_payloads(name, baseline, fresh, min_ratio, failures):
                 f"baseline {base_value!r} != fresh {fresh_value!r}; "
                 "if intentional, regenerate with --update")
 
-    walk("", baseline, fresh)
+    walk("", baseline, fresh, None)
 
 
 def run_benchmark(name: str, out_dir: Path) -> Path | None:
