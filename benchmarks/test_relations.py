@@ -7,10 +7,10 @@ Not a paper figure — the contributor-facing benchmark behind
   metrics per test costs a bounded factor over the plain six-checker
   ``analyze_trace``; the printed traces/sec pair is the number to
   watch, the hard assertion only rules out a pathological cliff.
-* **One value, however computed**: the deterministic totals in the
-  emitted ``BENCH_relations.json`` come from the batch evaluator but
-  are asserted equal to the streaming evaluator's before being
-  written, so the checked-in baseline pins *both* implementations.
+* **Pinned values**: the deterministic totals and campaign
+  signatures in the emitted ``BENCH_relations.json`` come from the
+  one evaluator run to completion by ``analyze_trace``; the
+  checked-in baseline pins them.
 """
 
 import time
@@ -18,7 +18,7 @@ import time
 from repro.fleet.digest import campaign_signature
 from repro.methodology import CampaignConfig, run_campaign
 from repro.methodology.runner import analyze_trace
-from repro.relations import metric_mismatches, resolve_metrics
+from repro.relations import resolve_metrics
 from repro.relations.registry import metric_names
 
 from benchmarks.conftest import BENCH_SEED, bench_num_tests
@@ -56,12 +56,6 @@ def test_metric_evaluation_throughput(benchmark, bench_json_writer):
     t0 = time.perf_counter()
     records = benchmark.pedantic(with_metrics, rounds=1, iterations=1)
     metrics_s = time.perf_counter() - t0
-
-    for trace in traces:
-        assert metric_mismatches(trace, specs) == [], (
-            "streaming evaluator diverged from batch; the baseline "
-            "would pin a lie"
-        )
 
     plain_rate = len(traces) / plain_s
     metrics_rate = len(traces) / metrics_s

@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
             "detection engine: anomalies are reported the moment their "
             "evidence completes, with live per-anomaly counters and "
             "state-size telemetry.  Output records are identical to "
-            "the batch pipeline's (the parity contract)."
+            "a plain run's (the feed-parity contract)."
         ),
     )
     stream_cmd.add_argument(

@@ -1,8 +1,10 @@
 """The paper's core contribution, made executable.
 
 * :mod:`repro.core.trace` — the write/read operation-trace model.
+* :mod:`repro.core.stream` — canonical stream order and the one
+  open → observe → close driver every evaluation goes through.
 * :mod:`repro.core.anomalies` — the six anomaly predicates of §III as
-  checkers over traces.
+  incremental checkers (``check(trace)`` runs one to completion).
 * :mod:`repro.core.windows` — content/order divergence-window
   computation with clock-delta correction (§III.3, §IV).
 * :mod:`repro.core.metrics` — CDFs and the occurrence buckets used by
@@ -31,7 +33,6 @@ from repro.core.windows import (
     content_divergence_windows,
     divergence_windows,
     order_divergence_windows,
-    view_timeline,
 )
 
 __all__ = [
@@ -53,7 +54,6 @@ __all__ = [
     "CONTENT_DIVERGENCE",
     "ORDER_DIVERGENCE",
     "WindowResult",
-    "view_timeline",
     "divergence_windows",
     "content_divergence_windows",
     "order_divergence_windows",

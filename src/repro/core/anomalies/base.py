@@ -1,10 +1,13 @@
 """Common vocabulary for anomaly checkers.
 
-Each checker implements the :class:`AnomalyChecker` interface: given a
-:class:`~repro.core.trace.TestTrace` it returns the list of
-:class:`AnomalyObservation` instances found.  One *observation* is one
-read operation that exhibits the anomaly (for divergence anomalies, one
-pair of reads) — the unit the paper's per-test distribution figures
+Each checker implements the :class:`AnomalyChecker` interface: fed a
+test's operations one at a time in canonical stream order
+(:mod:`repro.core.stream`) it emits :class:`AnomalyObservation`
+instances the moment the violating read arrives; ``check(trace)`` is
+the same checker run to completion over a finished
+:class:`~repro.core.trace.TestTrace`.  One *observation* is one read
+operation that exhibits the anomaly (for divergence anomalies, one
+agent pair) — the unit the paper's per-test distribution figures
 (Figs. 4–7) count.
 
 Anomaly kinds are identified by the string constants below; analysis
@@ -18,6 +21,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from repro.core.stream import StreamOp, TestMeta, run_to_completion
 from repro.core.trace import TestTrace
 
 __all__ = [
@@ -89,18 +93,46 @@ class AnomalyObservation:
 
 
 class AnomalyChecker(abc.ABC):
-    """Interface every anomaly checker implements."""
+    """Interface every anomaly checker implements.
+
+    Lifecycle per test: ``open_test`` once, ``observe`` per operation
+    in canonical stream order, ``close_test`` once; several tests may
+    be open at a time.  ``observe`` returns the observations the
+    operation triggers *immediately* — the live telemetry feed.
+    ``close_test`` returns the test's **complete** observation list in
+    the checker's documented order (everything already surfaced live
+    plus stragglers whose evidence only completed later) and drops
+    every byte of the test's state.
+    """
 
     #: Anomaly-kind constant produced by this checker.
     anomaly: str = ""
 
     @abc.abstractmethod
+    def open_test(self, meta: TestMeta) -> None:
+        """Allocate per-test state for ``meta.test_id``."""
+
+    @abc.abstractmethod
+    def observe(self, meta: TestMeta,
+                sop: StreamOp) -> list[AnomalyObservation]:
+        """Ingest one operation; return observations it fired."""
+
+    @abc.abstractmethod
+    def close_test(self, meta: TestMeta) -> list[AnomalyObservation]:
+        """Return the test's full observation list; free its state."""
+
+    @abc.abstractmethod
+    def state_size(self) -> int:
+        """Number of retained state atoms, across all open tests."""
+
     def check(self, trace: TestTrace) -> list[AnomalyObservation]:
         """Return all observations of this anomaly in ``trace``.
 
-        Checkers are pure: they never mutate the trace, and a given
-        trace always yields the same observations.
+        Checkers are pure with respect to the trace: they never mutate
+        it, and a given trace always yields the same observations.
         """
+        (observations,) = run_to_completion([self], trace)
+        return observations
 
     def found_in(self, trace: TestTrace) -> bool:
         """Convenience: does the anomaly occur at all in ``trace``?"""

@@ -26,16 +26,15 @@ and the first piece of evidence.  ``details`` keys:
 * ``example`` — mapping with ``left_only``/``right_only`` message ids
   and the two observed sequences from the first divergent pair found
   (agents in sorted order: "left" is the lexicographically smaller).
+
+Counting and example selection are shared with order divergence:
+:mod:`repro.core.anomalies.pairwise`.
 """
 
 from __future__ import annotations
 
-from repro.core.anomalies.base import (
-    CONTENT_DIVERGENCE,
-    AnomalyChecker,
-    AnomalyObservation,
-)
-from repro.core.trace import ReadOp, TestTrace
+from repro.core.anomalies.base import CONTENT_DIVERGENCE
+from repro.core.anomalies.pairwise import PairwiseDivergenceChecker
 
 __all__ = ["ContentDivergenceChecker", "views_content_diverged"]
 
@@ -47,70 +46,19 @@ def views_content_diverged(view_a: tuple[str, ...],
     return bool(set_a - set_b) and bool(set_b - set_a)
 
 
-class ContentDivergenceChecker(AnomalyChecker):
+class ContentDivergenceChecker(PairwiseDivergenceChecker):
     """Detects cross-missing writes between reads of different agents."""
 
     anomaly = CONTENT_DIVERGENCE
 
-    def check(self, trace: TestTrace) -> list[AnomalyObservation]:
-        observations: list[AnomalyObservation] = []
-        for first, second in trace.agent_pairs():
-            left, right = sorted((first, second))
-            result = self._check_pair(
-                trace.reads_by(left), trace.reads_by(right)
-            )
-            if result is None:
-                continue
-            count, example, detecting_read = result
-            observations.append(AnomalyObservation(
-                anomaly=self.anomaly,
-                agent=left,
-                time=trace.corrected_response(detecting_read),
-                pair=(left, right),
-                details={
-                    "divergent_read_pairs": count,
-                    "example": example,
-                },
-            ))
-        return observations
+    _diverged = staticmethod(views_content_diverged)
 
-    @staticmethod
-    def _check_pair(
-        left_reads: list[ReadOp], right_reads: list[ReadOp]
-    ) -> tuple[int, dict, ReadOp] | None:
-        """Count divergent read pairs between two agents' read logs."""
-        count = 0
-        example: dict | None = None
-        detecting_read: ReadOp | None = None
-        # Precompute sets once per read; the pairwise loop then only
-        # does set differences.
-        left_sets = [(read, frozenset(read.observed))
-                     for read in left_reads]
-        right_sets = [(read, frozenset(read.observed))
-                      for read in right_reads]
-        for left_read, left_set in left_sets:
-            for right_read, right_set in right_sets:
-                left_only = left_set - right_set
-                if not left_only:
-                    continue
-                right_only = right_set - left_set
-                if not right_only:
-                    continue
-                count += 1
-                if example is None:
-                    example = {
-                        "left_only": tuple(sorted(left_only)),
-                        "right_only": tuple(sorted(right_only)),
-                        "left_observed": left_read.observed,
-                        "right_observed": right_read.observed,
-                    }
-                    detecting_read = (
-                        left_read
-                        if left_read.response_local >=
-                        right_read.response_local
-                        else right_read
-                    )
-        if count == 0:
-            return None
-        assert example is not None and detecting_read is not None
-        return count, example, detecting_read
+    def _example(self, left_view: tuple[str, ...],
+                 right_view: tuple[str, ...]) -> dict:
+        left_set, right_set = set(left_view), set(right_view)
+        return {
+            "left_only": tuple(sorted(left_set - right_set)),
+            "right_only": tuple(sorted(right_set - left_set)),
+            "left_observed": left_view,
+            "right_observed": right_view,
+        }

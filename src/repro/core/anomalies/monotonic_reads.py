@@ -11,9 +11,10 @@ is that the missing write must have been *returned by a previous read*
 of the same client, not merely issued.
 
 Checking every ordered pair of reads is quadratic; we use the standard
-equivalent linear form: walk the session's reads in order, maintaining
-the set of everything observed so far, and flag a read that misses any
-previously-observed message.  (If ``x ∈ S1`` and ``x ∉ S2`` for *some*
+equivalent linear form: per agent, maintain the set of everything its
+reads returned so far (they arrive in session order under canonical
+stream order) and flag a read that misses any previously-observed
+message.  (If ``x ∈ S1`` and ``x ∉ S2`` for *some*
 earlier ``S1``, then ``x`` is in the running union and missing now, and
 vice versa.)
 
@@ -23,6 +24,9 @@ previously-seen message.  ``details`` keys:
 * ``missing`` — previously-observed message ids absent from this read
   (sorted).
 * ``observed`` — the sequence the read returned.
+
+``close_test`` lists observations agent by agent, each agent's in
+session order.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from repro.core.anomalies.base import (
     AnomalyChecker,
     AnomalyObservation,
 )
-from repro.core.trace import TestTrace
+from repro.core.stream import StreamOp, TestMeta
+from repro.core.trace import ReadOp
 
 __all__ = ["MonotonicReadsChecker"]
 
@@ -42,21 +47,48 @@ class MonotonicReadsChecker(AnomalyChecker):
 
     anomaly = MONOTONIC_READS
 
-    def check(self, trace: TestTrace) -> list[AnomalyObservation]:
-        observations: list[AnomalyObservation] = []
-        for agent in trace.agents:
-            seen_so_far: set[str] = set()
-            for read in trace.reads_by(agent):
-                missing = seen_so_far.difference(read.observed)
-                if missing:
-                    observations.append(AnomalyObservation(
-                        anomaly=self.anomaly,
-                        agent=agent,
-                        time=trace.corrected_response(read),
-                        details={
-                            "missing": tuple(sorted(missing)),
-                            "observed": read.observed,
-                        },
-                    ))
-                seen_so_far.update(read.observed)
-        return observations
+    def __init__(self) -> None:
+        #: test_id -> agent -> union of ids its reads returned so far.
+        self._seen: dict[str, dict[str, set[str]]] = {}
+        #: test_id -> agent -> observations, in session order.
+        self._emitted: dict[
+            str, dict[str, list[AnomalyObservation]]] = {}
+
+    def open_test(self, meta: TestMeta) -> None:
+        self._seen[meta.test_id] = {a: set() for a in meta.agents}
+        self._emitted[meta.test_id] = {a: [] for a in meta.agents}
+
+    def observe(self, meta: TestMeta,
+                sop: StreamOp) -> list[AnomalyObservation]:
+        op = sop.op
+        if not isinstance(op, ReadOp):
+            return []
+        seen_so_far = self._seen[meta.test_id][op.agent]
+        missing = seen_so_far.difference(op.observed)
+        seen_so_far.update(op.observed)
+        if not missing:
+            return []
+        obs = AnomalyObservation(
+            anomaly=self.anomaly,
+            agent=op.agent,
+            time=sop.time,
+            details={
+                "missing": tuple(sorted(missing)),
+                "observed": op.observed,
+            },
+        )
+        self._emitted[meta.test_id][op.agent].append(obs)
+        return [obs]
+
+    def close_test(self, meta: TestMeta) -> list[AnomalyObservation]:
+        del self._seen[meta.test_id]
+        emitted = self._emitted.pop(meta.test_id)
+        return [obs for agent in meta.agents for obs in emitted[agent]]
+
+    def state_size(self) -> int:
+        return sum(
+            len(entries)
+            for per_test in (self._seen, self._emitted)
+            for per_agent in per_test.values()
+            for entries in per_agent.values()
+        )

@@ -23,16 +23,25 @@ violates the property.  ``details`` keys:
 * ``reordered`` — tuple of (earlier_id, later_id) pairs that appear in
   inverted order in the read.
 * ``observed`` — the sequence the read returned.
+
+Incrementally: per writer session, its logged writes kept in session
+(local invocation) order with their reference-frame response times;
+every arriving read is checked against each session's writes already
+acknowledged at its invocation.  Observations come out in read order,
+writers in agent order within one read.
 """
 
 from __future__ import annotations
+
+from bisect import insort
 
 from repro.core.anomalies.base import (
     MONOTONIC_WRITES,
     AnomalyChecker,
     AnomalyObservation,
 )
-from repro.core.trace import TestTrace, WriteOp
+from repro.core.stream import StreamOp, TestMeta
+from repro.core.trace import WriteOp
 
 __all__ = ["MonotonicWritesChecker"]
 
@@ -42,62 +51,87 @@ class MonotonicWritesChecker(AnomalyChecker):
 
     anomaly = MONOTONIC_WRITES
 
-    def check(self, trace: TestTrace) -> list[AnomalyObservation]:
-        observations: list[AnomalyObservation] = []
-        sessions = {
-            agent: trace.writes_by(agent) for agent in trace.agents
-        }
-        for read in trace.reads():
-            read_invoke_ref = trace.corrected_invoke(read)
-            for writer, session_writes in sessions.items():
-                completed = [
-                    w for w in session_writes
-                    if trace.corrected_response(w) <= read_invoke_ref
-                ]
-                if len(completed) < 2:
-                    continue
-                violation = self._session_violation(completed, read.observed)
-                if violation is None:
-                    continue
-                missing, reordered = violation
-                observations.append(AnomalyObservation(
-                    anomaly=self.anomaly,
-                    agent=read.agent,
-                    time=trace.corrected_response(read),
-                    details={
-                        "writer": writer,
-                        "missing": missing,
-                        "reordered": reordered,
-                        "observed": read.observed,
-                    },
-                ))
-        return observations
+    def __init__(self) -> None:
+        #: test_id -> writer -> its writes as ``(invoke_local, seq,
+        #: corrected response, message_id)``, in session order.
+        self._writes: dict[str, dict[str, list[tuple]]] = {}
+        self._emitted: dict[str, list[AnomalyObservation]] = {}
+
+    def open_test(self, meta: TestMeta) -> None:
+        self._writes[meta.test_id] = {a: [] for a in meta.agents}
+        self._emitted[meta.test_id] = []
+
+    def observe(self, meta: TestMeta,
+                sop: StreamOp) -> list[AnomalyObservation]:
+        op = sop.op
+        sessions = self._writes[meta.test_id]
+        if isinstance(op, WriteOp):
+            insort(sessions[op.agent], (op.invoke_local, sop.seq,
+                                        sop.time, op.message_id))
+            return []
+        fired: list[AnomalyObservation] = []
+        positions: dict[str, int] | None = None
+        for writer, session in sessions.items():
+            if len(session) < 2:
+                continue
+            # Already in session order: cutting by response time
+            # needs no re-sort.
+            completed = [message_id for _, _, time, message_id in session
+                         if time <= sop.invoke]
+            if len(completed) < 2:
+                continue
+            if positions is None:
+                positions = {mid: i for i, mid in enumerate(op.observed)}
+            violation = self._session_violation(completed, positions)
+            if violation is None:
+                continue
+            missing, reordered = violation
+            fired.append(AnomalyObservation(
+                anomaly=self.anomaly,
+                agent=op.agent,
+                time=sop.time,
+                details={
+                    "writer": writer,
+                    "missing": missing,
+                    "reordered": reordered,
+                    "observed": op.observed,
+                },
+            ))
+        self._emitted[meta.test_id].extend(fired)
+        return fired
+
+    def close_test(self, meta: TestMeta) -> list[AnomalyObservation]:
+        del self._writes[meta.test_id]
+        return self._emitted.pop(meta.test_id)
+
+    def state_size(self) -> int:
+        return sum(
+            len(entries)
+            for per_agent in self._writes.values()
+            for entries in per_agent.values()
+        ) + sum(len(emitted) for emitted in self._emitted.values())
 
     @staticmethod
     def _session_violation(
-        session_writes: list[WriteOp], observed: tuple[str, ...]
+        session_ids: list[str], positions: dict[str, int]
     ) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]] | None:
-        """Check one writer session against one read's sequence.
+        """Check one writer session against one read's positions.
 
         Returns (missing_ids, reordered_pairs) or None if consistent.
         """
-        positions = {mid: i for i, mid in enumerate(observed)}
         missing: list[str] = []
         reordered: list[tuple[str, str]] = []
-        for i, earlier in enumerate(session_writes):
-            for later in session_writes[i + 1:]:
-                later_pos = positions.get(later.message_id)
+        for i, earlier in enumerate(session_ids):
+            for later in session_ids[i + 1:]:
+                later_pos = positions.get(later)
                 if later_pos is None:
                     continue  # later write not visible: no constraint yet
-                earlier_pos = positions.get(earlier.message_id)
+                earlier_pos = positions.get(earlier)
                 if earlier_pos is None:
-                    missing.append(earlier.message_id)
+                    missing.append(earlier)
                 elif later_pos < earlier_pos:
-                    reordered.append(
-                        (earlier.message_id, later.message_id)
-                    )
+                    reordered.append((earlier, later))
         if not missing and not reordered:
             return None
         # De-duplicate while preserving order.
-        unique_missing = tuple(dict.fromkeys(missing))
-        return unique_missing, tuple(reordered)
+        return tuple(dict.fromkeys(missing)), tuple(reordered)

@@ -19,16 +19,26 @@ reader's own completed writes.  ``details`` keys:
 * ``missing`` — tuple of the reader's own message ids absent from the
   read, in session order.
 * ``observed`` — the sequence the read returned.
+
+Incrementally: per agent, its logged writes kept in session (local
+invocation) order; a read is checked against them the moment it
+arrives, which is exact because canonical stream order restricted to
+one agent is its session order (:mod:`repro.core.stream`).
+``close_test`` lists observations agent by agent, each agent's in
+session order.
 """
 
 from __future__ import annotations
+
+from bisect import insort
 
 from repro.core.anomalies.base import (
     READ_YOUR_WRITES,
     AnomalyChecker,
     AnomalyObservation,
 )
-from repro.core.trace import TestTrace
+from repro.core.stream import StreamOp, TestMeta
+from repro.core.trace import WriteOp
 
 __all__ = ["ReadYourWritesChecker"]
 
@@ -38,25 +48,52 @@ class ReadYourWritesChecker(AnomalyChecker):
 
     anomaly = READ_YOUR_WRITES
 
-    def check(self, trace: TestTrace) -> list[AnomalyObservation]:
-        observations: list[AnomalyObservation] = []
-        for agent in trace.agents:
-            writes = trace.writes_by(agent)
-            if not writes:
-                continue
-            for read in trace.reads_by(agent):
-                completed = [w for w in writes
-                             if w.response_local <= read.invoke_local]
-                missing = tuple(w.message_id for w in completed
-                                if not read.saw(w.message_id))
-                if missing:
-                    observations.append(AnomalyObservation(
-                        anomaly=self.anomaly,
-                        agent=agent,
-                        time=trace.corrected_response(read),
-                        details={
-                            "missing": missing,
-                            "observed": read.observed,
-                        },
-                    ))
-        return observations
+    def __init__(self) -> None:
+        #: test_id -> agent -> its writes as ``(invoke_local, seq,
+        #: response_local, message_id)``, in session order.
+        self._writes: dict[str, dict[str, list[tuple]]] = {}
+        #: test_id -> agent -> observations, in session order.
+        self._emitted: dict[
+            str, dict[str, list[AnomalyObservation]]] = {}
+
+    def open_test(self, meta: TestMeta) -> None:
+        self._writes[meta.test_id] = {a: [] for a in meta.agents}
+        self._emitted[meta.test_id] = {a: [] for a in meta.agents}
+
+    def observe(self, meta: TestMeta,
+                sop: StreamOp) -> list[AnomalyObservation]:
+        op = sop.op
+        session = self._writes[meta.test_id][op.agent]
+        if isinstance(op, WriteOp):
+            insort(session, (op.invoke_local, sop.seq,
+                             op.response_local, op.message_id))
+            return []
+        observed = op.observed
+        missing = tuple(
+            message_id for _, _, response_local, message_id in session
+            if response_local <= op.invoke_local
+            and message_id not in observed
+        )
+        if not missing:
+            return []
+        obs = AnomalyObservation(
+            anomaly=self.anomaly,
+            agent=op.agent,
+            time=sop.time,
+            details={"missing": missing, "observed": observed},
+        )
+        self._emitted[meta.test_id][op.agent].append(obs)
+        return [obs]
+
+    def close_test(self, meta: TestMeta) -> list[AnomalyObservation]:
+        del self._writes[meta.test_id]
+        emitted = self._emitted.pop(meta.test_id)
+        return [obs for agent in meta.agents for obs in emitted[agent]]
+
+    def state_size(self) -> int:
+        return sum(
+            len(entries)
+            for per_test in (self._writes, self._emitted)
+            for per_agent in per_test.values()
+            for entries in per_agent.values()
+        )

@@ -23,6 +23,7 @@ from repro.core.anomalies.monotonic_writes import MonotonicWritesChecker
 from repro.core.anomalies.order_divergence import OrderDivergenceChecker
 from repro.core.anomalies.read_your_writes import ReadYourWritesChecker
 from repro.core.anomalies.writes_follow_reads import WritesFollowReadsChecker
+from repro.core.stream import run_to_completion
 from repro.core.trace import TestTrace
 
 __all__ = ["default_checkers", "check_all", "TraceReport"]
@@ -105,12 +106,10 @@ class TraceReport:
     ) -> "TraceReport":
         """Build a report from a flat observation stream.
 
-        The streaming engine and the batch registry share this one
-        report type: ``check_all`` fills it checker by checker, the
-        streaming path pours its per-test observations in here.  Every
-        kind in ``anomalies`` gets a (possibly empty) entry, matching
-        :func:`check_all` output shape; within one kind, observations
-        keep their stream order.
+        The stream engine pours each closed test's observations in
+        here.  Every kind in ``anomalies`` gets a (possibly empty)
+        entry, matching :func:`check_all` output shape; within one
+        kind, observations keep their given order.
         """
         report = cls(test_id=test_id, service=service,
                      test_type=test_type, agents=agents,
@@ -152,16 +151,16 @@ class TraceReport:
         return merged
 
 
-def check_all(trace: TestTrace,
-              checkers: list[AnomalyChecker] | None = None) -> TraceReport:
-    """Run every checker over ``trace`` and bundle the results."""
+def check_all(trace: TestTrace) -> TraceReport:
+    """Run every checker over ``trace`` (one pass) and bundle the results."""
+    checkers = default_checkers()
     report = TraceReport(
         test_id=trace.test_id,
         service=trace.service,
         test_type=trace.test_type,
         agents=trace.agents,
     )
-    for checker in (checkers if checkers is not None
-                    else default_checkers()):
-        report.observations[checker.anomaly] = checker.check(trace)
+    for checker, observations in zip(
+            checkers, run_to_completion(checkers, trace)):
+        report.observations[checker.anomaly] = observations
     return report

@@ -229,6 +229,12 @@ class TestTrace:
         dependencies are derived generically: every message the author
         had observed in reads that *completed before* the write was
         invoked (the paper's "w performed by c after observing S1").
+
+        A whole-trace query for inspection and tests.  The
+        writes-follow-reads checker derives the same sets incrementally
+        and, at the one exact tie canonical stream order defines (a
+        zero-duration write on its author's read's response instant,
+        :mod:`repro.core.stream`), its answer is the definition.
         """
         if self.wfr_triggers:
             return self.wfr_triggers.get(write.message_id, frozenset())

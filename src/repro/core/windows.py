@@ -17,21 +17,37 @@ computation finds no interval).
 A pair whose views are still divergent at the last read of the test has
 not converged; such runs are excluded from window CDFs but their
 fraction is reported (the paper does the same for Fig. 10).
+
+:class:`WindowTracker` computes this as interval **open/close events**
+over the operation stream (:mod:`repro.core.stream`): each read is a
+step of its agent's view function, and canonical stream order delivers
+the change points already sorted.  The predicate is evaluated once per
+*distinct* change point, after every read at that instant has been
+applied — so the tracker commits lazily: reads at the same corrected
+time only overwrite the pending views, and the predicate runs when the
+first strictly-later read (or the end of the test) proves the instant
+complete.  Each commit that flips the predicate emits a
+:class:`~repro.obs.events.WindowEvent` — the live "pair X diverged at
+t" / "pair X reconverged at t" feed.  State per open test is one
+(views, pending time, window start) record per agent pair.
+:func:`divergence_windows` is the tracker run to completion over a
+finished trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.core.anomalies.content_divergence import views_content_diverged
 from repro.core.anomalies.order_divergence import views_order_diverged
-from repro.core.trace import TestTrace
+from repro.core.stream import StreamOp, TestMeta, run_to_completion
+from repro.core.trace import ReadOp, TestTrace
+from repro.obs.events import WindowEvent
 
 __all__ = [
-    "ViewStep",
     "WindowResult",
-    "view_timeline",
+    "WindowTracker",
     "divergence_windows",
     "content_divergence_windows",
     "order_divergence_windows",
@@ -39,15 +55,6 @@ __all__ = [
 
 #: Predicate over two views, e.g. ``views_content_diverged``.
 ViewPredicate = Callable[[tuple[str, ...], tuple[str, ...]], bool]
-
-
-@dataclass(frozen=True)
-class ViewStep:
-    """One step of an agent's view timeline: from ``time`` onward the
-    agent's most recent read returned ``view``."""
-
-    time: float
-    view: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -92,68 +99,134 @@ class WindowResult:
         return sum(end - start for start, end in self.intervals)
 
 
-def view_timeline(trace: TestTrace, agent: str) -> list[ViewStep]:
-    """``agent``'s view step function on the reference timeline.
+@dataclass
+class _PairWindows:
+    """Window state for one agent pair in one test."""
 
-    Before its first read an agent has the empty view.
+    pair: tuple[str, str]
+    views: dict[str, tuple[str, ...]]
+    #: Latest corrected read time seen, not yet evaluated.
+    pending: float | None = None
+    #: The predicate's value at the last commit, and whether a view
+    #: changed since (agents mostly re-read an unchanged view).
+    diverged: bool = False
+    stale: bool = False
+    window_start: float | None = None
+    intervals: list[tuple[float, float]] = field(default_factory=list)
+
+    def commit(self, kind: str,
+               predicate: ViewPredicate) -> WindowEvent | None:
+        """Evaluate the predicate at the pending change point."""
+        if self.pending is None:
+            return None
+        time = self.pending
+        if self.stale:
+            left, right = self.pair
+            self.diverged = predicate(self.views[left],
+                                      self.views[right])
+            self.stale = False
+        diverged = self.diverged
+        if diverged and self.window_start is None:
+            self.window_start = time
+            return WindowEvent(kind=kind, action="opened",
+                               pair=self.pair, time=time)
+        if not diverged and self.window_start is not None:
+            start = self.window_start
+            self.intervals.append((start, time))
+            self.window_start = None
+            return WindowEvent(kind=kind, action="closed",
+                               pair=self.pair, time=time,
+                               start=start)
+        return None
+
+
+class WindowTracker:
+    """Track one predicate's divergence windows for every agent pair.
+
+    Same per-test lifecycle as an anomaly checker, but the product is
+    different: ``observe`` returns live :class:`WindowEvent`
+    transitions (stamped ``kind``) and ``close_test`` returns the
+    per-pair :class:`WindowResult` dict, keyed in ``agent_pairs``
+    order, plus any last transitions.
     """
-    steps = [ViewStep(float("-inf"), ())]
-    for read in trace.reads_by(agent):
-        steps.append(
-            ViewStep(trace.corrected_response(read), read.observed)
+
+    def __init__(self, kind: str, predicate: ViewPredicate) -> None:
+        self.kind = kind
+        self.predicate = predicate
+        self._pairs: dict[str, list[_PairWindows]] = {}
+
+    def open_test(self, meta: TestMeta) -> None:
+        self._pairs[meta.test_id] = [
+            _PairWindows(
+                pair=tuple(sorted((first, second))),
+                views={first: (), second: ()},
+            )
+            for first, second in meta.agent_pairs()
+        ]
+
+    def observe(self, meta: TestMeta,
+                sop: StreamOp) -> list[WindowEvent]:
+        op = sop.op
+        if not isinstance(op, ReadOp):
+            return []
+        events: list[WindowEvent] = []
+        for state in self._pairs[meta.test_id]:
+            if op.agent not in state.views:
+                continue
+            if state.pending is not None and sop.time > state.pending:
+                event = state.commit(self.kind, self.predicate)
+                if event is not None:
+                    events.append(event)
+            if state.views[op.agent] != op.observed:
+                state.views[op.agent] = op.observed
+                state.stale = True
+            state.pending = sop.time
+        return events
+
+    def close_test(
+        self, meta: TestMeta
+    ) -> tuple[dict[tuple[str, str], WindowResult],
+               list[WindowEvent]]:
+        events: list[WindowEvent] = []
+        windows: dict[tuple[str, str], WindowResult] = {}
+        for state in self._pairs.pop(meta.test_id):
+            event = state.commit(self.kind, self.predicate)
+            if event is not None:
+                events.append(event)
+            converged = state.window_start is None
+            if state.window_start is not None:
+                # Still divergent at the last observation: close the
+                # interval there so `total`/`largest` stay meaningful,
+                # but flag the pair as unconverged.
+                assert state.pending is not None
+                state.intervals.append(
+                    (state.window_start, state.pending)
+                )
+            windows[state.pair] = WindowResult(
+                pair=state.pair,
+                intervals=tuple(state.intervals),
+                converged=converged,
+            )
+        return windows, events
+
+    def state_size(self) -> int:
+        return sum(
+            len(states) + sum(len(s.intervals) for s in states)
+            for states in self._pairs.values()
         )
-    return steps
 
 
 def divergence_windows(trace: TestTrace, agent_a: str, agent_b: str,
                        predicate: ViewPredicate) -> WindowResult:
     """Compute the windows where ``predicate`` holds between two views."""
     pair = tuple(sorted((agent_a, agent_b)))
-    timeline_a = view_timeline(trace, pair[0])
-    timeline_b = view_timeline(trace, pair[1])
-
-    # Merge the two step functions into a single sequence of change
-    # points; between consecutive change points both views are constant.
-    change_points = sorted(
-        {step.time for step in timeline_a[1:]}
-        | {step.time for step in timeline_b[1:]}
+    # Narrowed to the pair, the test has one pair to track and its
+    # stream carries only these two agents' operations.
+    meta = replace(TestMeta.from_trace(trace), agents=pair)
+    ((windows, _),) = run_to_completion(
+        [WindowTracker("", predicate)], trace, meta
     )
-    if not change_points:
-        return WindowResult(pair=pair, intervals=(), converged=True)
-
-    intervals: list[tuple[float, float]] = []
-    window_start: float | None = None
-    index_a = index_b = 0
-    for time in change_points:
-        index_a = _advance(timeline_a, index_a, time)
-        index_b = _advance(timeline_b, index_b, time)
-        diverged = predicate(
-            timeline_a[index_a].view, timeline_b[index_b].view
-        )
-        if diverged and window_start is None:
-            window_start = time
-        elif not diverged and window_start is not None:
-            intervals.append((window_start, time))
-            window_start = None
-
-    converged = window_start is None
-    if window_start is not None:
-        # Still divergent at the last observation: close the interval at
-        # the end of the trace so `total`/`largest` stay meaningful, but
-        # flag the pair as unconverged.
-        intervals.append((window_start, change_points[-1]))
-
-    return WindowResult(
-        pair=pair, intervals=tuple(intervals), converged=converged
-    )
-
-
-def _advance(timeline: list[ViewStep], index: int, time: float) -> int:
-    """Largest step index whose time is <= ``time``, starting at ``index``."""
-    while (index + 1 < len(timeline)
-           and timeline[index + 1].time <= time):
-        index += 1
-    return index
+    return windows[pair]
 
 
 def content_divergence_windows(trace: TestTrace, agent_a: str,

@@ -17,9 +17,10 @@ the serial==parallel bit-identity contract breaks *between* modules:
   is a latent crash under ``spawn`` even if ``fork`` happens to work.
 * **TRACE002** — a trace/operation record is mutated *after* being
   emitted through an observer hook or pipe, directly or via a callee
-  that mutates its parameter.  Streaming observers see the pre- or
-  post-mutation value depending on scheduling; batch always sees the
-  final one — an instant streaming/batch parity break.
+  that mutates its parameter.  Live observers see the pre- or
+  post-mutation value depending on scheduling; analysis of the
+  finished trace always sees the final one — an instant feed-parity
+  break.
 
 All four operate on the :class:`~repro.lint.graph.ProjectModel`; they
 run only under ``--project``.
@@ -272,9 +273,9 @@ class MutationAfterEmissionRule(ProjectRule):
     rationale = (
         "An emitted record is shared with every observer the moment "
         "the hook returns: the streaming engine may already have "
-        "folded it into online state while batch analysis sees the "
-        "post-mutation value — the streaming/batch parity gate then "
-        "fails (or worse, silently compares different data)."
+        "folded it into online state while analysis of the finished "
+        "trace sees the post-mutation value — the feed-parity gate "
+        "then fails (or worse, silently compares different data)."
     )
 
     def check_project(self, model: ProjectModel) -> Iterable[Finding]:

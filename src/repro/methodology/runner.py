@@ -5,8 +5,9 @@ builds a fresh :class:`~repro.methodology.world.MeasurementWorld`, runs
 ``num_tests`` instances of each requested test template with cool-downs
 in between (the paper alternated four-day blocks of each type; we run
 the blocks back-to-back since block order does not interact with any
-measured quantity), checks every trace with all six anomaly checkers,
-computes per-pair divergence windows, and returns a
+measured quantity), runs the six anomaly checkers, the per-pair
+divergence-window tracker and any requested metrics to completion over
+every finished trace, and returns a
 :class:`CampaignResult` of compact per-test records.
 
 Fault scenarios are armed by a :class:`~repro.methodology.nemesis.Nemesis`
@@ -24,7 +25,7 @@ from typing import Callable
 
 from repro.core.anomalies import ALL_ANOMALIES
 from repro.core.anomalies.registry import TraceReport, check_all
-from repro.core.trace import TestTrace
+from repro.core.trace import ReadOp, TestTrace
 from repro.core.windows import (
     WindowResult,
     content_divergence_windows,
@@ -50,8 +51,8 @@ Pair = tuple[str, str]
 
 
 #: Distills a finished trace into a record; ``analyze_trace`` is the
-#: batch default, the streaming fast path substitutes one that reads
-#: the already-computed online result instead of re-checking.
+#: default, the streaming fast path substitutes one that hands back
+#: the record its engine already built online instead of re-checking.
 TraceAnalyzer = Callable[[TestTrace, bool], "TestRecord"]
 
 
@@ -149,9 +150,10 @@ def analyze_trace(trace: TestTrace,
         order_windows[pair] = order_divergence_windows(
             trace, first, second
         )
-    reads = {agent: len(trace.reads_by(agent)) for agent in trace.agents}
-    writes = {agent: len(trace.writes_by(agent))
-              for agent in trace.agents}
+    reads = dict.fromkeys(trace.agents, 0)
+    writes = dict.fromkeys(trace.agents, 0)
+    for op in trace.operations:
+        (reads if isinstance(op, ReadOp) else writes)[op.agent] += 1
     times = [trace.corrected_response(op) for op in trace.operations]
     duration = (max(times) - min(times)) if times else 0.0
     metric_results: tuple = ()
@@ -183,8 +185,8 @@ def run_campaign(service_name: str,
 
     ``observer`` taps the live operation stream (see
     :class:`OperationObserver`); ``analyzer`` replaces the default
-    batch :func:`analyze_trace` — the streaming fast path passes one
-    that hands back the record its engine already built online.
+    :func:`analyze_trace` — the streaming fast path passes one that
+    hands back the record its engine already built online.
     Neither affects what the campaign *executes*: they only watch, or
     re-derive, the analysis of each finished trace.
     """

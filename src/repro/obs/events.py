@@ -1,8 +1,8 @@
 """The unified typed event protocol of the observability layer.
 
 Three telemetry surfaces grew independently — the fleet executor's
-progress dataclasses (``repro.fleet.events``), the streaming window
-trackers' :class:`WindowEvent`, and the campaign runner's
+progress dataclasses (``repro.fleet.events``), the divergence-window
+tracker's :class:`WindowEvent`, and the campaign runner's
 :class:`OperationObserver` hook.  They are one concern: *typed events
 a running measurement emits for consumers that only watch*.  This
 module is their single home; the old import paths remain as thin
@@ -20,9 +20,11 @@ Design rules shared by every event here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import TYPE_CHECKING, Callable, Protocol
 
-from repro.core.trace import Operation, TestTrace
+if TYPE_CHECKING:  # annotations only: this module is a leaf that
+    # repro.core.windows (the emitter of WindowEvent) imports.
+    from repro.core.trace import Operation, TestTrace
 
 __all__ = [
     "ObsEvent",

@@ -9,18 +9,20 @@ them, so a new consistency metric is data — a predicate over
 relations — not a new subsystem.
 
 * :mod:`repro.relations.spec` — the spec vocabulary, sample/result
-  model, and the pure per-read evaluation core both evaluators share.
+  model, and the pure per-read evaluation core.
 * :mod:`repro.relations.registry` — the built-in specs
   (``relaxed_consistency``, ``stale_read_inversions``,
   ``session_monotonicity_depth``, plus verdict-equal re-expressions
   of the paper's read-your-writes and monotonic-reads predicates)
   and name resolution for configs / scenario files / ``--metrics``.
-* :mod:`repro.relations.batch` — relation derivation and one-shot
-  evaluation over a finished :class:`~repro.core.trace.TestTrace`.
-* :mod:`repro.relations.streaming` — the bounded-memory online
-  evaluator the :class:`~repro.stream.engine.StreamEngine` hosts.
+* :mod:`repro.relations.streaming` — the one evaluator: bounded-memory,
+  incremental, hosted by the
+  :class:`~repro.stream.engine.StreamEngine`.
+* :mod:`repro.relations.batch` — ``evaluate_metrics``: that evaluator
+  run to completion over a finished
+  :class:`~repro.core.trace.TestTrace`.
 * :mod:`repro.relations.parity` — differential harness proving
-  streaming == batch and spec == legacy checker, per element.
+  spec == hand-written checker, per element.
 
 Metrics ride end-to-end: ``CampaignConfig(metrics=...)``,
 ``--metrics`` on ``run``/``fleet``/``stream``, a ``metrics`` key in
@@ -33,12 +35,8 @@ from repro.core.anomalies.base import (
     ALL_ANOMALIES,
     SESSION_ANOMALIES,
 )
-from repro.relations.batch import derive_relations, evaluate_metrics
-from repro.relations.parity import (
-    legacy_verdict_mismatches,
-    metric_mismatches,
-    streaming_metrics,
-)
+from repro.relations.batch import evaluate_metrics
+from repro.relations.parity import legacy_verdict_mismatches
 from repro.relations.registry import (
     BUILTIN_SPECS,
     LEGACY_EQUIVALENTS,
@@ -78,11 +76,8 @@ __all__ = [
     "MONOTONIC_READS_SPEC",
     "metric_names",
     "resolve_metrics",
-    "derive_relations",
     "evaluate_metrics",
     "StreamingMetricEvaluator",
-    "streaming_metrics",
-    "metric_mismatches",
     "legacy_verdict_mismatches",
     "anomaly_kinds",
     "session_anomaly_kinds",

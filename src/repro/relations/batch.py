@@ -1,70 +1,21 @@
-"""Relation derivation and batch metric evaluation over finished traces.
+"""Metric evaluation over a finished trace.
 
-:func:`derive_relations` walks a :class:`~repro.core.trace.TestTrace`
-once and produces the canonical relation inputs — the arbitration
-order over logged writes and one :class:`ReadContext` per read, in
-canonical read order (reference-frame response, ties by recording
-index — the same order ``trace.reads()`` yields and the same order
-the streaming path numbers ``read_seq`` in).  Session state
-(own-write completion, seen-sets) is accumulated in that same
-iteration, which is legal for exactly the reason the streaming
-checkers are: canonical order restricted to one agent is its local
-response order, so each read observes complete session state.
-
-:func:`evaluate_metrics` then folds every requested spec over those
-contexts via the shared :func:`~repro.relations.spec.evaluate_read`
-core.  The streaming evaluator (:mod:`repro.relations.streaming`)
-builds byte-identical inputs incrementally; parity is enforced by
-``tests/test_relations_parity.py`` and the CI gate.
+There is one evaluator —
+:class:`~repro.relations.streaming.StreamingMetricEvaluator` — and a
+finished trace is a stream that has ended: :func:`evaluate_metrics`
+runs the evaluator to completion over the trace in canonical stream
+order (:func:`repro.core.stream.run_to_completion`), exactly as
+``checker.check(trace)`` does for the anomaly checkers.
 """
 
 from __future__ import annotations
 
-from repro.core.trace import TestTrace, WriteOp
-from repro.relations.spec import (
-    Arbitration,
-    MetricResult,
-    MetricSample,
-    MetricSpec,
-    ReadContext,
-    aggregate,
-    evaluate_read,
-)
+from repro.core.stream import run_to_completion
+from repro.core.trace import TestTrace
+from repro.relations.spec import MetricResult, MetricSpec
+from repro.relations.streaming import StreamingMetricEvaluator
 
-__all__ = ["derive_relations", "evaluate_metrics"]
-
-
-def derive_relations(
-    trace: TestTrace,
-) -> tuple[Arbitration, list[ReadContext]]:
-    """Derive the arbitration order and per-read contexts of a trace."""
-    keyed = [
-        (trace.corrected_invoke(op), seq, op.message_id)
-        for seq, op in enumerate(trace.operations)
-        if isinstance(op, WriteOp)
-    ]
-    arbitration = Arbitration.from_keyed(keyed)
-
-    # Per-agent session state, accumulated in canonical read order.
-    own_writes: dict[str, list[WriteOp]] = {
-        agent: trace.writes_by(agent) for agent in trace.agents
-    }
-    seen: dict[str, set[str]] = {agent: set() for agent in trace.agents}
-    contexts: list[ReadContext] = []
-    for read in trace.reads():
-        completed = tuple(
-            w.message_id for w in own_writes[read.agent]
-            if w.response_local <= read.invoke_local
-        )
-        contexts.append(ReadContext(
-            agent=read.agent,
-            time=trace.corrected_response(read),
-            observed=read.observed,
-            own_completed=completed,
-            seen_before=frozenset(seen[read.agent]),
-        ))
-        seen[read.agent].update(read.observed)
-    return arbitration, contexts
+__all__ = ["evaluate_metrics"]
 
 
 def evaluate_metrics(
@@ -73,25 +24,11 @@ def evaluate_metrics(
     """Evaluate every spec over one finished trace.
 
     Results come back in spec order; each result's samples are the
-    nonzero reads in canonical read order — the exact element order
-    the streaming evaluator emits at test close.
+    nonzero reads in canonical read order.
     """
     if not specs:
         return ()
-    arbitration, contexts = derive_relations(trace)
-    results: list[MetricResult] = []
-    for spec in specs:
-        samples: list[MetricSample] = []
-        for ctx in contexts:
-            value, details = evaluate_read(spec, ctx, arbitration)
-            if value > 0:
-                samples.append(MetricSample(
-                    agent=ctx.agent, time=ctx.time,
-                    value=value, details=details,
-                ))
-        results.append(MetricResult(
-            metric=spec.name,
-            value=aggregate(spec, samples),
-            samples=tuple(samples),
-        ))
-    return tuple(results)
+    (results,) = run_to_completion(
+        [StreamingMetricEvaluator(specs)], trace
+    )
+    return results

@@ -6,12 +6,9 @@ each.  This module makes a consistency metric *data*: a
 set (``expect``), how a read's value is computed against it
 (``violation``), and how per-read values fold into one number per test
 (``measure``).  Everything a spec can say is evaluated by one pure
-function, :func:`evaluate_read`, shared verbatim by the batch
-(:mod:`repro.relations.batch`) and streaming
-(:mod:`repro.relations.streaming`) evaluators — element-for-element
-parity between the two is an identity, not a coincidence, because both
-feed the same :class:`ReadContext` / :class:`Arbitration` inputs
-through the same code.
+function, :func:`evaluate_read`, which the one evaluator
+(:mod:`repro.relations.streaming`) feeds a :class:`ReadContext` and
+the test's :class:`Arbitration`.
 
 Relations (ViSearch's vocabulary, specialized to the paper's traces):
 
@@ -20,8 +17,8 @@ Relations (ViSearch's vocabulary, specialized to the paper's traces):
   order*.
 * **arbitration** — the total order over a test's logged writes by
   ``(corrected invocation, recording index)``: the reference-frame
-  order the substrates' timestamp keys approximate, and the order the
-  batch pipeline's ``trace.writes()`` already produces.
+  order the substrates' timestamp keys approximate, and the order
+  ``trace.writes()`` produces.
 * **session relations** — per agent: its own completed writes (in
   session order) and the union of ids returned by its earlier reads.
 
@@ -48,7 +45,7 @@ Vocabulary
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from repro.errors import ConfigurationError
 
@@ -111,7 +108,7 @@ class MetricSpec:
         """True when the value depends on the final write order.
 
         Arbitration ranks are total-order positions over *all* of a
-        test's logged writes, so the streaming evaluator defers these
+        test's logged writes, so the evaluator defers these
         specs to test close; ``missing`` specs are final the moment
         the read arrives (per-agent prefix property).
         """
@@ -144,8 +141,7 @@ class Arbitration:
     ``order`` holds message ids sorted by ``(corrected invocation,
     recording index)``; ``rank`` maps each id to its position.  Ids a
     read observed but no agent logged (pre-existing content, probe
-    artifacts) are simply absent — both evaluators skip them, so
-    batch and streaming agree on which views count.
+    artifacts) are simply absent and skipped.
     """
 
     order: tuple[str, ...]
@@ -161,8 +157,7 @@ class Arbitration:
                    rank={mid: i for i, mid in enumerate(order)})
 
 
-@dataclass(frozen=True)
-class ReadContext:
+class ReadContext(NamedTuple):
     """Everything a spec may consult about one read.
 
     ``own_completed`` is in the agent's session order (local
@@ -182,7 +177,7 @@ class ReadContext:
 def evaluate_read(
     spec: MetricSpec, ctx: ReadContext, arbitration: Arbitration,
 ) -> tuple[int, dict]:
-    """Value one read under one spec.  Pure; shared by both evaluators.
+    """Value one read under one spec.  Pure.
 
     Returns ``(value, details)``; ``details`` is non-empty only for
     nonzero values and uses the same key vocabulary as the legacy

@@ -1,12 +1,12 @@
-"""Bounded-memory streaming evaluation of metric specs.
+"""Bounded-memory incremental evaluation of metric specs.
 
-:class:`StreamingMetricEvaluator` mirrors the
-:class:`~repro.stream.base.StreamingChecker` lifecycle —
+:class:`StreamingMetricEvaluator` is the one metric evaluator.  It has
+the :class:`~repro.core.anomalies.base.AnomalyChecker` lifecycle —
 ``open_test`` / ``observe`` (canonical stream order) / ``close_test``
-— and produces, per closed test, the exact
-:class:`~repro.relations.spec.MetricResult` tuple the batch
-:func:`~repro.relations.batch.evaluate_metrics` computes from the
-finished trace:
+— and produces, per closed test, one
+:class:`~repro.relations.spec.MetricResult` per spec
+(:func:`~repro.relations.batch.evaluate_metrics` runs it to completion
+over a finished trace):
 
 * ``missing`` specs are final the moment a read arrives: the per-agent
   prefix property of canonical order guarantees the agent's own
@@ -18,7 +18,7 @@ finished trace:
   may carry an earlier corrected invocation).  Their reads are parked
   as bare view snapshots and valued at ``close_test``, when the
   arbitration order is complete; this is the same defer-to-resolution
-  discipline the streaming writes-follow-reads checker uses.
+  discipline the writes-follow-reads checker uses.
 
 All state is per *open* test and dropped whole at close;
 :meth:`state_size` counts every retained atom so the engine's
@@ -27,8 +27,9 @@ bounded-memory telemetry covers the metric layer too.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from bisect import insort
 
+from repro.core.stream import StreamOp, TestMeta
 from repro.core.trace import WriteOp
 from repro.relations.spec import (
     Arbitration,
@@ -40,11 +41,10 @@ from repro.relations.spec import (
     evaluate_read,
 )
 
-if TYPE_CHECKING:  # import-cycle guard: repro.stream ingests repro.io,
-    # which loads this package for the record codec.
-    from repro.stream.base import StreamOp, TestMeta
-
 __all__ = ["StreamingMetricEvaluator"]
+
+#: ``missing`` specs never consult the arbitration order.
+_NO_ARBITRATION = Arbitration(order=(), rank={})
 
 
 class _MetricState:
@@ -57,7 +57,8 @@ class _MetricState:
                  immediate: tuple[MetricSpec, ...]) -> None:
         #: (corrected_invoke, seq, message_id) per logged write.
         self.writes_keyed: list[tuple[float, int, str]] = []
-        #: agent -> [(invoke_local, seq, message_id, response_local)].
+        #: agent -> [(invoke_local, seq, message_id, response_local)],
+        #: in session order.
         self.own_writes: dict[
             str, list[tuple[float, int, str, float]]
         ] = {agent: [] for agent in meta.agents}
@@ -107,17 +108,16 @@ class StreamingMetricEvaluator:
                 (sop.invoke, sop.seq, op.message_id)
             )
             if self._needs_own:
-                state.own_writes[op.agent].append(
-                    (op.invoke_local, sop.seq, op.message_id,
-                     op.response_local)
-                )
+                insort(state.own_writes[op.agent],
+                       (op.invoke_local, sop.seq, op.message_id,
+                        op.response_local))
             return
         completed: tuple[str, ...] = ()
         if self._needs_own:
             completed = tuple(
                 mid
                 for _, _, mid, response_local in
-                sorted(state.own_writes[op.agent])
+                state.own_writes[op.agent]
                 if response_local <= op.invoke_local
             )
         ctx = ReadContext(
@@ -128,9 +128,8 @@ class StreamingMetricEvaluator:
             seen_before=frozenset(state.seen[op.agent])
             if self._needs_seen else frozenset(),
         )
-        no_arbitration = Arbitration(order=(), rank={})
         for spec in self._immediate:
-            value, details = evaluate_read(spec, ctx, no_arbitration)
+            value, details = evaluate_read(spec, ctx, _NO_ARBITRATION)
             if value > 0:
                 state.immediate[spec.name].append(MetricSample(
                     agent=ctx.agent, time=ctx.time,

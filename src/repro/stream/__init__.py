@@ -1,70 +1,36 @@
 """repro.stream — online incremental anomaly detection.
 
-The batch pipeline (:mod:`repro.core.anomalies`, :mod:`repro.core.windows`)
-re-derives everything from a finished trace; this package detects the
-same six anomalies — and the divergence windows — *as operations
-happen*, with bounded memory and measured state, and proves the two
-paths identical (:mod:`repro.stream.parity`).
+The six checkers, the divergence-window tracker and the metric
+evaluator are incremental by construction (:mod:`repro.core.stream`);
+this package feeds them *as operations happen*, with bounded memory
+and measured state, and distills each closed test into the record
+``analyze_trace`` produces from the finished trace.
 
 Layout:
 
-* :mod:`repro.stream.base` — canonical stream order, ``TestMeta``,
-  ``StreamOp``, the ``StreamingChecker`` interface.
-* :mod:`repro.stream.session` / :mod:`repro.stream.divergence` — the
-  six checkers.
-* :mod:`repro.stream.windows` — online divergence windows with live
-  open/close events.
 * :mod:`repro.stream.engine` — the fan-out hub and telemetry.
-* :mod:`repro.stream.ingest` — replay ordering and the live
-  watermark sequencer (``OperationObserver`` implementation).
-* :mod:`repro.stream.parity` — the batch-equality harness.
+* :mod:`repro.stream.ingest` — trace replay and the live watermark
+  sequencer (``OperationObserver`` implementation).
+* :mod:`repro.stream.fleet` — streaming shard execution for the fleet.
+* :mod:`repro.stream.parity` — the record diff the feed-parity checks
+  print.
 """
 
-from repro.stream.base import StreamingChecker, StreamOp, TestMeta
-from repro.stream.divergence import (
-    StreamingContentDivergenceChecker,
-    StreamingOrderDivergenceChecker,
-)
-from repro.stream.engine import (
-    DEFAULT_HORIZON,
-    Emission,
-    StreamEngine,
-    default_streaming_checkers,
-)
-from repro.stream.ingest import OpIngest, replay_trace, stream_order
-from repro.stream.parity import (
-    checker_mismatches,
-    record_mismatches,
-    verify_trace,
-)
-from repro.stream.session import (
-    StreamingMonotonicReadsChecker,
-    StreamingMonotonicWritesChecker,
-    StreamingReadYourWritesChecker,
-    StreamingWritesFollowReadsChecker,
-)
-from repro.stream.windows import StreamingWindowTracker, WindowEvent
+from repro.core.stream import StreamOp, TestMeta, stream_order
+from repro.obs.events import WindowEvent
+from repro.stream.engine import DEFAULT_HORIZON, Emission, StreamEngine
+from repro.stream.ingest import OpIngest, replay_trace
+from repro.stream.parity import record_mismatches
 
 __all__ = [
     "TestMeta",
     "StreamOp",
-    "StreamingChecker",
-    "StreamingReadYourWritesChecker",
-    "StreamingMonotonicWritesChecker",
-    "StreamingMonotonicReadsChecker",
-    "StreamingWritesFollowReadsChecker",
-    "StreamingContentDivergenceChecker",
-    "StreamingOrderDivergenceChecker",
-    "StreamingWindowTracker",
     "WindowEvent",
     "DEFAULT_HORIZON",
     "Emission",
     "StreamEngine",
-    "default_streaming_checkers",
     "OpIngest",
     "replay_trace",
     "stream_order",
-    "checker_mismatches",
     "record_mismatches",
-    "verify_trace",
 ]

@@ -1,12 +1,13 @@
 """The online anomaly-detection engine.
 
 :class:`StreamEngine` fans one canonical-order operation stream out to
-the six streaming checkers plus the two divergence-window trackers,
-and distills every closed test into the exact
-:class:`~repro.methodology.runner.TestRecord` the batch
-:func:`~repro.methodology.runner.analyze_trace` would have produced —
-that equality is the subsystem's correctness anchor, enforced by
-:mod:`repro.stream.parity` and the CI gate.
+the six checkers plus the two divergence-window trackers (and the
+metric evaluator, when asked), and distills every closed test into the
+:class:`~repro.methodology.runner.TestRecord` that
+:func:`~repro.methodology.runner.analyze_trace` produces from the
+finished trace — the same consumers either way, so what is left to
+prove is *feed* parity (sorted replay == live sequencer == archived
+events), enforced by the tests and the ``stream`` CI gate.
 
 Memory model: per *open* test the engine holds O(agents x active-keys)
 checker state plus O(1) counters; a closed test's state is dropped by
@@ -20,52 +21,29 @@ measures the real footprint.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.anomalies.base import (
     ALL_ANOMALIES,
     AnomalyObservation,
 )
-from repro.core.anomalies.registry import TraceReport
-from repro.core.trace import ReadOp, TestTrace
-from repro.core.windows import WindowResult
+from repro.core.anomalies.content_divergence import (
+    views_content_diverged,
+)
+from repro.core.anomalies.order_divergence import views_order_diverged
+from repro.core.anomalies.registry import TraceReport, default_checkers
+from repro.core.stream import StreamOp, TestMeta
+from repro.core.trace import TestTrace
+from repro.core.windows import WindowTracker
 from repro.methodology.runner import TestRecord
 from repro.obs import ObsContext
-from repro.stream.base import StreamingChecker, StreamOp, TestMeta
-from repro.stream.divergence import (
-    StreamingContentDivergenceChecker,
-    StreamingOrderDivergenceChecker,
-)
-from repro.stream.session import (
-    StreamingMonotonicReadsChecker,
-    StreamingMonotonicWritesChecker,
-    StreamingReadYourWritesChecker,
-    StreamingWritesFollowReadsChecker,
-)
-from repro.stream.windows import (
-    WindowEvent,
-    streaming_content_windows,
-    streaming_order_windows,
-)
+from repro.obs.events import WindowEvent
+from repro.relations.streaming import StreamingMetricEvaluator
 
-__all__ = ["default_streaming_checkers", "Emission", "StreamEngine"]
-
-Pair = tuple[str, str]
+__all__ = ["Emission", "StreamEngine"]
 
 #: Default eviction horizon: closed-test records retained by the engine.
 DEFAULT_HORIZON = 64
-
-
-def default_streaming_checkers() -> list[StreamingChecker]:
-    """Fresh streaming checkers, in the paper's (registry) order."""
-    return [
-        StreamingReadYourWritesChecker(),
-        StreamingMonotonicWritesChecker(),
-        StreamingMonotonicReadsChecker(),
-        StreamingWritesFollowReadsChecker(),
-        StreamingContentDivergenceChecker(),
-        StreamingOrderDivergenceChecker(),
-    ]
 
 
 @dataclass(frozen=True)
@@ -99,7 +77,6 @@ class StreamEngine:
     """
 
     def __init__(self, horizon: int | None = DEFAULT_HORIZON,
-                 checkers: list[StreamingChecker] | None = None,
                  obs: ObsContext | None = None,
                  metrics: tuple = ()):
         #: Optional observability context.  Updated only at test
@@ -107,22 +84,16 @@ class StreamEngine:
         #: times — so exports depend on the operation stream alone,
         #: never on host scheduling.
         self.obs = obs
-        self.checkers = (checkers if checkers is not None
-                         else default_streaming_checkers())
+        self.checkers = default_checkers()
         #: Optional relation-layer metric evaluator: ``metrics`` is a
         #: tuple of resolved :class:`repro.relations.spec.MetricSpec`
-        #: objects; results ride each closed test's record exactly as
-        #: the batch path's do (imported lazily so the common
-        #: metric-free path never touches the package).
-        self.metric_evaluator = None
-        if metrics:
-            from repro.relations.streaming import (
-                StreamingMetricEvaluator,
-            )
-
-            self.metric_evaluator = StreamingMetricEvaluator(metrics)
-        self.content_windows = streaming_content_windows()
-        self.order_windows = streaming_order_windows()
+        #: objects; results ride each closed test's record.
+        self.metric_evaluator = (StreamingMetricEvaluator(metrics)
+                                 if metrics else None)
+        self.content_windows = WindowTracker(
+            "content", views_content_diverged)
+        self.order_windows = WindowTracker(
+            "order", views_order_diverged)
         self._counters: dict[str, _TestCounters] = {}
         #: Distilled records of closed tests, newest last; bounded by
         #: the eviction horizon (None = keep everything).
@@ -133,8 +104,6 @@ class StreamEngine:
         self.anomaly_counts: dict[str, int] = {
             kind: 0 for kind in ALL_ANOMALIES
         }
-        #: Provisional count of live-surfaced observations (open tests).
-        self.live_observations = 0
 
     # -- lifecycle ----------------------------------------------------
 
@@ -153,7 +122,7 @@ class StreamEngine:
     def observe(self, meta: TestMeta, sop: StreamOp) -> Emission:
         counters = self._counters[meta.test_id]
         agent = sop.agent
-        if isinstance(sop.op, ReadOp):
+        if sop.is_read:
             counters.reads[agent] += 1
         else:
             counters.writes[agent] += 1
@@ -170,7 +139,6 @@ class StreamEngine:
             self.metric_evaluator.observe(meta, sop)
         events = list(self.content_windows.observe(meta, sop))
         events.extend(self.order_windows.observe(meta, sop))
-        self.live_observations += len(observations)
         return Emission(tuple(observations), tuple(events))
 
     def close_test(self, meta: TestMeta,
@@ -213,8 +181,6 @@ class StreamEngine:
         )
         self.results.append(record)
         self.tests_closed += 1
-        self.live_observations = 0 if not self._counters else \
-            self.live_observations
         if self.obs is not None:
             at = counters.max_time if counters.max_time is not None \
                 else 0.0

@@ -1,11 +1,11 @@
 """Streaming shard execution for the fleet.
 
-``run_fleet(..., stream=True)`` swaps the batch shard runner for
+``run_fleet(..., stream=True)`` swaps the default shard runner for
 :func:`run_stream_shard`: the campaign runs with an
 :class:`~repro.stream.ingest.OpIngest` observer wired in and the
-engine's online records substituted for the batch re-check.  The
+engine's online records substituted for the end-of-test re-check.  The
 shard's :class:`~repro.methodology.runner.CampaignResult` is
-bit-identical either way (the parity contract), so fleet signatures,
+bit-identical either way (feed parity), so fleet signatures,
 artifact digests, and resume are unaffected — what changes is *when*
 information is available:
 
@@ -24,6 +24,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Callable
 
+from repro.core.stream import TestMeta
 from repro.fleet.spec import ShardJob
 from repro.io import TraceEventWriter
 from repro.methodology.runner import (
@@ -31,7 +32,6 @@ from repro.methodology.runner import (
     TestRecord,
     run_campaign,
 )
-from repro.stream.base import TestMeta
 from repro.stream.engine import StreamEngine
 from repro.stream.ingest import OpIngest
 

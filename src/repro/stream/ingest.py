@@ -2,10 +2,10 @@
 
 Two ways operations reach a :class:`~repro.stream.engine.StreamEngine`:
 
-* **Replay** — a finished trace (or trace-event file) is sorted into
-  canonical stream order by :func:`stream_order` and pushed through
-  :func:`replay_trace`.  Deterministic, allocation-light, and the
-  reference feed for the parity harness.
+* **Replay** — :func:`replay_trace` runs the engine to completion over
+  a finished trace, sorted into canonical stream order
+  (:func:`repro.core.stream.run_to_completion` — the same driver
+  ``analyze_trace``'s checkers, windows and metrics go through).
 * **Live** — :class:`OpIngest` implements the campaign runner's
   :class:`~repro.methodology.runner.OperationObserver` protocol.
   Agents log operations in *true-time* order, which is not canonical
@@ -26,15 +26,14 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
+from repro.core.stream import StreamOp, TestMeta, run_to_completion
 from repro.core.trace import Operation, TestTrace, WriteOp
 from repro.errors import AnalysisError
 from repro.io import operation_from_dict, trace_from_meta_dict
 from repro.methodology.runner import TestRecord
-from repro.stream.base import StreamOp, TestMeta
 from repro.stream.engine import Emission, StreamEngine
 
-__all__ = ["stream_order", "replay_trace", "OpIngest", "feed_events",
-           "tail_jsonl"]
+__all__ = ["replay_trace", "OpIngest", "feed_events", "tail_jsonl"]
 
 #: Called with (meta, sop, emission) for every op that fired something.
 EmissionCallback = Callable[[TestMeta, StreamOp, Emission], None]
@@ -42,52 +41,10 @@ EmissionCallback = Callable[[TestMeta, StreamOp, Emission], None]
 RecordCallback = Callable[[TestMeta, TestRecord], None]
 
 
-def _sort_key(meta: TestMeta, op: Operation,
-              seq: int) -> tuple[float, int, int]:
-    """Canonical stream order key (see :mod:`repro.stream.base`)."""
-    time = meta.corrected(op.agent, op.response_local)
-    return (time, 0 if isinstance(op, WriteOp) else 1, seq)
-
-
-def stream_order(trace: TestTrace,
-                 meta: TestMeta | None = None) -> list[StreamOp]:
-    """A finished trace's operations as a canonical-order stream.
-
-    ``seq`` is the recording index (the batch stable-sort tie-break);
-    ``read_seq`` numbers the reads in canonical order, matching their
-    index in the batch ``trace.reads()`` list.
-    """
-    meta = meta or TestMeta.from_trace(trace)
-    ordered = sorted(
-        enumerate(trace.operations),
-        key=lambda pair: _sort_key(meta, pair[1], pair[0]),
-    )
-    stream: list[StreamOp] = []
-    read_seq = 0
-    for seq, op in ordered:
-        is_write = isinstance(op, WriteOp)
-        stream.append(StreamOp(
-            op=op,
-            time=meta.corrected(op.agent, op.response_local),
-            invoke=meta.corrected(op.agent, op.invoke_local),
-            seq=seq,
-            read_seq=-1 if is_write else read_seq,
-        ))
-        if not is_write:
-            read_seq += 1
-    return stream
-
-
-def replay_trace(trace: TestTrace, engine: StreamEngine,
-                 keep_trace: bool = False) -> TestRecord:
+def replay_trace(trace: TestTrace, engine: StreamEngine) -> TestRecord:
     """Push one finished trace through the engine, return its record."""
-    meta = TestMeta.from_trace(trace)
-    engine.open_test(meta)
-    for sop in stream_order(trace, meta):
-        engine.observe(meta, sop)
-    return engine.close_test(
-        meta, trace=trace if keep_trace else None
-    )
+    (record,) = run_to_completion([engine], trace)
+    return record
 
 
 @dataclass
@@ -95,23 +52,20 @@ class _LiveTest:
     """Sequencer state for one in-flight test."""
 
     meta: TestMeta
-    #: Min-heap of (time, write-rank, seq, op, corrected invoke).
-    buffer: list[tuple[float, int, int, Operation, float]] = field(
-        default_factory=list
-    )
+    #: Min-heap of stream ops (they order canonically).
+    buffer: list[StreamOp] = field(default_factory=list)
     #: agent -> corrected response of its latest logged op.
     frontier: dict[str, float] = field(default_factory=dict)
     next_seq: int = 0
-    next_read_seq: int = 0
 
 
 class OpIngest:
     """Live observer: true-time callbacks in, canonical stream out.
 
     Wire into a campaign with ``run_campaign(observer=OpIngest(...))``;
-    to *replace* the batch analysis entirely, also pass
+    to skip the end-of-test re-analysis entirely, also pass
     :meth:`analyzer` so each finished trace's record comes from the
-    engine instead of a second batch pass.
+    engine instead of a second pass over the trace.
     """
 
     def __init__(self, engine: StreamEngine | None = None,
@@ -137,10 +91,9 @@ class OpIngest:
         live = self._tests[trace.test_id]
         meta = live.meta
         time = meta.corrected(op.agent, op.response_local)
-        invoke = meta.corrected(op.agent, op.invoke_local)
-        heapq.heappush(live.buffer, (
-            time, 0 if isinstance(op, WriteOp) else 1,
-            live.next_seq, op, invoke,
+        heapq.heappush(live.buffer, StreamOp(
+            time, not isinstance(op, WriteOp), live.next_seq, op,
+            meta.corrected(op.agent, op.invoke_local),
         ))
         live.next_seq += 1
         live.frontier[op.agent] = time
@@ -163,7 +116,7 @@ class OpIngest:
         """Drop-in for ``analyze_trace`` when this observer is wired.
 
         ``run_campaign`` calls the analyzer right after signalling
-        ``test_closed``, so the record is already distilled; the batch
+        ``test_closed``, so the record is already distilled; the
         re-check is skipped entirely.  (``keep_trace`` is honored via
         the constructor's ``keep_traces`` — the engine embedded the
         trace when the record was built.)
@@ -191,14 +144,8 @@ class OpIngest:
 
     def _drain(self, live: _LiveTest, watermark: float) -> None:
         meta = live.meta
-        while live.buffer and live.buffer[0][0] < watermark:
-            time, _, seq, op, invoke = heapq.heappop(live.buffer)
-            read_seq = -1
-            if not isinstance(op, WriteOp):
-                read_seq = live.next_read_seq
-                live.next_read_seq += 1
-            sop = StreamOp(op=op, time=time, invoke=invoke, seq=seq,
-                           read_seq=read_seq)
+        while live.buffer and live.buffer[0].time < watermark:
+            sop = heapq.heappop(live.buffer)
             emission = self.engine.observe(meta, sop)
             if emission and self.on_emission is not None:
                 self.on_emission(meta, sop, emission)

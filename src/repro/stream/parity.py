@@ -1,85 +1,18 @@
-"""Differential batch-vs-streaming parity harness.
+"""Field-level diff of two distilled test records.
 
-The streaming engine's correctness claim is not "approximately the
-same anomalies" — it is *element-for-element equality* with the batch
-pipeline, per checker, including observation order, example selection,
-window intervals, and every scalar in the distilled record.  This
-module states that claim as executable checks:
-
-* :func:`checker_mismatches` — each of the six batch checkers against
-  its streaming counterpart over one trace.
-* :func:`record_mismatches` — the full batch ``analyze_trace`` record
-  against the engine's replay record (report, windows, counters,
-  duration).
-* :func:`verify_trace` — both of the above for one trace; an empty
-  list means exact parity.
-
-The parity tests (:mod:`tests.test_stream_parity`) and the CI gate
-(``tools/gates.py stream``) are thin wrappers over these.
+With one implementation of every predicate, window and metric, what
+the tests and the ``stream`` CI gate compare is *feeds*: the record
+``analyze_trace`` distills from a finished trace against the one the
+live sequencer (or an archived event file) produced for the same
+test.  :func:`record_mismatches` names the fields that differ; an
+empty list means the records are equal.
 """
 
 from __future__ import annotations
 
-from repro.core.anomalies.base import AnomalyChecker
-from repro.core.anomalies.registry import default_checkers
-from repro.core.trace import TestTrace
-from repro.methodology.runner import TestRecord, analyze_trace
-from repro.stream.base import StreamingChecker, TestMeta
-from repro.stream.engine import (
-    StreamEngine,
-    default_streaming_checkers,
-)
-from repro.stream.ingest import replay_trace, stream_order
+from repro.methodology.runner import TestRecord
 
-__all__ = [
-    "checker_pairs",
-    "checker_mismatches",
-    "record_mismatches",
-    "verify_trace",
-]
-
-
-def checker_pairs() -> list[tuple[AnomalyChecker, StreamingChecker]]:
-    """(batch, streaming) checker instances paired by anomaly kind."""
-    streaming = {c.anomaly: c for c in default_streaming_checkers()}
-    return [(batch, streaming[batch.anomaly])
-            for batch in default_checkers()]
-
-
-def checker_mismatches(trace: TestTrace) -> list[str]:
-    """Per-checker diffs between batch and streaming output."""
-    mismatches: list[str] = []
-    meta = TestMeta.from_trace(trace)
-    stream = stream_order(trace, meta)
-    for batch, online in checker_pairs():
-        expected = batch.check(trace)
-        online.open_test(meta)
-        for sop in stream:
-            online.observe(meta, sop)
-        actual = online.close_test(meta)
-        if online.state_size() != 0:
-            mismatches.append(
-                f"{batch.anomaly}: streaming checker retained "
-                f"{online.state_size()} state atoms after close"
-            )
-        if expected == actual:
-            continue
-        mismatches.append(
-            f"{batch.anomaly}: batch found {len(expected)} "
-            f"observation(s), streaming found {len(actual)}"
-            if len(expected) != len(actual) else
-            f"{batch.anomaly}: observation lists differ in content "
-            f"or order (first diff at index "
-            f"{_first_diff(expected, actual)})"
-        )
-    return mismatches
-
-
-def _first_diff(expected: list, actual: list) -> int:
-    for index, (left, right) in enumerate(zip(expected, actual)):
-        if left != right:
-            return index
-    return min(len(expected), len(actual))
+__all__ = ["record_mismatches"]
 
 
 def record_mismatches(expected: TestRecord,
@@ -97,8 +30,8 @@ def record_mismatches(expected: TestRecord,
             right_obs = actual.report.observations.get(kind, [])
             if left_obs != right_obs:
                 mismatches.append(
-                    f"report[{kind}]: {len(left_obs)} batch vs "
-                    f"{len(right_obs)} streaming observation(s)"
+                    f"report[{kind}]: {len(left_obs)} vs "
+                    f"{len(right_obs)} observation(s)"
                 )
     for name in ("content_windows", "order_windows"):
         left_map, right_map = getattr(expected, name), getattr(
@@ -119,24 +52,4 @@ def record_mismatches(expected: TestRecord,
                 f"{name}: key insertion order differs "
                 f"({list(left_map)} vs {list(right_map)})"
             )
-    return mismatches
-
-
-def verify_trace(trace: TestTrace, metrics: tuple = ()) -> list[str]:
-    """All parity violations for one trace; empty list = parity.
-
-    ``metrics`` (resolved :class:`repro.relations.spec.MetricSpec`
-    objects) extends the proof to the relation layer: the engine's
-    streaming metric results must equal the batch evaluator's, field
-    for field, via the record comparison.
-    """
-    mismatches = checker_mismatches(trace)
-    engine = StreamEngine(horizon=1, metrics=metrics)
-    actual = replay_trace(trace, engine)
-    expected = analyze_trace(trace, metrics=metrics)
-    mismatches.extend(record_mismatches(expected, actual))
-    if metrics:
-        from repro.relations.parity import metric_mismatches
-
-        mismatches.extend(metric_mismatches(trace, metrics))
     return mismatches

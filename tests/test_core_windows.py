@@ -6,26 +6,9 @@ from repro.core import (
     content_divergence_windows,
     divergence_windows,
     order_divergence_windows,
-    view_timeline,
 )
 
 from tests.helpers import make_trace, read, write
-
-
-class TestViewTimeline:
-    def test_starts_with_empty_view(self):
-        trace = make_trace([read("oregon", ("M1",), 1.0)])
-        steps = view_timeline(trace, "oregon")
-        assert steps[0].view == ()
-        assert steps[1].view == ("M1",)
-
-    def test_step_times_use_corrected_response(self):
-        trace = make_trace(
-            [read("oregon", (), 10.0)],
-            clock_deltas={"oregon": 4.0},
-        )
-        steps = view_timeline(trace, "oregon")
-        assert steps[1].time == pytest.approx(6.1)  # 10.1 local - 4.0
 
 
 class TestContentWindows:

@@ -329,7 +329,7 @@ class TestCompatAliases:
 
     def test_stream_windows_reexports_window_event(self):
         from repro.obs.events import WindowEvent as canonical
-        from repro.stream.windows import WindowEvent
+        from repro.stream import WindowEvent
         assert WindowEvent is canonical
 
 

@@ -21,7 +21,6 @@ from repro.relations import (
     ReadContext,
     aggregate,
     anomaly_kinds,
-    derive_relations,
     evaluate_metrics,
     evaluate_read,
     metric_names,
@@ -199,33 +198,6 @@ class TestAggregate:
     def test_empty_samples_are_zero(self):
         for spec in BUILTIN_SPECS.values():
             assert aggregate(spec, ()) == 0
-
-
-class TestDeriveRelations:
-    def test_arbitration_follows_corrected_invoke_order(self):
-        trace = make_trace([
-            write("oregon", "m1", at=1.0),
-            write("tokyo", "m2", at=2.0),
-            read("ireland", ["m1", "m2"], at=3.0),
-        ])
-        arbitration, contexts = derive_relations(trace)
-        assert arbitration.order == ("m1", "m2")
-        assert len(contexts) == 1
-        assert contexts[0].observed == ("m1", "m2")
-
-    def test_contexts_carry_session_state(self):
-        trace = make_trace([
-            write("oregon", "m1", at=1.0),
-            read("oregon", [], at=2.0),
-            read("oregon", ["m1"], at=3.0),
-            read("oregon", [], at=4.0),
-        ])
-        _, contexts = derive_relations(trace)
-        # First read: m1 completed (response 1.1 <= invoke 2.0) but
-        # nothing seen yet; third read regresses on the second.
-        assert contexts[0].own_completed == ("m1",)
-        assert contexts[0].seen_before == frozenset()
-        assert contexts[2].seen_before == frozenset({"m1"})
 
 
 class TestEvaluateMetrics:

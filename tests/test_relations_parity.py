@@ -2,9 +2,10 @@
 
 Three equalities make spec-defined metrics trustworthy:
 
-* **streaming == batch** — the bounded-memory evaluator must agree
-  element-for-element (values, samples, details) with the batch
-  evaluator on every trace;
+* **feed parity** — there is one metric evaluator; its results
+  (values, samples, details) must be the same whether a test reaches
+  it by sorted replay (``analyze_trace``), through the live watermark
+  sequencer, or from archived trace events;
 * **spec == legacy** — the two paper predicates re-expressed as
   metric specs must flag the same (agent, time, evidence) reads as
   the original checkers;
@@ -22,16 +23,20 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.io import load_campaign, save_campaign
 from repro.methodology import CampaignConfig, run_campaign
+from repro.core.stream import run_to_completion
 from repro.relations import (
+    StreamingMetricEvaluator,
     legacy_verdict_mismatches,
-    metric_mismatches,
     resolve_metrics,
-    streaming_metrics,
 )
 from repro.relations.registry import metric_names
-from repro.stream import record_mismatches, verify_trace
+from repro.stream import record_mismatches
 from tests.helpers import make_trace, read, write
-from tests.test_stream_parity import random_trace
+from tests.test_stream_parity import (
+    campaign_feed_mismatches,
+    random_trace,
+    trace_feed_mismatches,
+)
 
 ALL_METRICS = metric_names()
 
@@ -51,25 +56,24 @@ class TestStreamingBatchParity:
         "quorum_kv",
     ])
     def test_campaign_traces_agree(self, service):
-        specs = resolve_metrics(ALL_METRICS)
-        for trace in campaign_traces(service):
-            assert metric_mismatches(trace, specs) == []
+        records, mismatches = campaign_feed_mismatches(
+            service, dataclasses.replace(SMALL, seed=11))
+        assert mismatches == []
+        assert all(len(record.metrics) == len(ALL_METRICS)
+                   for record in records)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_adversarial_random_traces_agree(self, seed):
-        specs = resolve_metrics(ALL_METRICS)
-        assert metric_mismatches(random_trace(seed), specs) == []
+        assert trace_feed_mismatches(random_trace(seed),
+                                     ALL_METRICS) == []
 
     def test_streaming_state_drains_after_close(self):
-        specs = resolve_metrics(ALL_METRICS)
+        evaluator = StreamingMetricEvaluator(
+            resolve_metrics(ALL_METRICS))
         trace = campaign_traces("facebook_feed")[0]
-        _, retained = streaming_metrics(trace, specs)
-        assert retained == 0
-
-    def test_verify_trace_covers_metrics(self):
-        specs = resolve_metrics(ALL_METRICS)
-        for trace in campaign_traces("facebook_feed"):
-            assert verify_trace(trace, metrics=specs) == []
+        (results,) = run_to_completion([evaluator], trace)
+        assert len(results) == len(ALL_METRICS)
+        assert evaluator.state_size() == 0
 
     def test_stream_engine_exports_relation_counters(self):
         from repro.obs import ObsContext

@@ -1,9 +1,10 @@
 """Unit coverage for the repro.stream engine and its plumbing.
 
-Parity with the batch pipeline is proven in
-``tests/test_stream_parity.py``; these tests pin the *streaming-side*
-behaviors that parity alone cannot see — canonical ordering, live
-emission timing, window open/close events, the watermark sequencer's
+Feed parity (sorted replay == live sequencer == archived events) is
+proven in ``tests/test_stream_parity.py``; these tests pin the
+*streaming-side* behaviors parity alone cannot see — canonical
+ordering, live emission timing, window open/close events, the
+watermark sequencer's
 buffering, the eviction horizon, telemetry accounting, and the
 trace-event JSONL round trip.
 """
@@ -85,14 +86,6 @@ class TestStreamOrder:
         ordered = stream_order(trace)
         assert ordered[0].is_write
         assert not ordered[1].is_write
-
-    def test_read_seq_numbers_reads_in_stream_order(self):
-        ordered = stream_order(divergent_trace())
-        read_seqs = [sop.read_seq for sop in ordered
-                     if not sop.is_write]
-        assert read_seqs == list(range(6))
-        assert all(sop.read_seq == -1 for sop in ordered
-                   if sop.is_write)
 
     def test_restriction_to_one_agent_is_session_order(self):
         """The invariant the session checkers lean on."""

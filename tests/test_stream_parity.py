@@ -1,30 +1,42 @@
-"""Streaming/batch differential parity (the repro.stream anchor).
+"""Feed parity (the repro.stream anchor).
 
-The streaming engine is only trustworthy because it is *provably* the
-batch pipeline re-ordered: every checker, every window, every record
-field must come out element-for-element identical.  These tests drive
-that contract three ways:
+Every predicate, window and metric has one implementation, so there
+are no two code paths to compare.  What needs proving is that the
+three ways operations *reach* that implementation deliver the same
+stream:
 
-* randomized synthetic traces from a seeded
-  :class:`~repro.sim.random_source.RandomSource` — adversarial
-  orderings (concurrent zero-gap ops, skewed clocks, partial and
-  reordered observations) that no single service plan exercises;
-* real simulator campaigns across services, including masked sessions
-  (``mask_sessions=True``) and the Facebook-group partition nemesis
-  whose partition-era reads stress divergence windows;
-* the *live* path: a campaign analyzed by :class:`OpIngest` online
-  must produce records indistinguishable from the batch analyzer's.
+* **sorted replay** — ``analyze_trace`` sorts the finished trace into
+  canonical order and runs the consumers to completion;
+* **the live sequencer** — :class:`OpIngest` receives operations in
+  true-time order while the test runs and restores canonical order
+  with its watermark buffer;
+* **archived events** — ``feed_events`` drives a fresh ``OpIngest``
+  from the trace-event JSONL a :class:`TraceEventWriter` wrote.
+
+All three must distill record-for-record identical results.  Driven
+two ways: seeded adversarial synthetic traces (concurrent zero-gap
+ops, skewed clocks, partial and reordered observations) that no
+service plan exercises, and real simulator campaigns — including
+masked sessions and the Facebook-group partition nemesis — with and
+without all five relation metrics.  (That the one implementation is
+*right* is the oracle's job: ``tests/test_checker_oracle.py``.)
 """
+
+import io as stdio
 
 import pytest
 
+from repro.io import TraceEventWriter, iter_trace_events
 from repro.methodology import CampaignConfig, run_campaign
 from repro.methodology.runner import analyze_trace
+from repro.relations import metric_names, resolve_metrics
 from repro.sim.random_source import RandomSource
-from repro.stream import OpIngest, record_mismatches, verify_trace
+from repro.stream import OpIngest, StreamEngine, record_mismatches
+from repro.stream.ingest import feed_events
 from tests.helpers import make_trace, read, write
 
 AGENTS = ("oregon", "tokyo", "ireland")
+ALL_METRICS = metric_names()
 
 
 def random_trace(seed: int):
@@ -36,8 +48,9 @@ def random_trace(seed: int):
     traces carry explicit WFR triggers.  Reads may be zero-duration
     (stressing the writes-first tie-break); writes always take
     positive time, as every real trace's do — a zero-duration write
-    is the one documented degenerate case outside the streaming
-    order's contract (see :mod:`repro.stream.base`).
+    is the tie canonical stream order *defines*
+    (:mod:`repro.core.stream`), pinned by example in
+    ``test_checker_oracle.py``.
     """
     rng = RandomSource(seed=seed).stream("parity.trace")
     deltas = {agent: rng.uniform(-0.5, 0.5) for agent in AGENTS}
@@ -77,10 +90,96 @@ def random_trace(seed: int):
     )
 
 
+class Tee:
+    """Forward the observer protocol to several observers, in order."""
+
+    def __init__(self, *observers):
+        self.observers = observers
+
+    def test_opened(self, trace):
+        for observer in self.observers:
+            observer.test_opened(trace)
+
+    def operation(self, trace, op):
+        for observer in self.observers:
+            observer.operation(trace, op)
+
+    def test_closed(self, trace):
+        for observer in self.observers:
+            observer.test_closed(trace)
+
+
+def archived_records(payload: str, specs=()) -> list:
+    """Records a fresh ingest distills from trace-event JSONL."""
+    records = []
+    ingest = OpIngest(
+        StreamEngine(horizon=1, metrics=specs),
+        on_record=lambda meta, record: records.append(record))
+    for _ in feed_events(iter_trace_events(payload.splitlines()),
+                         ingest):
+        pass
+    assert ingest.engine.open_tests == 0 and ingest.state_size() == 0
+    return records
+
+
+def trace_feed_mismatches(trace, metrics=()) -> list[str]:
+    """Diffs between one finished trace's record via the three feeds.
+
+    The live feed gets the operations in recording order — each
+    agent's own clock is monotonic there, which is all the sequencer
+    assumes.
+    """
+    specs = resolve_metrics(metrics)
+    sink = stdio.StringIO()
+    ingest = OpIngest(StreamEngine(horizon=1, metrics=specs))
+    live = Tee(TraceEventWriter(sink), ingest)
+    live.test_opened(trace)
+    for op in trace.operations:
+        live.operation(trace, op)
+    live.test_closed(trace)
+    expected = analyze_trace(trace, metrics=specs)
+    (archived,) = archived_records(sink.getvalue(), specs)
+    return [
+        f"{feed}: {mismatch}"
+        for feed, record in (("live", ingest.analyzer(trace)),
+                             ("archived", archived))
+        for mismatch in record_mismatches(expected, record)
+    ]
+
+
+def campaign_feed_mismatches(service, config) -> tuple[list, list[str]]:
+    """Run one campaign analyzed live; diff it against the other feeds.
+
+    Returns the campaign's records (traces kept) and every mismatch
+    between them, ``analyze_trace`` of the kept trace, and the replay
+    of the trace-event file written during the run.
+    """
+    specs = resolve_metrics(config.metrics)
+    sink = stdio.StringIO()
+    ingest = OpIngest(StreamEngine(horizon=1, metrics=specs),
+                      keep_traces=True)
+    result = run_campaign(
+        service, config,
+        observer=Tee(TraceEventWriter(sink), ingest),
+        analyzer=ingest.analyzer)
+    assert ingest.engine.open_tests == 0 and ingest.state_size() == 0
+    archived = archived_records(sink.getvalue(), specs)
+    assert len(archived) == len(result.records) > 0
+    mismatches = []
+    for live, replayed in zip(result.records, archived):
+        expected = analyze_trace(live.trace, metrics=specs)
+        for feed, record in (("live", live), ("archived", replayed)):
+            mismatches.extend(
+                f"{live.test_id} {feed}: {mismatch}"
+                for mismatch in record_mismatches(expected, record))
+    return result.records, mismatches
+
+
 class TestRandomizedParity:
     @pytest.mark.parametrize("seed", range(30))
     def test_streaming_equals_batch(self, seed):
-        assert verify_trace(random_trace(seed)) == []
+        """Sorted replay == live sequencer == archived events."""
+        assert trace_feed_mismatches(random_trace(seed)) == []
 
     def test_random_traces_are_not_trivially_clean(self):
         """The fuzz corpus actually exercises the anomaly paths."""
@@ -94,45 +193,40 @@ class TestRandomizedParity:
                 "order_divergence"} <= seen
 
 
-def campaign_traces(service, **overrides):
-    config = CampaignConfig(num_tests=3, seed=29, keep_traces=True,
-                            **overrides)
-    result = run_campaign(service, config)
-    traces = [record.trace for record in result.records]
-    assert traces and all(t is not None for t in traces)
-    return traces
+def campaign_parity(service, **overrides):
+    """Feed parity of a small campaign, with and without metrics."""
+    for metrics in ((), ALL_METRICS):
+        records, mismatches = campaign_feed_mismatches(
+            service, CampaignConfig(num_tests=3, seed=29,
+                                    metrics=metrics, **overrides))
+        assert mismatches == []
+    return records
 
 
 class TestCampaignParity:
     @pytest.mark.parametrize("service", ["blogger", "googleplus"])
     def test_paper_services(self, service):
-        for trace in campaign_traces(service):
-            assert verify_trace(trace) == []
+        campaign_parity(service)
 
     def test_masked_sessions(self):
         """Client-side masking rewrites observations; parity holds."""
-        for trace in campaign_traces("facebook_feed",
-                                     mask_sessions=True):
-            assert verify_trace(trace) == []
+        campaign_parity("facebook_feed", mask_sessions=True)
 
     def test_partition_nemesis_reads(self):
         """Facebook-group test2 runs under the partition nemesis, so
         partition-era reads produce real divergence windows."""
-        traces = campaign_traces("facebook_group",
-                                 test_types=("test2",))
-        divergent = 0
-        for trace in traces:
-            assert verify_trace(trace) == []
-            report = analyze_trace(trace).report
-            divergent += bool(report.has("content_divergence")
-                              or report.has("order_divergence"))
-        assert divergent, "nemesis campaign produced no divergence"
+        records = campaign_parity("facebook_group",
+                                  test_types=("test2",))
+        assert any(record.report.has("content_divergence")
+                   or record.report.has("order_divergence")
+                   for record in records), \
+            "nemesis campaign produced no divergence"
 
 
 class TestLiveIngestParity:
     def test_campaign_records_identical_online(self):
         """A campaign analyzed live by OpIngest (watermark sequencer,
-        per-op observe) equals the batch analyzer record-for-record."""
+        per-op observe) equals the default analyzer record-for-record."""
         config = CampaignConfig(num_tests=4, seed=17)
         batch = run_campaign("googleplus", config)
         ingest = OpIngest()

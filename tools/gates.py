@@ -12,13 +12,15 @@ each gate's banner and exits 1 if any gate appended a failure.
 =========  ==========================================================
 fleet      a 2-worker fleet is bit-identical to a serial run, and a
            resume from its artifact store executes zero shards
-stream     the streaming engine is bit-identical to batch: per trace,
-           per fleet, and when the ops archives replay standalone
+stream     every feed yields one record: per trace (live sequencer
+           == sorted replay), per fleet, and when the ops archives
+           replay standalone
 obs        obs exports are deterministic and merge-stable
 fidelity   checked-in calibrated profiles stay within budget and beat
            their default profile
 scenario   every shipped scenario file validates and replays true
-relations  spec-defined metrics are one value, however computed
+relations  spec-defined metrics equal the hand-written checkers and
+           are byte-identical at any worker count
 serve      a hunt through the campaign service == a direct fleet run
 world      the partitioned world is byte-identical to its serial run,
            and 10^5 sessions run in bounded memory
@@ -50,19 +52,16 @@ from repro.fleet.digest import campaign_signature, canonical_json
 from repro.io import iter_trace_events, record_to_dict
 from repro.methodology import (
     CampaignConfig,
+    analyze_trace,
     prevalence_statistics,
     run_campaign,
 )
 from repro.obs.export import export_snapshot
-from repro.relations import (
-    legacy_verdict_mismatches,
-    metric_mismatches,
-    resolve_metrics,
-)
+from repro.relations import legacy_verdict_mismatches
 from repro.relations.registry import metric_names
 from repro.scenario import load_scenario, scenario_campaign
 from repro.serve import HuntServer, HuntSpec, follow_events
-from repro.stream import OpIngest, verify_trace
+from repro.stream import OpIngest, record_mismatches
 from repro.stream.ingest import feed_events
 from repro.world import (
     WorldPartition,
@@ -139,20 +138,22 @@ def fleet_gate(failures):
             f"resume skipped all {len(resumed.skipped)} shards")
 
 
-# -- stream: online engine == batch, archives replay ---------------------
+# -- stream: live feed == sorted replay, archives replay -----------------
 
 def _stream_trace_parity(failures):
-    """Every kept trace passes :func:`repro.stream.verify_trace`: all
-    six streaming checkers, both window trackers, and the distilled
-    record agree with the batch pipeline element for element."""
+    """Feed parity per kept trace: the record the live watermark
+    sequencer distilled while the campaign ran equals the one
+    ``analyze_trace`` distills from the finished trace (sorted into
+    canonical order), field for field."""
+    ingest = OpIngest(keep_traces=True)
     result = run_campaign("blogger", CampaignConfig(
-        num_tests=NUM_TESTS, seed=SEED, keep_traces=True,
-    ))
+        num_tests=NUM_TESTS, seed=SEED,
+    ), observer=ingest, analyzer=ingest.analyzer)
     checked = 0
     for record in result.records:
-        mismatches = verify_trace(record.trace)
         checked += 1
-        for mismatch in mismatches:
+        for mismatch in record_mismatches(analyze_trace(record.trace),
+                                          record):
             failures.append(f"{record.test_id}: {mismatch}")
     return checked
 
@@ -213,7 +214,7 @@ def stream_gate(failures):
     traces = _stream_trace_parity(failures)
     shards, signature = _stream_fleet_parity(failures)
     return (f"{traces} traces, {shards} shards",
-            f"{traces} traces verified, "
+            f"{traces} traces live == sorted replay, "
             f"batch == streaming serial == streaming 2-worker over "
             f"{shards} shards (signature {signature[:16]}), "
             "ops archives replay byte-identically")
@@ -441,7 +442,7 @@ def scenario_gate(failures):
             f"signature {GOSSIP_MESH_SIGNATURE[:16]} replayed")
 
 
-# -- relations: streaming == batch metrics, specs == legacy --------------
+# -- relations: specs == hand-written checkers, serial == 4-worker -------
 
 RELATIONS_TESTS = 3
 RELATIONS_SERVICES = ("blogger", "googleplus", "facebook_feed",
@@ -455,20 +456,6 @@ def _relations_traces(seed):
         ))
         for record in result.records:
             yield record.test_id, record.trace
-
-
-def _relations_streaming_parity(failures):
-    """For every kept trace of a multi-service campaign sweep, the
-    bounded-memory streaming evaluator's metric results equal the
-    batch evaluator's element for element (values, samples, details),
-    and the evaluator drains to zero retained state."""
-    specs = resolve_metrics(metric_names())
-    checked = 0
-    for test_id, trace in _relations_traces(SEED):
-        checked += 1
-        for mismatch in metric_mismatches(trace, specs):
-            failures.append(f"{test_id}: {mismatch}")
-    return checked
 
 
 def _relations_legacy_equivalence(failures):
@@ -514,13 +501,11 @@ def _relations_fleet_identity(failures):
 
 
 def relations_gate(failures):
-    """Three escalating checks over :mod:`repro.relations`."""
-    streamed = _relations_streaming_parity(failures)
+    """Two escalating checks over :mod:`repro.relations`."""
     legacy = _relations_legacy_equivalence(failures)
     shards, signature = _relations_fleet_identity(failures)
-    return (f"{streamed} traces",
-            f"streaming == batch on "
-            f"{streamed} traces, specs == legacy checkers on {legacy} "
+    return (f"{legacy} traces",
+            f"specs == hand-written checkers on {legacy} "
             f"traces, serial == 4-worker over {shards} shards "
             f"(signature {signature[:16]})")
 
