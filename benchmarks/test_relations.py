@@ -3,14 +3,16 @@
 Not a paper figure — the contributor-facing benchmark behind
 ``repro.relations``'s two claims:
 
-* **Cheap enough to leave on**: evaluating all five spec-defined
-  metrics per test costs a bounded factor over the plain six-checker
-  ``analyze_trace``; the printed traces/sec pair is the number to
-  watch, the hard assertion only rules out a pathological cliff.
+* **Cheap enough to leave on**: ``metrics_over_plain`` compares the
+  same engine (``analyze_trace`` = ``StreamEngine`` run to
+  completion) with and without the metric evaluator, so it is the
+  cost of all five spec-defined metrics and nothing else; the printed
+  traces/sec pair is the number to watch, the hard assertion only
+  rules out a pathological cliff.
 * **Pinned values**: the deterministic totals and campaign
   signatures in the emitted ``BENCH_relations.json`` come from the
-  one evaluator run to completion by ``analyze_trace``; the
-  checked-in baseline pins them.
+  one evaluator inside that engine; the checked-in baseline pins
+  them.
 """
 
 import time

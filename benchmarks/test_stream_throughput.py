@@ -3,14 +3,13 @@
 Not a paper figure — the contributor-facing benchmark behind
 ``repro.stream``'s two claims:
 
-* **Throughput**: both sides run the *same* six checkers and window
-  trackers, so ``stream_over_batch`` does not compare two
-  implementations — it measures what the engine shell adds (per-op
-  ``Emission`` objects, counters, horizon ring, obs export) against
-  what ``analyze_trace``'s bare drivers pay instead (one sort per
-  checker pass and per pair window call).  The printed ops/sec pair
-  is the number to watch; the hard assertion only rules out a
-  pathological gap.
+* **Throughput**: both sides are the *same* engine fed by sorted
+  replay — ``analyze_trace`` builds a fresh ``StreamEngine`` per
+  trace, the streaming side keeps one engine with obs export on
+  across all of them — so ``stream_over_batch`` does not compare two
+  implementations: it measures engine construction per trace against
+  obs export per closed test.  The printed ops/sec pair is the number
+  to watch; the hard assertion only rules out a pathological gap.
 * **Bounded memory**: engine state is per-*open*-test and
   horizon-capped records, so the peak stays flat as the stream grows.
   That is asserted **hard**: the same test shapes replayed 10x longer
@@ -82,8 +81,9 @@ def test_streaming_vs_batch_throughput(benchmark, bench_json_writer):
 
     assert engine.tests_closed == len(traces)
     assert engine.operations_seen == total_ops
-    # Soft cost contract: the engine shell may cost a constant
-    # factor over the bare drivers, never an order-of-magnitude cliff.
+    # Soft cost contract: a kept engine with obs on may cost a constant
+    # factor over a fresh one per trace, never an order-of-magnitude
+    # cliff.
     assert stream_s < batch_s * 10.0, (
         f"streaming ran {stream_s / batch_s:.1f}x slower than batch"
     )

@@ -690,13 +690,18 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _follow_lines(handle, poll_interval: float = 0.5):
-    """Yield lines forever, waiting for appends at EOF (tail -f)."""
+    """Yield whole lines forever, waiting for appends at EOF (tail -f).
+
+    A tail without its newline is a write still in flight: held back.
+    """
     import time
 
+    tail = ""
     while True:
-        line = handle.readline()
-        if line:
-            yield line
+        tail += handle.readline()
+        if tail.endswith("\n"):
+            yield tail
+            tail = ""
         else:
             time.sleep(poll_interval)
 

@@ -1,14 +1,15 @@
 """Checker registry: run every anomaly checker over a trace at once.
 
-:func:`check_all` is the entry point the campaign runner and analysis
-pipeline use; it returns a :class:`TraceReport` with observations
-grouped by anomaly kind, plus the convenience accessors the figures
-need (per-agent counts, per-pair booleans).
+:func:`check_all` returns a :class:`TraceReport` — what the stream
+engine builds for every record — with observations grouped by anomaly
+kind, plus the convenience accessors the figures need (per-agent
+counts, per-pair booleans).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 from repro.core.anomalies.base import (
@@ -106,10 +107,10 @@ class TraceReport:
     ) -> "TraceReport":
         """Build a report from a flat observation stream.
 
-        The stream engine pours each closed test's observations in
-        here.  Every kind in ``anomalies`` gets a (possibly empty)
-        entry, matching :func:`check_all` output shape; within one
-        kind, observations keep their given order.
+        The stream engine and :func:`check_all` pour a test's
+        observations in here.  Every kind in ``anomalies`` gets a
+        (possibly empty) entry; within one kind, observations keep
+        their given order.
         """
         report = cls(test_id=test_id, service=service,
                      test_type=test_type, agents=agents,
@@ -153,14 +154,7 @@ class TraceReport:
 
 def check_all(trace: TestTrace) -> TraceReport:
     """Run every checker over ``trace`` (one pass) and bundle the results."""
-    checkers = default_checkers()
-    report = TraceReport(
-        test_id=trace.test_id,
-        service=trace.service,
-        test_type=trace.test_type,
-        agents=trace.agents,
+    return TraceReport.from_observations(
+        trace.test_id, trace.service, trace.test_type, trace.agents,
+        chain.from_iterable(run_to_completion(default_checkers(), trace)),
     )
-    for checker, observations in zip(
-            checkers, run_to_completion(checkers, trace)):
-        report.observations[checker.anomaly] = observations
-    return report

@@ -5,9 +5,9 @@ builds a fresh :class:`~repro.methodology.world.MeasurementWorld`, runs
 ``num_tests`` instances of each requested test template with cool-downs
 in between (the paper alternated four-day blocks of each type; we run
 the blocks back-to-back since block order does not interact with any
-measured quantity), runs the six anomaly checkers, the per-pair
-divergence-window tracker and any requested metrics to completion over
-every finished trace, and returns a
+measured quantity), runs the stream engine — the six anomaly
+checkers, the divergence-window trackers and any requested metrics —
+to completion over every finished trace, and returns a
 :class:`CampaignResult` of compact per-test records.
 
 Fault scenarios are armed by a :class:`~repro.methodology.nemesis.Nemesis`
@@ -20,12 +20,13 @@ stretch); pass ``CampaignConfig(nemesis=...)`` for custom scenarios.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.core.anomalies import ALL_ANOMALIES
 from repro.core.anomalies.registry import TraceReport, check_all
-from repro.core.trace import ReadOp, TestTrace
+from repro.core.stream import run_to_completion
+from repro.core.trace import TestTrace
 from repro.core.windows import (
     WindowResult,
     content_divergence_windows,
@@ -43,8 +44,13 @@ from repro.methodology.world import MeasurementWorld
 from repro.obs.events import OperationObserver
 from repro.sim.process import spawn
 
+# ``check_all`` and the two window functions are re-exports nothing
+# here calls: the frozen ``bench/seams.py`` wraps them for a traced
+# run as ``vars(repro.methodology.runner)[name]``, so they stay.
 __all__ = ["TestRecord", "CampaignResult", "run_campaign",
-           "analyze_trace", "OperationObserver", "TraceAnalyzer"]
+           "analyze_trace", "OperationObserver", "TraceAnalyzer",
+           "check_all", "content_divergence_windows",
+           "order_divergence_windows"]
 
 #: Pair key type used throughout the analysis: sorted agent names.
 Pair = tuple[str, str]
@@ -134,45 +140,20 @@ def analyze_trace(trace: TestTrace,
                   metrics: tuple = ()) -> TestRecord:
     """Distill one trace into a compact :class:`TestRecord`.
 
+    The one distiller, :class:`~repro.stream.engine.StreamEngine`, run
+    to completion over the sorted trace — one sort, one pass.
     ``metrics`` is a tuple of resolved
     :class:`~repro.relations.spec.MetricSpec` objects; when non-empty
     the record additionally carries the relation-layer metric results
     (see :mod:`repro.relations`).
     """
-    report = check_all(trace)
-    content_windows: dict[Pair, WindowResult] = {}
-    order_windows: dict[Pair, WindowResult] = {}
-    for first, second in trace.agent_pairs():
-        pair = tuple(sorted((first, second)))
-        content_windows[pair] = content_divergence_windows(
-            trace, first, second
-        )
-        order_windows[pair] = order_divergence_windows(
-            trace, first, second
-        )
-    reads = dict.fromkeys(trace.agents, 0)
-    writes = dict.fromkeys(trace.agents, 0)
-    for op in trace.operations:
-        (reads if isinstance(op, ReadOp) else writes)[op.agent] += 1
-    times = [trace.corrected_response(op) for op in trace.operations]
-    duration = (max(times) - min(times)) if times else 0.0
-    metric_results: tuple = ()
-    if metrics:
-        from repro.relations.batch import evaluate_metrics
+    # Function-level: the engine's module imports ``TestRecord``.
+    from repro.stream.engine import StreamEngine
 
-        metric_results = evaluate_metrics(trace, metrics)
-    return TestRecord(
-        test_id=trace.test_id,
-        test_type=trace.test_type,
-        report=report,
-        content_windows=content_windows,
-        order_windows=order_windows,
-        reads_per_agent=reads,
-        writes_per_agent=writes,
-        duration=duration,
-        trace=trace if keep_trace else None,
-        metrics=metric_results,
+    (record,) = run_to_completion(
+        [StreamEngine(horizon=1, metrics=metrics)], trace
     )
+    return replace(record, trace=trace) if keep_trace else record
 
 
 def run_campaign(service_name: str,

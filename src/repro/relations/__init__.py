@@ -1,28 +1,27 @@
 """Generic visibility/arbitration relation layer over campaign traces.
 
 The paper's methodology ships six anomaly predicates as code
-(:mod:`repro.core.anomalies`).  This package generalizes them
-(ROADMAP item 4): it derives canonical **visibility** and
-**arbitration** relations from any test trace and evaluates
-declarative :class:`~repro.relations.spec.MetricSpec` objects over
-them, so a new consistency metric is data — a predicate over
-relations — not a new subsystem.
+(:mod:`repro.core.anomalies`) — the checkers are the engine.  This
+package grades on top of them: a declarative
+:class:`~repro.relations.spec.MetricSpec` either folds a checker's
+evidence (``missing`` specs) or is computed over the **visibility**
+and **arbitration** relations (ViSearch's relaxation score, the
+inversion count).  The vocabulary grows only when a second predicate
+needs a relation.
 
 * :mod:`repro.relations.spec` — the spec vocabulary, sample/result
-  model, and the pure per-read evaluation core.
+  model, and the pure per-read relaxation/inversion core.
 * :mod:`repro.relations.registry` — the built-in specs
-  (``relaxed_consistency``, ``stale_read_inversions``,
-  ``session_monotonicity_depth``, plus verdict-equal re-expressions
-  of the paper's read-your-writes and monotonic-reads predicates)
-  and name resolution for configs / scenario files / ``--metrics``.
+  (``relaxed_consistency``, ``stale_read_inversions``, and the three
+  checker folds ``session_monotonicity_depth``, ``read_your_writes``,
+  ``monotonic_reads``) and name resolution for configs / scenario
+  files / ``--metrics``.
 * :mod:`repro.relations.streaming` — the one evaluator: bounded-memory,
   incremental, hosted by the
   :class:`~repro.stream.engine.StreamEngine`.
 * :mod:`repro.relations.batch` — ``evaluate_metrics``: that evaluator
   run to completion over a finished
   :class:`~repro.core.trace.TestTrace`.
-* :mod:`repro.relations.parity` — differential harness proving
-  spec == hand-written checker, per element.
 
 Metrics ride end-to-end: ``CampaignConfig(metrics=...)``,
 ``--metrics`` on ``run``/``fleet``/``stream``, a ``metrics`` key in
@@ -36,10 +35,8 @@ from repro.core.anomalies.base import (
     SESSION_ANOMALIES,
 )
 from repro.relations.batch import evaluate_metrics
-from repro.relations.parity import legacy_verdict_mismatches
 from repro.relations.registry import (
     BUILTIN_SPECS,
-    LEGACY_EQUIVALENTS,
     MONOTONIC_READS_SPEC,
     READ_YOUR_WRITES_SPEC,
     RELAXED_CONSISTENCY,
@@ -68,7 +65,6 @@ __all__ = [
     "evaluate_read",
     "aggregate",
     "BUILTIN_SPECS",
-    "LEGACY_EQUIVALENTS",
     "RELAXED_CONSISTENCY",
     "STALE_READ_INVERSIONS",
     "SESSION_MONOTONICITY_DEPTH",
@@ -78,7 +74,6 @@ __all__ = [
     "resolve_metrics",
     "evaluate_metrics",
     "StreamingMetricEvaluator",
-    "legacy_verdict_mismatches",
     "anomaly_kinds",
     "session_anomaly_kinds",
 ]

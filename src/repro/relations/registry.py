@@ -1,12 +1,12 @@
 """Built-in metric specs and name resolution.
 
-Five specs ship: three metrics the paper's six checkers cannot
-express (a ViSearch-style relaxed-consistency bound, inversion-based
-staleness counts, per-session monotonicity-violation depth) and two
-re-expressions of the paper's §IV predicates (read-your-writes,
-monotonic reads) whose verdicts are proved identical to the legacy
-checkers by ``tests/test_relations.py`` and the
-``tools/gates.py relations`` CI gate.
+Five specs ship.  Two compute something no checker does — a
+ViSearch-style relaxed-consistency bound and inversion-based staleness
+counts, both over the arbitration order.  Three are folds over the
+evidence of a §III checker (``violation="missing"``): read-your-writes
+and monotonic reads count that checker's observations, and
+per-session monotonicity depth takes the largest ``missing`` set the
+monotonic-reads checker reported.
 
 Campaign configs, scenario files, and the ``--metrics`` CLI flag all
 name metrics by these registry keys; :func:`resolve_metrics` turns
@@ -25,7 +25,6 @@ __all__ = [
     "READ_YOUR_WRITES_SPEC",
     "MONOTONIC_READS_SPEC",
     "BUILTIN_SPECS",
-    "LEGACY_EQUIVALENTS",
     "metric_names",
     "resolve_metrics",
 ]
@@ -57,8 +56,8 @@ STALE_READ_INVERSIONS = MetricSpec(
 
 #: Session monotonicity depth: per read, how many previously-seen ids
 #: vanished from the view; the test value is the deepest regression.
-#: The legacy monotonic-reads checker flags that this happened; the
-#: depth says how far the session was thrown back.
+#: The monotonic-reads checker flags that this happened; the depth
+#: says how far the session was thrown back.
 SESSION_MONOTONICITY_DEPTH = MetricSpec(
     name="session_monotonicity_depth",
     expect="seen_before",
@@ -100,12 +99,6 @@ BUILTIN_SPECS: dict[str, MetricSpec] = {
         READ_YOUR_WRITES_SPEC,
         MONOTONIC_READS_SPEC,
     )
-}
-
-#: Spec name -> legacy anomaly kind it re-expresses (verdict-equal).
-LEGACY_EQUIVALENTS: dict[str, str] = {
-    "read_your_writes": "read_your_writes",
-    "monotonic_reads": "monotonic_reads",
 }
 
 

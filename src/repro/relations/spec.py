@@ -5,10 +5,11 @@ each.  This module makes a consistency metric *data*: a
 :class:`MetricSpec` names which relation supplies each read's expected
 set (``expect``), how a read's value is computed against it
 (``violation``), and how per-read values fold into one number per test
-(``measure``).  Everything a spec can say is evaluated by one pure
-function, :func:`evaluate_read`, which the one evaluator
-(:mod:`repro.relations.streaming`) feeds a :class:`ReadContext` and
-the test's :class:`Arbitration`.
+(``measure``).  The one evaluator (:mod:`repro.relations.streaming`)
+reads a ``missing`` value off the §III checker that owns the expected
+set and computes the two relation-only values with one pure function,
+:func:`evaluate_read`, over a :class:`ReadContext` and the test's
+:class:`Arbitration`.
 
 Relations (ViSearch's vocabulary, specialized to the paper's traces):
 
@@ -20,7 +21,8 @@ Relations (ViSearch's vocabulary, specialized to the paper's traces):
   order the substrates' timestamp keys approximate, and the order
   ``trace.writes()`` produces.
 * **session relations** — per agent: its own completed writes (in
-  session order) and the union of ids returned by its earlier reads.
+  session order) and the union of ids returned by its earlier reads:
+  the read-your-writes / monotonic-reads checkers' state, not ours.
 
 Vocabulary
 ----------
@@ -158,44 +160,23 @@ class Arbitration:
 
 
 class ReadContext(NamedTuple):
-    """Everything a spec may consult about one read.
-
-    ``own_completed`` is in the agent's session order (local
-    invocation, ties by recording index) and ``seen_before`` is the
-    unordered union of earlier views — exactly the inputs the legacy
-    read-your-writes / monotonic-reads checkers derive, so the spec
-    re-expressions inherit their verdicts.
-    """
+    """One read's view, parked until the arbitration order is final."""
 
     agent: str
     time: float
     observed: tuple[str, ...]
-    own_completed: tuple[str, ...] = ()
-    seen_before: frozenset[str] = frozenset()
 
 
 def evaluate_read(
     spec: MetricSpec, ctx: ReadContext, arbitration: Arbitration,
 ) -> tuple[int, dict]:
-    """Value one read under one spec.  Pure.
+    """Value one read under a ``relaxation``/``inversion`` spec.  Pure.
 
     Returns ``(value, details)``; ``details`` is non-empty only for
-    nonzero values and uses the same key vocabulary as the legacy
-    checkers (``missing``/``observed``) plus the relation-layer keys
-    (``frontier``/``skipped``/``inverted``).
+    nonzero values and uses the relation-layer keys
+    (``frontier``/``skipped``/``inverted``); a ``missing`` sample
+    carries its checker observation's ``missing``/``observed``.
     """
-    if spec.violation == "missing":
-        visible = set(ctx.observed)
-        if spec.expect == "own_completed":
-            missing = tuple(m for m in ctx.own_completed
-                            if m not in visible)
-        else:
-            missing = tuple(sorted(m for m in ctx.seen_before
-                                   if m not in visible))
-        if not missing:
-            return 0, {}
-        return len(missing), {"missing": missing,
-                              "observed": ctx.observed}
     ranked = [m for m in ctx.observed if m in arbitration.rank]
     if spec.violation == "relaxation":
         if not ranked:

@@ -8,10 +8,12 @@ the :class:`~repro.core.anomalies.base.AnomalyChecker` lifecycle —
 (:func:`~repro.relations.batch.evaluate_metrics` runs it to completion
 over a finished trace):
 
-* ``missing`` specs are final the moment a read arrives: the per-agent
-  prefix property of canonical order guarantees the agent's own
-  completed writes and every earlier view have already streamed in, so
-  the sample is emitted (into a per-spec buffer) immediately.
+* ``missing`` specs fold a checker's evidence: for the ``expect``
+  kinds its specs name the evaluator owns a ``ReadYourWritesChecker``
+  (``own_completed``) and/or a ``MonotonicReadsChecker``
+  (``seen_before``), and every observation one fires becomes a sample
+  valued by the size of its ``missing`` set, in stream order — so each
+  §III predicate has exactly one implementation, its checker.
 * ``relaxation``/``inversion`` specs rank views against the
   *arbitration* order over all of the test's logged writes — a total
   order no prefix of the stream can pin down (a later-arriving write
@@ -20,17 +22,16 @@ over a finished trace):
   arbitration order is complete; this is the same defer-to-resolution
   discipline the writes-follow-reads checker uses.
 
-All state is per *open* test and dropped whole at close;
-:meth:`state_size` counts every retained atom so the engine's
-bounded-memory telemetry covers the metric layer too.
+All state — the owned checkers' included — is per *open* test and
+dropped whole at close; :meth:`state_size` counts every retained atom
+so the engine's bounded-memory telemetry covers the metric layer too.
 """
 
 from __future__ import annotations
 
-from bisect import insort
-
+from repro.core.anomalies.monotonic_reads import MonotonicReadsChecker
+from repro.core.anomalies.read_your_writes import ReadYourWritesChecker
 from repro.core.stream import StreamOp, TestMeta
-from repro.core.trace import WriteOp
 from repro.relations.spec import (
     Arbitration,
     MetricResult,
@@ -43,32 +44,25 @@ from repro.relations.spec import (
 
 __all__ = ["StreamingMetricEvaluator"]
 
-#: ``missing`` specs never consult the arbitration order.
-_NO_ARBITRATION = Arbitration(order=(), rank={})
+#: ``expect`` kind -> the checker whose observations carry, as
+#: ``details["missing"]``, the expected ids absent from a read.
+_EVIDENCE = {
+    "own_completed": ReadYourWritesChecker,
+    "seen_before": MonotonicReadsChecker,
+}
 
 
 class _MetricState:
     """Per-open-test relation state."""
 
-    __slots__ = ("writes_keyed", "own_writes", "seen", "immediate",
-                 "pending")
+    __slots__ = ("writes_keyed", "evidence", "pending")
 
-    def __init__(self, meta: TestMeta,
-                 immediate: tuple[MetricSpec, ...]) -> None:
+    def __init__(self, expects) -> None:
         #: (corrected_invoke, seq, message_id) per logged write.
         self.writes_keyed: list[tuple[float, int, str]] = []
-        #: agent -> [(invoke_local, seq, message_id, response_local)],
-        #: in session order.
-        self.own_writes: dict[
-            str, list[tuple[float, int, str, float]]
-        ] = {agent: [] for agent in meta.agents}
-        #: agent -> union of ids its earlier reads returned.
-        self.seen: dict[str, set[str]] = {
-            agent: set() for agent in meta.agents
-        }
-        #: spec name -> nonzero samples, in arrival (canonical) order.
-        self.immediate: dict[str, list[MetricSample]] = {
-            spec.name: [] for spec in immediate
+        #: expect kind -> samples, in arrival (canonical) order.
+        self.evidence: dict[str, list[MetricSample]] = {
+            expect: [] for expect in expects
         }
         #: View snapshots awaiting the final arbitration order.
         self.pending: list[ReadContext] = []
@@ -79,72 +73,44 @@ class StreamingMetricEvaluator:
 
     def __init__(self, specs: tuple[MetricSpec, ...]) -> None:
         self.specs = tuple(specs)
-        self._immediate = tuple(
-            spec for spec in self.specs if not spec.needs_arbitration
+        self._deferred = any(
+            spec.needs_arbitration for spec in self.specs
         )
-        self._deferred = tuple(
-            spec for spec in self.specs if spec.needs_arbitration
-        )
-        self._needs_own = any(
-            spec.expect == "own_completed" for spec in self._immediate
-        )
-        self._needs_seen = any(
-            spec.expect == "seen_before" for spec in self._immediate
-        )
+        expected = {spec.expect for spec in self.specs}
+        self._checkers = {
+            expect: checker() for expect, checker in _EVIDENCE.items()
+            if expect in expected
+        }
         self._tests: dict[str, _MetricState] = {}
 
     # -- lifecycle ----------------------------------------------------
 
     def open_test(self, meta: TestMeta) -> None:
-        self._tests[meta.test_id] = _MetricState(
-            meta, self._immediate
-        )
+        self._tests[meta.test_id] = _MetricState(self._checkers)
+        for checker in self._checkers.values():
+            checker.open_test(meta)
 
     def observe(self, meta: TestMeta, sop: StreamOp) -> None:
         state = self._tests[meta.test_id]
+        for expect, checker in self._checkers.items():
+            for obs in checker.observe(meta, sop):
+                state.evidence[expect].append(MetricSample(
+                    obs.agent, obs.time, len(obs.details["missing"]),
+                    obs.details))
         op = sop.op
-        if isinstance(op, WriteOp):
+        if not sop.is_read:
             state.writes_keyed.append(
                 (sop.invoke, sop.seq, op.message_id)
             )
-            if self._needs_own:
-                insort(state.own_writes[op.agent],
-                       (op.invoke_local, sop.seq, op.message_id,
-                        op.response_local))
-            return
-        completed: tuple[str, ...] = ()
-        if self._needs_own:
-            completed = tuple(
-                mid
-                for _, _, mid, response_local in
-                state.own_writes[op.agent]
-                if response_local <= op.invoke_local
-            )
-        ctx = ReadContext(
-            agent=op.agent,
-            time=sop.time,
-            observed=op.observed,
-            own_completed=completed,
-            seen_before=frozenset(state.seen[op.agent])
-            if self._needs_seen else frozenset(),
-        )
-        for spec in self._immediate:
-            value, details = evaluate_read(spec, ctx, _NO_ARBITRATION)
-            if value > 0:
-                state.immediate[spec.name].append(MetricSample(
-                    agent=ctx.agent, time=ctx.time,
-                    value=value, details=details,
-                ))
-        if self._deferred:
-            state.pending.append(ReadContext(
-                agent=op.agent, time=sop.time, observed=op.observed,
-            ))
-        if self._needs_seen:
-            state.seen[op.agent].update(op.observed)
+        elif self._deferred:
+            state.pending.append(
+                ReadContext(op.agent, sop.time, op.observed))
 
     def close_test(self, meta: TestMeta) -> tuple[MetricResult, ...]:
         """Finish one test: resolve deferred specs, drop all state."""
         state = self._tests.pop(meta.test_id)
+        for checker in self._checkers.values():
+            checker.close_test(meta)
         arbitration = Arbitration.from_keyed(state.writes_keyed)
         results: list[MetricResult] = []
         for spec in self.specs:
@@ -160,7 +126,7 @@ class StreamingMetricEvaluator:
                             value=value, details=details,
                         ))
             else:
-                samples = state.immediate[spec.name]
+                samples = state.evidence.get(spec.expect, [])
             results.append(MetricResult(
                 metric=spec.name,
                 value=aggregate(spec, samples),
@@ -172,13 +138,11 @@ class StreamingMetricEvaluator:
 
     def state_size(self) -> int:
         """Retained state atoms across all open tests."""
-        total = 0
+        total = sum(checker.state_size()
+                    for checker in self._checkers.values())
         for state in self._tests.values():
             total += len(state.writes_keyed)
-            total += sum(len(entries)
-                         for entries in state.own_writes.values())
-            total += sum(len(ids) for ids in state.seen.values())
             total += sum(len(samples)
-                         for samples in state.immediate.values())
+                         for samples in state.evidence.values())
             total += len(state.pending)
         return total

@@ -3,8 +3,8 @@
 The six checkers, the divergence-window tracker and the metric
 evaluator are incremental by construction (:mod:`repro.core.stream`);
 this package feeds them *as operations happen*, with bounded memory
-and measured state, and distills each closed test into the record
-``analyze_trace`` produces from the finished trace.
+and measured state, and distills each closed test into its record
+(``analyze_trace`` is the same engine run over a finished trace).
 
 Layout:
 

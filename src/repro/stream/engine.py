@@ -2,12 +2,13 @@
 
 :class:`StreamEngine` fans one canonical-order operation stream out to
 the six checkers plus the two divergence-window trackers (and the
-metric evaluator, when asked), and distills every closed test into the
-:class:`~repro.methodology.runner.TestRecord` that
-:func:`~repro.methodology.runner.analyze_trace` produces from the
-finished trace — the same consumers either way, so what is left to
-prove is *feed* parity (sorted replay == live sequencer == archived
-events), enforced by the tests and the ``stream`` CI gate.
+metric evaluator, when asked), and distills every closed test into a
+:class:`~repro.methodology.runner.TestRecord` — the one place a record
+is built from checker output;
+:func:`~repro.methodology.runner.analyze_trace` is this engine run to
+completion over a finished trace.  What is left to prove is *feed*
+parity (sorted replay == live sequencer == archived events), enforced
+by the tests and the ``stream`` CI gate.
 
 Memory model: per *open* test the engine holds O(agents x active-keys)
 checker state plus O(1) counters; a closed test's state is dropped by

@@ -32,10 +32,11 @@ from repro.methodology.runner import (
     TestRecord,
     run_campaign,
 )
+from repro.relations.registry import resolve_metrics
 from repro.stream.engine import StreamEngine
 from repro.stream.ingest import OpIngest
 
-__all__ = ["run_stream_shard", "execute_shard_stream"]
+__all__ = ["run_stream_shard"]
 
 #: Per-test callback: (meta, record, engine) after each test closes.
 TestCallback = Callable[[TestMeta, TestRecord, StreamEngine], None]
@@ -70,12 +71,8 @@ def run_stream_shard(job: ShardJob,
     the engine keeps a minimal eviction horizon; its state is the live
     checkers' only.
     """
-    metric_specs: tuple = ()
-    if job.config.metrics:
-        from repro.relations.registry import resolve_metrics
-
-        metric_specs = resolve_metrics(job.config.metrics)
-    engine = StreamEngine(horizon=1, metrics=metric_specs)
+    engine = StreamEngine(
+        horizon=1, metrics=resolve_metrics(job.config.metrics))
     ingest = OpIngest(engine)
     if on_test is not None:
         ingest.on_record = (
@@ -95,8 +92,3 @@ def run_stream_shard(job: ShardJob,
     finally:
         if trace_file is not None:
             trace_file.close()
-
-
-def execute_shard_stream(job: ShardJob) -> CampaignResult:
-    """Plain streaming shard runner (module-level, picklable)."""
-    return run_stream_shard(job)

@@ -4,8 +4,8 @@ Two ways operations reach a :class:`~repro.stream.engine.StreamEngine`:
 
 * **Replay** — :func:`replay_trace` runs the engine to completion over
   a finished trace, sorted into canonical stream order
-  (:func:`repro.core.stream.run_to_completion` — the same driver
-  ``analyze_trace``'s checkers, windows and metrics go through).
+  (:func:`repro.core.stream.run_to_completion`; ``analyze_trace`` is
+  this call on a fresh engine).
 * **Live** — :class:`OpIngest` implements the campaign runner's
   :class:`~repro.methodology.runner.OperationObserver` protocol.
   Agents log operations in *true-time* order, which is not canonical
@@ -33,7 +33,7 @@ from repro.io import operation_from_dict, trace_from_meta_dict
 from repro.methodology.runner import TestRecord
 from repro.stream.engine import Emission, StreamEngine
 
-__all__ = ["replay_trace", "OpIngest", "feed_events", "tail_jsonl"]
+__all__ = ["replay_trace", "OpIngest", "feed_events"]
 
 #: Called with (meta, sop, emission) for every op that fired something.
 EmissionCallback = Callable[[TestMeta, StreamOp, Emission], None]
@@ -77,8 +77,6 @@ class OpIngest:
         self.on_record = on_record
         self.keep_traces = keep_traces
         self._tests: dict[str, _LiveTest] = {}
-        #: test_id -> distilled record, for the analyzer fast path.
-        self._records: dict[str, TestRecord] = {}
 
     # -- OperationObserver protocol -----------------------------------
 
@@ -105,7 +103,6 @@ class OpIngest:
         record = self.engine.close_test(
             live.meta, trace=trace if self.keep_traces else None
         )
-        self._records[trace.test_id] = record
         if self.on_record is not None:
             self.on_record(live.meta, record)
 
@@ -116,13 +113,19 @@ class OpIngest:
         """Drop-in for ``analyze_trace`` when this observer is wired.
 
         ``run_campaign`` calls the analyzer right after signalling
-        ``test_closed``, so the record is already distilled; the
-        re-check is skipped entirely.  (``keep_trace`` is honored via
-        the constructor's ``keep_traces`` — the engine embedded the
-        trace when the record was built.)
+        ``test_closed``, so the record is already the newest in the
+        engine's horizon-bounded ``results`` ring; the re-check is
+        skipped entirely.  (``keep_trace`` is honored via the
+        constructor's ``keep_traces`` — the engine embedded the trace.)
         """
         del keep_trace
-        return self._records.pop(trace.test_id)
+        for record in reversed(self.engine.results):
+            if record.test_id == trace.test_id:
+                return record
+        raise AnalysisError(
+            f"record of test {trace.test_id!r} already left the "
+            f"engine's eviction horizon"
+        )
 
     # -- sequencing ---------------------------------------------------
 
@@ -195,30 +198,3 @@ def feed_events(events: Iterable[dict],
                 f"unknown trace event kind {kind!r}"
             )
         yield event
-
-
-def tail_jsonl(path, offset: int = 0) -> tuple[list[dict], int]:
-    """Complete JSONL records appended to ``path`` since ``offset``.
-
-    The follow-mode file primitive shared by ``stream --follow`` and
-    the campaign service's event feeds: returns the parsed records and
-    the byte offset to resume from.  A trailing line without its
-    newline is a write still in flight — it is *not* returned, and the
-    offset stays before it, so the next call re-reads it whole.  A
-    missing file reads as empty (the producer may not have started).
-    """
-    import json
-    from pathlib import Path
-
-    try:
-        data = Path(path).read_bytes()
-    except FileNotFoundError:
-        return [], offset
-    chunk = data[offset:]
-    end = chunk.rfind(b"\n")
-    if end < 0:
-        return [], offset
-    complete = chunk[:end + 1]
-    records = [json.loads(line) for line in complete.splitlines()
-               if line.strip()]
-    return records, offset + end + 1

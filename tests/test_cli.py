@@ -129,3 +129,28 @@ class TestCommands:
             parts = line.split()
             error, bound = float(parts[3]), float(parts[4])
             assert error <= bound
+
+
+class TestFollowLines:
+    def test_holds_back_a_line_still_being_written(self, tmp_path,
+                                                   monkeypatch):
+        """A producer caught mid-append: the fragment is not a line
+        until its newline arrives."""
+        import itertools
+        import time
+
+        from repro.cli import _follow_lines
+
+        first = '{"event": "test_close", "test_id": "a"}\n'
+        second = '{"event": "test_close", "test_id": "b"}\n'
+        path = tmp_path / "trace.jsonl"
+        path.write_text(first + second[:17], encoding="utf-8")
+
+        def finish_the_write(seconds):
+            with path.open("a", encoding="utf-8") as producer:
+                producer.write(second[17:])
+
+        monkeypatch.setattr(time, "sleep", finish_the_write)
+        with path.open("r", encoding="utf-8") as handle:
+            lines = list(itertools.islice(_follow_lines(handle), 2))
+        assert lines == [first, second]

@@ -7,10 +7,21 @@ runner keeps are compact.  These tests run longer-than-usual campaigns
 and check the service-side state directly.
 """
 
+import gc
+import io
+import types
+
+import pytest
+
+from repro.errors import AnalysisError
+from repro.io import TraceEventWriter, iter_trace_events
 from repro.methodology import CampaignConfig, MeasurementWorld, run_campaign
-from repro.methodology import PAPER_PLANS
+from repro.methodology import PAPER_PLANS, TestRecord
 from repro.methodology.test1 import run_test1
 from repro.sim import spawn
+from repro.stream import OpIngest, StreamEngine
+from repro.stream.ingest import feed_events
+from tests.helpers import make_trace, read, write
 
 
 def run_many_test1(world, count, plan):
@@ -70,3 +81,45 @@ class TestRecordCompactness:
                 # Divergence anomalies: <= one per pair; session
                 # anomalies: bounded by reads x writers.
                 assert len(observations) <= max(total_reads * 6, 3)
+
+
+def reachable_records(root) -> int:
+    """Distinct ``TestRecord`` objects the garbage collector can reach
+    from ``root`` through data (not through classes or modules)."""
+    seen, stack, records = set(), [root], 0
+    while stack:
+        item = stack.pop()
+        if id(item) in seen or isinstance(
+                item, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(item))
+        records += isinstance(item, TestRecord)
+        stack.extend(gc.get_referents(item))
+    return records
+
+
+class TestFollowModeRetention:
+    def test_feed_events_consumer_keeps_only_the_horizon(self):
+        """``stream --follow`` never calls ``analyzer``: every closed
+        record must still leave with the eviction horizon."""
+        sink = io.StringIO()
+        writer = TraceEventWriter(sink)
+        for index in range(200):
+            trace = make_trace([
+                write("oregon", f"m{index}", at=1.0),
+                read("oregon", [], at=2.0),
+            ], test_id=f"follow-{index}")
+            writer.test_opened(trace)
+            for op in trace.operations:
+                writer.operation(trace, op)
+            writer.test_closed(trace)
+        ingest = OpIngest(StreamEngine(horizon=4))
+        events = iter_trace_events(sink.getvalue().splitlines())
+        for _ in feed_events(events, ingest):
+            pass
+        assert ingest.engine.tests_closed == 200
+        assert reachable_records(ingest) <= 4
+        # The analyzer fast path serves from that same ring.
+        assert ingest.analyzer(trace).test_id == "follow-199"
+        with pytest.raises(AnalysisError, match="eviction horizon"):
+            ingest.analyzer(make_trace([], test_id="follow-0"))

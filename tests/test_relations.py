@@ -2,18 +2,23 @@
 
 These tests exercise :mod:`repro.relations` on hand-built traces whose
 visibility and arbitration relations can be worked out on paper, so
-each metric's semantics is pinned by a human-checkable example rather
-than only by parity with another implementation.
+each metric's semantics is pinned by a human-checkable example — and,
+for the three ``missing``-class metrics, by the order-free §III
+transcriptions of ``tests/test_checker_oracle.py``: there is one
+evaluation of those predicates in ``src/``, so the reference lives
+here.
 """
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
 
 from repro.errors import ConfigurationError
 from repro.io import record_from_dict, record_to_dict
 from repro.methodology.runner import analyze_trace
 from repro.relations import (
     BUILTIN_SPECS,
-    LEGACY_EQUIVALENTS,
     Arbitration,
     MetricResult,
     MetricSample,
@@ -28,6 +33,8 @@ from repro.relations import (
     session_anomaly_kinds,
 )
 from tests.helpers import make_trace, read, write
+from tests.test_checker_oracle import oracle_mr, oracle_ryw, skewed_traces
+from tests.test_stream_parity import random_trace
 
 
 class TestMetricSpec:
@@ -89,12 +96,6 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="duplicate"):
             resolve_metrics(("monotonic_reads", "monotonic_reads"))
 
-    def test_legacy_equivalents_name_real_specs_and_anomalies(self):
-        assert LEGACY_EQUIVALENTS
-        for metric, anomaly in LEGACY_EQUIVALENTS.items():
-            assert metric in BUILTIN_SPECS
-            assert anomaly in anomaly_kinds()
-
     def test_anomaly_kind_views(self):
         assert set(session_anomaly_kinds()) < set(anomaly_kinds())
 
@@ -110,24 +111,26 @@ class TestArbitration:
 
 class TestEvaluateRead:
     def test_missing_own_completed_counts_and_orders(self):
-        ctx = ReadContext(agent="oregon", time=3.0,
-                          observed=frozenset({"m2"}),
-                          own_completed=("m1", "m2", "m3"))
-        spec = BUILTIN_SPECS["read_your_writes"]
-        value, details = evaluate_read(
-            spec, ctx, Arbitration(order=(), rank={}))
-        assert value == 2
-        assert details["missing"] == ("m1", "m3")
+        trace = make_trace([
+            write("oregon", "m1", at=0.0), write("oregon", "m2", at=0.5),
+            write("oregon", "m3", at=1.0), read("oregon", ["m2"], at=3.0),
+        ])
+        (result,) = evaluate_metrics(
+            trace, (BUILTIN_SPECS["read_your_writes"],))
+        (sample,) = result.samples
+        assert sample.value == 2
+        assert sample.details["missing"] == ("m1", "m3")
 
     def test_missing_seen_before_max_depth(self):
-        ctx = ReadContext(agent="oregon", time=3.0,
-                          observed=frozenset({"m2"}),
-                          seen_before=frozenset({"m1", "m2", "m4"}))
-        spec = BUILTIN_SPECS["session_monotonicity_depth"]
-        value, details = evaluate_read(
-            spec, ctx, Arbitration(order=(), rank={}))
-        assert value == 2
-        assert details["missing"] == ("m1", "m4")
+        trace = make_trace([
+            read("oregon", ["m1", "m2", "m4"], at=2.0),
+            read("oregon", ["m2"], at=3.0),
+        ])
+        (result,) = evaluate_metrics(
+            trace, (BUILTIN_SPECS["session_monotonicity_depth"],))
+        (sample,) = result.samples
+        assert result.value == sample.value == 2
+        assert sample.details["missing"] == ("m1", "m4")
 
     def test_relaxation_counts_skips_below_frontier(self):
         # Arbitration m1 < m2 < m3 < m4; the read sees only m3, so
@@ -239,6 +242,50 @@ class TestEvaluateMetrics:
         assert result.value == 1
         (sample,) = result.samples
         assert sample.time == read("ireland", [], at=3.0).response_local
+
+
+def assert_missing_metrics_match_oracles(trace):
+    """Value and every sample of the three ``missing``-class metrics.
+
+    The oracles name each violating read as ``(agent, time, missing)``
+    without ever sorting the trace; the sample's view must be that of
+    a read the agent completed at that instant, its value the size of
+    its ``missing`` set, and samples arrive in canonical read order —
+    so reference times never step back.
+    """
+    ryw, mr, depth = evaluate_metrics(trace, resolve_metrics((
+        "read_your_writes", "monotonic_reads",
+        "session_monotonicity_depth")))
+    views = Counter((r.agent, trace.corrected_response(r), r.observed)
+                    for r in trace.reads())
+    for result, oracle in ((ryw, oracle_ryw), (mr, oracle_mr),
+                           (depth, oracle_mr)):
+        expected = oracle(trace)
+        samples = result.samples
+        assert Counter((s.agent, s.time, s.details["missing"])
+                       for s in samples) == expected
+        assert not Counter((s.agent, s.time, s.details["observed"])
+                           for s in samples) - views
+        for s in samples:
+            assert s.value == len(s.details["missing"]) > 0
+            assert not set(s.details["missing"]) & set(
+                s.details["observed"])
+        times = [s.time for s in samples]
+        assert times == sorted(times)
+        assert result.value == (
+            max((len(missing) for _, _, missing in expected), default=0)
+            if result is depth else sum(expected.values()))
+
+
+class TestMissingMetricsMatchOracles:
+    @settings(max_examples=200, deadline=None)
+    @given(trace=skewed_traces())
+    def test_skewed_arbitrary_traces(self, trace):
+        assert_missing_metrics_match_oracles(trace)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_adversarial_random_traces(self, seed):
+        assert_missing_metrics_match_oracles(random_trace(seed))
 
 
 class TestRecordCodec:

@@ -6,9 +6,9 @@ Three equalities make spec-defined metrics trustworthy:
   (values, samples, details) must be the same whether a test reaches
   it by sorted replay (``analyze_trace``), through the live watermark
   sequencer, or from archived trace events;
-* **spec == legacy** — the two paper predicates re-expressed as
-  metric specs must flag the same (agent, time, evidence) reads as
-  the original checkers;
+* **fold identity** — the two paper predicates offered as metrics are
+  folds over their checkers' evidence, so each must report exactly
+  the (agent, time, evidence) reads ``check_all`` reports;
 * **serial == parallel** — a fleet run with metrics enabled must
   produce byte-identical records at any job count.
 
@@ -21,12 +21,13 @@ import dataclasses
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.core import check_all
 from repro.io import load_campaign, save_campaign
 from repro.methodology import CampaignConfig, run_campaign
 from repro.core.stream import run_to_completion
 from repro.relations import (
     StreamingMetricEvaluator,
-    legacy_verdict_mismatches,
+    evaluate_metrics,
     resolve_metrics,
 )
 from repro.relations.registry import metric_names
@@ -110,17 +111,36 @@ class TestStreamingBatchParity:
         assert any(m.startswith("metrics:") for m in mismatches)
 
 
+def assert_metrics_fold_the_report(trace):
+    """Each predicate-as-metric counts its checker's observations.
+
+    Element order differs by construction (the report groups by
+    agent, samples follow canonical read order), so both sides are
+    compared as sorted evidence keys.
+    """
+    def keys(items):
+        return sorted((item.agent, item.time,
+                       item.details["missing"],
+                       item.details["observed"]) for item in items)
+
+    report = check_all(trace)
+    for kind in ("read_your_writes", "monotonic_reads"):
+        (result,) = evaluate_metrics(trace, resolve_metrics((kind,)))
+        assert result.value == report.count(kind)
+        assert keys(result.samples) == keys(report.observations[kind])
+
+
 class TestLegacyEquivalence:
     @pytest.mark.parametrize("service", [
         "googleplus", "facebook_feed", "facebook_group", "quorum_kv",
     ])
     def test_specs_match_checkers_on_campaigns(self, service):
         for trace in campaign_traces(service):
-            assert legacy_verdict_mismatches(trace) == []
+            assert_metrics_fold_the_report(trace)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_specs_match_checkers_on_random_traces(self, seed):
-        assert legacy_verdict_mismatches(random_trace(seed)) == []
+        assert_metrics_fold_the_report(random_trace(seed))
 
 
 class TestFleetByteIdentity:
