@@ -34,9 +34,12 @@ Counting and example selection are shared with order divergence:
 from __future__ import annotations
 
 from repro.core.anomalies.base import CONTENT_DIVERGENCE
-from repro.core.anomalies.pairwise import PairwiseDivergenceChecker
+from repro.core.anomalies.pairwise import (
+    DivergenceKind,
+    PairwiseDivergenceChecker,
+)
 
-__all__ = ["ContentDivergenceChecker", "views_content_diverged"]
+__all__ = ["ContentDivergenceChecker", "views_content_diverged", "CONTENT"]
 
 
 def views_content_diverged(view_a: tuple[str, ...],
@@ -46,19 +49,24 @@ def views_content_diverged(view_a: tuple[str, ...],
     return bool(set_a - set_b) and bool(set_b - set_a)
 
 
+def _example(left_view: tuple[str, ...],
+             right_view: tuple[str, ...]) -> dict:
+    left_set, right_set = set(left_view), set(right_view)
+    return {
+        "left_only": tuple(sorted(left_set - right_set)),
+        "right_only": tuple(sorted(right_set - left_set)),
+        "left_observed": left_view,
+        "right_observed": right_view,
+    }
+
+
+#: Content divergence as the pairwise view machine runs it.
+CONTENT = DivergenceKind("content", views_content_diverged,
+                         CONTENT_DIVERGENCE, _example)
+
+
 class ContentDivergenceChecker(PairwiseDivergenceChecker):
     """Detects cross-missing writes between reads of different agents."""
 
     anomaly = CONTENT_DIVERGENCE
-
-    _diverged = staticmethod(views_content_diverged)
-
-    def _example(self, left_view: tuple[str, ...],
-                 right_view: tuple[str, ...]) -> dict:
-        left_set, right_set = set(left_view), set(right_view)
-        return {
-            "left_only": tuple(sorted(left_set - right_set)),
-            "right_only": tuple(sorted(right_set - left_set)),
-            "left_observed": left_view,
-            "right_observed": right_view,
-        }
+    kind = CONTENT

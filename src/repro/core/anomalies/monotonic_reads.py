@@ -37,7 +37,6 @@ from repro.core.anomalies.base import (
     AnomalyObservation,
 )
 from repro.core.stream import StreamOp, TestMeta
-from repro.core.trace import ReadOp
 
 __all__ = ["MonotonicReadsChecker"]
 
@@ -60,9 +59,9 @@ class MonotonicReadsChecker(AnomalyChecker):
 
     def observe(self, meta: TestMeta,
                 sop: StreamOp) -> list[AnomalyObservation]:
-        op = sop.op
-        if not isinstance(op, ReadOp):
+        if not sop.is_read:
             return []
+        op = sop.op
         seen_so_far = self._seen[meta.test_id][op.agent]
         missing = seen_so_far.difference(op.observed)
         seen_so_far.update(op.observed)

@@ -41,7 +41,6 @@ from repro.core.anomalies.base import (
     AnomalyObservation,
 )
 from repro.core.stream import StreamOp, TestMeta
-from repro.core.trace import WriteOp
 
 __all__ = ["MonotonicWritesChecker"]
 
@@ -65,7 +64,7 @@ class MonotonicWritesChecker(AnomalyChecker):
                 sop: StreamOp) -> list[AnomalyObservation]:
         op = sop.op
         sessions = self._writes[meta.test_id]
-        if isinstance(op, WriteOp):
+        if not sop.is_read:
             insort(sessions[op.agent], (op.invoke_local, sop.seq,
                                         sop.time, op.message_id))
             return []

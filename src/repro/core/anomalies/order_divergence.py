@@ -26,10 +26,13 @@ Counting and example selection are shared with content divergence:
 from __future__ import annotations
 
 from repro.core.anomalies.base import ORDER_DIVERGENCE
-from repro.core.anomalies.pairwise import PairwiseDivergenceChecker
+from repro.core.anomalies.pairwise import (
+    DivergenceKind,
+    PairwiseDivergenceChecker,
+)
 
 __all__ = ["OrderDivergenceChecker", "views_order_diverged",
-           "first_inversion"]
+           "first_inversion", "ORDER"]
 
 
 def first_inversion(view_a: tuple[str, ...],
@@ -60,17 +63,22 @@ def views_order_diverged(view_a: tuple[str, ...],
     return first_inversion(view_a, view_b) is not None
 
 
+def _example(left_view: tuple[str, ...],
+             right_view: tuple[str, ...]) -> dict:
+    return {
+        "inverted": first_inversion(left_view, right_view),
+        "left_observed": left_view,
+        "right_observed": right_view,
+    }
+
+
+#: Order divergence as the pairwise view machine runs it.
+ORDER = DivergenceKind("order", views_order_diverged,
+                       ORDER_DIVERGENCE, _example)
+
+
 class OrderDivergenceChecker(PairwiseDivergenceChecker):
     """Detects inverted relative orders between different agents' reads."""
 
     anomaly = ORDER_DIVERGENCE
-
-    _diverged = staticmethod(views_order_diverged)
-
-    def _example(self, left_view: tuple[str, ...],
-                 right_view: tuple[str, ...]) -> dict:
-        return {
-            "inverted": first_inversion(left_view, right_view),
-            "left_observed": left_view,
-            "right_observed": right_view,
-        }
+    kind = ORDER

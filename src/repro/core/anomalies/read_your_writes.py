@@ -38,7 +38,6 @@ from repro.core.anomalies.base import (
     AnomalyObservation,
 )
 from repro.core.stream import StreamOp, TestMeta
-from repro.core.trace import WriteOp
 
 __all__ = ["ReadYourWritesChecker"]
 
@@ -64,7 +63,7 @@ class ReadYourWritesChecker(AnomalyChecker):
                 sop: StreamOp) -> list[AnomalyObservation]:
         op = sop.op
         session = self._writes[meta.test_id][op.agent]
-        if isinstance(op, WriteOp):
+        if not sop.is_read:
             insort(session, (op.invoke_local, sop.seq,
                              op.response_local, op.message_id))
             return []

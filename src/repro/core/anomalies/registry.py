@@ -27,16 +27,24 @@ from repro.core.anomalies.writes_follow_reads import WritesFollowReadsChecker
 from repro.core.stream import run_to_completion
 from repro.core.trace import TestTrace
 
-__all__ = ["default_checkers", "check_all", "TraceReport"]
+__all__ = ["session_checkers", "default_checkers", "check_all",
+           "TraceReport"]
 
 
-def default_checkers() -> list[AnomalyChecker]:
-    """Fresh instances of all six checkers, in the paper's order."""
+def session_checkers() -> list[AnomalyChecker]:
+    """Fresh instances of the four §III.1 checkers, in paper order."""
     return [
         ReadYourWritesChecker(),
         MonotonicWritesChecker(),
         MonotonicReadsChecker(),
         WritesFollowReadsChecker(),
+    ]
+
+
+def default_checkers() -> list[AnomalyChecker]:
+    """Fresh instances of all six checkers, in the paper's order."""
+    return [
+        *session_checkers(),
         ContentDivergenceChecker(),
         OrderDivergenceChecker(),
     ]

@@ -106,7 +106,7 @@ class WritesFollowReadsChecker(AnomalyChecker):
         state = self._tests[meta.test_id]
         op = sop.op
         fired: list[AnomalyObservation] = []
-        if isinstance(op, WriteOp):
+        if not sop.is_read:
             deps = self._dependencies(meta, state, op)
             state.deps[op.message_id] = deps
             # Resolve reads that observed this write before its own

@@ -21,40 +21,40 @@ fraction is reported (the paper does the same for Fig. 10).
 :class:`WindowTracker` computes this as interval **open/close events**
 over the operation stream (:mod:`repro.core.stream`): each read is a
 step of its agent's view function, and canonical stream order delivers
-the change points already sorted.  The predicate is evaluated once per
-*distinct* change point, after every read at that instant has been
-applied — so the tracker commits lazily: reads at the same corrected
-time only overwrite the pending views, and the predicate runs when the
-first strictly-later read (or the end of the test) proves the instant
-complete.  Each commit that flips the predicate emits a
+the change points already sorted.  The stepping itself — lazy commit
+of each distinct change point, after every read at that instant has
+been applied, one predicate evaluation per distinct view pair — is the
+pairwise view machine's (:mod:`repro.core.anomalies.pairwise`), shared
+with the divergence checkers; the tracker is its window projection.
+Each commit that flips the predicate emits a
 :class:`~repro.obs.events.WindowEvent` — the live "pair X diverged at
-t" / "pair X reconverged at t" feed.  State per open test is one
-(views, pending time, window start) record per agent pair.
-:func:`divergence_windows` is the tracker run to completion over a
-finished trace.
+t" / "pair X reconverged at t" feed.  :func:`divergence_windows` is
+the tracker run to completion over a finished trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass, replace
 
 from repro.core.anomalies.content_divergence import views_content_diverged
 from repro.core.anomalies.order_divergence import views_order_diverged
+from repro.core.anomalies.pairwise import (
+    DivergenceKind,
+    PairwiseViews,
+    ViewPredicate,
+)
 from repro.core.stream import StreamOp, TestMeta, run_to_completion
-from repro.core.trace import ReadOp, TestTrace
+from repro.core.trace import TestTrace
 from repro.obs.events import WindowEvent
 
 __all__ = [
     "WindowResult",
     "WindowTracker",
+    "window_results",
     "divergence_windows",
     "content_divergence_windows",
     "order_divergence_windows",
 ]
-
-#: Predicate over two views, e.g. ``views_content_diverged``.
-ViewPredicate = Callable[[tuple[str, ...], tuple[str, ...]], bool]
 
 
 @dataclass(frozen=True)
@@ -99,45 +99,17 @@ class WindowResult:
         return sum(end - start for start, end in self.intervals)
 
 
-@dataclass
-class _PairWindows:
-    """Window state for one agent pair in one test."""
-
-    pair: tuple[str, str]
-    views: dict[str, tuple[str, ...]]
-    #: Latest corrected read time seen, not yet evaluated.
-    pending: float | None = None
-    #: The predicate's value at the last commit, and whether a view
-    #: changed since (agents mostly re-read an unchanged view).
-    diverged: bool = False
-    stale: bool = False
-    window_start: float | None = None
-    intervals: list[tuple[float, float]] = field(default_factory=list)
-
-    def commit(self, kind: str,
-               predicate: ViewPredicate) -> WindowEvent | None:
-        """Evaluate the predicate at the pending change point."""
-        if self.pending is None:
-            return None
-        time = self.pending
-        if self.stale:
-            left, right = self.pair
-            self.diverged = predicate(self.views[left],
-                                      self.views[right])
-            self.stale = False
-        diverged = self.diverged
-        if diverged and self.window_start is None:
-            self.window_start = time
-            return WindowEvent(kind=kind, action="opened",
-                               pair=self.pair, time=time)
-        if not diverged and self.window_start is not None:
-            start = self.window_start
-            self.intervals.append((start, time))
-            self.window_start = None
-            return WindowEvent(kind=kind, action="closed",
-                               pair=self.pair, time=time,
-                               start=start)
-        return None
+def window_results(test, k: int) -> dict[tuple[str, str], WindowResult]:
+    """Kind ``k``'s windows of a test :class:`PairwiseViews` retired,
+    keyed in ``agent_pairs`` order."""
+    return {
+        step.pair: WindowResult(
+            pair=step.pair,
+            intervals=tuple(step.intervals[k]),
+            converged=step.starts[k] is None,
+        )
+        for step in test.pairs
+    }
 
 
 class WindowTracker:
@@ -153,67 +125,24 @@ class WindowTracker:
     def __init__(self, kind: str, predicate: ViewPredicate) -> None:
         self.kind = kind
         self.predicate = predicate
-        self._pairs: dict[str, list[_PairWindows]] = {}
+        self._views = PairwiseViews((DivergenceKind(kind, predicate),))
 
     def open_test(self, meta: TestMeta) -> None:
-        self._pairs[meta.test_id] = [
-            _PairWindows(
-                pair=tuple(sorted((first, second))),
-                views={first: (), second: ()},
-            )
-            for first, second in meta.agent_pairs()
-        ]
+        self._views.open_test(meta)
 
     def observe(self, meta: TestMeta,
                 sop: StreamOp) -> list[WindowEvent]:
-        op = sop.op
-        if not isinstance(op, ReadOp):
-            return []
-        events: list[WindowEvent] = []
-        for state in self._pairs[meta.test_id]:
-            if op.agent not in state.views:
-                continue
-            if state.pending is not None and sop.time > state.pending:
-                event = state.commit(self.kind, self.predicate)
-                if event is not None:
-                    events.append(event)
-            if state.views[op.agent] != op.observed:
-                state.views[op.agent] = op.observed
-                state.stale = True
-            state.pending = sop.time
-        return events
+        return list(self._views.observe(meta, sop))
 
     def close_test(
         self, meta: TestMeta
     ) -> tuple[dict[tuple[str, str], WindowResult],
                list[WindowEvent]]:
-        events: list[WindowEvent] = []
-        windows: dict[tuple[str, str], WindowResult] = {}
-        for state in self._pairs.pop(meta.test_id):
-            event = state.commit(self.kind, self.predicate)
-            if event is not None:
-                events.append(event)
-            converged = state.window_start is None
-            if state.window_start is not None:
-                # Still divergent at the last observation: close the
-                # interval there so `total`/`largest` stay meaningful,
-                # but flag the pair as unconverged.
-                assert state.pending is not None
-                state.intervals.append(
-                    (state.window_start, state.pending)
-                )
-            windows[state.pair] = WindowResult(
-                pair=state.pair,
-                intervals=tuple(state.intervals),
-                converged=converged,
-            )
-        return windows, events
+        test, events = self._views.close_test(meta)
+        return window_results(test, 0), events
 
     def state_size(self) -> int:
-        return sum(
-            len(states) + sum(len(s.intervals) for s in states)
-            for states in self._pairs.values()
-        )
+        return self._views.state_size()
 
 
 def divergence_windows(trace: TestTrace, agent_a: str, agent_b: str,

@@ -177,29 +177,31 @@ def evaluate_read(
     (``frontier``/``skipped``/``inverted``); a ``missing`` sample
     carries its checker observation's ``missing``/``observed``.
     """
-    ranked = [m for m in ctx.observed if m in arbitration.rank]
+    rank = arbitration.rank
+    ranks = [rank[m] for m in ctx.observed if m in rank]
     if spec.violation == "relaxation":
-        if not ranked:
+        if not ranks:
             return 0, {}
-        frontier = max(arbitration.rank[m] for m in ranked)
+        frontier = max(ranks)
+        if len(set(ranks)) == frontier + 1:
+            return 0, {}  # a rank prefix: nothing below the frontier
         visible = set(ctx.observed)
         skipped = tuple(m for m in arbitration.order[:frontier]
                         if m not in visible)
-        if not skipped:
-            return 0, {}
         return len(skipped), {
             "frontier": arbitration.order[frontier],
             "skipped": skipped,
         }
     # inversion: visible pairs whose view order contradicts arbitration.
+    if ranks == sorted(ranks):
+        return 0, {}  # in arbitration order, as almost every view is
+    ranked = [m for m in ctx.observed if m in rank]
     inverted = tuple(
         (earlier, later)
         for i, earlier in enumerate(ranked)
         for later in ranked[i + 1:]
-        if arbitration.rank[earlier] > arbitration.rank[later]
+        if rank[earlier] > rank[later]
     )
-    if not inverted:
-        return 0, {}
     return len(inverted), {"inverted": inverted}
 
 

@@ -8,18 +8,21 @@ the :class:`~repro.core.anomalies.base.AnomalyChecker` lifecycle —
 (:func:`~repro.relations.batch.evaluate_metrics` runs it to completion
 over a finished trace):
 
-* ``missing`` specs fold a checker's evidence: for the ``expect``
-  kinds its specs name the evaluator owns a ``ReadYourWritesChecker``
-  (``own_completed``) and/or a ``MonotonicReadsChecker``
-  (``seen_before``), and every observation one fires becomes a sample
+* ``missing`` specs fold a checker's evidence: every observation the
+  ``ReadYourWritesChecker`` (``own_completed``) or the
+  ``MonotonicReadsChecker`` (``seen_before``) fires becomes a sample
   valued by the size of its ``missing`` set, in stream order — so each
-  §III predicate has exactly one implementation, its checker.
+  §III predicate has exactly one implementation, its checker, and one
+  evaluation per operation: on its own the evaluator owns the checkers
+  its specs name; inside :class:`~repro.stream.engine.StreamEngine`,
+  which runs both anyway, it folds what the engine's checkers fire.
 * ``relaxation``/``inversion`` specs rank views against the
   *arbitration* order over all of the test's logged writes — a total
   order no prefix of the stream can pin down (a later-arriving write
   may carry an earlier corrected invocation).  Their reads are parked
   as bare view snapshots and valued at ``close_test``, when the
-  arbitration order is complete; this is the same defer-to-resolution
+  arbitration order is complete — once per *distinct* view, of which
+  alone the value is a function; the same defer-to-resolution
   discipline the writes-follow-reads checker uses.
 
 All state — the owned checkers' included — is per *open* test and
@@ -50,6 +53,9 @@ _EVIDENCE = {
     "own_completed": ReadYourWritesChecker,
     "seen_before": MonotonicReadsChecker,
 }
+#: Anomaly kind of an evidence checker -> the ``expect`` kind it serves.
+_EXPECT_OF = {checker.anomaly: expect
+              for expect, checker in _EVIDENCE.items()}
 
 
 class _MetricState:
@@ -69,32 +75,45 @@ class _MetricState:
 
 
 class StreamingMetricEvaluator:
-    """Evaluate metric specs over an interleaved operation stream."""
+    """Evaluate metric specs over an interleaved operation stream.
 
-    def __init__(self, specs: tuple[MetricSpec, ...]) -> None:
+    ``fed`` is internal wiring for ``StreamEngine``, which runs the
+    evidence checkers itself and hands :meth:`observe` what each
+    operation fired; a fed evaluator owns no checker.
+    """
+
+    def __init__(self, specs: tuple[MetricSpec, ...],
+                 fed: bool = False) -> None:
         self.specs = tuple(specs)
         self._deferred = any(
             spec.needs_arbitration for spec in self.specs
         )
         expected = {spec.expect for spec in self.specs}
-        self._checkers = {
-            expect: checker() for expect, checker in _EVIDENCE.items()
-            if expect in expected
-        }
+        self._expects = [expect for expect in _EVIDENCE
+                         if expect in expected]
+        self._checkers = [] if fed else [
+            _EVIDENCE[expect]() for expect in self._expects
+        ]
         self._tests: dict[str, _MetricState] = {}
 
     # -- lifecycle ----------------------------------------------------
 
     def open_test(self, meta: TestMeta) -> None:
-        self._tests[meta.test_id] = _MetricState(self._checkers)
-        for checker in self._checkers.values():
+        self._tests[meta.test_id] = _MetricState(self._expects)
+        for checker in self._checkers:
             checker.open_test(meta)
 
-    def observe(self, meta: TestMeta, sop: StreamOp) -> None:
+    def observe(self, meta: TestMeta, sop: StreamOp,
+                fired=()) -> None:
+        """Ingest one operation (and, when fed, what it ``fired``)."""
         state = self._tests[meta.test_id]
-        for expect, checker in self._checkers.items():
-            for obs in checker.observe(meta, sop):
-                state.evidence[expect].append(MetricSample(
+        if self._checkers:
+            fired = [obs for checker in self._checkers
+                     for obs in checker.observe(meta, sop)]
+        for obs in fired:
+            samples = state.evidence.get(_EXPECT_OF.get(obs.anomaly))
+            if samples is not None:
+                samples.append(MetricSample(
                     obs.agent, obs.time, len(obs.details["missing"]),
                     obs.details))
         op = sop.op
@@ -109,17 +128,21 @@ class StreamingMetricEvaluator:
     def close_test(self, meta: TestMeta) -> tuple[MetricResult, ...]:
         """Finish one test: resolve deferred specs, drop all state."""
         state = self._tests.pop(meta.test_id)
-        for checker in self._checkers.values():
+        for checker in self._checkers:
             checker.close_test(meta)
         arbitration = Arbitration.from_keyed(state.writes_keyed)
         results: list[MetricResult] = []
         for spec in self.specs:
             if spec.needs_arbitration:
                 samples = []
+                valued: dict[tuple[str, ...], tuple[int, dict]] = {}
                 for ctx in state.pending:
-                    value, details = evaluate_read(
-                        spec, ctx, arbitration
-                    )
+                    scored = valued.get(ctx.observed)
+                    if scored is None:
+                        scored = valued[ctx.observed] = evaluate_read(
+                            spec, ctx, arbitration
+                        )
+                    value, details = scored
                     if value > 0:
                         samples.append(MetricSample(
                             agent=ctx.agent, time=ctx.time,
@@ -139,7 +162,7 @@ class StreamingMetricEvaluator:
     def state_size(self) -> int:
         """Retained state atoms across all open tests."""
         total = sum(checker.state_size()
-                    for checker in self._checkers.values())
+                    for checker in self._checkers)
         for state in self._tests.values():
             total += len(state.writes_keyed)
             total += sum(len(samples)

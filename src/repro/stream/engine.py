@@ -1,8 +1,10 @@
 """The online anomaly-detection engine.
 
 :class:`StreamEngine` fans one canonical-order operation stream out to
-the six checkers plus the two divergence-window trackers (and the
-metric evaluator, when asked), and distills every closed test into a
+the four session checkers and the pairwise view machine — which is
+both divergence checkers and both divergence-window trackers
+(:mod:`repro.core.anomalies.pairwise`) — plus the metric evaluator,
+when asked, and distills every closed test into a
 :class:`~repro.methodology.runner.TestRecord` — the one place a record
 is built from checker output;
 :func:`~repro.methodology.runner.analyze_trace` is this engine run to
@@ -11,12 +13,19 @@ parity (sorted replay == live sequencer == archived events), enforced
 by the tests and the ``stream`` CI gate.
 
 Memory model: per *open* test the engine holds O(agents x active-keys)
-checker state plus O(1) counters; a closed test's state is dropped by
-every checker and only its distilled record is retained, in a ring
-bounded by the **eviction horizon** (``horizon`` closed records; older
-ones fall off).  :meth:`StreamEngine.state_size` sums every layer so
-telemetry — and the throughput benchmark's bounded-memory assertion —
-measures the real footprint.
+checker state, one table of the test's distinct views shared by the
+whole divergence family, plus O(1) counters; a closed test's state is
+dropped by every consumer and only its distilled record is retained,
+in a ring bounded by the **eviction horizon** (``horizon`` closed
+records; older ones fall off).  :meth:`StreamEngine.state_size` sums
+every layer, each shared atom once, so telemetry — and the throughput
+benchmark's bounded-memory assertion — measures the real footprint.
+Cost model (``docs/stream.md``): dispatch is per operation; everything
+expensive follows view *changes*, which polling agents rarely make —
+a divergence predicate runs once per distinct view pair, a session
+predicate once per operation (the evaluator folds what the engine's
+own checkers fire), and an operation that fires nothing allocates
+nothing.
 """
 
 from __future__ import annotations
@@ -28,14 +37,14 @@ from repro.core.anomalies.base import (
     ALL_ANOMALIES,
     AnomalyObservation,
 )
-from repro.core.anomalies.content_divergence import (
-    views_content_diverged,
-)
-from repro.core.anomalies.order_divergence import views_order_diverged
-from repro.core.anomalies.registry import TraceReport, default_checkers
+from repro.core.anomalies.content_divergence import CONTENT
+from repro.core.anomalies.order_divergence import ORDER
+from repro.core.anomalies.pairwise import PairwiseViews
+from repro.core.anomalies.registry import TraceReport, session_checkers
 from repro.core.stream import StreamOp, TestMeta
 from repro.core.trace import TestTrace
-from repro.core.windows import WindowTracker
+from repro.core.windows import window_results
+from repro.errors import AnalysisError
 from repro.methodology.runner import TestRecord
 from repro.obs import ObsContext
 from repro.obs.events import WindowEvent
@@ -58,14 +67,19 @@ class Emission:
         return bool(self.observations or self.window_events)
 
 
+#: What an operation that fired nothing returns.
+_NOTHING = Emission()
+
+
 @dataclass
 class _TestCounters:
     """Per-open-test bookkeeping outside the checkers."""
 
     reads: dict[str, int]
     writes: dict[str, int]
-    min_time: float | None = None
-    max_time: float | None = None
+    #: Stream times never decrease within a test: first op to latest.
+    first_time: float | None = None
+    last_time: float | None = None
 
 
 class StreamEngine:
@@ -85,16 +99,16 @@ class StreamEngine:
         #: times — so exports depend on the operation stream alone,
         #: never on host scheduling.
         self.obs = obs
-        self.checkers = default_checkers()
+        self.checkers = session_checkers()
+        #: Both divergence checkers and both window trackers.
+        self.divergence = PairwiseViews((CONTENT, ORDER))
         #: Optional relation-layer metric evaluator: ``metrics`` is a
         #: tuple of resolved :class:`repro.relations.spec.MetricSpec`
-        #: objects; results ride each closed test's record.
-        self.metric_evaluator = (StreamingMetricEvaluator(metrics)
-                                 if metrics else None)
-        self.content_windows = WindowTracker(
-            "content", views_content_diverged)
-        self.order_windows = WindowTracker(
-            "order", views_order_diverged)
+        #: objects; results ride each closed test's record.  It folds
+        #: what ``checkers`` fire rather than running its own.
+        self.metric_evaluator = (
+            StreamingMetricEvaluator(metrics, fed=True)
+            if metrics else None)
         self._counters: dict[str, _TestCounters] = {}
         #: Distilled records of closed tests, newest last; bounded by
         #: the eviction horizon (None = keep everything).
@@ -109,6 +123,8 @@ class StreamEngine:
     # -- lifecycle ----------------------------------------------------
 
     def open_test(self, meta: TestMeta) -> None:
+        if meta.test_id in self._counters:
+            raise AnalysisError(f"test {meta.test_id!r} is already open")
         self._counters[meta.test_id] = _TestCounters(
             reads={agent: 0 for agent in meta.agents},
             writes={agent: 0 for agent in meta.agents},
@@ -117,30 +133,31 @@ class StreamEngine:
             checker.open_test(meta)
         if self.metric_evaluator is not None:
             self.metric_evaluator.open_test(meta)
-        self.content_windows.open_test(meta)
-        self.order_windows.open_test(meta)
+        self.divergence.open_test(meta)
 
     def observe(self, meta: TestMeta, sop: StreamOp) -> Emission:
         counters = self._counters[meta.test_id]
-        agent = sop.agent
-        if sop.is_read:
-            counters.reads[agent] += 1
-        else:
-            counters.writes[agent] += 1
-        if counters.min_time is None or sop.time < counters.min_time:
-            counters.min_time = sop.time
-        if counters.max_time is None or sop.time > counters.max_time:
-            counters.max_time = sop.time
+        if counters.first_time is None:
+            counters.first_time = sop.time
+        counters.last_time = sop.time
         self.operations_seen += 1
 
-        observations: list[AnomalyObservation] = []
+        fired = ()
         for checker in self.checkers:
-            observations.extend(checker.observe(meta, sop))
+            observations = checker.observe(meta, sop)
+            if observations:
+                fired = fired + observations if fired else observations
         if self.metric_evaluator is not None:
-            self.metric_evaluator.observe(meta, sop)
-        events = list(self.content_windows.observe(meta, sop))
-        events.extend(self.order_windows.observe(meta, sop))
-        return Emission(tuple(observations), tuple(events))
+            self.metric_evaluator.observe(meta, sop, fired)
+        if sop.is_read:
+            counters.reads[sop.agent] += 1
+            events = self.divergence.observe(meta, sop)
+        else:
+            counters.writes[sop.agent] += 1
+            events = ()
+        if not fired and not events:
+            return _NOTHING
+        return Emission(tuple(fired), tuple(events))
 
     def close_test(self, meta: TestMeta,
                    trace: TestTrace | None = None) -> TestRecord:
@@ -155,6 +172,11 @@ class StreamEngine:
             closed = checker.close_test(meta)
             self.anomaly_counts[checker.anomaly] += len(closed)
             observations.extend(closed)
+        views, _ = self.divergence.close_test(meta)
+        for k, kind in enumerate(self.divergence.kinds):
+            closed = views.observations(k)
+            self.anomaly_counts[kind.anomaly] += len(closed)
+            observations.extend(closed)
         report = TraceReport.from_observations(
             meta.test_id, meta.service, meta.test_type, meta.agents,
             observations,
@@ -162,18 +184,15 @@ class StreamEngine:
         metric_results: tuple = ()
         if self.metric_evaluator is not None:
             metric_results = self.metric_evaluator.close_test(meta)
-        content, _ = self.content_windows.close_test(meta)
-        order, _ = self.order_windows.close_test(meta)
         duration = 0.0
-        if counters.min_time is not None:
-            assert counters.max_time is not None
-            duration = counters.max_time - counters.min_time
+        if counters.first_time is not None:
+            duration = counters.last_time - counters.first_time
         record = TestRecord(
             test_id=meta.test_id,
             test_type=meta.test_type,
             report=report,
-            content_windows=content,
-            order_windows=order,
+            content_windows=window_results(views, 0),
+            order_windows=window_results(views, 1),
             reads_per_agent=dict(counters.reads),
             writes_per_agent=dict(counters.writes),
             duration=duration,
@@ -183,7 +202,7 @@ class StreamEngine:
         self.results.append(record)
         self.tests_closed += 1
         if self.obs is not None:
-            at = counters.max_time if counters.max_time is not None \
+            at = counters.last_time if counters.last_time is not None \
                 else 0.0
             metrics = self.obs.metrics
             metrics.counter("stream.tests_closed_total",
@@ -218,8 +237,7 @@ class StreamEngine:
     def state_size(self) -> int:
         """Retained state atoms across checkers, trackers, results."""
         total = sum(c.state_size() for c in self.checkers)
-        total += self.content_windows.state_size()
-        total += self.order_windows.state_size()
+        total += self.divergence.state_size()
         if self.metric_evaluator is not None:
             total += self.metric_evaluator.state_size()
         for counters in self._counters.values():

@@ -81,6 +81,10 @@ class OpIngest:
     # -- OperationObserver protocol -----------------------------------
 
     def test_opened(self, trace: TestTrace) -> None:
+        if trace.test_id in self._tests:
+            raise AnalysisError(  # not: silently restart mid-test
+                f"test {trace.test_id!r} opened again before its "
+                f"test_close")
         meta = TestMeta.from_trace(trace)
         self._tests[trace.test_id] = _LiveTest(meta=meta)
         self.engine.open_test(meta)

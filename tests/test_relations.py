@@ -12,7 +12,7 @@ here.
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.io import record_from_dict, record_to_dict
@@ -183,6 +183,66 @@ class TestEvaluateRead:
             arb,
         )
         assert value == 0
+
+
+def unshortened_scan(spec, ctx, arbitration):
+    """``evaluate_read`` without its O(k) shortcuts: the full frontier
+    scan and the full pair scan, whatever the view looks like."""
+    ranked = [m for m in ctx.observed if m in arbitration.rank]
+    if spec.violation == "relaxation":
+        if not ranked:
+            return 0, {}
+        frontier = max(arbitration.rank[m] for m in ranked)
+        visible = set(ctx.observed)
+        skipped = tuple(m for m in arbitration.order[:frontier]
+                        if m not in visible)
+        if not skipped:
+            return 0, {}
+        return len(skipped), {
+            "frontier": arbitration.order[frontier],
+            "skipped": skipped,
+        }
+    inverted = tuple(
+        (earlier, later)
+        for i, earlier in enumerate(ranked)
+        for later in ranked[i + 1:]
+        if arbitration.rank[earlier] > arbitration.rank[later]
+    )
+    if not inverted:
+        return 0, {}
+    return len(inverted), {"inverted": inverted}
+
+
+class TestEvaluateReadShortcuts:
+    """In-order views skip the pair scan and rank-prefix views the
+    frontier scan; neither may change a value or its details."""
+
+    IDS = [f"m{index}" for index in range(7)]
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        logged=st.permutations(IDS).flatmap(
+            lambda ids: st.integers(0, len(ids)).map(
+                lambda cut: ids[:cut])),
+        # Mostly in-order prefixes (what services return), plus
+        # arbitrary samples with unlogged ids and repeats.
+        observed=st.one_of(
+            st.integers(0, 7),
+            st.lists(st.sampled_from(IDS + ["ghost"]), max_size=9),
+        ),
+        violation=st.sampled_from(("relaxation", "inversion")),
+    )
+    def test_shortcuts_equal_the_unshortened_scan(
+            self, logged, observed, violation):
+        arb = Arbitration.from_keyed(
+            [(float(at), at, mid) for at, mid in enumerate(logged)])
+        if isinstance(observed, int):
+            observed = list(arb.order[:observed])
+        spec = MetricSpec(name="x", expect="visible",
+                          violation=violation, measure="sum")
+        ctx = ReadContext("tokyo", 5.0, tuple(observed))
+        assert evaluate_read(spec, ctx, arb) == \
+            unshortened_scan(spec, ctx, arb)
 
 
 class TestAggregate:
