@@ -13,14 +13,13 @@ services; those layers live in :mod:`repro.net` and
 """
 
 from repro.sim.clock import DriftingClock, PerfectClock, make_host_clock
-from repro.sim.event_loop import EventHandle, Simulator
+from repro.sim.event_loop import Simulator
 from repro.sim.future import AllOf, AnyOf, Future, Quorum, gather
 from repro.sim.process import Process, spawn
 from repro.sim.random_source import RandomSource
 
 __all__ = [
     "Simulator",
-    "EventHandle",
     "Future",
     "AllOf",
     "AnyOf",

@@ -54,7 +54,9 @@ class DriftingClock:
 
     def now(self) -> float:
         """The local clock reading at the current instant."""
-        return self._sim.now * self._rate + self.offset
+        # ``_rate`` spelled out: every timestamp an agent takes is here.
+        return (self._sim.now * (1.0 + self.drift_ppm * 1e-6)
+                + self.offset)
 
     def to_local(self, true_time: float) -> float:
         """Convert a ground-truth time to this clock's reading."""

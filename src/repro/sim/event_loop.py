@@ -7,52 +7,31 @@ callbacks scheduled on this queue.  Time only advances when the kernel
 pops an event, so a simulated 30-day measurement campaign executes in
 however long the callbacks themselves take.
 
-Events scheduled for the same virtual time fire in FIFO order of
-scheduling (a monotonically increasing sequence number breaks ties),
-which keeps runs deterministic for a fixed seed.
+The contract, in one place:
+
+* A pending event is one heap entry ``(time, seq, callback, args)``;
+  ``seq`` counts scheduling calls, so events due at the same virtual
+  time fire in FIFO order of scheduling and a run is deterministic for
+  a fixed seed.
+* Every event enters through :meth:`Simulator.schedule_at`
+  (``schedule_after`` delegates to it), which returns ``seq`` as an
+  opaque token for :meth:`Simulator.cancel`.  A cancelled entry stays
+  in the heap until it reaches the head and is dropped there: it
+  neither fires, nor counts, nor stalls ``run_until`` — and an event
+  nobody cancels costs no handle object.
+* ``step``, ``run``, ``run_until`` and ``next_event_time`` are one
+  drain loop under different bounds.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
+from heapq import heappop, heappush
+from math import inf
 from typing import Any, Callable
 
 from repro.errors import DeadlockError, SimulationError
 
-__all__ = ["Simulator", "EventHandle"]
-
-
-class EventHandle:
-    """A cancellation handle for a scheduled event.
-
-    Cancelling is O(1): the entry stays in the heap but is skipped when
-    popped.  Handles also report whether the event already fired.
-    """
-
-    __slots__ = ("time", "_cancelled", "_fired")
-
-    def __init__(self, time: float) -> None:
-        self.time = time
-        self._cancelled = False
-        self._fired = False
-
-    def cancel(self) -> None:
-        """Prevent the event from firing (no-op if it already fired)."""
-        self._cancelled = True
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    @property
-    def fired(self) -> bool:
-        return self._fired
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = ("fired" if self._fired
-                 else "cancelled" if self._cancelled else "pending")
-        return f"<EventHandle t={self.time:.6f} {state}>"
+__all__ = ["Simulator"]
 
 
 class Simulator:
@@ -70,10 +49,11 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._heap: list[tuple[float, int, EventHandle,
-                               Callable[..., None], tuple]] = []
-        self._sequence = itertools.count()
-        self._events_processed = 0
+        self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
+        self._scheduled = 0
+        #: Tokens of cancelled entries still in the heap.
+        self._cancelled: set[int] = set()
+        self._dropped = 0
         self._running = False
 
     # -- Clock -----------------------------------------------------------
@@ -85,8 +65,13 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        """Total number of events executed so far."""
-        return self._events_processed
+        """Total number of events executed so far.
+
+        Every scheduled entry is pending, dropped as cancelled, or was
+        popped to fire (the one firing right now included), so the
+        loop keeps no counter of its own.
+        """
+        return self._scheduled - len(self._heap) - self._dropped
 
     @property
     def pending_events(self) -> int:
@@ -96,56 +81,75 @@ class Simulator:
     # -- Scheduling --------------------------------------------------------
 
     def schedule_at(self, time: float, callback: Callable[..., None],
-                    *args: Any) -> EventHandle:
+                    *args: Any) -> int:
         """Schedule ``callback(*args)`` at absolute virtual ``time``.
 
-        Scheduling in the past is an error: discrete-event simulations
-        that silently clamp past events hide causality bugs.
+        Returns the token :meth:`cancel` takes.  Scheduling in the past
+        is an error: discrete-event simulations that silently clamp
+        past events hide causality bugs.  (``not >=`` so that NaN, which
+        would break the heap order silently, fails the same check.)
         """
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule event at t={time:.6f}, "
                 f"before current time t={self._now:.6f}"
             )
-        handle = EventHandle(time)
-        heapq.heappush(
-            self._heap, (time, next(self._sequence), handle, callback, args)
-        )
-        return handle
+        self._scheduled = token = self._scheduled + 1
+        heappush(self._heap, (time, token, callback, args))
+        return token
 
     def schedule_after(self, delay: float, callback: Callable[..., None],
-                       *args: Any) -> EventHandle:
+                       *args: Any) -> int:
         """Schedule ``callback(*args)`` after ``delay`` seconds."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"negative delay {delay!r}")
         return self.schedule_at(self._now + delay, callback, *args)
 
+    def cancel(self, token: int) -> None:
+        """Prevent the event ``token`` names from firing.
+
+        O(1); cancelling an event that already fired is a no-op.
+        """
+        self._cancelled.add(token)
+
     # -- Execution --------------------------------------------------------
+
+    def _drain(self, until: float, budget: float) -> float:
+        """Fire live events due by ``until``, at most ``budget`` of them.
+
+        Returns the unspent budget, and leaves a live entry (or
+        nothing) at the head of the heap.
+        """
+        heap, cancelled, pop = self._heap, self._cancelled, heappop
+        while heap:
+            time, token, callback, args = heap[0]
+            if cancelled and token in cancelled:
+                pop(heap)
+                cancelled.discard(token)
+                self._dropped += 1
+                continue
+            if time > until or not budget:
+                return budget
+            pop(heap)
+            budget -= 1
+            self._now = time
+            callback(*args)
+        # Nothing is pending, so whatever is left names fired events.
+        cancelled.clear()
+        return budget
 
     def step(self) -> bool:
         """Execute the next pending event; return False if none remain."""
-        while self._heap:
-            time, _seq, handle, callback, args = heapq.heappop(self._heap)
-            if handle.cancelled:
-                continue
-            self._now = time
-            handle._fired = True
-            self._events_processed += 1
-            callback(*args)
-            return True
-        return False
+        return not self._drain(inf, 1)
 
     def run(self, max_events: int | None = None) -> None:
         """Run until the event queue is empty (or ``max_events`` fire)."""
         self._guard_reentrancy()
+        if max_events is not None and max_events < 0:
+            raise SimulationError(f"negative event budget {max_events!r}")
         self._running = True
         try:
-            remaining = max_events
-            while self.step():
-                if remaining is not None:
-                    remaining -= 1
-                    if remaining <= 0:
-                        return
+            self._drain(inf, inf if max_events is None else max_events)
         finally:
             self._running = False
 
@@ -157,25 +161,19 @@ class Simulator:
         should persist (e.g. a read loop that must still be running).
         """
         self._guard_reentrancy()
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot run backwards to t={time:.6f} "
                 f"from t={self._now:.6f}"
             )
         self._running = True
         try:
-            while True:
-                next_time = self._peek_next_time()
-                if next_time is None:
-                    if strict:
-                        raise DeadlockError(
-                            f"event queue drained at t={self._now:.6f} "
-                            f"before reaching t={time:.6f}"
-                        )
-                    break
-                if next_time > time:
-                    break
-                self.step()
+            self._drain(time, inf)
+            if strict and not self._heap:
+                raise DeadlockError(
+                    f"event queue drained at t={self._now:.6f} "
+                    f"before reaching t={time:.6f}"
+                )
             self._now = max(self._now, time)
         finally:
             self._running = False
@@ -188,17 +186,8 @@ class Simulator:
         just past the earliest event across every shard's simulator
         instead of grinding through quiet quanta one by one.
         """
-        return self._peek_next_time()
-
-    def _peek_next_time(self) -> float | None:
-        """Time of the next live event, discarding cancelled heads."""
-        while self._heap:
-            time, _seq, handle, _callback, _args = self._heap[0]
-            if handle.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            return time
-        return None
+        self._drain(inf, 0)  # fires nothing, drops cancelled heads
+        return self._heap[0][0] if self._heap else None
 
     def _guard_reentrancy(self) -> None:
         if self._running:
@@ -209,4 +198,4 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Simulator t={self._now:.6f} pending={self.pending_events} "
-                f"processed={self._events_processed}>")
+                f"processed={self.events_processed}>")

@@ -40,7 +40,9 @@ class Future:
         self._state = _PENDING
         self._value: Any = None
         self._exception: BaseException | None = None
-        self._callbacks: list[Callable[["Future"], None]] = []
+        #: Allocated by the first ``add_callback`` on a pending future;
+        #: most futures are awaited by one process or by nobody.
+        self._callbacks: list[Callable[["Future"], None]] | None = None
         self.name = name
 
     # -- State inspection ----------------------------------------------
@@ -78,7 +80,8 @@ class Future:
             raise FutureError(f"future {self.name!r} resolved twice")
         self._state = _RESOLVED
         self._value = value
-        self._fire_callbacks()
+        if self._callbacks is not None:
+            self._fire_callbacks()
 
     def fail(self, exception: BaseException) -> None:
         """Complete the future with an exception."""
@@ -86,17 +89,20 @@ class Future:
             raise FutureError(f"future {self.name!r} resolved twice")
         self._state = _FAILED
         self._exception = exception
-        self._fire_callbacks()
+        if self._callbacks is not None:
+            self._fire_callbacks()
 
     def add_callback(self, callback: Callable[["Future"], None]) -> None:
         """Run ``callback(self)`` when done (immediately if already done)."""
-        if self.done:
+        if self._state != _PENDING:
             callback(self)
+        elif self._callbacks is None:
+            self._callbacks = [callback]
         else:
             self._callbacks.append(callback)
 
     def _fire_callbacks(self) -> None:
-        callbacks, self._callbacks = self._callbacks, []
+        callbacks, self._callbacks = self._callbacks, None
         for callback in callbacks:
             callback(self)
 

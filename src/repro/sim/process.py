@@ -15,6 +15,12 @@ test schedule) as straight-line code with ``yield`` points:
 A process's own return value (via ``return`` in the generator) resolves
 its :attr:`Process.completion` future, so processes compose.
 
+The two yields that make up nearly every switch — a non-negative
+``float`` / ``int`` delay and a plain ``Future`` — are recognised by
+exact type and rescheduled inline; a ``Process``, a subclass, a
+negative delay or anything else takes ``_dispatch``.  Either way the
+resumption is an ordinary event through ``Simulator.schedule_at``.
+
 Example
 -------
 >>> from repro.sim import Simulator
@@ -34,9 +40,9 @@ from typing import Any, Callable, Generator
 
 from repro.errors import ProcessError, SimulationError
 from repro.sim.event_loop import Simulator
-from repro.sim.future import Future
+from repro.sim.future import _PENDING, Future
 
-__all__ = ["Process", "spawn", "sleep_forever"]
+__all__ = ["Process", "spawn"]
 
 #: Type alias for the generator signature processes must follow.
 ProcessGenerator = Generator[Any, Any, Any]
@@ -98,13 +104,13 @@ class Process:
 
     def _advance(self, value: Any, exception: BaseException | None) -> None:
         """Resume the generator with ``value`` or throw ``exception``."""
-        if self._interrupted or self.completion.done:
+        if self._interrupted or self.completion._state != _PENDING:
             return
         try:
-            if exception is not None:
-                yielded = self._generator.throw(exception)
-            else:
+            if exception is None:
                 yielded = self._generator.send(value)
+            else:
+                yielded = self._generator.throw(exception)
         except StopIteration as stop:
             self.completion.resolve(stop.value)
             return
@@ -113,41 +119,38 @@ class Process:
             failure.__cause__ = exc
             self.completion.fail(failure)
             return
-        self._dispatch(yielded)
+        kind = type(yielded)
+        if kind is Future:
+            yielded.add_callback(self._on_future_done)
+        elif (kind is float or kind is int) and yielded >= 0:
+            sim = self._sim
+            sim.schedule_at(sim._now + yielded, self._advance, None, None)
+        else:
+            self._dispatch(yielded)
 
     def _dispatch(self, yielded: Any) -> None:
-        """Arrange for the generator to be resumed per the yield protocol."""
-        if isinstance(yielded, (int, float)):
-            if yielded < 0:
-                self._advance(
-                    None,
-                    SimulationError(
-                        f"process {self.name!r} yielded negative "
-                        f"delay {yielded!r}"
-                    ),
-                )
-                return
-            self._sim.schedule_after(float(yielded), self._advance, None, None)
-            return
+        """The rest of the yield protocol, and its two errors."""
         if isinstance(yielded, Process):
             yielded = yielded.completion
         if isinstance(yielded, Future):
             yielded.add_callback(self._on_future_done)
-            return
-        self._advance(
-            None,
-            SimulationError(
+        elif not isinstance(yielded, (int, float)):
+            self._advance(None, SimulationError(
                 f"process {self.name!r} yielded unsupported value "
-                f"{yielded!r}; expected a delay, Future, or Process"
-            ),
-        )
+                f"{yielded!r}; expected a delay, Future, or Process"))
+        elif not yielded >= 0:  # negative, or NaN
+            self._advance(None, SimulationError(
+                f"process {self.name!r} yielded negative "
+                f"delay {yielded!r}"))
+        else:
+            self._sim.schedule_after(float(yielded), self._advance, None, None)
 
     def _on_future_done(self, future: Future) -> None:
-        if future.failed:
-            self._sim.schedule_after(0.0, self._advance, None,
-                                     future.exception)
-        else:
-            self._sim.schedule_after(0.0, self._advance, future.value, None)
+        # A settled future holds (value, None) or (None, exception):
+        # exactly the pair ``_advance`` takes.
+        sim = self._sim
+        sim.schedule_at(sim._now, self._advance, future._value,
+                        future._exception)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self.alive else "finished"
@@ -168,9 +171,3 @@ def spawn(sim: Simulator, generator_fn: Callable[..., ProcessGenerator],
         name=name or getattr(generator_fn, "__name__", "process"),
         start_delay=start_delay,
     )
-
-
-def sleep_forever() -> ProcessGenerator:
-    """A generator that never finishes; useful as a placeholder activity."""
-    never = Future(name="never")
-    yield never

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim import Simulator
+from repro.sim import RandomSource, Simulator
 
 
 class TestScheduling:
@@ -59,6 +59,19 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_after(-0.1, lambda: None)
 
+    def test_nan_time_is_rejected_at_every_entry_point(self):
+        # Regression: ``nan < now`` is false, so a NaN entry used to be
+        # pushed, break the heap order and set ``now`` to NaN.
+        sim = Simulator(start_time=1.0)
+        nan = float("nan")
+        with pytest.raises(SimulationError):
+            sim.schedule_at(nan, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_after(nan, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.run_until(nan)
+        assert sim.pending_events == 0 and sim.now == 1.0
+
     def test_events_can_schedule_more_events(self):
         sim = Simulator()
         fired_at = []
@@ -77,25 +90,43 @@ class TestCancellation:
     def test_cancelled_event_does_not_fire(self):
         sim = Simulator()
         fired = []
-        handle = sim.schedule_after(1.0, fired.append, "x")
-        handle.cancel()
+        token = sim.schedule_after(1.0, fired.append, "x")
+        sim.cancel(token)
         sim.run()
         assert fired == []
-        assert handle.cancelled and not handle.fired
+        assert sim.now == 0.0  # a cancelled event does not move time
+        assert sim.pending_events == 0
 
     def test_cancel_after_fire_is_noop(self):
         sim = Simulator()
-        handle = sim.schedule_after(1.0, lambda: None)
+        fired = []
+        token = sim.schedule_after(1.0, fired.append, "x")
         sim.run()
-        assert handle.fired
-        handle.cancel()  # must not raise
+        assert fired == ["x"]
+        sim.cancel(token)  # must not raise
+        sim.schedule_after(1.0, fired.append, "y")
+        sim.run()
+        assert fired == ["x", "y"] and sim.events_processed == 2
+
+    def test_cancel_is_per_event_not_per_callback(self):
+        sim = Simulator()
+        fired = []
+        keep = sim.schedule_after(1.0, fired.append, "keep")
+        drop = sim.schedule_after(1.0, fired.append, "drop")
+        assert keep != drop
+        sim.cancel(drop)
+        sim.run()
+        assert fired == ["keep"]
 
     def test_cancelled_events_do_not_stall_run_until(self):
         sim = Simulator()
-        handle = sim.schedule_after(1.0, lambda: None)
-        handle.cancel()
+        sim.cancel(sim.schedule_after(1.0, lambda: None))
         sim.run_until(5.0)
         assert sim.now == 5.0
+        # ... and do not count as activity in strict mode.
+        sim.cancel(sim.schedule_after(1.0, lambda: None))
+        with pytest.raises(DeadlockError):
+            sim.run_until(10.0, strict=True)
 
 
 class TestRunUntil:
@@ -148,10 +179,17 @@ class TestAccounting:
     def test_events_processed_counts_only_fired(self):
         sim = Simulator()
         sim.schedule_after(1.0, lambda: None)
-        cancelled = sim.schedule_after(2.0, lambda: None)
-        cancelled.cancel()
+        sim.cancel(sim.schedule_after(2.0, lambda: None))
         sim.run()
         assert sim.events_processed == 1
+
+    def test_events_processed_includes_the_event_firing_now(self):
+        sim = Simulator()
+        seen = []
+        for _ in range(3):
+            sim.schedule_after(1.0, lambda: seen.append(sim.events_processed))
+        sim.run()
+        assert seen == [1, 2, 3]
 
     def test_max_events_bounds_run(self):
         sim = Simulator()
@@ -159,6 +197,16 @@ class TestAccounting:
             sim.schedule_after(1.0, lambda: None)
         sim.run(max_events=3)
         assert sim.events_processed == 3
+
+    def test_zero_budget_fires_nothing_and_negative_is_an_error(self):
+        sim = Simulator()
+        sim.schedule_after(1.0, lambda: None)
+        sim.run(max_events=0)  # regression: fired one event
+        assert sim.events_processed == 0 and sim.now == 0.0
+        with pytest.raises(SimulationError):
+            sim.run(max_events=-1)
+        sim.run()
+        assert sim.events_processed == 1
 
     def test_reentrant_run_raises(self):
         sim = Simulator()
@@ -173,3 +221,107 @@ class TestAccounting:
         sim.schedule_after(1.0, reenter)
         sim.run()
         assert len(errors) == 1
+
+
+class ModelSimulator:
+    """Reference model: a list, stably ordered by (time, insertion)."""
+
+    def __init__(self):
+        self.now, self.events_processed = 0.0, 0
+        self.pending, self.inserted, self.cancelled = [], 0, set()
+
+    def schedule_at(self, time, callback, *args):
+        self.inserted += 1
+        self.pending.append((time, self.inserted, callback, args))
+        return self.inserted
+
+    def schedule_after(self, delay, callback, *args):
+        return self.schedule_at(self.now + delay, callback, *args)
+
+    def cancel(self, token):
+        self.cancelled.add(token)
+
+    def live(self):
+        return sorted((entry for entry in self.pending
+                       if entry[1] not in self.cancelled),
+                      key=lambda entry: entry[:2])
+
+    def next_event_time(self):
+        return self.live()[0][0] if self.live() else None
+
+    def step(self):
+        if not self.live():
+            return False
+        entry = self.live()[0]
+        self.pending.remove(entry)
+        self.now, self.events_processed = entry[0], self.events_processed + 1
+        entry[2](*entry[3])
+        return True
+
+    def run(self):
+        while self.step():
+            pass
+
+    def run_until(self, time):
+        while self.live() and self.live()[0][0] <= time:
+            self.step()
+        self.now = max(self.now, time)
+
+
+def run_program(sim, seed):
+    """A seeded random program against the ``Simulator`` interface.
+
+    Events are named by planting order, never by token, so the two
+    implementations may number their tokens however they like.
+    """
+    rng = RandomSource(seed).stream("program")
+    tokens, fired = [], []
+
+    def observe(label):
+        fired.append((label, sim.now, sim.events_processed,
+                      sim.next_event_time()))
+
+    def plant():
+        delay = rng.choice((0.0, 0.0, 0.25, 0.5, 1.0))  # ties are common
+        if rng.random() < 0.5:
+            token = sim.schedule_after(delay, fire, len(tokens))
+        else:
+            token = sim.schedule_at(sim.now + delay, fire, len(tokens))
+        tokens.append(token)
+
+    def fire(label):
+        observe(label)
+        for _ in range(rng.randrange(3)):
+            if len(tokens) < 80:
+                plant()
+        if rng.random() < 0.4:
+            # Fired, firing now, pending or already cancelled.
+            sim.cancel(rng.choice(tokens))
+
+    for _ in range(rng.randrange(1, 8)):
+        plant()
+    if rng.random() < 0.5:
+        sim.cancel(rng.choice(tokens))
+    observe("planted")
+    sim.run_until(rng.choice((0.0, 0.25, 1.0)))
+    observe("run_until")
+    observe(f"step {sim.step()}")
+    sim.run()
+    observe("run")
+    return fired
+
+
+class TestAgainstReferenceModel:
+    def test_same_fire_order_clock_count_and_peek(self):
+        for seed in range(200):
+            sim = Simulator()
+            assert run_program(sim, seed) == \
+                run_program(ModelSimulator(), seed), seed
+            assert sim.pending_events == 0
+
+    def test_programs_cover_ties_cancels_and_nested_scheduling(self):
+        # The property above is only as good as its programs.
+        runs = [run_program(ModelSimulator(), seed) for seed in range(200)]
+        assert max(len(run) for run in runs) > 40
+        assert any(a[1] == b[1] for run in runs
+                   for a, b in zip(run[1:], run[2:]))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ProcessError
+from repro.errors import ProcessError, SimulationError
 from repro.sim import Future, Process, Simulator, spawn
 
 
@@ -159,6 +159,19 @@ class TestFailureAndInterrupt:
         proc = spawn(sim, worker)
         sim.run()
         assert proc.completion.failed
+
+    def test_nan_delay_fails_process_with_the_same_error(self):
+        sim = Simulator()
+
+        def worker():
+            yield float("nan")
+
+        proc = spawn(sim, worker)
+        sim.run()
+        assert proc.completion.failed
+        assert isinstance(proc.completion.exception.__cause__,
+                          SimulationError)
+        assert sim.now == 0.0 and sim.pending_events == 0
 
     def test_interrupt_stops_process(self):
         sim = Simulator()
