@@ -2,8 +2,9 @@
 
 Not a paper figure — a contributor-facing benchmark establishing the
 simulator's cost model: raw event throughput, process context-switch
-cost, and the wall-clock price of one complete Test 1 instance (the
-unit everything else scales by).  Regressions here multiply directly
+cost, the price of one RPC over the instrumented network, and the
+wall-clock price of one complete Test 1 instance (the unit everything
+else scales by).  Regressions here multiply directly
 into campaign times.  The family's rates land in
 ``BENCH_simulator_throughput.json`` so CI can track the trajectory.
 """
@@ -13,7 +14,16 @@ import time
 import pytest
 
 from repro.methodology import PAPER_PLANS, MeasurementWorld, run_test1
-from repro.sim import Simulator, spawn
+from repro.net import (
+    OREGON,
+    VIRGINIA,
+    JitterParams,
+    LatencyModel,
+    Network,
+    paper_topology,
+)
+from repro.obs import ObsContext
+from repro.sim import RandomSource, Simulator, spawn
 
 from benchmarks.conftest import BENCH_SEED
 
@@ -67,6 +77,35 @@ def test_process_switch_throughput(benchmark, sim_rates):
     elapsed = time.perf_counter() - t0
     sim_rates["process_switches_per_second"] = 2_000 / elapsed
     assert not process.alive
+
+
+def echo_rpcs(count=5_000):
+    """Echo RPCs with an ``ObsContext`` attached, as every campaign
+    runs: the per-link counter is part of what an RPC costs."""
+    sim = Simulator()
+    topology = paper_topology()
+    topology.place_host("client", OREGON)
+    topology.place_host("server", VIRGINIA)
+    network = Network(
+        sim,
+        LatencyModel(topology, RandomSource(BENCH_SEED).child("net"),
+                     JitterParams()),
+        obs=ObsContext(now_fn=lambda: sim.now),
+    )
+    network.attach("client")
+    network.attach("server", rpc_handler=lambda payload, src: payload)
+    replies = [network.rpc("client", "server", index)
+               for index in range(count)]
+    sim.run()
+    return replies
+
+
+def test_rpc_throughput(benchmark, sim_rates):
+    t0 = time.perf_counter()
+    replies = benchmark.pedantic(echo_rpcs, rounds=1, iterations=1)
+    elapsed = time.perf_counter() - t0
+    sim_rates["rpcs_per_second"] = len(replies) / elapsed
+    assert [reply.value for reply in replies] == list(range(5_000))
 
 
 def one_test1_instance():

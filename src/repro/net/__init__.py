@@ -1,7 +1,8 @@
 """Simulated wide-area network.
 
-Static geography lives in :class:`Topology` (regions, hosts, RTTs);
-:class:`LatencyModel` turns base RTTs into jittered per-message delays;
+Geography lives in :class:`Topology` (regions, hosts, RTTs; mutable
+through its three named mutators); :class:`LatencyModel` turns base
+RTTs into jittered per-message delays, one memoised record per link;
 :class:`Network` delivers datagrams and RPCs over the simulator; and
 :class:`FaultInjector` schedules partitions and message loss.
 

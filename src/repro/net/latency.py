@@ -13,17 +13,32 @@ dipping below the propagation delay.
 The model draws from a per-link named random stream, so adding hosts or
 links never perturbs delays on existing links (see
 :mod:`repro.sim.random_source`).
+
+Everything that depends only on the ``(src, dst)`` pair — the base
+delay and the direction's stream — is resolved at the link's first
+message and kept in one record per link.  The topology is mutable
+(:mod:`repro.net.topology` names its three mutators); the model
+compares the topology's revision on every sample and drops its records
+when it moved, so a base delay is never stale.  Re-resolving a link
+finds the same named stream again, so a topology edit never restarts or
+skips a draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import exp
+from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.net.topology import Topology
 from repro.sim.random_source import RandomSource
 
 __all__ = ["JitterParams", "LatencyModel"]
+
+#: What a link's messages share: (base one-way delay, the direction's
+#: stream's bound ``normalvariate``, or None when jitter is disabled).
+_Link = tuple[float, Callable[..., float] | None]
 
 
 @dataclass(frozen=True)
@@ -58,6 +73,9 @@ class LatencyModel:
         self._topology = topology
         self._rng = rng
         self._jitter = jitter or JitterParams()
+        #: (src, dst) -> the link's record, as of ``_revision``.
+        self._links: dict[tuple[str, str], _Link] = {}
+        self._revision = topology._revision
 
     @property
     def topology(self) -> Topology:
@@ -69,19 +87,28 @@ class LatencyModel:
 
     def sample_one_way(self, src: str, dst: str) -> float:
         """One sampled one-way delay in seconds from ``src`` to ``dst``."""
-        base = self._topology.one_way(src, dst)
-        return base * self._sample_multiplier(src, dst)
+        if self._revision != self._topology._revision:
+            self._links.clear()
+            self._revision = self._topology._revision
+        link = self._links.get((src, dst))
+        if link is None:
+            link = self._links[src, dst] = self._resolve_link(src, dst)
+        base, draw = link
+        if draw is None:
+            return base
+        jitter = self._jitter
+        # ``lognormvariate(log(1.0), sigma)``, spelled out: a median-1
+        # log-normal multiplier, floored at the propagation delay.
+        return base * max(exp(draw(0.0, jitter.sigma)), jitter.floor)
 
     def sample_rtt(self, src: str, dst: str) -> float:
         """One sampled round trip: two independent one-way draws."""
         return self.sample_one_way(src, dst) + self.sample_one_way(dst, src)
 
-    def _sample_multiplier(self, src: str, dst: str) -> float:
+    def _resolve_link(self, src: str, dst: str) -> _Link:
+        base = self._topology.one_way(src, dst)
         if self._jitter.sigma == 0:
-            return 1.0
+            return base, None
         # Direction matters for stream naming so that A->B and B->A
         # delays are independent, as they are on real paths.
-        draw = self._rng.lognormal(
-            f"latency.{src}->{dst}", median=1.0, sigma=self._jitter.sigma
-        )
-        return max(draw, self._jitter.floor)
+        return base, self._rng.stream(f"latency.{src}->{dst}").normalvariate

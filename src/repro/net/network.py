@@ -18,17 +18,28 @@ Two communication styles are offered:
   caller's future.  Used by the web-API layer and the clock-sync
   protocol.  RPCs carry a timeout so that partitions surface as
   :class:`~repro.errors.HostUnreachableError` rather than hung agents.
+
+What a message needs that depends only on its ``(src, dst)`` pair — the
+link's request / datagram counter and the reply future's label — is
+resolved at the link's first message and looked up afterwards, so a
+link's ``net.*`` series appears with its first message, never at
+:meth:`Network.attach`.  Nothing here caches a delay: the topology is
+mutable (see :mod:`repro.net.topology`) and
+:class:`~repro.net.latency.LatencyModel` owns that memo and its
+invalidation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 from repro.errors import HostUnreachableError, NetworkError
 from repro.net.latency import LatencyModel
 from repro.net.partition import FaultInjector
 from repro.obs import ObsContext
+from repro.obs.metrics import Counter
 from repro.sim.event_loop import Simulator
 from repro.sim.future import Future
 
@@ -82,9 +93,16 @@ class Network:
         self._faults = faults or FaultInjector()
         #: The observability context every layer above reaches through
         #: its network reference (API clients, agents, replication
-        #: substrates).  None = uninstrumented, zero overhead.
+        #: substrates).  None = uninstrumented, zero overhead.  Fixed
+        #: at construction: every layer keeps the handles it resolved.
         self.obs = obs
         self._endpoints: dict[str, _Endpoint] = {}
+        #: (src, dst) -> (the link's ``net.rpc_requests_total`` counter,
+        #: or None when uninstrumented; its reply futures' label).
+        self._rpc_links: dict[tuple[str, str],
+                              tuple[Counter | None, str]] = {}
+        #: (src, dst) -> the link's ``net.datagrams_total`` counter.
+        self._datagram_counters: dict[tuple[str, str], Counter] = {}
         self._messages_sent = 0
         self._messages_delivered = 0
 
@@ -101,7 +119,8 @@ class Network:
         self._endpoints[host] = _Endpoint(message_handler, rpc_handler)
 
     def detach(self, host: str) -> None:
-        """Remove ``host``; in-flight messages to it are dropped."""
+        """Remove ``host``; in-flight messages to it — datagrams, RPC
+        requests and RPC replies — are dropped on arrival."""
         self._endpoints.pop(host, None)
 
     def is_attached(self, host: str) -> bool:
@@ -123,14 +142,18 @@ class Network:
         self._require_attached(dst)
         self._messages_sent += 1
         if self.obs is not None:
-            self.obs.metrics.counter("net.datagrams_total",
-                                     src=src, dst=dst).inc()
-        if self._faults.should_drop(src, dst, self._sim.now):
-            return
-        delay = self._latency.sample_one_way(src, dst)
+            counter = self._datagram_counters.get((src, dst))
+            if counter is None:
+                counter = self._datagram_counters[src, dst] = (
+                    self.obs.metrics.counter("net.datagrams_total",
+                                             src=src, dst=dst))
+            counter.inc()
         send_time = self._sim.now
+        if self._faults.should_drop(src, dst, send_time):
+            return
         self._sim.schedule_after(
-            delay, self._deliver, src, dst, payload, send_time
+            self._latency.sample_one_way(src, dst),
+            self._deliver, src, dst, payload, send_time
         )
 
     def _deliver(self, src: str, dst: str, payload: Any,
@@ -148,11 +171,23 @@ class Network:
     def rpc(self, src: str, dst: str, payload: Any,
             timeout: float = DEFAULT_RPC_TIMEOUT) -> Future:
         """Issue a request/response exchange; returns the reply future."""
+        if not timeout >= 0:
+            raise NetworkError(
+                f"RPC timeout must be a non-negative number of seconds, "
+                f"got {timeout!r}"
+            )
         self._require_attached(src)
-        if self.obs is not None:
-            self.obs.metrics.counter("net.rpc_requests_total",
-                                     src=src, dst=dst).inc()
-        reply = Future(name=f"rpc {src}->{dst}")
+        link = self._rpc_links.get((src, dst))
+        if link is None:
+            link = self._rpc_links[src, dst] = (
+                None if self.obs is None else self.obs.metrics.counter(
+                    "net.rpc_requests_total", src=src, dst=dst),
+                f"rpc {src}->{dst}",
+            )
+        requests, label = link
+        if requests is not None:
+            requests.inc()
+        reply = Future(label)
         endpoint = self._endpoints.get(dst)
         if endpoint is None or endpoint.rpc_handler is None:
             reply.fail(HostUnreachableError(
@@ -160,12 +195,11 @@ class Network:
             ))
             return reply
 
-        request_dropped = self._faults.should_drop(src, dst, self._sim.now)
-        if not request_dropped:
-            request_delay = self._latency.sample_one_way(src, dst)
-            self._messages_sent += 1
+        self._messages_sent += 1
+        if not self._faults.should_drop(src, dst, self._sim.now):
             self._sim.schedule_after(
-                request_delay, self._serve_rpc, src, dst, payload, reply
+                self._latency.sample_one_way(src, dst),
+                self._serve_rpc, src, dst, payload, reply
             )
         # Timeout covers both dropped requests and dropped replies.
         self._sim.schedule_after(timeout, self._timeout_rpc, src, dst, reply)
@@ -184,14 +218,16 @@ class Network:
             return
         if isinstance(result, Future):
             result.add_callback(
-                lambda done: self._send_reply(
-                    dst, src, reply,
-                    value=None if done.failed else done.value,
-                    exception=done.exception,
-                )
-            )
+                partial(self._send_deferred_reply, dst, src, reply))
         else:
             self._send_reply(dst, src, reply, value=result)
+
+    def _send_deferred_reply(self, src: str, dst: str, reply: Future,
+                             done: Future) -> None:
+        """Ship the outcome of the future an RPC handler returned."""
+        self._send_reply(src, dst, reply,
+                         value=None if done.failed else done.value,
+                         exception=done.exception)
 
     def _send_reply(self, src: str, dst: str, reply: Future,
                     value: Any = None,
@@ -199,19 +235,21 @@ class Network:
         """Ship an RPC reply from server ``src`` back to client ``dst``."""
         if reply.done:
             return  # the caller already timed out
+        self._messages_sent += 1
         if self._faults.should_drop(src, dst, self._sim.now):
             return  # reply lost; caller's timeout will fire
-        self._messages_sent += 1
         delay = self._latency.sample_one_way(src, dst)
         self._sim.schedule_after(
-            delay, self._resolve_reply, reply, value, exception
+            delay, self._resolve_reply, dst, reply, value, exception
         )
 
-    def _resolve_reply(self, reply: Future, value: Any,
+    def _resolve_reply(self, dst: str, reply: Future, value: Any,
                        exception: BaseException | None) -> None:
-        if reply.done:
-            return
+        if dst not in self._endpoints:
+            return  # client detached mid-flight; its timeout will fire
         self._messages_delivered += 1
+        if reply.done:
+            return  # the caller already timed out
         if exception is not None:
             reply.fail(exception)
         else:
@@ -228,10 +266,19 @@ class Network:
 
     @property
     def messages_sent(self) -> int:
+        """Messages handed to the network — datagrams, RPC requests and
+        RPC replies alike — whether or not a fault then dropped them.
+
+        Once nothing is in flight, ``messages_sent ==
+        messages_delivered + faults.dropped_messages`` + the messages
+        whose destination detached (or had no handler) on arrival.
+        """
         return self._messages_sent
 
     @property
     def messages_delivered(self) -> int:
+        """Messages that reached an attached destination's handler
+        (for a reply: the client, even if its timeout already fired)."""
         return self._messages_delivered
 
     def _require_attached(self, host: str) -> None:

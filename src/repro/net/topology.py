@@ -7,9 +7,15 @@ Oregon, 218 ms to Tokyo, 172 ms to Ireland).  :func:`paper_topology`
 reconstructs that deployment; the agent-to-agent legs, which the paper
 does not report, use publicly typical inter-region figures.
 
-A :class:`Topology` is purely static data.  Message timing built on it
-(jitter, loss, partitions) lives in :mod:`repro.net.latency` and
-:mod:`repro.net.network`.
+A :class:`Topology` holds no behaviour beyond lookups, but it is
+*mutable*, through exactly three mutators: :meth:`Topology.place_host`
+(which also moves an already-placed host), :meth:`Topology.set_rtt`,
+and assignment to :attr:`Topology.intra_region_rtt`.  Each of them
+advances the topology's revision, which is how delays derived from it
+(:class:`repro.net.latency.LatencyModel` memoises a base delay per
+link) know to be recomputed; a caller never invalidates anything.
+Message timing built on the topology (jitter, loss, partitions) lives
+in :mod:`repro.net.latency` and :mod:`repro.net.network`.
 """
 
 from __future__ import annotations
@@ -57,6 +63,10 @@ class Topology:
     that share a region (e.g. an agent talking to its local datacenter).
     """
 
+    #: Advanced by every mutator, so anything that memoises a derived
+    #: delay (``LatencyModel``) can tell that it went stale.
+    _revision: int = field(default=0, init=False, repr=False,
+                           compare=False)
     #: Symmetric RTT matrix keyed by frozenset of two region names.
     _rtts: dict[frozenset[str], float] = field(default_factory=dict)
     #: Host name -> region name.
@@ -64,6 +74,12 @@ class Topology:
     #: RTT between two hosts in the same region (LAN / same-AZ), seconds.
     intra_region_rtt: float = 0.001
     _regions: dict[str, Region] = field(default_factory=dict)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        # Assigning ``intra_region_rtt`` is the third mutator.
+        super().__setattr__(name, value)
+        if name == "intra_region_rtt":
+            self._revision += 1
 
     # -- Regions and links -------------------------------------------------
 
@@ -90,6 +106,7 @@ class Topology:
                 f"not set_rtt({name_a!r}, {name_b!r})"
             )
         self._rtts[frozenset((name_a, name_b))] = float(rtt_seconds)
+        self._revision += 1
 
     def regions(self) -> list[Region]:
         """All registered regions, sorted by name."""
@@ -112,6 +129,7 @@ class Topology:
                 f"cannot place host {host!r}: unknown region {region_name!r}"
             )
         self._hosts[host] = region_name
+        self._revision += 1
 
     def hosts(self) -> list[str]:
         """All placed hosts, sorted by name."""

@@ -11,10 +11,11 @@ from repro.net import (
     Region,
     Topology,
 )
+from repro.obs import ObsContext
 from repro.sim import Future, RandomSource, Simulator
 
 
-def make_network(sim, sigma=0.0, faults=None):
+def make_network(sim, sigma=0.0, faults=None, obs=None):
     topo = Topology()
     topo.add_region(Region("east"))
     topo.add_region(Region("west"))
@@ -24,7 +25,7 @@ def make_network(sim, sigma=0.0, faults=None):
     topo.place_host("peer", "east")
     model = LatencyModel(topo, RandomSource(seed=1),
                          JitterParams(sigma=sigma))
-    return Network(sim, model, faults=faults)
+    return Network(sim, model, faults=faults, obs=obs)
 
 
 class TestAttachment:
@@ -79,6 +80,23 @@ class TestDatagrams:
         sim.run()
         assert received == []
 
+    def test_reply_to_detached_client_is_dropped_in_flight(self):
+        sim = Simulator()
+        net = make_network(sim, sigma=0.0)
+        net.attach("client")
+        net.attach("server", rpc_handler=lambda p, s: "pong")
+        reply = net.rpc("client", "server", "ping", timeout=2.0)
+        sim.run_until(0.075)  # served at 0.050; the reply is on the wire
+        assert net.messages_delivered == 1
+        net.detach("client")
+        failed_at = []
+        reply.add_callback(lambda f: failed_at.append(sim.now))
+        sim.run()
+        assert net.messages_delivered == 1  # the reply never arrived
+        assert reply.failed
+        assert isinstance(reply.exception, HostUnreachableError)
+        assert failed_at == [pytest.approx(2.0)]
+
     def test_partitioned_message_is_dropped(self):
         sim = Simulator()
         faults = FaultInjector()
@@ -103,8 +121,80 @@ class TestDatagrams:
         assert net.messages_sent == 2
         assert net.messages_delivered == 2
 
+    def test_every_message_handed_over_is_accounted_for(self):
+        """``messages_sent`` counts datagrams, requests and replies
+        alike, dropped or not, so once the heap is empty it equals
+        delivered + dropped by faults + lost to a detached host."""
+        sim = Simulator()
+        faults = FaultInjector()
+        faults.isolate("peer", 1.0, 2.0)
+        net = make_network(sim, faults=faults)
+        inbox = []
+        net.attach("client", message_handler=inbox.append)
+        net.attach("peer", message_handler=inbox.append,
+                   rpc_handler=lambda p, s: p)
+
+        def serve(payload, src):
+            if payload == "cut the reply":
+                faults.isolate("server", sim.now, sim.now + 0.5)
+            return payload
+
+        net.attach("server", message_handler=inbox.append,
+                   rpc_handler=serve)
+        replies = []
+
+        def rpc(src, dst, payload):
+            replies.append(net.rpc(src, dst, payload, timeout=1.0))
+
+        # t=0: everything arrives -- 2 datagrams, 2 round trips.
+        sim.schedule_at(0.0, net.send, "client", "server", "d1")
+        sim.schedule_at(0.0, net.send, "server", "peer", "d2")
+        sim.schedule_at(0.0, rpc, "client", "server", "r1")
+        sim.schedule_at(0.0, rpc, "client", "peer", "r2")
+        # t=1: peer is isolated -- a datagram and a request dropped.
+        sim.schedule_at(1.0, net.send, "client", "peer", "d3")
+        sim.schedule_at(1.0, rpc, "server", "peer", "r3")
+        # t=3: the request arrives, its reply is dropped.
+        sim.schedule_at(3.0, rpc, "client", "server", "cut the reply")
+        # t=5: the server detaches with a datagram and a request in
+        # flight to it; t=6: the client detaches under its reply.
+        sim.schedule_at(5.0, net.send, "client", "server", "d4")
+        sim.schedule_at(5.0, rpc, "client", "server", "r5")
+        sim.schedule_at(5.01, net.detach, "server")
+        sim.schedule_at(6.0, rpc, "client", "peer", "r6")
+        sim.schedule_at(6.0002, net.detach, "client")
+        sim.run()
+
+        assert sim.pending_events == 0
+        assert [m.payload for m in inbox] == ["d1", "d2"]
+        assert [r.failed for r in replies] == \
+            [False, False, True, True, True, True]
+        lost_to_detach = 3  # d4, r5's request, r6's reply
+        assert faults.dropped_messages == 3  # d3, r3's request, a reply
+        assert net.messages_delivered == 2 + 4 + 1 + 1
+        assert net.messages_sent == 14
+        assert net.messages_sent == (net.messages_delivered
+                                     + faults.dropped_messages
+                                     + lost_to_detach)
+
 
 class TestRpc:
+    @pytest.mark.parametrize("timeout", [-1.0, float("nan")])
+    def test_invalid_timeout_fails_before_anything_is_sent(self, timeout):
+        sim = Simulator()
+        obs = ObsContext(now_fn=lambda: sim.now)
+        net = make_network(sim, obs=obs)
+        served = []
+        net.attach("client")
+        net.attach("server", rpc_handler=lambda p, s: served.append(p))
+        with pytest.raises(NetworkError, match="timeout"):
+            net.rpc("client", "server", "x", timeout=timeout)
+        assert sim.pending_events == 0
+        assert net.messages_sent == 0
+        assert obs.metrics.snapshot() == []
+        sim.run()
+        assert served == []
+
     def test_rpc_round_trip_timing_and_value(self):
         sim = Simulator()
         net = make_network(sim, sigma=0.0)
