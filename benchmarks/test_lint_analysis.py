@@ -1,64 +1,42 @@
-"""Whole-program lint analysis cost over this repository's own tree.
+"""Lint analysis cost over this repository's own tree.
 
-The ``--project`` pass is on the CI critical path for every push, so
-its cost model is part of the perf trajectory: this benchmark times
-the per-file battery alone and the full two-phase run (parse +
-summarize every ``src/`` module, link the project model, run the
-cross-module rules), asserts the linter's own verdict stays clean,
-and writes ``BENCH_lint.json`` with the rates.  The soft contract is
-that phase 2 stays a small constant factor over the per-file pass —
-graph linking must never dominate parsing.
+The linter is on the CI critical path for every push, so its cost is
+part of the perf trajectory: this benchmark times one run of the whole
+battery (parse + per-module rules + summarize every ``src/`` module,
+link the project model, run the cross-module rules), asserts the
+linter's own verdict stays clean, and writes ``BENCH_lint.json`` with
+the rates.
 """
 
 import time
 from pathlib import Path
 
-from repro.lint import LintEngine, load_config
+from repro.lint import lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 
 
 def test_whole_program_analysis_time(benchmark, bench_json_writer):
-    config = load_config(REPO_ROOT / "pyproject.toml")
-    engine = LintEngine(config)
-
-    t0 = time.perf_counter()
-    per_file = engine.lint_paths([SRC])
-    file_s = time.perf_counter() - t0
-
     t0 = time.perf_counter()
     result = benchmark.pedantic(
-        lambda: engine.lint_paths([SRC], project=True),
-        rounds=1, iterations=1,
+        lambda: lint_paths([SRC]), rounds=1, iterations=1,
     )
-    project_s = time.perf_counter() - t0
+    seconds = time.perf_counter() - t0
 
     files = result.files_checked
-    print(f"\nWhole-program lint ({files} files, "
-          f"{result.project['functions']} functions):")
-    print(f"  per-file battery      {file_s:7.2f}s  "
-          f"{files / file_s:6.1f} files/s")
-    print(f"  two-phase (--project) {project_s:7.2f}s  "
-          f"{files / project_s:6.1f} files/s  "
-          f"({project_s / file_s:.2f}x per-file)")
+    functions = result.functions_checked
+    print(f"\nLint ({files} files, {functions} functions):")
+    print(f"  whole battery {seconds:7.2f}s  "
+          f"{files / seconds:6.1f} files/s")
 
     path = bench_json_writer("lint", {
         "files": files,
-        "functions": result.project["functions"],
-        "reachable_functions": result.project["reachable_functions"],
-        "per_file_seconds": file_s,
-        "project_seconds": project_s,
-        "project_over_per_file": project_s / file_s,
-        "files_per_second": files / project_s,
+        "functions": functions,
+        "seconds": seconds,
+        "files_per_second": files / seconds,
     })
     print(f"  written to {path}")
 
     # The linter's verdict on its own repository must stay clean.
     assert result.ok
-    assert per_file.files_checked == files
-    # Soft cost contract: linking the project model may cost a
-    # constant factor over parsing, never an order of magnitude.
-    assert project_s < file_s * 5.0, (
-        f"--project ran {project_s / file_s:.1f}x the per-file pass"
-    )

@@ -15,8 +15,8 @@ fidelity budgets live in :mod:`~repro.calibrate.winners`.
 Everything is a pure function of its inputs: randomness (only the
 optional candidate subsample) routes through
 :class:`~repro.sim.random_source.RandomSource`, and there is no wall
-clock anywhere — ``repro.lint`` enforces both, with this package in
-its DET004 aggregation scope.
+clock anywhere — ``repro.lint`` enforces both, and (DET003) that no
+reduction runs over an unordered collection.
 """
 
 from repro.calibrate.evaluator import FleetEvaluator, run_calibration

@@ -435,8 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based static analysis enforcing that campaigns stay a "
             "pure function of (seed, config): no ambient randomness, "
-            "no wall-clock reads, no unordered iteration in scheduling "
-            "paths, no trace mutation in anomaly checkers."
+            "no wall-clock reads, no order taken out of an unordered "
+            "collection, no module-level state, no trace mutation — "
+            "over the whole repro package, in one mode."
         ),
     )
     from repro.lint.cli import add_lint_arguments

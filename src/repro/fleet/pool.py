@@ -229,7 +229,9 @@ class WorkPool:
         )
         process.start()
         send.close()
-        deadline = (time.monotonic() + self._timeout
+        # Waived: the shard timeout is a host-side deadline on an OS
+        # worker process, never a simulated quantity.
+        deadline = (time.monotonic() + self._timeout  # repro-lint: disable=DET002
                     if self._timeout is not None else None)
         self._running[recv] = _Running(task, tag, process, deadline)
 
@@ -252,8 +254,10 @@ class WorkPool:
         deadlines = [entry.deadline for entry in self._running.values()
                      if entry.deadline is not None]
         if deadlines:
+            # Waived: how long to block on the pipes before the next
+            # shard-timeout deadline — host time, as above.
             poll = max(0.0, min(poll,
-                                min(deadlines) - time.monotonic()))
+                                min(deadlines) - time.monotonic()))  # repro-lint: disable=DET002
         for conn in connection.wait(list(self._running), timeout=poll):
             entry = self._running[conn]
             try:
@@ -279,7 +283,8 @@ class WorkPool:
                 yield Attempt(entry.task, entry.tag, "error",
                               detail=payload["error"])
 
-        now = time.monotonic()
+        # Waived: compared against the host-side shard deadlines only.
+        now = time.monotonic()  # repro-lint: disable=DET002
         for conn, entry in list(self._running.items()):
             if entry.deadline is not None and now > entry.deadline:
                 self._reap(conn, kill=True)

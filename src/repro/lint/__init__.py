@@ -8,41 +8,42 @@ and the anomaly checkers are pure observers.  One stray
 in-place trace mutation silently invalidates a whole campaign without
 failing a single test.  This package machine-enforces that contract.
 
-The per-file battery checks each module in isolation; the
-whole-program pass (``--project``) additionally links every module
-into an import/call graph and proves the cross-module half of the
-serial==parallel contract.
+There is one mode: every run checks each module in isolation *and*
+links all of them into a call graph for the cross-module half of the
+serial==parallel contract.  The scope of every scoped rule is the
+``repro`` package itself — a module added tomorrow is checked by
+default — and an exemption is a waiver written at the exempt line.
 
 Shipped rules (see ``docs/lint.md`` or ``--list-rules`` for detail):
 
-========  =========  ====================================================
-Code      Severity   Forbids
-========  =========  ====================================================
-DET001    error      direct use of the ``random`` module outside
-                     :mod:`repro.sim.random_source`
-DET002    error      wall-clock/entropy calls inside simulation scopes
-DET003    error      iteration over unordered set expressions in
-                     simulation scopes
-DET004    error      float reductions over unordered or shard-keyed
-                     collections in aggregation scopes
-DET005    error      module-level mutable state written from code
-                     reachable from campaign/fleet entry points
-                     (``--project``)
-DET006    error      materializing hash order out of unordered
-                     collections in aggregation scopes (``--project``)
-DET007    error      cross-shard state access bypassing the world
-                     message bus in world scopes
-PAR001    error      lambdas/closures crossing the process boundary
-                     (``--project``)
-TRACE001  error      anomaly checkers mutating their input traces
-TRACE002  error      mutating a record after emitting it to an
-                     observer or pipe (``--project``)
-API001    warning    public modules without an explicit ``__all__``
-========  =========  ====================================================
+========  ====================================================
+Code      Forbids
+========  ====================================================
+DET001    direct use of the ``random`` module outside
+          :mod:`repro.sim.random_source` (any linted file)
+DET002    any reference to a wall-clock/entropy callable in the
+          package
+DET003    an order taken out of an unordered collection in the
+          package: iteration, materialization, star-unpacking,
+          ``.pop()``, order-sensitive reductions
+DET005    a function of the package writing module-level mutable
+          state
+DET007    cross-shard state access bypassing the world message
+          bus in :mod:`repro.world`
+PAR001    lambdas/closures crossing the process boundary (any
+          linted file)
+TRACE001  a function of the package mutating the trace it is
+          given
+TRACE002  mutating a record after emitting it to an observer or
+          pipe, directly or through a callee (any linted file)
+========  ====================================================
 
-Findings can be waived explicitly with ``# repro-lint: disable=CODE``
-(line) or ``# repro-lint: disable-file=CODE`` (file); the rule set and
-scopes are configured under ``[tool.repro-lint]`` in ``pyproject.toml``.
+(DET004, DET006 and API001 are retired codes and are not reused.)
+
+A finding is waived only by ``# repro-lint: disable=CODE`` on its own
+line, with the reason in prose on or directly above it; waived findings
+are printed on every run.  There is no configuration file: the
+defaults of :class:`LintConfig` are the contract CI enforces.
 
 Run it as ``repro-consistency lint``, ``python -m repro.lint``, or
 programmatically::
@@ -52,7 +53,7 @@ programmatically::
     assert result.ok, result.findings
 """
 
-from repro.lint.config import LintConfig, find_pyproject, load_config
+from repro.lint.config import LintConfig
 from repro.lint.engine import (
     LintEngine,
     LintResult,
@@ -66,7 +67,6 @@ from repro.lint.rules import (
     Rule,
     all_rules,
     get_rule,
-    project_rules,
     rule_codes,
 )
 from repro.lint.summaries import (
@@ -77,8 +77,6 @@ from repro.lint.summaries import (
 
 __all__ = [
     "LintConfig",
-    "load_config",
-    "find_pyproject",
     "LintEngine",
     "LintResult",
     "lint_paths",
@@ -88,7 +86,6 @@ __all__ = [
     "Rule",
     "ProjectRule",
     "all_rules",
-    "project_rules",
     "get_rule",
     "rule_codes",
     "ProjectModel",

@@ -1,11 +1,12 @@
-"""Determinism rules: DET001, DET002, DET003, DET004.
+"""Determinism rules: DET001, DET002, DET003.
 
 The simulator's contract (see ``docs/lint.md`` and the module docstring
 of :mod:`repro.sim.random_source`) is that a campaign is a pure
-function of ``(seed, config)``.  These rules catch the four ways that
+function of ``(seed, config)``.  These rules catch the three ways that
 contract has historically been broken in measurement harnesses:
-ambient randomness, ambient time, hash-order-dependent iteration, and
-order-sensitive float accumulation over unordered collections.
+ambient randomness, ambient time, and an order taken out of an
+unordered collection (iterated, materialized, or folded into an
+order-sensitive reduction).
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from repro.lint.rules import ModuleContext, Rule, register_rule, root_name
 __all__ = [
     "DirectRandomRule",
     "WallClockRule",
-    "UnorderedIterationRule",
-    "UnorderedReductionRule",
+    "UnorderedOrderRule",
 ]
 
 
@@ -82,9 +82,9 @@ class DirectRandomRule(Rule):
                         )
 
 
-#: Call targets (resolved to dotted origin names) that read the wall
+#: Callables (resolved to dotted origin names) that read the wall
 #: clock or the OS entropy pool.
-_BANNED_CALLS = {
+_BANNED_CALLABLES = {
     "time.time": "wall-clock read",
     "time.time_ns": "wall-clock read",
     "time.monotonic": "host-monotonic clock read",
@@ -103,32 +103,13 @@ _BANNED_CALLS = {
     "uuid.uuid4": "entropy-derived UUID",
 }
 
-#: Any call into these modules is banned wholesale.
+#: Anything taken from these modules is banned wholesale.
 _BANNED_MODULE_PREFIXES = ("secrets.",)
 
 
-def _import_aliases(tree: ast.Module) -> dict[str, str]:
-    """Map local names to the dotted origin they were imported as."""
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                local = alias.asname or alias.name.split(".")[0]
-                origin = alias.name if alias.asname else \
-                    alias.name.split(".")[0]
-                aliases[local] = origin
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
-                and node.module:
-            for alias in node.names:
-                local = alias.asname or alias.name
-                aliases[local] = f"{node.module}.{alias.name}"
-    return aliases
-
-
-def _resolve_call(func: ast.AST, aliases: dict[str, str]) -> str | None:
-    """Resolve a call's function expression to a dotted origin name."""
+def _resolve_chain(node: ast.AST, aliases: dict[str, str]) -> str | None:
+    """Resolve a name/attribute chain to a dotted origin name."""
     parts: list[str] = []
-    node = func
     while isinstance(node, ast.Attribute):
         parts.append(node.attr)
         node = node.value
@@ -141,19 +122,23 @@ def _resolve_call(func: ast.AST, aliases: dict[str, str]) -> str | None:
 
 @register_rule
 class WallClockRule(Rule):
-    """DET002 — no wall-clock or entropy reads in simulation scopes.
+    """DET002 — no wall-clock or entropy reads in the package.
 
-    Within the configured ``sim-scopes`` packages, calls that reach for
-    host time (``time.time``, ``datetime.now``, ...) or OS entropy
-    (``os.urandom``, ``uuid.uuid4``, ``secrets.*``) are flagged.  The
-    simulator's virtual clock (``Simulator.now`` / ``DriftingClock``)
-    is the only admissible notion of time there.
+    Any *reference* that alias-resolves to a host-time callable
+    (``time.time``, ``datetime.now``, ...) or an OS-entropy one
+    (``os.urandom``, ``uuid.uuid4``, ``secrets.*``) is flagged — called
+    on the spot, bound to a name (``clock = time.time``) or handed over
+    as a default or argument (``now_fn=time.monotonic``): the reference
+    is where host time enters, whoever calls it later.  The simulator's
+    virtual clock (``Simulator.now`` / ``DriftingClock``) is the only
+    admissible notion of time; the host-side shells that legitimately
+    need a deadline or a rate limiter carry a line waiver saying so.
     """
 
     code = "DET002"
     name = "wall-clock"
     severity = Severity.ERROR
-    summary = ("simulation code must use the virtual clock, never host "
+    summary = ("package code must use the virtual clock, never host "
                "time or OS entropy")
     rationale = (
         "The divergence windows of Figs. 9-10 are measured in virtual "
@@ -163,29 +148,33 @@ class WallClockRule(Rule):
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        if not module.config.in_sim_scope(module.module):
+        if not module.config.in_package(module.module):
             return
-        aliases = _import_aliases(module.tree)
+        aliases = module.aliases
         for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
+            if not (isinstance(node, (ast.Name, ast.Attribute))
+                    and isinstance(node.ctx, ast.Load)):
                 continue
-            resolved = _resolve_call(node.func, aliases)
+            resolved = _resolve_chain(node, aliases)
             if resolved is None:
                 continue
-            reason = _BANNED_CALLS.get(resolved)
+            reason = _BANNED_CALLABLES.get(resolved)
             if reason is None and resolved.startswith(
                     _BANNED_MODULE_PREFIXES):
                 reason = "OS entropy read"
             if reason is not None:
                 yield self.finding(
                     module, node,
-                    f"{resolved}() is a {reason}; simulation code "
-                    "must take time from the Simulator clock and "
+                    f"{resolved} is a {reason}; package code must "
+                    "take time from the Simulator clock and "
                     "randomness from RandomSource",
                 )
 
 
-def _is_unordered_set_expr(node: ast.AST) -> bool:
+# -- DET003: sources x sinks ---------------------------------------------
+
+
+def _unordered_set_expr(node: ast.AST) -> bool:
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
     if isinstance(node, ast.Call):
@@ -199,71 +188,7 @@ def _is_unordered_set_expr(node: ast.AST) -> bool:
     return False
 
 
-@register_rule
-class UnorderedIterationRule(Rule):
-    """DET003 — no iteration over unordered set expressions.
-
-    Within ``sim-scopes``, a ``for`` loop (or comprehension) whose
-    iterable is a set literal, set comprehension, ``set()`` /
-    ``frozenset()`` call, or a set-algebra method call iterates in
-    ``PYTHONHASHSEED``-dependent order.  Wrap the expression in
-    ``sorted(...)`` to pin the order.
-
-    This is a syntactic heuristic: iteration over a *variable* that
-    happens to hold a set cannot be seen without type inference, so
-    keeping set-typed state out of scheduling paths remains a review
-    concern; the rule catches the common inline cases.
-    """
-
-    code = "DET003"
-    name = "unordered-iteration"
-    severity = Severity.ERROR
-    summary = ("iteration feeding scheduling/trace order must not run "
-               "over an unordered set")
-    rationale = (
-        "Set iteration order depends on insertion history and string "
-        "hashing; when it feeds event scheduling or trace ordering, "
-        "two runs with the same seed can produce different traces "
-        "even though no explicit randomness was used."
-    )
-
-    def check(self, module: ModuleContext) -> Iterator[Finding]:
-        if not module.config.in_sim_scope(module.module):
-            return
-        iterables: list[ast.AST] = []
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                iterables.append(node.iter)
-            elif isinstance(node, (ast.ListComp, ast.SetComp,
-                                   ast.DictComp, ast.GeneratorExp)):
-                iterables.extend(gen.iter for gen in node.generators)
-        for iterable in iterables:
-            if _is_unordered_set_expr(iterable):
-                yield self.finding(
-                    module, iterable,
-                    "iteration over an unordered set expression; wrap "
-                    "it in sorted(...) to make the order "
-                    "seed-stable",
-                )
-
-
-#: Reduction calls whose float result depends on accumulation order
-#: (resolved to dotted origin names, import aliases honoured).
-_REDUCTION_CALLS = frozenset({
-    "sum",
-    "math.fsum",
-    "statistics.mean",
-    "statistics.fmean",
-    "statistics.geometric_mean",
-    "statistics.harmonic_mean",
-    "statistics.stdev",
-    "statistics.pstdev",
-    "statistics.variance",
-    "statistics.pvariance",
-})
-
-
-def _is_shard_keyed_view(node: ast.AST) -> bool:
+def _shard_keyed_view(node: ast.AST) -> bool:
     """A ``.values()``/``.keys()``/``.items()`` view of a shard dict.
 
     Shard-keyed dicts are filled in completion order by the fleet
@@ -279,69 +204,126 @@ def _is_shard_keyed_view(node: ast.AST) -> bool:
     return root is not None and "shard" in root.lower()
 
 
-def _unordered_reduction_source(arg: ast.AST) -> str | None:
-    """Why ``arg`` feeds a reduction in unstable order (None = it
-    doesn't, as far as the syntax shows)."""
-    if _is_unordered_set_expr(arg):
+def _unordered_source(node: ast.AST) -> str | None:
+    """Why ``node`` has no seed-stable order (None = it does, as far
+    as the syntax shows)."""
+    if _unordered_set_expr(node):
         return "an unordered set expression"
-    if _is_shard_keyed_view(arg):
+    if _shard_keyed_view(node):
         return "a shard-keyed dict view"
-    if isinstance(arg, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
-        for generator in arg.generators:
-            if _is_unordered_set_expr(generator.iter):
-                return "a comprehension over an unordered set"
-            if _is_shard_keyed_view(generator.iter):
-                return "a comprehension over a shard-keyed dict view"
     return None
 
 
+#: Calls that take an order out of their first argument (resolved to
+#: dotted origin names, import aliases honoured): the materializers,
+#: and the reductions whose float result depends on accumulation order.
+#: ``sorted`` / ``min`` / ``max`` / ``len`` / ``any`` / ``all`` /
+#: ``set`` / ``frozenset`` are order-insensitive and stay exempt.
+_ORDER_TAKING_CALLS = frozenset({
+    "list", "tuple", "enumerate", "zip", "iter", "dict.fromkeys",
+    "sum",
+    "math.fsum",
+    "statistics.mean",
+    "statistics.fmean",
+    "statistics.geometric_mean",
+    "statistics.harmonic_mean",
+    "statistics.stdev",
+    "statistics.pstdev",
+    "statistics.variance",
+    "statistics.pvariance",
+})
+
+#: Calls whose result does not depend on the order of what is
+#: star-unpacked into them.
+_ORDER_FREE_CALLS = frozenset({
+    "sorted", "min", "max", "len", "any", "all", "set", "frozenset"})
+
+
+def _order_sinks(node: ast.AST, aliases: dict[str, str]
+                 ) -> Iterator[tuple[str, ast.AST]]:
+    """The sink table: ``(shape, operand)`` for every place ``node``
+    takes an order out of ``operand``."""
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        yield "iteration", node.iter
+    elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                           ast.GeneratorExp)):
+        for generator in node.generators:
+            yield "iteration", generator.iter
+    elif isinstance(node, (ast.List, ast.Tuple)):
+        for element in node.elts:
+            if isinstance(element, ast.Starred):
+                yield "star-unpacking", element.value
+    elif isinstance(node, ast.Call):
+        resolved = _resolve_chain(node.func, aliases)
+        if resolved not in _ORDER_FREE_CALLS:
+            for arg in node.args:
+                if isinstance(arg, ast.Starred):
+                    yield "star-unpacking", arg.value
+        func = node.func
+        if node.args and resolved in _ORDER_TAKING_CALLS:
+            yield f"{resolved.rsplit('.', 1)[-1]}()", node.args[0]
+        elif node.args and isinstance(func, ast.Attribute) \
+                and func.attr == "join":
+            yield "join()", node.args[0]
+        elif isinstance(func, ast.Attribute) and func.attr == "pop" \
+                and not node.args:
+            yield "pop()", func.value
+
+
 @register_rule
-class UnorderedReductionRule(Rule):
-    """DET004 — no float reductions over unordered collections.
+class UnorderedOrderRule(Rule):
+    """DET003 — no order taken out of an unordered collection.
 
-    Within the configured ``aggregation-scopes``, flags calls to
-    order-sensitive reductions (``sum``, ``math.fsum``,
-    ``statistics.mean``/``stdev``/..., import aliases resolved) whose
-    iterable is an unordered set expression, a ``.values()`` /
-    ``.keys()`` / ``.items()`` view of a shard-keyed dict (receiver
-    name containing "shard"), or a comprehension drawing from either.
+    One hazard, one table.  *Sources*: a set literal, set
+    comprehension, ``set()`` / ``frozenset()`` call or set-algebra
+    method call, and a ``.values()`` / ``.keys()`` / ``.items()`` view
+    of a shard-keyed dict (receiver name containing "shard", filled in
+    worker-completion order).  *Sinks*: iteration (``for`` loops and
+    comprehension generators), the materializers ``list`` / ``tuple``
+    / ``enumerate`` / ``zip`` / ``iter`` / ``dict.fromkeys`` /
+    ``.join``, star-unpacking into a display or a call, ``.pop()`` on
+    a set expression, and the order-sensitive reductions (``sum``,
+    ``math.fsum``, ``statistics.mean`` / ``stdev`` / ..., import
+    aliases resolved).  Any source in any sink position is a finding;
+    wrap the source in ``sorted(...)`` to pin the order.
 
-    Like DET003, this is a syntactic heuristic: a reduction over a
-    *variable* that happens to hold a set cannot be seen without type
-    inference.  It catches the inline cases that actually appear in
-    merge and aggregation code.
+    This is a syntactic heuristic: a *variable* that happens to hold a
+    set cannot be seen without type inference, so keeping set-typed
+    state out of scheduling and merge paths remains a review concern;
+    the rule catches the inline cases that actually appear.  (Retired
+    codes DET004 and DET006 were this hazard's reduction and
+    materialization halves; they are not reused.)
     """
 
-    code = "DET004"
-    name = "unordered-reduction"
+    code = "DET003"
+    name = "unordered-order"
     severity = Severity.ERROR
-    summary = ("float reductions in merge/aggregation paths must run "
-               "over explicitly ordered sequences")
+    summary = ("no iteration, materialization or order-sensitive "
+               "reduction over an unordered collection")
     rationale = (
-        "Float addition is not associative: summing the same shard "
-        "results in a different order changes the low bits, so a "
-        "reduction over a set or over a dict populated in worker-"
-        "completion order breaks the fleet's bit-identical merge "
-        "contract even though every input value is identical."
+        "Set iteration order depends on insertion history and string "
+        "hashing, and a shard-keyed dict fills in worker-completion "
+        "order; an order taken from either feeds event scheduling, "
+        "emitted values or non-associative float sums, so two runs of "
+        "the same seed — or the serial and the fleet run — stop "
+        "agreeing bit-for-bit even though no explicit randomness was "
+        "used and every input value is identical."
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        if not module.config.in_aggregation_scope(module.module):
+        if not module.config.in_package(module.module):
             return
-        aliases = _import_aliases(module.tree)
         for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call) or not node.args:
-                continue
-            resolved = _resolve_call(node.func, aliases)
-            if resolved not in _REDUCTION_CALLS:
-                continue
-            reason = _unordered_reduction_source(node.args[0])
-            if reason is not None:
-                name = resolved.rsplit(".", 1)[-1]
+            for shape, operand in _order_sinks(node, module.aliases):
+                reason = _unordered_source(operand)
+                if reason is None:
+                    continue
+                # Iteration anchors at the iterable, calls at the call.
+                anchor = node if isinstance(node, ast.Call) else operand
                 yield self.finding(
-                    module, node,
-                    f"{name}() over {reason}; accumulation order is "
-                    "not seed-stable — reduce over an explicitly "
-                    "ordered sequence (sorted(...) or the spec's "
-                    "shard order) instead",
+                    module, anchor,
+                    f"{shape} over {reason} takes a hash- or "
+                    "completion-order out of it; wrap it in "
+                    "sorted(...) or reduce over an explicitly "
+                    "ordered sequence",
                 )

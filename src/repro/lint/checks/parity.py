@@ -1,17 +1,15 @@
-"""Cross-module parity rules: DET005, DET006, PAR001, TRACE002.
+"""Cross-module parity rules: DET005, PAR001, TRACE002.
 
 These are the hazards a per-file pass cannot see — each one is a way
 the serial==parallel bit-identity contract breaks *between* modules:
 
-* **DET005** — a function reachable from a campaign/fleet entry point
-  writes module-level mutable state.  Serially that state accumulates
-  across tests in one process; under the fleet each worker gets a
-  fresh copy, so shard output diverges from the serial run.
-* **DET006** — an aggregation-scope module materializes an order out
-  of an unordered collection (``list(set)``, iterating a shard-keyed
-  dict view).  Generalizes DET004 beyond float reductions: *any*
-  emitted or merged value built from hash order is
-  interpreter/seed-dependent.
+* **DET005** — a function of the package writes module-level mutable
+  state, its own module's or (through an import) another's.  Serially
+  that state accumulates across tests in one process; under the fleet
+  each worker gets a fresh copy, so shard output diverges from the
+  serial run.  No reachability argument excuses a write: code that is
+  unreachable from a campaign today is one call away tomorrow, so the
+  few import-time registries carry a line waiver saying why.
 * **PAR001** — a lambda, closure, or other non-module-level callable
   crosses the process boundary.  ``pickle`` refuses closures, so this
   is a latent crash under ``spawn`` even if ``fork`` happens to work.
@@ -22,8 +20,7 @@ the serial==parallel bit-identity contract breaks *between* modules:
   finished trace always sees the final one — an instant feed-parity
   break.
 
-All four operate on the :class:`~repro.lint.graph.ProjectModel`; they
-run only under ``--project``.
+All three operate on the :class:`~repro.lint.graph.ProjectModel`.
 """
 
 from __future__ import annotations
@@ -36,8 +33,7 @@ from repro.lint.rules import ProjectRule, register_rule
 from repro.lint.summaries import FunctionSummary, ModuleSummary
 
 __all__ = [
-    "ReachableGlobalWriteRule",
-    "UnorderedMaterializationRule",
+    "GlobalWriteRule",
     "UnpicklableBoundaryRule",
     "MutationAfterEmissionRule",
 ]
@@ -54,38 +50,27 @@ _BOUNDARY_METHODS = frozenset({
 _POOLISH_ROOTS = ("pool", "executor", "ctx", "context")
 
 
-def _short_path(model: ProjectModel, fid: str) -> str:
-    """Human call chain ``entry -> ... -> f`` using qualnames."""
-    parts = [
-        model.functions[step].qualname if step in model.functions
-        else step
-        for step in model.reach_path(fid)
-    ]
-    return " -> ".join(parts)
-
-
 @register_rule
-class ReachableGlobalWriteRule(ProjectRule):
-    """DET005: module-level mutable state written from reachable code."""
+class GlobalWriteRule(ProjectRule):
+    """DET005: module-level mutable state written by a function."""
 
     code = "DET005"
-    name = "reachable-global-write"
+    name = "global-write"
     severity = Severity.ERROR
     summary = (
-        "forbids writing module-level mutable state from any function "
-        "reachable from a campaign or fleet-worker entry point"
+        "forbids any function of the package writing module-level "
+        "mutable state"
     )
     rationale = (
-        "A module global written on the campaign hot path is process "
-        "memory: serial runs accumulate it across every test, fleet "
-        "workers each start from a fresh copy — the canonical way "
-        "shard output silently diverges from the serial baseline."
+        "A module global written by a function is process memory: "
+        "serial runs accumulate it across every test, fleet workers "
+        "each start from a fresh copy — the canonical way shard "
+        "output silently diverges from the serial baseline."
     )
 
     def check_project(self, model: ProjectModel) -> Iterable[Finding]:
-        for fid in sorted(model.reachable):
-            fn = model.functions.get(fid)
-            if fn is None:
+        for fid, fn in sorted(model.functions.items()):
+            if not model.config.in_package(fn.module):
                 continue
             summary = model.modules[fn.module]
             for write in fn.global_writes:
@@ -94,10 +79,9 @@ class ReachableGlobalWriteRule(ProjectRule):
                     continue
                 yield self.project_finding(
                     summary.path, write.line, write.col,
-                    f"{target} ({write.how}) in '{fn.qualname}', "
-                    f"reachable via "
-                    f"{_short_path(model, fid)} — state written here "
-                    f"diverges between serial and fleet runs",
+                    f"{target} ({write.how}) in '{fn.qualname}' — "
+                    f"state written here diverges between serial and "
+                    f"fleet runs",
                 )
 
     @staticmethod
@@ -140,48 +124,6 @@ class ReachableGlobalWriteRule(ProjectRule):
                             f"'{owner2.module}.{parts2[-1]}' of "
                             f"another module")
         return None
-
-
-@register_rule
-class UnorderedMaterializationRule(ProjectRule):
-    """DET006: hash order materialized into values in agg scopes."""
-
-    code = "DET006"
-    name = "unordered-materialization"
-    severity = Severity.ERROR
-    summary = (
-        "forbids materializing an order out of set expressions or "
-        "shard-keyed dict views in aggregation scopes"
-    )
-    rationale = (
-        "list()/tuple()/join()/iteration over an unordered collection "
-        "bakes hash order into emitted or merged values; the order "
-        "varies across interpreters and PYTHONHASHSEED, so two runs "
-        "of the same campaign stop being bit-identical.  Generalizes "
-        "DET004 beyond float reductions: any materialized order "
-        "counts, not just non-associative arithmetic."
-    )
-
-    def check_project(self, model: ProjectModel) -> Iterable[Finding]:
-        for module, summary in sorted(model.modules.items()):
-            if not model.in_effective_aggregation_scope(module):
-                continue
-            for sink in summary.unordered_sinks:
-                if (sink.via in ("for", "comprehension")
-                        and sink.reason == "an unordered set expression"
-                        and model.config.in_sim_scope(module)):
-                    # DET003 already reports exactly this shape in sim
-                    # scopes; one finding per hazard.
-                    continue
-                shape = ("iteration" if sink.via in
-                         ("for", "comprehension")
-                         else f"{sink.via}()")
-                yield self.project_finding(
-                    summary.path, sink.line, sink.col,
-                    f"{shape} over {sink.reason} materializes hash "
-                    f"order inside aggregation scope '{module}'; "
-                    f"sort first or use an ordered container",
-                )
 
 
 @register_rule
@@ -329,8 +271,6 @@ class MutationAfterEmissionRule(ProjectRule):
                     f"this record",
                 )
             for edge in model.call_edges.get(fid, ()):
-                if edge.offset is None:
-                    continue
                 if (edge.call.line, edge.call.col) <= (e_line, e_col):
                     continue
                 culprit = self._mutating_callee(model, fn, edge, name)

@@ -1,12 +1,12 @@
-"""Trace-safety rule: TRACE001 — anomaly checkers must not mutate traces.
+"""Trace-safety rule: TRACE001 — a trace taken as input is read-only.
 
-The analysis pipeline runs every registered checker over every test
-trace (see :mod:`repro.core.anomalies.registry`); the same trace object
-is handed to each checker in turn, and the prevalence/window figures
-assume each checker saw the *same* trace.  A checker that sorts,
-appends to, or rewrites its input silently skews every checker that
-runs after it — the classic "the measurement harness broke the
-measurement" failure this PR's linter exists to prevent.
+One trace object is handed to every consumer in turn — the stream
+engine's checkers and window trackers, the metric evaluator, the
+archive writer — and the prevalence/window figures assume each saw the
+*same* trace.  A function that sorts, appends to, or rewrites the
+trace it was given silently skews everything that runs after it — the
+classic "the measurement harness broke the measurement" failure the
+linter exists to prevent.
 """
 
 from __future__ import annotations
@@ -16,15 +16,9 @@ from typing import Iterator
 
 from repro.lint.findings import Finding, Severity
 from repro.lint.rules import ModuleContext, Rule, register_rule, root_name
+from repro.lint.summaries import MUTATING_METHODS
 
 __all__ = ["TraceMutationRule"]
-
-#: Method names that mutate built-in containers (or look like they do).
-_MUTATORS = frozenset({
-    "append", "extend", "insert", "remove", "pop", "clear",
-    "sort", "reverse", "add", "discard", "update", "setdefault",
-    "popitem", "appendleft", "popleft",
-})
 
 #: Parameter names / annotation substrings identifying a trace input.
 _TRACE_PARAM_NAMES = frozenset({"trace", "traces"})
@@ -57,12 +51,11 @@ def _assignment_targets(node: ast.AST) -> list[ast.AST]:
 
 @register_rule
 class TraceMutationRule(Rule):
-    """TRACE001 — no mutation of trace parameters in anomaly checkers.
+    """TRACE001 — no mutation of a trace parameter.
 
-    Within the configured ``trace-scopes`` packages (by default
-    :mod:`repro.core.anomalies`), any function taking a trace parameter
-    (named ``trace``/``traces`` or annotated ``TestTrace``) must treat
-    it as read-only.  Flagged:
+    Any function of the package taking a trace parameter (named
+    ``trace``/``traces`` or annotated ``TestTrace``) must treat it as
+    read-only.  Flagged:
 
     * mutating method calls (``.append``, ``.sort``, ``.update``, ...)
       on any expression rooted at the trace parameter, including
@@ -79,16 +72,16 @@ class TraceMutationRule(Rule):
     code = "TRACE001"
     name = "trace-mutation"
     severity = Severity.ERROR
-    summary = "anomaly checkers must not mutate their input traces"
+    summary = "a function must not mutate the trace it is given"
     rationale = (
-        "All checkers observe the same trace object; one checker "
-        "mutating it changes what every later checker (and the "
-        "divergence-window analysis) sees, corrupting Figs. 3-10 "
-        "without any test failing."
+        "All checkers, window trackers and metrics observe the same "
+        "trace object; one consumer mutating it changes what every "
+        "later one sees, corrupting Figs. 3-10 without any test "
+        "failing."
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        if not module.config.in_trace_scope(module.module):
+        if not module.config.in_package(module.module):
             return
         for node in ast.walk(module.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -102,13 +95,14 @@ class TraceMutationRule(Rule):
         for node in ast.walk(func):
             if isinstance(node, ast.Call) and \
                     isinstance(node.func, ast.Attribute) and \
-                    node.func.attr in _MUTATORS and \
+                    node.func.attr in MUTATING_METHODS and \
                     root_name(node.func.value) in params:
                 yield self.finding(
                     module, node,
                     f".{node.func.attr}() mutates the "
                     f"'{root_name(node.func.value)}' parameter; "
-                    "checkers must be pure — copy before modifying",
+                    "trace consumers must be pure — copy before "
+                    "modifying",
                 )
                 continue
             for target in _assignment_targets(node):
@@ -117,6 +111,7 @@ class TraceMutationRule(Rule):
                     yield self.finding(
                         module, node,
                         f"assignment into the "
-                        f"'{root_name(target)}' parameter; checkers "
-                        "must be pure — copy before modifying",
+                        f"'{root_name(target)}' parameter; trace "
+                        "consumers must be pure — copy before "
+                        "modifying",
                     )

@@ -19,7 +19,7 @@ attribute access hanging off a subscript of a shard-named collection
 barrier sequencer is the one legitimate place that touches every
 shard).
 
-Like DET003/DET004 this is a syntactic heuristic: an aliased
+Like DET003 this is a syntactic heuristic: an aliased
 collection (``peer = self._replicas[i]``) cannot be seen without type
 inference.  It catches the direct-reach shape that actually appears
 when someone "optimizes" a bus send into a neighbour poke.

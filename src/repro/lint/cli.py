@@ -2,8 +2,10 @@
 ``repro-consistency lint`` subcommand.
 
 Both entry points share :func:`add_lint_arguments` /
-:func:`run_from_args`, so flags behave identically whichever way the
-linter is invoked.
+:func:`run_from_args`, so they behave identically whichever way the
+linter is invoked.  There is one mode and nothing to configure: every
+run is the whole battery under :class:`~repro.lint.config.LintConfig`'s
+defaults.
 
 Exit codes: ``0`` clean (possibly with waived findings), ``1`` at least
 one unwaived finding, ``2`` usage or I/O error.
@@ -14,82 +16,19 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
-from repro.lint.config import (
-    LintConfig,
-    find_pyproject,
-    load_config,
-)
-from repro.lint.engine import LintEngine
-from repro.lint.reporting import (
-    render_human,
-    render_json,
-    render_rule_list,
-)
-from repro.lint.rules import all_rules, rule_codes
+from repro.lint.engine import lint_paths
+from repro.lint.reporting import render_human, render_rule_list
+from repro.lint.rules import all_rules
 
-__all__ = ["main", "build_parser", "add_lint_arguments",
-           "run_from_args", "UnknownRuleError"]
-
-
-class UnknownRuleError(ValueError):
-    """Raised for a ``--select``/``--ignore`` code no rule defines.
-
-    A typo'd code must not silently disable the battery and report a
-    false "no findings" — it is a usage error (exit 2).
-    """
+__all__ = ["main", "build_parser", "add_lint_arguments", "run_from_args"]
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Install the lint flags on ``parser`` (shared with repro.cli)."""
+    """Install the lint arguments on ``parser`` (shared with repro.cli)."""
     parser.add_argument(
         "paths", nargs="*", default=["src"], metavar="PATH",
         help="files or directories to lint (default: src)",
-    )
-    parser.add_argument(
-        "--format", choices=("human", "json"), default="human",
-        help="output format (default: human)",
-    )
-    parser.add_argument(
-        "--select", default="", metavar="CODES",
-        help="comma-separated rule codes to run (default: all)",
-    )
-    parser.add_argument(
-        "--ignore", default="", metavar="CODES",
-        help="comma-separated rule codes to skip",
-    )
-    parser.add_argument(
-        "--pyproject", default=None, metavar="FILE",
-        help="pyproject.toml to read [tool.repro-lint] from "
-             "(default: nearest above the first PATH)",
-    )
-    parser.add_argument(
-        "--show-waived", action="store_true",
-        help="also print findings suppressed by waiver comments",
-    )
-    parser.add_argument(
-        "--project", action="store_true",
-        help="run the whole-program pass: link per-module summaries "
-             "into an import/call graph and apply the cross-module "
-             "rules (DET005, DET006, PAR001, TRACE002)",
-    )
-    parser.add_argument(
-        "--cache", default=None, metavar="FILE", dest="cache",
-        help="content-hash cache file: unchanged files are not "
-             "re-parsed between runs (safe to commit to CI caches)",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="suppress findings recorded in FILE (written by "
-             "--write-waivers); suppressed findings count as waived",
-    )
-    parser.add_argument(
-        "--write-waivers", default=None, metavar="FILE",
-        dest="write_waivers",
-        help="write a baseline of today's unwaived findings to FILE "
-             "and exit 0 — lets a new strict rule land without "
-             "blocking un-cleaned trees",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -110,33 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _split_codes(raw: str) -> tuple[str, ...]:
-    codes = tuple(code.strip() for code in raw.split(",")
-                  if code.strip())
-    known = set(rule_codes())
-    unknown = [code for code in codes if code not in known]
-    if unknown:
-        raise UnknownRuleError(
-            f"unknown rule code{'s' if len(unknown) != 1 else ''}: "
-            f"{', '.join(unknown)} (known: {', '.join(sorted(known))})"
-        )
-    return codes
-
-
-def _resolve_config(args: argparse.Namespace) -> LintConfig:
-    if args.pyproject is not None:
-        pyproject = Path(args.pyproject)
-        if not pyproject.is_file():
-            raise FileNotFoundError(f"no such pyproject: {pyproject}")
-    else:
-        pyproject = find_pyproject(Path(args.paths[0]))
-    config = load_config(pyproject)
-    return config.with_overrides(
-        select=_split_codes(args.select),
-        ignore=_split_codes(args.ignore),
-    )
-
-
 def _safe_print(output: str) -> None:
     """Print without tracebacks when e.g. ``| head`` closed stdout."""
     try:
@@ -152,33 +64,11 @@ def run_from_args(args: argparse.Namespace) -> int:
         _safe_print(render_rule_list(all_rules()))
         return 0
     try:
-        config = _resolve_config(args)
-        engine = LintEngine(config)
-        if args.write_waivers is not None:
-            count = engine.write_waivers(
-                args.paths, args.write_waivers,
-                project=args.project,
-            )
-            _safe_print(
-                f"wrote {count} waiver entr"
-                f"{'y' if count == 1 else 'ies'} to "
-                f"{args.write_waivers}"
-            )
-            return 0
-        result = engine.lint_paths(
-            args.paths,
-            project=args.project,
-            cache_path=args.cache,
-            baseline_path=args.baseline,
-        )
-    except (FileNotFoundError, UnknownRuleError, ValueError) as exc:
+        result = lint_paths(args.paths)
+    except FileNotFoundError as exc:
         print(f"repro-lint: error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        output = render_json(result)
-    else:
-        output = render_human(result, show_waived=args.show_waived)
-    _safe_print(output)
+    _safe_print(render_human(result))
     return 0 if result.ok else 1
 
 

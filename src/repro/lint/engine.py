@@ -6,44 +6,27 @@ emitted sorted by ``(path, line, col, code)`` — so two lint runs over
 the same tree produce byte-identical reports (the linter holds itself
 to the standard it enforces).
 
-Two passes compose one run:
-
-* **Phase 1 (per file)** — parse, run the per-module battery, collect
-  waivers, and distill a :class:`~repro.lint.summaries.ModuleSummary`.
-  Everything phase 1 produces is content-addressed: with ``--cache``,
-  a file whose SHA-256 is unchanged is never re-parsed.
-* **Phase 2 (``--project``)** — link the summaries into a
-  :class:`~repro.lint.graph.ProjectModel` and run the cross-module
-  rules over it.  Phase 2 is always recomputed (it is cheap relative
-  to parsing, and any file change can shift reachability).
+There is one mode.  Every run parses each file once, runs the
+per-module rules on it, collects its waivers and distills a
+:class:`~repro.lint.summaries.ModuleSummary`; the summaries are then
+linked into a :class:`~repro.lint.graph.ProjectModel` and the
+cross-module rules run over it.  Nothing is cached between runs: the
+whole tree takes a few seconds.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from dataclasses import dataclass, field
-from fnmatch import fnmatch
 from pathlib import Path, PurePosixPath
 from typing import Iterator, Sequence
 
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding, Severity
-from repro.lint.graph import build_project_model, model_payload
+from repro.lint.graph import build_project_model
 from repro.lint.rules import ModuleContext, ProjectRule, Rule, all_rules
-from repro.lint.summaries import (
-    ModuleSummary,
-    summarize_module,
-    summary_from_dict,
-    summary_to_dict,
-)
-from repro.lint.waivers import (
-    WaiverSet,
-    collect_waivers,
-    load_baseline,
-    write_baseline,
-)
+from repro.lint.summaries import ModuleSummary, summarize_module
+from repro.lint.waivers import WaiverSet, collect_waivers
 
 __all__ = [
     "LintEngine",
@@ -51,15 +34,10 @@ __all__ = [
     "lint_paths",
     "module_name",
     "iter_python_files",
-    "CACHE_VERSION",
 ]
 
 #: Code attached to files that fail to parse at all.
 SYNTAX_ERROR_CODE = "SYNTAX"
-
-#: Bumped whenever cached phase-1 artifacts change shape or meaning
-#: (summary fields, finding fields, rule semantics).
-CACHE_VERSION = 1
 
 
 @dataclass
@@ -68,16 +46,13 @@ class LintResult:
 
     #: Unwaived findings, sorted by position.
     findings: list[Finding] = field(default_factory=list)
-    #: Findings suppressed by waiver comments or a baseline, sorted.
+    #: Findings suppressed by waiver comments, sorted.
     waived: list[Finding] = field(default_factory=list)
     files_checked: int = 0
-    #: How many ``waived`` entries a ``--baseline`` file suppressed.
-    baselined: int = 0
-    #: Diagnostics that are not findings: scope-audit warnings, cache
-    #: statistics, unresolved entry points.
+    #: Functions and methods in the linked project model.
+    functions_checked: int = 0
+    #: Diagnostics that are not findings (module-name collisions).
     notes: list[str] = field(default_factory=list)
-    #: Whole-program payload (graph dump) when ``--project`` ran.
-    project: dict | None = None
 
     @property
     def ok(self) -> bool:
@@ -93,26 +68,12 @@ class LintResult:
 
 @dataclass
 class _FileRecord:
-    """Phase-1 artifacts for one analyzed file."""
+    """What one parsed file contributes to the run."""
 
     display: str
-    sha256: str
-    kept: list[Finding]
-    waived: list[Finding]
+    findings: list[Finding]
     waivers: WaiverSet
     summary: ModuleSummary | None
-    source_lines: list[str]
-    from_cache: bool = False
-
-    def to_cache(self) -> dict:
-        return {
-            "sha256": self.sha256,
-            "findings": [f.to_dict() for f in self.kept],
-            "waived": [f.to_dict() for f in self.waived],
-            "waivers": self.waivers.to_dict(),
-            "summary": (summary_to_dict(self.summary)
-                        if self.summary is not None else None),
-        }
 
 
 def module_name(path: Path) -> str:
@@ -143,12 +104,7 @@ def _display_path(path: Path) -> str:
     return str(PurePosixPath(relative))
 
 
-def _excluded(display: str, patterns: Sequence[str]) -> bool:
-    return any(fnmatch(display, pattern) for pattern in patterns)
-
-
-def iter_python_files(paths: Sequence[Path],
-                      exclude: Sequence[str] = ()) -> Iterator[Path]:
+def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
     """Yield the ``.py`` files under ``paths`` in sorted order."""
     seen: set[Path] = set()
     for path in paths:
@@ -160,49 +116,28 @@ def iter_python_files(paths: Sequence[Path],
             raise FileNotFoundError(f"no such file or directory: {path}")
         for candidate in candidates:
             resolved = candidate.resolve()
-            if resolved in seen:
-                continue
-            seen.add(resolved)
-            if not _excluded(_display_path(candidate), exclude):
+            if resolved not in seen:
+                seen.add(resolved)
                 yield candidate
 
 
 class LintEngine:
-    """Runs the enabled rule battery over files and applies waivers."""
+    """Runs the rule battery over files and applies waivers."""
 
-    def __init__(self, config: LintConfig | None = None,
-                 rules: Sequence[Rule] | None = None) -> None:
+    def __init__(self, config: LintConfig | None = None) -> None:
         self.config = config or LintConfig()
-        candidates = list(rules) if rules is not None else all_rules()
-        self.rules: list[Rule] = [
-            rule for rule in candidates if self.config.enabled(rule.code)
-        ]
-        self.project_rules: list[ProjectRule] = [
-            rule for rule in self.rules if isinstance(rule, ProjectRule)
-        ]
-        self.file_rules: list[Rule] = [
-            rule for rule in self.rules
-            if not isinstance(rule, ProjectRule)
-        ]
+        self.rules: list[Rule] = all_rules()
 
-    def lint_file(self, path: Path) -> tuple[list[Finding], list[Finding]]:
-        """Lint one file; returns ``(unwaived, waived)`` findings."""
-        record = self._analyze_file(path, need_summary=False)
-        return record.kept, record.waived
-
-    def _analyze_file(self, path: Path,
-                      need_summary: bool) -> _FileRecord:
-        """Phase 1 for one file: parse, per-module rules, summary."""
+    def _analyze_file(self, path: Path) -> _FileRecord:
+        """Parse one file; run the per-module rules; summarize it."""
         display = _display_path(path)
         source = path.read_text(encoding="utf-8")
-        digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-        lines = source.splitlines()
         try:
             tree = ast.parse(source, filename=str(path))
         except SyntaxError as exc:
             return _FileRecord(
-                display=display, sha256=digest,
-                kept=[Finding(
+                display=display,
+                findings=[Finding(
                     path=display,
                     line=exc.lineno or 1,
                     col=(exc.offset or 1) - 1,
@@ -210,151 +145,37 @@ class LintEngine:
                     message=f"file does not parse: {exc.msg}",
                     severity=Severity.ERROR,
                 )],
-                waived=[], waivers=WaiverSet(), summary=None,
-                source_lines=lines,
+                waivers=WaiverSet(), summary=None,
             )
         module = module_name(path)
         context = ModuleContext(
-            path=display,
-            module=module,
-            tree=tree,
-            source=source,
-            config=self.config,
+            path=display, module=module, tree=tree, config=self.config)
+        findings = [
+            finding
+            for rule in self.rules
+            for finding in rule.check(context)
+        ]
+        summary = summarize_module(
+            tree, module, display,
+            is_package=path.name == "__init__.py",
         )
-        waivers = collect_waivers(source)
-        kept: list[Finding] = []
-        waived: list[Finding] = []
-        for rule in self.file_rules:
-            for finding in rule.check(context):
-                if waivers.is_waived(finding.line, finding.code):
-                    waived.append(finding.as_waived())
-                else:
-                    kept.append(finding)
-        kept.sort(key=lambda finding: finding.sort_key)
-        waived.sort(key=lambda finding: finding.sort_key)
-        summary = None
-        if need_summary:
-            summary = summarize_module(
-                tree, module, display,
-                is_package=path.name == "__init__.py",
-            )
         return _FileRecord(
-            display=display, sha256=digest, kept=kept, waived=waived,
-            waivers=waivers, summary=summary, source_lines=lines,
+            display=display, findings=findings,
+            waivers=collect_waivers(source), summary=summary,
         )
 
-    # -- Cache plumbing ------------------------------------------------
-
-    def _config_digest(self) -> str:
-        """Fingerprint of everything that shapes phase-1 output."""
-        identity = "|".join([
-            str(CACHE_VERSION),
-            repr(self.config),
-            ",".join(sorted(rule.code for rule in self.rules)),
-        ])
-        return hashlib.sha256(identity.encode("utf-8")).hexdigest()
-
-    def _load_cache(self, cache_path: Path) -> dict:
-        try:
-            data = json.loads(cache_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return {}
-        if not isinstance(data, dict):
-            return {}
-        if data.get("version") != CACHE_VERSION:
-            return {}
-        if data.get("config") != self._config_digest():
-            return {}
-        files = data.get("files")
-        return files if isinstance(files, dict) else {}
-
-    @staticmethod
-    def _record_from_cache(display: str, entry: dict,
-                           source_lines: list[str]) -> _FileRecord:
-        summary_data = entry.get("summary")
-        return _FileRecord(
-            display=display,
-            sha256=entry["sha256"],
-            kept=[Finding.from_dict(f) for f in entry["findings"]],
-            waived=[Finding.from_dict(f) for f in entry["waived"]],
-            waivers=WaiverSet.from_dict(entry["waivers"]),
-            summary=(summary_from_dict(summary_data)
-                     if summary_data is not None else None),
-            source_lines=source_lines,
-            from_cache=True,
-        )
-
-    # -- The run -------------------------------------------------------
-
-    def lint_paths(self, paths: Sequence[Path | str], *,
-                   project: bool = False,
-                   cache_path: Path | str | None = None,
-                   baseline_path: Path | str | None = None
-                   ) -> LintResult:
-        """Lint every python file under ``paths``.
-
-        ``project=True`` additionally links the per-module summaries
-        into a whole-program model and runs the cross-module rules.
-        ``cache_path`` enables the content-hash cache; ``baseline_path``
-        suppresses findings recorded by ``--write-waivers``.
-        """
+    def lint_paths(self, paths: Sequence[Path | str]) -> LintResult:
+        """Lint every python file under ``paths`` — the whole battery:
+        per-module rules on each file, cross-module rules on the
+        project model linked from all of them."""
         result = LintResult()
-        need_summary = project or cache_path is not None
-        cached_files: dict = {}
-        if cache_path is not None:
-            cached_files = self._load_cache(Path(cache_path))
-        hits = misses = 0
-
-        records: list[_FileRecord] = []
-        for path in iter_python_files(
-                [Path(p) for p in paths], self.config.exclude):
-            display = _display_path(path)
-            entry = cached_files.get(display)
-            if entry is not None:
-                source = path.read_text(encoding="utf-8")
-                digest = hashlib.sha256(
-                    source.encode("utf-8")).hexdigest()
-                if entry.get("sha256") == digest and (
-                        not need_summary
-                        or entry.get("summary") is not None
-                        or entry["findings"]
-                        and entry["findings"][0]["code"]
-                        == SYNTAX_ERROR_CODE):
-                    records.append(self._record_from_cache(
-                        display, entry, source.splitlines()))
-                    hits += 1
-                    continue
-            records.append(self._analyze_file(path, need_summary))
-            misses += 1
-
-        for record in records:
-            result.findings.extend(record.kept)
-            result.waived.extend(record.waived)
-            result.files_checked += 1
-
-        if project:
-            self._run_project_phase(result, records)
-
-        if baseline_path is not None:
-            self._apply_baseline(result, records, Path(baseline_path))
-
-        if cache_path is not None:
-            result.notes.append(
-                f"cache: {hits} hit{'s' if hits != 1 else ''}, "
-                f"{misses} miss{'es' if misses != 1 else ''}"
-            )
-            self._write_cache(Path(cache_path), records)
-
-        result.findings.sort(key=lambda finding: finding.sort_key)
-        result.waived.sort(key=lambda finding: finding.sort_key)
-        result.notes.sort()
-        return result
-
-    def _run_project_phase(self, result: LintResult,
-                           records: list[_FileRecord]) -> None:
+        found: list[Finding] = []
         summaries: dict[str, ModuleSummary] = {}
         waiver_sets: dict[str, WaiverSet] = {}
-        for record in records:
+        for path in iter_python_files([Path(p) for p in paths]):
+            record = self._analyze_file(path)
+            result.files_checked += 1
+            found.extend(record.findings)
             waiver_sets[record.display] = record.waivers
             if record.summary is None:
                 continue
@@ -370,86 +191,26 @@ class LintEngine:
                     f"; analyzing {record.display} standalone"
                 )
             summaries[key] = record.summary
+
         model = build_project_model(summaries, self.config)
-        for rule in self.project_rules:
-            for finding in rule.check_project(model):
-                waivers = waiver_sets.get(finding.path, WaiverSet())
-                if waivers.is_waived(finding.line, finding.code):
-                    result.waived.append(finding.as_waived())
-                else:
-                    result.findings.append(finding)
-        result.notes.extend(model.notes)
-        result.project = model_payload(model)
+        result.functions_checked = len(model.functions)
+        for rule in self.rules:
+            if isinstance(rule, ProjectRule):
+                found.extend(rule.check_project(model))
 
-    @staticmethod
-    def _apply_baseline(result: LintResult,
-                        records: list[_FileRecord],
-                        baseline_path: Path) -> None:
-        baseline = load_baseline(baseline_path)
-        sources = {record.display: record.source_lines
-                   for record in records}
-        kept: list[Finding] = []
-        for finding in sorted(result.findings,
-                              key=lambda f: f.sort_key):
-            lines = sources.get(finding.path, [])
-            text = (lines[finding.line - 1]
-                    if 0 < finding.line <= len(lines) else "")
-            if baseline.matches(finding, text):
+        for finding in found:
+            if waiver_sets[finding.path].is_waived(
+                    finding.line, finding.code):
                 result.waived.append(finding.as_waived())
-                result.baselined += 1
             else:
-                kept.append(finding)
-        result.findings = kept
-
-    def _write_cache(self, cache_path: Path,
-                     records: list[_FileRecord]) -> None:
-        payload = {
-            "version": CACHE_VERSION,
-            "config": self._config_digest(),
-            "files": {record.display: record.to_cache()
-                      for record in records},
-        }
-        try:
-            cache_path.write_text(
-                json.dumps(payload, indent=1, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-        except OSError:  # pragma: no cover - read-only checkouts
-            pass
-
-    def write_waivers(self, paths: Sequence[Path | str],
-                      baseline_path: Path | str, *,
-                      project: bool = False) -> int:
-        """Snapshot today's unwaived findings into a baseline file.
-
-        Returns the number of entries written.  The resulting file is
-        consumed by ``lint_paths(baseline_path=...)`` — the
-        ``--write-waivers`` / ``--baseline`` pair lets a new strict
-        rule family land without blocking un-cleaned trees.
-        """
-        need_summary = project
-        records: list[_FileRecord] = []
-        for path in iter_python_files(
-                [Path(p) for p in paths], self.config.exclude):
-            records.append(self._analyze_file(path, need_summary))
-        result = LintResult()
-        for record in records:
-            result.findings.extend(record.kept)
-        if project:
-            self._run_project_phase(result, records)
-        sources = {record.display: record.source_lines
-                   for record in records}
-        return write_baseline(Path(baseline_path), result.findings,
-                              sources)
+                result.findings.append(finding)
+        result.findings.sort(key=lambda finding: finding.sort_key)
+        result.waived.sort(key=lambda finding: finding.sort_key)
+        result.notes.sort()
+        return result
 
 
 def lint_paths(paths: Sequence[Path | str],
-               config: LintConfig | None = None, *,
-               project: bool = False,
-               cache_path: Path | str | None = None,
-               baseline_path: Path | str | None = None) -> LintResult:
+               config: LintConfig | None = None) -> LintResult:
     """Convenience: lint ``paths`` with ``config`` (or the defaults)."""
-    return LintEngine(config).lint_paths(
-        paths, project=project, cache_path=cache_path,
-        baseline_path=baseline_path,
-    )
+    return LintEngine(config).lint_paths(paths)

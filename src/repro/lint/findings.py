@@ -1,9 +1,8 @@
 """Finding and severity vocabulary for the linter.
 
 A :class:`Finding` is one rule violation anchored to a ``file:line:col``
-position.  Findings are plain frozen dataclasses so the engine can sort,
-deduplicate, and serialize them without ceremony; the JSON schema in
-:mod:`repro.lint.reporting` is a direct projection of these fields.
+position.  Findings are plain frozen dataclasses so the engine can sort
+and compare them without ceremony.
 """
 
 from __future__ import annotations
@@ -72,27 +71,3 @@ class Finding:
     def location(self) -> str:
         """The clickable ``path:line:col`` prefix."""
         return f"{self.path}:{self.line}:{self.col}"
-
-    def to_dict(self) -> dict:
-        """JSON-safe projection (the lint cache round-trips these)."""
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "code": self.code,
-            "message": self.message,
-            "severity": self.severity.value,
-            "waived": self.waived,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Finding":
-        return cls(
-            path=data["path"],
-            line=data["line"],
-            col=data["col"],
-            code=data["code"],
-            message=data["message"],
-            severity=Severity(data["severity"]),
-            waived=data.get("waived", False),
-        )

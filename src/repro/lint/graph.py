@@ -1,23 +1,16 @@
-"""Phase 2 substrate: the whole-program project model.
+"""The whole-program project model the cross-module rules query.
 
 :func:`build_project_model` links the per-module summaries of
 :mod:`repro.lint.summaries` into one queryable object:
 
-* an **import graph** restricted to project-internal edges,
 * a **call graph** — direct calls resolved through import aliases
   (including one-hop re-exports, so ``repro.fleet.run_fleet`` links to
   ``repro.fleet.executor.run_fleet``), CHA-lite linking of method calls
-  by name, ``Class(...)`` to ``Class.__init__``, encloser→nested-def
-  edges, and conservative "callback" edges for function references
-  passed as arguments (``Process(target=_worker_main)``),
-* the **reachable set** of functions from the configured entry points
-  (serial campaign runner + fleet worker), with parent pointers so a
-  finding can print *how* a function is reachable,
+  by name, ``Class(...)`` to ``Class.__init__``, and calls of a
+  function's own nested defs,
 * a transitive **parameter-mutation** fixpoint (which callees mutate
-  which of their parameters, through call chains),
-* **inferred sim scope**: the import closure of the entry modules —
-  compared against the hand-maintained config lists, producing audit
-  notes when they disagree.
+  which of their parameters, through call chains) — what lets TRACE002
+  see a record mutated two call hops below the emission.
 
 The call graph is deliberately an over-approximation (method calls link
 by name across the whole project): for hazard rules, reaching too much
@@ -37,8 +30,7 @@ from repro.lint.summaries import (
     ModuleSummary,
 )
 
-__all__ = ["CallEdge", "ProjectModel", "build_project_model",
-           "model_payload"]
+__all__ = ["CallEdge", "ProjectModel", "build_project_model"]
 
 #: Method names never linked by the CHA pass: container mutators and
 #: dunders are overwhelmingly stdlib calls, and ``__init__`` is linked
@@ -58,12 +50,8 @@ class CallEdge:
     callee: str
     call: CallSite
     #: Positional-argument offset between the call site and the callee
-    #: signature (1 for method/constructor calls binding ``self``), or
-    #: ``None`` when the call shape is unknown (callback references).
-    offset: int | None
-    #: ``"direct"`` | ``"method"`` | ``"init"`` | ``"callback"`` |
-    #: ``"nested"``.
-    kind: str
+    #: signature (1 for method/constructor calls binding ``self``).
+    offset: int
 
 
 @dataclass
@@ -71,50 +59,15 @@ class ProjectModel:
     """Everything the cross-module rules query."""
 
     config: LintConfig
-    #: Dotted module name -> phase-1 summary.
+    #: Dotted module name -> summary.
     modules: dict[str, ModuleSummary] = field(default_factory=dict)
     #: Function id (``module.qualname``) -> summary.
     functions: dict[str, FunctionSummary] = field(default_factory=dict)
-    #: Project-internal import edges, module -> sorted imported modules.
-    import_graph: dict[str, tuple[str, ...]] = field(default_factory=dict)
     #: Caller fid -> outgoing edges in call-site order.
     call_edges: dict[str, tuple[CallEdge, ...]] = field(
         default_factory=dict)
-    #: Entry-point fids that resolved against the analyzed tree.
-    entry_points: tuple[str, ...] = ()
-    #: Fids reachable from the entry points (entry points included).
-    reachable: frozenset[str] = frozenset()
-    #: BFS parent of each reachable fid (entries map to themselves).
-    reach_parent: dict[str, str] = field(default_factory=dict)
     #: fid -> parameters it mutates, directly or through callees.
     mutates_param: dict[str, frozenset[str]] = field(default_factory=dict)
-    #: Import closure of the entry modules — the inferred sim scope.
-    inferred_sim_modules: frozenset[str] = frozenset()
-    #: Scope-audit and resolution diagnostics.
-    notes: list[str] = field(default_factory=list)
-
-    def reach_path(self, fid: str, limit: int = 8) -> list[str]:
-        """Entry→…→``fid`` call chain (shortest, from BFS parents)."""
-        path = [fid]
-        seen = {fid}
-        while True:
-            parent = self.reach_parent.get(path[-1])
-            if parent is None or parent in seen:
-                break
-            path.append(parent)
-            seen.add(parent)
-        path.reverse()
-        if len(path) > limit:
-            path = path[:2] + ["..."] + path[-(limit - 3):]
-        return path
-
-    def in_inferred_sim_scope(self, module: str) -> bool:
-        return module in self.inferred_sim_modules
-
-    def in_effective_aggregation_scope(self, module: str) -> bool:
-        """Configured aggregation scope ∪ inferred sim scope."""
-        return (self.config.in_aggregation_scope(module)
-                or module in self.inferred_sim_modules)
 
 
 def _project_module_of(model_modules: dict[str, ModuleSummary],
@@ -129,13 +82,13 @@ def _project_module_of(model_modules: dict[str, ModuleSummary],
 
 
 def _resolve_dotted(modules: dict[str, ModuleSummary], dotted: str,
-                    depth: int = 0) -> list[tuple[str, str]]:
-    """Resolve a dotted reference to ``[(fid, kind)]``.
+                    depth: int = 0) -> list[tuple[str, int]]:
+    """Resolve a dotted reference to ``[(fid, offset)]``.
 
-    ``kind`` is ``"direct"`` for plain functions/methods, ``"init"``
-    for class constructors.  Follows re-export aliases (``from .executor
-    import run_fleet`` in a package ``__init__``) up to
-    ``_RESOLVE_DEPTH`` hops.
+    ``offset`` is 0 for plain functions/methods and 1 for class
+    constructors (``Class(...)`` binds ``self`` of ``__init__``).
+    Follows re-export aliases (``from .executor import run_fleet`` in a
+    package ``__init__``) up to ``_RESOLVE_DEPTH`` hops.
     """
     if depth > _RESOLVE_DEPTH:
         return []
@@ -146,15 +99,14 @@ def _resolve_dotted(modules: dict[str, ModuleSummary], dotted: str,
     rest = dotted[len(owner):].lstrip(".")
     if not rest:
         return []
-    qual = rest
-    if qual in summary.functions:
-        return [(f"{owner}.{qual}", "direct")]
-    head, _, tail = qual.partition(".")
+    if rest in summary.functions:
+        return [(f"{owner}.{rest}", 0)]
+    head, _, tail = rest.partition(".")
     if not tail:
         if head in summary.classes:
             init = f"{head}.__init__"
             if init in summary.functions:
-                return [(f"{owner}.{init}", "init")]
+                return [(f"{owner}.{init}", 1)]
             return []
         origin = summary.imports.get(head)
         if origin is not None and origin != dotted:
@@ -168,14 +120,14 @@ def _resolve_dotted(modules: dict[str, ModuleSummary], dotted: str,
 
 def _resolve_local_name(summary: ModuleSummary,
                         modules: dict[str, ModuleSummary],
-                        name: str) -> list[tuple[str, str]]:
+                        name: str) -> list[tuple[str, int]]:
     """Resolve a bare module-level name inside ``summary``'s module."""
     if name in summary.functions:
-        return [(f"{summary.module}.{name}", "direct")]
+        return [(f"{summary.module}.{name}", 0)]
     if name in summary.classes:
         init = f"{name}.__init__"
         if init in summary.functions:
-            return [(f"{summary.module}.{init}", "init")]
+            return [(f"{summary.module}.{init}", 1)]
         return []
     origin = summary.imports.get(name)
     if origin is not None:
@@ -187,20 +139,10 @@ def build_project_model(summaries: dict[str, ModuleSummary],
                         config: LintConfig) -> ProjectModel:
     """Link per-module summaries into one :class:`ProjectModel`."""
     model = ProjectModel(config=config, modules=dict(summaries))
-    notes = model.notes
 
     for summary in summaries.values():
         for fn in summary.functions.values():
             model.functions[fn.fid] = fn
-
-    # -- Import graph (project-internal edges only) --------------------
-    for module, summary in summaries.items():
-        edges: set[str] = set()
-        for candidate in summary.imported_modules:
-            owner = _project_module_of(summaries, candidate)
-            if owner is not None and owner != module:
-                edges.add(owner)
-        model.import_graph[module] = tuple(sorted(edges))
 
     # -- CHA index: method name -> defining fids -----------------------
     cha_index: dict[str, list[str]] = {}
@@ -217,12 +159,6 @@ def build_project_model(summaries: dict[str, ModuleSummary],
     for fid, fn in sorted(model.functions.items()):
         summary = summaries[fn.module]
         edges: list[CallEdge] = []
-
-        def add(callee: str, call: CallSite, offset: int | None,
-                kind: str) -> None:
-            edges.append(CallEdge(caller=fid, callee=callee, call=call,
-                                  offset=offset, kind=kind))
-
         for call in fn.calls:
             if call.resolved is not None:
                 if "." in call.resolved:
@@ -230,76 +166,20 @@ def build_project_model(summaries: dict[str, ModuleSummary],
                 else:
                     targets = _resolve_local_name(summary, summaries,
                                                   call.resolved)
-                for callee, kind in targets:
-                    add(callee, call, 1 if kind == "init" else 0, kind)
             elif call.method is not None:
-                for callee in cha_index.get(call.method, ()):
-                    add(callee, call, 1, "method")
-            elif call.root is not None:
-                # Bare call on a local: a callable parameter or a
-                # local binding — link through local_callables below.
-                nested_fid = f"{fid}.{call.root}"
-                if call.root in fn.local_callables and \
-                        nested_fid in model.functions:
-                    add(nested_fid, call, 0, "direct")
-            # Function references passed as arguments: whoever receives
-            # them may call them — keep the target reachable.
-            for arg in call.args:
-                if arg.kind != "name" or arg.name is None:
-                    continue
-                if arg.name in fn.local_callables:
-                    nested_fid = f"{fid}.{arg.name}"
-                    if nested_fid in model.functions:
-                        add(nested_fid, call, None, "callback")
-                    continue
-                if arg.name in fn.locals_ or arg.name in fn.params:
-                    continue
-                for callee, _kind in _resolve_local_name(
-                        summary, summaries, arg.name):
-                    add(callee, call, None, "callback")
-        for nested_qual in fn.nested:
-            nested_fid = f"{fn.module}.{nested_qual}"
-            if nested_fid in model.functions:
-                edges.append(CallEdge(
-                    caller=fid, callee=nested_fid,
-                    call=CallSite(chain=nested_qual, resolved=None,
-                                  method=None, root=None,
-                                  line=fn.line, col=fn.col),
-                    offset=None, kind="nested"))
+                targets = [(callee, 1)
+                           for callee in cha_index.get(call.method, ())]
+            elif call.root in fn.local_callables and \
+                    f"{fid}.{call.root}" in model.functions:
+                # Bare call on a local bound to a nested def.
+                targets = [(f"{fid}.{call.root}", 0)]
+            else:
+                targets = []
+            edges.extend(
+                CallEdge(caller=fid, callee=callee, call=call,
+                         offset=offset)
+                for callee, offset in targets)
         model.call_edges[fid] = tuple(edges)
-
-    # -- Entry points and reachability ---------------------------------
-    entries: list[str] = []
-    any_entry_module_present = False
-    for dotted in config.entry_points:
-        owner = _project_module_of(summaries, dotted)
-        if owner is None:
-            continue
-        any_entry_module_present = True
-        resolved = _resolve_dotted(summaries, dotted)
-        if not resolved:
-            notes.append(
-                f"entry point '{dotted}' does not resolve to a "
-                f"function in the analyzed tree"
-            )
-            continue
-        entries.extend(fid for fid, _kind in resolved)
-    model.entry_points = tuple(sorted(set(entries)))
-
-    reachable: set[str] = set(model.entry_points)
-    parent: dict[str, str] = {fid: fid for fid in model.entry_points}
-    frontier = sorted(reachable)
-    while frontier:
-        next_frontier: list[str] = []
-        for fid in frontier:
-            for edge in model.call_edges.get(fid, ()):
-                if edge.callee not in reachable:
-                    reachable.add(edge.callee)
-                    parent[edge.callee] = fid
-                    next_frontier.append(edge.callee)
-        frontier = sorted(next_frontier)
-    model.reachable = frozenset(reachable)
-    model.reach_parent = parent
 
     # -- Transitive parameter mutation ---------------------------------
     mutates: dict[str, set[str]] = {
@@ -310,8 +190,6 @@ def build_project_model(summaries: dict[str, ModuleSummary],
         changed = False
         for fid, fn in model.functions.items():
             for edge in model.call_edges.get(fid, ()):
-                if edge.offset is None:
-                    continue
                 callee = model.functions.get(edge.callee)
                 if callee is None:
                     continue
@@ -336,53 +214,4 @@ def build_project_model(summaries: dict[str, ModuleSummary],
             break
     model.mutates_param = {fid: frozenset(params)
                            for fid, params in mutates.items()}
-
-    # -- Inferred sim scope + audit ------------------------------------
-    entry_modules = sorted({
-        model.functions[fid].module for fid in model.entry_points
-    })
-    inferred: set[str] = set(entry_modules)
-    frontier = list(entry_modules)
-    while frontier:
-        module = frontier.pop()
-        for imported in model.import_graph.get(module, ()):
-            if imported not in inferred:
-                inferred.add(imported)
-                frontier.append(imported)
-    model.inferred_sim_modules = frozenset(inferred)
-
-    if any_entry_module_present and model.entry_points:
-        for module in sorted(inferred):
-            if config.in_sim_scope(module):
-                continue
-            if config.in_scope_exempt(module):
-                continue
-            notes.append(
-                f"scope audit: '{module}' is imported (transitively) "
-                f"by the entry points but is not in sim-scopes — add "
-                f"it, or list it under scope-exempt with a reason"
-            )
-        for scope in config.sim_scopes:
-            if not any(module == scope or module.startswith(scope + ".")
-                       for module in summaries):
-                notes.append(
-                    f"scope audit: configured sim-scope '{scope}' "
-                    f"matches no analyzed module (stale entry?)"
-                )
     return model
-
-
-def model_payload(model: ProjectModel) -> dict:
-    """JSON projection of the model for ``--format=json`` dumps."""
-    return {
-        "entry_points": list(model.entry_points),
-        "modules": len(model.modules),
-        "functions": len(model.functions),
-        "reachable_functions": len(model.reachable),
-        "import_graph": {
-            module: list(edges)
-            for module, edges in sorted(model.import_graph.items())
-        },
-        "inferred_sim_modules": sorted(model.inferred_sim_modules),
-        "notes": list(model.notes),
-    }

@@ -1,70 +1,42 @@
-"""Rendering lint results for humans and machines.
+"""Rendering lint results.
 
-Human output is one ``path:line:col: CODE message`` line per finding —
-the format editors and CI log scanners already understand — followed by
-a one-line summary.  JSON output (``--format=json``) is a stable,
-versioned schema so downstream tooling (CI annotations, dashboards)
-can consume findings without scraping text:
-
-.. code-block:: json
-
-    {
-      "version": 1,
-      "files_checked": 80,
-      "findings": [
-        {"path": "src/repro/replication/eventual.py", "line": 12,
-         "col": 4, "code": "DET001", "severity": "error",
-         "message": "..."}
-      ],
-      "waived": [],
-      "notes": [],
-      "summary": {"total": 1, "waived": 0, "baselined": 0,
-                  "by_rule": {"DET001": 1}}
-    }
-
-Under ``--project`` the payload additionally carries a ``"project"``
-object — the whole-program graph dump (entry points, the project-
-internal import graph, the inferred sim scope, reachability counts).
+Output is one ``path:line:col: CODE message`` line per finding — the
+format editors and CI log scanners already understand — followed by
+the waived findings (always printed, so a stale waiver stays in view),
+any notes, and a one-line summary.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Sequence
 
 from repro.lint.engine import LintResult
-from repro.lint.findings import Finding
 from repro.lint.rules import Rule
 
-__all__ = ["render_human", "render_json", "render_rule_list",
-           "JSON_SCHEMA_VERSION"]
-
-#: Bumped on any backwards-incompatible change to the JSON layout.
-#: Version 2 added ``notes``, ``summary.baselined``, and the optional
-#: ``project`` graph dump.
-JSON_SCHEMA_VERSION = 2
+__all__ = ["render_human", "render_rule_list"]
 
 
-def render_human(result: LintResult, *, show_waived: bool = False) -> str:
-    """The default terminal report."""
+def render_human(result: LintResult) -> str:
+    """The terminal report."""
     lines: list[str] = []
     for finding in result.findings:
         lines.append(
             f"{finding.location()}: {finding.code} "
             f"[{finding.severity}] {finding.message}"
         )
-    if show_waived:
-        for finding in result.waived:
-            lines.append(
-                f"{finding.location()}: {finding.code} [waived] "
-                f"{finding.message}"
-            )
+    for finding in result.waived:
+        lines.append(
+            f"{finding.location()}: {finding.code} [waived] "
+            f"{finding.message}"
+        )
     for note in result.notes:
         lines.append(f"note: {note}")
     total = len(result.findings)
     summary = (
         f"checked {result.files_checked} file"
-        f"{'s' if result.files_checked != 1 else ''}: "
+        f"{'s' if result.files_checked != 1 else ''}, "
+        f"{result.functions_checked} function"
+        f"{'s' if result.functions_checked != 1 else ''}: "
     )
     if total:
         per_rule = ", ".join(
@@ -75,47 +47,8 @@ def render_human(result: LintResult, *, show_waived: bool = False) -> str:
         summary += "no findings"
     if result.waived:
         summary += f", {len(result.waived)} waived"
-    if result.baselined:
-        summary += f" ({result.baselined} by baseline)"
-    if result.project is not None:
-        summary += (
-            f" [project: {result.project['functions']} functions, "
-            f"{result.project['reachable_functions']} reachable from "
-            f"{len(result.project['entry_points'])} entry points]"
-        )
     lines.append(summary)
     return "\n".join(lines)
-
-
-def _finding_dict(finding: Finding) -> dict:
-    return {
-        "path": finding.path,
-        "line": finding.line,
-        "col": finding.col,
-        "code": finding.code,
-        "severity": str(finding.severity),
-        "message": finding.message,
-    }
-
-
-def render_json(result: LintResult) -> str:
-    """The machine-readable report (sorted keys, stable ordering)."""
-    payload = {
-        "version": JSON_SCHEMA_VERSION,
-        "files_checked": result.files_checked,
-        "findings": [_finding_dict(f) for f in result.findings],
-        "waived": [_finding_dict(f) for f in result.waived],
-        "notes": list(result.notes),
-        "summary": {
-            "total": len(result.findings),
-            "waived": len(result.waived),
-            "baselined": result.baselined,
-            "by_rule": result.by_rule(),
-        },
-    }
-    if result.project is not None:
-        payload["project"] = result.project
-    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def render_rule_list(rules: Sequence[Rule]) -> str:

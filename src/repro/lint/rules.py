@@ -1,6 +1,7 @@
 """Rule interface, module context, and the rule registry.
 
-A *rule* inspects one parsed module at a time and yields
+A *rule* inspects one parsed module at a time — or, for a
+:class:`ProjectRule`, the linked whole-program model — and yields
 :class:`~repro.lint.findings.Finding` instances.  Rules register
 themselves with :func:`register_rule` at import time; the engine asks
 :func:`all_rules` for the battery, which lazily imports
@@ -18,7 +19,8 @@ from __future__ import annotations
 import abc
 import ast
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Iterable
 
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding, Severity
@@ -29,7 +31,6 @@ __all__ = [
     "ProjectRule",
     "register_rule",
     "all_rules",
-    "project_rules",
     "get_rule",
     "rule_codes",
     "root_name",
@@ -47,12 +48,9 @@ class ModuleContext:
     module:
         Dotted module name, e.g. ``"repro.replication.ranking"``,
         derived from the ``__init__.py`` chain above the file.  Rules
-        use it for scope checks (``config.in_scope``).
+        use it for scope checks (``config.in_package``).
     tree:
         The parsed :class:`ast.Module`.
-    source:
-        Full source text (rules rarely need it; waiver handling is the
-        engine's job).
     config:
         The active lint configuration.
     """
@@ -60,12 +58,26 @@ class ModuleContext:
     path: str
     module: str
     tree: ast.Module
-    source: str
     config: LintConfig
 
-    @property
-    def basename(self) -> str:
-        return self.path.rsplit("/", 1)[-1]
+    @cached_property
+    def aliases(self) -> dict[str, str]:
+        """Local names mapped to the dotted origin they were imported
+        as (absolute imports, anywhere in the file)."""
+        aliases: dict[str, str] = {}
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    local = alias.asname or alias.name.split(".")[0]
+                    origin = alias.name if alias.asname else \
+                        alias.name.split(".")[0]
+                    aliases[local] = origin
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                    and node.module:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    aliases[local] = f"{node.module}.{alias.name}"
+        return aliases
 
 
 class Rule(abc.ABC):
@@ -110,10 +122,10 @@ class Rule(abc.ABC):
 class ProjectRule(Rule):
     """A rule that needs the whole-program model, not one module.
 
-    Project rules run only under ``--project`` (phase 2): they receive
-    the linked :class:`~repro.lint.graph.ProjectModel` and may anchor
-    findings in *any* analyzed file.  The per-module :meth:`check` is a
-    no-op so a mixed battery can be dispatched uniformly.
+    Project rules receive the linked
+    :class:`~repro.lint.graph.ProjectModel` and may anchor findings in
+    *any* analyzed file.  The per-module :meth:`check` is a no-op so a
+    mixed battery can be dispatched uniformly.
     """
 
     def check(self, module: ModuleContext) -> Iterable[Finding]:
@@ -142,7 +154,10 @@ def register_rule(cls: type) -> type:
         raise ValueError(f"rule {cls.__name__} has no code")
     if rule.code in _REGISTRY:
         raise ValueError(f"duplicate rule code {rule.code}")
-    _REGISTRY[rule.code] = rule
+    # Waived: the rule registry is filled once, at import of
+    # repro.lint.checks, identically in every process; no campaign
+    # code reads it.
+    _REGISTRY[rule.code] = rule  # repro-lint: disable=DET005
     return cls
 
 
@@ -155,12 +170,6 @@ def all_rules() -> list[Rule]:
     """Every registered rule, sorted by code."""
     _ensure_loaded()
     return [_REGISTRY[code] for code in sorted(_REGISTRY)]
-
-
-def project_rules() -> list["ProjectRule"]:
-    """Every registered whole-program rule, sorted by code."""
-    return [rule for rule in all_rules()
-            if isinstance(rule, ProjectRule)]
 
 
 def rule_codes() -> list[str]:

@@ -1,29 +1,29 @@
-"""Phase 1 of the whole-program pass: per-module summaries.
+"""Per-module summaries: what the cross-module rules know of a file.
 
 The cross-module rules (:mod:`repro.lint.checks.parity`) never touch an
-AST: every module is walked exactly once, here, and distilled into a
-:class:`ModuleSummary` — imports, module-level mutable bindings, and one
+AST: every module is distilled here into a :class:`ModuleSummary` —
+imports, module-level mutable bindings, and one
 :class:`FunctionSummary` per function/method recording what the
 interprocedural phase needs (global writes, call sites with argument
-shapes, parameter mutations, unordered-order sinks).  Summaries are
-pure data: config-independent (so a content-hash cache entry stays
-valid across scope changes), JSON-serializable (so CI can cache them),
-and deterministic (every collection is emitted in source order or
-sorted).
+shapes, parameter mutations).  Summaries are pure data,
+config-independent and deterministic (every collection is emitted in
+source order or sorted).
 
 The extraction is deliberately a *scope-accurate heuristic*, not a type
 checker: locals are the names a function binds syntactically, a "global
 write" is a mutation whose root identifier is not one of them, and call
 targets are resolved through import aliases only.  The project model
-(:mod:`repro.lint.graph`) layers name resolution and reachability on
-top.
+(:mod:`repro.lint.graph`) layers name resolution and the
+parameter-mutation fixpoint on top.
 """
 
 from __future__ import annotations
 
 import ast
-import builtins
+from collections import deque
 from dataclasses import dataclass, field
+
+from repro.lint.rules import root_name
 
 __all__ = [
     "CallArg",
@@ -32,12 +32,9 @@ __all__ = [
     "GlobalWrite",
     "ModuleSummary",
     "Mutation",
-    "UnorderedSink",
     "MUTATING_METHODS",
     "MUTABLE_CONSTRUCTORS",
     "summarize_module",
-    "summary_to_dict",
-    "summary_from_dict",
 ]
 
 #: Method names that mutate built-in containers (or look like they do).
@@ -54,8 +51,6 @@ MUTABLE_CONSTRUCTORS = frozenset({
     "dict", "list", "set", "bytearray", "defaultdict", "deque",
     "Counter", "OrderedDict",
 })
-
-_BUILTIN_NAMES = frozenset(dir(builtins))
 
 
 @dataclass(frozen=True)
@@ -121,22 +116,6 @@ class Mutation:
 
 
 @dataclass(frozen=True)
-class UnorderedSink:
-    """An order-materializing use of an unordered collection.
-
-    ``via`` names the sink shape (``"list"``, ``"tuple"``, ``"join"``,
-    ``"for"``, ``"comprehension"``, ``"enumerate"``, ``"zip"``);
-    ``reason`` names the unordered source, in the words DET004 already
-    uses.  Scope filtering happens in phase 2 — extraction is global.
-    """
-
-    via: str
-    reason: str
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
 class FunctionSummary:
     """Everything phase 2 knows about one function or method."""
 
@@ -152,14 +131,11 @@ class FunctionSummary:
     is_nested: bool
     params: tuple[str, ...] = ()
     locals_: frozenset[str] = frozenset()
-    global_reads: frozenset[str] = frozenset()
     global_writes: tuple[GlobalWrite, ...] = ()
     calls: tuple[CallSite, ...] = ()
     #: Parameters this function mutates directly.
     mutated_params: frozenset[str] = frozenset()
     mutations: tuple[Mutation, ...] = ()
-    #: Qualnames of functions defined directly inside this one.
-    nested: tuple[str, ...] = ()
     #: Local names bound to a lambda or nested def, by kind.
     local_callables: dict[str, str] = field(default_factory=dict)
 
@@ -171,23 +147,17 @@ class FunctionSummary:
 
 @dataclass(frozen=True)
 class ModuleSummary:
-    """Phase-1 distillation of one module."""
+    """Distillation of one module."""
 
     module: str
     path: str
     #: Module-level import aliases: local name -> dotted origin.
     imports: dict[str, str] = field(default_factory=dict)
-    #: Every dotted module imported anywhere in the file (including
-    #: function-local lazy imports), plus ``from X import n`` recorded
-    #: as both ``X`` and ``X.n`` (the graph intersects with the project
-    #: module set, so over-reporting candidates is harmless).
-    imported_modules: tuple[str, ...] = ()
     #: Module-level names bound to mutable containers -> def line.
     mutable_globals: dict[str, int] = field(default_factory=dict)
     #: Module-level class names.
     classes: tuple[str, ...] = ()
     functions: dict[str, FunctionSummary] = field(default_factory=dict)
-    unordered_sinks: tuple[UnorderedSink, ...] = ()
 
 
 # -- Shared AST helpers --------------------------------------------------
@@ -210,21 +180,6 @@ def _chain_parts(node: ast.AST) -> tuple[list[str], str | None]:
         return parts, parts[0]
     parts.reverse()
     return parts, None
-
-
-def _root_of(node: ast.AST) -> str | None:
-    """Root identifier under attribute/subscript/call chains."""
-    while True:
-        if isinstance(node, ast.Name):
-            return node.id
-        if isinstance(node, (ast.Attribute, ast.Starred)):
-            node = node.value
-        elif isinstance(node, ast.Subscript):
-            node = node.value
-        elif isinstance(node, ast.Call):
-            node = node.func
-        else:
-            return None
 
 
 def _is_mutable_value(node: ast.AST) -> bool:
@@ -261,8 +216,6 @@ def _own_nodes(func: ast.AST):
     node itself is yielded (so its *name* can be recorded) but not
     descended into.
     """
-    from collections import deque
-
     queue = deque(ast.iter_child_nodes(func))
     while queue:
         node = queue.popleft()
@@ -302,77 +255,6 @@ def _classify_arg(node: ast.AST, position: int | None,
     )
 
 
-# -- Unordered-sink extraction (DET006 raw material) ---------------------
-
-
-def _unordered_set_expr(node: ast.AST) -> bool:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        func = node.func
-        if isinstance(func, ast.Name) and func.id in ("set", "frozenset"):
-            return True
-        if isinstance(func, ast.Attribute) and func.attr in (
-                "difference", "union", "intersection",
-                "symmetric_difference"):
-            return True
-    return False
-
-
-def _shard_keyed_view(node: ast.AST) -> bool:
-    if not (isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("values", "keys", "items")):
-        return False
-    root = _root_of(node.func.value)
-    return root is not None and "shard" in root.lower()
-
-
-def _unordered_reason(node: ast.AST) -> str | None:
-    if _unordered_set_expr(node):
-        return "an unordered set expression"
-    if _shard_keyed_view(node):
-        return "a shard-keyed dict view"
-    return None
-
-
-def _collect_unordered_sinks(tree: ast.Module
-                             ) -> tuple[UnorderedSink, ...]:
-    """Order-materializing sinks over unordered sources, module-wide."""
-    sinks: list[UnorderedSink] = []
-
-    def sink(via: str, node: ast.AST, reason: str) -> None:
-        sinks.append(UnorderedSink(
-            via=via, reason=reason, line=node.lineno,
-            col=node.col_offset,
-        ))
-
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and node.args:
-            func = node.func
-            first = node.args[0]
-            reason = _unordered_reason(first)
-            if reason is None:
-                continue
-            if isinstance(func, ast.Name) and \
-                    func.id in ("list", "tuple", "enumerate", "zip"):
-                sink(func.id, node, reason)
-            elif isinstance(func, ast.Attribute) and func.attr == "join":
-                sink("join", node, reason)
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            reason = _unordered_reason(node.iter)
-            if reason is not None:
-                sink("for", node.iter, reason)
-        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                               ast.GeneratorExp)):
-            for generator in node.generators:
-                reason = _unordered_reason(generator.iter)
-                if reason is not None:
-                    sink("comprehension", generator.iter, reason)
-    sinks.sort(key=lambda s: (s.line, s.col, s.via))
-    return tuple(sinks)
-
-
 # -- Function summarisation ----------------------------------------------
 
 
@@ -405,7 +287,6 @@ def _summarize_function(module: str, qualname: str,
     locals_: set[str] = set(params)
     local_imports: dict[str, str] = {}
     local_callables: dict[str, str] = {}
-    nested_quals: list[str] = []
 
     for node in own:
         if isinstance(node, ast.Global):
@@ -418,7 +299,6 @@ def _summarize_function(module: str, qualname: str,
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             locals_.add(node.name)
             local_callables[node.name] = "nested"
-            nested_quals.append(f"{qualname}.{node.name}")
         elif isinstance(node, ast.ClassDef):
             locals_.add(node.name)
         elif isinstance(node, ast.ExceptHandler) and node.name:
@@ -454,7 +334,6 @@ def _summarize_function(module: str, qualname: str,
     def is_local(name: str) -> bool:
         return name in locals_
 
-    global_reads: set[str] = set()
     global_writes: list[GlobalWrite] = []
     calls: list[CallSite] = []
     mutated_params: set[str] = set()
@@ -479,10 +358,7 @@ def _summarize_function(module: str, qualname: str,
         return parts[1] if len(parts) > 1 else None
 
     for node in own:
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            if not is_local(node.id) and node.id not in _BUILTIN_NAMES:
-                global_reads.add(node.id)
-        elif isinstance(node, ast.Call):
+        if isinstance(node, ast.Call):
             parts, root = _chain_parts(node.func)
             chain = ".".join(parts)
             resolved: str | None = None
@@ -527,7 +403,7 @@ def _summarize_function(module: str, qualname: str,
                     parts_t, root_t = _chain_parts(
                         target.value if isinstance(target, ast.Subscript)
                         else target)
-                    root_t = root_t or _root_of(target)
+                    root_t = root_t or root_name(target)
                     if root_t is None:
                         continue
                     how = ("item assignment"
@@ -557,23 +433,20 @@ def _summarize_function(module: str, qualname: str,
         line=func.lineno, col=func.col_offset,
         is_method=is_method, is_nested=is_nested,
         params=params, locals_=frozenset(locals_),
-        global_reads=frozenset(global_reads),
         global_writes=tuple(global_writes), calls=tuple(calls),
         mutated_params=frozenset(mutated_params),
-        mutations=tuple(mutations), nested=tuple(nested_quals),
+        mutations=tuple(mutations),
         local_callables=dict(sorted(local_callables.items())),
     )
 
 
 def summarize_module(tree: ast.Module, module: str, path: str,
                      is_package: bool = False) -> ModuleSummary:
-    """Distill one parsed module into its phase-1 summary."""
+    """Distill one parsed module into its summary."""
     imports: dict[str, str] = {}
-    imported: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                imported.add(alias.name)
                 local = alias.asname or alias.name.split(".")[0]
                 origin = (alias.name if alias.asname
                           else alias.name.split(".")[0])
@@ -583,9 +456,7 @@ def summarize_module(tree: ast.Module, module: str, path: str,
                 module, is_package, node.level, node.module)
             if origin is None:
                 continue
-            imported.add(origin)
             for alias in node.names:
-                imported.add(f"{origin}.{alias.name}")
                 local = alias.asname or alias.name
                 imports.setdefault(local, f"{origin}.{alias.name}")
 
@@ -614,97 +485,6 @@ def summarize_module(tree: ast.Module, module: str, path: str,
 
     return ModuleSummary(
         module=module, path=path, imports=imports,
-        imported_modules=tuple(sorted(imported)),
         mutable_globals=mutable_globals, classes=tuple(classes),
         functions=functions,
-        unordered_sinks=_collect_unordered_sinks(tree),
-    )
-
-
-# -- JSON round trip (the CI cache) --------------------------------------
-
-
-def summary_to_dict(summary: ModuleSummary) -> dict:
-    """JSON-safe projection of a :class:`ModuleSummary`."""
-
-    def call_site(call: CallSite) -> dict:
-        return {
-            "chain": call.chain, "resolved": call.resolved,
-            "method": call.method, "root": call.root,
-            "line": call.line, "col": call.col,
-            "args": [{
-                "position": a.position, "keyword": a.keyword,
-                "kind": a.kind, "name": a.name,
-                "line": a.line, "col": a.col,
-            } for a in call.args],
-        }
-
-    def function(fn: FunctionSummary) -> dict:
-        return {
-            "qualname": fn.qualname, "name": fn.name,
-            "line": fn.line, "col": fn.col,
-            "is_method": fn.is_method, "is_nested": fn.is_nested,
-            "params": list(fn.params),
-            "locals": sorted(fn.locals_),
-            "global_reads": sorted(fn.global_reads),
-            "global_writes": [vars(w) for w in fn.global_writes],
-            "calls": [call_site(c) for c in fn.calls],
-            "mutated_params": sorted(fn.mutated_params),
-            "mutations": [vars(m) for m in fn.mutations],
-            "nested": list(fn.nested),
-            "local_callables": fn.local_callables,
-        }
-
-    return {
-        "module": summary.module,
-        "path": summary.path,
-        "imports": summary.imports,
-        "imported_modules": list(summary.imported_modules),
-        "mutable_globals": summary.mutable_globals,
-        "classes": list(summary.classes),
-        "functions": {qual: function(fn)
-                      for qual, fn in sorted(summary.functions.items())},
-        "unordered_sinks": [vars(s) for s in summary.unordered_sinks],
-    }
-
-
-def summary_from_dict(data: dict) -> ModuleSummary:
-    """Inverse of :func:`summary_to_dict`."""
-    module = data["module"]
-
-    def call_site(raw: dict) -> CallSite:
-        return CallSite(
-            chain=raw["chain"], resolved=raw["resolved"],
-            method=raw["method"], root=raw["root"],
-            line=raw["line"], col=raw["col"],
-            args=tuple(CallArg(**arg) for arg in raw["args"]),
-        )
-
-    def function(raw: dict) -> FunctionSummary:
-        return FunctionSummary(
-            module=module, qualname=raw["qualname"], name=raw["name"],
-            line=raw["line"], col=raw["col"],
-            is_method=raw["is_method"], is_nested=raw["is_nested"],
-            params=tuple(raw["params"]),
-            locals_=frozenset(raw["locals"]),
-            global_reads=frozenset(raw["global_reads"]),
-            global_writes=tuple(GlobalWrite(**w)
-                                for w in raw["global_writes"]),
-            calls=tuple(call_site(c) for c in raw["calls"]),
-            mutated_params=frozenset(raw["mutated_params"]),
-            mutations=tuple(Mutation(**m) for m in raw["mutations"]),
-            nested=tuple(raw["nested"]),
-            local_callables=dict(raw["local_callables"]),
-        )
-
-    return ModuleSummary(
-        module=module, path=data["path"],
-        imports=dict(data["imports"]),
-        imported_modules=tuple(data["imported_modules"]),
-        mutable_globals=dict(data["mutable_globals"]),
-        classes=tuple(data["classes"]),
-        functions={qual: function(fn)
-                   for qual, fn in data["functions"].items()},
-        unordered_sinks=tuple(UnorderedSink(**s)
-                              for s in data["unordered_sinks"]),
     )

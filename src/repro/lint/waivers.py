@@ -1,17 +1,16 @@
 """Waiver comments: ``# repro-lint: disable=RULE``.
 
-A waiver is an *explicit, reviewable* exception to a rule.  Two forms
-are recognised:
-
-* ``# repro-lint: disable=DET001`` — suppresses the named rule(s) for
-  findings anchored to the same physical line.  Multiple codes may be
-  comma-separated; ``disable=all`` suppresses every rule on that line.
-* ``# repro-lint: disable-file=API001`` — suppresses the named rule(s)
-  for the whole file.  Conventionally placed near the top.
+A waiver is an *explicit, reviewable* exception to a rule, written at
+the exempt line: ``# repro-lint: disable=DET001`` suppresses the named
+rule(s) for findings anchored to the same physical line (multiple
+codes may be comma-separated).  There is no file-wide form, no
+``all`` pseudo-code and no waiver file — an exemption that cannot
+name its line and its rule is not reviewable.  By convention the
+reason is stated in prose on, or directly above, the waived line.
 
 Waived findings are not dropped silently: the engine keeps them on a
-separate list so reports can show what was waived and reviewers can
-challenge stale waivers.
+separate list and every report prints them, so reviewers can challenge
+stale waivers.
 
 Comments are located with :mod:`tokenize` (the AST discards them), so
 waivers inside string literals are never misread as directives.
@@ -20,31 +19,14 @@ waivers inside string literals are never misread as directives.
 from __future__ import annotations
 
 import io
-import json
 import re
 import tokenize
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.findings import Finding
-
-__all__ = [
-    "WaiverSet",
-    "collect_waivers",
-    "WAIVER_ALL",
-    "Baseline",
-    "load_baseline",
-    "write_baseline",
-    "BASELINE_VERSION",
-]
-
-#: Pseudo-code accepted in a waiver comment to mean "every rule".
-WAIVER_ALL = "all"
+__all__ = ["WaiverSet", "collect_waivers"]
 
 _WAIVER_RE = re.compile(
-    r"#\s*repro-lint:\s*(?P<kind>disable(?:-file)?)\s*=\s*"
+    r"#\s*repro-lint:\s*disable\s*=\s*"
     r"(?P<codes>[A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*)"
 )
 
@@ -55,45 +37,13 @@ class WaiverSet:
 
     #: line number (1-based) -> rule codes waived on that line.
     by_line: dict[int, frozenset[str]] = field(default_factory=dict)
-    #: rule codes waived for the entire file.
-    file_wide: frozenset[str] = frozenset()
 
     def is_waived(self, line: int, code: str) -> bool:
         """Does a waiver cover a finding of ``code`` at ``line``?"""
-        for codes in (self.file_wide, self.by_line.get(line, frozenset())):
-            if code in codes or WAIVER_ALL in codes:
-                return True
-        return False
+        return code in self.by_line.get(line, frozenset())
 
     def __bool__(self) -> bool:
-        return bool(self.by_line) or bool(self.file_wide)
-
-    def to_dict(self) -> dict:
-        """JSON-safe projection (the lint cache round-trips these)."""
-        return {
-            "by_line": {str(line): sorted(codes)
-                        for line, codes in sorted(self.by_line.items())},
-            "file_wide": sorted(self.file_wide),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WaiverSet":
-        return cls(
-            by_line={int(line): frozenset(codes)
-                     for line, codes in data["by_line"].items()},
-            file_wide=frozenset(data["file_wide"]),
-        )
-
-
-def _parse_comment(comment: str) -> tuple[str, frozenset[str]] | None:
-    match = _WAIVER_RE.search(comment)
-    if match is None:
-        return None
-    codes = frozenset(
-        code.strip() for code in match.group("codes").split(",")
-        if code.strip()
-    )
-    return match.group("kind"), codes
+        return bool(self.by_line)
 
 
 def collect_waivers(source: str) -> WaiverSet:
@@ -103,15 +53,11 @@ def collect_waivers(source: str) -> WaiverSet:
     only calls this for files that already parsed, so that path is
     defensive).
     """
-    by_line: dict[int, set[str]] = {}
-    file_wide: set[str] = set()
     try:
-        tokens = list(
-            tokenize.generate_tokens(io.StringIO(source).readline)
-        )
         comments = [
             (token.start[0], token.string)
-            for token in tokens
+            for token in tokenize.generate_tokens(
+                io.StringIO(source).readline)
             if token.type == tokenize.COMMENT
         ]
     except (tokenize.TokenizeError, SyntaxError,
@@ -121,89 +67,13 @@ def collect_waivers(source: str) -> WaiverSet:
             for index, line in enumerate(source.splitlines())
             if "#" in line
         ]
+    by_line: dict[int, set[str]] = {}
     for line, comment in comments:
-        parsed = _parse_comment(comment)
-        if parsed is None:
-            continue
-        kind, codes = parsed
-        if kind == "disable-file":
-            file_wide.update(codes)
-        else:
-            by_line.setdefault(line, set()).update(codes)
+        match = _WAIVER_RE.search(comment)
+        if match is not None:
+            by_line.setdefault(line, set()).update(
+                code.strip() for code in match.group("codes").split(","))
     return WaiverSet(
-        by_line={line: frozenset(codes) for line, codes in by_line.items()},
-        file_wide=frozenset(file_wide),
+        by_line={line: frozenset(codes)
+                 for line, codes in by_line.items()},
     )
-
-
-# -- Baselines (``--write-waivers`` / ``--baseline``) --------------------
-#
-# A baseline is a *file-based* waiver set: a JSON snapshot of today's
-# findings, so a new strict-by-default rule family can land without
-# blocking trees that have not been cleaned up yet.  Entries are keyed
-# by ``(path, code, stripped source line)`` — not by line number — so
-# unrelated edits above a baselined finding do not invalidate it, while
-# any edit to the offending line itself surfaces the finding again.
-
-#: Bumped on any backwards-incompatible change to the baseline layout.
-BASELINE_VERSION = 1
-
-
-class Baseline:
-    """Loaded baseline entries, consumed as findings match them."""
-
-    def __init__(self, entries: Sequence[dict],
-                 source: str = "<baseline>") -> None:
-        self.source = source
-        self._available: dict[tuple[str, str, str], int] = {}
-        for entry in entries:
-            key = (entry["path"], entry["code"], entry["text"])
-            self._available[key] = self._available.get(key, 0) + 1
-
-    def matches(self, finding: "Finding", line_text: str) -> bool:
-        """Consume one entry for ``finding`` if the baseline has it."""
-        key = (finding.path, finding.code, line_text.strip())
-        remaining = self._available.get(key, 0)
-        if remaining <= 0:
-            return False
-        self._available[key] = remaining - 1
-        return True
-
-
-def load_baseline(path: Path) -> Baseline:
-    """Read a baseline written by :func:`write_baseline`."""
-    data = json.loads(path.read_text(encoding="utf-8"))
-    if data.get("version") != BASELINE_VERSION:
-        raise ValueError(
-            f"unsupported baseline version {data.get('version')!r} "
-            f"in {path} (expected {BASELINE_VERSION})"
-        )
-    return Baseline(data.get("entries", []), source=str(path))
-
-
-def write_baseline(path: Path, findings: Sequence["Finding"],
-                   sources: dict[str, list[str]]) -> int:
-    """Snapshot ``findings`` into a baseline file; returns the count.
-
-    ``sources`` maps display paths to their source lines, so each
-    entry can record the stripped text of the offending line.
-    """
-    entries = []
-    for finding in sorted(findings, key=lambda f: f.sort_key):
-        lines = sources.get(finding.path, [])
-        text = (lines[finding.line - 1].strip()
-                if 0 < finding.line <= len(lines) else "")
-        entries.append({
-            "path": finding.path,
-            "code": finding.code,
-            "line": finding.line,
-            "text": text,
-        })
-    payload = {
-        "version": BASELINE_VERSION,
-        "generated_by": "repro-lint --write-waivers",
-        "entries": entries,
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return len(entries)

@@ -23,7 +23,8 @@ service:
 Contract: a hunt run through the service produces an artifact store
 and merged ``fleet_signature`` byte-identical to a direct
 :func:`repro.fleet.run_fleet` of the same spec.  The serving shell is
-the only layer allowed wall-clock time (`repro.lint` scope waiver);
+the only layer allowed wall-clock time (`repro.lint` DET002 line
+waivers at the rate limiter and the pool's shard deadlines);
 everything below a shard boundary is a pure function of the spec.
 """
 

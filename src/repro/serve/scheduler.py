@@ -33,8 +33,8 @@ the consequence: an unrecoverable shard halts only its own hunt — the
 pool keeps serving the others.
 
 This is the serving shell: it runs on the host, outside any
-simulation, and is allowed wall-clock time (``repro.lint`` scope
-waiver for ``repro.serve``) because its timing affects only when a
+simulation; the host time it leans on (the pool's shard deadlines,
+waived line by line under ``repro.lint`` DET002) affects only when a
 shard executes, never what it computes.
 """
 

@@ -15,8 +15,9 @@ httpapi.HuntApi` dispatcher into one object with two faces:
   while the listener serves.
 
 This module is the one place in the serving stack that touches wall
-clock and sockets; the lint waiver for :mod:`repro.serve` exists for
-it.  Nothing below :meth:`HuntServer.handle` depends on either.
+clock and sockets; the one DET002 line waiver in :mod:`repro.serve`
+sits at its rate limiter.  Nothing below :meth:`HuntServer.handle`
+depends on either.
 """
 
 from __future__ import annotations
@@ -59,10 +60,10 @@ class HuntServer:
         self.accounts = AccountRegistry(SERVICE_REALM)
         limiter = None
         if rate_limit is not None:
-            # Host-side rate limiting uses the host clock — this is
-            # the serving shell, not a simulation.
+            # Waived: host-side HTTP rate limiting uses the host clock
+            # — this is the serving shell, not a simulation.
             limiter = SlidingWindowRateLimiter(
-                rate_limit, now_fn=time.monotonic,
+                rate_limit, now_fn=time.monotonic,  # repro-lint: disable=DET002
             )
         self.api = HuntApi(self.service, self.accounts,
                            rate_limiter=limiter)

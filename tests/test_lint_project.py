@@ -1,34 +1,21 @@
-"""Tests for the whole-program lint pass (``--project``).
+"""Tests for the cross-module half of the linter.
 
-Covers phase 1 (per-module summaries: locals/global-write extraction,
-``global`` vs ``nonlocal`` scoping, call-site resolution, unordered
-sinks, the JSON round trip the cache relies on), phase 2 (import graph,
-reachability with call-chain rendering, scope inference and its audit
-notes), each cross-module rule (DET005, DET006, PAR001, TRACE002) with
-a known-bad fixture package, the content-hash cache, the
-``--write-waivers``/``--baseline`` pair, and the meta-test that this
-repository's own ``src/`` tree is clean under the whole battery.
+Covers the per-module summaries (locals/global-write extraction,
+``global`` vs ``nonlocal`` scoping, call-site resolution), the project
+model (call graph through aliases and re-exports, the
+parameter-mutation fixpoint), each cross-module rule (DET005, PAR001,
+TRACE002) with a known-bad fixture package — plus every fixture the
+retired DET006 held, now flagged under DET003 — and the meta-test that
+this repository's own ``src/`` tree is clean under the whole battery.
 """
 
 import ast
-import json
 import textwrap
 from pathlib import Path
 
-from repro.lint import (
-    LintConfig,
-    LintEngine,
-    lint_paths,
-    load_config,
-    module_name,
-)
-from repro.lint.cli import main as lint_main
+from repro.lint import LintConfig, lint_paths, module_name
 from repro.lint.graph import build_project_model
-from repro.lint.summaries import (
-    summarize_module,
-    summary_from_dict,
-    summary_to_dict,
-)
+from repro.lint.summaries import summarize_module
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -54,7 +41,7 @@ def write_package(tmp_path, name, files):
 
 
 def build_model(root, config):
-    """Phase 1 + 2 by hand, for golden assertions on the model."""
+    """Summarize + link by hand, for golden assertions on the model."""
     summaries = {}
     for path in sorted(root.glob("*.py")):
         module = module_name(path)
@@ -65,8 +52,8 @@ def build_model(root, config):
     return build_project_model(summaries, config)
 
 
-# A mini-package with an entry point that transitively writes
-# module-level mutable state two ways: through an imported submodule
+# A mini-package whose functions write module-level mutable state
+# two ways: through an imported submodule
 # alias and through a ``from``-imported name.
 PKG_FILES = {
     "__init__.py": """\
@@ -99,7 +86,7 @@ PKG_FILES = {
             CACHE[key] = True
     """,
     "runner.py": """\
-        \"\"\"The fixture's campaign entry point.\"\"\"
+        \"\"\"The fixture's campaign runner.\"\"\"
 
         from pkg import state
         from pkg.helpers import remember
@@ -115,12 +102,7 @@ PKG_FILES = {
     """,
 }
 
-PKG_CFG = LintConfig(
-    entry_points=("pkg.runner.run",),
-    sim_scopes=("pkg",),
-    aggregation_scopes=("pkg",),
-    trace_scopes=(),
-)
+PKG_CFG = LintConfig(package="pkg")
 
 
 class TestFunctionSummaries:
@@ -163,7 +145,6 @@ class TestFunctionSummaries:
         assert "pkg.state.record" in resolved
         assert "pkg.other.helper" in resolved
         assert outer.local_callables == {"inner": "nested"}
-        assert outer.nested == ("outer.inner",)
 
     def test_nonlocal_is_closure_state_not_a_global_write(self):
         summary = summarize("""\
@@ -191,8 +172,10 @@ class TestFunctionSummaries:
         assert fill.mutated_params == frozenset({"rows"})
         assert fill.global_writes == ()
 
-    def test_unordered_sinks(self):
-        summary = summarize("""\
+    def test_unordered_sinks(self, tmp_path):
+        # Order sinks are no longer summary data: the one per-file
+        # rule (DET003) reports them, module level included.
+        root = write_package(tmp_path, "pkg", {"sinks.py": """\
             NAMES = list({"a", "b"})
 
 
@@ -201,80 +184,81 @@ class TestFunctionSummaries:
                 for item in shard_results.values():
                     out.append(item)
                 return out
-        """)
-        shapes = {(s.via, s.reason) for s in summary.unordered_sinks}
-        assert ("list", "an unordered set expression") in shapes
-        assert ("for", "a shard-keyed dict view") in shapes
-
-    def test_json_round_trip(self):
-        summary = summarize(PKG_FILES["runner.py"], module="pkg.runner")
-        payload = json.loads(json.dumps(summary_to_dict(summary)))
-        assert summary_from_dict(payload) == summary
+        """})
+        (root / "__init__.py").write_text("")
+        result = lint_paths([root], PKG_CFG)
+        assert codes(result.findings) == ["DET003", "DET003"]
+        first, second = result.findings
+        assert first.line == 1
+        assert "list() over an unordered set expression" in first.message
+        assert second.line == 6
+        assert "iteration over a shard-keyed dict view" in second.message
 
 
 class TestProjectModel:
-    def test_import_graph_and_reachability(self, tmp_path):
-        root = write_package(tmp_path, "pkg", PKG_FILES)
+    def test_call_graph_and_param_mutation_fixpoint(self, tmp_path):
+        root = write_package(tmp_path, "pkg", {
+            "__init__.py": "from pkg.low import Sink, scrub\n",
+            "low.py": """\
+                class Sink:
+                    def __init__(self, rows):
+                        rows.clear()
+
+                    def drain(self, batch):
+                        batch.pop()
+
+
+                def scrub(rec):
+                    rec.pop("tmp")
+            """,
+            "mid.py": """\
+                import pkg
+
+
+                def tidy(record, extra):
+                    pkg.scrub(record)
+                    return extra
+
+
+                def build(rows):
+                    return pkg.Sink(rows)
+
+
+                def flush(sink, batch):
+                    sink.drain(batch)
+            """,
+        })
         model = build_model(root, PKG_CFG)
-
-        assert model.entry_points == ("pkg.runner.run",)
-        edges = set(model.import_graph["pkg.runner"])
-        assert {"pkg.state", "pkg.helpers"} <= edges
-        assert {"pkg.runner.run", "pkg.state.record",
-                "pkg.helpers.remember"} <= model.reachable
-        assert model.reach_path("pkg.state.record") == [
-            "pkg.runner.run", "pkg.state.record"]
-        # Scope inference: the import closure of the entry module.
-        assert {"pkg", "pkg.runner", "pkg.state",
-                "pkg.helpers"} <= model.inferred_sim_modules
-        # Scopes match the inference, so the audit stays silent.
-        assert model.notes == []
-
-    def test_unresolvable_entry_point_noted(self, tmp_path):
-        root = write_package(tmp_path, "pkg", PKG_FILES)
-        model = build_model(root, LintConfig(
-            entry_points=("pkg.runner.missing",),
-            sim_scopes=("pkg",)))
-        assert model.entry_points == ()
-        assert any("does not resolve" in note for note in model.notes)
-
-    def test_scope_audit_flags_inferred_but_unconfigured(self, tmp_path):
-        root = write_package(tmp_path, "pkg", PKG_FILES)
-        model = build_model(root, LintConfig(
-            entry_points=("pkg.runner.run",),
-            sim_scopes=("pkg.runner", "pkg.ghost"),
-            scope_exempt=()))
-        audit = [n for n in model.notes if n.startswith("scope audit")]
-        assert any("'pkg.state'" in note for note in audit)
-        assert any("'pkg.ghost'" in note and "matches no analyzed"
-                   in note for note in audit)
-
-    def test_scope_exempt_silences_the_audit(self, tmp_path):
-        root = write_package(tmp_path, "pkg", PKG_FILES)
-        model = build_model(root, LintConfig(
-            entry_points=("pkg.runner.run",),
-            sim_scopes=("pkg.runner",),
-            scope_exempt=("pkg",)))
-        assert not [n for n in model.notes
-                    if "is not in sim-scopes" in n]
+        edges = {(e.caller, e.callee, e.offset)
+                 for es in model.call_edges.values() for e in es}
+        # Through the package re-export, a constructor, and a method
+        # linked by name.
+        assert ("pkg.mid.tidy", "pkg.low.scrub", 0) in edges
+        assert ("pkg.mid.build", "pkg.low.Sink.__init__", 1) in edges
+        assert ("pkg.mid.flush", "pkg.low.Sink.drain", 1) in edges
+        # Mutation flows up the chain to exactly the argument passed.
+        assert model.mutates_param["pkg.low.scrub"] == {"rec"}
+        assert model.mutates_param["pkg.mid.tidy"] == {"record"}
+        assert model.mutates_param["pkg.mid.build"] == {"rows"}
+        assert model.mutates_param["pkg.mid.flush"] == {"batch"}
 
 
 class TestDET005:
     def test_reachable_global_writes_are_caught(self, tmp_path):
         root = write_package(tmp_path, "pkg", PKG_FILES)
-        result = lint_paths([root], PKG_CFG, project=True)
+        result = lint_paths([root], PKG_CFG)
         det5 = [f for f in result.findings if f.code == "DET005"]
         messages = " | ".join(f.message for f in det5)
         assert len(det5) == 2
         assert "pkg.state.CACHE" in messages
-        assert "run -> record" in messages
+        assert "in 'record'" in messages
         assert "of another module" in messages  # the helpers.py write
 
     def test_smuggled_mutation_deep_in_the_call_chain(self, tmp_path):
-        # Regression: a module-global mutation three calls below the
-        # entry point, through an ``import ... as`` alias, must still
-        # be caught — and an identical but *unreachable* write must
-        # not be.
+        # A module-global mutation three calls below the runner,
+        # through an ``import ... as`` alias, is caught — and so is
+        # an identical write nothing calls today: no reachability
+        # argument excuses a write.
         root = write_package(tmp_path, "pkg2", {
             "__init__.py": '"""pkg2."""\n\n__all__ = []\n',
             "tables.py": '__all__ = ["REGISTRY"]\n\nREGISTRY = {}\n',
@@ -301,15 +285,16 @@ class TestDET005:
                     tables.REGISTRY.clear()
             """,
         })
-        config = LintConfig(entry_points=("pkg2.deep.drive",),
-                            sim_scopes=("pkg2",),
-                            aggregation_scopes=("pkg2",))
-        result = lint_paths([root], config, project=True)
+        result = lint_paths([root], LintConfig(package="pkg2"))
         det5 = [f for f in result.findings if f.code == "DET005"]
-        assert len(det5) == 1
-        assert det5[0].message.count("pkg2.tables.REGISTRY") == 1
-        assert "drive -> _phase -> _commit" in det5[0].message
-        assert det5[0].path.endswith("deep.py")
+        assert [f.line for f in det5] == [15, 20]
+        assert "in '_commit'" in det5[0].message
+        assert "in '_unreached'" in det5[1].message
+        for finding in det5:
+            assert finding.message.count("pkg2.tables.REGISTRY") == 1
+            assert finding.path.endswith("deep.py")
+        # Outside the package the same file is nobody's business.
+        assert lint_paths([root]).ok
 
     def test_waiver_comment_suppresses_project_finding(self, tmp_path):
         files = dict(PKG_FILES)
@@ -320,12 +305,14 @@ class TestDET005:
             "CACHE[key] = True",
             "CACHE[key] = True  # repro-lint: disable=DET005")
         root = write_package(tmp_path, "pkg", files)
-        result = lint_paths([root], PKG_CFG, project=True)
+        result = lint_paths([root], PKG_CFG)
         assert "DET005" not in codes(result.findings)
         assert codes(result.waived).count("DET005") == 2
 
 
 class TestDET006:
+    """The retired materialization rule's fixtures, held to DET003."""
+
     def test_materialized_hash_order_in_agg_scope(self, tmp_path):
         root = write_package(tmp_path, "pkg3", {
             "__init__.py": '"""pkg3."""\n\n__all__ = []\n',
@@ -341,18 +328,16 @@ class TestDET006:
                     return keys + rows
             """,
         })
-        config = LintConfig(aggregation_scopes=("pkg3",),
-                            sim_scopes=())
-        result = lint_paths([root], config, project=True)
-        det6 = [f for f in result.findings if f.code == "DET006"]
-        assert len(det6) == 2
+        result = lint_paths([root], LintConfig(package="pkg3"))
+        det6 = [f for f in result.findings if f.code == "DET003"]
+        assert [f.line for f in det6] == [5, 7]
         messages = " | ".join(f.message for f in det6)
         assert "list()" in messages
         assert "a shard-keyed dict view" in messages
 
     def test_set_iteration_in_sim_scope_defers_to_det003(self, tmp_path):
-        # One hazard, one finding: DET003 already owns for-loops over
-        # set expressions inside sim scopes.
+        # One hazard, one rule, one finding: no second code reports
+        # the for-loop again.
         root = write_package(tmp_path, "pkg4", {
             "__init__.py": '"""pkg4."""\n\n__all__ = []\n',
             "loop.py": """\
@@ -366,11 +351,8 @@ class TestDET006:
                     return out
             """,
         })
-        config = LintConfig(sim_scopes=("pkg4",),
-                            aggregation_scopes=("pkg4",))
-        result = lint_paths([root], config, project=True)
-        assert "DET003" in codes(result.findings)
-        assert "DET006" not in codes(result.findings)
+        result = lint_paths([root], LintConfig(package="pkg4"))
+        assert codes(result.findings) == ["DET003"]
 
 
 class TestPAR001:
@@ -393,7 +375,7 @@ class TestPAR001:
                     return proc, also
             """,
         })
-        result = lint_paths([root], LintConfig(), project=True)
+        result = lint_paths([root], LintConfig())
         par = [f for f in result.findings if f.code == "PAR001"]
         assert len(par) == 2
         messages = " | ".join(f.message for f in par)
@@ -427,7 +409,7 @@ class TestPAR001:
         })
         config = LintConfig(
             pipe_boundaries=("pkg6.jobs.dispatch:runner",))
-        result = lint_paths([root], config, project=True)
+        result = lint_paths([root], config)
         par = [f for f in result.findings if f.code == "PAR001"]
         assert len(par) == 1
         assert "argument 'runner'" in par[0].message
@@ -453,7 +435,7 @@ class TestPAR001:
                                      on_event=lambda event: None)
             """,
         })
-        result = lint_paths([root], LintConfig(), project=True)
+        result = lint_paths([root], LintConfig())
         par = [f for f in result.findings if f.code == "PAR001"]
         assert len(par) == 2
         assert "boundary call 'run_fleet()'" in par[0].message
@@ -481,7 +463,7 @@ class TestTRACE002:
                     return record
             """,
         })
-        result = lint_paths([root], LintConfig(), project=True)
+        result = lint_paths([root], LintConfig())
         trace = [f for f in result.findings if f.code == "TRACE002"]
         assert len(trace) == 1
         assert "'record' is mutated" in trace[0].message
@@ -508,109 +490,28 @@ class TestTRACE002:
                     return record
             """,
         })
-        result = lint_paths([root], LintConfig(), project=True)
+        result = lint_paths([root], LintConfig())
         trace = [f for f in result.findings if f.code == "TRACE002"]
         assert len(trace) == 1
         assert "pkg8.pipe.scrub" in trace[0].message
         assert "mutates parameter 'rec'" in trace[0].message
 
 
-class TestCacheAndBaseline:
-    def test_cache_hits_and_content_invalidation(self, tmp_path):
-        root = write_package(tmp_path, "pkg", PKG_FILES)
-        cache = tmp_path / "lint-cache.json"
-        first = lint_paths([root], PKG_CFG, project=True,
-                           cache_path=cache)
-        second = lint_paths([root], PKG_CFG, project=True,
-                            cache_path=cache)
-        assert any("cache: 4 hits, 0 misses" in n
-                   for n in second.notes)
-        assert first.findings == second.findings
-        assert first.project == second.project
-
-        helpers = root / "helpers.py"
-        helpers.write_text(helpers.read_text() + "\n# touched\n")
-        third = lint_paths([root], PKG_CFG, project=True,
-                           cache_path=cache)
-        assert any("cache: 3 hits, 1 miss" in n for n in third.notes)
-        assert first.findings == third.findings
-
-    def test_config_change_invalidates_cache(self, tmp_path):
-        root = write_package(tmp_path, "pkg", PKG_FILES)
-        cache = tmp_path / "lint-cache.json"
-        lint_paths([root], PKG_CFG, project=True, cache_path=cache)
-        other = LintConfig(entry_points=("pkg.helpers.remember",),
-                           sim_scopes=("pkg",),
-                           aggregation_scopes=("pkg",))
-        result = lint_paths([root], other, project=True,
-                            cache_path=cache)
-        assert any("cache: 0 hits, 4 misses" in n
-                   for n in result.notes)
-
-    def test_write_waivers_then_baseline_round_trip(self, tmp_path):
-        root = write_package(tmp_path, "pkg", PKG_FILES)
-        baseline = tmp_path / "baseline.json"
-        engine = LintEngine(PKG_CFG)
-        count = engine.write_waivers([root], baseline, project=True)
-        assert count == 2  # the two DET005 findings
-
-        clean = engine.lint_paths([root], project=True,
-                                  baseline_path=baseline)
-        assert clean.ok
-        assert clean.baselined == 2
-
-        # Editing the offending line itself resurfaces the finding.
-        state = root / "state.py"
-        state.write_text(state.read_text().replace(
-            "CACHE[key] = value", "CACHE[key] = [value]"))
-        dirty = engine.lint_paths([root], project=True,
-                                  baseline_path=baseline)
-        assert codes(dirty.findings) == ["DET005"]
-        assert dirty.baselined == 1
-
-
-class TestProjectCli:
-    def test_project_json_carries_the_graph_dump(self, tmp_path, capsys):
-        write_package(tmp_path, "pkg", PKG_FILES)
-        assert lint_main(["--project", "--format", "json",
-                          str(tmp_path)]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == 2
-        assert payload["project"]["modules"] == 4
-        assert "import_graph" in payload["project"]
-
-    def test_write_waivers_flag(self, tmp_path, capsys):
-        (tmp_path / "bad.py").write_text(
-            "import random\n__all__ = []\n")
-        baseline = tmp_path / "baseline.json"
-        assert lint_main(["--write-waivers", str(baseline),
-                          str(tmp_path)]) == 0
-        assert "wrote 1 waiver entry" in capsys.readouterr().out
-        assert lint_main(["--baseline", str(baseline),
-                          str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "no findings" in out and "1 waived" in out
-
-
 class TestProjectSelfApplication:
     """The whole-program battery's verdict on this repository."""
 
     def test_src_tree_is_clean_under_project_rules(self):
-        config = load_config(REPO_ROOT / "pyproject.toml")
-        result = LintEngine(config).lint_paths([SRC], project=True)
+        result = lint_paths([SRC])
         assert result.ok, "\n".join(
             f"{f.location()}: {f.code} {f.message}"
             for f in result.findings)
-        assert len(result.project["entry_points"]) == 4
-        assert result.project["functions"] > 500
-        assert result.project["reachable_functions"] > 100
-
-    def test_no_scope_audit_drift_on_src(self):
-        # The checked-in pyproject scope lists must agree with the
-        # inferred scope (or consciously exempt the difference).
-        config = load_config(REPO_ROOT / "pyproject.toml")
-        result = LintEngine(config).lint_paths([SRC], project=True)
-        assert not [n for n in result.notes
-                    if n.startswith("scope audit")], result.notes
-        assert not [n for n in result.notes
-                    if "does not resolve" in n], result.notes
+        assert result.functions_checked > 500
+        # The exemptions are exactly the line waivers, each with its
+        # reason at the line; nothing is exempt by list.
+        assert sorted((Path(f.path).name, f.code)
+                      for f in result.waived) == [
+            ("pool.py", "DET002"), ("pool.py", "DET002"),
+            ("pool.py", "DET002"), ("registry.py", "DET005"),
+            ("registry.py", "DET005"), ("rules.py", "DET005"),
+            ("server.py", "DET002"),
+        ]

@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Run the full static-analysis battery locally, the same way CI does:
 #
-#   tools/lint_all.sh                       # whole-program lint over the
-#                                           # same trees CI checks (+ ruff)
-#   tools/lint_all.sh --format=json src     # custom repro.lint invocation
+#   tools/lint_all.sh                # repro.lint over the same trees
+#                                    # CI checks (+ ruff)
+#   tools/lint_all.sh src/repro/net  # custom repro.lint invocation
 #
 # Extra arguments replace the default `python -m repro.lint` invocation
-# (`--project src tests tools benchmarks examples`).  The ruff layer
-# (style / import order, configured under [tool.ruff] in pyproject.toml)
+# (`src tests tools benchmarks examples`).  The ruff layer (style /
+# import order, configured under [tool.ruff] in pyproject.toml)
 # runs only when ruff is installed — it is optional:
 #
 #   pip install -e ".[lint]"
@@ -21,11 +21,11 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 status=0
 
-echo "== repro.lint (determinism & trace-safety, whole-program) =="
+echo "== repro.lint (determinism & trace-safety) =="
 if [ "$#" -gt 0 ]; then
     python -m repro.lint "$@" || status=$?
 else
-    python -m repro.lint --project src tests tools benchmarks examples \
+    python -m repro.lint src tests tools benchmarks examples \
         || status=$?
 fi
 
