@@ -2,9 +2,10 @@
 
 Not a paper figure — a contributor-facing benchmark establishing the
 simulator's cost model: raw event throughput, process context-switch
-cost, the price of one RPC over the instrumented network, and the
-wall-clock price of one complete Test 1 instance (the unit everything
-else scales by).  Regressions here multiply directly
+cost, the price of one RPC over the instrumented network, the price
+of one full API read (session, client, network, endpoint pipeline and
+back), and the wall-clock price of one complete Test 1 instance (the
+unit everything else scales by).  Regressions here multiply directly
 into campaign times.  The family's rates land in
 ``BENCH_simulator_throughput.json`` so CI can track the trajectory.
 """
@@ -23,7 +24,16 @@ from repro.net import (
     paper_topology,
 )
 from repro.obs import ObsContext
+from repro.services.base import ServiceSession, SessionRoutes
 from repro.sim import RandomSource, Simulator, spawn
+from repro.webapi import (
+    AccountRegistry,
+    ApiClient,
+    RateLimit,
+    Router,
+    ServiceEndpoint,
+    SlidingWindowRateLimiter,
+)
 
 from benchmarks.conftest import BENCH_SEED
 
@@ -106,6 +116,60 @@ def test_rpc_throughput(benchmark, sim_rates):
     elapsed = time.perf_counter() - t0
     sim_rates["rpcs_per_second"] = len(replies) / elapsed
     assert [reply.value for reply in replies] == list(range(5_000))
+
+
+def api_reads(count=5_000):
+    """Full API reads, one per virtual millisecond: ``fetch_messages``
+    against a one-route endpoint with accounts, a rate limiter that
+    never trips and a sampled processing delay — with an ``ObsContext``
+    attached, as every campaign runs, so the client's counters and the
+    whole reply chain are part of what a request costs."""
+    sim = Simulator()
+    topology = paper_topology()
+    topology.place_host("client", OREGON)
+    topology.place_host("api", VIRGINIA)
+    rng = RandomSource(BENCH_SEED)
+    network = Network(
+        sim, LatencyModel(topology, rng.child("net"), JitterParams()),
+        obs=ObsContext(now_fn=lambda: sim.now),
+    )
+    network.attach("client")
+    accounts = AccountRegistry("bench")
+    router = Router()
+    router.add("GET", "/feed",
+               lambda request, account: {"messages": ["M2", "M1"],
+                                         "next_cursor": None},
+               processing_delay_median=0.04)
+    ServiceEndpoint(
+        sim, network, "api", accounts,
+        rate_limiter=SlidingWindowRateLimiter(
+            RateLimit(max_requests=2_000, window=1.0),
+            now_fn=lambda: sim.now),
+        rng=rng.child("endpoint"), router=router,
+    )
+    account = accounts.create_account("reader")
+    session = ServiceSession(
+        ApiClient(network, "client", "api", account.token,
+                  service="bench"),
+        account, SessionRoutes("api", "/feed", "/feed"),
+    )
+    reads = []
+
+    def issue():
+        reads.append(session.fetch_messages())
+
+    for index in range(count):
+        sim.schedule_at(index * 0.001, issue)
+    sim.run()
+    return reads
+
+
+def test_api_request_throughput(benchmark, sim_rates):
+    t0 = time.perf_counter()
+    reads = benchmark.pedantic(api_reads, rounds=1, iterations=1)
+    elapsed = time.perf_counter() - t0
+    sim_rates["requests_per_second"] = len(reads) / elapsed
+    assert [read.value for read in reads] == [("M1", "M2")] * 5_000
 
 
 def one_test1_instance():

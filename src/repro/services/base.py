@@ -6,7 +6,11 @@ paper's §III model requires — a *write* that inserts an event and a
 service-specific API paths.  :class:`ServiceSession` is the agent-side
 handle: it owns an :class:`~repro.webapi.client.ApiClient` with the
 agent's bearer token and translates API responses into message-id
-sequences.
+sequences.  Each call hands the caller one future, settled by a single
+callback on the RPC reply: the reply's failure (timeout, unreachable
+host) as is, a non-2xx status as the typed error
+:meth:`~repro.webapi.http.ApiResponse.raise_for_status` raises, a
+success as the reshaped body.
 
 Concrete services subclass :class:`OnlineService`, build their
 replication substrate and endpoints at construction, and implement
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import ConfigurationError
 from repro.net.network import Network
@@ -32,7 +36,8 @@ from repro.sim.future import Future
 from repro.sim.random_source import RandomSource
 from repro.webapi.auth import Account, AccountRegistry
 from repro.webapi.client import ApiClient
-from repro.webapi.http import ApiResponse
+from repro.webapi.http import ApiRequest, ApiResponse
+from repro.webapi.pagination import DEFAULT_PAGE_SIZE, paginate
 
 __all__ = ["SessionRoutes", "ServiceSession", "OnlineService"]
 
@@ -53,6 +58,11 @@ class SessionRoutes:
     post_path: str
     #: Service-specific API route for reading.
     fetch_path: str
+
+
+def _chronological(body: Mapping[str, Any]) -> tuple[str, ...]:
+    """A list response's ids, oldest first (APIs list newest first)."""
+    return tuple(reversed(body.get("messages", ())))
 
 
 class ServiceSession:
@@ -116,15 +126,8 @@ class ServiceSession:
         suffices — use :meth:`fetch_history` to walk further back.
         """
         self.reads_issued += 1
-        raw = self._unwrap(self._client.get(self._fetch_path))
-        shaped: Future = Future(name="fetch.messages")
-        raw.add_callback(
-            lambda f: shaped.fail(f.exception) if f.failed
-            else shaped.resolve(
-                tuple(reversed(f.value.get("messages", ())))
-            )
-        )
-        return shaped
+        return self._settle(self._client.get(self._fetch_path),
+                            _chronological, "fetch.messages")
 
     def fetch_history(self, max_pages: int = 4,
                       page_limit: int | None = None) -> Future:
@@ -169,23 +172,30 @@ class ServiceSession:
     @staticmethod
     def _unwrap(response_future: Future) -> Future:
         """Map an ApiResponse future to a body future, raising on 4xx/5xx."""
-        body: Future = Future(name="unwrap")
+        return ServiceSession._settle(response_future, dict, "unwrap")
 
-        def on_done(future: Future) -> None:
-            if future.failed:
-                body.fail(future.exception)
+    @staticmethod
+    def _settle(reply: Future, shape: Callable[[Mapping[str, Any]], Any],
+                name: str) -> Future:
+        """The caller's future, settled by one callback on the RPC reply:
+        its failure, a non-2xx status's typed error, or ``shape(body)``."""
+        settled: Future = Future(name)
+
+        def on_reply(done: Future) -> None:
+            if done.failed:
+                settled.fail(done.exception)
                 return
-            response = future.value
+            response = done.value
             assert isinstance(response, ApiResponse)
             try:
                 response.raise_for_status()
             except Exception as exc:  # noqa: BLE001 - forwarded
-                body.fail(exc)
+                settled.fail(exc)
                 return
-            body.resolve(dict(response.body))
+            settled.resolve(shape(response.body))
 
-        response_future.add_callback(on_done)
-        return body
+        reply.add_callback(on_reply)
+        return settled
 
 
 class OnlineService(abc.ABC):
@@ -241,6 +251,16 @@ class OnlineService(abc.ABC):
         """Where an agent's requests go: endpoint host + API paths."""
 
     # -- Shared helpers for subclasses ------------------------------------
+
+    @staticmethod
+    def _list_body(newest_first: Sequence[str],
+                   request: ApiRequest) -> dict[str, Any]:
+        """A list response: the page of ``newest_first`` that the
+        request's ``cursor`` / ``limit`` parameters ask for."""
+        page = paginate(newest_first, request.param("cursor"),
+                        request.param("limit", DEFAULT_PAGE_SIZE))
+        return {"messages": list(page.items),
+                "next_cursor": page.next_cursor}
 
     def _place(self, host: str, region: Region) -> None:
         """Place a service host, registering the region if needed."""

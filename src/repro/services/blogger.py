@@ -27,7 +27,6 @@ from repro.webapi.auth import Account
 from repro.webapi.endpoint import ServiceEndpoint
 from repro.webapi.http import ApiRequest
 from repro.webapi.router import Router
-from repro.webapi.pagination import DEFAULT_PAGE_SIZE, paginate
 from repro.webapi.ratelimit import RateLimit, SlidingWindowRateLimiter
 
 __all__ = ["BloggerParams", "BloggerService"]
@@ -102,13 +101,7 @@ class BloggerService(OnlineService):
 
     def _handle_list(self, request: ApiRequest, account: Account):
         # Real blog APIs list the most recent posts first, paginated.
-        newest_first = list(reversed(self._group.read()))
-        page = paginate(newest_first,
-                        cursor=request.param("cursor"),
-                        limit=request.param("limit",
-                                            DEFAULT_PAGE_SIZE))
-        return {"messages": list(page.items),
-                "next_cursor": page.next_cursor}
+        return self._list_body(self._group.read()[::-1], request)
 
     # -- Sessions -----------------------------------------------------------
 

@@ -31,7 +31,6 @@ from repro.sim.random_source import RandomSource
 from repro.webapi.auth import Account
 from repro.webapi.endpoint import ServiceEndpoint
 from repro.webapi.http import ApiRequest
-from repro.webapi.pagination import DEFAULT_PAGE_SIZE, paginate
 from repro.webapi.ratelimit import RateLimit, SlidingWindowRateLimiter
 from repro.webapi.router import Router
 
@@ -95,12 +94,7 @@ class FacebookFeedService(OnlineService):
         # The ranked feed is already highest-interest (newest) first;
         # its feed_size bounds the result, but the cursor protocol is
         # still honoured for API parity.
-        ranked = list(self._feed.read(account.user_id))
-        page = paginate(ranked, cursor=request.param("cursor"),
-                        limit=request.param("limit",
-                                            DEFAULT_PAGE_SIZE))
-        return {"messages": list(page.items),
-                "next_cursor": page.next_cursor}
+        return self._list_body(self._feed.read(account.user_id), request)
 
     # -- Sessions -----------------------------------------------------------
 

@@ -37,7 +37,6 @@ from repro.sim.random_source import RandomSource
 from repro.webapi.auth import Account
 from repro.webapi.endpoint import ServiceEndpoint
 from repro.webapi.http import ApiRequest
-from repro.webapi.pagination import DEFAULT_PAGE_SIZE, paginate
 from repro.webapi.ratelimit import RateLimit, SlidingWindowRateLimiter
 from repro.webapi.router import Router
 
@@ -128,13 +127,7 @@ class FacebookGroupService(OnlineService):
         def handler(request: ApiRequest, account: Account):
             # The group feed lists the most recent events first,
             # paginated.
-            newest_first = list(reversed(replica.read()))
-            page = paginate(newest_first,
-                            cursor=request.param("cursor"),
-                            limit=request.param("limit",
-                                                DEFAULT_PAGE_SIZE))
-            body = {"messages": list(page.items),
-                    "next_cursor": page.next_cursor}
+            body = self._list_body(replica.read()[::-1], request)
             # The Graph API exposes per-event creation timestamps with
             # one-second precision — the field the paper inspected to
             # uncover the same-second tie-breaking scheme (§V).
@@ -143,7 +136,7 @@ class FacebookGroupService(OnlineService):
                     {"id": message_id,
                      "created_time": self._created_time(replica,
                                                         message_id)}
-                    for message_id in page.items
+                    for message_id in body["messages"]
                 ]
             return body
         return handler

@@ -30,7 +30,6 @@ from repro.sim.random_source import RandomSource
 from repro.webapi.auth import Account
 from repro.webapi.endpoint import ServiceEndpoint
 from repro.webapi.http import ApiRequest
-from repro.webapi.pagination import DEFAULT_PAGE_SIZE, paginate
 from repro.webapi.ratelimit import RateLimit, SlidingWindowRateLimiter
 from repro.webapi.router import Router
 
@@ -150,14 +149,8 @@ class GooglePlusService(OnlineService):
     def _make_list_handler(self, dc_host: str):
         def handler(request: ApiRequest, account: Account):
             # Moments are listed most recent first, paginated.
-            newest_first = list(reversed(
-                self._group.replica(dc_host).read()))
-            page = paginate(newest_first,
-                            cursor=request.param("cursor"),
-                            limit=request.param("limit",
-                                                DEFAULT_PAGE_SIZE))
-            return {"messages": list(page.items),
-                    "next_cursor": page.next_cursor}
+            return self._list_body(
+                self._group.replica(dc_host).read()[::-1], request)
         return handler
 
     # -- Sessions -----------------------------------------------------------

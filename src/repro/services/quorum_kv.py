@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import ServiceError
 from repro.net.network import Network
 from repro.net.topology import IRELAND, OREGON, TOKYO, Region, Topology
 from repro.replication.quorum import QuorumParams, QuorumStore
@@ -34,7 +35,6 @@ from repro.sim.random_source import RandomSource
 from repro.webapi.auth import Account
 from repro.webapi.endpoint import ServiceEndpoint
 from repro.webapi.http import ApiRequest
-from repro.webapi.pagination import DEFAULT_PAGE_SIZE, paginate
 from repro.webapi.ratelimit import RateLimit, SlidingWindowRateLimiter
 from repro.webapi.router import Router
 
@@ -142,14 +142,12 @@ class QuorumKvService(OnlineService):
                 if future.failed:
                     shaped.fail(future.exception)
                     return
-                newest_first = list(reversed(future.value))
-                page = paginate(
-                    newest_first,
-                    cursor=request.param("cursor"),
-                    limit=request.param("limit", DEFAULT_PAGE_SIZE),
-                )
-                shaped.resolve({"messages": list(page.items),
-                                "next_cursor": page.next_cursor})
+                try:
+                    body = self._list_body(future.value[::-1], request)
+                except ServiceError as exc:  # a malformed ``limit``
+                    shaped.fail(exc)
+                    return
+                shaped.resolve(body)
 
             merged.add_callback(on_done)
             return shaped

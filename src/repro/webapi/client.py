@@ -12,6 +12,12 @@ once per operation and never twice per attempt.  The agent's span
 layer records the same attempts on its operation spans, so campaign
 totals derived from counters and from spans must agree (asserted by
 the retry-accounting regression test).
+
+Counter handles are resolved once per client — ``api.requests_total``
+per method, ``api.responses_total`` per status label — and a status's
+series appears with the first response that carries it, exactly where
+a per-response registry lookup would have created it.  ``Network.obs``
+is read at construction and fixed from then on.
 """
 
 from __future__ import annotations
@@ -41,6 +47,9 @@ class ApiClient:
         self.requests_sent = 0
         self._obs = network.obs
         self._request_counters: dict[str, Any] = {}
+        #: status label -> its ``api.responses_total`` counter,
+        #: resolved at the first response with that status.
+        self._response_counters: dict[str, Any] = {}
         self._latency = None
         if self._obs is not None:
             labels = {"service": service or "unknown",
@@ -101,8 +110,12 @@ class ApiClient:
                 status = (str(response.status)
                           if isinstance(response, ApiResponse)
                           else "invalid")
-            self._obs.metrics.counter(
-                "api.responses_total", status=status, **self._labels
-            ).inc(at=finished)
+            counter = self._response_counters.get(status)
+            if counter is None:
+                counter = self._response_counters[status] = (
+                    self._obs.metrics.counter(
+                        "api.responses_total", status=status,
+                        **self._labels))
+            counter.inc(at=finished)
 
         reply.add_callback(on_done)

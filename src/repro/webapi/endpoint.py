@@ -10,7 +10,23 @@ incoming :class:`~repro.webapi.http.ApiRequest`:
    dispatches the handler after a sampled *processing delay*
    (server-side work: persistence, replication waits, ranking), and
 4. maps :class:`~repro.errors.ServiceError` to its HTTP representation
-   instead of letting it crash the exchange.
+   — and any other exception a handler raises, or its future fails
+   with, to a 500 carrying the error text — instead of letting it
+   crash the exchange or escape into the event loop.
+
+Steps 1–3 run on every request.  What is a pure function of the route
+is not re-derived on every request: the handler, the effective delay
+median and sigma (route override, else the endpoint default),
+``log(median)``, the delay stream ``processing.{host}.{path}`` and the
+reply future's label are resolved at the concrete ``(method, path)``'s
+*first* request and looked up afterwards — so a path's stream appears
+in the endpoint's ``rng`` with its first request, never at
+construction, and never for a path whose delay is not sampled
+(``median <= 0`` or no ``rng``).  Each request still takes one draw
+on its path's stream, in arrival order.  The ``rng`` and the default
+delay parameters are fixed at construction; the router is not — a
+route registered while the endpoint is serving is dispatched with its
+own parameters from its first request on.
 
 Routes are declared on a :class:`~repro.webapi.router.Router` passed at
 construction (the declarative surface every service and the campaign
@@ -26,7 +42,9 @@ collision), so handlers read them with ``request.param("hunt_id")``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
+from functools import partial
 from typing import Any, Callable, Mapping
 
 from repro.errors import InvalidRequestError, ServiceError
@@ -37,12 +55,18 @@ from repro.sim.random_source import RandomSource
 from repro.webapi.auth import Account, AccountRegistry
 from repro.webapi.http import ApiRequest, ApiResponse, error_response, ok
 from repro.webapi.ratelimit import SlidingWindowRateLimiter
-from repro.webapi.router import Router
+from repro.webapi.router import Router, RouteSpec
 
 __all__ = ["ServiceEndpoint", "EndpointStats"]
 
 #: Route handlers return a body mapping or a Future resolving to one.
 RouteHandler = Callable[[ApiRequest, Account], "Mapping[str, Any] | Future"]
+
+#: What a request needs of its route, resolved once per concrete
+#: ``(method, path)``: the route it was resolved from, the effective
+#: delay median, the draw of one sampled delay (None: the delay is the
+#: median itself) and the reply future's label.
+_Dispatch = tuple[RouteSpec, float, "Callable[[], float] | None", str]
 
 
 class EndpointStats:
@@ -51,6 +75,13 @@ class EndpointStats:
     Real API operators watch exactly these: request volume per route
     and the status-class mix (2xx/4xx/5xx), with 429s broken out since
     rate limiting shaped the paper's entire test cadence.
+
+    Conservation law: every RPC the endpoint receives is one request
+    and is answered exactly once, so once the event heap has drained
+    ``requests_total == sum(responses_by_status.values())`` — whether
+    the reply then reached the client or was lost on the way back.  A
+    payload that is not an :class:`~repro.webapi.http.ApiRequest` has
+    no method or path; it is counted under the route ``("?", "?")``.
     """
 
     def __init__(self) -> None:
@@ -105,6 +136,9 @@ class ServiceEndpoint:
         self._processing_delay_median = processing_delay_median
         self._processing_delay_sigma = processing_delay_sigma
         self._router = router if router is not None else Router()
+        #: (method, concrete path) -> that path's :data:`_Dispatch`;
+        #: like its ``rng``'s streams, one entry per path ever served.
+        self._dispatch: dict[tuple[str, str], _Dispatch] = {}
         #: Served-traffic counters (requests, status mix, 429s).
         self.stats = EndpointStats()
         network.attach(host, rpc_handler=self._handle_rpc)
@@ -117,108 +151,92 @@ class ServiceEndpoint:
     # -- Request pipeline --------------------------------------------------
 
     def _handle_rpc(self, payload: Any, src: str) -> Any:
-        if not isinstance(payload, ApiRequest):
+        if isinstance(payload, ApiRequest):
+            self.stats._record_request(payload.method, payload.path)
+            try:
+                return self._process(payload)
+            except ServiceError as exc:
+                response = error_response(exc)
+        else:
+            self.stats._record_request("?", "?")
             response = ApiResponse(
                 status=400, body={"error": "expected an ApiRequest"}
             )
-            self.stats._record_response(response.status)
-            return response
-        self.stats._record_request(payload.method, payload.path)
-        try:
-            result = self._process(payload)
-        except ServiceError as exc:
-            result = error_response(exc)
-        return self._count_response(result)
+        self.stats._record_response(response.status)
+        return response
 
-    def _count_response(self, result: "ApiResponse | Future"):
-        """Record the final status, whether immediate or deferred."""
-        if isinstance(result, Future):
-            result.add_callback(
-                lambda f: self.stats._record_response(
-                    f.value.status if not f.failed
-                    and isinstance(f.value, ApiResponse) else 500
-                )
-            )
-        elif isinstance(result, ApiResponse):
-            self.stats._record_response(result.status)
-        return result
-
-    def _process(self, request: ApiRequest) -> "ApiResponse | Future":
+    def _process(self, request: ApiRequest) -> Future:
         account = self._accounts.authenticate(request.token)
         if self._rate_limiter is not None:
             self._rate_limiter.check(account.token)
-        match = self._router.resolve(request.method, request.path)
+        method, path = request.method, request.path
+        match = self._router.resolve(method, path)
         if match is None:
-            raise InvalidRequestError(
-                f"no route for {request.method} {request.path}"
-            )
-        spec = match.route
-        handler = spec.handler
-        delay_median = (spec.processing_delay_median
-                        if spec.processing_delay_median is not None
-                        else self._processing_delay_median)
-        delay_sigma = (spec.processing_delay_sigma
-                       if spec.processing_delay_sigma is not None
-                       else self._processing_delay_sigma)
+            raise InvalidRequestError(f"no route for {method} {path}")
+        dispatch = self._dispatch.get((method, path))
+        if dispatch is None or dispatch[0] is not match.route:
+            dispatch = self._dispatch[method, path] = (
+                self._resolve_dispatch(match.route, method, path))
+        route, median, draw, label = dispatch
         if match.path_params:
             # Path parameters join the query/body params (path wins),
             # so handlers read them uniformly via request.param().
             request = replace(request, params={
                 **request.params, **match.path_params,
             })
-        delay = self._sample_processing_delay(request.path, delay_median,
-                                              delay_sigma)
+        reply = Future(label)
+        delay = median if draw is None else draw()
         if delay <= 0.0:
-            return self._invoke(handler, request, account)
-        deferred: Future = Future(name=f"{request.method} {request.path}")
-        self._sim.schedule_after(
-            delay, self._run_deferred, deferred, handler, request, account
-        )
-        return deferred
+            self._run_deferred(reply, route.handler, request, account)
+        else:
+            self._sim.schedule_after(
+                delay, self._run_deferred, reply, route.handler, request,
+                account
+            )
+        return reply
 
-    def _run_deferred(self, deferred: Future, handler: RouteHandler,
+    def _resolve_dispatch(self, route: RouteSpec, method: str,
+                          path: str) -> "_Dispatch":
+        """What every request for ``method path`` needs of its route."""
+        median = (route.processing_delay_median
+                  if route.processing_delay_median is not None
+                  else self._processing_delay_median)
+        sigma = (route.processing_delay_sigma
+                 if route.processing_delay_sigma is not None
+                 else self._processing_delay_sigma)
+        draw = None
+        if self._rng is not None and median > 0:
+            # ``rng.lognormal(name, median, sigma)``, resolved once: the
+            # path's own stream, one draw per request.
+            stream = self._rng.stream(f"processing.{self.host}.{path}")
+            draw = partial(stream.lognormvariate, math.log(median), sigma)
+        return route, median, draw, f"{method} {path}"
+
+    def _run_deferred(self, reply: Future, handler: RouteHandler,
                       request: ApiRequest, account: Account) -> None:
+        """Run the handler — once the processing delay has passed, or
+        at once when there is none — and answer with its outcome."""
         try:
-            result = self._invoke(handler, request, account)
-        except ServiceError as exc:
-            deferred.resolve(error_response(exc))
+            result = handler(request, account)
+        except Exception as exc:  # noqa: BLE001 - answered, never raised
+            self._settle(reply, _failure_response(exc))
             return
         if isinstance(result, Future):
-            result.add_callback(
-                lambda inner: deferred.resolve(
-                    error_response(inner.exception)
-                    if inner.failed and
-                    isinstance(inner.exception, ServiceError)
-                    else inner.value if not inner.failed
-                    else ApiResponse(status=500,
-                                     body={"error": str(inner.exception)})
-                )
-            )
+            result.add_callback(partial(self._settle_from, reply))
         else:
-            deferred.resolve(result)
+            self._settle(reply, ok(result))
 
-    def _invoke(self, handler: RouteHandler, request: ApiRequest,
-                account: Account) -> "ApiResponse | Future":
-        result = handler(request, account)
-        if isinstance(result, Future):
-            wrapped: Future = Future(name="wrapped-handler")
-            result.add_callback(
-                lambda inner: wrapped.resolve(
-                    error_response(inner.exception)
-                    if inner.failed and
-                    isinstance(inner.exception, ServiceError)
-                    else ok(inner.value) if not inner.failed
-                    else ApiResponse(status=500,
-                                     body={"error": str(inner.exception)})
-                )
-            )
-            return wrapped
-        return ok(result)
+    def _settle_from(self, reply: Future, inner: Future) -> None:
+        self._settle(reply, _failure_response(inner.exception)
+                     if inner.failed else ok(inner.value))
 
-    def _sample_processing_delay(self, path: str, median: float,
-                                 sigma: float) -> float:
-        if self._rng is None or median <= 0:
-            return median
-        return self._rng.lognormal(
-            f"processing.{self.host}.{path}", median=median, sigma=sigma
-        )
+    def _settle(self, reply: Future, response: ApiResponse) -> None:
+        self.stats._record_response(response.status)
+        reply.resolve(response)
+
+
+def _failure_response(exc: BaseException) -> ApiResponse:
+    """A :class:`ServiceError` as its HTTP status, anything else as 500."""
+    if isinstance(exc, ServiceError):
+        return error_response(exc)
+    return ApiResponse(status=500, body={"error": str(exc)})

@@ -85,7 +85,7 @@ class ApiResponse:
 
 def ok(body: Mapping[str, Any] | None = None) -> ApiResponse:
     """A 200 response."""
-    return ApiResponse(status=200, body=body or {})
+    return ApiResponse(200, body or {})
 
 
 def error_response(exc: ServiceError) -> ApiResponse:

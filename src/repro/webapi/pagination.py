@@ -51,10 +51,14 @@ def paginate(items: Sequence[str], cursor: str | None = None,
         None for the first page, else a value previously returned in
         :attr:`Page.next_cursor` (the id of the last item served).
     limit:
-        Maximum items per page; must be positive.
+        Maximum items per page; must be a positive ``int``.  Handlers
+        pass the request's ``limit`` parameter straight through, so
+        anything else is the client's mistake (HTTP 400), checked
+        before it is compared.
     """
-    if limit < 1:
-        raise InvalidRequestError(f"limit must be >= 1, got {limit}")
+    if type(limit) is not int or limit < 1:
+        raise InvalidRequestError(
+            f"limit must be an integer >= 1, got {limit!r}")
     start = 0
     if cursor is not None:
         try:
@@ -66,4 +70,4 @@ def paginate(items: Sequence[str], cursor: str | None = None,
     next_cursor = None
     if window and not exhausted:
         next_cursor = window[-1]
-    return Page(items=window, next_cursor=next_cursor)
+    return Page(window, next_cursor)

@@ -52,7 +52,9 @@ class SlidingWindowRateLimiter:
     def check(self, token: str) -> None:
         """Record one request; raise 429 if the token is over limit."""
         now = self._now_fn()
-        history = self._history.setdefault(token, deque())
+        history = self._history.get(token)
+        if history is None:
+            history = self._history[token] = deque()
         cutoff = now - self._limit.window
         while history and history[0] <= cutoff:
             history.popleft()

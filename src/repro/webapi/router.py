@@ -32,6 +32,7 @@ time, not at request time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Protocol, runtime_checkable
 
 from repro.errors import ConfigurationError
@@ -160,9 +161,10 @@ class Router:
                 f"router prefix must be absolute: {prefix!r}"
             )
         self.prefix = prefix.rstrip("/")
-        #: (method, path) -> spec for parameter-free routes: the exact
-        #: dict dispatch the endpoint pipeline always had.
-        self._exact: dict[tuple[str, str], RouteSpec] = {}
+        #: (method, path) -> the match of a parameter-free route, built
+        #: once at registration: the exact dict dispatch the endpoint
+        #: pipeline always had, with nothing to allocate per request.
+        self._exact: dict[tuple[str, str], RouteMatch] = {}
         #: Parameterized routes, in registration order.
         self._dynamic: list[RouteSpec] = []
         self._shapes: set[tuple] = set()
@@ -215,7 +217,9 @@ class Router:
                 ),
             )
         else:
-            self._exact[(spec.method, spec.pattern)] = spec
+            # Shared by every request for the route, so read-only.
+            self._exact[(spec.method, spec.pattern)] = RouteMatch(
+                spec, MappingProxyType({}))
         return spec
 
     def add_resource(self, resource: Resource) -> tuple[RouteSpec, ...]:
@@ -246,7 +250,8 @@ class Router:
     def routes(self) -> tuple[RouteSpec, ...]:
         """Every registered route, exact first, deterministic order."""
         return tuple(sorted(
-            (*self._exact.values(), *self._dynamic),
+            (*(match.route for match in self._exact.values()),
+             *self._dynamic),
             key=lambda spec: (spec.pattern, spec.method),
         ))
 
@@ -272,7 +277,7 @@ class Router:
         """
         exact = self._exact.get((method, path))
         if exact is not None:
-            return RouteMatch(route=exact)
+            return exact
         if not self._dynamic:
             return None
         segments = split_path(path)

@@ -1,10 +1,15 @@
-"""Shared helpers for building hand-crafted traces in tests."""
+"""Shared helpers: hand-crafted traces and from-scratch stream oracles."""
 
 from __future__ import annotations
 
-from repro.core import ReadOp, TestTrace, WriteOp
+# Oracles must not go through RandomSource, the code path under test.
+from random import Random  # repro-lint: disable=DET001
 
-__all__ = ["DEFAULT_AGENTS", "write", "read", "make_trace"]
+from repro.core import ReadOp, TestTrace, WriteOp
+from repro.sim.random_source import derive_seed
+
+__all__ = ["DEFAULT_AGENTS", "write", "read", "make_trace",
+           "scratch_stream"]
 
 DEFAULT_AGENTS = ("oregon", "tokyo", "ireland")
 
@@ -45,3 +50,9 @@ def make_trace(operations, agents=DEFAULT_AGENTS, test_id="t-1",
     )
     trace.extend(operations)
     return trace
+
+
+def scratch_stream(seed: int, name: str) -> Random:
+    """The stream ``RandomSource(seed).stream(name)`` must equal,
+    re-derived from scratch."""
+    return Random(derive_seed(seed, name))

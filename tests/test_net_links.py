@@ -9,9 +9,6 @@ skipping a draw, and the obs series are the ones a per-call lookup
 would have produced.
 """
 
-# The oracle must not go through RandomSource, the code path under test.
-from random import Random  # repro-lint: disable=DET001
-
 import pytest
 
 from repro.errors import ConfigurationError
@@ -29,7 +26,8 @@ from repro.net import (
 )
 from repro.obs import ObsContext
 from repro.sim import RandomSource, Simulator
-from repro.sim.random_source import derive_seed
+
+from tests.helpers import scratch_stream
 
 SEED = 23
 JITTER = JitterParams(sigma=0.2, floor=0.9)
@@ -37,7 +35,7 @@ JITTER = JitterParams(sigma=0.2, floor=0.9)
 
 def link_oracle(src, dst, seed=SEED):
     """The link's stream, re-derived from scratch."""
-    return Random(derive_seed(seed, f"latency.{src}->{dst}"))
+    return scratch_stream(seed, f"latency.{src}->{dst}")
 
 
 def oracle_sample(base, stream, jitter=JITTER):
