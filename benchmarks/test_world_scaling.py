@@ -12,13 +12,18 @@ bounded-memory contract that makes 10^5-session campaigns reachable).
 Wall-clock is reported, not gated hard: shards here are a placement
 of one simulated timeline, not parallel processes, so the interesting
 perf number is sessions/s throughput — ``tools/bench_check.py`` bands
-it against the checked-in baseline.
+it against the checked-in baseline.  Beside it sits the bus alone:
+``bus_messages_per_s`` is N ``send`` + ``drain_until`` on a bare
+:class:`~repro.world.WorldBus`, the isolated figure a change to the
+bus moves and a change to anything else does not.
 """
 
 import time
 
+import pytest
+
 from repro.scenario import load_scenario
-from repro.world import run_world, world_from_scenario
+from repro.world import WorldBus, run_world, world_from_scenario
 
 from benchmarks.conftest import BENCH_SEED, bench_num_tests
 
@@ -30,8 +35,44 @@ SCENARIO = "examples/scenarios/gossip_world.toml"
 SESSIONS_PER_UNIT = 100
 
 
-def test_sharded_world_matches_serial_at_scale(
-        benchmark, bench_json_writer):
+@pytest.fixture(scope="module")
+def world_rows(bench_json_writer):
+    """Collect each test's rows; write one JSON when the module ends."""
+    rows: dict = {}
+    yield rows
+    print(f"\n  written to {bench_json_writer('world', rows)}")
+
+
+def bus_traffic(count=50_000, per_barrier=1_000, epoch=10.0):
+    """``count`` messages over 8 replicas, a barrier every
+    ``per_barrier`` sends, latencies spread over ~3 epochs so every
+    barrier drains part of a standing backlog — the world's shape."""
+    bus = WorldBus(epoch)
+    now, drained = 0.0, 0
+    for index in range(count):
+        origin = index & 7
+        bus.send(origin=origin, target=(origin + 1 + index % 7) & 7,
+                 send_time=now,
+                 latency=epoch + (index * 7919 % 1009) / 50.0,
+                 kind="rumor", payload=("c0", "m0"))
+        if index % per_barrier == per_barrier - 1:
+            now += epoch
+            drained += len(bus.drain_until(now))
+    return drained + len(bus.drain_until(float("inf"))), bus
+
+
+def test_bus_throughput(benchmark, world_rows):
+    t0 = time.perf_counter()
+    drained, bus = benchmark.pedantic(bus_traffic,
+                                      rounds=1, iterations=1)
+    elapsed = time.perf_counter() - t0
+    world_rows["bus_messages_per_s"] = drained / elapsed
+    print(f"\nBare bus: {drained / elapsed:,.0f} messages/s")
+    assert drained == bus.sent_total == 50_000
+    assert bus.pending_count == 0
+
+
+def test_sharded_world_matches_serial_at_scale(benchmark, world_rows):
     scenario = load_scenario(SCENARIO)
     sessions = bench_num_tests() * SESSIONS_PER_UNIT
     sharded_spec = world_from_scenario(scenario, sessions=sessions)
@@ -60,7 +101,7 @@ def test_sharded_world_matches_serial_at_scale(
     print(f"  max stream state      {sharded.max_stream_state} test(s)")
     print(f"  signature             {serial.signature[:16]}")
 
-    path = bench_json_writer("world", {
+    world_rows.update({
         "sessions": sessions,
         "replicas": sharded.replicas,
         "shards": sharded.shards,
@@ -75,7 +116,6 @@ def test_sharded_world_matches_serial_at_scale(
         "sharded_over_serial": ratio,
         "sessions_per_s": per_s,
     })
-    print(f"  written to {path}")
 
     # The hard contracts: byte-identity across the cut, and bounded
     # streaming memory whatever the session population.

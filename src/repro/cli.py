@@ -1127,7 +1127,7 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
 def _cmd_world(args: argparse.Namespace) -> int:
     import json as json_module
 
-    from repro.errors import ConfigurationError
+    from repro.errors import ConfigurationError, SimulationError
     from repro.scenario import load_scenario
     from repro.world import run_world, world_from_scenario
 
@@ -1136,7 +1136,9 @@ def _cmd_world(args: argparse.Namespace) -> int:
         spec = world_from_scenario(
             scenario, shards=args.shards, sessions=args.sessions,
         )
-    except ConfigurationError as exc:
+    except (ConfigurationError, SimulationError) as exc:
+        # ``WorldSpec`` refuses an out-of-range ``--shards`` /
+        # ``--sessions`` override with a ``SimulationError``.
         print(f"world: {exc}", file=sys.stderr)
         return 2
     result = run_world(spec, seed=args.seed)

@@ -72,46 +72,27 @@ class CohortBuffer:
 
     # -- Materialization ----------------------------------------------
 
-    def _order(self) -> list[int]:
-        """Row order by the topology-independent value key."""
-
-        def key(row: int):
-            detail = self._details[row]
-            return (self._invokes[row], self._kinds[row],
-                    self._agents[row],
-                    detail if isinstance(detail, str) else "|".join(detail))
-
-        return sorted(range(len(self._kinds)), key=key)
-
     def materialize(self, test_id: str, service: str,
                     test_type: str = "test1") -> TestTrace:
         """Build the cohort's trace; op objects are born here."""
-        operations: list[Operation] = []
-        agents_seen: dict[str, None] = {}
-        for row in self._order():
-            agent = self._agents[row]
-            agents_seen.setdefault(agent)
-            invoke = self._invokes[row]
-            response = self._responses[row]
-            if self._kinds[row] == _WRITE:
-                operations.append(WriteOp(
-                    agent=agent,
-                    message_id=self._details[row],
-                    invoke_local=invoke,
-                    response_local=response,
-                    true_invoke=invoke,
-                    true_response=response,
-                ))
-            else:
-                operations.append(ReadOp(
-                    agent=agent,
-                    observed=tuple(self._details[row]),
-                    invoke_local=invoke,
-                    response_local=response,
-                    true_invoke=invoke,
-                    true_response=response,
-                ))
-        agents = tuple(sorted(agents_seen))
+        details = self._details
+        # One decorated sort over the columns: the value key, then the
+        # row (unique, so ties keep arrival order and nothing after it
+        # is ever compared), then what the op is built from.
+        rows = sorted(zip(
+            self._invokes, self._kinds, self._agents,
+            [detail if isinstance(detail, str) else "|".join(detail)
+             for detail in details],
+            range(len(details)), details, self._responses,
+        ))
+        operations: list[Operation] = [
+            WriteOp(agent, detail, invoke, response, invoke, response)
+            if kind == _WRITE else
+            ReadOp(agent, tuple(detail), invoke, response, invoke,
+                   response)
+            for invoke, kind, agent, _, _, detail, response in rows
+        ]
+        agents = tuple(sorted(set(self._agents)))
         trace = TestTrace(
             test_id=test_id,
             service=service,

@@ -22,11 +22,25 @@ Two invariants make the barrier sound:
 * **Deterministic deferral** — a partition nemesis never drops a
   message; it re-transmits it at heal time with its original latency,
   keeping delivery a pure function of (endpoints, send time, latency).
+
+The conservation law, held by the state machine in
+``tests/test_world.py`` under random sends, drains and partitions:
+
+* after every ``drain_until``, ``sent = drained + pending`` — the bus
+  neither loses nor duplicates a message;
+* drained keys are strictly increasing, within one drain *and across
+  successive drains*: ``send`` refuses a message that would deliver at
+  or before a horizon already drained, so no barrier is ever re-opened;
+* no message drains before ``send_time + epoch``, nor before the end
+  (plus its latency) of any partition that separated its endpoints
+  when it was sent or when it was re-transmitted.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+import math
+from heapq import heappop, heappush
+from typing import Any, NamedTuple, Sequence
 
 from repro.errors import SimulationError
 from repro.world.spec import WorldPartition
@@ -34,35 +48,30 @@ from repro.world.spec import WorldPartition
 __all__ = ["BusMessage", "WorldBus"]
 
 
-class BusMessage:
-    """One bus delivery, carrying its total-order key."""
+class BusMessage(NamedTuple):
+    """One bus delivery; its first three fields are its total-order key."""
 
-    __slots__ = ("deliver_time", "origin", "seq", "target", "kind",
-                 "payload")
-
-    def __init__(self, deliver_time: float, origin: int, seq: int,
-                 target: int, kind: str, payload: tuple) -> None:
-        self.deliver_time = deliver_time
-        self.origin = origin
-        self.seq = seq
-        self.target = target
-        self.kind = kind
-        self.payload = payload
+    deliver_time: float
+    origin: int
+    seq: int
+    target: int
+    kind: str
+    payload: tuple
 
     @property
     def key(self) -> tuple[float, int, int]:
-        return (self.deliver_time, self.origin, self.seq)
+        return self[:3]
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<BusMessage {self.kind} {self.origin}->{self.target} "
-                f"@{self.deliver_time:.3f} seq={self.seq}>")
+
+#: What ``BusMessage(...)`` does underneath, minus the Python frame.
+_new_message = tuple.__new__
 
 
 class WorldBus:
     """Pending cross-replica messages awaiting an epoch barrier."""
 
     __slots__ = ("_epoch", "_partitions", "_pending", "_next_seq",
-                 "sent_total", "deferred_total")
+                 "_drained_to", "sent_total", "deferred_total")
 
     def __init__(self, epoch: float,
                  partitions: Sequence[WorldPartition] = ()) -> None:
@@ -70,9 +79,13 @@ class WorldBus:
             raise SimulationError("bus epoch must be positive")
         self._epoch = epoch
         self._partitions = tuple(partitions)
+        #: A heap: ``(origin, seq)`` is unique, so ordering messages as
+        #: tuples orders them by key and never compares a payload.
         self._pending: list[BusMessage] = []
         #: Per-origin monotonic sequence numbers (the lamport tiebreak).
         self._next_seq: dict[int, int] = {}
+        #: The latest horizon a barrier has drained.
+        self._drained_to = -math.inf
         self.sent_total = 0
         self.deferred_total = 0
 
@@ -84,21 +97,38 @@ class WorldBus:
                 f"replica {origin} sent itself a bus message; local "
                 "state is reached directly, not through the bus"
             )
-        effective = max(latency, self._epoch)
-        deliver = send_time + effective
-        for partition in self._partitions:
-            if partition.active_at(send_time) and \
-                    partition.crosses(origin, target):
-                # Blocked: retransmitted at heal with original latency.
-                deliver = partition.end + effective
-                self.deferred_total += 1
-                break
+        healed = send_time
+        if self._partitions:
+            healed = self._heal_time(origin, target, send_time)
+        epoch = self._epoch
+        deliver = healed + (latency if latency > epoch else epoch)
+        if deliver <= self._drained_to:
+            raise SimulationError(
+                f"replica {origin} sent a message due at "
+                f"t={deliver:.6f}, inside the barrier already drained "
+                f"at t={self._drained_to:.6f}"
+            )
+        if healed != send_time:
+            self.deferred_total += 1
         seq = self._next_seq.get(origin, 0)
         self._next_seq[origin] = seq + 1
-        self._pending.append(
-            BusMessage(deliver, origin, seq, target, kind, payload)
-        )
+        heappush(self._pending, _new_message(
+            BusMessage, (deliver, origin, seq, target, kind, payload)))
         self.sent_total += 1
+
+    def _heal_time(self, origin: int, target: int, time: float) -> float:
+        """When a message sent at ``time`` gets across: a blocked one is
+        retransmitted as its partition heals, and that retransmission
+        meets whichever partitions are active by then."""
+        blocked = True
+        while blocked:
+            blocked = False
+            for partition in self._partitions:
+                if partition.active_at(time) and \
+                        partition.crosses(origin, target):
+                    time = partition.end
+                    blocked = True
+        return time
 
     # -- Barrier draining ---------------------------------------------
 
@@ -110,19 +140,15 @@ class WorldBus:
         """Earliest pending delivery time, or None when drained."""
         if not self._pending:
             return None
-        return min(message.deliver_time for message in self._pending)
+        return self._pending[0].deliver_time
 
     def drain_until(self, horizon: float) -> list[BusMessage]:
         """Messages due at or before ``horizon``, in total-key order."""
+        pending = self._pending
         due: list[BusMessage] = []
-        keep: list[BusMessage] = []
-        for message in self._pending:
-            if message.deliver_time <= horizon:
-                due.append(message)
-            else:
-                keep.append(message)
-        self._pending = keep
-        due.sort(key=lambda message: message.key)
+        while pending and pending[0].deliver_time <= horizon:
+            due.append(heappop(pending))
+        self._drained_to = max(self._drained_to, horizon)
         return due
 
     def stats(self) -> dict[str, Any]:

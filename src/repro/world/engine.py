@@ -43,7 +43,7 @@ from repro.sim import RandomSource, Simulator
 from repro.stream.engine import StreamEngine
 from repro.stream.ingest import replay_trace
 from repro.world.bus import WorldBus
-from repro.world.model import WorldReplica
+from repro.world.model import WorldReplica, cohort_key
 from repro.world.spec import WorldSpec
 
 __all__ = ["WorldResult", "WorldEngine", "run_world"]
@@ -105,14 +105,20 @@ class WorldEngine:
         self._rng = RandomSource(self.seed).child(f"world.{spec.name}")
         self._bus = WorldBus(spec.epoch, spec.partitions)
         self._sims = [Simulator() for _ in range(spec.shards)]
-        self._replicas = []
+        #: replica index -> (replica, its shard simulator's
+        #: ``schedule_at``): the cut is consulted here and nowhere else.
+        self._hosts = []
         for index in range(spec.replicas):
             sim = self._sims[spec.replica_shard(index)]
-            self._replicas.append(WorldReplica(
+            self._hosts.append((WorldReplica(
                 index, spec, self._bus,
                 self._rng.child(f"replica.{index}"),
                 (lambda hosting=sim: hosting.now),
-            ))
+            ), sim.schedule_at))
+        self._replicas = [replica for replica, _ in self._hosts]
+        #: Agent names by member index, shared by every cohort.
+        self._agents = [f"s{member}"
+                        for member in range(spec.cohort_size)]
         self._engine = (stream_engine if stream_engine is not None
                         else StreamEngine(horizon=1))
         self._hasher = hashlib.sha256()
@@ -149,35 +155,37 @@ class WorldEngine:
             expected = (spec.writes_per_session
                         + (members - 1) * spec.reads_per_session)
             home = spec.home_replica(cohort)
+            key = cohort_key(cohort)
             self._replicas[home].open_cohort(cohort, expected)
             for member in range(members):
                 if member == 0:
-                    replica_index = home
+                    index = home
                     count = spec.writes_per_session
                 else:
-                    replica_index = spec.reader_replica(cohort, member)
+                    index = spec.reader_replica(cohort, member, home)
                     count = spec.reads_per_session
                 times = self._session_times(cohort, member, count)
-                replica = self._replicas[replica_index]
-                sim = self._sims[spec.replica_shard(replica_index)]
-                sim.schedule_at(times[0], self._session_step,
-                                replica, cohort, member, times, 0)
+                host = self._hosts[index]
+                _replica, schedule_at = host
+                # The event carries the session's whole placement.
+                schedule_at(times[0], self._session_step, host, cohort,
+                            key, home, member, times, 0)
 
-    def _session_step(self, replica: WorldReplica, cohort: int,
-                      member: int, times: tuple[float, ...],
-                      position: int) -> None:
+    def _session_step(self, host: tuple, cohort: int, key: str,
+                      home: int, member: int,
+                      times: tuple[float, ...], position: int) -> None:
+        replica, schedule_at = host
         invoke = times[position]
+        agent = self._agents[member]
         if member == 0:
-            replica.local_write(cohort, f"s{member}",
-                                f"m{position}", invoke)
+            replica.local_write(cohort, key, agent, f"m{position}",
+                                invoke)
         else:
-            replica.local_read(cohort, f"s{member}", invoke)
+            replica.local_read(cohort, key, home, agent, invoke)
         self.result.ops += 1
         if position + 1 < len(times):
-            sim = self._sims[self.spec.replica_shard(replica.index)]
-            sim.schedule_at(times[position + 1], self._session_step,
-                            replica, cohort, member, times,
-                            position + 1)
+            schedule_at(times[position + 1], self._session_step, host,
+                        cohort, key, home, member, times, position + 1)
 
     # -- Barrier loop ---------------------------------------------------
 
@@ -194,12 +202,11 @@ class WorldEngine:
             end = math.ceil(horizon / epoch) * epoch
             while end < horizon:  # float-grid guard
                 end += epoch
+            hosts = self._hosts
             for message in self._bus.drain_until(end):
-                replica = self._replicas[message.target]
-                sim = self._sims[
-                    self.spec.replica_shard(message.target)]
-                sim.schedule_at(message.deliver_time,
-                                replica.deliver, message)
+                replica, schedule_at = hosts[message.target]
+                schedule_at(message.deliver_time, replica.deliver,
+                            message)
             for sim in self._sims:
                 sim.run_until(end)
             self._flush_cohorts()
@@ -224,25 +231,28 @@ class WorldEngine:
             closed.extend(replica.drain_closed())
         if not closed:
             return
-        closed.sort(key=lambda item: (item[0], item[1]))
-        spec = self.spec
+        # Cohort ids are unique, so tuple order is (close_time, cohort)
+        # order and never compares a buffer.
+        closed.sort()
+        name, engine, result = self.spec.name, self._engine, self.result
+        update = self._hasher.update
+        anomalies = result.anomalies
+        max_stream_state = result.max_stream_state
         for _close_time, cohort, buffer in closed:
             trace = buffer.materialize(
-                test_id=f"{spec.name}/c{cohort}", service=spec.name)
-            record = replay_trace(trace, self._engine)
-            self._hasher.update(
-                canonical_json(record_to_dict(record)).encode("utf-8"))
-            self._hasher.update(b"\n")
-            self.result.tests += 1
+                test_id=f"{name}/c{cohort}", service=name)
+            record = replay_trace(trace, engine)
+            update(canonical_json(record_to_dict(record))
+                   .encode("utf-8") + b"\n")
             for kind, count in record.report.summary().items():
                 if count:
-                    self.result.anomalies[kind] = \
-                        self.result.anomalies.get(kind, 0) + count
-            self.result.max_stream_state = max(
-                self.result.max_stream_state,
-                self._engine.state_size())
-        self.result.peak_open_state = max(
-            self.result.peak_open_state,
+                    anomalies[kind] = anomalies.get(kind, 0) + count
+            max_stream_state = max(max_stream_state,
+                                   engine.state_size())
+        result.tests += len(closed)
+        result.max_stream_state = max_stream_state
+        result.peak_open_state = max(
+            result.peak_open_state,
             sum(replica.state_size() for replica in self._replicas))
 
     def _finish(self) -> None:

@@ -11,8 +11,9 @@ A :class:`WorldReplica` owns three things and nothing else:
   every cohort *homed* here (the writer's replica assembles the
   trace); remote readers ship their op records across the bus;
 * **retired** — cohorts whose trace already flushed; late rumors for
-  them are dropped instead of resurrecting state, which is what keeps
-  replica memory proportional to the *open* cohort population.
+  them are dropped instead of resurrecting feeds, so *feeds and
+  buffers* track the open cohort population (the set itself keeps one
+  key per closed cohort and is not part of :meth:`state_size`).
 
 A replica never touches another replica, another shard, or another
 simulator: every cross-replica effect is a
@@ -23,6 +24,7 @@ bypasses the bus total order and breaks byte-identity.
 
 from __future__ import annotations
 
+import math
 from bisect import insort
 from typing import Callable
 
@@ -31,22 +33,26 @@ from repro.world.buffers import CohortBuffer
 from repro.world.bus import BusMessage, WorldBus
 from repro.world.spec import WorldSpec
 
-__all__ = ["WorldReplica"]
+__all__ = ["WorldReplica", "cohort_key"]
+
+
+def cohort_key(cohort: int) -> str:
+    """The feed key every session of ``cohort`` reads and writes."""
+    return f"c{cohort}"
 
 
 class WorldReplica:
     """One logical replica's slice of the world."""
 
-    __slots__ = ("index", "spec", "bus", "rng", "feeds", "cohorts",
-                 "retired", "closed", "_clock")
+    __slots__ = ("index", "spec", "feeds", "cohorts", "retired",
+                 "closed", "_clock", "_send", "_hop", "_ship", "_mu",
+                 "_successors", "_peers")
 
     def __init__(self, index: int, spec: WorldSpec, bus: WorldBus,
                  rng: RandomSource,
                  clock: Callable[[], float]) -> None:
         self.index = index
         self.spec = spec
-        self.bus = bus
-        self.rng = rng
         #: cohort key -> sorted [( (arrival, message_id), message_id )].
         self.feeds: dict[str, list[tuple[tuple[float, str], str]]] = {}
         #: cohort id -> buffer, for cohorts homed on this replica.
@@ -55,6 +61,18 @@ class WorldReplica:
         #: (close_time, cohort_id, buffer) drained at each barrier.
         self.closed: list[tuple[float, int, CohortBuffer]] = []
         self._clock = clock
+        # Resolved once: the bus entry, the two latency draws and
+        # their location, relay successors, retirement targets.
+        self._send = bus.send
+        self._hop = rng.stream("hop").lognormvariate
+        self._ship = rng.stream("ship").lognormvariate
+        self._mu = math.log(spec.hop_median)
+        width = spec.replicas
+        self._successors = tuple(
+            (index + step) % width
+            for step in range(1, min(spec.fanout, width - 1) + 1))
+        self._peers = tuple(target for target in range(width)
+                            if target != index)
 
     # -- Feed maintenance ---------------------------------------------
 
@@ -63,11 +81,11 @@ class WorldReplica:
         """Insert into the sorted feed; False if already present."""
         if key in self.retired:
             return False
+        entry = ((arrival, message_id), message_id)
         feed = self.feeds.get(key)
         if feed is None:
-            feed = []
-            self.feeds[key] = feed
-        entry = ((arrival, message_id), message_id)
+            self.feeds[key] = [entry]
+            return True
         for _, present in feed:
             if present == message_id:
                 return False
@@ -91,48 +109,36 @@ class WorldReplica:
         this replica's own stream so draw order — and therefore every
         value — is independent of how replicas share shard simulators.
         """
-        spec = self.spec
-        width = spec.replicas
-        limit = min(spec.fanout, width - 1)
-        for step in range(1, limit + 1):
-            target = (self.index + step) % width
-            latency = self.rng.lognormal(
-                "hop", spec.hop_median, spec.hop_sigma
-            )
-            self.bus.send(
-                origin=self.index, target=target, send_time=arrival,
-                latency=latency, kind="rumor",
-                payload=(key, message_id),
-            )
+        send, draw, index = self._send, self._hop, self.index
+        mu, sigma = self._mu, self.spec.hop_sigma
+        payload = (key, message_id)
+        for target in self._successors:
+            send(origin=index, target=target, send_time=arrival,
+                 latency=draw(mu, sigma), kind="rumor",
+                 payload=payload)
 
     # -- Session operations (invoked by the engine's session events) ---
 
-    def local_write(self, cohort: int, agent: str, message_id: str,
-                    invoke: float) -> None:
+    def local_write(self, cohort: int, key: str, agent: str,
+                    message_id: str, invoke: float) -> None:
         """Apply a homed writer's write and start disseminating it."""
         response = invoke + self.spec.service_time
-        key = _cohort_key(cohort)
         if self._feed_insert(key, response, message_id):
             self._relay(key, message_id, response)
         self._record_write(cohort, agent, message_id, invoke, response)
 
-    def local_read(self, cohort: int, agent: str,
+    def local_read(self, cohort: int, key: str, home: int, agent: str,
                    invoke: float) -> None:
         """Serve a read from this replica's feed; ship the record home."""
-        spec = self.spec
-        response = invoke + spec.service_time
-        key = _cohort_key(cohort)
+        response = invoke + self.spec.service_time
         observed = self.observe_feed(key)
-        home = spec.home_replica(cohort)
         if home == self.index:
             self._record_read(cohort, agent, observed, invoke, response)
             return
-        latency = self.rng.lognormal(
-            "ship", spec.hop_median, spec.hop_sigma
-        )
-        self.bus.send(
+        self._send(
             origin=self.index, target=home, send_time=response,
-            latency=latency, kind="record",
+            latency=self._ship(self._mu, self.spec.hop_sigma),
+            kind="record",
             payload=(cohort, agent, observed, invoke, response),
         )
 
@@ -140,16 +146,15 @@ class WorldReplica:
 
     def deliver(self, message: BusMessage) -> None:
         """Bus delivery entry point (scheduled by the engine)."""
-        kind = message.kind
+        arrival, _origin, _seq, _target, kind, payload = message
         if kind == "rumor":
-            key, message_id = message.payload
-            if self._feed_insert(key, message.deliver_time, message_id):
-                self._relay(key, message_id, message.deliver_time)
+            key, message_id = payload
+            if self._feed_insert(key, arrival, message_id):
+                self._relay(key, message_id, arrival)
         elif kind == "record":
-            cohort, agent, observed, invoke, response = message.payload
-            self._record_read(cohort, agent, observed, invoke, response)
+            self._record_read(*payload)
         elif kind == "retire":
-            (key,) = message.payload
+            (key,) = payload
             self.feeds.pop(key, None)
             self.retired.add(key)
         else:  # pragma: no cover - protocol misuse guard
@@ -178,18 +183,14 @@ class WorldReplica:
             return
         close_time = self._clock()
         del self.cohorts[cohort]
-        key = _cohort_key(cohort)
+        key = cohort_key(cohort)
         self.feeds.pop(key, None)
         self.retired.add(key)
-        spec = self.spec
-        for target in range(spec.replicas):
-            if target == self.index:
-                continue
-            self.bus.send(
-                origin=self.index, target=target,
-                send_time=close_time, latency=spec.epoch,
-                kind="retire", payload=(key,),
-            )
+        send, index, epoch = self._send, self.index, self.spec.epoch
+        payload = (key,)
+        for target in self._peers:
+            send(origin=index, target=target, send_time=close_time,
+                 latency=epoch, kind="retire", payload=payload)
         self.closed.append((close_time, cohort, buffer))
 
     def drain_closed(self) -> list[tuple[float, int, CohortBuffer]]:
@@ -203,7 +204,3 @@ class WorldReplica:
         return (sum(len(feed) for feed in self.feeds.values())
                 + sum(len(buffer)
                       for buffer in self.cohorts.values()))
-
-
-def _cohort_key(cohort: int) -> str:
-    return f"c{cohort}"

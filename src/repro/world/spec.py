@@ -149,16 +149,21 @@ class WorldSpec:
         """The writer's (and the cohort trace's) home replica."""
         return author_shard(f"{self.name}/c{cohort}", self.replicas)
 
-    def reader_replica(self, cohort: int, member: int) -> int:
+    def reader_replica(self, cohort: int, member: int,
+                       home: int | None = None) -> int:
         """Home replica of reader ``member`` (1-based) of ``cohort``.
 
         Always distinct from the cohort home so cross-replica (and,
-        depending on the cut, cross-shard) reads actually occur.
+        depending on the cut, cross-shard) reads actually occur.  A
+        caller placing a whole cohort passes the ``home`` it already
+        hashed.
         """
+        if home is None:
+            home = self.home_replica(cohort)
         offset = author_shard(
             f"{self.name}/c{cohort}/s{member}", self.replicas - 1
         )
-        return (self.home_replica(cohort) + 1 + offset) % self.replicas
+        return (home + 1 + offset) % self.replicas
 
     def replica_shard(self, replica: int) -> int:
         """The physical shard hosting ``replica`` (contiguous blocks)."""

@@ -15,6 +15,12 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.scenario import load_scenario
@@ -147,6 +153,148 @@ class TestWorldBus:
         times = sorted(m.deliver_time for m in bus.drain_until(1e9))
         assert times == [17.0, 52.0, 52.0]
         assert bus.deferred_total == 1 and bus.sent_total == 3
+
+    def test_retransmission_meets_the_partitions_active_at_heal(self):
+        """Found by ``BusConservation``: the first matching partition
+        used to decide alone, so a message crossed a cut still held by
+        an overlapping or chained one."""
+        overlapping = (WorldPartition(start=0.0, end=40.0, side=(0,)),
+                       WorldPartition(start=0.0, end=100.0, side=(0,)))
+        chained = (WorldPartition(start=0.0, end=40.0, side=(0,)),
+                   WorldPartition(start=30.0, end=70.0, side=(0, 2)))
+        for partitions, healed in ((overlapping, 100.0),
+                                   (chained, 70.0)):
+            bus = WorldBus(epoch=10.0, partitions=partitions)
+            bus.send(origin=0, target=1, send_time=5.0, latency=12.0,
+                     kind="rumor")
+            (message,) = bus.drain_until(1e9)
+            assert message.deliver_time == healed + 12.0
+            assert bus.deferred_total == 1  # one message, however often
+
+    def test_send_inside_a_drained_barrier_is_refused(self):
+        """Found by ``BusConservation``: such a message would drain
+        *behind* keys already handed out, re-opening the barrier."""
+        bus = WorldBus(epoch=10.0)
+        bus.send(origin=0, target=1, send_time=25.0, latency=1.0,
+                 kind="rumor")
+        assert [m.deliver_time for m in bus.drain_until(40.0)] == [35.0]
+        with pytest.raises(SimulationError, match="already drained"):
+            bus.send(origin=1, target=0, send_time=30.0, latency=1.0,
+                     kind="rumor")           # due at 40.0, not after it
+        assert bus.stats() == {"sent": 1, "deferred": 0, "pending": 0}
+        bus.send(origin=1, target=0, send_time=30.25, latency=1.0,
+                 kind="rumor")
+        assert bus.earliest() == 40.25
+
+
+#: Bus-machine instants are multiples of a quarter second, so every
+#: sum and difference below is exact and the laws can be held with
+#: ``==`` / ``<``, not tolerances.
+quarters = st.integers(min_value=0, max_value=240).map(
+    lambda ticks: ticks / 4)
+endpoints = st.integers(min_value=0, max_value=3)
+
+
+@st.composite
+def bus_partitions(draw):
+    start = draw(quarters)
+    length = draw(st.integers(min_value=1, max_value=80)) / 4
+    side = draw(st.sets(endpoints, min_size=1, max_size=3))
+    return WorldPartition(start=start, end=start + length,
+                          side=tuple(sorted(side)))
+
+
+class BusConservation(RuleBasedStateMachine):
+    """The three laws in the ``repro.world.bus`` docstring, under
+    random sends, drains and (overlapping, chained) partitions."""
+
+    EPOCH = 2.5
+
+    @initialize(partitions=st.lists(bus_partitions(), max_size=3))
+    def build(self, partitions):
+        self.partitions = partitions
+        self.bus = WorldBus(self.EPOCH, partitions)
+        self.sends = {}       # payload id -> (origin, target, time, latency)
+        self.drained = []
+        self.horizon = float("-inf")
+
+    @rule(origin=endpoints, goal=endpoints, send_time=quarters,
+          latency=quarters)
+    def send(self, origin, goal, send_time, latency):
+        target = goal  # ``target`` is a keyword of ``rule`` itself
+        before = self.bus.stats()
+        ident = len(self.sends)
+        floor = send_time + max(latency, self.EPOCH)
+        try:
+            self.bus.send(origin=origin, target=target,
+                          send_time=send_time, latency=latency,
+                          kind="rumor", payload=(ident,))
+        except SimulationError:
+            # Refused: a self-send, or a message that could only land
+            # inside a barrier that has already drained.  Either way
+            # the bus is exactly as it was.
+            assert origin == target or floor <= self.horizon
+            assert self.bus.stats() == before
+            return
+        assert origin != target
+        self.sends[ident] = (origin, target, send_time, latency)
+        assert self.bus.sent_total == before["sent"] + 1
+
+    @rule(horizon=quarters)
+    def drain(self, horizon):
+        earliest = self.bus.earliest()
+        due = self.bus.drain_until(horizon)
+        self.horizon = max(self.horizon, horizon)
+        if due:
+            assert due[0].deliver_time == earliest
+        else:
+            assert earliest is None or earliest > horizon
+        # Law 2: one strictly increasing key sequence, across drains.
+        keys = [message.key for message in self.drained[-1:] + due]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        for message in due:
+            (ident,) = message.payload
+            origin, target, send_time, latency = self.sends[ident]
+            assert (message.origin, message.target) == (origin, target)
+            assert message.deliver_time <= horizon
+            # Law 3: the floor, and no transmission across a live cut.
+            effective = max(latency, self.EPOCH)
+            released = message.deliver_time - effective
+            assert released >= send_time
+            assert released == send_time or released in {
+                partition.end for partition in self.partitions}
+            for partition in self.partitions:
+                if partition.crosses(origin, target):
+                    assert not partition.active_at(released)
+                    if partition.active_at(send_time):
+                        assert message.deliver_time >= \
+                            partition.end + effective
+        self.drained.extend(due)
+
+    @invariant()
+    def nothing_lost_nothing_duplicated(self):
+        # Law 1: sent = drained + pending, at every step.
+        stats = self.bus.stats()
+        assert stats["sent"] == len(self.sends) == \
+            len(self.drained) + stats["pending"]
+        assert stats["pending"] == self.bus.pending_count
+        idents = [message.payload[0] for message in self.drained]
+        assert len(set(idents)) == len(idents)
+
+    def teardown(self):
+        self.drain(1e9)
+        assert self.bus.pending_count == 0
+        late = sum(
+            1 for message in self.drained
+            if message.deliver_time
+            > self.sends[message.payload[0]][2]
+            + max(self.sends[message.payload[0]][3], self.EPOCH))
+        assert self.bus.deferred_total == late
+
+
+TestBusConservation = BusConservation.TestCase
+TestBusConservation.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None)
 
 
 class TestCohortBuffer:
@@ -338,6 +486,23 @@ class TestWorldCli:
             repro_main(["world", "--scenario", SCENARIO,
                         "--lanes", "2"])
         assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("override, complaint", [
+        (["--shards", "99"], "shards must be in [1, replicas=8], got 99"),
+        (["--shards", "0"], "shards must be in [1, replicas=8], got 0"),
+        (["--sessions", "0"], "world needs at least one session"),
+        (["--sessions", "-4"], "world needs at least one session"),
+    ])
+    def test_out_of_range_override_is_a_usage_error(
+            self, override, complaint, capsys):
+        """As the same value in the scenario file: one line, exit 2."""
+        from repro.cli import main as repro_main
+
+        code = repro_main(["world", "--scenario", SCENARIO, *override])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"world: {complaint}\n"
 
     def test_world_command_json_summary(self, capsys):
         import json
