@@ -1,11 +1,11 @@
-"""The programmatic campaign-service API, mirrored 1:1 by HTTP.
+"""Typed request/response pairs for embedding the campaign service.
 
-Every interaction with the campaign service is a typed, frozen
-request/response pair defined here; the HTTP layer
-(:mod:`repro.serve.httpapi`) is a faithful wire encoding of these
-objects and nothing more.  That 1:1 contract means a caller embedding
-the service in-process (tests, the parity gate, notebooks) and a
-caller on the far side of a socket see the same schema:
+The four hunt routes a program (rather than an operator) drives —
+submit, poll status, page results, fetch the merged obs snapshot — as
+frozen dataclasses over the same wire fields the HTTP layer
+(:mod:`repro.serve.httpapi`) serves; the other seven ``/v1`` routes
+have no typed mirror and are called as plain paths
+(``docs/serve.md`` lists each route's dependant):
 
 * :class:`SubmitHuntRequest` ``->`` ``POST /v1/hunts``
 * :class:`HuntStatusRequest` ``->`` ``GET /v1/hunts/{hunt_id}``
@@ -13,10 +13,10 @@ caller on the far side of a socket see the same schema:
 * :class:`HuntObsRequest` ``->`` ``GET /v1/hunts/{hunt_id}/obs``
 
 The convenience functions (:func:`submit_hunt`, :func:`hunt_status`,
-:func:`hunt_results`) run a request against any *transport*: a
-callable ``(method, path, params, token) -> ApiResponse``.  The
-in-process :class:`~repro.serve.server.HuntServer` is such a
-transport; so is an HTTP client adapter.
+:func:`hunt_results`, :func:`hunt_obs`) run a request against any
+*transport*: a callable ``(method, path, params, token) ->
+ApiResponse``.  The in-process :class:`~repro.serve.server.HuntServer`
+is such a transport; so is an HTTP client adapter.
 """
 
 from __future__ import annotations
@@ -24,11 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
-from repro.serve.hunt import (
-    STATUS_FIELDS,
-    HuntSpec,
-    hunt_status_body,
-)
+from repro.serve.hunt import STATUS_FIELDS, HuntSpec, HuntState
 from repro.webapi.http import ApiResponse
 
 __all__ = [
@@ -51,9 +47,8 @@ __all__ = [
 Transport = Callable[..., ApiResponse]
 
 
-def _status_body(state_body: Mapping[str, Any]) -> dict[str, Any]:
-    """The wire fields of one hunt's status (shared shape)."""
-    return {key: state_body[key] for key in STATUS_FIELDS}
+#: A :class:`HuntState` as its HTTP status-response body.
+hunt_status_body = HuntState.status_body
 
 
 @dataclass(frozen=True)
@@ -109,7 +104,7 @@ class HuntStatusResponse:
 
     @classmethod
     def from_body(cls, body: Mapping[str, Any]) -> "HuntStatusResponse":
-        return cls(**_status_body(body))
+        return cls(**{key: body[key] for key in STATUS_FIELDS})
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ Quantify the Cristian clock-sync protocol's accuracy::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from repro.analysis import full_report, prevalence_table
@@ -327,12 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard worker pool width (1 = in-process execution)",
     )
     serve_cmd.add_argument(
-        "--policy", default="stealing",
-        choices=("stealing", "sequential"),
-        help="shard dispatch across concurrent hunts (sequential "
-             "exists as the benchmark baseline)",
-    )
-    serve_cmd.add_argument(
         "--once", action="store_true",
         help="run one scheduling pass over queued hunts and exit "
              "instead of serving HTTP (cron-style operation)",
@@ -355,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     hunt_cmd.add_argument(
         "action",
         choices=("submit", "list", "status", "results", "events",
-                 "pause", "resume", "cancel", "run"),
+                 "pause", "resume", "cancel"),
     )
     hunt_cmd.add_argument(
         "--root", required=True, metavar="DIR",
@@ -383,12 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     hunt_cmd.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="worker pool width for 'run'",
-    )
-    hunt_cmd.add_argument(
-        "--policy", default="stealing",
-        choices=("stealing", "sequential"),
-        help="shard dispatch policy for 'run'",
+        help="worker pool width for the scheduling passes "
+             "'events --follow' drives",
     )
     hunt_cmd.add_argument(
         "--follow", action="store_true",
@@ -616,16 +607,20 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_event(event) -> None:
+    """The ``on_event`` of every verb that narrates a run."""
+    from repro.fleet import render_event
+
+    line = render_event(event)
+    if line:
+        print(line)
+
+
 def _cmd_fleet(args: argparse.Namespace) -> int:
     services, scenario_specs, error = _resolve_fleet_services(args)
     if error:
         return error
-    from repro.fleet import (
-        FleetSpec,
-        derive_fleet_seeds,
-        render_event,
-        run_fleet,
-    )
+    from repro.fleet import FleetSpec, derive_fleet_seeds, run_fleet
     from repro.methodology import prevalence_statistics
 
     if args.seeds is not None:
@@ -638,14 +633,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                      base_config=_config(args), seeds=seeds,
                      scenarios=tuple(scenario_specs))
 
-    def on_event(event) -> None:
-        line = render_event(event)
-        if line:
-            print(line)
-
     outcome = run_fleet(
         spec, jobs=args.jobs, out_dir=args.store_out,
-        on_event=None if args.quiet else on_event,
+        on_event=None if args.quiet else _print_event,
         shard_timeout=args.shard_timeout,
         stream=args.stream,
     )
@@ -961,17 +951,11 @@ def _cmd_clocksync(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.fleet import render_event
     from repro.serve import HuntServer, serve_http
 
-    def on_event(event) -> None:
-        line = render_event(event)
-        if line:
-            print(line)
-
     server = HuntServer(
-        args.root, workers=args.workers, policy=args.policy,
-        on_event=None if args.quiet else on_event,
+        args.root, workers=args.workers,
+        on_event=None if args.quiet else _print_event,
     )
     if args.once:
         outcomes = server.run_pending()
@@ -996,17 +980,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_hunt(args: argparse.Namespace) -> int:
-    from repro.fleet import render_event
     from repro.serve import HuntServer, follow_events
-    from repro.serve.hunt import HuntSpec
-
-    def on_event(event) -> None:
-        line = render_event(event)
-        if line:
-            print(line)
 
     server = HuntServer(args.root, workers=args.workers,
-                        policy=args.policy, on_event=on_event)
+                        on_event=_print_event)
     token = server.issue_token()
 
     def require_id() -> str:
@@ -1020,7 +997,9 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         if unknown:
             print(f"unknown services: {unknown}", file=sys.stderr)
             return 2
-        spec = HuntSpec(
+        from repro.api import SubmitHuntRequest, submit_hunt
+
+        response = submit_hunt(server.handle, SubmitHuntRequest(
             services=tuple(services),
             seeds=tuple(int(part) for part in args.seeds.split(",")
                         if part.strip()),
@@ -1028,28 +1007,9 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
             test_types=tuple(part.strip()
                              for part in args.test_types.split(",")
                              if part.strip()),
-        )
-        from repro.api import SubmitHuntRequest, submit_hunt
-
-        response = submit_hunt(server.handle, SubmitHuntRequest(
-            services=spec.services, seeds=spec.seeds,
-            num_tests=spec.num_tests, test_types=spec.test_types,
         ), token=token)
         print(f"submitted {response.hunt_id} "
               f"({response.shards_total} shards)")
-        return 0
-
-    if args.action == "run":
-        outcomes = server.run_pending()
-        for outcome in outcomes:
-            suffix = ""
-            if outcome.status == "done":
-                suffix = f"  signature {outcome.signature()[:16]}"
-            elif outcome.error:
-                suffix = f"  {outcome.error}"
-            print(f"{outcome.hunt_id}: {outcome.status}{suffix}")
-        if not outcomes:
-            print("nothing runnable")
         return 0
 
     if args.action == "list":
@@ -1065,10 +1025,11 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
 
     hunt_id = require_id()
     if args.action == "status":
-        response = server.handle(
-            "GET", f"/v1/hunts/{hunt_id}", token=token,
-        ).raise_for_status()
-        for key, value in response.body.items():
+        from repro.api import HuntStatusRequest, hunt_status
+
+        status = hunt_status(server.handle, HuntStatusRequest(hunt_id),
+                             token=token)
+        for key, value in dataclasses.asdict(status).items():
             print(f"{key}: {value}")
         return 0
 

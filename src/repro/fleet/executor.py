@@ -1,9 +1,8 @@
-"""Deterministic parallel campaign execution.
+"""Deterministic parallel campaign execution: the one dispatch loop.
 
-:func:`run_fleet` executes every shard of a
-:class:`~repro.fleet.spec.FleetSpec` and merges the results back into
-the spec's expansion order.  Three properties make the merged output
-bit-identical to running the same campaigns serially:
+Every shard in this repository is dispatched by :func:`dispatch_runs`,
+and three properties make its merged output bit-identical to running
+the same campaigns serially:
 
 1. **Shard purity** — a shard is ``run_campaign(service, config)``
    with a fully resolved config; it builds its own simulator world
@@ -15,20 +14,14 @@ bit-identical to running the same campaigns serially:
    scheduling (and retries after crashes or timeouts) can reorder
    *execution* but never *output*.
 
-This module is dispatch policy and result handling only: one FIFO
-queue in spec order, ``jobs`` attempts in flight, the first
-unrecoverable shard raises :class:`~repro.errors.FleetError`.  How a
-shard runs — in-process for ``jobs=1`` (no serialization at all, the
-exact historical ``replicate``/``sweep`` code path), in a worker
-process for ``jobs>=2`` — and how a crashed, timed-out or failed
-attempt is classified belong to :mod:`repro.fleet.pool`, shared with
-the campaign service's scheduler (``docs/fleet.md``, "Failure
-policy").
-
-With an output directory, completed shards are persisted through the
-:class:`~repro.fleet.store.ArtifactStore` as they finish, and a
-re-invocation against the same directory skips every shard whose
-stored records are digest-valid — checkpoint/resume for free.
+The loop owns resume of digest-valid shards from each run's
+:class:`~repro.fleet.store.ArtifactStore`, persist on completion, the
+retry budget, control polling and dispatch order.  :func:`run_fleet`
+is the loop over one run, raising when it halts; the campaign
+service's ``run_hunts`` is the loop over many; each adds only the
+translation of the loop's notifications into its own event family.
+How a shard runs and how a failed attempt is classified belong to
+:mod:`repro.fleet.pool` (``docs/fleet.md``, "Failure policy").
 """
 
 from __future__ import annotations
@@ -36,6 +29,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable, Sequence
 
 from repro.errors import ConfigurationError, FleetError
 from repro.fleet.digest import fleet_signature
@@ -50,7 +44,7 @@ from repro.fleet.pool import (
 )
 from repro.fleet.spec import FleetSpec, ShardJob
 from repro.fleet.store import ArtifactStore
-from repro.methodology.runner import CampaignResult
+from repro.methodology.runner import CampaignResult, TestRecord
 from repro.obs.events import (
     EventCallback,
     FleetCompleted,
@@ -62,8 +56,8 @@ from repro.obs.events import (
     ShardTestChecked,
 )
 
-__all__ = ["run_fleet", "execute_shard", "FleetOutcome",
-           "ShardRunner", "DEFAULT_MAX_RETRIES"]
+__all__ = ["run_fleet", "dispatch_runs", "ShardRun", "execute_shard",
+           "FleetOutcome", "ShardRunner", "DEFAULT_MAX_RETRIES"]
 
 #: Extra attempts granted to a shard after a worker crash or timeout.
 DEFAULT_MAX_RETRIES = 2
@@ -74,6 +68,201 @@ def execute_shard(job: ShardJob) -> CampaignResult:
     from repro.methodology.runner import run_campaign
 
     return run_campaign(job.service, job.config)
+
+
+@dataclass
+class ShardRun:
+    """One spec's shards in the dispatch loop: its jobs, where they
+    persist and — filled by the loop — how far they got."""
+
+    jobs: tuple[ShardJob, ...]
+    store: ArtifactStore | None = None
+    max_retries: int = DEFAULT_MAX_RETRIES
+    #: Execute shards through the streaming engine, which reports
+    #: every closed test (``"checked"``).  Ignored when a custom
+    #: ``shard_runner`` is injected — fault-injection runners replace
+    #: the execution path wholesale.
+    stream: bool = False
+
+    # -- filled by the loop ----------------------------------------------
+    queue: deque = field(default_factory=deque, repr=False)
+    results: dict = field(default_factory=dict, repr=False)
+    skipped: tuple[str, ...] = ()
+    retries: int = 0
+    halt: str | None = None  # "paused" | "cancelled" | error text
+    #: Width 1 only: the campaign's own exception behind an error halt.
+    error: Exception | None = None
+
+
+#: What the loop tells its caller: ``notify(what, run, task, **info)``.
+#: ``"resumed"`` (no task: ``run.skipped`` was loaded from the store,
+#: the rest queued), ``"started"``, ``"checked"`` (info: the streaming
+#: message's fields), ``"completed"`` (``result=``), ``"retried"``
+#: (``reason=``; ``task`` is the attempt just queued).
+Notify = Callable[..., None]
+
+
+def _resume(run: ShardRun, shard_runner: ShardRunner | None,
+            verdicts: Callable[[TestRecord], dict] | None) -> None:
+    """Load digest-valid completed shards; queue the rest (FIFO)."""
+    skipped = []
+    for job in run.jobs:
+        if run.store is not None and \
+                run.store.shard_state(job.shard_id) == "complete":
+            run.results[job.index] = result_from_records(
+                job, run.store.load_shard_records(job.shard_id),
+                obs=run.store.load_shard_obs(job.shard_id),
+            )
+            skipped.append(job.shard_id)
+        elif shard_runner is not None or not run.stream:
+            run.queue.append(
+                ShardTask(job, runner=shard_runner or execute_shard))
+        else:
+            trace_path = (str(run.store.trace_path(job.shard_id))
+                          if run.store is not None else None)
+            run.queue.append(ShardTask(job, trace_path=trace_path,
+                                       verdicts=verdicts))
+    run.skipped = tuple(skipped)
+
+
+def _dispatchable(run: ShardRun) -> bool:
+    return bool(run.queue) and run.halt is None
+
+
+def _next_run(runs: Sequence[ShardRun],
+              affinity: ShardRun | None) -> ShardRun | None:
+    """The run the next free worker draws from: the one it last served
+    while that has work, else the dispatchable run with the largest
+    backlog (ties: submission order)."""
+    if affinity is not None and _dispatchable(affinity):
+        return affinity
+    return max((run for run in runs if _dispatchable(run)),
+               key=lambda run: len(run.queue), default=None)
+
+
+def dispatch_runs(runs: Sequence[ShardRun], *,
+                  workers: int = 1,
+                  shard_runner: ShardRunner | None = None,
+                  shard_timeout: float | None = None,
+                  control: Callable[[ShardRun], str] | None = None,
+                  notify: Notify | None = None,
+                  verdicts: Callable[[TestRecord], dict] | None = None
+                  ) -> None:
+    """Drain every run's shards over one pool of ``workers``.
+
+    ``workers=1`` executes in-process (no worker processes, no
+    environmental failures, the campaign's exception kept on
+    ``run.error``); ``>= 2`` is process-per-attempt with
+    ``shard_timeout`` wall-clock seconds each.  ``shard_runner``
+    overrides :func:`execute_shard` and ``verdicts`` adds fields to
+    each ``"checked"`` message; both run where the shard runs, so both
+    must be module-level.  ``control`` answers ``"run"`` / ``"pause"``
+    / ``"cancel"`` between dispatches: pausing parks a run's queued
+    shards, cancelling discards them; in-flight ones finish and persist.
+
+    The law, held by ``tests/test_dispatch_law.py``:
+
+    * every run ends in exactly one of done (``halt is None``) /
+      ``"paused"`` / ``"cancelled"`` / failed (``halt`` is the error
+      text);
+    * done ⇒ ``results`` covers ``jobs``;
+    * paused ⇒ ``results`` ∪ the parked ``queue`` = ``jobs``, and a
+      second pass over the same store finishes it to the signature an
+      uninterrupted pass produces;
+    * attempts started = completed + retried + halting + abandoned,
+      where only an attempt that outlives its cancelled or failed run
+      and ends without a result is abandoned;
+    * an unrecoverable shard halts its own run only: a failing or
+      cancelled run never costs another run a shard.
+    """
+    notify = notify or (lambda what, run, task=None, **info: None)
+    control = control or (lambda run: "run")
+    for run in runs:
+        _resume(run, shard_runner, verdicts)
+        notify("resumed", run)
+
+    def poll_control() -> None:
+        for run in runs:
+            if run.halt is not None:
+                continue
+            verdict = control(run)
+            if verdict == "pause" and run.queue:
+                run.halt = "paused"
+            elif verdict == "cancel":
+                run.queue.clear()
+                run.halt = "cancelled"
+
+    def checked(task: ShardTask, run: ShardRun, message: dict) -> None:
+        notify("checked", run, task, **message)
+
+    def complete(run: ShardRun, task: ShardTask, result: CampaignResult,
+                 records: list[dict] | None = None) -> None:
+        if run.store is not None:
+            if records is None:  # in-process: nothing crossed a pipe
+                records = records_to_jsonable(result)
+            run.store.write_shard(task.job, records, obs=result.obs)
+        run.results[task.job.index] = result
+        notify("completed", run, task, result=result)
+
+    def halt(run: ShardRun, text: str,
+             error: Exception | None = None) -> None:
+        run.queue.clear()
+        run.halt, run.error = text, error
+
+    def settle(done: Attempt) -> None:
+        run, task = done.tag, done.task
+        shard = f"shard {task.job.shard_id!r}"
+        if done.kind == "result":
+            complete(run, task, done.result, done.records)
+        elif run.halt not in (None, "paused"):
+            pass  # abandoned: its run was cancelled or already failed
+        elif done.kind == "error":
+            halt(run, f"{shard} campaign failed:\n{done.detail}")
+        elif task.attempt > run.max_retries:
+            halt(run, f"{shard} failed after {task.attempt} attempts: "
+                      f"{done.detail}")
+        else:
+            run.retries += 1
+            retry = replace(task, attempt=task.attempt + 1)
+            run.queue.appendleft(retry)
+            notify("retried", run, retry, reason=done.detail)
+
+    if workers == 1:
+        run = None
+        while True:
+            poll_control()
+            run = _next_run(runs, run)
+            if run is None:
+                return
+            task = run.queue.popleft()
+            notify("started", run, task)
+            try:
+                result = run_shard(task, checked, run)
+            except Exception as exc:  # noqa: BLE001 - halts this run only
+                halt(run, f"shard {task.job.shard_id!r} campaign "
+                          f"failed: {exc}", exc)
+                continue
+            complete(run, task, result)
+
+    #: One entry per idle worker slot: the run it last served (its
+    #: affinity), None until it has served one.
+    idle: deque[ShardRun | None] = deque([None] * workers)
+    with WorkPool(checked, timeout=shard_timeout) as pool:
+        while pool.in_flight or any(_dispatchable(run) for run in runs):
+            poll_control()
+            while idle:
+                run = _next_run(runs, idle[0])
+                if run is None:
+                    break
+                idle.popleft()
+                task = run.queue.popleft()
+                pool.submit(task, run)
+                notify("started", run, task)
+            if not pool.in_flight:
+                break  # every remaining run halted, nothing running
+            for done in pool.wait():
+                idle.append(done.tag)
+                settle(done)
 
 
 @dataclass
@@ -129,11 +318,14 @@ def run_fleet(spec: FleetSpec, *,
               stream: bool = False) -> FleetOutcome:
     """Execute every shard of ``spec`` and merge in spec order.
 
+    :func:`dispatch_runs` over one run; the first unrecoverable shard
+    ends the fleet with :class:`~repro.errors.FleetError`.
+
     Parameters
     ----------
     jobs:
-        Worker processes.  1 (default) executes in-process, exactly
-        like the historical serial path; >= 2 uses a worker pool.
+        Worker processes.  1 (default) executes in-process (a campaign
+        exception then propagates as itself); >= 2 uses a worker pool.
     out_dir:
         Artifact-store directory.  Enables persistence and resume:
         digest-valid completed shards found there are loaded instead
@@ -175,106 +367,53 @@ def run_fleet(spec: FleetSpec, *,
             "full traces are a debugging aid and do not cross the "
             "worker boundary (run with jobs=1 to keep them)"
         )
-    runner = shard_runner or execute_shard
     emit = on_event or (lambda event: None)
 
     store: ArtifactStore | None = None
     if out_dir is not None:
         store = ArtifactStore(out_dir)
         store.initialize(spec)
-
-    all_jobs = spec.jobs()
-    total = len(all_jobs)
-    results: dict[int, CampaignResult] = {}
-    skipped: list[str] = []
-    pending: list[ShardJob] = []
-    for job in all_jobs:
-        if store is not None and \
-                store.shard_state(job.shard_id) == "complete":
-            results[job.index] = result_from_records(
-                job, store.load_shard_records(job.shard_id),
-                obs=store.load_shard_obs(job.shard_id),
-            )
-            skipped.append(job.shard_id)
-        else:
-            pending.append(job)
+    run = ShardRun(tuple(spec.jobs()), store=store,
+                   max_retries=max_retries, stream=stream)
 
     def announce(cls, job: ShardJob, **extra) -> None:
-        emit(cls(shard_id=job.shard_id, index=job.index, total=total,
-                 service=job.service, seed=job.seed, label=job.label,
-                 **extra))
+        emit(cls(shard_id=job.shard_id, index=job.index,
+                 total=len(run.jobs), service=job.service,
+                 seed=job.seed, label=job.label, **extra))
 
-    emit(FleetStarted(total_shards=total, jobs=jobs,
-                      resumed=len(skipped)))
-    skipped_ids = set(skipped)
-    for job in all_jobs:
-        if job.shard_id in skipped_ids:
-            announce(ShardSkipped, job, reason="complete in store")
+    def notify(what, run, task=None, **info) -> None:
+        """The loop's notifications as the Shard* / Fleet* family."""
+        if what == "resumed":
+            emit(FleetStarted(total_shards=len(run.jobs), jobs=jobs,
+                              resumed=len(run.skipped)))
+            for job in run.jobs:
+                if job.index in run.results:
+                    announce(ShardSkipped, job,
+                             reason="complete in store")
+        elif what == "started":
+            announce(ShardStarted, task.job, attempt=task.attempt)
+        elif what == "checked":
+            announce(ShardTestChecked, task.job, **info)
+        elif what == "completed":
+            announce(ShardCompleted, task.job, attempts=task.attempt,
+                     records=len(info["result"].records))
+        elif what == "retried":
+            announce(ShardRetried, task.job, attempt=task.attempt,
+                     **info)
 
-    def test_checked(task: ShardTask, _tag, message: dict) -> None:
-        announce(ShardTestChecked, task.job, **message)
+    dispatch_runs([run], workers=jobs, shard_runner=shard_runner,
+                  shard_timeout=shard_timeout, notify=notify)
+    if run.error is not None:
+        raise run.error
+    if run.halt is not None:
+        raise FleetError(run.halt)
 
-    def complete(task: ShardTask, result: CampaignResult,
-                 records: list[dict] | None = None) -> None:
-        if store is not None:
-            store.write_shard(
-                task.job, records if records is not None
-                else records_to_jsonable(result),
-                obs=result.obs,
-            )
-        results[task.job.index] = result
-        announce(ShardCompleted, task.job, attempts=task.attempt,
-                 records=len(result.records))
-
-    queue: deque[ShardTask] = deque()
-    for job in pending:
-        if stream:
-            trace_path = (str(store.trace_path(job.shard_id))
-                          if store is not None else None)
-            queue.append(ShardTask(job, trace_path=trace_path))
-        else:
-            queue.append(ShardTask(job, runner=runner))
-
-    retries = 0
-
-    def settle(done: Attempt) -> None:
-        nonlocal retries
-        task = done.task
-        if done.kind == "result":
-            complete(task, done.result, done.records)
-        elif done.kind == "error":
-            raise FleetError(f"shard {task.job.shard_id!r} campaign "
-                             f"failed:\n{done.detail}")
-        elif task.attempt > max_retries:
-            raise FleetError(f"shard {task.job.shard_id!r} failed after "
-                             f"{task.attempt} attempts: {done.detail}")
-        else:
-            retries += 1
-            retry = replace(task, attempt=task.attempt + 1)
-            announce(ShardRetried, task.job, attempt=retry.attempt,
-                     reason=done.detail)
-            queue.appendleft(retry)
-
-    if jobs == 1:
-        for task in queue:
-            announce(ShardStarted, task.job, attempt=1)
-            complete(task, run_shard(task, test_checked))
-    else:
-        with WorkPool(test_checked, timeout=shard_timeout) as pool:
-            while queue or pool.in_flight:
-                while queue and pool.in_flight < jobs:
-                    task = queue.popleft()
-                    pool.submit(task)
-                    announce(ShardStarted, task.job,
-                             attempt=task.attempt)
-                for done in pool.wait():
-                    settle(done)
-
-    merged = [results[job.index] for job in all_jobs]
-    executed = tuple(job.shard_id for job in pending)
-    emit(FleetCompleted(executed=len(executed), skipped=len(skipped),
-                        retries=retries))
+    executed = tuple(job.shard_id for job in run.jobs
+                     if job.shard_id not in run.skipped)
+    emit(FleetCompleted(executed=len(executed),
+                        skipped=len(run.skipped), retries=run.retries))
     return FleetOutcome(
-        spec=spec, jobs=tuple(all_jobs), results=merged,
-        skipped=tuple(skipped), executed=executed, retries=retries,
+        spec=spec, jobs=run.jobs,
+        results=[run.results[job.index] for job in run.jobs],
+        skipped=run.skipped, executed=executed, retries=run.retries,
     )

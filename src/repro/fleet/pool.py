@@ -1,10 +1,11 @@
 """The one work pool: everything process-shaped about running shards.
 
-``run_fleet`` and ``run_hunts`` decide *which* shard runs next; this
-module is *how* a shard runs — in this process (:func:`run_shard`) or
-in a worker process (:class:`WorkPool`) — and how an attempt that did
-not end in a result is classified (:class:`Attempt`, the failure
-policy both clients share; ``docs/fleet.md``, "Failure policy").  A
+The dispatch loop (:func:`repro.fleet.executor.dispatch_runs`, under
+both ``run_fleet`` and ``run_hunts``) decides *which* shard runs next;
+this module is *how* a shard runs — in this process
+(:func:`run_shard`) or in a worker process (:class:`WorkPool`) — and
+how an attempt that did not end in a result is classified
+(:class:`Attempt`; ``docs/fleet.md``, "Failure policy").  A
 shard is always ``run_campaign(service, config)`` underneath, so
 nothing here can change what a shard computes, only where and when:
 the pool runs on the host, outside the simulation, and its wall-clock
@@ -120,7 +121,7 @@ def run_shard(task: ShardTask, on_test: OnTest,
               tag: Any = None) -> CampaignResult:
     """Run one shard in this process and return its live result.
 
-    The ``jobs=1`` / ``workers=1`` path calls this directly — no
+    The loop's width-1 path calls this directly — no
     serialization, so ``keep_traces`` campaigns retain their traces
     and an exception inside a campaign propagates unwrapped; a pool
     worker calls it with ``on_test`` bound to its pipe.  A streaming
@@ -195,8 +196,8 @@ class _Running:
 class WorkPool:
     """Process-per-attempt shard execution behind one wait loop.
 
-    The client owns dispatch: it calls :meth:`submit` whenever it
-    wants another attempt in flight (bounding ``in_flight`` itself)
+    The dispatch loop owns dispatch: it calls :meth:`submit` whenever
+    it wants another attempt in flight (bounding ``in_flight`` itself)
     and drains :meth:`wait` for the attempts that ended.  ``timeout``
     is the wall-clock seconds one attempt may run.  Leaving the
     ``with`` block terminates whatever is still in flight.

@@ -59,6 +59,7 @@ class LintConfig:
         "repro.fleet.pool.ShardTask:runner,verdicts",
         "repro.fleet.run_fleet:shard_runner",
         "repro.fleet.executor.run_fleet:shard_runner",
+        "repro.fleet.executor.dispatch_runs:shard_runner,verdicts",
         "repro.serve.run_hunts:shard_runner",
         "repro.serve.scheduler.run_hunts:shard_runner",
     )

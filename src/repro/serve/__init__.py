@@ -11,8 +11,8 @@ service:
   transitions;
 * :mod:`repro.serve.store` — digest-validated persistence of hunt
   state, event feeds, and per-hunt fleet artifact stores;
-* :mod:`repro.serve.scheduler` — work-stealing shard scheduling
-  across concurrent hunts over one worker pool;
+* :mod:`repro.serve.scheduler` — concurrent hunts over the fleet's one
+  dispatch loop (work stealing across hunts);
 * :mod:`repro.serve.service` — the application core (submit / pause /
   resume / cancel / query);
 * :mod:`repro.serve.httpapi` — the versioned ``/v1`` routes on the
@@ -36,12 +36,7 @@ from repro.serve.hunt import (
     HuntState,
     check_transition,
 )
-from repro.serve.scheduler import (
-    SCHEDULER_POLICIES,
-    HuntOutcome,
-    HuntRun,
-    run_hunts,
-)
+from repro.serve.scheduler import HuntOutcome, HuntRun, run_hunts
 from repro.serve.server import HuntServer, follow_events, serve_http
 from repro.serve.service import CampaignService
 from repro.serve.store import HuntStore
@@ -57,7 +52,6 @@ __all__ = [
     "HuntRun",
     "HuntOutcome",
     "run_hunts",
-    "SCHEDULER_POLICIES",
     "CampaignService",
     "HuntServer",
     "serve_http",

@@ -22,11 +22,16 @@ stack in this repository::
     GET  /v1/hunts/{hunt_id}/artifact   one artifact's content
                                         (``name=`` query param)
 
-Responses mirror the typed objects in :mod:`repro.api` field for
-field.  Requests and responses are the plain
+Requests and responses are the plain
 :class:`~repro.webapi.http.ApiRequest` / ``ApiResponse`` pair, so the
 in-process transport and the stdlib HTTP shell share this dispatcher
-unchanged.
+unchanged; :mod:`repro.api` types the four routes a program embeds.
+
+Every request ends in exactly one recorded response
+(``stats.requests_total == sum(stats.responses_by_status.values())``):
+parameters are parsed at this boundary, so a malformed one is a 400,
+and a damaged hunt store is a 500 naming the damage — never an
+exception out of :meth:`HuntApi.dispatch`.
 """
 
 from __future__ import annotations
@@ -34,8 +39,14 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any
 
-from repro.errors import NotFoundError, ServiceError
-from repro.serve.hunt import HuntSpec, hunt_status_body
+from repro.errors import (
+    ConfigurationError,
+    FleetError,
+    InvalidRequestError,
+    NotFoundError,
+    ServiceError,
+)
+from repro.serve.hunt import HuntSpec, int_field
 from repro.serve.service import CampaignService
 from repro.webapi.auth import Account, AccountRegistry
 from repro.webapi.endpoint import EndpointStats
@@ -45,7 +56,7 @@ from repro.webapi.http import (
     error_response,
     ok,
 )
-from repro.webapi.pagination import DEFAULT_PAGE_SIZE, paginate
+from repro.webapi.pagination import DEFAULT_PAGE_SIZE, Page, paginate
 from repro.webapi.ratelimit import SlidingWindowRateLimiter
 from repro.webapi.router import Router, RouteSpec
 
@@ -55,6 +66,14 @@ API_VERSION = "v1"
 
 #: Events returned per feed page (the follow-mode poll quantum).
 EVENTS_PAGE_SIZE = 100
+
+
+def _page(request: ApiRequest, keys: list[str]) -> Page:
+    """The page of ``keys`` the request's ``cursor`` / ``limit`` ask for."""
+    return paginate(
+        keys, cursor=request.param("cursor"),
+        limit=int_field(request.params, "limit", DEFAULT_PAGE_SIZE),
+    )
 
 
 class HuntApi:
@@ -123,6 +142,10 @@ class HuntApi:
             response = ok(match.route.handler(request, account))
         except ServiceError as exc:
             response = error_response(exc)
+        except FleetError as exc:
+            # A damaged hunt.json or a torn events.jsonl.
+            response = ApiResponse(
+                status=500, body={"error": f"FleetError: {exc}"})
         self.stats._record_response(response.status)
         return response
 
@@ -130,59 +153,57 @@ class HuntApi:
 
     def _submit(self, request: ApiRequest,
                 account: Account) -> dict[str, Any]:
-        spec = HuntSpec.from_dict(request.params)
-        state = self._service.submit(spec, owner=account.user_id)
+        try:
+            spec = HuntSpec.from_dict(request.params)
+            state = self._service.submit(spec, owner=account.user_id)
+        except ConfigurationError as exc:
+            # Well-typed, but names an unknown service or test type
+            # (or too few tests): still the sender's mistake.
+            raise InvalidRequestError(str(exc)) from None
         return {"hunt_id": state.hunt_id, "status": state.status,
                 "shards_total": state.shards_total}
 
     def _list(self, request: ApiRequest,
               account: Account) -> dict[str, Any]:
         states = self._service.hunts()
-        page = paginate(
-            [state.hunt_id for state in states],
-            cursor=request.param("cursor"),
-            limit=int(request.param("limit", DEFAULT_PAGE_SIZE)),
-        )
+        page = _page(request, [state.hunt_id for state in states])
         by_id = {state.hunt_id: state for state in states}
         return {
-            "hunts": [hunt_status_body(by_id[hunt_id])
+            "hunts": [by_id[hunt_id].status_body()
                       for hunt_id in page.items],
             "next_cursor": page.next_cursor,
         }
 
     def _status(self, request: ApiRequest,
                 account: Account) -> dict[str, Any]:
-        state = self._service.hunt(request.require_param("hunt_id"))
-        return hunt_status_body(state)
+        return self._service.hunt(
+            request.require_param("hunt_id")
+        ).status_body()
 
     def _pause(self, request: ApiRequest,
                account: Account) -> dict[str, Any]:
-        return hunt_status_body(self._service.pause(
+        return self._service.pause(
             request.require_param("hunt_id")
-        ))
+        ).status_body()
 
     def _resume(self, request: ApiRequest,
                 account: Account) -> dict[str, Any]:
-        return hunt_status_body(self._service.resume(
+        return self._service.resume(
             request.require_param("hunt_id")
-        ))
+        ).status_body()
 
     def _cancel(self, request: ApiRequest,
                 account: Account) -> dict[str, Any]:
-        return hunt_status_body(self._service.cancel(
+        return self._service.cancel(
             request.require_param("hunt_id")
-        ))
+        ).status_body()
 
     def _results(self, request: ApiRequest,
                  account: Account) -> dict[str, Any]:
         hunt_id = request.require_param("hunt_id")
         items = self._service.hunt_result_items(hunt_id)
         by_key = {item["key"]: item for item in items}
-        page = paginate(
-            [item["key"] for item in items],
-            cursor=request.param("cursor"),
-            limit=int(request.param("limit", DEFAULT_PAGE_SIZE)),
-        )
+        page = _page(request, [item["key"] for item in items])
         return {"items": [by_key[key] for key in page.items],
                 "next_cursor": page.next_cursor}
 
@@ -202,8 +223,8 @@ class HuntApi:
         further (the hunt is terminal).
         """
         hunt_id = request.require_param("hunt_id")
-        after = int(request.param("after", -1))
-        limit = int(request.param("limit", EVENTS_PAGE_SIZE))
+        after = int_field(request.params, "after", -1)
+        limit = int_field(request.params, "limit", EVENTS_PAGE_SIZE)
         events: list[dict[str, Any]] = []
         for record in self._service.events(hunt_id, after=after):
             events.append(record)
@@ -217,11 +238,7 @@ class HuntApi:
     def _artifacts(self, request: ApiRequest,
                    account: Account) -> dict[str, Any]:
         hunt_id = request.require_param("hunt_id")
-        names = self._service.artifact_names(hunt_id)
-        page = paginate(
-            names, cursor=request.param("cursor"),
-            limit=int(request.param("limit", DEFAULT_PAGE_SIZE)),
-        )
+        page = _page(request, self._service.artifact_names(hunt_id))
         return {"artifacts": list(page.items),
                 "next_cursor": page.next_cursor}
 

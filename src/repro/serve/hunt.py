@@ -33,7 +33,7 @@ boundary instead of corrupting the store.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
 from repro.errors import ConfigurationError, InvalidRequestError
@@ -48,7 +48,7 @@ __all__ = [
     "TERMINAL_STATUSES",
     "STATUS_FIELDS",
     "check_transition",
-    "hunt_status_body",
+    "int_field",
 ]
 
 #: Every status a hunt can be in, in lifecycle order.
@@ -82,6 +82,30 @@ def check_transition(current: str, target: str) -> None:
         raise InvalidRequestError(
             f"illegal hunt transition {current!r} -> {target!r}"
         )
+
+
+def int_field(data: Mapping[str, Any], name: str, default: int) -> int:
+    """An integer request field (a query string delivers it as text)."""
+    value = data.get(name, default)
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise InvalidRequestError(
+        f"{name!r} must be an integer, got {value!r}")
+
+
+def _tuple_field(data: Mapping[str, Any], name: str, kind: type,
+                 default: tuple) -> tuple:
+    value = data.get(name, default)
+    if not isinstance(value, (list, tuple)) or \
+            not all(type(item) is kind for item in value):
+        raise InvalidRequestError(
+            f"{name!r} must be a list of {kind.__name__} values")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -143,23 +167,27 @@ class HuntSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "HuntSpec":
-        try:
-            services = data["services"]
-        except KeyError:
-            raise InvalidRequestError(
-                "hunt spec needs a 'services' list"
-            ) from None
-        if isinstance(services, str):
-            raise InvalidRequestError(
-                "'services' must be a list of service names"
-            )
+        """Parse request parameters or a stored spec.
+
+        A value of the wrong type is the sender's mistake
+        (:class:`~repro.errors.InvalidRequestError`, HTTP 400); what
+        the values *mean* — an unknown service or test type — is
+        checked when the spec is lowered (``ConfigurationError``).
+        """
+        if "services" not in data:
+            raise InvalidRequestError("hunt spec needs a 'services' list")
+        stream = data.get("stream", False)
+        if isinstance(stream, str):  # a query string's spelling
+            stream = {"true": True, "false": False}.get(stream.lower())
+        if not isinstance(stream, bool):
+            raise InvalidRequestError("'stream' must be true or false")
         return cls(
-            services=tuple(services),
-            seeds=tuple(data.get("seeds", (0,))),
-            num_tests=int(data.get("num_tests", 100)),
-            test_types=tuple(data.get("test_types",
-                                      ("test1", "test2"))),
-            stream=bool(data.get("stream", False)),
+            services=_tuple_field(data, "services", str, ()),
+            seeds=_tuple_field(data, "seeds", int, (0,)),
+            num_tests=int_field(data, "num_tests", 100),
+            test_types=_tuple_field(data, "test_types", str,
+                                    ("test1", "test2")),
+            stream=stream,
         )
 
 
@@ -182,7 +210,6 @@ class HuntState:
     error: str | None = None
     #: Owner token's user id (who submitted).
     owner: str = ""
-    metadata: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.status not in HUNT_STATUSES:
@@ -215,7 +242,6 @@ class HuntState:
             "fleet_signature": self.fleet_signature,
             "error": self.error,
             "owner": self.owner,
-            "metadata": dict(self.metadata),
         }
 
     def status_body(self) -> dict[str, Any]:
@@ -238,10 +264,4 @@ class HuntState:
             fleet_signature=data.get("fleet_signature"),
             error=data.get("error"),
             owner=data.get("owner", ""),
-            metadata=dict(data.get("metadata", {})),
         )
-
-
-def hunt_status_body(state: HuntState) -> dict[str, Any]:
-    """A :class:`HuntState` as its HTTP status-response body."""
-    return state.status_body()

@@ -29,7 +29,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Iterator, Mapping
 from urllib.parse import parse_qsl, urlsplit
 
-from repro.fleet.executor import DEFAULT_MAX_RETRIES
 from repro.obs.events import ObsEvent
 from repro.serve.httpapi import HuntApi
 from repro.serve.service import CampaignService
@@ -48,15 +47,11 @@ class HuntServer:
 
     def __init__(self, root: str, *,
                  workers: int = 1,
-                 policy: str = "stealing",
-                 max_retries: int = DEFAULT_MAX_RETRIES,
                  rate_limit: RateLimit | None = None,
                  on_event: Callable[[ObsEvent], None] | None = None
                  ) -> None:
-        self.service = CampaignService(
-            root, workers=workers, policy=policy,
-            max_retries=max_retries, on_event=on_event,
-        )
+        self.service = CampaignService(root, workers=workers,
+                                       on_event=on_event)
         self.accounts = AccountRegistry(SERVICE_REALM)
         limiter = None
         if rate_limit is not None:
@@ -148,18 +143,25 @@ def _make_handler(server: HuntServer):
         def do_POST(self) -> None:  # noqa: N802 - stdlib naming
             path = urlsplit(self.path).path
             params = self._params_from_query()
-            length = int(self.headers.get("Content-Length", 0))
-            if length:
-                try:
-                    params.update(json.loads(
-                        self.rfile.read(length).decode("utf-8")
-                    ))
-                except ValueError:
-                    self._reply(ApiResponse(
-                        status=400,
-                        body={"error": "request body is not JSON"},
-                    ))
-                    return
+            try:
+                length = int(self.headers.get("Content-Length", 0))
+                if length < 0:
+                    raise ValueError("negative Content-Length")
+                body = json.loads(self.rfile.read(length)) if length \
+                    else {}
+                if not isinstance(body, dict):
+                    raise ValueError("not a JSON object")
+            except ValueError:
+                # The body's extent is unknown or its content unusable:
+                # answer, then drop the connection rather than parse
+                # whatever follows as a request.
+                self.close_connection = True
+                self._reply(ApiResponse(
+                    status=400,
+                    body={"error": "request body is not a JSON object"},
+                ))
+                return
+            params.update(body)
             self._reply(server.handle(
                 "POST", path, params=params, token=self._token(),
             ))

@@ -12,8 +12,8 @@ it (request handling, scheduling order, pause timing) may depend on
 wall clock and thread timing; everything *below* a shard boundary is a
 pure function of the hunt spec.  Consequently a hunt's artifact store
 and merged ``fleet_signature`` are byte-identical to a direct
-``run_fleet`` of the same spec — whatever the pool width, stealing
-policy, or pause/resume history.
+``run_fleet`` of the same spec — whatever the pool width or the
+pause/resume history.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from typing import Any, Callable, Iterator
 
 from repro.errors import InvalidRequestError, NotFoundError
 from repro.fleet.executor import DEFAULT_MAX_RETRIES, ShardRunner
+from repro.fleet.store import ArtifactStore
 from repro.obs.events import (
     HuntShardCompleted,
     HuntShardRetried,
@@ -46,12 +47,10 @@ class CampaignService:
 
     def __init__(self, root: str, *,
                  workers: int = 1,
-                 policy: str = "stealing",
                  max_retries: int = DEFAULT_MAX_RETRIES,
                  on_event: EventFn | None = None) -> None:
         self.store = HuntStore(root)
         self.workers = workers
-        self.policy = policy
         self.max_retries = max_retries
         self._on_event = on_event or (lambda event: None)
         #: hunt_id -> "pause" | "cancel", read by the scheduler's
@@ -61,15 +60,13 @@ class CampaignService:
 
     # -- Submission and lifecycle ---------------------------------------
 
-    def submit(self, spec: HuntSpec, owner: str = "",
-               metadata: dict[str, Any] | None = None) -> HuntState:
+    def submit(self, spec: HuntSpec, owner: str = "") -> HuntState:
         """Queue a new hunt; returns its persisted state."""
         with self._lock:
             seq = self.store.next_seq()
             state = HuntState(
                 hunt_id=f"h{seq:04d}", spec=spec, seq=seq,
                 shards_total=spec.total_shards, owner=owner,
-                metadata=metadata or {},
             )
             self.store.save(state)
             self.store.append_event(
@@ -175,8 +172,8 @@ class CampaignService:
         if not runs:
             return []
         outcomes = run_hunts(
-            runs, workers=self.workers, policy=self.policy,
-            shard_runner=shard_runner, shard_timeout=shard_timeout,
+            runs, workers=self.workers, shard_runner=shard_runner,
+            shard_timeout=shard_timeout,
             control=self._control_verdict,
             on_event=self._forward_scheduler_event,
         )
@@ -242,6 +239,23 @@ class CampaignService:
 
     # -- Queries ---------------------------------------------------------
 
+    def _completed_shards(self, hunt_id: str
+                          ) -> tuple[ArtifactStore, list[str]]:
+        """The hunt's artifact store and its complete shard ids, in
+        spec merge order.
+
+        The store is created by the first scheduling pass; before that
+        every shard is pending and the list is empty.
+        """
+        state = self.store.load(hunt_id)
+        artifact_store = self.store.artifact_store(hunt_id)
+        if not artifact_store.manifest_path.is_file():
+            return artifact_store, []
+        return artifact_store, [
+            job.shard_id for job in state.spec.fleet_spec().jobs()
+            if artifact_store.shard_state(job.shard_id) == "complete"
+        ]
+
     def hunt_result_items(self, hunt_id: str) -> list[dict[str, Any]]:
         """Completed test records, flat, in spec merge order.
 
@@ -249,21 +263,13 @@ class CampaignService:
         encoding, keyed for cursor pagination as
         ``<shard_id>/<test_id>``.
         """
-        state = self.store.load(hunt_id)
-        artifact_store = self.store.artifact_store(hunt_id)
-        jobs = state.spec.fleet_spec().jobs()
-        items: list[dict[str, Any]] = []
-        for job in jobs:
-            if artifact_store.shard_state(job.shard_id) != "complete":
-                continue
-            for record in artifact_store.load_shard_records(
-                    job.shard_id):
-                items.append({
-                    "key": f"{job.shard_id}/{record['test_id']}",
-                    "shard_id": job.shard_id,
-                    "record": record,
-                })
-        return items
+        artifact_store, shard_ids = self._completed_shards(hunt_id)
+        return [
+            {"key": f"{shard_id}/{record['test_id']}",
+             "shard_id": shard_id, "record": record}
+            for shard_id in shard_ids
+            for record in artifact_store.load_shard_records(shard_id)
+        ]
 
     def hunt_obs(self, hunt_id: str) -> dict[str, Any]:
         """The hunt's merged obs snapshot, in spec merge order.
@@ -276,23 +282,16 @@ class CampaignService:
         """
         from repro.obs import merge_obs_snapshots
 
-        state = self.store.load(hunt_id)
-        artifact_store = self.store.artifact_store(hunt_id)
+        artifact_store, shard_ids = self._completed_shards(hunt_id)
         merged_ids: list[str] = []
         missing: list[str] = []
         snapshots: list[dict] = []
-        # The artifact store is created by the first scheduling pass;
-        # before that every shard is pending and the merge is empty.
-        initialized = artifact_store.manifest_path.is_file()
-        jobs = state.spec.fleet_spec().jobs() if initialized else ()
-        for job in jobs:
-            if artifact_store.shard_state(job.shard_id) != "complete":
-                continue
-            snapshot = artifact_store.load_shard_obs(job.shard_id)
+        for shard_id in shard_ids:
+            snapshot = artifact_store.load_shard_obs(shard_id)
             if snapshot is None:
-                missing.append(job.shard_id)
+                missing.append(shard_id)
                 continue
-            merged_ids.append(job.shard_id)
+            merged_ids.append(shard_id)
             snapshots.append(snapshot)
         return {
             "hunt_id": hunt_id,

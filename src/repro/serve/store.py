@@ -20,7 +20,10 @@ applied to serving state:
   the scheduler a wrong state.  Updates go write-temp-then-rename.
 * ``events.jsonl`` is append-only with a per-hunt monotonic ``seq``;
   the HTTP event feed pages it with an ``after`` cursor, which is also
-  what makes follow-mode (poll for ``seq > last``) race-free.
+  what makes follow-mode (poll for ``seq > last``) race-free.  An
+  append validates the whole feed the first time it touches it and
+  whenever the file is not the size this store left it at; otherwise
+  it costs one ``stat`` and one write.
 * ``store/`` is a plain fleet artifact store bound to the hunt's
   ``spec_hash`` — byte-identical to what a direct ``run_fleet`` with
   the same spec writes, which the parity gate asserts.
@@ -31,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
@@ -58,6 +62,11 @@ class HuntStore:
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
+        #: hunt_id -> (feed size in bytes, last seq) as of this
+        #: store's last validated read or append of that feed.
+        self._feeds: dict[str, tuple[int, int]] = {}
+        #: The API thread and the scheduling pass both append.
+        self._append_lock = threading.Lock()
 
     # -- Paths ----------------------------------------------------------
 
@@ -163,13 +172,25 @@ class HuntStore:
         ``seq`` is assigned here — strictly monotonic per hunt — so a
         feed consumer's ``after`` cursor is a plain integer compare.
         """
-        directory = self.hunt_dir(hunt_id)
-        directory.mkdir(parents=True, exist_ok=True)
-        record = {"seq": self._next_event_seq(hunt_id),
-                  "event": event, "hunt_id": hunt_id, **fields}
-        with self.events_path(hunt_id).open(
-                "a", encoding="utf-8") as handle:
-            handle.write(canonical_json(record) + "\n")
+        self.hunt_dir(hunt_id).mkdir(parents=True, exist_ok=True)
+        path = self.events_path(hunt_id)
+        with self._append_lock:
+            try:
+                size = path.stat().st_size
+            except FileNotFoundError:
+                size = 0
+            known_size, last = self._feeds.get(hunt_id, (None, -1))
+            if known_size != size:
+                # First touch, or someone else wrote: trust nothing.
+                last = -1
+                for record in self._read_events(hunt_id):
+                    last = record["seq"]
+            record = {"seq": last + 1, "event": event,
+                      "hunt_id": hunt_id, **fields}
+            line = (canonical_json(record) + "\n").encode("utf-8")
+            with path.open("ab") as handle:
+                handle.write(line)
+            self._feeds[hunt_id] = (size + len(line), last + 1)
         return record
 
     def _read_events(self, hunt_id: str) -> Iterator[dict[str, Any]]:
@@ -198,12 +219,6 @@ class HuntStore:
                         f"{exc}"
                     ) from exc
                 yield record
-
-    def _next_event_seq(self, hunt_id: str) -> int:
-        last = -1
-        for record in self._read_events(hunt_id):
-            last = record["seq"]
-        return last + 1
 
     def events(self, hunt_id: str,
                after: int = -1) -> Iterator[dict[str, Any]]:

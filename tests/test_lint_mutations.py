@@ -97,9 +97,10 @@ MUTATIONS = [
     # PAR001 — a closure handed to the worker pool.
     Mutation(
         "PAR001", "fleet/executor.py",
-        "            queue.append(ShardTask(job, runner=runner))\n",
-        "            queue.append(ShardTask(job, runner=lambda j: "
-        "runner(j)))\n"),
+        "                ShardTask(job, runner=shard_runner or "
+        "execute_shard))\n",
+        "                ShardTask(job, runner=lambda j: "
+        "shard_runner(j)))\n"),
     # TRACE001 — missed at PR 20: trace-scopes still said
     # repro.core.anomalies, where no function takes a trace any more.
     Mutation(
