@@ -388,14 +388,6 @@ def iter_trace_events(lines: Iterable[str]) -> Iterator[dict]:
 # are the first client.
 
 
-def _canonical_line(payload: dict) -> str:
-    # Imported here: the repro.fleet package init loads the executor
-    # and multiprocessing, which reading a saved campaign never needs.
-    from repro.fleet.digest import canonical_json
-
-    return canonical_json(_jsonable(payload))
-
-
 def write_digest_jsonl(path: str | Path, payloads: Iterable[dict], *,
                        kind: str, schema_version: int) -> Path:
     """Write ``payloads`` as digest-validated canonical JSONL.
@@ -403,14 +395,25 @@ def write_digest_jsonl(path: str | Path, payloads: Iterable[dict], *,
     Output is a pure function of the payload sequence: canonical JSON
     (sorted keys, compact separators) per line, so two identical
     inputs produce byte-identical files — the property the obs parity
-    gate asserts.
+    gate asserts.  ``payloads`` may be a generator; it is consumed once.
+
+    A *lowered* payload (``repro.fleet.digest``) goes to the encoder as
+    it stands.  Any other is copied through :func:`_jsonable` first:
+    that sorts sets by value where ``canonical`` sorts them by their
+    encoding, and files already written hold the by-value order.
     """
-    lines = [_canonical_line(payload) for payload in payloads]
+    # Imported here: the repro.fleet package init loads the executor
+    # and multiprocessing, which reading a saved campaign never needs.
+    from repro.fleet.digest import _encode, _is_lowered, canonical_json
+
+    lines = [_encode(payload) if _is_lowered(payload)
+             else canonical_json(_jsonable(payload))
+             for payload in payloads]
     body = "".join(line + "\n" for line in lines)
     digest = "sha256:" + hashlib.sha256(
         body.encode("utf-8")
     ).hexdigest()
-    header = _canonical_line({
+    header = _encode({
         "kind": kind,
         "schema_version": schema_version,
         "lines": len(lines),
@@ -426,12 +429,18 @@ def read_digest_jsonl(path: str | Path, *, kind: str,
                       schema_version: int) -> list[dict]:
     """Load a :func:`write_digest_jsonl` file, validating everything.
 
-    Raises :class:`~repro.errors.AnalysisError` on a missing or
-    malformed header, a kind or schema-version mismatch, or body bytes
-    that no longer hash to the recorded digest.
+    Raises :class:`~repro.errors.AnalysisError` on bytes that are not
+    UTF-8, a missing or malformed header, a kind or schema-version
+    mismatch, body bytes that no longer hash to the recorded digest,
+    or a body line that is not one JSON object — the last naming the
+    line, so a digest-valid but malformed file fails as typed as a
+    damaged one.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise AnalysisError(f"{path}: not UTF-8 text: {exc}") from exc
     newline = text.find("\n")
     if newline < 0:
         raise AnalysisError(f"{path}: missing digest header")
@@ -441,6 +450,10 @@ def read_digest_jsonl(path: str | Path, *, kind: str,
         raise AnalysisError(
             f"{path}: unreadable digest header: {exc}"
         ) from exc
+    if not isinstance(header, dict):
+        raise AnalysisError(
+            f"{path}: line 1: digest header is not a JSON object"
+        )
     if header.get("kind") != kind:
         raise AnalysisError(
             f"{path}: kind {header.get('kind')!r} is not {kind!r}"
@@ -460,8 +473,22 @@ def read_digest_jsonl(path: str | Path, *, kind: str,
             f"{path}: body does not match its recorded digest "
             f"(truncated or tampered)"
         )
-    payloads = [json.loads(line) for line in body.splitlines()
-                if line.strip()]
+    payloads = []
+    # Line 1 is the header; the body's first line is line 2.
+    for number, line in enumerate(body.splitlines(), start=2):
+        if not line.strip():
+            continue
+        try:
+            payload = json.loads(line)
+        except ValueError as exc:
+            raise AnalysisError(
+                f"{path}: line {number}: unreadable JSON: {exc}"
+            ) from exc
+        if not isinstance(payload, dict):
+            raise AnalysisError(
+                f"{path}: line {number}: not a JSON object"
+            )
+        payloads.append(payload)
     if len(payloads) != header.get("lines"):
         raise AnalysisError(
             f"{path}: {len(payloads)} body lines, header claims "

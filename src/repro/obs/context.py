@@ -11,6 +11,12 @@ dict (lists and dicts only, no tuples) that crosses worker pipes,
 round-trips through the digest-validated export, and merges across
 fleet shards in spec order via :func:`merge_obs_snapshots` — all
 without changing a byte.
+
+A snapshot is **read-only**: its span entries are the tracer's own
+records (see :class:`~repro.obs.spans.Tracer`), shared with every
+later snapshot and with the ``labels`` of other spans.  Consumers
+read them, copy them (the export writes each entry as a new dict) or
+concatenate them (the merge); none writes to them.
 """
 
 from __future__ import annotations
@@ -38,7 +44,11 @@ class ObsContext:
         return self.metrics.now()
 
     def snapshot(self) -> dict:
-        """Everything observed so far, as one JSON-safe dict."""
+        """Everything observed so far, as one JSON-safe, read-only dict.
+
+        The metric entries are built fresh; the span entries are the
+        tracer's finished records themselves, in a new list.
+        """
         return {
             "version": OBS_SNAPSHOT_VERSION,
             "metrics": self.metrics.snapshot(),

@@ -18,6 +18,7 @@ cycle-free for the modules that instrument themselves with it.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterator
 
 from repro.errors import AnalysisError
 from repro.io import read_digest_jsonl, write_digest_jsonl
@@ -34,17 +35,20 @@ OBS_EXPORT_KIND = "obs"
 OBS_EXPORT_SCHEMA_VERSION = 1
 
 
+def _payloads(snapshot: dict) -> Iterator[dict]:
+    """The export's body records, one at a time (nothing is kept)."""
+    yield {"record": "meta",
+           "version": snapshot.get("version", OBS_SNAPSHOT_VERSION)}
+    for entry in snapshot.get("metrics", []):
+        yield {"record": "metric", **entry}
+    for entry in snapshot.get("spans", []):
+        yield {"record": "span", **entry}
+
+
 def export_snapshot(snapshot: dict, path: str | Path) -> Path:
     """Write one obs snapshot as digest-validated JSONL."""
-    payloads = [{"record": "meta",
-                 "version": snapshot.get("version",
-                                         OBS_SNAPSHOT_VERSION)}]
-    payloads.extend({"record": "metric", **entry}
-                    for entry in snapshot.get("metrics", []))
-    payloads.extend({"record": "span", **entry}
-                    for entry in snapshot.get("spans", []))
     return write_digest_jsonl(
-        path, payloads,
+        path, _payloads(snapshot),
         kind=OBS_EXPORT_KIND,
         schema_version=OBS_EXPORT_SCHEMA_VERSION,
     )

@@ -53,7 +53,14 @@ def _label_items(labels: dict[str, str]) -> tuple[tuple[str, str], ...]:
 
 
 def _canonical_labels(labels: dict) -> str:
-    """One stable string per label set, used as a sort key."""
+    """One stable string per label set, used as a sort key.
+
+    Not :func:`repro.fleet.digest.canonical_json`: importing that
+    module runs the ``repro.fleet`` package init (executor, pool,
+    multiprocessing) inside every module that instruments itself with
+    ``repro.obs``.  For the str → str label sets a registry holds, the
+    two encodings are the same bytes.
+    """
     return json.dumps(labels, sort_keys=True, separators=(",", ":"))
 
 

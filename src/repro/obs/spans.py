@@ -15,19 +15,26 @@ Spans are deliberately coarse: one per *operation* (a write with its
 429 retries, a read), not one per wire message — wire-level counts are
 counters (:mod:`repro.obs.metrics`), which cost one integer add
 instead of an object allocation on the busiest path.
+
+A span is stored once (``docs/obs.md``, "Cost model"): the
+:class:`Span` object lives only while the span is open, and
+:meth:`Tracer.finish` keeps the span's snapshot record — one dict —
+which :meth:`Tracer.snapshot` hands out as it stands.  Every span with
+the same labels shares one ``labels`` dict; a record's ``attrs`` is
+the ``finish`` keyword dict itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 __all__ = ["Span", "Tracer"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
-    """One timed unit of work."""
+    """One open unit of work."""
 
     span_id: int
     name: str
@@ -35,44 +42,46 @@ class Span:
     labels: dict[str, str]
     parent_id: int | None = None
     end: float | None = None
-    #: Finish-time facts (attempt counts, outcome flags, ids).  Values
-    #: must be JSON-safe scalars so snapshots survive worker transport
-    #: and the digest-validated export unchanged.
-    attrs: dict[str, object] = field(default_factory=dict)
 
     @property
     def duration(self) -> float | None:
         return None if self.end is None else self.end - self.start
 
-    def snapshot(self) -> dict:
-        return {
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "labels": dict(self.labels),
-            "start": self.start,
-            "end": self.end,
-            "attrs": dict(self.attrs),
-        }
-
 
 class Tracer:
-    """Creates spans and collects them as they finish."""
+    """Creates spans and keeps their records as they finish.
+
+    ``finished`` holds one snapshot record per finished span, in finish
+    order: ``span_id``, ``parent_id``, ``name``, ``labels``, ``start``,
+    ``end`` and ``attrs`` (finish-time facts — attempt counts, outcome
+    flags, ids — as JSON-safe scalars, so records survive worker
+    transport and the digest-validated export unchanged).  The records
+    and their ``labels`` / ``attrs`` dicts are **read-only**: a
+    snapshot hands out these very dicts, and one ``labels`` dict is
+    shared by every span that carries the same label set.
+    """
 
     def __init__(self,
                  now_fn: Callable[[], float] | None = None) -> None:
         self._now = now_fn if now_fn is not None else (lambda: 0.0)
         self._next_id = 1
-        self.finished: list[Span] = []
+        self.finished: list[dict] = []
         self.spans_started = 0
+        #: One labels dict per distinct ``(key, value)`` sequence.
+        self._label_sets: dict[tuple[tuple[str, str], ...],
+                               dict[str, str]] = {}
 
     def start(self, name: str, parent: Span | None = None,
               at: float | None = None, **labels: str) -> Span:
+        # Keyed after str(): a key of raw values would alias
+        # ``host=1`` with ``host=True`` (equal, same hash).
+        labels = {key: str(value) for key, value in labels.items()}
         span = Span(
             span_id=self._next_id,
             name=name,
             start=self._now() if at is None else at,
-            labels={key: str(value) for key, value in labels.items()},
+            labels=self._label_sets.setdefault(tuple(labels.items()),
+                                               labels),
             parent_id=None if parent is None else parent.span_id,
         )
         self._next_id += 1
@@ -81,9 +90,16 @@ class Tracer:
 
     def finish(self, span: Span, at: float | None = None,
                **attrs: object) -> Span:
-        span.end = self._now() if at is None else at
-        span.attrs.update(attrs)
-        self.finished.append(span)
+        span.end = end = self._now() if at is None else at
+        self.finished.append({
+            "span_id": span.span_id,
+            "parent_id": span.parent_id,
+            "name": span.name,
+            "labels": span.labels,
+            "start": span.start,
+            "end": end,
+            "attrs": attrs,
+        })
         return span
 
     @property
@@ -91,5 +107,9 @@ class Tracer:
         return len(self.finished)
 
     def snapshot(self) -> list[dict]:
-        """Finished spans as JSON-safe dicts, in finish order."""
-        return [span.snapshot() for span in self.finished]
+        """Finished spans' records, in finish order (read-only dicts).
+
+        A new list each call, so a span finished later never appears
+        in a snapshot already taken.
+        """
+        return list(self.finished)

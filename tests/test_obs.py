@@ -8,13 +8,21 @@ backward-compat aliases for the pre-unification telemetry imports, and
 the ``repro-consistency obs`` CLI subcommand.
 """
 
+import gc
+import hashlib
 import json
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import build_parser, main
 from repro.errors import AnalysisError, ConfigurationError
-from repro.fleet import FleetSpec, run_fleet
+from repro.fleet import ArtifactStore, FleetSpec, run_fleet
+from repro.io import write_digest_jsonl
 from repro.methodology import (
     CampaignConfig,
     MeasurementWorld,
@@ -177,6 +185,54 @@ class TestTracer:
         assert tracer.snapshot()[1]["attrs"] == {"attempts": 2}
         assert a.duration == 3.0
 
+    def test_a_snapshot_is_unchanged_by_later_finishes(self):
+        tracer = Tracer()
+        tracer.finish(tracer.start("a", at=0.0), at=1.0, ok=True)
+        taken = tracer.snapshot()
+        expected = json.loads(json.dumps(taken))
+        tracer.finish(tracer.start("b", at=1.0), at=2.0, ok=False)
+        tracer.finish(tracer.start("a", at=2.0), at=3.0, ok=True)
+        assert taken == expected
+        assert len(tracer.snapshot()) == 3
+
+    def test_equal_label_sets_share_one_dict_unequal_ones_do_not(self):
+        tracer = Tracer()
+        spans = [tracer.start("op", host=host)
+                 for host in ("a", "b", "a", 1, True, "1")]
+        assert spans[0].labels is spans[2].labels
+        assert spans[0].labels is not spans[1].labels
+        # Keyed after str(): 1 and True are equal and hash alike, but
+        # label "1" and "True"; "1" and 1 are the same label.
+        assert [span.labels["host"] for span in spans] == \
+            ["a", "b", "a", "1", "True", "1"]
+        assert spans[3].labels is spans[5].labels
+
+    def test_a_finished_span_costs_at_most_700_traced_bytes(self):
+        """One dict per finished span, labels shared: 10,000
+        ``agent.read``-shaped spans and their snapshot stay under 700
+        traced bytes each (a ``Span`` object plus three fresh snapshot
+        dicts per span came to ~1,200)."""
+        count = 10_000
+        clock = {"t": 0.0}
+        agents = ("oregon", "tokyo", "ireland")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracer = Tracer(now_fn=lambda: clock["t"])
+            for index in range(count):
+                clock["t"] = index * 0.5
+                span = tracer.start("agent.read",
+                                    agent=agents[index % 3])
+                clock["t"] += 0.25
+                tracer.finish(span, attempts=1, status="ok", ok=True)
+            snapshot = tracer.snapshot()
+            used = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(snapshot) == count
+        assert used / count <= 700
+
 
 class TestObsContext:
     def test_snapshot_is_json_safe(self):
@@ -226,6 +282,104 @@ class TestExport:
         path.write_text(tampered, encoding="utf-8")
         with pytest.raises(AnalysisError):
             load_snapshot(path)
+
+    def test_unlowered_payloads_keep_their_by_value_set_order(
+            self, tmp_path):
+        """A payload the encoder cannot take as it stands is copied
+        first, sorting a set by value (``canonical`` alone sorts by
+        encoding: ``[100,20,3]``)."""
+        path = write_digest_jsonl(tmp_path / "sets.jsonl",
+                                  [{"ids": {3, 20, 100}}, {"ok": 1}],
+                                  kind="test", schema_version=1)
+        assert path.read_text(encoding="utf-8").splitlines()[1:] == \
+            ['{"ids":[3,20,100]}', '{"ok":1}']
+
+    @pytest.mark.parametrize("header, extra, message", [
+        (None, b"[1,2]\n", "line 3: not a JSON object"),
+        (None, b'{"record":"span",\n', "line 3: unreadable JSON"),
+        (b"[1]", b"", "line 1: digest header is not a JSON object"),
+        (None, b'{"record":"meta","version":"\xff"}\n', "not UTF-8"),
+    ], ids=["list-line", "broken-line", "list-header", "not-utf8"])
+    def test_a_digest_valid_malformed_export_is_a_typed_error(
+            self, tmp_path, header, extra, message):
+        path = tmp_path / "run.obs.jsonl"
+        export_snapshot(ObsContext().snapshot(), path)
+        body = path.read_bytes().split(b"\n", 1)[1] + extra
+        reheader(path, body)
+        if header is not None:
+            path.write_bytes(header + b"\n" + body)
+        with pytest.raises(AnalysisError, match=message) as raised:
+            load_snapshot(path)
+        assert str(path) in str(raised.value)
+
+    def test_a_malformed_shard_export_degrades_to_none(self, tmp_path):
+        spec = FleetSpec(services=("blogger",), base_config=TINY,
+                         seeds=(TINY.seed,))
+        store_dir = tmp_path / "store"
+        outcome = run_fleet(spec, out_dir=store_dir)
+        (job,) = outcome.jobs
+        store = ArtifactStore(store_dir)
+        path = store.obs_path(job.shard_id)
+        reheader(path, path.read_bytes().split(b"\n", 1)[1] + b"[1,2]\n")
+        assert store.load_shard_obs(job.shard_id) is None
+
+
+def reheader(path, body: bytes) -> None:
+    """Write ``body`` under an obs header that matches it: right digest,
+    right line count — only the content can be wrong."""
+    lines = sum(1 for line in body.split(b"\n") if line.strip())
+    header = json.dumps({
+        "digest": "sha256:" + hashlib.sha256(body).hexdigest(),
+        "kind": "obs", "lines": lines, "schema_version": 1,
+    }, sort_keys=True, separators=(",", ":"))
+    path.write_bytes(header.encode() + b"\n" + body)
+
+
+def _real_export_body() -> bytes:
+    """The body of an export with every record type in it."""
+    context = ObsContext(now_fn=lambda: 1.5)
+    context.metrics.counter("api.requests_total", method="GET").inc()
+    context.metrics.histogram("lat", buckets=(0.5,)).observe(0.2)
+    context.metrics.gauge("depth").set(3)
+    span = context.tracer.start("agent.read", agent="oregon")
+    context.tracer.finish(span, attempts=1, status="ok", ok=True)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = export_snapshot(context.snapshot(),
+                               Path(scratch) / "real.obs.jsonl")
+        return path.read_bytes().split(b"\n", 1)[1]
+
+
+REAL_BODY = _real_export_body()
+#: Bytes a mutation writes: JSON's structural characters first.
+MUTATION_BYTES = st.one_of(st.sampled_from(b'[]{}",:01-.etn\n '),
+                           st.integers(0, 255))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(
+    st.tuples(st.integers(0, len(REAL_BODY) - 1),
+              st.sampled_from(["replace", "insert", "delete"]),
+              MUTATION_BYTES),
+    min_size=1, max_size=6))
+def test_a_mutated_reheadered_export_loads_or_fails_typed(tmp_path, edits):
+    """Any byte edit of a real export, re-headered so the digest and
+    line count hold: loading succeeds or raises ``AnalysisError``,
+    never another exception."""
+    body = bytearray(REAL_BODY)
+    for position, kind, value in edits:
+        if kind == "insert":
+            body.insert(position, value)
+        elif position < len(body) and kind == "replace":
+            body[position] = value
+        elif position < len(body):
+            del body[position]
+    path = tmp_path / "mutated.obs.jsonl"
+    reheader(path, bytes(body))
+    try:
+        load_snapshot(path)
+    except AnalysisError:
+        pass
 
 
 class TestCampaignObs:
