@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from repro.core.stream import StreamOp, TestMeta, run_to_completion
 from repro.core.trace import TestTrace
@@ -36,6 +36,7 @@ __all__ = [
     "ALL_ANOMALIES",
     "AnomalyObservation",
     "AnomalyChecker",
+    "by_agent",
 ]
 
 READ_YOUR_WRITES = "read_your_writes"
@@ -140,3 +141,18 @@ class AnomalyChecker(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} anomaly={self.anomaly!r}>"
+
+
+def by_agent(meta: TestMeta,
+             emitted: Sequence[AnomalyObservation] | None
+             ) -> list[AnomalyObservation]:
+    """A test's observations agent by agent, in ``meta.agents`` order.
+
+    ``emitted`` is in stream order — per agent, its session order —
+    and the sort is stable, so each agent's stay in that order.  A
+    checker that never fired passes None or nothing.
+    """
+    if not emitted:
+        return []
+    rank = {agent: a for a, agent in enumerate(meta.agents)}
+    return sorted(emitted, key=lambda obs: rank[obs.agent])

@@ -35,6 +35,7 @@ from repro.core.anomalies.base import (
     MONOTONIC_READS,
     AnomalyChecker,
     AnomalyObservation,
+    by_agent,
 )
 from repro.core.stream import StreamOp, TestMeta
 
@@ -47,22 +48,26 @@ class MonotonicReadsChecker(AnomalyChecker):
     anomaly = MONOTONIC_READS
 
     def __init__(self) -> None:
-        #: test_id -> agent -> union of ids its reads returned so far.
+        #: test_id -> agent -> union of ids its reads returned so far;
+        #: an agent appears at its first read that returned any.
         self._seen: dict[str, dict[str, set[str]]] = {}
-        #: test_id -> agent -> observations, in session order.
-        self._emitted: dict[
-            str, dict[str, list[AnomalyObservation]]] = {}
+        #: test_id -> observations in stream order, from the first.
+        self._emitted: dict[str, list[AnomalyObservation]] = {}
 
     def open_test(self, meta: TestMeta) -> None:
-        self._seen[meta.test_id] = {a: set() for a in meta.agents}
-        self._emitted[meta.test_id] = {a: [] for a in meta.agents}
+        self._seen[meta.test_id] = {}
 
     def observe(self, meta: TestMeta,
                 sop: StreamOp) -> list[AnomalyObservation]:
         if not sop.is_read:
             return []
         op = sop.op
-        seen_so_far = self._seen[meta.test_id][op.agent]
+        per_agent = self._seen[meta.test_id]
+        seen_so_far = per_agent.get(op.agent)
+        if seen_so_far is None:  # nothing seen yet: nothing to lose
+            if op.observed:
+                per_agent[op.agent] = set(op.observed)
+            return []
         missing = seen_so_far.difference(op.observed)
         seen_so_far.update(op.observed)
         if not missing:
@@ -76,18 +81,16 @@ class MonotonicReadsChecker(AnomalyChecker):
                 "observed": op.observed,
             },
         )
-        self._emitted[meta.test_id][op.agent].append(obs)
+        self._emitted.setdefault(meta.test_id, []).append(obs)
         return [obs]
 
     def close_test(self, meta: TestMeta) -> list[AnomalyObservation]:
         del self._seen[meta.test_id]
-        emitted = self._emitted.pop(meta.test_id)
-        return [obs for agent in meta.agents for obs in emitted[agent]]
+        return by_agent(meta, self._emitted.pop(meta.test_id, None))
 
     def state_size(self) -> int:
         return sum(
             len(entries)
-            for per_test in (self._seen, self._emitted)
-            for per_agent in per_test.values()
+            for per_agent in self._seen.values()
             for entries in per_agent.values()
-        )
+        ) + sum(map(len, self._emitted.values()))

@@ -24,11 +24,12 @@ violates the property.  ``details`` keys:
   inverted order in the read.
 * ``observed`` — the sequence the read returned.
 
-Incrementally: per writer session, its logged writes kept in session
-(local invocation) order with their reference-frame response times;
-every arriving read is checked against each session's writes already
-acknowledged at its invocation.  Observations come out in read order,
-writers in agent order within one read.
+Incrementally: per writer session, from its first write on, its logged
+writes kept in session (local invocation) order with their
+reference-frame response times; every arriving read is checked against
+each session's writes already acknowledged at its invocation.
+Observations come out in read order, writers in agent order within one
+read (not in the order sessions first wrote).
 """
 
 from __future__ import annotations
@@ -52,26 +53,31 @@ class MonotonicWritesChecker(AnomalyChecker):
 
     def __init__(self) -> None:
         #: test_id -> writer -> its writes as ``(invoke_local, seq,
-        #: corrected response, message_id)``, in session order.
+        #: corrected response, message_id)``, in session order; a
+        #: writer appears at its first write.
         self._writes: dict[str, dict[str, list[tuple]]] = {}
+        #: test_id -> observations, from the first.
         self._emitted: dict[str, list[AnomalyObservation]] = {}
 
     def open_test(self, meta: TestMeta) -> None:
-        self._writes[meta.test_id] = {a: [] for a in meta.agents}
-        self._emitted[meta.test_id] = []
+        self._writes[meta.test_id] = {}
 
     def observe(self, meta: TestMeta,
                 sop: StreamOp) -> list[AnomalyObservation]:
         op = sop.op
         sessions = self._writes[meta.test_id]
         if not sop.is_read:
-            insort(sessions[op.agent], (op.invoke_local, sop.seq,
-                                        sop.time, op.message_id))
+            session = sessions.get(op.agent)
+            if session is None:
+                session = sessions[op.agent] = []
+            insort(session, (op.invoke_local, sop.seq,
+                             sop.time, op.message_id))
             return []
         fired: list[AnomalyObservation] = []
         positions: dict[str, int] | None = None
-        for writer, session in sessions.items():
-            if len(session) < 2:
+        for writer in meta.agents:
+            session = sessions.get(writer)
+            if session is None or len(session) < 2:
                 continue
             # Already in session order: cutting by response time
             # needs no re-sort.
@@ -96,12 +102,13 @@ class MonotonicWritesChecker(AnomalyChecker):
                     "observed": op.observed,
                 },
             ))
-        self._emitted[meta.test_id].extend(fired)
+        if fired:
+            self._emitted.setdefault(meta.test_id, []).extend(fired)
         return fired
 
     def close_test(self, meta: TestMeta) -> list[AnomalyObservation]:
         del self._writes[meta.test_id]
-        return self._emitted.pop(meta.test_id)
+        return self._emitted.pop(meta.test_id, [])
 
     def state_size(self) -> int:
         return sum(

@@ -9,22 +9,27 @@ every consumer.  The divergence checkers
 (:class:`PairwiseDivergenceChecker`) and the window trackers
 (:class:`~repro.core.windows.WindowTracker`) are projections of it,
 parameterised by the :class:`DivergenceKind` list it runs; the stream
-engine runs one instance with both kinds.  Kept per open test:
+engine runs one instance with both kinds.  The pair table of an
+``agents`` tuple — the pairs in ``agent_pairs`` order, their sorted
+names, each agent's pairs and the shared result of a pair that never
+diverged — is built once and kept for the next test with the same
+agents (one entry: agent names come from input streams).  Kept per
+open test, each in flat per-test arrays unless noted:
 
 * **per test** — the view table (each distinct view interned once to a
   small id; id 0 is the empty view every agent starts on) and the memo
   ``(kind index, left view id, right view id) -> verdict``: a predicate
   runs once per distinct view pair, whichever projection asks first.
-* **per agent** — the current view id and, per distinct view returned,
-  its multiplicity and first occurrence (read index, local and
-  corrected response).  A repeated read costs one tuple comparison and
-  one increment, nothing per pair.
+* **per agent** — the current view id and, from its first read on, per
+  distinct view returned, its multiplicity and first occurrence (read
+  index, local and corrected response).  A repeated read costs one
+  tuple comparison and one increment, nothing per pair.
 * **per pair** — the pending change point: whether a side's view moved
   since the last evaluation, and when.  Reads at one corrected instant
   only move the views; the pair's first strictly-later read (or the
   end of the test) proves the instant complete and *commits* it.
-* **per pair, per kind** — the open window's start and the closed
-  intervals; a commit that flips a kind emits a
+* **per pair, per kind** — the open window's start and, once a window
+  opened, the closed intervals; a commit that flips a kind emits a
   :class:`~repro.obs.events.WindowEvent`.
 
 One pair's observation (at most one per pair per kind, built at
@@ -70,61 +75,77 @@ class DivergenceKind(NamedTuple):
     example: Callable[[View, View], dict] | None = None
 
 
-class _AgentViews:
-    """One agent's view step function in one test."""
+class _Layout:
+    """The pair table of one ``agents`` tuple, shared by its tests."""
 
-    __slots__ = ("current", "reads", "last_time", "seen", "pairs")
+    __slots__ = ("agents", "index", "pairs", "sides", "touching", "calm")
+
+    def __init__(self, meta: TestMeta) -> None:
+        self.agents = meta.agents
+        #: agent -> its rank in ``agents``.
+        self.index = {agent: a for a, agent in enumerate(meta.agents)}
+        #: Per pair, in ``agent_pairs`` order: the sorted names and the
+        #: (left, right) agent ranks in that sorted order.
+        self.pairs: list[tuple[str, str]] = []
+        self.sides: list[tuple[int, int]] = []
+        #: agent rank -> the pairs it is a side of, in pair order.
+        self.touching: list[list[int]] = [[] for _ in meta.agents]
+        for p, (first, second) in enumerate(meta.agent_pairs()):
+            left, right = sorted((first, second))
+            self.pairs.append((left, right))
+            self.sides.append((self.index[left], self.index[right]))
+            self.touching[self.index[left]].append(p)
+            self.touching[self.index[right]].append(p)
+        #: The shared result of a pair that never diverged, per pair;
+        #: filled by :func:`repro.core.windows.window_results`.
+        self.calm: tuple | None = None
+
+
+class _AgentViews:
+    """One agent's reads in one test; exists from its first read on."""
+
+    __slots__ = ("reads", "last_time", "seen")
 
     def __init__(self) -> None:
-        self.current = 0  # id of the view the agent's last read returned
         self.reads = 0
-        self.last_time: float | None = None
+        self.last_time = 0.0
         #: view id -> [multiplicity, first read index, first local
         #: response, first corrected response], first-occurrence order.
         self.seen: dict[int, list] = {}
-        self.pairs: list[_PairStep] = []
-
-
-class _PairStep:
-    """One unordered agent pair's change point and windows."""
-
-    __slots__ = ("pair", "left", "right", "stale", "changed_at",
-                 "starts", "intervals")
-
-    def __init__(self, pair: tuple[str, str], left: _AgentViews,
-                 right: _AgentViews, kinds: int) -> None:
-        self.pair = pair
-        self.left = left
-        self.right = right
-        #: A side's view moved at ``changed_at``, not yet evaluated.
-        self.stale = False
-        self.changed_at = 0.0
-        #: Per kind: the open window's start (after ``close_test``:
-        #: set iff the pair never reconverged), the closed intervals.
-        self.starts: list[float | None] = [None] * kinds
-        self.intervals: list[list] = [[] for _ in range(kinds)]
 
 
 class _TestViews:
-    """Everything :class:`PairwiseViews` holds for one open test."""
+    """Everything :class:`PairwiseViews` holds for one open test.
 
-    __slots__ = ("kinds", "ids", "views", "memo", "agents", "pairs")
+    Per-pair state is flat, indexed by pair ``p`` (and ``k * pairs +
+    p`` per kind); a pair's interval list exists only once one of its
+    windows opened.
+    """
+
+    __slots__ = ("kinds", "layout", "ids", "views", "memo", "current",
+                 "agents", "changed", "starts", "intervals")
 
     def __init__(self, kinds: Sequence[DivergenceKind],
-                 meta: TestMeta) -> None:
+                 layout: _Layout) -> None:
         self.kinds = kinds
+        self.layout = layout
         self.ids: dict[View, int] = {(): 0}
         self.views: list[View] = [()]
         self.memo: dict[tuple[int, int, int], bool] = {}
-        self.agents = {agent: _AgentViews() for agent in meta.agents}
-        self.pairs: list[_PairStep] = []
-        for first, second in meta.agent_pairs():
-            left, right = sorted((first, second))
-            step = _PairStep((left, right), self.agents[left],
-                             self.agents[right], len(kinds))
-            self.pairs.append(step)
-            step.left.pairs.append(step)
-            step.right.pairs.append(step)
+        width = len(layout.agents)
+        #: Per agent: the id of the view its last read returned (0,
+        #: the empty view, before any), and its reads once it has any.
+        self.current = [0] * width
+        self.agents: list[_AgentViews | None] = [None] * width
+        pairs = len(layout.pairs)
+        #: Per pair: when a side's view moved, not yet evaluated (None
+        #: once evaluated).
+        self.changed: list[float | None] = [None] * pairs
+        #: Per kind and pair: the open window's start (after
+        #: ``close_test``: set iff the pair never reconverged) and the
+        #: closed intervals of the pairs that ever opened one.
+        self.starts: list[float | None] = [None] * (len(kinds) * pairs)
+        self.intervals: dict[int, list] = {}
 
     def diverged(self, k: int, left_id: int, right_id: int) -> bool:
         """Kind ``k``'s verdict on one view pair, evaluated once."""
@@ -135,45 +156,55 @@ class _TestViews:
                 self.views[left_id], self.views[right_id]))
         return verdict
 
-    def commit(self, steps: list[_PairStep]) -> list[WindowEvent]:
+    def commit(self, due: list[int]) -> list[WindowEvent]:
         """Evaluate every kind at each pair's pending change point.
 
         Transitions come kind by kind, each kind's in pair order.
         """
         events = []
+        layout, current = self.layout, self.current
+        starts, changed = self.starts, self.changed
+        width = len(layout.pairs)
         for k, kind in enumerate(self.kinds):
-            for step in steps:
-                start = step.starts[k]
-                diverged = self.diverged(k, step.left.current,
-                                         step.right.current)
+            for p in due:
+                index = k * width + p
+                start = starts[index]
+                left, right = layout.sides[p]
+                diverged = self.diverged(k, current[left],
+                                         current[right])
                 if diverged == (start is not None):
                     continue
-                time = step.changed_at
+                time = changed[p]
                 if diverged:
-                    step.starts[k] = time
+                    starts[index] = time
+                    self.intervals.setdefault(index, [])
                     events.append(WindowEvent(
                         kind=kind.kind, action="opened",
-                        pair=step.pair, time=time))
+                        pair=layout.pairs[p], time=time))
                 else:
-                    step.intervals[k].append((start, time))
-                    step.starts[k] = None
+                    self.intervals[index].append((start, time))
+                    starts[index] = None
                     events.append(WindowEvent(
                         kind=kind.kind, action="closed",
-                        pair=step.pair, time=time, start=start))
-        for step in steps:
-            step.stale = False
+                        pair=layout.pairs[p], time=time, start=start))
+        for p in due:
+            changed[p] = None
         return events
 
     def observations(self, k: int) -> list[AnomalyObservation]:
         """Kind ``k``'s observation per divergent pair, in pair order."""
         kind = self.kinds[k]
-        views = self.views
+        views, agents = self.views, self.agents
+        layout = self.layout
         observations: list[AnomalyObservation] = []
-        for step in self.pairs:
+        for p, (left_rank, right_rank) in enumerate(layout.sides):
+            left_agent, right_agent = agents[left_rank], agents[right_rank]
+            if left_agent is None or right_agent is None:
+                continue  # a side never read: nothing to combine
             count = 0
             example = None
-            for left_id, left in step.left.seen.items():
-                for right_id, right in step.right.seen.items():
+            for left_id, left in left_agent.seen.items():
+                for right_id, right in right_agent.seen.items():
                     if self.diverged(k, left_id, right_id):
                         count += left[0] * right[0]
                         if example is None:
@@ -182,11 +213,12 @@ class _TestViews:
                 continue
             left_id, left, right_id, right = example
             detecting = left if left[2] >= right[2] else right
+            pair = layout.pairs[p]
             observations.append(AnomalyObservation(
                 anomaly=kind.anomaly,
-                agent=step.pair[0],
+                agent=pair[0],
                 time=detecting[3],
-                pair=step.pair,
+                pair=pair,
                 details={
                     "divergent_read_pairs": count,
                     "example": kind.example(views[left_id],
@@ -197,9 +229,10 @@ class _TestViews:
 
     def state_size(self) -> int:
         return (len(self.views) + len(self.memo)
-                + sum(1 + len(a.seen) for a in self.agents.values())
-                + sum(1 + sum(map(len, step.intervals))
-                      for step in self.pairs))
+                + len(self.current) + len(self.changed)
+                + sum(len(agent.seen) for agent in self.agents
+                      if agent is not None)
+                + sum(map(len, self.intervals.values())))
 
 
 class PairwiseViews:
@@ -214,9 +247,16 @@ class PairwiseViews:
     def __init__(self, kinds: Sequence[DivergenceKind]) -> None:
         self.kinds = tuple(kinds)
         self._tests: dict[str, _TestViews] = {}
+        #: The pair table of the last ``agents`` tuple opened: tests of
+        #: one stream share one, and one entry bounds what names read
+        #: from an input stream can pin.
+        self._layout: _Layout | None = None
 
     def open_test(self, meta: TestMeta) -> None:
-        self._tests[meta.test_id] = _TestViews(self.kinds, meta)
+        layout = self._layout
+        if layout is None or layout.agents != meta.agents:
+            layout = self._layout = _Layout(meta)
+        self._tests[meta.test_id] = _TestViews(self.kinds, layout)
 
     def observe(self, meta: TestMeta,
                 sop: StreamOp) -> Sequence[WindowEvent]:
@@ -224,10 +264,13 @@ class PairwiseViews:
             return ()
         op = sop.op
         test = self._tests[meta.test_id]
-        agent = test.agents[op.agent]
+        rank = test.layout.index[op.agent]
+        agent = test.agents[rank]
+        if agent is None:
+            agent = test.agents[rank] = _AgentViews()
         time = sop.time
         view = op.observed
-        view_id = agent.current
+        view_id = test.current[rank]
         if view != test.views[view_id]:  # else: the common case
             view_id = test.ids.get(view)
             if view_id is None:
@@ -242,31 +285,33 @@ class PairwiseViews:
         agent.last_time = time
         # Pairs whose pending instant this strictly-later read proves
         # complete are evaluated on the views as they stood then.
-        due = [step for step in agent.pairs
-               if step.stale and time > step.changed_at]
+        changed = test.changed
+        touching = test.layout.touching[rank]
+        due = [p for p in touching
+               if (at := changed[p]) is not None and time > at]
         events = test.commit(due) if due else ()
-        if view_id != agent.current:
-            agent.current = view_id
-            for step in agent.pairs:
-                step.stale = True
-                step.changed_at = time
+        if view_id != test.current[rank]:
+            test.current[rank] = view_id
+            for p in touching:
+                changed[p] = time
         return events
 
     def close_test(self, meta: TestMeta
                    ) -> tuple[_TestViews, list[WindowEvent]]:
         test = self._tests.pop(meta.test_id)
-        events = test.commit(
-            [step for step in test.pairs if step.stale])
-        for step in test.pairs:
-            for k, start in enumerate(step.starts):
-                if start is not None:
-                    # Still divergent at the pair's last read: close
-                    # the interval there so totals stay meaningful;
-                    # the start stays set and flags it unconverged.
-                    step.intervals[k].append((start, max(
-                        time for time in (step.left.last_time,
-                                          step.right.last_time)
-                        if time is not None)))
+        due = [p for p, at in enumerate(test.changed) if at is not None]
+        events = test.commit(due)
+        width = len(test.layout.pairs)
+        for index, intervals in test.intervals.items():
+            start = test.starts[index]
+            if start is not None:
+                # Still divergent at the pair's last read: close the
+                # interval there so totals stay meaningful; the start
+                # stays set and flags it unconverged.
+                intervals.append((start, max(
+                    test.agents[side].last_time
+                    for side in test.layout.sides[index % width]
+                    if test.agents[side] is not None)))
         return test, events
 
     def state_size(self) -> int:

@@ -20,12 +20,12 @@ reader's own completed writes.  ``details`` keys:
   read, in session order.
 * ``observed`` — the sequence the read returned.
 
-Incrementally: per agent, its logged writes kept in session (local
-invocation) order; a read is checked against them the moment it
-arrives, which is exact because canonical stream order restricted to
-one agent is its session order (:mod:`repro.core.stream`).
-``close_test`` lists observations agent by agent, each agent's in
-session order.
+Incrementally: per agent, from its first write on, its logged writes
+kept in session (local invocation) order; a read is checked against
+them the moment it arrives, which is exact because canonical stream
+order restricted to one agent is its session order
+(:mod:`repro.core.stream`).  ``close_test`` lists observations agent
+by agent, each agent's in session order.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from repro.core.anomalies.base import (
     READ_YOUR_WRITES,
     AnomalyChecker,
     AnomalyObservation,
+    by_agent,
 )
 from repro.core.stream import StreamOp, TestMeta
 
@@ -49,23 +50,28 @@ class ReadYourWritesChecker(AnomalyChecker):
 
     def __init__(self) -> None:
         #: test_id -> agent -> its writes as ``(invoke_local, seq,
-        #: response_local, message_id)``, in session order.
+        #: response_local, message_id)``, in session order; an agent
+        #: appears at its first write.
         self._writes: dict[str, dict[str, list[tuple]]] = {}
-        #: test_id -> agent -> observations, in session order.
-        self._emitted: dict[
-            str, dict[str, list[AnomalyObservation]]] = {}
+        #: test_id -> observations in stream order, from the first.
+        self._emitted: dict[str, list[AnomalyObservation]] = {}
 
     def open_test(self, meta: TestMeta) -> None:
-        self._writes[meta.test_id] = {a: [] for a in meta.agents}
-        self._emitted[meta.test_id] = {a: [] for a in meta.agents}
+        self._writes[meta.test_id] = {}
 
     def observe(self, meta: TestMeta,
                 sop: StreamOp) -> list[AnomalyObservation]:
         op = sop.op
-        session = self._writes[meta.test_id][op.agent]
+        sessions = self._writes[meta.test_id]
         if not sop.is_read:
+            session = sessions.get(op.agent)
+            if session is None:
+                session = sessions[op.agent] = []
             insort(session, (op.invoke_local, sop.seq,
                              op.response_local, op.message_id))
+            return []
+        session = sessions.get(op.agent)
+        if session is None:
             return []
         observed = op.observed
         missing = tuple(
@@ -81,18 +87,16 @@ class ReadYourWritesChecker(AnomalyChecker):
             time=sop.time,
             details={"missing": missing, "observed": observed},
         )
-        self._emitted[meta.test_id][op.agent].append(obs)
+        self._emitted.setdefault(meta.test_id, []).append(obs)
         return [obs]
 
     def close_test(self, meta: TestMeta) -> list[AnomalyObservation]:
         del self._writes[meta.test_id]
-        emitted = self._emitted.pop(meta.test_id)
-        return [obs for agent in meta.agents for obs in emitted[agent]]
+        return by_agent(meta, self._emitted.pop(meta.test_id, None))
 
     def state_size(self) -> int:
         return sum(
             len(entries)
-            for per_test in (self._writes, self._emitted)
-            for per_agent in per_test.values()
+            for per_agent in self._writes.values()
             for entries in per_agent.values()
-        )
+        ) + sum(map(len, self._emitted.values()))

@@ -42,7 +42,6 @@ restores (read, position-in-view) order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from repro.core.anomalies.base import (
@@ -67,25 +66,27 @@ class _Sighting(NamedTuple):
     time: float  # corrected response of the read
 
 
-@dataclass
 class _WfrState:
     """Per-test WFR state."""
 
-    #: message_id -> dependency set, fixed the moment the write arrives.
-    deps: dict[str, frozenset[str]] = field(default_factory=dict)
-    #: agent -> message_id -> earliest local response instant at which
-    #: one of the agent's reads returned it (generic-mode derivation).
-    first_seen: dict[str, dict[str, float]] = field(
-        default_factory=dict
-    )
-    #: Reads seen so far: the next read's index in read order.
-    reads_seen: int = 0
-    #: Sightings of ids whose write has not been logged yet.
-    pending: list[_Sighting] = field(default_factory=list)
-    #: [((read_seq, position), observation)] — sorted at close.
-    emitted: list[tuple[tuple[int, int], AnomalyObservation]] = field(
-        default_factory=list
-    )
+    __slots__ = ("deps", "first_seen", "reads_seen", "pending",
+                 "emitted")
+
+    def __init__(self) -> None:
+        #: message_id -> dependency set, fixed the moment the write
+        #: arrives.
+        self.deps: dict[str, frozenset[str]] = {}
+        #: agent -> message_id -> earliest local response instant at
+        #: which one of the agent's reads returned it (generic-mode
+        #: derivation); an agent appears at its first non-empty read.
+        self.first_seen: dict[str, dict[str, float]] = {}
+        #: Reads seen so far: the next read's index in read order.
+        self.reads_seen = 0
+        #: Sightings of ids whose write has not been logged yet.
+        self.pending: list[_Sighting] = []
+        #: [((read_seq, position), observation)] — sorted at close.
+        self.emitted: list[tuple[tuple[int, int], AnomalyObservation]] \
+            = []
 
 
 class WritesFollowReadsChecker(AnomalyChecker):
@@ -97,9 +98,7 @@ class WritesFollowReadsChecker(AnomalyChecker):
         self._tests: dict[str, _WfrState] = {}
 
     def open_test(self, meta: TestMeta) -> None:
-        self._tests[meta.test_id] = _WfrState(
-            first_seen={a: {} for a in meta.agents}
-        )
+        self._tests[meta.test_id] = _WfrState()
 
     def observe(self, meta: TestMeta,
                 sop: StreamOp) -> list[AnomalyObservation]:
@@ -132,9 +131,12 @@ class WritesFollowReadsChecker(AnomalyChecker):
                 state.pending.append(sighting)
             else:
                 self._judge(state, sighting, deps, fired)
-        first_seen = state.first_seen[op.agent]
-        for message_id in op.observed:
-            first_seen.setdefault(message_id, op.response_local)
+        if op.observed:
+            first_seen = state.first_seen.get(op.agent)
+            if first_seen is None:
+                first_seen = state.first_seen[op.agent] = {}
+            for message_id in op.observed:
+                first_seen.setdefault(message_id, op.response_local)
         return fired
 
     @staticmethod
@@ -144,7 +146,7 @@ class WritesFollowReadsChecker(AnomalyChecker):
             return meta.wfr_triggers.get(write.message_id, frozenset())
         observed = {
             message_id for message_id, first
-            in state.first_seen[write.agent].items()
+            in state.first_seen.get(write.agent, {}).items()
             if first <= write.invoke_local
         }
         observed.discard(write.message_id)

@@ -101,15 +101,25 @@ class WindowResult:
 
 def window_results(test, k: int) -> dict[tuple[str, str], WindowResult]:
     """Kind ``k``'s windows of a test :class:`PairwiseViews` retired,
-    keyed in ``agent_pairs`` order."""
-    return {
-        step.pair: WindowResult(
-            pair=step.pair,
-            intervals=tuple(step.intervals[k]),
-            converged=step.starts[k] is None,
-        )
-        for step in test.pairs
-    }
+    keyed in ``agent_pairs`` order.
+
+    A pair that never opened a window gets its layout's one shared
+    calm result.
+    """
+    layout = test.layout
+    if layout.calm is None:
+        layout.calm = tuple(WindowResult(pair=pair, intervals=(),
+                                         converged=True)
+                            for pair in layout.pairs)
+    results = dict(zip(layout.pairs, layout.calm))
+    for index, intervals in test.intervals.items():
+        kind, p = divmod(index, len(layout.pairs))
+        if kind == k:
+            pair = layout.pairs[p]
+            results[pair] = WindowResult(
+                pair=pair, intervals=tuple(intervals),
+                converged=test.starts[index] is None)
+    return results
 
 
 class WindowTracker:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Iterable, Iterator, TextIO
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from repro.core.anomalies.base import AnomalyObservation
 from repro.core.anomalies.registry import TraceReport
@@ -426,15 +426,18 @@ def write_digest_jsonl(path: str | Path, payloads: Iterable[dict], *,
 
 
 def read_digest_jsonl(path: str | Path, *, kind: str,
-                      schema_version: int) -> list[dict]:
+                      schema_version: int,
+                      check: Callable[[dict], str | None] | None = None
+                      ) -> list[dict]:
     """Load a :func:`write_digest_jsonl` file, validating everything.
 
     Raises :class:`~repro.errors.AnalysisError` on bytes that are not
     UTF-8, a missing or malformed header, a kind or schema-version
     mismatch, body bytes that no longer hash to the recorded digest,
-    or a body line that is not one JSON object — the last naming the
-    line, so a digest-valid but malformed file fails as typed as a
-    damaged one.
+    a body line that is not one JSON object, or one that ``check``
+    (payload -> complaint or None) complains about — the last two
+    naming the line, so a digest-valid but malformed file fails as
+    typed as a damaged one.
     """
     path = Path(path)
     try:
@@ -488,6 +491,9 @@ def read_digest_jsonl(path: str | Path, *, kind: str,
             raise AnalysisError(
                 f"{path}: line {number}: not a JSON object"
             )
+        complaint = check(payload) if check is not None else None
+        if complaint:
+            raise AnalysisError(f"{path}: line {number}: {complaint}")
         payloads.append(payload)
     if len(payloads) != header.get("lines"):
         raise AnalysisError(

@@ -20,7 +20,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterator
 
-from repro.errors import AnalysisError
 from repro.io import read_digest_jsonl, write_digest_jsonl
 from repro.obs.context import OBS_SNAPSHOT_VERSION
 
@@ -54,27 +53,59 @@ def export_snapshot(snapshot: dict, path: str | Path) -> Path:
     )
 
 
+#: Keys every record of a type must carry (metrics: per metric type)
+#: — what merging and reporting read.
+_SPAN_KEYS = ("span_id", "parent_id", "name", "labels", "start", "end",
+              "attrs")
+_METRIC_KEYS = {
+    "counter": ("name", "labels", "value", "updated"),
+    "gauge": ("name", "labels", "value", "updated"),
+    "histogram": ("name", "labels", "buckets", "counts", "count", "sum",
+                  "updated"),
+}
+
+
+def _complaint(payload: dict) -> str | None:
+    """What is wrong with one export line's record, if anything."""
+    record_type = payload.get("record")
+    if record_type == "meta":
+        return None
+    if record_type == "span":
+        required = _SPAN_KEYS
+    elif record_type == "metric":
+        required = _METRIC_KEYS.get(payload.get("type"))
+        if required is None:
+            return f"unknown metric type {payload.get('type')!r}"
+    else:
+        return f"unknown obs record type {record_type!r}"
+    missing = [key for key in required if key not in payload]
+    if missing:
+        return f"{record_type} record lacks {', '.join(missing)}"
+    return None
+
+
 def load_snapshot(path: str | Path) -> dict:
-    """Load an :func:`export_snapshot` file back into snapshot shape."""
+    """Load an :func:`export_snapshot` file back into snapshot shape.
+
+    Raises :class:`~repro.errors.AnalysisError`, naming file and line,
+    for a record of unknown type or missing a key its type carries.
+    """
     payloads = read_digest_jsonl(
         path,
         kind=OBS_EXPORT_KIND,
         schema_version=OBS_EXPORT_SCHEMA_VERSION,
+        check=_complaint,
     )
     version = OBS_SNAPSHOT_VERSION
     metrics: list[dict] = []
     spans: list[dict] = []
     for payload in payloads:
         record = dict(payload)
-        record_type = record.pop("record", None)
+        record_type = record.pop("record")
         if record_type == "meta":
             version = record.get("version", OBS_SNAPSHOT_VERSION)
         elif record_type == "metric":
             metrics.append(record)
-        elif record_type == "span":
-            spans.append(record)
         else:
-            raise AnalysisError(
-                f"{path}: unknown obs record type {record_type!r}"
-            )
+            spans.append(record)
     return {"version": version, "metrics": metrics, "spans": spans}

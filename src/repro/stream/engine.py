@@ -14,12 +14,19 @@ by the tests and the ``stream`` CI gate.
 
 Memory model: per *open* test the engine holds O(agents x active-keys)
 checker state, one table of the test's distinct views shared by the
-whole divergence family, plus O(1) counters; a closed test's state is
-dropped by every consumer and only its distilled record is retained,
-in a ring bounded by the **eviction horizon** (``horizon`` closed
-records; older ones fall off).  :meth:`StreamEngine.state_size` sums
-every layer, each shared atom once, so telemetry — and the throughput
-benchmark's bounded-memory assertion — measures the real footprint.
+whole divergence family, plus O(1) counters.  Checker state is
+allocated on first evidence — an agent's sessions, seen-sets, views
+and emitted lists appear when it first writes, reads or fires — and
+the pair table is one layout shared by every test with the same
+agents, so a calm test costs a handful of containers to open and
+close.  A closed test's state is dropped by every consumer and only
+its distilled record is retained, in a ring bounded by the **eviction
+horizon** (``horizon`` closed records; older ones fall off).
+:meth:`StreamEngine.state_size` sums every layer, each shared atom
+once, so telemetry — and the throughput benchmark's bounded-memory
+assertion — measures the real footprint; it costs O(open tests), a
+retained record's atoms being counted once as it enters the ring and
+once as it falls off.
 Cost model (``docs/stream.md``): dispatch is per operation; everything
 expensive follows view *changes*, which polling agents rarely make —
 a divergence predicate runs once per distinct view pair, a session
@@ -71,7 +78,7 @@ class Emission:
 _NOTHING = Emission()
 
 
-@dataclass
+@dataclass(slots=True)
 class _TestCounters:
     """Per-open-test bookkeeping outside the checkers."""
 
@@ -111,8 +118,12 @@ class StreamEngine:
             if metrics else None)
         self._counters: dict[str, _TestCounters] = {}
         #: Distilled records of closed tests, newest last; bounded by
-        #: the eviction horizon (None = keep everything).
+        #: the eviction horizon (None = keep everything).  Read-only:
+        #: the engine keeps its atom count in step with it.
         self.results: deque[TestRecord] = deque(maxlen=horizon)
+        #: State atoms of each record in ``results``, and their sum.
+        self._result_atoms: deque[int] = deque(maxlen=horizon)
+        self._retained = 0
         self.tests_closed = 0
         self.operations_seen = 0
         #: Authoritative totals, updated as each test closes.
@@ -193,13 +204,14 @@ class StreamEngine:
             report=report,
             content_windows=window_results(views, 0),
             order_windows=window_results(views, 1),
-            reads_per_agent=dict(counters.reads),
-            writes_per_agent=dict(counters.writes),
+            reads_per_agent=counters.reads,
+            writes_per_agent=counters.writes,
             duration=duration,
             trace=trace,
             metrics=metric_results,
         )
-        self.results.append(record)
+        self._retain(record, 1 + len(observations) + sum(
+            len(result.samples) for result in metric_results))
         self.tests_closed += 1
         if self.obs is not None:
             at = counters.last_time if counters.last_time is not None \
@@ -228,6 +240,16 @@ class StreamEngine:
                 ).inc(result.value, at=at)
         return record
 
+    def _retain(self, record: TestRecord, atoms: int) -> None:
+        """Append to the ring, keeping its atom count in step."""
+        sizes = self._result_atoms
+        if len(sizes) == sizes.maxlen and sizes:
+            self._retained -= sizes[0]  # the oldest falls off
+        sizes.append(atoms)
+        self.results.append(record)
+        if sizes:
+            self._retained += atoms
+
     # -- telemetry ----------------------------------------------------
 
     @property
@@ -242,14 +264,7 @@ class StreamEngine:
             total += self.metric_evaluator.state_size()
         for counters in self._counters.values():
             total += len(counters.reads) + len(counters.writes)
-        for record in self.results:
-            total += 1 + sum(
-                len(obs_list)
-                for obs_list in record.report.observations.values()
-            )
-            total += sum(len(result.samples)
-                         for result in record.metrics)
-        return total
+        return total + self._retained
 
     def stats(self) -> dict[str, object]:
         """One snapshot for the live telemetry line."""

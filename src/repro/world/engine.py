@@ -6,7 +6,7 @@ between letting the shard simulators run one epoch and draining the
 :class:`~repro.world.bus.WorldBus` at the barrier in its lamport total
 order.  The soundness argument, in one paragraph:
 
-    Epoochs are grid-aligned and the bus floor latency equals the
+    Epochs are grid-aligned and the bus floor latency equals the
     epoch, so every message sent inside an epoch is deliverable only
     *after* the next barrier.  At each barrier the engine sequences all
     due messages by ``(deliver_time, origin_replica, origin_seq)`` —

@@ -323,6 +323,53 @@ class TestExport:
         reheader(path, path.read_bytes().split(b"\n", 1)[1] + b"[1,2]\n")
         assert store.load_shard_obs(job.shard_id) is None
 
+    @pytest.mark.parametrize("record, kind, drop, message", [
+        ("metric", "counter", "value", "metric record lacks value"),
+        ("metric", "gauge", "updated", "metric record lacks updated"),
+        ("metric", "histogram", "counts", "metric record lacks counts"),
+        ("metric", "counter", "type", "unknown metric type None"),
+        ("span", None, "start", "span record lacks start"),
+        ("span", None, "end", "span record lacks end"),
+        ("span", None, "labels", "span record lacks labels"),
+        ("meta", None, "record", "unknown obs record type None"),
+    ])
+    def test_a_record_missing_a_key_fails_naming_its_line(
+            self, tmp_path, record, kind, drop, message):
+        """Checked at load, not later inside a merge: every record of
+        a type must carry the keys that type's readers use."""
+        lines = REAL_BODY.decode().splitlines()
+        (number,) = [index for index, line in enumerate(lines)
+                     if json.loads(line)["record"] == record
+                     and json.loads(line).get("type") == kind]
+        damaged = json.loads(lines[number])
+        del damaged[drop]
+        lines[number] = json.dumps(damaged, sort_keys=True)
+        path = tmp_path / "run.obs.jsonl"
+        reheader(path, "".join(line + "\n" for line in lines).encode())
+        # Line 1 is the header.
+        with pytest.raises(AnalysisError,
+                           match=f"line {number + 2}: {message}") as raised:
+            load_snapshot(path)
+        assert str(path) in str(raised.value)
+
+    def test_a_shard_export_missing_a_metric_value_degrades_to_none(
+            self, tmp_path):
+        spec = FleetSpec(services=("blogger",), base_config=TINY,
+                         seeds=(TINY.seed,))
+        store_dir = tmp_path / "store"
+        (job,) = run_fleet(spec, out_dir=store_dir).jobs
+        store = ArtifactStore(store_dir)
+        path = store.obs_path(job.shard_id)
+        lines = path.read_bytes().decode().splitlines()[1:]
+        index = next(index for index, line in enumerate(lines)
+                     if '"record":"metric"' in line
+                     and '"value"' in line)
+        damaged = json.loads(lines[index])
+        del damaged["value"]
+        lines[index] = json.dumps(damaged, sort_keys=True)
+        reheader(path, "".join(line + "\n" for line in lines).encode())
+        assert store.load_shard_obs(job.shard_id) is None
+
 
 def reheader(path, body: bytes) -> None:
     """Write ``body`` under an obs header that matches it: right digest,

@@ -9,11 +9,13 @@ buffering, the eviction horizon, telemetry accounting, and the
 trace-event JSONL round trip.
 """
 
+import gc
 import io as stdio
+import tracemalloc
 
 import pytest
 
-from repro.core.anomalies import AnomalyObservation, TraceReport
+from repro.core.anomalies import AnomalyObservation, TraceReport, pairwise
 from repro.core.windows import content_divergence_windows
 from repro.errors import AnalysisError
 from repro.io import (
@@ -140,6 +142,68 @@ class TestStreamEngine:
         assert engine.open_tests == 0
         # All that remains is the one retained record.
         assert engine.state_size() < mid_state
+
+    @pytest.mark.parametrize("horizon", [0, 1, 2, None])
+    def test_ring_atoms_match_the_retained_records(self, horizon):
+        """``state_size`` counts each record as it enters the ring and
+        uncounts it as it falls off: with no test open it is exactly
+        the atoms of the records still retained."""
+        engine = StreamEngine(horizon=horizon)
+        for index in range(4):
+            replay_trace(ryw_trace(f"t-{index}"), engine)
+            assert engine.state_size() == sum(
+                1 + sum(map(len, record.report.observations.values()))
+                for record in engine.results)
+        assert len(engine.results) == (4 if horizon is None else horizon)
+
+    def test_a_calm_open_test_costs_at_most_6000_traced_bytes(self):
+        """Checker state is born on first evidence and the pair table
+        is shared: 2,000 open four-agent cohorts (three empty reads,
+        one write) trace under 6,000 bytes each, counters and record
+        included (an eagerly allocated checker set per test came to
+        ~9,600)."""
+        agents = ("s0", "s1", "s2", "s3")
+        calm = make_trace(
+            [read(agent, (), float(index))
+             for index, agent in enumerate(agents[1:])]
+            + [write("s0", "m0", 3.0)], agents=agents)
+        ops = stream_order(calm)
+        count = 2_000
+        metas = [TestMeta(test_id=f"calm-{index}", service="calm",
+                          test_type="test1", agents=agents)
+                 for index in range(count)]
+        engine = StreamEngine(horizon=1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for meta in metas:
+                engine.open_test(meta)
+                for sop in ops:
+                    engine.observe(meta, sop)
+            for meta in metas:
+                engine.close_test(meta)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert engine.tests_closed == count
+        assert engine.state_size() == 1
+        assert peak / count <= 6_000
+
+    def test_one_pair_layout_whatever_the_agent_names(self):
+        """Agent names come from input streams: 1,000 distinct agent
+        tuples leave one pair layout alive, the last one's."""
+        engine = StreamEngine(horizon=1)
+        for index in range(1_000):
+            agents = (f"a{index}", f"b{index}", f"c{index}")
+            replay_trace(make_trace(
+                [write(agents[0], "m", 0.0),
+                 read(agents[1], ("m",), 1.0)],
+                agents=agents, test_id=f"t-{index}"), engine)
+        gc.collect()
+        layouts = [obj for obj in gc.get_objects()
+                   if isinstance(obj, pairwise._Layout)]
+        assert [layout.agents for layout in layouts] == [agents]
 
     def test_stats_snapshot(self):
         engine = StreamEngine()
