@@ -20,7 +20,7 @@ stay frozen dataclasses end to end.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import CalibrationError
@@ -35,35 +35,33 @@ __all__ = [
 
 
 def base_params(service: str) -> Any:
-    """A fresh default params object for one service."""
+    """A fresh default params object for one built-in service.
+
+    A scenario's default params come from
+    :func:`repro.scenario.registry.scenario_base_params`, which
+    resolves its ``builtin`` archetype here.
+    """
     from repro.services.blogger import BloggerParams
     from repro.services.facebook_feed import FacebookFeedParams
     from repro.services.facebook_group import FacebookGroupParams
     from repro.services.googleplus import GooglePlusParams
+    from repro.services.quorum_kv import QuorumKvParams
 
     factories = {
         "googleplus": GooglePlusParams,
         "blogger": BloggerParams,
         "facebook_feed": FacebookFeedParams,
         "facebook_group": FacebookGroupParams,
+        "quorum_kv": QuorumKvParams,
     }
-    if service in factories:
-        return factories[service]()
-    from repro.errors import ConfigurationError
-    from repro.scenario.registry import (
-        get_scenario,
-        scenario_base_params,
-    )
-
     try:
-        spec = get_scenario(service)
-    except ConfigurationError:
+        return factories[service]()
+    except KeyError:
         known = ", ".join(sorted(factories))
         raise CalibrationError(
             f"no profile parameters for service {service!r} "
-            f"(have: {known}, plus registered scenario names)"
+            f"(have: {known})"
         ) from None
-    return scenario_base_params(spec)
 
 
 def _replace_path(params: Any, path: str, value: Any) -> Any:
@@ -102,9 +100,15 @@ class Axis:
             raise CalibrationError("axis path must be non-empty")
         if not self.values:
             raise CalibrationError(
-                f"axis {self.path!r} needs at least one value"
+                f"axis {self.path!r} needs a non-empty value list"
             )
-        if len(set(self.values)) != len(self.values):
+        try:
+            distinct = len(set(self.values))
+        except TypeError:
+            raise CalibrationError(
+                f"axis {self.path!r} values must be scalars"
+            ) from None
+        if distinct != len(self.values):
             raise CalibrationError(
                 f"axis {self.path!r} has duplicate values"
             )
@@ -112,10 +116,15 @@ class Axis:
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """An ordered product of axes over one service's profile."""
+    """An ordered product of axes over one service's profile.
+
+    ``base`` is the default params object the axes apply to; None
+    resolves it as :func:`base_params` of ``service``.
+    """
 
     service: str
     axes: tuple[Axis, ...]
+    base: Any = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.axes:
@@ -129,9 +138,11 @@ class SearchSpace:
             )
         # Fail at construction, not mid-search: every axis must
         # resolve against the service's default profile.
-        params = base_params(self.service)
+        if self.base is None:
+            object.__setattr__(self, "base",
+                               base_params(self.service))
         for axis in self.axes:
-            _replace_path(params, axis.path, axis.values[0])
+            _replace_path(self.base, axis.path, axis.values[0])
 
     @property
     def size(self) -> int:
@@ -161,7 +172,7 @@ class SearchSpace:
 
     def params(self, assignment: dict[str, Any]) -> Any:
         """Materialize one assignment into a frozen params object."""
-        return apply_assignment(base_params(self.service), assignment)
+        return apply_assignment(self.base, assignment)
 
     def label(self, index: int) -> str:
         """Stable per-candidate label used in fleet shard ids."""

@@ -505,10 +505,10 @@ def _config(args: argparse.Namespace) -> CampaignConfig:
 
 def _load_cli_scenarios(paths) -> list:
     """Load + register scenario files named on the command line."""
-    from repro.scenario import load_scenario, register_scenario
+    from repro.scenario import load_scenarios, register_scenario
 
-    return [register_scenario(load_scenario(path), replace=True)
-            for path in paths]
+    return [register_scenario(spec, replace=True)
+            for spec in load_scenarios(paths).values()]
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -47,7 +47,6 @@ from repro.scenario.schema import (
     NemesisSpec,
     ScenarioSpec,
     ServiceSpec,
-    TopologySpec,
     WorkloadSpec,
 )
 
@@ -58,7 +57,6 @@ __all__ = [
     "NemesisSpec",
     "WorkloadSpec",
     "CalibrationSpec",
-    "TopologySpec",
     "PolicySpec",
     "CircuitOpenError",
     "ResilientSession",

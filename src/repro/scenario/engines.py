@@ -23,17 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.methodology.world import AGENT_REGIONS
 from repro.net.network import Network
-from repro.net.topology import (
-    IRELAND,
-    OREGON,
-    TOKYO,
-    VIRGINIA,
-    Region,
-    Topology,
-)
+from repro.net.topology import Topology
 from repro.replication.gossip import GossipGroup, GossipParams
-from repro.scenario.schema import ScenarioSpec
+from repro.scenario.schema import KNOWN_REGIONS, ScenarioSpec
 from repro.services.base import OnlineService, SessionRoutes
 from repro.sim.event_loop import Simulator
 from repro.sim.random_source import RandomSource
@@ -48,17 +42,6 @@ __all__ = ["GossipServiceParams", "GossipScenarioService",
            "EVENTS_PATH"]
 
 EVENTS_PATH = "/scenario/events"
-
-#: Regions a scenario may place replicas in.
-REGION_BY_NAME: dict[str, Region] = {
-    "oregon": OREGON,
-    "tokyo": TOKYO,
-    "ireland": IRELAND,
-    "virginia": VIRGINIA,
-}
-
-#: Default placement: one replica per agent region.
-DEFAULT_REGIONS = ("oregon", "tokyo", "ireland")
 
 #: Replayed POST bodies retained per service (bounded memory).
 _IDEMPOTENCY_CACHE_LIMIT = 4096
@@ -87,14 +70,14 @@ class GossipScenarioService(OnlineService):
         super().__init__(sim, topology, network, rng)
         self._spec = spec
         self._params = params or GossipServiceParams()
-        self._regions = tuple(spec.service.regions
-                              or DEFAULT_REGIONS)
+        # Default placement: one replica per agent region.
+        self._regions = spec.service.regions or tuple(AGENT_REGIONS)
         self._idempotent: dict[str, dict] = {}
         node_hosts = []
         self._node_by_region: dict[str, str] = {}
         for region_name in self._regions:
             host = f"{spec.name}-node-{region_name}"
-            self._place(host, REGION_BY_NAME[region_name])
+            self._place(host, KNOWN_REGIONS[region_name])
             node_hosts.append(host)
             self._node_by_region[region_name] = host
         self._group = GossipGroup(
@@ -107,7 +90,7 @@ class GossipScenarioService(OnlineService):
         self._api_by_region: dict[str, str] = {}
         for region_name in self._regions:
             api_host = f"{spec.name}-api-{region_name}"
-            self._place(api_host, REGION_BY_NAME[region_name])
+            self._place(api_host, KNOWN_REGIONS[region_name])
             node = self._node_by_region[region_name]
             router = Router()
             router.add(

@@ -10,6 +10,11 @@ Two layers:
   and ``[table].key`` path, so a typo'd scenario fails loudly instead
   of silently running the default.
 
+Each table's keys, scalar types, required keys and defaults are read
+off the dataclass that holds it, so a field is declared once, in the
+spec; only non-scalar shapes (override pairs, ``links``,
+``[calibrate]``) have readers of their own.
+
 Collections are canonicalised (parameter/axis/target pairs sorted by
 path) before they enter the spec, so two files that state the same
 scenario in a different key order produce the same
@@ -18,21 +23,26 @@ scenario in a different key order produce the same
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import math
 import tomllib
+import types
+import typing
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.scenario.policies import PolicySpec
 from repro.scenario.schema import (
     CalibrationSpec,
     NemesisSpec,
     ScenarioSpec,
     ServiceSpec,
-    TopologySpec,
     WorkloadSpec,
 )
+from repro.world.spec import WorldSpec
 
 __all__ = [
     "load_scenario",
@@ -64,47 +74,89 @@ def _check_keys(table: dict, allowed: tuple[str, ...],
         )
 
 
-def _typed(table: dict, key: str, types: tuple[type, ...],
-           source: str, name: str, default: Any = None) -> Any:
-    if key not in table:
-        return default
-    value = table[key]
-    if isinstance(value, bool) and bool not in types:
-        # bool is an int subclass; reject it for numeric fields.
-        value = None
-    if value is None or not isinstance(value, types):
+def _value(value: Any, kind: Any, source: str, name: str,
+           key: str) -> Any:
+    """``value`` checked against the scalar field type ``kind``.
+
+    ``float`` fields take any finite number; ``bool`` (an ``int``
+    subclass) is accepted only where ``kind`` is ``bool``; a
+    ``tuple[str, ...]`` field takes a list of strings.
+    """
+    where = f"{source}: [{name}].{key}"
+    if kind == tuple[str, ...]:
+        if not isinstance(value, list):
+            raise ConfigurationError(
+                f"{where} has the wrong type (expected list)"
+            )
+        if not all(isinstance(item, str) for item in value):
+            raise ConfigurationError(
+                f"{where} must be a list of strings"
+            )
+        return tuple(value)
+    accepted = (int, float) if kind is float else (kind,)
+    if isinstance(value, bool) and kind is not bool or \
+            not isinstance(value, accepted):
+        expected = "/".join(t.__name__ for t in accepted)
         raise ConfigurationError(
-            f"{source}: [{name}].{key} has the wrong type "
-            f"(expected {'/'.join(t.__name__ for t in types)})"
+            f"{where} has the wrong type (expected {expected})"
         )
+    if kind is float:
+        if not math.isfinite(value):
+            raise ConfigurationError(
+                f"{where} must be finite, got {value!r}"
+            )
+        return float(value)
     return value
 
 
-def _float_or_none(table: dict, key: str, source: str,
-                   name: str) -> float | None:
-    value = _typed(table, key, (int, float), source, name)
-    return None if value is None else float(value)
+@functools.cache
+def _fields(cls: type) -> dict[str, tuple[Any, bool]]:
+    """``{field: (type without None, required)}`` for a dataclass."""
+    hints = typing.get_type_hints(cls)
+    fields = {}
+    for f in dataclasses.fields(cls):
+        kind = hints[f.name]
+        if isinstance(kind, types.UnionType):
+            (kind,) = [arg for arg in typing.get_args(kind)
+                       if arg is not type(None)]
+        required = f.default is dataclasses.MISSING and \
+            f.default_factory is dataclasses.MISSING
+        fields[f.name] = (kind, required)
+    return fields
 
 
-def _str_tuple(table: dict, key: str, source: str,
-               name: str) -> tuple[str, ...] | None:
-    value = _typed(table, key, (list,), source, name)
-    if value is None:
-        return None
-    for item in value:
-        if not isinstance(item, str):
-            raise ConfigurationError(
-                f"{source}: [{name}].{key} must be a list of strings"
-            )
-    return tuple(value)
+def _spec(cls: type, table: Any, source: str, name: str,
+          exclude: tuple[str, ...] = (),
+          **shapes: Callable[[Any, str, str, str], Any]) -> Any:
+    """Build ``cls`` from ``[name]``; its fields are the schema.
+
+    The allowed keys, their scalar types, which are required and every
+    default come from the dataclass; ``shapes`` read the keys whose
+    values are not scalars.  An absent key keeps the field default.
+    """
+    table = _require_table(table, source, name)
+    fields = {key: field for key, field in _fields(cls).items()
+              if key not in exclude}
+    _check_keys(table, tuple(fields), source, name)
+    kwargs = {}
+    for key, (kind, required) in fields.items():
+        if key not in table:
+            if required:
+                raise ConfigurationError(
+                    f"{source}: [{name}].{key} is required"
+                )
+        elif key in shapes:
+            kwargs[key] = shapes[key](table[key], source, name, key)
+        else:
+            kwargs[key] = _value(table[key], kind, source, name, key)
+    return _build(cls, source, **kwargs)
 
 
-def _pairs(table: dict | None, source: str,
-           name: str) -> tuple[tuple[str, Any], ...]:
+def _pairs(table: Any, source: str, name: str,
+           key: str) -> tuple[tuple[str, Any], ...]:
     """Sorted (path, value) pairs from an override table."""
-    if table is None:
-        return ()
-    _require_table(table, source, name)
+    name = f"{name}.{key}"
+    table = _require_table(table, source, name)
     for value in table.values():
         if isinstance(value, (dict, list)):
             raise ConfigurationError(
@@ -113,147 +165,45 @@ def _pairs(table: dict | None, source: str,
     return tuple(sorted(table.items()))
 
 
+def _links(value: Any, source: str, name: str,
+           key: str) -> tuple[tuple[str, str], ...]:
+    if not isinstance(value, list):
+        raise ConfigurationError(
+            f"{source}: [{name}].{key} has the wrong type "
+            "(expected list)"
+        )
+    for link in value:
+        if not (isinstance(link, list) and len(link) == 2
+                and all(isinstance(h, str) for h in link)):
+            raise ConfigurationError(
+                f"{source}: [{name}].{key} entries must be "
+                "[src, dst] pairs"
+            )
+    return tuple(tuple(link) for link in value)
+
+
 def _build(factory, source: str, **kwargs):
     """Build a spec dataclass, prefixing errors with the source."""
     try:
         return factory(**kwargs)
-    except ConfigurationError as exc:
+    except (ConfigurationError, SimulationError) as exc:
         raise ConfigurationError(f"{source}: {exc}") from None
-
-
-def _service_spec(table: Any, source: str) -> ServiceSpec:
-    table = _require_table(table, source, "service")
-    _check_keys(table, ("archetype", "base", "regions", "params"),
-                source, "service")
-    if "archetype" not in table:
-        raise ConfigurationError(
-            f"{source}: [service].archetype is required"
-        )
-    params = table.get("params")
-    if params is not None:
-        params = _require_table(params, source, "service.params")
-    return _build(
-        ServiceSpec, source,
-        archetype=_typed(table, "archetype", (str,), source,
-                         "service"),
-        base=_typed(table, "base", (str,), source, "service"),
-        regions=_str_tuple(table, "regions", source, "service") or (),
-        params=_pairs(params, source, "service.params"),
-    )
-
-
-def _workload_spec(table: Any, source: str) -> WorkloadSpec:
-    if table is None:
-        return WorkloadSpec()
-    table = _require_table(table, source, "workload")
-    _check_keys(
-        table,
-        ("num_tests", "test_types", "inter_test_gap", "role_order",
-         "mask_sessions", "test1", "test2"),
-        source, "workload",
-    )
-    return _build(
-        WorkloadSpec, source,
-        num_tests=_typed(table, "num_tests", (int,), source,
-                         "workload"),
-        test_types=_str_tuple(table, "test_types", source,
-                              "workload"),
-        inter_test_gap=_float_or_none(table, "inter_test_gap",
-                                      source, "workload"),
-        role_order=_str_tuple(table, "role_order", source,
-                              "workload"),
-        mask_sessions=_typed(table, "mask_sessions", (bool,),
-                             source, "workload"),
-        test1=_pairs(table.get("test1"), source, "workload.test1"),
-        test2=_pairs(table.get("test2"), source, "workload.test2"),
-    )
 
 
 def _nemesis_specs(entries: Any,
                    source: str) -> tuple[NemesisSpec, ...]:
-    if entries is None:
-        return ()
     if not isinstance(entries, list):
         raise ConfigurationError(
             f"{source}: [[nemesis]] must be an array of tables"
         )
-    specs = []
-    for index, table in enumerate(entries):
-        name = f"nemesis[{index}]"
-        table = _require_table(table, source, name)
-        _check_keys(
-            table,
-            ("kind", "host_a", "host_b", "span", "start_index",
-             "period", "test_type", "links", "probability"),
-            source, name,
-        )
-        if "kind" not in table:
-            raise ConfigurationError(
-                f"{source}: [{name}].kind is required"
-            )
-        links_raw = _typed(table, "links", (list,), source, name,
-                           default=[])
-        links = []
-        for link in links_raw:
-            if not (isinstance(link, list) and len(link) == 2
-                    and all(isinstance(h, str) for h in link)):
-                raise ConfigurationError(
-                    f"{source}: [{name}].links entries must be "
-                    "[src, dst] pairs"
-                )
-            links.append(tuple(link))
-        probability = _float_or_none(table, "probability", source,
-                                     name)
-        specs.append(_build(
-            NemesisSpec, source,
-            kind=_typed(table, "kind", (str,), source, name),
-            host_a=_typed(table, "host_a", (str,), source, name,
-                          default=""),
-            host_b=_typed(table, "host_b", (str,), source, name,
-                          default=""),
-            span=_typed(table, "span", (int,), source, name,
-                        default=1),
-            start_index=_typed(table, "start_index", (int,), source,
-                               name),
-            period=_typed(table, "period", (int,), source, name,
-                          default=5),
-            test_type=_typed(table, "test_type", (str,), source,
-                             name),
-            links=tuple(links),
-            probability=0.05 if probability is None else probability,
-        ))
-    return tuple(specs)
+    return tuple(
+        _spec(NemesisSpec, table, source, f"nemesis[{index}]",
+              links=_links)
+        for index, table in enumerate(entries)
+    )
 
 
-def _policy_spec(table: Any, source: str) -> PolicySpec | None:
-    if table is None:
-        return None
-    table = _require_table(table, source, "policy")
-    fields = ("retry_attempts", "backoff_base", "backoff_factor",
-              "backoff_max", "backoff_jitter", "breaker_threshold",
-              "breaker_cooldown", "idempotency_keys")
-    _check_keys(table, fields, source, "policy")
-    kwargs: dict[str, Any] = {}
-    for key in ("retry_attempts", "breaker_threshold"):
-        value = _typed(table, key, (int,), source, "policy")
-        if value is not None:
-            kwargs[key] = value
-    for key in ("backoff_base", "backoff_factor", "backoff_max",
-                "backoff_jitter", "breaker_cooldown"):
-        value = _float_or_none(table, key, source, "policy")
-        if value is not None:
-            kwargs[key] = value
-    value = _typed(table, "idempotency_keys", (bool,), source,
-                   "policy")
-    if value is not None:
-        kwargs["idempotency_keys"] = value
-    return _build(PolicySpec, source, **kwargs)
-
-
-def _calibration_spec(table: Any,
-                      source: str) -> CalibrationSpec | None:
-    if table is None:
-        return None
+def _calibration_spec(table: Any, source: str) -> CalibrationSpec:
     table = _require_table(table, source, "calibrate")
     _check_keys(table, ("axes", "targets"), source, "calibrate")
     axes = []
@@ -281,38 +231,14 @@ def _calibration_spec(table: Any,
                 ptable, source, "calibrate.targets.prevalence"
             )
             for anomaly, fraction in sorted(ptable.items()):
-                if isinstance(fraction, bool) or \
-                        not isinstance(fraction, (int, float)):
-                    raise ConfigurationError(
-                        f"{source}: [calibrate.targets.prevalence]."
-                        f"{anomaly} must be a number"
-                    )
-                prevalence.append((anomaly, float(fraction)))
+                prevalence.append((anomaly, _value(
+                    fraction, float, source,
+                    "calibrate.targets.prevalence", anomaly,
+                )))
     return _build(
         CalibrationSpec, source,
         axes=tuple(axes), prevalence=tuple(prevalence),
     )
-
-
-def _topology_spec(table: Any, source: str) -> TopologySpec | None:
-    if table is None:
-        return None
-    table = _require_table(table, source, "topology")
-    int_keys = ("shards", "sessions", "replicas", "cohort_size",
-                "writes_per_session", "reads_per_session", "fanout")
-    float_keys = ("arrival_window", "think_median", "service_time",
-                  "hop_median", "hop_sigma", "epoch")
-    _check_keys(table, int_keys + float_keys, source, "topology")
-    kwargs: dict[str, Any] = {}
-    for key in int_keys:
-        value = _typed(table, key, (int,), source, "topology")
-        if value is not None:
-            kwargs[key] = value
-    for key in float_keys:
-        value = _float_or_none(table, key, source, "topology")
-        if value is not None:
-            kwargs[key] = value
-    return _build(TopologySpec, source, **kwargs)
 
 
 def scenario_from_mapping(data: Any, source: str) -> ScenarioSpec:
@@ -343,22 +269,37 @@ def scenario_from_mapping(data: Any, source: str) -> ScenarioSpec:
         raise ConfigurationError(
             f"{source}: missing [service] table"
         )
-    return _build(
-        ScenarioSpec, source,
-        name=_typed(meta, "name", (str,), source, "scenario"),
-        version=_typed(meta, "schema_version", (int,), source,
-                       "scenario"),
-        description=_typed(meta, "description", (str,), source,
-                           "scenario", default=""),
-        service=_service_spec(data["service"], source),
-        workload=_workload_spec(data.get("workload"), source),
-        nemeses=_nemesis_specs(data.get("nemesis"), source),
-        policy=_policy_spec(data.get("policy"), source),
-        calibration=_calibration_spec(data.get("calibrate"), source),
-        metrics=_str_tuple(data, "metrics", source,
-                           "top level") or (),
-        topology=_topology_spec(data.get("topology"), source),
-    )
+    fields: dict[str, Any] = {
+        "name": _value(meta["name"], str, source, "scenario", "name"),
+        "version": _value(meta["schema_version"], int, source,
+                          "scenario", "schema_version"),
+        "description": _value(meta.get("description", ""), str,
+                              source, "scenario", "description"),
+        "service": _spec(ServiceSpec, data["service"], source,
+                         "service", params=_pairs),
+    }
+    if data.get("workload") is not None:
+        fields["workload"] = _spec(WorkloadSpec, data["workload"],
+                                   source, "workload",
+                                   test1=_pairs, test2=_pairs)
+    if data.get("nemesis") is not None:
+        fields["nemeses"] = _nemesis_specs(data["nemesis"], source)
+    if data.get("policy") is not None:
+        fields["policy"] = _spec(PolicySpec, data["policy"], source,
+                                 "policy")
+    if data.get("calibrate") is not None:
+        fields["calibration"] = _calibration_spec(data["calibrate"],
+                                                  source)
+    if "metrics" in data:
+        fields["metrics"] = _value(data["metrics"], tuple[str, ...],
+                                   source, "top level", "metrics")
+    if data.get("topology") is not None:
+        # The world's name and partitions are not file keys:
+        # world_from_scenario sets both.
+        fields["topology"] = _spec(WorldSpec, data["topology"], source,
+                                   "topology",
+                                   exclude=("name", "partitions"))
+    return _build(ScenarioSpec, source, **fields)
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:

@@ -20,8 +20,7 @@ duck type the masking layer wraps) and applies a declarative
   ``retry_attempts`` times.  Rate-limit rejections honour the
   service's ``retry_after`` hint; other retryable failures (5xx,
   unreachable hosts) wait ``backoff_base * backoff_factor**attempt``
-  seconds, capped at ``backoff_max``, plus an optional deterministic
-  jitter drawn from the session's named random stream.
+  seconds, capped at ``backoff_max``.
 * **Circuit breaker** — after ``breaker_threshold`` consecutive
   failures the session fails fast with :class:`CircuitOpenError` for
   ``breaker_cooldown`` seconds, then lets one probe operation through
@@ -31,9 +30,8 @@ duck type the masking layer wraps) and applies a declarative
   so a service that deduplicates on it applies a retried write at most
   once and replays the original response.
 
-All delays run on the simulated clock and all jitter routes through
-:class:`~repro.sim.random_source.RandomSource`, so a campaign with
-policies stays a pure function of (seed, config).
+All delays run on the simulated clock, so a campaign with policies
+stays a pure function of (seed, config).
 """
 
 from __future__ import annotations
@@ -75,9 +73,6 @@ class PolicySpec:
     backoff_base: float = 0.2
     backoff_factor: float = 2.0
     backoff_max: float = 5.0
-    #: Upper bound of the uniform jitter added to each backoff delay
-    #: (0 = deterministic schedule; jitter still replays per seed).
-    backoff_jitter: float = 0.0
     #: Consecutive failures that trip the breaker (0 = disabled).
     breaker_threshold: int = 0
     #: Seconds the breaker stays open before the half-open probe.
@@ -102,10 +97,6 @@ class PolicySpec:
             raise ConfigurationError(
                 "policy.backoff_max must be >= policy.backoff_base"
             )
-        if self.backoff_jitter < 0:
-            raise ConfigurationError(
-                "policy.backoff_jitter must be >= 0"
-            )
         if self.breaker_threshold < 0:
             raise ConfigurationError(
                 "policy.breaker_threshold must be >= 0"
@@ -124,10 +115,9 @@ class ResilientSession:
     delegated to the wrapped session.
     """
 
-    def __init__(self, session, sim, rng, spec: PolicySpec) -> None:
+    def __init__(self, session, sim, spec: PolicySpec) -> None:
         self._session = session
         self._sim = sim
-        self._rng = rng
         self._spec = spec
         self._consecutive_failures = 0
         self._open_until = float("-inf")
@@ -221,18 +211,12 @@ class ResilientSession:
                        attempt: int) -> float:
         if isinstance(exc, RateLimitExceededError) and \
                 exc.retry_after is not None:
-            delay = exc.retry_after
-        else:
-            delay = min(
-                self._spec.backoff_base
-                * self._spec.backoff_factor ** attempt,
-                self._spec.backoff_max,
-            )
-        if self._spec.backoff_jitter > 0:
-            delay += self._rng.stream("backoff").uniform(
-                0.0, self._spec.backoff_jitter
-            )
-        return delay
+            return exc.retry_after
+        return min(
+            self._spec.backoff_base
+            * self._spec.backoff_factor ** attempt,
+            self._spec.backoff_max,
+        )
 
 
 def apply_policy(world, spec: PolicySpec) -> list[ResilientSession]:
@@ -245,10 +229,7 @@ def apply_policy(world, spec: PolicySpec) -> list[ResilientSession]:
     """
     wrapped = []
     for agent in world.agents:
-        session = ResilientSession(
-            agent.session, world.sim,
-            world.rng.child(f"policy.{agent.name}"), spec,
-        )
+        session = ResilientSession(agent.session, world.sim, spec)
         agent.session = session
         wrapped.append(session)
     return wrapped

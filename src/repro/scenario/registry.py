@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any
 
-from repro.errors import ConfigurationError
+from repro.errors import CalibrationError, ConfigurationError
 from repro.methodology.config import (
     PAPER_PLANS,
     CampaignConfig,
@@ -74,10 +74,9 @@ def get_scenario(name: str) -> ScenarioSpec:
     try:
         return _REGISTRY[name]
     except KeyError:
-        known = tuple(sorted(_REGISTRY))
         raise ConfigurationError(
             f"no scenario registered under {name!r} "
-            f"(registered: {known})"
+            f"(registered: {registered_scenarios()})"
         ) from None
 
 
@@ -99,38 +98,12 @@ def registered_scenarios() -> tuple[str, ...]:
 def scenario_base_params(spec: ScenarioSpec) -> Any:
     """A fresh default params object for the scenario's archetype."""
     if spec.service.archetype == "builtin":
-        from repro.services.blogger import BloggerParams
-        from repro.services.facebook_feed import FacebookFeedParams
-        from repro.services.facebook_group import FacebookGroupParams
-        from repro.services.googleplus import GooglePlusParams
-        from repro.services.quorum_kv import QuorumKvParams
+        from repro.calibrate.space import base_params
 
-        factories = {
-            "googleplus": GooglePlusParams,
-            "blogger": BloggerParams,
-            "facebook_feed": FacebookFeedParams,
-            "facebook_group": FacebookGroupParams,
-            "quorum_kv": QuorumKvParams,
-        }
-        return factories[spec.service.base]()
+        return base_params(spec.service.base)
     from repro.scenario.engines import GossipServiceParams
 
     return GossipServiceParams()
-
-
-def _replace_path(params: Any, path: str, value: Any,
-                  full_path: str) -> Any:
-    head, _, rest = path.partition(".")
-    if not dataclasses.is_dataclass(params) or \
-            not hasattr(params, head):
-        raise ConfigurationError(
-            f"service.params.{full_path}: "
-            f"{type(params).__name__} has no field {head!r}"
-        )
-    if rest:
-        value = _replace_path(getattr(params, head), rest, value,
-                              full_path)
-    return dataclasses.replace(params, **{head: value})
 
 
 def scenario_params(spec: ScenarioSpec) -> Any | None:
@@ -143,9 +116,16 @@ def scenario_params(spec: ScenarioSpec) -> Any | None:
     """
     if not spec.service.params:
         return None
+    from repro.calibrate.space import apply_assignment
+
     params = scenario_base_params(spec)
     for path, value in spec.service.params:
-        params = _replace_path(params, path, value, path)
+        try:
+            params = apply_assignment(params, {path: value})
+        except CalibrationError as exc:
+            raise ConfigurationError(
+                f"service.params.{path}: {exc}"
+            ) from None
     return params
 
 
@@ -202,17 +182,12 @@ def scenario_config(spec: ScenarioSpec,
     }
     if base.service_params is None:
         updates["service_params"] = scenario_params(spec)
-    workload = spec.workload
-    if workload.num_tests is not None:
-        updates["num_tests"] = workload.num_tests
-    if workload.test_types is not None:
-        updates["test_types"] = workload.test_types
-    if workload.inter_test_gap is not None:
-        updates["inter_test_gap"] = workload.inter_test_gap
-    if workload.role_order is not None:
-        updates["role_order"] = workload.role_order
-    if workload.mask_sessions is not None:
-        updates["mask_sessions"] = workload.mask_sessions
+    # Workload fields named like a config field override it when set;
+    # the plan overrides (test1 / test2) go through scenario_plan.
+    for entry in dataclasses.fields(spec.workload):
+        value = getattr(spec.workload, entry.name)
+        if value is not None and hasattr(base, entry.name):
+            updates[entry.name] = value
     # A --metrics flag (base config) wins over the file's list, the
     # same precedence service_params gets.
     if spec.metrics and not base.metrics:
@@ -241,31 +216,9 @@ def scenario_nemesis(spec: ScenarioSpec):
     """
     if not spec.nemeses:
         return None
-    from repro.methodology.nemesis import (
-        CompositeNemesis,
-        LinkLossNemesis,
-        PartitionStretchNemesis,
-        PeriodicPartitionNemesis,
-    )
+    from repro.methodology.nemesis import CompositeNemesis
 
-    parts = []
-    for entry in spec.nemeses:
-        if entry.kind == "partition_stretch":
-            parts.append(PartitionStretchNemesis(
-                host_a=entry.host_a, host_b=entry.host_b,
-                span=entry.span, start_index=entry.start_index,
-                test_type=entry.test_type or "test2",
-            ))
-        elif entry.kind == "periodic_partition":
-            parts.append(PeriodicPartitionNemesis(
-                host_a=entry.host_a, host_b=entry.host_b,
-                period=entry.period, test_type=entry.test_type,
-            ))
-        else:
-            parts.append(LinkLossNemesis(
-                links=[tuple(link) for link in entry.links],
-                probability=entry.probability,
-            ))
+    parts = [entry.build() for entry in spec.nemeses]
     if len(parts) == 1:
         return parts[0]
     return CompositeNemesis(parts)
@@ -284,13 +237,11 @@ def scenario_space(spec: ScenarioSpec):
         raise ConfigurationError(
             f"scenario {spec.name!r} declares no [calibrate.axes]"
         )
-    # The space validates its axes against base_params(spec.name),
-    # which resolves through the registry for scenario names.
-    register_scenario(spec)
     return SearchSpace(
         service=spec.name,
         axes=tuple(Axis(path, values)
                    for path, values in spec.calibration.axes),
+        base=scenario_base_params(spec),
     )
 
 

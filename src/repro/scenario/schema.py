@@ -9,8 +9,10 @@ resolves it by name, and the engines instantiate it into a running
 service.
 
 Every nested spec validates eagerly in ``__post_init__`` and raises
-:class:`~repro.errors.ConfigurationError`; the loader wraps those
-errors with the offending file path.  Specs are plain frozen
+:class:`~repro.errors.ConfigurationError` (``[topology]`` is a
+:class:`~repro.world.spec.WorldSpec`, which raises
+:class:`~repro.errors.SimulationError`); the loader re-raises both
+with the offending file path.  Specs are plain frozen
 dataclasses of primitives and tuples, so they pickle across the fleet
 worker boundary and lower canonically into fleet digests without any
 special casing.
@@ -23,15 +25,22 @@ an error, not a silent best-effort parse).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.anomalies import ALL_ANOMALIES
-from repro.errors import ConfigurationError
+from repro.errors import CalibrationError, ConfigurationError
+from repro.fleet.digest import canonical_json, sha256_hex
 from repro.methodology.config import Test1Config, Test2Config
+from repro.methodology.nemesis import (
+    LinkLossNemesis,
+    Nemesis,
+    PartitionStretchNemesis,
+    PeriodicPartitionNemesis,
+)
+from repro.net.topology import IRELAND, OREGON, TOKYO, VIRGINIA, Region
 from repro.scenario.policies import PolicySpec
+from repro.world.spec import WorldSpec
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -41,7 +50,6 @@ __all__ = [
     "NemesisSpec",
     "WorkloadSpec",
     "CalibrationSpec",
-    "TopologySpec",
     "ScenarioSpec",
 ]
 
@@ -51,12 +59,18 @@ SCHEMA_VERSION = 1
 #: Service archetypes the DSL can instantiate.
 ARCHETYPES = ("builtin", "gossip")
 
-#: Region names a scenario topology may reference (the paper's EC2
-#: geography; see :mod:`repro.net.topology`).
-KNOWN_REGIONS = ("oregon", "tokyo", "ireland", "virginia")
+#: Regions an engine scenario may place replicas in, by name (the
+#: paper's EC2 geography; see :mod:`repro.net.topology`).
+KNOWN_REGIONS: dict[str, Region] = {
+    region.name: region for region in (OREGON, TOKYO, IRELAND, VIRGINIA)
+}
 
-_NEMESIS_KINDS = ("partition_stretch", "periodic_partition",
-                  "link_loss")
+#: The nemesis class each ``[[nemesis]]`` kind builds.
+_NEMESIS_CLASSES: dict[str, type[Nemesis]] = {
+    "partition_stretch": PartitionStretchNemesis,
+    "periodic_partition": PeriodicPartitionNemesis,
+    "link_loss": LinkLossNemesis,
+}
 
 _NAME_CHARS = frozenset(
     "abcdefghijklmnopqrstuvwxyz0123456789_"
@@ -133,7 +147,7 @@ class ServiceSpec:
             if unknown:
                 raise ConfigurationError(
                     f"service.regions has unknown regions {unknown}; "
-                    f"choose from {KNOWN_REGIONS}"
+                    f"choose from {tuple(KNOWN_REGIONS)}"
                 )
             if len(set(self.regions)) != len(self.regions):
                 raise ConfigurationError(
@@ -147,8 +161,10 @@ class NemesisSpec:
     """One declarative fault schedule entry.
 
     ``kind`` selects the :mod:`repro.methodology.nemesis` class; the
-    remaining fields mirror that class's knobs (unused ones keep their
-    defaults).
+    remaining fields are that class's knobs (unused ones keep their
+    defaults, and None leaves the class default).  The class itself
+    range-checks them: a spec is valid exactly when :meth:`build`
+    succeeds.
     """
 
     kind: str
@@ -162,44 +178,43 @@ class NemesisSpec:
     probability: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.kind not in _NEMESIS_KINDS:
+        if self.kind not in _NEMESIS_CLASSES:
             raise ConfigurationError(
-                f"nemesis.kind must be one of {_NEMESIS_KINDS}, "
-                f"got {self.kind!r}"
+                f"nemesis.kind must be one of "
+                f"{tuple(_NEMESIS_CLASSES)}, got {self.kind!r}"
             )
         if self.test_type not in (None, "test1", "test2"):
             raise ConfigurationError(
                 f"nemesis.test_type must be test1 or test2, "
                 f"got {self.test_type!r}"
             )
-        if self.kind in ("partition_stretch", "periodic_partition"):
-            if not self.host_a or not self.host_b:
-                raise ConfigurationError(
-                    f"nemesis.{self.kind} needs host_a and host_b"
-                )
-            if self.host_a == self.host_b:
-                raise ConfigurationError(
-                    "nemesis host_a and host_b must differ"
-                )
-        if self.kind == "partition_stretch" and self.span < 0:
-            raise ConfigurationError("nemesis.span must be >= 0")
-        if self.kind == "periodic_partition" and self.period < 1:
-            raise ConfigurationError("nemesis.period must be >= 1")
         if self.kind == "link_loss":
             if not self.links:
                 raise ConfigurationError(
                     "nemesis.link_loss needs at least one link"
                 )
-            for link in self.links:
-                if not (isinstance(link, tuple) and len(link) == 2):
-                    raise ConfigurationError(
-                        "nemesis.links entries must be "
-                        "(src, dst) pairs"
-                    )
-            if not 0.0 <= self.probability <= 1.0:
-                raise ConfigurationError(
-                    "nemesis.probability must be in [0, 1]"
-                )
+        elif not self.host_a or not self.host_b:
+            raise ConfigurationError(
+                f"nemesis.{self.kind} needs host_a and host_b"
+            )
+        elif self.host_a == self.host_b:
+            raise ConfigurationError(
+                "nemesis host_a and host_b must differ"
+            )
+        try:
+            self.build()
+        except ConfigurationError as exc:
+            raise ConfigurationError(
+                f"nemesis.{self.kind}: {exc}"
+            ) from None
+
+    def build(self) -> Nemesis:
+        """A fresh instance of the ``kind``'s nemesis class."""
+        cls = _NEMESIS_CLASSES[self.kind]
+        knobs = {f.name: getattr(self, f.name)
+                 for f in dataclasses.fields(cls)
+                 if getattr(self, f.name, None) is not None}
+        return cls(**knobs)
 
 
 def _check_test_overrides(pairs: tuple, config_cls: type,
@@ -261,18 +276,20 @@ class CalibrationSpec:
     prevalence: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
+        from repro.calibrate.space import Axis
+
         paths = [path for path, _ in self.axes]
         if len(set(paths)) != len(paths):
             raise ConfigurationError(
                 "calibrate.axes repeats a path"
             )
         for path, values in self.axes:
-            if not path or not isinstance(values, tuple) or \
-                    not values:
+            try:
+                Axis(path, values)
+            except CalibrationError as exc:
                 raise ConfigurationError(
-                    f"calibrate.axes.{path or '?'} needs a "
-                    "non-empty value list"
-                )
+                    f"[calibrate.axes].{path}: {exc}"
+                ) from None
         for anomaly, fraction in self.prevalence:
             if anomaly not in ALL_ANOMALIES:
                 raise ConfigurationError(
@@ -284,70 +301,6 @@ class CalibrationSpec:
                     f"calibrate.targets.prevalence.{anomaly} must "
                     f"be a fraction, got {fraction!r}"
                 )
-
-
-@dataclass(frozen=True)
-class TopologySpec:
-    """Sharded-world scale for a scenario (``[topology]`` table).
-
-    Present only when the scenario should run through the partitioned
-    world engine (:mod:`repro.world`); absent means the classic
-    handful-of-agents campaign.  ``shards`` is *physical placement
-    only* — the world parity gate proves results identical for every
-    value — while the remaining knobs are *logical* world scale and
-    workload shape, which do change behaviour.
-    """
-
-    shards: int = 1
-    sessions: int = 1000
-    replicas: int = 6
-    cohort_size: int = 4
-    writes_per_session: int = 2
-    reads_per_session: int = 2
-    arrival_window: float = 50.0
-    think_median: float = 40.0
-    service_time: float = 2.0
-    hop_median: float = 30.0
-    hop_sigma: float = 0.4
-    fanout: int = 2
-    epoch: float = 10.0
-
-    def __post_init__(self) -> None:
-        if self.sessions < 1:
-            raise ConfigurationError(
-                "topology.sessions must be >= 1"
-            )
-        if self.replicas < 2:
-            raise ConfigurationError(
-                "topology.replicas must be >= 2"
-            )
-        if not 1 <= self.shards <= self.replicas:
-            raise ConfigurationError(
-                f"topology.shards must be in [1, replicas="
-                f"{self.replicas}], got {self.shards}"
-            )
-        if self.cohort_size < 2:
-            raise ConfigurationError(
-                "topology.cohort_size must be >= 2 (a writer plus "
-                "at least one reader)"
-            )
-        if self.writes_per_session < 1 or self.reads_per_session < 1:
-            raise ConfigurationError(
-                "topology sessions need at least one write and one "
-                "read"
-            )
-        if self.fanout < 1:
-            raise ConfigurationError("topology.fanout must be >= 1")
-        if min(self.arrival_window, self.think_median,
-               self.service_time, self.hop_median,
-               self.epoch) <= 0:
-            raise ConfigurationError(
-                "topology time constants must be positive"
-            )
-        if self.hop_sigma < 0:
-            raise ConfigurationError(
-                "topology.hop_sigma must be >= 0"
-            )
 
 
 @dataclass(frozen=True)
@@ -368,7 +321,10 @@ class ScenarioSpec:
     #: ``fleet``, ``stream``) computes them.
     metrics: tuple[str, ...] = ()
     #: Sharded-world scale (``[topology]``); None = classic campaign.
-    topology: TopologySpec | None = None
+    #: ``shards`` is physical placement only, the rest logical scale;
+    #: :func:`~repro.world.scenario.world_from_scenario` sets the
+    #: world's name and partitions.
+    topology: WorldSpec | None = None
 
     def __post_init__(self) -> None:
         if self.metrics:
@@ -401,9 +357,4 @@ class ScenarioSpec:
 
     def digest(self) -> str:
         """Canonical content digest (stable across processes)."""
-        payload = json.dumps(
-            dataclasses.asdict(self), sort_keys=True,
-            separators=(",", ":"), default=repr,
-        )
-        return hashlib.blake2b(payload.encode("utf-8"),
-                               digest_size=16).hexdigest()
+        return sha256_hex(canonical_json(self))

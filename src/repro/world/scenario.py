@@ -1,10 +1,11 @@
 """Lowering a declarative scenario onto the world engine.
 
 ``topology.shards = N`` in a scenario file is the DSL's doorway into
-the partitioned world: :func:`world_from_scenario` translates a
-:class:`~repro.scenario.schema.ScenarioSpec` carrying a ``[topology]``
-table into a :class:`~repro.world.spec.WorldSpec`, which
-:func:`~repro.world.engine.run_world` executes.  Only the gossip
+the partitioned world: the loader reads a ``[topology]`` table straight
+into a :class:`~repro.world.spec.WorldSpec`, and
+:func:`world_from_scenario` names it after the
+:class:`~repro.scenario.schema.ScenarioSpec` for
+:func:`~repro.world.engine.run_world` to execute.  Only the gossip
 archetype lowers today — the world's propagation model *is* rumor
 relay with author-sharded fanout, so other archetypes would silently
 misrepresent their scenario.
@@ -17,9 +18,14 @@ world for smoke runs.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from typing import TYPE_CHECKING
+
 from repro.errors import ConfigurationError
-from repro.scenario.schema import ScenarioSpec
 from repro.world.spec import WorldPartition, WorldSpec
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.scenario.schema import ScenarioSpec
 
 __all__ = ["world_from_scenario"]
 
@@ -45,21 +51,8 @@ def world_from_scenario(
             f"{scenario.service.archetype!r}; the world engine lowers "
             "the gossip archetype only"
         )
-    return WorldSpec(
-        name=scenario.name,
-        sessions=sessions if sessions is not None
-        else topology.sessions,
-        replicas=topology.replicas,
-        shards=shards if shards is not None else topology.shards,
-        cohort_size=topology.cohort_size,
-        writes_per_session=topology.writes_per_session,
-        reads_per_session=topology.reads_per_session,
-        arrival_window=topology.arrival_window,
-        think_median=topology.think_median,
-        service_time=topology.service_time,
-        hop_median=topology.hop_median,
-        hop_sigma=topology.hop_sigma,
-        fanout=topology.fanout,
-        epoch=topology.epoch,
-        partitions=partitions,
+    return replace(
+        topology, name=scenario.name, partitions=partitions,
+        shards=topology.shards if shards is None else shards,
+        sessions=topology.sessions if sessions is None else sessions,
     )

@@ -120,6 +120,8 @@ class WorldSpec:
         if min(self.arrival_window, self.think_median,
                self.service_time, self.hop_median) <= 0:
             raise SimulationError("world time constants must be positive")
+        if self.hop_sigma < 0:
+            raise SimulationError("hop_sigma must be >= 0")
         if self.fanout < 1:
             raise SimulationError("fanout must be >= 1")
         if isinstance(self.partitions, list):

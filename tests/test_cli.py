@@ -108,6 +108,22 @@ class TestCommands:
         assert code == 2
         assert "unknown services" in capsys.readouterr().err
 
+    def test_fleet_rejects_clashing_scenario_names(self, tmp_path):
+        from repro.errors import ConfigurationError
+
+        text = ('[scenario]\nschema_version = 1\nname = "probe"\n'
+                '[service]\narchetype = "gossip"\n')
+        first, second = tmp_path / "a.toml", tmp_path / "b.toml"
+        first.write_text(text, encoding="utf-8")
+        second.write_text(text + 'regions = ["oregon"]\n',
+                          encoding="utf-8")
+        with pytest.raises(ConfigurationError,
+                           match="duplicate scenario name") as err:
+            main(["fleet", "--scenario", str(first), "--scenario",
+                  str(second), "--tests", "2"])
+        assert str(first) in str(err.value)
+        assert str(second) in str(err.value)
+
     def test_run_with_output_then_report(self, capsys, tmp_path):
         saved = tmp_path / "blogger.json"
         code = main(["run", "--service", "blogger", "--tests", "2",

@@ -7,10 +7,13 @@ never silently fall back to a default.
 
 import dataclasses
 import json
+import re
+import typing
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.world import WorldSpec
 from repro.methodology.config import CampaignConfig
 from repro.methodology.nemesis import (
     CompositeNemesis,
@@ -59,6 +62,20 @@ def gossip_spec(**overrides) -> ScenarioSpec:
     }
     kwargs.update(overrides)
     return ScenarioSpec(**kwargs)
+
+
+#: Every float key a scenario file can set, as (table, key).
+FLOAT_KEYS = [
+    ("topology", "arrival_window"), ("topology", "think_median"),
+    ("topology", "service_time"), ("topology", "hop_median"),
+    ("topology", "hop_sigma"), ("topology", "epoch"),
+    ("workload", "inter_test_gap"),
+    ("policy", "backoff_base"), ("policy", "backoff_factor"),
+    ("policy", "backoff_max"), ("policy", "breaker_cooldown"),
+    ("nemesis", "probability"),
+]
+
+LINK_LOSS = {"kind": "link_loss", "links": [["a", "b"]]}
 
 
 class TestSchema:
@@ -277,6 +294,73 @@ class TestLoader:
             scenario_from_mapping(flipped, "b").digest()
 
 
+class TestNonFiniteNumbers:
+    def test_float_key_list_is_complete(self):
+        tables = {"topology": WorldSpec, "workload": WorkloadSpec,
+                  "policy": PolicySpec, "nemesis": NemesisSpec}
+        declared = sorted(
+            (table, key)
+            for table, cls in tables.items()
+            for key, hint in typing.get_type_hints(cls).items()
+            if hint in (float, float | None)
+        )
+        assert declared == sorted(FLOAT_KEYS)
+
+    @staticmethod
+    def expect_rejection(path, table, key):
+        label = "nemesis[0]" if table == "nemesis" else table
+        with pytest.raises(ConfigurationError) as err:
+            load_scenario(path)
+        assert str(path) in str(err.value)
+        assert re.search(rf"\[{re.escape(label)}\]\.{key}",
+                         str(err.value))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("table,key", FLOAT_KEYS)
+    def test_toml_rejects_non_finite(self, tmp_path, table, key,
+                                     value):
+        if table == "nemesis":
+            extra = ('[[nemesis]]\nkind = "link_loss"\n'
+                     'links = [["a", "b"]]\n')
+        else:
+            extra = f"[{table}]\n"
+        path = tmp_path / "scenario.toml"
+        path.write_text(f"{MINIMAL_GOSSIP}\n{extra}{key} = {value}\n",
+                        encoding="utf-8")
+        self.expect_rejection(path, table, key)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("table,key", FLOAT_KEYS)
+    def test_json_rejects_non_finite(self, tmp_path, table, key,
+                                     value):
+        data = {
+            "scenario": {"schema_version": 1, "name": "probe"},
+            "service": {"archetype": "gossip"},
+        }
+        if table == "nemesis":
+            data["nemesis"] = [{**LINK_LOSS, key: value}]
+        else:
+            data[table] = {key: value}
+        path = tmp_path / "scenario.json"
+        text = json.dumps(data)
+        assert "NaN" in text or "Infinity" in text
+        path.write_text(text, encoding="utf-8")
+        self.expect_rejection(path, table, key)
+
+
+class TestCalibrateAxesAtLoad:
+    @pytest.mark.parametrize("values", ["[1, [2]]", "[1, 1]"])
+    def test_bad_axis_values_fail_at_load(self, tmp_path, values):
+        path = tmp_path / "scenario.toml"
+        path.write_text(MINIMAL_GOSSIP + '\n[calibrate.axes]\n'
+                        f'"store.fanout" = {values}\n',
+                        encoding="utf-8")
+        with pytest.raises(ConfigurationError) as err:
+            load_scenario(path)
+        assert str(path) in str(err.value)
+        assert "[calibrate.axes].store.fanout" in str(err.value)
+
+
 class TestRegistry:
     @pytest.fixture(autouse=True)
     def clean(self):
@@ -395,3 +479,14 @@ class TestRegistry:
         assert objective.targets.prevalence == {
             "read_your_writes": 0.5,
         }
+
+    def test_same_name_different_specs_each_get_a_space(self):
+        calibration = CalibrationSpec(axes=(("store.fanout", (1, 2)),))
+        first = gossip_spec(calibration=calibration)
+        second = gossip_spec(calibration=calibration,
+                             description="another probe")
+        assert first.digest() != second.digest()
+        for spec in (first, second):
+            space = scenario_space(spec)
+            assert space.params({"store.fanout": 2}).store.fanout == 2
+        assert registered_scenarios() == ()
