@@ -4,19 +4,16 @@ Fits each service's profile knobs to the paper's published numbers
 (Figures 3/8/9/10, Tables I/II) with the shape of a hyperparameter
 tuner: declarative parameter spaces (:mod:`~repro.calibrate.space`),
 weighted-loss objectives computed by the existing figure code
-(:mod:`~repro.calibrate.objective`), deterministic grid and
-successive-halving searchers (:mod:`~repro.calibrate.search`), a
-fleet-backed trial evaluator with a digest-validated, resumable trial
-store (:mod:`~repro.calibrate.evaluator`,
-:mod:`~repro.calibrate.store`), and measured-vs-paper reporting
+(:mod:`~repro.calibrate.objective`), a deterministic successive-
+halving searcher (:mod:`~repro.calibrate.search`), a fleet-backed
+trial evaluator whose rungs resume from their fleet artifact stores
+(:mod:`~repro.calibrate.evaluator`), and measured-vs-paper reporting
 (:mod:`~repro.calibrate.report`).  Checked-in winners and the CI
 fidelity budgets live in :mod:`~repro.calibrate.winners`.
 
-Everything is a pure function of its inputs: randomness (only the
-optional candidate subsample) routes through
-:class:`~repro.sim.random_source.RandomSource`, and there is no wall
-clock anywhere — ``repro.lint`` enforces both, and (DET003) that no
-reduction runs over an unordered collection.
+Everything is a pure function of its inputs: there is no randomness
+and no wall clock anywhere — ``repro.lint`` enforces both, and
+(DET003) that no reduction runs over an unordered collection.
 """
 
 from repro.calibrate.evaluator import FleetEvaluator, run_calibration
@@ -24,22 +21,17 @@ from repro.calibrate.objective import (
     FidelityScore,
     FidelityTerm,
     Objective,
-    ObjectiveWeights,
     default_objective,
 )
 from repro.calibrate.report import (
     comparison_table,
-    fidelity_json,
     fidelity_table,
     write_fidelity_json,
 )
 from repro.calibrate.search import (
-    GridSearch,
     SearchOutcome,
     SuccessiveHalving,
     TrialResult,
-    make_searcher,
-    search_key,
 )
 from repro.calibrate.space import (
     Axis,
@@ -48,7 +40,6 @@ from repro.calibrate.space import (
     base_params,
     default_space,
 )
-from repro.calibrate.store import TrialStore
 from repro.calibrate.targets import (
     PAPER_TARGETS,
     TARGETS_VERSION,
@@ -69,9 +60,7 @@ __all__ = [
     "FidelityScore",
     "FidelityTerm",
     "FleetEvaluator",
-    "GridSearch",
     "Objective",
-    "ObjectiveWeights",
     "PAPER_TARGETS",
     "SearchOutcome",
     "SearchSpace",
@@ -79,19 +68,15 @@ __all__ = [
     "SuccessiveHalving",
     "TARGETS_VERSION",
     "TrialResult",
-    "TrialStore",
     "apply_assignment",
     "base_params",
     "calibrated_params",
     "comparison_table",
     "default_objective",
     "default_space",
-    "fidelity_json",
     "fidelity_table",
-    "make_searcher",
     "paper_targets",
     "run_calibration",
-    "search_key",
     "target_services",
     "write_fidelity_json",
 ]

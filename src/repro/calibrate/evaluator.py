@@ -7,17 +7,20 @@ Running it through :func:`~repro.fleet.executor.run_fleet` buys
 everything the fleet engine already guarantees — parallel workers
 with bit-identical merged output, per-candidate obs snapshots, and
 shard-level checkpoint/resume — without this module owning a single
-process.
+process or store.
 
-On top of that, completed rungs are persisted to the
-:class:`~repro.calibrate.store.TrialStore`: a digest-valid batch is
-returned without re-running anything, while a damaged one falls back
-to the rung's fleet store and resumes shard-by-shard.
+With ``store_dir``, rung ``r`` runs with the fleet artifact store
+``<store_dir>/r<r>``: a re-run loads every digest-valid shard instead
+of re-simulating it and scores the loaded records again.  Scores are
+a pure function of records, so a resumed rung yields the same trials;
+an edited objective simply re-scores the stored rungs.  The fleet
+spec hash binds each rung directory to its service, budget, seed and
+every candidate's params, so a directory written by another search
+fails closed with :class:`~repro.errors.FleetError`.
 
 :func:`run_calibration` wires the pieces together: build the default
-space/objective, bind the store to the exact search (see
-:func:`~repro.calibrate.search.search_key`), and hand the evaluator
-to the searcher.
+space/objective and hand the evaluator to
+:class:`~repro.calibrate.search.SuccessiveHalving`.
 """
 
 from __future__ import annotations
@@ -28,15 +31,11 @@ from typing import Any, Callable
 
 from repro.calibrate.objective import Objective, default_objective
 from repro.calibrate.search import (
-    GridSearch,
     SearchOutcome,
     SuccessiveHalving,
     TrialResult,
-    make_searcher,
-    search_key,
 )
 from repro.calibrate.space import SearchSpace, default_space
-from repro.calibrate.store import TrialStore
 from repro.errors import CalibrationError
 from repro.fleet.executor import run_fleet
 from repro.fleet.spec import FleetSpec
@@ -56,7 +55,7 @@ class FleetEvaluator:
     objective: Objective
     base_config: CampaignConfig
     jobs: int = 1
-    store: TrialStore | None = None
+    store_dir: str | Path | None = None
     on_message: MessageCallback | None = None
 
     def __post_init__(self) -> None:
@@ -78,13 +77,6 @@ class FleetEvaluator:
     def __call__(self, rung: int, num_tests: int,
                  candidates: list[tuple[int, dict[str, Any]]]
                  ) -> list[TrialResult]:
-        batch_id = f"r{rung}"
-        if self.store is not None and \
-                self.store.batch_state(batch_id) == "complete":
-            trials = self._load_cached(batch_id, num_tests, candidates)
-            self._say(f"rung {rung}: {len(candidates)} candidate(s) "
-                      f"x {num_tests} tests/type [resumed from store]")
-            return trials
         self._say(f"rung {rung}: {len(candidates)} candidate(s) "
                   f"x {num_tests} tests/type")
         spec = FleetSpec(
@@ -98,10 +90,14 @@ class FleetEvaluator:
                 for index, assignment in candidates
             ),
         )
-        out_dir = (self.store.fleet_dir(batch_id)
-                   if self.store is not None else None)
+        out_dir = (Path(self.store_dir) / f"r{rung}"
+                   if self.store_dir is not None else None)
         outcome = run_fleet(spec, jobs=self.jobs, out_dir=out_dir)
-        trials = [
+        if outcome.skipped:
+            self._say(f"rung {rung}: {len(outcome.skipped)} shard(s) "
+                      f"[resumed from store], "
+                      f"{len(outcome.executed)} executed")
+        return [
             TrialResult(
                 trial_id=f"r{rung}/{self.space.label(index)}",
                 candidate=index,
@@ -113,51 +109,23 @@ class FleetEvaluator:
             for (index, assignment), result
             in zip(candidates, outcome.results)
         ]
-        if self.store is not None:
-            self.store.write_batch(
-                batch_id, rung, num_tests,
-                [trial.to_jsonable() for trial in trials],
-            )
-        return trials
-
-    def _load_cached(self, batch_id: str, num_tests: int,
-                     candidates: list[tuple[int, dict[str, Any]]]
-                     ) -> list[TrialResult]:
-        trials = [TrialResult.from_jsonable(payload)
-                  for payload in self.store.load_batch(batch_id)]
-        expected = [index for index, _ in candidates]
-        stored = [trial.candidate for trial in trials]
-        budgets = sorted({trial.num_tests for trial in trials})
-        if stored != expected or budgets != [num_tests]:
-            raise CalibrationError(
-                f"batch {batch_id!r} in {self.store.root} holds "
-                f"candidates {stored} at {budgets} tests, but the "
-                f"search asked for {expected} at {num_tests}; the "
-                "store does not match this search"
-            )
-        return trials
 
 
 def run_calibration(service: str, *,
-                    searcher: str | GridSearch | SuccessiveHalving
-                    = "halving",
                     space: SearchSpace | None = None,
                     objective: Objective | None = None,
                     base_config: CampaignConfig | None = None,
                     num_tests: int = 6,
-                    eta: int = 3,
                     jobs: int = 1,
                     store_dir: str | Path | None = None,
                     on_message: MessageCallback | None = None
                     ) -> SearchOutcome:
-    """Run one full calibration search for one service.
+    """Run one successive-halving search for one service.
 
-    ``num_tests`` is the rung-0 budget (tests per test type); grid
-    search uses it as its single fixed budget, successive halving
-    multiplies it by ``eta`` per rung.  With ``store_dir``, trials
-    persist and a re-invocation resumes: digest-valid rungs are
-    loaded, a half-finished rung resumes shard-by-shard through its
-    fleet store.
+    ``num_tests`` is the rung-0 budget (tests per test type); each
+    later rung multiplies it by :data:`~repro.calibrate.search.ETA`.
+    With ``store_dir``, every rung keeps its fleet store there and a
+    re-invocation resumes shard by shard.
     """
     space = space if space is not None else default_space(service)
     if space.service != service:
@@ -168,16 +136,8 @@ def run_calibration(service: str, *,
                  else default_objective(service))
     base_config = (base_config if base_config is not None
                    else CampaignConfig())
-    if isinstance(searcher, str):
-        searcher = make_searcher(searcher, space, num_tests=num_tests,
-                                 seed=base_config.seed, eta=eta)
-    store: TrialStore | None = None
-    if store_dir is not None:
-        store = TrialStore(store_dir)
-        store.initialize(search_key(space, searcher.describe(),
-                                    objective, base_config))
     evaluator = FleetEvaluator(
         space=space, objective=objective, base_config=base_config,
-        jobs=jobs, store=store, on_message=on_message,
+        jobs=jobs, store_dir=store_dir, on_message=on_message,
     )
-    return searcher.run(evaluator)
+    return SuccessiveHalving(space, base_tests=num_tests).run(evaluator)

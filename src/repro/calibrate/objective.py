@@ -14,11 +14,18 @@ and pair rates) contribute ``|measured - target|`` directly, while
 read counts and window medians are scaled by their target magnitude.
 The total is the weight-scaled sum in a fixed term order, which keeps
 scores byte-stable across runs (the determinism contract).
+
+Each target family has one fixed weight.  Figure 3 prevalences,
+Figure 8 per-pair rates (the paper's headline "up to 85%" finding),
+and Table I/II read counts are stated numbers and weigh fully;
+Figure 9/10 medians are read off CDF plots, so they act as a
+low-weight tiebreaker rather than a force that can drag the fit away
+from the stated figures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.cdf import window_cdfs
 from repro.analysis.divergence import pair_divergence
@@ -32,7 +39,6 @@ from repro.errors import CalibrationError
 from repro.methodology.runner import CampaignResult
 
 __all__ = [
-    "ObjectiveWeights",
     "FidelityTerm",
     "FidelityScore",
     "Objective",
@@ -50,21 +56,11 @@ def _test_type_for(anomaly: str) -> str:
             else SESSION_TEST_TYPE)
 
 
-@dataclass(frozen=True)
-class ObjectiveWeights:
-    """Relative weight of each target family in the total loss.
-
-    Figure 3 prevalences, Figure 8 per-pair rates (the paper's
-    headline "up to 85%" finding), and Table I/II read counts are
-    stated numbers and weigh fully; Figure 9/10 medians are read off
-    CDF plots, so they act as a low-weight tiebreaker rather than a
-    force that can drag the fit away from the stated figures.
-    """
-
-    prevalence: float = 1.0
-    reads: float = 1.0
-    pair_divergence: float = 1.0
-    window_median: float = 0.1
+#: Weight of each target family in the total loss (see module doc).
+PREVALENCE_WEIGHT = 1.0
+READS_WEIGHT = 1.0
+PAIR_DIVERGENCE_WEIGHT = 1.0
+WINDOW_MEDIAN_WEIGHT = 0.1
 
 
 @dataclass(frozen=True)
@@ -90,16 +86,6 @@ class FidelityTerm:
             "loss": self.loss,
         }
 
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "FidelityTerm":
-        return cls(
-            name=data["name"],
-            measured=data["measured"],
-            target=data["target"],
-            weight=data["weight"],
-            loss=data["loss"],
-        )
-
 
 @dataclass(frozen=True)
 class FidelityScore:
@@ -109,29 +95,12 @@ class FidelityScore:
     terms: tuple[FidelityTerm, ...]
     total: float
 
-    def term(self, name: str) -> FidelityTerm:
-        for term in self.terms:
-            if term.name == name:
-                return term
-        raise CalibrationError(
-            f"score for {self.service} has no term {name!r}"
-        )
-
     def to_jsonable(self) -> dict:
         return {
             "service": self.service,
             "total": self.total,
             "terms": [term.to_jsonable() for term in self.terms],
         }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "FidelityScore":
-        return cls(
-            service=data["service"],
-            terms=tuple(FidelityTerm.from_jsonable(entry)
-                        for entry in data["terms"]),
-            total=data["total"],
-        )
 
 
 def _pair_label(pair: tuple[str, str]) -> str:
@@ -173,7 +142,6 @@ class Objective:
     """Weighted fidelity loss of a campaign against paper targets."""
 
     targets: ServiceTargets
-    weights: ObjectiveWeights = field(default_factory=ObjectiveWeights)
 
     def __post_init__(self) -> None:
         has_any = (self.targets.prevalence or self.targets.pair_content
@@ -217,7 +185,7 @@ class Objective:
             terms.append(_fraction_term(
                 f"prevalence.{anomaly}", measured,
                 self.targets.prevalence[anomaly],
-                self.weights.prevalence,
+                PREVALENCE_WEIGHT,
             ))
         return terms
 
@@ -226,7 +194,7 @@ class Objective:
             return []
         return [_scaled_term(
             "reads.test1", _reads_per_agent(result),
-            self.targets.reads_test1, self.weights.reads,
+            self.targets.reads_test1, READS_WEIGHT,
         )]
 
     def _pair_terms(self, result) -> list[FidelityTerm]:
@@ -245,7 +213,7 @@ class Objective:
                 terms.append(_fraction_term(
                     f"pair.{kind}.{_pair_label(pair)}",
                     rates.fraction(pair), target,
-                    self.weights.pair_divergence,
+                    PAIR_DIVERGENCE_WEIGHT,
                 ))
         return terms
 
@@ -265,14 +233,11 @@ class Objective:
                     else 0.0
                 terms.append(_scaled_term(
                     f"window.{kind}.{_pair_label(pair)}",
-                    measured, target, self.weights.window_median,
+                    measured, target, WINDOW_MEDIAN_WEIGHT,
                 ))
         return terms
 
 
-def default_objective(service: str,
-                      weights: ObjectiveWeights | None = None
-                      ) -> Objective:
-    """The standard objective: paper targets, default weights."""
-    return Objective(targets=paper_targets(service),
-                     weights=weights or ObjectiveWeights())
+def default_objective(service: str) -> Objective:
+    """The standard objective: the service's paper targets."""
+    return Objective(targets=paper_targets(service))

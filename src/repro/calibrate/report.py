@@ -18,7 +18,6 @@ __all__ = [
     "FIDELITY_SCHEMA_VERSION",
     "fidelity_table",
     "comparison_table",
-    "fidelity_json",
     "write_fidelity_json",
 ]
 
@@ -44,21 +43,18 @@ def fidelity_table(score: FidelityScore) -> str:
 
 
 def comparison_table(baseline: FidelityScore,
-                     calibrated: FidelityScore,
-                     labels: tuple[str, str] = ("default",
-                                                "calibrated")) -> str:
-    """Term-by-term paper / baseline / calibrated comparison.
+                     calibrated: FidelityScore) -> str:
+    """Term-by-term paper / default / calibrated comparison.
 
     Both scores must come from the same objective (same term list);
     the table shows, per term, whether calibration moved the measured
     value toward the paper.
     """
-    first, second = labels
-    header = (f"{'term':34s}{'paper':>10s}{first:>12s}"
-              f"{second:>12s}")
+    header = (f"{'term':34s}{'paper':>10s}{'default':>12s}"
+              f"{'calibrated':>12s}")
     lines = [
-        f"{calibrated.service}: fidelity loss {first} "
-        f"{baseline.total:.4f} -> {second} {calibrated.total:.4f}",
+        f"{calibrated.service}: fidelity loss default "
+        f"{baseline.total:.4f} -> calibrated {calibrated.total:.4f}",
         header,
         "-" * len(header),
     ]
@@ -74,12 +70,14 @@ def comparison_table(baseline: FidelityScore,
     return "\n".join(lines)
 
 
-def fidelity_json(scores: dict[str, FidelityScore],
-                  extra: dict | None = None) -> dict:
-    """The machine-readable fidelity document.
+def write_fidelity_json(path: str | Path,
+                        scores: dict[str, FidelityScore],
+                        extra: dict | None = None) -> Path:
+    """Write the machine-readable fidelity document as sorted,
+    indented JSON.
 
-    ``scores`` maps an arbitrary label (usually a service name, or
-    ``"<service>.default"`` in comparisons) to its score.
+    ``scores`` maps a label (``"<service>.default"`` /
+    ``"<service>.calibrated"``) to its score.
     """
     document = {
         "fidelity_schema_version": FIDELITY_SCHEMA_VERSION,
@@ -89,18 +87,8 @@ def fidelity_json(scores: dict[str, FidelityScore],
     }
     if extra:
         document["extra"] = extra
-    return document
-
-
-def write_fidelity_json(path: str | Path,
-                        scores: dict[str, FidelityScore],
-                        extra: dict | None = None) -> Path:
-    """Write :func:`fidelity_json` as sorted, indented JSON."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(fidelity_json(scores, extra), indent=1,
-                   sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    path.write_text(json.dumps(document, indent=1, sort_keys=True)
+                    + "\n", encoding="utf-8")
     return path

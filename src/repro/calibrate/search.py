@@ -1,20 +1,13 @@
-"""Deterministic searchers: exhaustive grid and successive halving.
+"""The deterministic searcher: successive halving.
 
 A searcher owns *which* candidates are evaluated at *which* test
 budget and in *what* order; the actual evaluation is delegated to a
 ``TrialEvaluator`` callback (see :mod:`repro.calibrate.evaluator`) so
-searchers stay pure control flow.  Both searchers are deterministic
-functions of ``(space, their own constructor arguments)``:
-
-* :class:`GridSearch` evaluates every candidate once at a fixed
-  budget — one rung.
-* :class:`SuccessiveHalving` evaluates all candidates at a small
-  budget, keeps the best ``ceil(n / eta)`` (ties broken by candidate
-  index), multiplies the budget by ``eta``, and repeats until one
-  survivor remains.  Optional subsampling of a too-large space draws
-  through :class:`~repro.sim.random_source.RandomSource` — the same
-  seed-derivation discipline as everything else in this repository;
-  no wall clock, no ambient ``random``.
+the searcher stays pure control flow.  :class:`SuccessiveHalving`
+evaluates every candidate at a small budget, keeps the best
+``ceil(n / ETA)`` (ties broken by candidate index), multiplies the
+budget by ``ETA``, and repeats.  It is a deterministic function of
+``(space, base_tests)``: no randomness, no wall clock.
 
 Every evaluation is recorded as a :class:`TrialResult`; the ordered
 tuple of them, plus the winner, forms the :class:`SearchOutcome`.
@@ -29,16 +22,16 @@ from typing import Any, Callable
 from repro.calibrate.objective import FidelityScore
 from repro.calibrate.space import SearchSpace
 from repro.errors import CalibrationError
-from repro.fleet.digest import canonical_json, sha256_hex
 
 __all__ = [
+    "ETA",
     "TrialResult",
     "SearchOutcome",
-    "GridSearch",
     "SuccessiveHalving",
-    "make_searcher",
-    "search_key",
 ]
+
+#: Halving rate: the budget multiplier and the survivor divisor.
+ETA = 3
 
 
 @dataclass(frozen=True)
@@ -52,27 +45,6 @@ class TrialResult:
     assignment: dict[str, Any]
     score: FidelityScore
 
-    def to_jsonable(self) -> dict:
-        return {
-            "trial_id": self.trial_id,
-            "candidate": self.candidate,
-            "rung": self.rung,
-            "num_tests": self.num_tests,
-            "assignment": dict(sorted(self.assignment.items())),
-            "score": self.score.to_jsonable(),
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "TrialResult":
-        return cls(
-            trial_id=data["trial_id"],
-            candidate=data["candidate"],
-            rung=data["rung"],
-            num_tests=data["num_tests"],
-            assignment=dict(data["assignment"]),
-            score=FidelityScore.from_jsonable(data["score"]),
-        )
-
 
 #: Evaluate one rung: (rung, num_tests, [(candidate, assignment)])
 #: -> TrialResults in candidate order.
@@ -85,23 +57,15 @@ TrialEvaluator = Callable[
 class SearchOutcome:
     """Everything a search produced, in evaluation order."""
 
-    service: str
-    space: SearchSpace
     trials: tuple[TrialResult, ...]
     winner: TrialResult
 
-    def winning_params(self) -> Any:
-        """The winner's materialized frozen params object."""
-        return self.space.params(self.winner.assignment)
-
-    def baseline_trial(self) -> TrialResult | None:
-        """Candidate 0's highest-budget trial, if it was evaluated."""
-        best = None
-        for trial in self.trials:
-            if trial.candidate == 0 and (
-                    best is None or trial.num_tests > best.num_tests):
-                best = trial
-        return best
+    def baseline_trial(self) -> TrialResult:
+        """Candidate 0's highest-budget trial (always in the last
+        rung, which is the winner's)."""
+        return max((trial for trial in self.trials
+                    if trial.candidate == 0),
+                   key=lambda trial: trial.num_tests)
 
 
 def _rank_key(trial: TrialResult) -> tuple[float, int]:
@@ -109,87 +73,34 @@ def _rank_key(trial: TrialResult) -> tuple[float, int]:
     return (trial.score.total, trial.candidate)
 
 
-class GridSearch:
-    """Evaluate every candidate once at a fixed budget."""
-
-    kind = "grid"
-
-    def __init__(self, space: SearchSpace, num_tests: int = 20) -> None:
-        if num_tests < 1:
-            raise CalibrationError("grid search needs num_tests >= 1")
-        self.space = space
-        self.num_tests = num_tests
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "num_tests": self.num_tests}
-
-    def run(self, evaluate: TrialEvaluator) -> SearchOutcome:
-        candidates = list(enumerate(self.space.assignments()))
-        trials = evaluate(0, self.num_tests, candidates)
-        winner = min(trials, key=_rank_key)
-        return SearchOutcome(service=self.space.service,
-                             space=self.space,
-                             trials=tuple(trials), winner=winner)
-
-
 class SuccessiveHalving:
-    """Budget-doubling elimination over the candidate set.
+    """Budget-multiplying elimination over the candidate set.
 
-    Rung ``r`` evaluates the survivors at ``base_tests * eta ** r``
-    tests per test type, then keeps the best ``ceil(n / eta)``.
+    Rung ``r`` evaluates the survivors at ``base_tests * ETA ** r``
+    tests per test type, then keeps the best ``ceil(n / ETA)``.
     Candidate 0 — the baseline, every axis at its checked-in default —
     is *shielded*: it rides along into every rung even when it ranks
     below the cut.  The search therefore always ends in a head-to-head
     between the baseline and the surviving challenger at the largest
     budget, so the winner can never score worse than the default
-    profile at the budget it was chosen at.  When the survivor set
-    stops shrinking (it has converged to ``{baseline, challenger}``),
-    the rung just evaluated is that final head-to-head and its best
-    trial is the winner.  ``max_candidates`` caps the entry round for
-    very large spaces by drawing a deterministic subsample (candidate
-    0 is always included).
+    profile at the budget it was chosen at.  The search stops when the
+    survivor set stops shrinking (it has converged to ``{baseline,
+    challenger}``) or is the baseline alone (no later rung could
+    change the winner); the rung just evaluated is then the final
+    head-to-head and its best trial is the winner.
     """
 
-    kind = "halving"
-
-    def __init__(self, space: SearchSpace, *, base_tests: int = 6,
-                 eta: int = 3, max_candidates: int | None = None,
-                 seed: int = 0) -> None:
+    def __init__(self, space: SearchSpace, *, base_tests: int = 6
+                 ) -> None:
         if base_tests < 1:
             raise CalibrationError(
                 "successive halving needs base_tests >= 1"
             )
-        if eta < 2:
-            raise CalibrationError("eta must be >= 2")
-        if max_candidates is not None and max_candidates < 1:
-            raise CalibrationError("max_candidates must be >= 1")
         self.space = space
         self.base_tests = base_tests
-        self.eta = eta
-        self.max_candidates = max_candidates
-        self.seed = seed
-
-    def describe(self) -> dict:
-        return {
-            "kind": self.kind,
-            "base_tests": self.base_tests,
-            "eta": self.eta,
-            "max_candidates": self.max_candidates,
-            "seed": self.seed,
-        }
-
-    def _entry_candidates(self) -> list[int]:
-        size = self.space.size
-        if self.max_candidates is None or size <= self.max_candidates:
-            return list(range(size))
-        from repro.sim.random_source import RandomSource
-
-        stream = RandomSource(self.seed).stream("calibrate.subsample")
-        drawn = stream.sample(range(1, size), self.max_candidates - 1)
-        return sorted({0, *drawn})
 
     def run(self, evaluate: TrialEvaluator) -> SearchOutcome:
-        survivors = self._entry_candidates()
+        survivors = list(range(self.space.size))
         trials: list[TrialResult] = []
         rung = 0
         num_tests = self.base_tests
@@ -198,52 +109,13 @@ class SuccessiveHalving:
                      for index in survivors]
             rung_trials = evaluate(rung, num_tests, batch)
             trials.extend(rung_trials)
-            if len(survivors) == 1:
-                winner = rung_trials[0]
-                break
-            keep = max(1, math.ceil(len(survivors) / self.eta))
             ranked = sorted(rung_trials, key=_rank_key)
-            kept = {trial.candidate for trial in ranked[:keep]}
-            kept.add(0)  # baseline shielding; see class docstring
-            next_survivors = sorted(kept)
-            if next_survivors == survivors:
-                # Converged to {baseline, challenger}: the rung just
-                # evaluated was the final head-to-head.
-                winner = min(rung_trials, key=_rank_key)
+            keep = math.ceil(len(survivors) / ETA)
+            kept = [trial.candidate for trial in ranked[:keep]]
+            next_survivors = sorted({0, *kept})  # baseline shielding
+            if next_survivors in (survivors, [0]):
                 break
             survivors = next_survivors
             rung += 1
-            num_tests *= self.eta
-        return SearchOutcome(service=self.space.service,
-                             space=self.space,
-                             trials=tuple(trials), winner=winner)
-
-
-def make_searcher(kind: str, space: SearchSpace, *,
-                  num_tests: int, seed: int = 0,
-                  eta: int = 3) -> GridSearch | SuccessiveHalving:
-    """Construct a searcher from CLI-level arguments."""
-    if kind == "grid":
-        return GridSearch(space, num_tests=num_tests)
-    if kind == "halving":
-        return SuccessiveHalving(space, base_tests=num_tests,
-                                 eta=eta, seed=seed)
-    raise CalibrationError(
-        f"unknown searcher {kind!r} (choose 'grid' or 'halving')"
-    )
-
-
-def search_key(space: SearchSpace, searcher_description: dict,
-               objective: Any, base_config: Any) -> str:
-    """Digest binding a trial store to one exact search.
-
-    Any change to the space, the searcher's parameters, the objective
-    (targets or weights), or the campaign config yields a different
-    key, so a store can never silently mix trials from two searches.
-    """
-    return sha256_hex(canonical_json({
-        "space": space.describe(),
-        "searcher": searcher_description,
-        "objective": objective,
-        "config": base_config,
-    }))
+            num_tests *= ETA
+        return SearchOutcome(trials=tuple(trials), winner=ranked[0])

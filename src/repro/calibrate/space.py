@@ -12,15 +12,18 @@ baseline profile and a search can never select something worse than
 what it already had.
 
 Materialization is purely functional: :meth:`SearchSpace.params`
-starts from the service's default params object and applies each
+starts from the space's ``base`` params object and applies each
 assignment entry via nested :func:`dataclasses.replace`, so profiles
-stay frozen dataclasses end to end.
+stay frozen dataclasses end to end.  A path must end at a value, not
+a nested table, and the value must have the type the field already
+holds (an ``int`` may stand in for a ``float``; a ``bool`` never
+stands in for a number).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import CalibrationError
@@ -64,6 +67,12 @@ def base_params(service: str) -> Any:
         ) from None
 
 
+def _accepts(current: Any, value: Any) -> bool:
+    """Whether ``value`` may replace a field holding ``current``."""
+    return type(value) is type(current) or (
+        type(current) is float and type(value) is int)
+
+
 def _replace_path(params: Any, path: str, value: Any) -> Any:
     head, _, rest = path.partition(".")
     if not dataclasses.is_dataclass(params) or \
@@ -72,8 +81,20 @@ def _replace_path(params: Any, path: str, value: Any) -> Any:
             f"{type(params).__name__} has no field {head!r} "
             f"(while applying {path!r})"
         )
+    current = getattr(params, head)
     if rest:
-        value = _replace_path(getattr(params, head), rest, value)
+        value = _replace_path(current, rest, value)
+    elif dataclasses.is_dataclass(current):
+        raise CalibrationError(
+            f"{type(params).__name__}.{head} is a table, not a value "
+            f"(while applying {path!r})"
+        )
+    elif not _accepts(current, value):
+        raise CalibrationError(
+            f"{type(params).__name__}.{head} expects "
+            f"{type(current).__name__}, not {value!r} "
+            f"(while applying {path!r})"
+        )
     return dataclasses.replace(params, **{head: value})
 
 
@@ -118,13 +139,15 @@ class Axis:
 class SearchSpace:
     """An ordered product of axes over one service's profile.
 
-    ``base`` is the default params object the axes apply to; None
-    resolves it as :func:`base_params` of ``service``.
+    ``base`` is the default params object the axes apply to:
+    :func:`base_params` of a built-in service, or
+    :func:`~repro.scenario.registry.scenario_base_params` of a
+    scenario.
     """
 
     service: str
     axes: tuple[Axis, ...]
-    base: Any = field(default=None, compare=False, repr=False)
+    base: Any
 
     def __post_init__(self) -> None:
         if not self.axes:
@@ -136,13 +159,11 @@ class SearchSpace:
             raise CalibrationError(
                 f"search space for {self.service!r} repeats a path"
             )
-        # Fail at construction, not mid-search: every axis must
-        # resolve against the service's default profile.
-        if self.base is None:
-            object.__setattr__(self, "base",
-                               base_params(self.service))
+        # Fail at construction, not mid-search: every axis value must
+        # apply to the base profile.
         for axis in self.axes:
-            _replace_path(self.base, axis.path, axis.values[0])
+            for value in axis.values:
+                _replace_path(self.base, axis.path, value)
 
     @property
     def size(self) -> int:
@@ -178,15 +199,6 @@ class SearchSpace:
         """Stable per-candidate label used in fleet shard ids."""
         return f"c{index:04d}"
 
-    def describe(self) -> dict:
-        """JSON-safe description (for search keys and reports)."""
-        return {
-            "service": self.service,
-            "axes": [{"path": axis.path,
-                      "values": list(axis.values)}
-                     for axis in self.axes],
-        }
-
 
 #: Default spaces.  First value of every axis is the checked-in
 #: default, so candidate 0 is always the baseline profile.
@@ -204,33 +216,35 @@ def default_space(service: str) -> SearchSpace:
     their defaults already sit near the paper's numbers, so the
     searcher's job is to confirm the baseline rather than move it.
     """
-    spaces = {
-        "googleplus": SearchSpace(service="googleplus", axes=(
+    space_axes = {
+        "googleplus": (
             Axis("replication_eu.sync_interval", (0.4, 0.05)),
             Axis("replication_eu.sync_delay_median",
                  (1.5, 0.25, 0.15)),
             Axis("replication_eu.tail_insert_prob", (0.12, 0.18)),
             Axis("replication_us.sync_delay_median",
                  (1.5, 3.0, 4.5)),
-        )),
-        "blogger": SearchSpace(service="blogger", axes=(
+        ),
+        "blogger": (
             Axis("write_processing_median", (0.17, 0.12)),
             Axis("read_processing_median", (0.04, 0.06)),
-        )),
-        "facebook_feed": SearchSpace(service="facebook_feed", axes=(
+        ),
+        "facebook_feed": (
             Axis("write_processing_median", (0.10, 0.08)),
             Axis("read_processing_median", (0.06, 0.05)),
-        )),
-        "facebook_group": SearchSpace(service="facebook_group", axes=(
+        ),
+        "facebook_group": (
             Axis("write_processing_median", (0.05, 0.07)),
             Axis("read_processing_median", (0.06, 0.05)),
-        )),
+        ),
     }
     try:
-        return spaces[service]
+        axes = space_axes[service]
     except KeyError:
-        known = ", ".join(sorted(spaces))
+        known = ", ".join(sorted(space_axes))
         raise CalibrationError(
             f"no default search space for service {service!r} "
             f"(have: {known})"
         ) from None
+    return SearchSpace(service=service, axes=axes,
+                       base=base_params(service))

@@ -20,12 +20,12 @@ renders them, :mod:`repro.calibrate.objective` scores against them,
 and ``tools/gates.py fidelity`` gates CI on them.  Prevalences and
 read counts are the paper's stated values; per-pair rates and window
 medians are read off the published figures to the nearest sensible
-value (the paper prints CDFs, not tables), which is why they carry
-lower default weights in the objective.
+value (the paper prints CDFs, not tables), which is why the window
+medians carry a lower weight in the objective.
 
-``TARGETS_VERSION`` bumps whenever any number changes, so persisted
-trial stores and ``fidelity.json`` exports can be matched to the
-targets they were scored against.
+``TARGETS_VERSION`` bumps whenever any number changes, so
+``fidelity.json`` exports can be matched to the targets they were
+scored against.
 """
 
 from __future__ import annotations

@@ -17,7 +17,8 @@ artifact store (re-invoking skips completed shards)::
         --replicates 3 --tests 100 --jobs 4 --out artifacts/
 
 Search a service's profile knobs against the paper's published
-numbers, resumable and parallel like a fleet::
+numbers by successive halving; every rung is a fleet run, so with
+``--store-out`` a re-invocation resumes it shard by shard::
 
     repro-consistency calibrate --service googleplus --jobs 4 \\
         --store-out trials/ --calibrate-out fidelity.json
@@ -248,13 +249,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="search service profile knobs against the paper's "
              "targets",
         description=(
-            "Run a deterministic parameter search (successive halving "
-            "by default) fitting one service's profile knobs to the "
-            "paper's published numbers (Figures 3/8/9/10, Tables "
-            "I/II).  Candidates are evaluated as fleet campaigns; "
-            "with --store-out, trials persist and a re-invocation "
-            "resumes.  Prints the winning profile and a "
-            "paper-vs-default-vs-calibrated comparison."
+            "Run a deterministic successive-halving search fitting "
+            "one service's profile knobs to the paper's published "
+            "numbers (Figures 3/8/9/10, Tables I/II).  Each rung "
+            "evaluates its candidates as one fleet campaign; with "
+            "--store-out, rung r keeps its fleet store in DIR/r<r> "
+            "and a re-invocation resumes shard by shard.  Prints the "
+            "winning profile and a paper-vs-default-vs-calibrated "
+            "comparison."
         ),
     )
     calibrate_cmd.add_argument(
@@ -266,27 +268,19 @@ def build_parser() -> argparse.ArgumentParser:
              "against its [calibrate.targets]",
     )
     calibrate_cmd.add_argument(
-        "--searcher", choices=("halving", "grid"), default="halving",
-        help="search strategy (default: successive halving)",
-    )
-    calibrate_cmd.add_argument(
         "--tests", type=int, default=6,
-        help="rung-0 budget in tests per test type (halving "
-             "multiplies it by --eta per rung; grid uses it as its "
-             "single fixed budget)",
+        help="rung-0 budget in tests per test type (each later rung "
+             "runs 3x the previous one's)",
     )
     calibrate_cmd.add_argument("--seed", type=int, default=0)
     calibrate_cmd.add_argument(
         "--gap", type=float, default=15.0,
         help="virtual cool-down between tests (seconds)",
     )
-    calibrate_cmd.add_argument(
-        "--eta", type=int, default=3,
-        help="halving rate: budget multiplier and survivor divisor",
-    )
     _add_out_flag(
         calibrate_cmd, "--store-out", metavar="DIR",
-        help="trial-store directory (enables checkpoint/resume)",
+        help="directory of per-rung fleet stores (enables "
+             "checkpoint/resume)",
     )
     _add_out_flag(
         calibrate_cmd, "--calibrate-out",
@@ -850,10 +844,10 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
     from repro.calibrate import (
         comparison_table,
-        default_objective,
         run_calibration,
         write_fidelity_json,
     )
+    from repro.errors import ReproError
 
     if (args.service is None) == (args.scenario is None):
         print("calibrate needs exactly one of --service / "
@@ -861,28 +855,31 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         return 2
     base = CampaignConfig(seed=args.seed, inter_test_gap=args.gap)
     space = objective = None
-    scenario_spec = None
-    if args.scenario is not None:
-        from repro.scenario import (
-            scenario_objective,
-            scenario_space,
-        )
+    try:
+        if args.scenario is not None:
+            from repro.scenario import (
+                scenario_objective,
+                scenario_space,
+            )
 
-        (scenario_spec,) = _load_cli_scenarios([args.scenario])
-        service = scenario_spec.name
-        space = scenario_space(scenario_spec)
-        objective = scenario_objective(scenario_spec)
-        base = replace(base, scenario=scenario_spec,
-                       client_policy=scenario_spec.policy)
-    else:
-        service = args.service
-    on_message = None if args.quiet else print
-    outcome = run_calibration(
-        service, searcher=args.searcher, space=space,
-        objective=objective, base_config=base,
-        num_tests=args.tests, eta=args.eta, jobs=args.jobs,
-        store_dir=args.store_out, on_message=on_message,
-    )
+            (scenario_spec,) = _load_cli_scenarios([args.scenario])
+            service = scenario_spec.name
+            space = scenario_space(scenario_spec)
+            objective = scenario_objective(scenario_spec)
+            base = replace(base, scenario=scenario_spec,
+                           client_policy=scenario_spec.policy)
+        else:
+            service = args.service
+        outcome = run_calibration(
+            service, space=space, objective=objective,
+            base_config=base, num_tests=args.tests, jobs=args.jobs,
+            store_dir=args.store_out,
+            on_message=None if args.quiet else print,
+        )
+    except ReproError as exc:
+        # A foreign --store-out, a bad scenario axis or budget.
+        print(f"calibrate: {exc}", file=sys.stderr)
+        return 2
     winner = outcome.winner
     print(f"\n== Calibration winner for {service} "
           f"({len(outcome.trials)} trials) ==")
@@ -891,19 +888,10 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     for path, value in winner.assignment.items():
         print(f"  {path} = {value}")
 
-    # Baseline (candidate 0 = the checked-in defaults) at the winner's
-    # budget and seed, for an apples-to-apples comparison.
-    baseline = outcome.baseline_trial()
-    if baseline is not None and \
-            baseline.num_tests == winner.num_tests:
-        baseline_score = baseline.score
-    else:
-        result = run_campaign(
-            service, replace(base, num_tests=winner.num_tests)
-        )
-        scorer = (objective if objective is not None
-                  else default_objective(service))
-        baseline_score = scorer.evaluate(result)
+    # Baseline shielding keeps candidate 0 (the checked-in defaults)
+    # in the final rung: an apples-to-apples comparison at the
+    # winner's budget and seed.
+    baseline_score = outcome.baseline_trial().score
     print()
     print(comparison_table(baseline_score, winner.score))
     if args.calibrate_out:
@@ -913,7 +901,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
              f"{service}.calibrated": winner.score},
             extra={
                 "service": service,
-                "searcher": args.searcher,
                 "seed": args.seed,
                 "winner_trial": winner.trial_id,
                 "num_tests": winner.num_tests,
@@ -924,7 +911,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         )
         print(f"\nfidelity report written to {args.calibrate_out}")
     if args.store_out:
-        print(f"trials stored in {args.store_out}")
+        print(f"rung stores in {args.store_out}")
     return 0
 
 

@@ -134,10 +134,11 @@ class FleetError(ReproError):
 
 
 class CalibrationError(ReproError):
-    """A calibration search or its trial store was misused.
+    """A calibration search was misused.
 
     Raised by :mod:`repro.calibrate` for invalid parameter spaces
-    (unknown dotted paths, empty axes), objectives with no targets to
-    fit, and trial stores bound to a different search than the one
-    being resumed.
+    (unknown dotted paths, paths naming a nested table, values of the
+    wrong type, empty axes) and objectives with no targets to fit.  A
+    rung store bound to a different search fails as the fleet store
+    it is, with :class:`FleetError`.
     """

@@ -24,10 +24,10 @@ shard as work to (re)do.  Manifest updates go through a
 write-to-temp-then-rename so a kill mid-update can never leave a
 half-written manifest claiming shards it does not have.
 
-The manifest mechanics — load, atomic write, bind-or-validate, the
-``complete | missing | corrupt`` classifier — live once in
-:class:`ManifestStore`; the calibration
-:class:`~repro.calibrate.store.TrialStore` is its other client.
+This is the one digest-tracked checkpoint in the repository: a fleet
+run (``fleet --store-out``), each hunt of the serve daemon and each
+rung of a calibration search (``calibrate --store-out DIR`` keeps rung
+``r`` in ``DIR/r<r>``) all resume through it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import FleetError
 from repro.fleet.digest import canonical_json
@@ -44,8 +44,7 @@ from repro.fleet.digest import canonical_json
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fleet.spec import FleetSpec, ShardJob
 
-__all__ = ["ArtifactStore", "ManifestStore", "STORE_VERSION",
-           "MANIFEST_NAME"]
+__all__ = ["ArtifactStore", "STORE_VERSION", "MANIFEST_NAME"]
 
 STORE_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -59,166 +58,12 @@ def _file_digest(path: Path) -> str:
     return f"sha256:{hasher.hexdigest()}"
 
 
-class ManifestStore:
-    """One output directory bound to one run by its ``manifest.json``.
-
-    The manifest names the run the directory belongs to (the binding
-    key) and records, per unit file, a completion status and the
-    SHA-256 digest of the file's bytes.  A subclass fixes the typed
-    error it raises, its manifest version, the binding key, the name
-    of the unit table and the words its messages use.
-    """
-
-    _error: type[Exception]
-    _version: int
-    #: Manifest key naming the run this directory belongs to.
-    _binding: str
-    #: Manifest table of digest-tracked unit files, by unit id.
-    _units: str
-    #: Message vocabulary: the store, its manifest, its version, the
-    #: run it is bound to, and the ``initialize`` argument.
-    _noun: str
-    _manifest_noun: str
-    _version_noun: str
-    _run_noun: str
-    _initialize_arg: str
+class ArtifactStore:
+    """One fleet run's on-disk artifacts, with resume bookkeeping."""
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self._manifest: dict | None = None
-
-    @property
-    def manifest_path(self) -> Path:
-        return self.root / MANIFEST_NAME
-
-    def _unit_path(self, unit_id: str) -> Path:
-        """The digest-tracked file of one unit."""
-        raise NotImplementedError
-
-    def _load_manifest(self) -> dict | None:
-        path = self.manifest_path
-        if not path.is_file():
-            return None
-        try:
-            manifest = json.loads(path.read_text(encoding="utf-8"))
-            if not isinstance(manifest, dict):
-                raise ValueError("not a JSON object")
-        except (OSError, ValueError) as exc:
-            raise self._error(
-                f"unreadable {self._manifest_noun} {path}: {exc}"
-            ) from exc
-        version = manifest.get("store_version")
-        if version != self._version:
-            raise self._error(
-                f"unsupported {self._version_noun} {version!r} in "
-                f"{path} (expected {self._version})"
-            )
-        for key, kind in ((self._binding, str), (self._units, dict)):
-            if not isinstance(manifest.get(key), kind):
-                raise self._error(
-                    f"malformed {self._manifest_noun} {path}: "
-                    f"{key!r} is missing or not a {kind.__name__}"
-                )
-        return manifest
-
-    def _write_manifest(self) -> None:
-        assert self._manifest is not None
-        self.root.mkdir(parents=True, exist_ok=True)
-        temp = self.manifest_path.with_suffix(".json.tmp")
-        temp.write_text(
-            json.dumps(self._manifest, indent=1, sort_keys=True),
-            encoding="utf-8",
-        )
-        os.replace(temp, self.manifest_path)
-
-    @property
-    def manifest(self) -> dict:
-        if self._manifest is None:
-            loaded = self._load_manifest()
-            if loaded is None:
-                raise self._error(
-                    f"{self._noun} {self.root} has no manifest; call "
-                    f"initialize({self._initialize_arg}) first"
-                )
-            self._manifest = loaded
-        return self._manifest
-
-    def _bind(self, value: str, units_dir: Path,
-              detail: Callable[[dict], str] = lambda existing: "",
-              **fields: object) -> None:
-        """Bind the directory to run ``value``: create or validate.
-
-        A fresh directory gets a new manifest carrying ``fields``; an
-        existing one must already belong to ``value`` (``detail`` may
-        add a diagnostic drawn from the existing manifest).
-        """
-        existing = self._load_manifest()
-        if existing is not None:
-            if existing[self._binding] != value:
-                raise self._error(
-                    f"{self._noun} {self.root} belongs to "
-                    f"{self._run_noun} "
-                    f"{existing[self._binding][:12]}..., not "
-                    f"{value[:12]}...{detail(existing)}; use a fresh "
-                    f"output directory per {self._run_noun}"
-                )
-            self._manifest = existing
-            return
-        self._manifest = {
-            "store_version": self._version,
-            self._binding: value,
-            **fields,
-            self._units: {},
-        }
-        units_dir.mkdir(parents=True, exist_ok=True)
-        self._write_manifest()
-
-    def _commit_unit(self, unit_id: str, **entry: object) -> str:
-        """Record a fully written unit as complete; its digest."""
-        digest = _file_digest(self._unit_path(unit_id))
-        self.manifest[self._units][unit_id] = {
-            "status": "complete", "digest": digest, **entry,
-        }
-        self._write_manifest()
-        return digest
-
-    def _unit_state(self, unit_id: str) -> str:
-        """``complete`` | ``missing`` | ``corrupt`` for one unit.
-
-        ``corrupt`` means the manifest claims completion but the bytes
-        on disk no longer hash to the recorded digest (truncated write,
-        tampering, partial copy).
-        """
-        entry = self.manifest[self._units].get(unit_id)
-        if entry is None or entry.get("status") != "complete":
-            return "missing"
-        path = self._unit_path(unit_id)
-        if not path.is_file():
-            return "missing"
-        if _file_digest(path) != entry.get("digest"):
-            return "corrupt"
-        return "complete"
-
-    def _completed_units(self) -> list[str]:
-        """Unit ids that are complete *and* digest-valid, sorted."""
-        return sorted(
-            unit_id for unit_id in self.manifest[self._units]
-            if self._unit_state(unit_id) == "complete"
-        )
-
-
-class ArtifactStore(ManifestStore):
-    """One fleet run's on-disk artifacts, with resume bookkeeping."""
-
-    _error = FleetError
-    _version = STORE_VERSION
-    _binding = "spec_hash"
-    _units = "shards"
-    _noun = "fleet store"
-    _manifest_noun = "fleet manifest"
-    _version_noun = "fleet store version"
-    _run_noun = "spec"
-    _initialize_arg = "spec"
 
     # -- Paths ----------------------------------------------------------
 
@@ -228,8 +73,6 @@ class ArtifactStore(ManifestStore):
 
     def shard_path(self, shard_id: str) -> Path:
         return self.shards_dir / f"{shard_id}.jsonl"
-
-    _unit_path = shard_path
 
     @property
     def traces_dir(self) -> Path:
@@ -259,6 +102,58 @@ class ArtifactStore(ManifestStore):
     # -- Manifest -------------------------------------------------------
 
     @property
+    def manifest_path(self) -> Path:
+        return self.root / MANIFEST_NAME
+
+    def _load_manifest(self) -> dict | None:
+        path = self.manifest_path
+        if not path.is_file():
+            return None
+        try:
+            manifest = json.loads(path.read_text(encoding="utf-8"))
+            if not isinstance(manifest, dict):
+                raise ValueError("not a JSON object")
+        except (OSError, ValueError) as exc:
+            raise FleetError(
+                f"unreadable fleet manifest {path}: {exc}"
+            ) from exc
+        version = manifest.get("store_version")
+        if version != STORE_VERSION:
+            raise FleetError(
+                f"unsupported fleet store version {version!r} in "
+                f"{path} (expected {STORE_VERSION})"
+            )
+        for key, kind in (("spec_hash", str), ("shards", dict)):
+            if not isinstance(manifest.get(key), kind):
+                raise FleetError(
+                    f"malformed fleet manifest {path}: "
+                    f"{key!r} is missing or not a {kind.__name__}"
+                )
+        return manifest
+
+    def _write_manifest(self) -> None:
+        assert self._manifest is not None
+        self.root.mkdir(parents=True, exist_ok=True)
+        temp = self.manifest_path.with_suffix(".json.tmp")
+        temp.write_text(
+            json.dumps(self._manifest, indent=1, sort_keys=True),
+            encoding="utf-8",
+        )
+        os.replace(temp, self.manifest_path)
+
+    @property
+    def manifest(self) -> dict:
+        if self._manifest is None:
+            loaded = self._load_manifest()
+            if loaded is None:
+                raise FleetError(
+                    f"fleet store {self.root} has no manifest; call "
+                    "initialize(spec) first"
+                )
+            self._manifest = loaded
+        return self._manifest
+
+    @property
     def spec_hash(self) -> str:
         return self.manifest["spec_hash"]
 
@@ -269,30 +164,44 @@ class ArtifactStore(ManifestStore):
         have been created by a spec with the same hash, otherwise its
         shards would be silently misattributed to the wrong campaigns.
         """
+        spec_hash = spec.spec_hash()
         scenario_digests = {
             scenario.name: scenario.digest()
             for scenario in spec.scenarios
         }
-
-        def detail(existing: dict) -> str:
-            # Scenario content binds spec_hash, so a mismatch is most
-            # often an edited scenario file: name both sides' content
-            # digests to make that diagnosable from the error alone.
-            stored = existing.get("scenario_digests", {})
-            if not (stored or scenario_digests):
-                return ""
-            return (
-                f" (store scenario digests {stored!r}, "
-                f"requested scenario digests "
-                f"{scenario_digests!r})"
-            )
-
-        self._bind(
-            spec.spec_hash(), self.shards_dir, detail,
-            scenario_digests=scenario_digests,
-            services=list(spec.services), seeds=list(spec.seeds),
-            total_shards=spec.total_shards,
-        )
+        existing = self._load_manifest()
+        if existing is not None:
+            if existing["spec_hash"] != spec_hash:
+                # Scenario content binds spec_hash, so a mismatch is
+                # most often an edited scenario file: name both sides'
+                # content digests to make that diagnosable from the
+                # error alone.
+                stored = existing.get("scenario_digests", {})
+                detail = (
+                    f" (store scenario digests {stored!r}, "
+                    f"requested scenario digests "
+                    f"{scenario_digests!r})"
+                    if stored or scenario_digests else ""
+                )
+                raise FleetError(
+                    f"fleet store {self.root} belongs to spec "
+                    f"{existing['spec_hash'][:12]}..., not "
+                    f"{spec_hash[:12]}...{detail}; use a fresh "
+                    "output directory per spec"
+                )
+            self._manifest = existing
+            return
+        self._manifest = {
+            "store_version": STORE_VERSION,
+            "spec_hash": spec_hash,
+            "scenario_digests": scenario_digests,
+            "services": list(spec.services),
+            "seeds": list(spec.seeds),
+            "total_shards": spec.total_shards,
+            "shards": {},
+        }
+        self.shards_dir.mkdir(parents=True, exist_ok=True)
+        self._write_manifest()
 
     # -- Shard records --------------------------------------------------
 
@@ -317,11 +226,15 @@ class ArtifactStore(ManifestStore):
             from repro.obs.export import export_snapshot
 
             export_snapshot(obs, self.obs_path(job.shard_id))
-        return self._commit_unit(
-            job.shard_id, records=len(records),
-            service=job.service, seed=job.seed, label=job.label,
-            obs=obs is not None,
-        )
+        digest = _file_digest(path)
+        self.manifest["shards"][job.shard_id] = {
+            "status": "complete", "digest": digest,
+            "records": len(records), "service": job.service,
+            "seed": job.seed, "label": job.label,
+            "obs": obs is not None,
+        }
+        self._write_manifest()
+        return digest
 
     def shard_state(self, shard_id: str) -> str:
         """``complete`` | ``missing`` | ``corrupt`` for one shard.
@@ -330,11 +243,22 @@ class ArtifactStore(ManifestStore):
         on disk no longer hash to the recorded digest (truncated write,
         tampering, partial copy); the executor re-runs such shards.
         """
-        return self._unit_state(shard_id)
+        entry = self.manifest["shards"].get(shard_id)
+        if entry is None or entry.get("status") != "complete":
+            return "missing"
+        path = self.shard_path(shard_id)
+        if not path.is_file():
+            return "missing"
+        if _file_digest(path) != entry.get("digest"):
+            return "corrupt"
+        return "complete"
 
     def completed_shards(self) -> list[str]:
         """Shard ids that are complete *and* digest-valid, sorted."""
-        return self._completed_units()
+        return sorted(
+            shard_id for shard_id in self.manifest["shards"]
+            if self.shard_state(shard_id) == "complete"
+        )
 
     def load_shard_records(self, shard_id: str) -> list[dict]:
         """The JSON-safe record dicts of one digest-valid shard."""

@@ -1,13 +1,14 @@
-"""Tests for repro.calibrate: targets, spaces, searchers, store, CLI.
+"""Tests for repro.calibrate: targets, spaces, searcher, resume, CLI.
 
 The load-bearing guarantees mirror the fleet suite's: a search is a
-pure function of (space, searcher, seed) — same inputs give a
-byte-identical trial store and the same winner whether candidates run
-serially or on four workers — and a damaged store resumes to the
+pure function of (space, budget, seed) — same inputs give
+byte-identical rung stores and the same winner whether candidates run
+serially or on four workers — and a damaged rung store resumes to the
 identical outcome instead of silently recomputing something else.
 """
 
 import json
+import re
 
 import pytest
 
@@ -16,33 +17,42 @@ from repro.calibrate import (
     FIDELITY_BUDGETS,
     Axis,
     FidelityScore,
+    FidelityTerm,
     FleetEvaluator,
-    GridSearch,
     Objective,
     SearchSpace,
     ServiceTargets,
     SuccessiveHalving,
     TrialResult,
-    TrialStore,
+    base_params,
     calibrated_params,
     comparison_table,
     default_objective,
     default_space,
     fidelity_table,
-    make_searcher,
     paper_targets,
     run_calibration,
     target_services,
     write_fidelity_json,
 )
-from repro.calibrate.store import TRIALS_KIND, TRIALS_SCHEMA_VERSION
+from repro.calibrate.search import ETA
 from repro.cli import main as repro_main
-from repro.errors import CalibrationError
-from repro.io import write_digest_jsonl
+from repro.errors import CalibrationError, FleetError
+from repro.fleet import ArtifactStore
 from repro.methodology import CampaignConfig, run_campaign
+from repro.scenario import forget_scenario
 
 #: Smallest useful real evaluation: one test type, two tests.
 SMALL = CampaignConfig(num_tests=2, seed=0, test_types=("test1",))
+
+
+def score_from_json(data):
+    """Rebuild a FidelityScore from its ``to_jsonable`` document."""
+    return FidelityScore(
+        service=data["service"],
+        terms=tuple(FidelityTerm(**term) for term in data["terms"]),
+        total=data["total"],
+    )
 
 
 class TestTargets:
@@ -88,7 +98,7 @@ class TestSpace:
         space = SearchSpace(service="blogger", axes=(
             Axis("write_processing_median", (0.17, 0.12)),
             Axis("read_processing_median", (0.04, 0.06, 0.08)),
-        ))
+        ), base=base_params("blogger"))
         assert space.size == 6
         assert list(space.assignment(0).values()) == [0.17, 0.04]
         assert list(space.assignment(2).values()) == [0.17, 0.08]
@@ -108,7 +118,15 @@ class TestSpace:
         with pytest.raises(CalibrationError):
             SearchSpace(service="blogger", axes=(
                 Axis("no_such_knob", (1, 2)),
-            ))
+            ), base=base_params("blogger"))
+
+    def test_every_axis_value_must_fit_its_field(self):
+        # Not just the default: a later value of the wrong type would
+        # otherwise surface mid-search.
+        with pytest.raises(CalibrationError, match="expects float"):
+            SearchSpace(service="blogger", axes=(
+                Axis("read_processing_median", (0.04, True)),
+            ), base=base_params("blogger"))
 
     def test_index_out_of_range_is_an_error(self):
         space = default_space("blogger")
@@ -147,7 +165,7 @@ class TestObjective:
 
     def test_score_roundtrips_through_json(self, blogger_result):
         score = default_objective("blogger").evaluate(blogger_result)
-        rebuilt = FidelityScore.from_jsonable(
+        rebuilt = score_from_json(
             json.loads(json.dumps(score.to_jsonable()))
         )
         assert rebuilt == score
@@ -160,11 +178,6 @@ class TestObjective:
     def test_empty_targets_are_rejected(self):
         with pytest.raises(CalibrationError, match="empty"):
             Objective(targets=ServiceTargets(service="x"))
-
-    def test_missing_term_lookup_is_an_error(self, blogger_result):
-        score = default_objective("blogger").evaluate(blogger_result)
-        with pytest.raises(CalibrationError, match="no term"):
-            score.term("prevalence.nope")
 
 
 def scripted_evaluator(losses):
@@ -182,17 +195,18 @@ def scripted_evaluator(losses):
     return evaluate
 
 
+def rungs_of(outcome):
+    """{rung: [candidate, ...]} in evaluation order."""
+    by_rung = {}
+    for trial in outcome.trials:
+        by_rung.setdefault(trial.rung, []).append(trial.candidate)
+    return by_rung
+
+
 class TestSearchers:
     @pytest.fixture()
     def space(self):
         return default_space("blogger")  # 2x2 = 4 candidates
-
-    def test_grid_ties_break_toward_lower_candidate(self, space):
-        outcome = GridSearch(space, num_tests=2).run(
-            scripted_evaluator({0: {0: 1.0, 1: 0.5, 2: 0.5, 3: 0.9}})
-        )
-        assert outcome.winner.candidate == 1
-        assert len(outcome.trials) == space.size
 
     def test_halving_shields_the_baseline(self, space):
         # Candidate 0 is worst everywhere, yet rides along into every
@@ -200,175 +214,168 @@ class TestSearchers:
         losses = {
             0: {0: 9.0, 1: 1.0, 2: 2.0, 3: 3.0},
             1: {0: 9.0, 1: 1.0, 2: 0.5},
+            2: {0: 9.0, 2: 0.5},
         }
-        searcher = SuccessiveHalving(space, base_tests=2, eta=2)
+        searcher = SuccessiveHalving(space, base_tests=2)
         outcome = searcher.run(scripted_evaluator(losses))
         assert outcome.winner.candidate == 2
-        by_rung = {}
-        for trial in outcome.trials:
-            by_rung.setdefault(trial.rung, []).append(trial.candidate)
         assert all(0 in candidates
-                   for candidates in by_rung.values())
-        # Rung 1's survivor set ({0, 1, 2}) no longer shrinks, so it
-        # is the final head-to-head; budgets multiply by eta per rung.
-        assert sorted({t.num_tests for t in outcome.trials}) == [2, 4]
+                   for candidates in rungs_of(outcome).values())
+        # Rung 2's survivor set ({0, 2}) no longer shrinks, so it is
+        # the final head-to-head; budgets multiply by ETA per rung.
+        assert sorted({t.num_tests for t in outcome.trials}) == \
+            [2, 2 * ETA, 2 * ETA * ETA]
         # The baseline's highest-budget trial sits in the final rung,
         # so winner-vs-default comparisons are apples to apples.
         assert outcome.baseline_trial().num_tests == \
             outcome.winner.num_tests
 
+    def test_halving_ties_break_toward_lower_candidate(self, space):
+        # Rung 1 keeps one challenger out of a 1-vs-2 tie: candidate 1.
+        losses = {
+            0: {0: 1.0, 1: 0.5, 2: 0.5, 3: 0.9},
+            1: {0: 1.0, 1: 0.5, 2: 0.5},
+            2: {0: 1.0, 1: 0.5},
+        }
+        outcome = SuccessiveHalving(space, base_tests=2).run(
+            scripted_evaluator(losses)
+        )
+        assert rungs_of(outcome)[2] == [0, 1]
+        assert outcome.winner.candidate == 1
+
     def test_halving_confirms_a_winning_baseline(self, space):
         losses = {
             0: {0: 0.1, 1: 1.0, 2: 2.0, 3: 3.0},
             1: {0: 0.1, 1: 1.0},
-            2: {0: 0.1},
         }
-        outcome = SuccessiveHalving(space, base_tests=2, eta=2).run(
+        outcome = SuccessiveHalving(space, base_tests=2).run(
             scripted_evaluator(losses)
         )
         assert outcome.winner.candidate == 0
 
-    def test_make_searcher_rejects_unknown_kind(self, space):
-        with pytest.raises(CalibrationError, match="unknown searcher"):
-            make_searcher("annealing", space, num_tests=2)
+    def test_halving_stops_when_only_the_baseline_survives(self, space):
+        # A rung of the baseline alone cannot change the winner, so
+        # the search ends with the rung that left only candidate 0.
+        losses = {
+            0: {0: 0.1, 1: 1.0, 2: 2.0, 3: 3.0},
+            1: {0: 0.1, 1: 1.0},
+        }
+        outcome = SuccessiveHalving(space, base_tests=2).run(
+            scripted_evaluator(losses)
+        )
+        assert rungs_of(outcome) == {0: [0, 1, 2, 3], 1: [0, 1]}
+        assert outcome.winner.trial_id == "r1/c0000"
 
     def test_constructor_validation(self, space):
         with pytest.raises(CalibrationError):
             SuccessiveHalving(space, base_tests=0)
-        with pytest.raises(CalibrationError):
-            SuccessiveHalving(space, eta=1)
-        with pytest.raises(CalibrationError):
-            GridSearch(space, num_tests=0)
 
 
-class TestTrialStore:
-    PAYLOAD = [{"trial_id": "r0/c0000", "candidate": 0}]
-
-    def test_initialize_creates_layout(self, tmp_path):
-        store = TrialStore(tmp_path / "store")
-        store.initialize("k1")
-        assert store.manifest_path.is_file()
-        assert store.trials_dir.is_dir()
-        assert store.search_key == "k1"
-        assert store.completed_batches() == []
-
-    def test_batch_roundtrip_through_fresh_handle(self, tmp_path):
-        store = TrialStore(tmp_path)
-        store.initialize("k1")
-        store.write_batch("r0", 0, 2, self.PAYLOAD)
-        reopened = TrialStore(tmp_path)
-        assert reopened.batch_state("r0") == "complete"
-        assert reopened.completed_batches() == ["r0"]
-        assert reopened.load_batch("r0") == self.PAYLOAD
-
-    def test_initialize_rejects_foreign_search(self, tmp_path):
-        TrialStore(tmp_path).initialize("k1")
-        with pytest.raises(CalibrationError, match="belongs to"):
-            TrialStore(tmp_path).initialize("k2")
-
-    def test_tampered_batch_is_corrupt(self, tmp_path):
-        store = TrialStore(tmp_path)
-        store.initialize("k1")
-        store.write_batch("r0", 0, 2, self.PAYLOAD)
-        path = store.batch_path("r0")
-        path.write_bytes(path.read_bytes().replace(b"c0000", b"c9999"))
-        assert store.batch_state("r0") == "corrupt"
-        assert store.completed_batches() == []
-        with pytest.raises(CalibrationError, match="corrupt"):
-            store.load_batch("r0")
-
-    def test_rewritten_but_uncommitted_batch_is_corrupt(self, tmp_path):
-        # A batch file regenerated without a manifest commit (e.g. a
-        # kill between the two steps) must not count as complete, even
-        # though its own embedded digest is internally valid.
-        store = TrialStore(tmp_path)
-        store.initialize("k1")
-        store.write_batch("r0", 0, 2, self.PAYLOAD)
-        write_digest_jsonl(store.batch_path("r0"),
-                           [{"trial_id": "r0/c0001", "candidate": 1}],
-                           kind=TRIALS_KIND,
-                           schema_version=TRIALS_SCHEMA_VERSION)
-        assert store.batch_state("r0") == "corrupt"
-
-    def test_deleted_batch_is_missing(self, tmp_path):
-        store = TrialStore(tmp_path)
-        store.initialize("k1")
-        store.write_batch("r0", 0, 2, self.PAYLOAD)
-        store.batch_path("r0").unlink()
-        assert store.batch_state("r0") == "missing"
-
-    def test_unknown_version_is_an_error(self, tmp_path):
-        (tmp_path / "manifest.json").write_text(json.dumps(
-            {"store_version": 99, "search_key": "k", "batches": {}}
-        ))
-        with pytest.raises(CalibrationError, match="version"):
-            TrialStore(tmp_path).manifest
-
-    def test_unreadable_manifest_is_an_error(self, tmp_path):
-        (tmp_path / "manifest.json").write_text("{not json")
-        with pytest.raises(CalibrationError, match="unreadable"):
-            TrialStore(tmp_path).manifest
-
-
-def run_blogger_grid(store_dir, jobs=1, on_message=None):
+def run_blogger_search(store_dir, jobs=1, on_message=None):
     return run_calibration(
-        "blogger", searcher="grid", num_tests=2, jobs=jobs,
+        "blogger", num_tests=2, jobs=jobs,
         base_config=SMALL, store_dir=store_dir,
         on_message=on_message,
     )
 
 
+#: The evaluator's per-rung resume report.
+RESUMED = re.compile(r"rung (\d+): (\d+) shard\(s\) "
+                     r"\[resumed from store\], (\d+) executed")
+
+
+def resume_reports(messages):
+    """(rung, resumed, executed) per resume report, in order."""
+    return [tuple(int(group) for group in match.groups())
+            for match in map(RESUMED.fullmatch, messages) if match]
+
+
+def shard_bytes(root):
+    return {path.relative_to(root): path.read_bytes()
+            for path in sorted(root.glob("r*/shards/*.jsonl"))}
+
+
 class TestSearchDeterminism:
     def test_serial_and_parallel_stores_are_byte_identical(
             self, tmp_path):
-        serial = run_blogger_grid(tmp_path / "serial", jobs=1)
-        parallel = run_blogger_grid(tmp_path / "parallel", jobs=4)
+        serial = run_blogger_search(tmp_path / "serial", jobs=1)
+        parallel = run_blogger_search(tmp_path / "parallel", jobs=4)
         assert serial.winner == parallel.winner
         assert serial.trials == parallel.trials
-        serial_bytes = (tmp_path / "serial" / "trials"
-                        / "r0.jsonl").read_bytes()
-        parallel_bytes = (tmp_path / "parallel" / "trials"
-                          / "r0.jsonl").read_bytes()
-        assert serial_bytes == parallel_bytes
+        serial_bytes = shard_bytes(tmp_path / "serial")
+        assert serial_bytes
+        assert serial_bytes == shard_bytes(tmp_path / "parallel")
 
     def test_rerun_resumes_from_the_store(self, tmp_path):
-        first = run_blogger_grid(tmp_path)
+        first = run_blogger_search(tmp_path)
         messages = []
-        second = run_blogger_grid(tmp_path, on_message=messages.append)
+        second = run_blogger_search(tmp_path,
+                                    on_message=messages.append)
         assert second.winner == first.winner
         assert second.trials == first.trials
         assert any("[resumed from store]" in m for m in messages)
+        # A complete store executes no shard: every rung reports all
+        # of its candidates' shards resumed and none executed.
+        sizes = {}
+        for trial in first.trials:
+            sizes[trial.rung] = sizes.get(trial.rung, 0) + 1
+        assert resume_reports(messages) == [
+            (rung, size, 0) for rung, size in sorted(sizes.items())
+        ]
 
     def test_resume_after_damage_restores_identical_bytes(
             self, tmp_path):
-        first = run_blogger_grid(tmp_path)
-        batch = tmp_path / "trials" / "r0.jsonl"
-        pristine = batch.read_bytes()
-        # Kill mid-write: truncate the batch file.  The rung's fleet
-        # store is still digest-valid, so the re-run rebuilds the
-        # batch from completed shards instead of re-simulating.
-        batch.write_bytes(pristine[:-7])
-        assert TrialStore(tmp_path).batch_state("r0") == "corrupt"
-        second = run_blogger_grid(tmp_path)
+        first = run_blogger_search(tmp_path)
+        shard = sorted((tmp_path / "r0" / "shards").glob("*.jsonl"))[0]
+        pristine = shard.read_bytes()
+        # Kill mid-write: truncate one shard file.  The rest of the
+        # rung's fleet store is still digest-valid, so the re-run
+        # re-simulates only that shard.
+        shard.write_bytes(pristine[:-7])
+        assert ArtifactStore(tmp_path / "r0").shard_state(
+            shard.stem) == "corrupt"
+        messages = []
+        second = run_blogger_search(tmp_path,
+                                    on_message=messages.append)
         assert second.winner == first.winner
         assert second.trials == first.trials
-        assert batch.read_bytes() == pristine
+        assert shard.read_bytes() == pristine
+        assert resume_reports(messages)[0] == (0, 3, 1)
 
     def test_store_is_bound_to_the_exact_search(self, tmp_path):
-        run_blogger_grid(tmp_path)
-        with pytest.raises(CalibrationError, match="belongs to"):
-            run_calibration("blogger", searcher="grid", num_tests=3,
+        run_blogger_search(tmp_path)
+        with pytest.raises(FleetError, match="belongs to"):
+            run_calibration("blogger", num_tests=3,
                             base_config=SMALL, store_dir=tmp_path)
 
     def test_cached_batch_must_match_the_request(self, tmp_path):
-        run_blogger_grid(tmp_path)
+        run_blogger_search(tmp_path)
         space = default_space("blogger")
         evaluator = FleetEvaluator(
             space=space, objective=default_objective("blogger"),
-            base_config=SMALL, store=TrialStore(tmp_path),
+            base_config=SMALL, store_dir=tmp_path,
         )
-        with pytest.raises(CalibrationError, match="does not match"):
+        with pytest.raises(FleetError, match="belongs to"):
             evaluator(0, 2, [(1, space.assignment(1))])
+
+    def test_edited_objective_rescores_the_stored_rung(self, tmp_path):
+        first = run_blogger_search(tmp_path)
+        space = default_space("blogger")
+        edited = Objective(targets=ServiceTargets(
+            service="blogger", prevalence={"read_your_writes": 0.5},
+        ))
+        messages = []
+        evaluator = FleetEvaluator(
+            space=space, objective=edited, base_config=SMALL,
+            store_dir=tmp_path, on_message=messages.append,
+        )
+        trials = evaluator(0, 2, list(enumerate(space.assignments())))
+        assert resume_reports(messages) == [(0, space.size, 0)]
+        stored = [trial for trial in first.trials if trial.rung == 0]
+        assert [t.assignment for t in trials] == \
+            [t.assignment for t in stored]
+        assert [t.score.total for t in trials] != \
+            [t.score.total for t in stored]
 
     def test_evaluator_rejects_conflicting_config(self):
         space = default_space("blogger")
@@ -412,9 +419,7 @@ class TestWinnersAndReport:
                                    extra={"seed": 0})
         document = json.loads(path.read_text())
         assert document["extra"] == {"seed": 0}
-        rebuilt = FidelityScore.from_jsonable(
-            document["scores"]["blogger"]
-        )
+        rebuilt = score_from_json(document["scores"]["blogger"])
         assert rebuilt == score
 
 
@@ -423,8 +428,7 @@ class TestCli:
         store_dir = tmp_path / "trials"
         fidelity = tmp_path / "fidelity.json"
         code = repro_main([
-            "calibrate", "--service", "blogger",
-            "--searcher", "grid", "--tests", "2",
+            "calibrate", "--service", "blogger", "--tests", "2",
             "--store-out", str(store_dir),
             "--calibrate-out", str(fidelity),
             "--quiet",
@@ -432,7 +436,42 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "Calibration winner for blogger" in out
-        assert (store_dir / "trials" / "r0.jsonl").is_file()
+        assert (store_dir / "r0" / "manifest.json").is_file()
         document = json.loads(fidelity.read_text())
         assert document["extra"]["service"] == "blogger"
         assert "blogger.calibrated" in document["scores"]
+
+    def test_foreign_store_fails_closed(self, tmp_path, capsys):
+        store_dir = str(tmp_path / "trials")
+        assert repro_main(["calibrate", "--service", "blogger",
+                           "--tests", "2", "--store-out", store_dir,
+                           "--quiet"]) == 0
+        capsys.readouterr()
+        code = repro_main(["calibrate", "--service", "blogger",
+                           "--tests", "3", "--store-out", store_dir,
+                           "--quiet"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("calibrate: fleet store ")
+        assert "belongs to spec" in captured.err
+
+    def test_non_leaf_axis_fails_closed(self, tmp_path, capsys):
+        scenario = tmp_path / "probe.toml"
+        scenario.write_text(
+            '[scenario]\nschema_version = 1\nname = "probe"\n'
+            '[service]\narchetype = "gossip"\n'
+            'regions = ["oregon", "tokyo"]\n'
+            '[calibrate.axes]\n"store" = [1, 2]\n'
+            '[calibrate.targets.prevalence]\nread_your_writes = 0.5\n',
+            encoding="utf-8",
+        )
+        try:
+            code = repro_main(["calibrate", "--scenario", str(scenario),
+                               "--tests", "1", "--quiet"])
+        finally:
+            forget_scenario("probe")
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("calibrate: ")
+        assert "is a table, not a value" in captured.err

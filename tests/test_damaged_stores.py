@@ -1,20 +1,20 @@
 """One contract for every on-disk store: damaged bytes fail closed.
 
-The fleet :class:`ArtifactStore`, the calibration :class:`TrialStore`
-and the serve :class:`HuntStore` all take bytes from outside the
-program.  Whatever is wrong with a file — not JSON, JSON of the wrong
-shape, a foreign binding, a digest that no longer verifies, a feed
-line torn by a kill mid-append — the store must raise its own typed
-error naming the file, never a bare ``AttributeError`` / ``KeyError``
-/ ``json.JSONDecodeError``.  One table holds all three stores to that.
+The fleet :class:`ArtifactStore` (which is also the checkpoint of
+every calibration rung) and the serve :class:`HuntStore` take bytes
+from outside the program.  Whatever is wrong with a file — not JSON,
+JSON of the wrong shape, a foreign binding, a digest that no longer
+verifies, a feed line torn by a kill mid-append — the store must
+raise its own typed error naming the file, never a bare
+``AttributeError`` / ``KeyError`` / ``json.JSONDecodeError``.  One
+table holds both stores to that.
 """
 
 import json
 
 import pytest
 
-from repro.calibrate.store import TrialStore
-from repro.errors import CalibrationError, FleetError
+from repro.errors import FleetError
 from repro.fleet import ArtifactStore, FleetSpec
 from repro.methodology import CampaignConfig
 from repro.serve import HuntSpec, HuntState, HuntStore
@@ -26,7 +26,6 @@ SPEC = FleetSpec(
 )
 JOB = SPEC.jobs()[0]
 SHARD_FILE = f"shards/{JOB.shard_id}.jsonl"
-SEARCH = "k" * 64
 HUNT_FILE = "hunts/h0000/hunt.json"
 EVENTS_FILE = "hunts/h0000/events.jsonl"
 
@@ -41,18 +40,6 @@ def probe_fleet(root):
     store = ArtifactStore(root)
     store.initialize(SPEC)
     store.load_shard_records(JOB.shard_id)
-
-
-def build_trials(root):
-    store = TrialStore(root)
-    store.initialize(SEARCH)
-    store.write_batch("r0", 0, 1, [{"trial_id": "r0/c0000"}])
-
-
-def probe_trials(root):
-    store = TrialStore(root)
-    store.initialize(SEARCH)
-    store.load_batch("r0")
 
 
 def build_hunt(root):
@@ -72,7 +59,6 @@ def probe_hunt(root):
 
 STORES = {
     "fleet": (build_fleet, probe_fleet),
-    "trials": (build_trials, probe_trials),
     "hunt": (build_hunt, probe_hunt),
 }
 
@@ -103,23 +89,6 @@ DAMAGE_CASES = (
      FleetError, "belongs to spec ffffffffffff"),
     ("fleet", SHARD_FILE, b'{"test_id": "tampered"}\n',
      FleetError, "corrupt"),
-    ("trials", "manifest.json", b"{not json",
-     CalibrationError, "manifest.json"),
-    ("trials", "manifest.json", b"[]",
-     CalibrationError, "manifest.json"),
-    ("trials", "manifest.json",
-     document(store_version=99, search_key="x", batches={}),
-     CalibrationError, "manifest.json"),
-    ("trials", "manifest.json", document(store_version=1),
-     CalibrationError, "manifest.json"),
-    ("trials", "manifest.json",
-     document(store_version=1, search_key=SEARCH),
-     CalibrationError, "manifest.json"),
-    ("trials", "manifest.json",
-     document(store_version=1, search_key="f" * 64, batches={}),
-     CalibrationError, "belongs to search ffffffffffff"),
-    ("trials", "trials/r0.jsonl", b'{"trial_id": "tampered"}\n',
-     CalibrationError, "corrupt"),
     ("hunt", HUNT_FILE, b"{not json", FleetError, "hunt.json"),
     ("hunt", HUNT_FILE, b"[]", FleetError, "hunt.json"),
     ("hunt", HUNT_FILE, document(store_version=99),

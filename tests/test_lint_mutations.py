@@ -79,8 +79,9 @@ MUTATIONS = [
     # DET003 — star-unpacking: missed at PR 20 by all three order rules.
     Mutation(
         "DET003", "calibrate/search.py",
-        "        return sorted({0, *drawn})\n",
-        "        return [*{0, *drawn}]\n"),
+        "            next_survivors = sorted({0, *kept})"
+        "  # baseline shielding\n",
+        "            next_survivors = [*{0, *kept}]\n"),
     # DET005 — missed at PR 20: run_world was never an entry point.
     Mutation(
         "DET005", "world/engine.py",

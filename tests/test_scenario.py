@@ -12,7 +12,7 @@ import typing
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import CalibrationError, ConfigurationError
 from repro.world import WorldSpec
 from repro.methodology.config import CampaignConfig
 from repro.methodology.nemesis import (
@@ -407,6 +407,35 @@ class TestRegistry:
                 ConfigurationError,
                 match=r"service\.params\.store\.viscosity"):
             scenario_params(spec)
+
+    @pytest.mark.parametrize("path, value, reason", [
+        ("store", 0.25, "is a table"),
+        ("rate_limit", 5, "is a table"),
+        ("store.fanout", True, "expects int"),
+        ("store.fanout", 1.5, "expects int"),
+        ("store.gossip_interval", True, "expects float"),
+        ("store.gossip_interval", "fast", "expects float"),
+    ])
+    def test_param_path_must_name_a_value_of_its_type(
+            self, path, value, reason):
+        spec = gossip_spec(service=ServiceSpec(
+            archetype="gossip", regions=("oregon",),
+            params=((path, value),),
+        ))
+        with pytest.raises(ConfigurationError,
+                           match=rf"service\.params\.{path}: .*{reason}"):
+            scenario_params(spec)
+        with pytest.raises(CalibrationError, match=reason):
+            scenario_space(gossip_spec(calibration=CalibrationSpec(
+                axes=((path, (value,)),),
+            )))
+
+    def test_int_stands_in_for_a_float_param(self):
+        spec = gossip_spec(service=ServiceSpec(
+            archetype="gossip", regions=("oregon",),
+            params=(("store.gossip_interval", 1),),
+        ))
+        assert scenario_params(spec).store.gossip_interval == 1
 
     def test_config_lowering_applies_workload(self):
         spec = gossip_spec(

@@ -16,7 +16,8 @@ For the actual parameter search, use::
 
     repro-consistency calibrate --service googleplus
 
-which persists trials and reports the winning profile.
+which reports the winning profile (and, with ``--store-out``, resumes
+each rung from its fleet store).
 """
 
 import sys
