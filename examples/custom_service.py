@@ -53,13 +53,13 @@ class StickyCacheService(OnlineService):
         super().__init__(sim, topology, network, rng)
         self._place("sticky-dc-us", OREGON)
         self._place("sticky-dc-eu", IRELAND)
+        datacenter = EventualParams(
+            backend_lag_prob=0.15,      # very stale backends...
+            stale_snapshot_prob=0.03,   # ...and snapshot regressions
+        )
         self._group = EventualGroup(
             sim, network, rng.child("sticky"),
-            EventualParams(
-                backend_lag_prob=0.15,      # very stale backends...
-                stale_snapshot_prob=0.03,   # ...and snapshot regressions
-            ),
-            ["sticky-dc-us", "sticky-dc-eu"],
+            {"sticky-dc-us": datacenter, "sticky-dc-eu": datacenter},
         )
         #: client -> ordered list of its own writes (the session cache).
         self._session_cache: dict[str, list[str]] = {}

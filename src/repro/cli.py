@@ -847,7 +847,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         run_calibration,
         write_fidelity_json,
     )
-    from repro.errors import ReproError
 
     if (args.service is None) == (args.scenario is None):
         print("calibrate needs exactly one of --service / "
@@ -855,31 +854,23 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         return 2
     base = CampaignConfig(seed=args.seed, inter_test_gap=args.gap)
     space = objective = None
-    try:
-        if args.scenario is not None:
-            from repro.scenario import (
-                scenario_objective,
-                scenario_space,
-            )
+    if args.scenario is not None:
+        from repro.scenario import scenario_objective, scenario_space
 
-            (scenario_spec,) = _load_cli_scenarios([args.scenario])
-            service = scenario_spec.name
-            space = scenario_space(scenario_spec)
-            objective = scenario_objective(scenario_spec)
-            base = replace(base, scenario=scenario_spec,
-                           client_policy=scenario_spec.policy)
-        else:
-            service = args.service
-        outcome = run_calibration(
-            service, space=space, objective=objective,
-            base_config=base, num_tests=args.tests, jobs=args.jobs,
-            store_dir=args.store_out,
-            on_message=None if args.quiet else print,
-        )
-    except ReproError as exc:
-        # A foreign --store-out, a bad scenario axis or budget.
-        print(f"calibrate: {exc}", file=sys.stderr)
-        return 2
+        (scenario_spec,) = _load_cli_scenarios([args.scenario])
+        service = scenario_spec.name
+        space = scenario_space(scenario_spec)
+        objective = scenario_objective(scenario_spec)
+        base = replace(base, scenario=scenario_spec,
+                       client_policy=scenario_spec.policy)
+    else:
+        service = args.service
+    outcome = run_calibration(
+        service, space=space, objective=objective,
+        base_config=base, num_tests=args.tests, jobs=args.jobs,
+        store_dir=args.store_out,
+        on_message=None if args.quiet else print,
+    )
     winner = outcome.winner
     print(f"\n== Calibration winner for {service} "
           f"({len(outcome.trials)} trials) ==")
@@ -1075,20 +1066,13 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
 def _cmd_world(args: argparse.Namespace) -> int:
     import json as json_module
 
-    from repro.errors import ConfigurationError, SimulationError
     from repro.scenario import load_scenario
     from repro.world import run_world, world_from_scenario
 
-    try:
-        scenario = load_scenario(args.scenario)
-        spec = world_from_scenario(
-            scenario, shards=args.shards, sessions=args.sessions,
-        )
-    except (ConfigurationError, SimulationError) as exc:
-        # ``WorldSpec`` refuses an out-of-range ``--shards`` /
-        # ``--sessions`` override with a ``SimulationError``.
-        print(f"world: {exc}", file=sys.stderr)
-        return 2
+    scenario = load_scenario(args.scenario)
+    spec = world_from_scenario(
+        scenario, shards=args.shards, sessions=args.sessions,
+    )
     result = run_world(spec, seed=args.seed)
     if args.json:
         print(json_module.dumps(result.summary(), indent=2,
@@ -1115,6 +1099,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one verb; a :class:`ReproError` is one stderr line, exit 2.
+
+    A bad scenario, flag value or store fails closed as
+    ``<command>: <message>`` instead of a traceback.
+    """
+    from repro.errors import ReproError
+
     args = build_parser().parse_args(argv)
     handlers = {
         "run": _cmd_run,
@@ -1130,7 +1121,11 @@ def main(argv: list[str] | None = None) -> int:
         "world": _cmd_world,
         "lint": _cmd_lint,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ReproError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

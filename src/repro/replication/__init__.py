@@ -13,13 +13,14 @@
 * :class:`GossipGroup` — leaderless rumor-mongering with periodic
   anti-entropy (the scenario DSL's gossip archetype).
 
+* :class:`QuorumStore` — N replicas with R/W quorums (the storage
+  extension, ``quorum_kv``).
+
 Shared pieces: :class:`VersionedStore` (ordered write store remembering
 past versions), the ordering policies in
-:mod:`repro.replication.ordering`, and the stable author -> shard
-placement in :mod:`repro.replication.sharding` that the eventual,
-ranking, and gossip substrates use for author-sharded fanout
-(``author_shards > 1``) and the world engine
-(:mod:`repro.world`) uses for session placement.
+:mod:`repro.replication.ordering`, and the one range check every
+``*Params`` runs (:func:`repro.replication.store.check_params`).
+What each piece is kept for: ``docs/replication.md``.
 """
 
 from repro.replication.eventual import (
@@ -37,18 +38,13 @@ from repro.replication.group_store import (
     GroupReplica,
     GroupStoreParams,
 )
-from repro.replication.ordering import (
-    arrival_key,
-    second_truncated_key,
-    timestamp_key,
-)
+from repro.replication.ordering import second_truncated_key, timestamp_key
 from repro.replication.quorum import (
     QuorumParams,
     QuorumReplica,
     QuorumStore,
 )
 from repro.replication.ranking import RankedFeedParams, RankedFeedStore
-from repro.replication.sharding import AuthorShardMap, author_shard
 from repro.replication.store import StoredWrite, VersionedStore
 from repro.replication.strong import PrimaryBackupGroup
 
@@ -56,7 +52,6 @@ __all__ = [
     "VersionedStore",
     "StoredWrite",
     "timestamp_key",
-    "arrival_key",
     "second_truncated_key",
     "PrimaryBackupGroup",
     "EventualParams",
@@ -73,6 +68,4 @@ __all__ = [
     "GossipParams",
     "GossipReplica",
     "GossipGroup",
-    "author_shard",
-    "AuthorShardMap",
 ]

@@ -48,13 +48,16 @@ This module implements that inferred design:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Mapping
 
 from repro.errors import ConfigurationError
 from repro.net.network import Message, Network
 from repro.replication.ordering import timestamp_key
-from repro.replication.sharding import AuthorShardMap
-from repro.replication.store import DoublingPrune, VersionedStore
+from repro.replication.store import (
+    DoublingPrune,
+    VersionedStore,
+    check_params,
+)
 from repro.sim.event_loop import Simulator
 from repro.sim.random_source import RandomSource
 
@@ -100,17 +103,6 @@ class EventualParams:
     straggler_prob: float = 0.06
     #: Mean extra delay of a straggling author chunk (seconds).
     straggler_extra_mean: float = 4.0
-    #: Probability a write *flickers* on a given backend: after being
-    #: visible it briefly disappears again (cache eviction racing a
-    #: lagging refill).  Off by default — snapshot staleness below is
-    #: the calibrated monotonic-reads mechanism; per-item flicker also
-    #: manufactures monotonic-writes violations, which the paper's 6%
-    #: figure rules out.
-    backend_flicker_prob: float = 0.0
-    #: Mean delay after visibility at which the flicker starts, and
-    #: mean flicker duration (both exponential, seconds).
-    flicker_delay_mean: float = 2.0
-    flicker_duration_mean: float = 0.5
     #: Probability a read is served from a *stale snapshot* — an older
     #: consistent state of the datacenter.  This is the
     #: monotonic-reads mechanism: recently-ingested writes vanish
@@ -143,63 +135,40 @@ class EventualParams:
     session_order_violation_prob: float = 0.18
     #: Version/entry retention horizon (seconds).
     retention: float = 600.0
-    #: Author shards for replication fanout.  At the default ``1``
-    #: each author's chunk draws its own straggler fate (the classic
-    #: path; golden signatures depend on it).  When ``> 1`` chunks
-    #: are shipped grouped by author shard and a whole shard's
-    #: pipeline straggles together — fanout pipelines are per shard,
-    #: not per user, in the paper's §II services.
-    author_shards: int = 1
 
     def __post_init__(self) -> None:
-        if self.sync_interval <= 0:
-            raise ConfigurationError("sync_interval must be positive")
-        if self.author_shards < 1:
-            raise ConfigurationError("author_shards must be >= 1")
-        if self.sync_delay_median <= 0:
-            raise ConfigurationError("sync_delay_median must be positive")
-        if self.backend_count < 1:
-            raise ConfigurationError("need at least one backend")
-        if not 0.0 <= self.backend_lag_prob <= 1.0:
-            raise ConfigurationError("backend_lag_prob must be in [0, 1]")
-        if not 0.0 <= self.backend_flicker_prob <= 1.0:
-            raise ConfigurationError(
-                "backend_flicker_prob must be in [0, 1]"
-            )
-        if not 0.0 <= self.stale_snapshot_prob <= 1.0:
-            raise ConfigurationError(
-                "stale_snapshot_prob must be in [0, 1]"
-            )
-        if not 0.0 <= self.tail_insert_prob <= 1.0:
-            raise ConfigurationError("tail_insert_prob must be in [0, 1]")
-        if self.repair_delay_mean <= 0:
-            raise ConfigurationError("repair_delay_mean must be positive")
+        check_params(
+            self,
+            probabilities=("backend_lag_prob", "backend_verylag_prob",
+                           "straggler_prob", "stale_snapshot_prob",
+                           "tail_insert_prob",
+                           "session_order_violation_prob"),
+            positive=("sync_interval", "sync_delay_median",
+                      "backend_lag_median", "backend_verylag_mean",
+                      "straggler_extra_mean", "stale_snapshot_age_mean",
+                      "repair_delay_mean", "antientropy_interval",
+                      "antientropy_min_age", "retention"),
+            sigmas=("sync_delay_sigma", "backend_lag_sigma"),
+            counts=("backend_count",),
+        )
 
 
 class DatacenterReplica:
     """One datacenter of an eventually-replicated service."""
 
     def __init__(self, sim: Simulator, network: Network, host: str,
-                 rng: RandomSource, params: EventualParams,
-                 clock_fn: Callable[[], float] | None = None) -> None:
+                 rng: RandomSource, params: EventualParams) -> None:
         self._sim = sim
         self._network = network
         self._rng = rng
         self._params = params
         self.host = host
-        #: Clock used to stamp origin timestamps (DC clocks are
-        #: NTP-disciplined in production, so default to ground truth).
-        self._clock_fn = clock_fn or (lambda: sim.now)
         self._store = VersionedStore(
             now_fn=lambda: sim.now, retention=params.retention
         )
-        #: message_id -> per-backend (visible_from, flicker_start,
-        #: flicker_end) windows; the write is visible on a backend from
-        #: visible_from onward except during [flicker_start,
-        #: flicker_end).
-        self._backend_visible: dict[
-            str, list[tuple[float, float, float]]
-        ] = {}
+        #: message_id -> per-backend time from which the write is
+        #: visible on that backend.
+        self._backend_visible: dict[str, list[float]] = {}
         self._prune_backend_visible = DoublingPrune(4096)
         #: (author, backend) -> latest visible_from so far; enforces
         #: per-author session order in backend visibility.
@@ -210,7 +179,6 @@ class DatacenterReplica:
         #: anti-entropy so partitions only delay replication.
         self._local_log: list[tuple[str, str, float]] = []
         self._peers: list[str] = []
-        self._shard_map = AuthorShardMap(params.author_shards)
         #: Per-(peer, author) earliest allowed arrival (FIFO shipping
         #: of each author's session).
         self._fifo_floor: dict[tuple[str, str], float] = {}
@@ -235,15 +203,14 @@ class DatacenterReplica:
     def store(self) -> VersionedStore:
         return self._store
 
-    @property
-    def params(self) -> EventualParams:
-        return self._params
-
     # -- Writes -----------------------------------------------------------
 
     def accept_write(self, message_id: str, author: str) -> float:
-        """Accept a client write at this DC; returns its origin_ts."""
-        origin_ts = self._clock_fn()
+        """Accept a client write at this DC; returns its origin_ts.
+
+        DC clocks are NTP-disciplined, so the stamp is ground truth.
+        """
+        origin_ts = self._sim.now
         obs = self._network.obs
         if obs is not None:
             obs.metrics.counter("replication.writes_total",
@@ -263,27 +230,6 @@ class DatacenterReplica:
             chunks = self._chunk_by_author(batch)
             for peer in self._peers:
                 round_delay = self._sample_sync_delay(peer)
-                if self._params.author_shards > 1:
-                    # A whole author shard's pipeline shares one
-                    # straggler fate: the fanout job is per shard.
-                    for shard, members in self._shard_map.group(
-                        chunks, lambda pair: pair[0]
-                    ):
-                        delay = round_delay
-                        stream = (f"straggler.{self.host}->{peer}"
-                                  f".g{shard}")
-                        straggles = self._rng.bernoulli(
-                            stream, self._params.straggler_prob
-                        )
-                        if straggles:
-                            delay += self._rng.exponential(
-                                stream + ".len",
-                                self._params.straggler_extra_mean,
-                            )
-                        for author, chunk in members:
-                            self._ship_chunk(peer, author, chunk,
-                                             delay, straggles)
-                    continue
                 for author, chunk in chunks:
                     delay = round_delay
                     stream = f"straggler.{self.host}->{peer}"
@@ -437,7 +383,7 @@ class DatacenterReplica:
                                    author: str) -> None:
         now = self._sim.now
         stream = f"backend.{self.host}"
-        windows: list[tuple[float, float, float]] = []
+        visible: list[float] = []
         may_violate = self._rng.bernoulli(
             f"{stream}.violate",
             self._params.session_order_violation_prob,
@@ -468,27 +414,12 @@ class DatacenterReplica:
                 # write cannot appear before its session predecessors.
                 visible_from = max(visible_from, floor)
             self._author_floor[floor_key] = max(floor, visible_from)
-            flicker_start = flicker_end = float("inf")
-            if self._rng.bernoulli(f"{stream}.flicker",
-                                   self._params.backend_flicker_prob):
-                flicker_start = visible_from + self._rng.exponential(
-                    f"{stream}.flicker.delay",
-                    self._params.flicker_delay_mean,
-                )
-                flicker_end = flicker_start + self._rng.exponential(
-                    f"{stream}.flicker.len",
-                    self._params.flicker_duration_mean,
-                )
-            windows.append((visible_from, flicker_start, flicker_end))
-        self._backend_visible[message_id] = windows
+            visible.append(visible_from)
+        self._backend_visible[message_id] = visible
         horizon = now - self._params.retention
         self._prune_backend_visible(
             self._backend_visible,
-            lambda windows: all(
-                start < horizon
-                and (flicker_start == float("inf") or end < horizon)
-                for start, flicker_start, end in windows
-            ),
+            lambda visible: max(visible) < horizon,
         )
 
     # -- Reads ------------------------------------------------------------
@@ -516,36 +447,32 @@ class DatacenterReplica:
         for message_id in self._store.view_at(as_of):
             # No visibility record means the entry predates it (e.g.
             # pruned): treat as fully propagated.
-            windows = backend_visible.get(message_id)
-            if windows is not None:
-                visible_from, flicker_start, flicker_end = \
-                    windows[backend]
-                if (as_of < visible_from
-                        or flicker_start <= as_of < flicker_end):
-                    continue
+            visible = backend_visible.get(message_id)
+            if visible is not None and as_of < visible[backend]:
+                continue
             served.append(message_id)
         return tuple(served)
 
 
 class EventualGroup:
-    """A set of datacenter replicas plus the agent-to-DC home mapping."""
+    """A set of datacenter replicas plus the agent-to-DC home mapping.
+
+    ``datacenters`` maps each DC host to its params; its order is the
+    peer order, which fixes every replica's shipping order.
+    """
 
     def __init__(self, sim: Simulator, network: Network,
-                 rng: RandomSource, params: EventualParams,
-                 datacenter_hosts: list[str],
-                 per_dc_params: dict[str, EventualParams] | None = None,
-                 ) -> None:
-        if not datacenter_hosts:
+                 rng: RandomSource,
+                 datacenters: Mapping[str, EventualParams]) -> None:
+        if not datacenters:
             raise ConfigurationError("need at least one datacenter")
-        per_dc = per_dc_params or {}
-        self._replicas: dict[str, DatacenterReplica] = {}
-        for host in datacenter_hosts:
-            self._replicas[host] = DatacenterReplica(
-                sim, network, host, rng.child(host),
-                per_dc.get(host, params),
-            )
-        for host, replica in self._replicas.items():
-            for peer in datacenter_hosts:
+        self._replicas: dict[str, DatacenterReplica] = {
+            host: DatacenterReplica(sim, network, host, rng.child(host),
+                                    params)
+            for host, params in datacenters.items()
+        }
+        for replica in self._replicas.values():
+            for peer in self._replicas:
                 replica.add_peer(peer)
         self._home: dict[str, str] = {}
 

@@ -42,8 +42,7 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError
 from repro.net.network import Message, Network
 from repro.replication.ordering import timestamp_key
-from repro.replication.sharding import AuthorShardMap
-from repro.replication.store import VersionedStore
+from repro.replication.store import VersionedStore, check_params
 from repro.sim.event_loop import Simulator
 from repro.sim.random_source import RandomSource
 
@@ -73,33 +72,17 @@ class GossipParams:
     read_lb_prob: float = 0.0
     #: Version/entry retention horizon (seconds).
     retention: float = 600.0
-    #: Author shards for rumor fanout.  At the default ``1`` each
-    #: rumor round picks ``fanout`` random peers for the whole batch
-    #: (the classic path; existing golden signatures depend on it).
-    #: When ``> 1`` the batch is split by author shard and each
-    #: sub-batch walks the peer ring deterministically from the
-    #: shard's slot — the paper's §II author-sharded dissemination.
-    author_shards: int = 1
 
     def __post_init__(self) -> None:
-        if self.gossip_interval <= 0:
-            raise ConfigurationError("gossip_interval must be positive")
-        if self.fanout < 1:
-            raise ConfigurationError("fanout must be >= 1")
-        if self.author_shards < 1:
-            raise ConfigurationError("author_shards must be >= 1")
-        if self.rumor_delay_median <= 0:
-            raise ConfigurationError(
-                "rumor_delay_median must be positive"
-            )
-        if self.antientropy_interval <= 0:
-            raise ConfigurationError(
-                "antientropy_interval must be positive"
-            )
-        if not 0.0 <= self.read_lb_prob <= 1.0:
-            raise ConfigurationError("read_lb_prob must be in [0, 1]")
-        if self.retention <= 0:
-            raise ConfigurationError("retention must be positive")
+        check_params(
+            self,
+            probabilities=("read_lb_prob",),
+            positive=("gossip_interval", "rumor_delay_median",
+                      "antientropy_interval", "antientropy_min_age",
+                      "retention"),
+            sigmas=("rumor_delay_sigma",),
+            counts=("fanout",),
+        )
 
 
 class GossipReplica:
@@ -122,7 +105,6 @@ class GossipReplica:
         #: by anti-entropy: (message_id, author, origin_ts).
         self._log: list[tuple[str, str, float]] = []
         self._peers: list[str] = []
-        self._shard_map = AuthorShardMap(params.author_shards)
         network.attach(host, message_handler=self._on_message)
         sim.schedule_after(params.gossip_interval, self._rumor_round)
         sim.schedule_after(params.antientropy_interval,
@@ -138,10 +120,6 @@ class GossipReplica:
     @property
     def store(self) -> VersionedStore:
         return self._store
-
-    @property
-    def params(self) -> GossipParams:
-        return self._params
 
     # -- Writes -----------------------------------------------------------
 
@@ -174,26 +152,12 @@ class GossipReplica:
     def _rumor_round(self) -> None:
         if self._rumor_queue and self._peers:
             batch, self._rumor_queue = self._rumor_queue, []
-            if self._params.author_shards > 1:
-                for shard, writes in self._shard_map.group(
-                    batch, lambda record: record[1]
-                ):
-                    for peer in self._sharded_targets(shard):
-                        delay = self._sample_rumor_delay(peer)
-                        self._sim.schedule_after(
-                            delay, self._network.send, self.host,
-                            peer,
-                            {"kind": "gossip",
-                             "writes": list(writes)},
-                        )
-            else:
-                targets = self._pick_peers()
-                for peer in targets:
-                    delay = self._sample_rumor_delay(peer)
-                    self._sim.schedule_after(
-                        delay, self._network.send, self.host, peer,
-                        {"kind": "gossip", "writes": list(batch)},
-                    )
+            for peer in self._pick_peers():
+                delay = self._sample_rumor_delay(peer)
+                self._sim.schedule_after(
+                    delay, self._network.send, self.host, peer,
+                    {"kind": "gossip", "writes": list(batch)},
+                )
         elif self._rumor_queue:
             self._rumor_queue = []
         self._sim.schedule_after(self._params.gossip_interval,
@@ -210,20 +174,6 @@ class GossipReplica:
                 remaining.pop(stream.randrange(len(remaining)))
             )
         return chosen
-
-    def _sharded_targets(self, shard: int) -> list[str]:
-        """Deterministic fanout targets for one author shard's batch.
-
-        A shard's rumors always walk the peer ring from the same slot,
-        so dissemination order is a pure function of the author shard —
-        no rng, which keeps author-sharded runs reproducible under any
-        physical partitioning of the world.
-        """
-        width = len(self._peers)
-        count = min(self._params.fanout, width)
-        start = shard % width
-        return [self._peers[(start + step) % width]
-                for step in range(count)]
 
     def _sample_rumor_delay(self, peer: str) -> float:
         base = self._network.latency.topology.one_way(self.host, peer)

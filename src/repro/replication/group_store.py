@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError
 from repro.net.network import Message, Network
 from repro.replication.ordering import second_truncated_key
-from repro.replication.store import VersionedStore
+from repro.replication.store import VersionedStore, check_params
 from repro.sim.event_loop import Simulator
 from repro.sim.future import Future
 from repro.sim.random_source import RandomSource
@@ -72,12 +72,12 @@ class GroupStoreParams:
     retention: float = 600.0
 
     def __post_init__(self) -> None:
-        if self.commit_delay <= 0:
-            raise ConfigurationError("commit_delay must be positive")
-        if not 0.0 <= self.lag_spike_prob <= 1.0:
-            raise ConfigurationError("lag_spike_prob must be in [0, 1]")
-        if not 0.0 <= self.stale_read_prob <= 1.0:
-            raise ConfigurationError("stale_read_prob must be in [0, 1]")
+        check_params(
+            self,
+            probabilities=("lag_spike_prob", "stale_read_prob"),
+            positive=("commit_delay", "lag_spike_mean", "stale_read_age",
+                      "antientropy_interval", "retention"),
+        )
 
 
 class GroupReplica:

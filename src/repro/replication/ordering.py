@@ -8,25 +8,17 @@ breaking ties in the creation timestamp".  :func:`second_truncated_key`
 implements exactly that scheme; :func:`timestamp_key` is the plain
 canonical order used by the other substrates.
 
-Keys are tuples, compared lexicographically by :class:`StoredWrite`'s
-sort.  A policy is just a function from (origin_ts, arrival_seq,
-message_id) to a key; replicas call it at insert (and repair) time.
+Keys are tuples, compared lexicographically by
+:class:`~repro.replication.store.VersionedStore`.  A policy is a
+function from (origin_ts, seq, message_id) to a key; replicas call it
+at insert (and repair) time.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
-__all__ = [
-    "OrderingPolicy",
-    "timestamp_key",
-    "arrival_key",
-    "second_truncated_key",
-]
-
-#: Signature of every ordering policy.
-OrderingPolicy = Callable[[float, int, str], tuple]
+__all__ = ["timestamp_key", "second_truncated_key"]
 
 
 def timestamp_key(origin_ts: float, seq: int, message_id: str) -> tuple:
@@ -36,11 +28,6 @@ def timestamp_key(origin_ts: float, seq: int, message_id: str) -> tuple:
     replicas agree, and ``seq`` never participates (it is replica-local).
     """
     return (origin_ts, message_id)
-
-
-def arrival_key(origin_ts: float, seq: int, message_id: str) -> tuple:
-    """Pure arrival order at this replica (replica-local positions)."""
-    return (seq,)
 
 
 def second_truncated_key(origin_ts: float, seq: int,

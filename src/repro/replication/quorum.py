@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError
 from repro.net.network import Network
 from repro.replication.ordering import timestamp_key
-from repro.replication.store import VersionedStore
+from repro.replication.store import VersionedStore, check_params
 from repro.sim.event_loop import Simulator
 from repro.sim.future import Future, Quorum
 from repro.sim.random_source import RandomSource
@@ -58,16 +58,18 @@ class QuorumParams:
     retention: float = 600.0
 
     def __post_init__(self) -> None:
-        if self.replicas < 1:
-            raise ConfigurationError("need at least one replica")
-        if not 1 <= self.read_quorum <= self.replicas:
-            raise ConfigurationError(
-                f"read_quorum must be in [1, {self.replicas}]"
-            )
-        if not 1 <= self.write_quorum <= self.replicas:
-            raise ConfigurationError(
-                f"write_quorum must be in [1, {self.replicas}]"
-            )
+        check_params(
+            self,
+            positive=("rpc_timeout", "apply_delay_median", "retention"),
+            sigmas=("apply_delay_sigma",),
+            counts=("replicas", "read_quorum", "write_quorum"),
+        )
+        for name in ("read_quorum", "write_quorum"):
+            if getattr(self, name) > self.replicas:
+                raise ConfigurationError(
+                    f"QuorumParams.{name} must be <= replicas="
+                    f"{self.replicas}, got {getattr(self, name)!r}"
+                )
 
     @property
     def is_strict(self) -> bool:
@@ -136,8 +138,7 @@ class QuorumStore:
 
     def __init__(self, sim: Simulator, network: Network,
                  params: QuorumParams, replica_hosts: list[str],
-                 frontend_hosts: list[str],
-                 rng: RandomSource | None = None) -> None:
+                 frontend_hosts: list[str], rng: RandomSource) -> None:
         if len(replica_hosts) != params.replicas:
             raise ConfigurationError(
                 f"expected {params.replicas} replica hosts, got "
@@ -146,7 +147,6 @@ class QuorumStore:
         self._sim = sim
         self._network = network
         self.params = params
-        rng = rng or RandomSource(seed=0)
         self.replicas = [
             QuorumReplica(sim, network, host, params,
                           rng.child(host))

@@ -59,13 +59,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
 from repro.replication.ordering import timestamp_key
-from repro.replication.sharding import AuthorShardMap
 from repro.replication.store import (
     DoublingPrune,
     StoredWrite,
     VersionedStore,
+    check_params,
 )
 from repro.sim.event_loop import Simulator
 from repro.sim.random_source import GAUSS_MAX_SIGMAS, RandomSource
@@ -83,6 +82,8 @@ class RankedFeedParams:
     index_lag_median: float = 0.6
     index_lag_sigma: float = 0.65
     #: Weight of recency in the interest score (per second of age).
+    #: Any real number: at ``<= 0`` newest is not best, which the
+    #: read's stop rule does not assume.
     recency_weight: float = 1.0
     #: Standard deviation of the per-epoch interest noise, in
     #: age-equivalent seconds.  Comparable to typical inter-post gaps,
@@ -98,27 +99,15 @@ class RankedFeedParams:
     drop_prob: float = 0.004
     #: Version/entry retention horizon (seconds).
     retention: float = 600.0
-    #: Author shards for the indexing pipeline.  At the default ``1``
-    #: the per-reader FIFO floor is per author (the classic path;
-    #: golden signatures depend on it).  When ``> 1`` the floor is
-    #: kept per author *shard*: one pipeline consumes a whole shard's
-    #: posts in order, so indexing lag on any author in the shard
-    #: also delays its shard-mates — the paper's §II fanout shape.
-    author_shards: int = 1
 
     def __post_init__(self) -> None:
-        if self.feed_size < 1:
-            raise ConfigurationError("feed_size must be >= 1")
-        if self.author_shards < 1:
-            raise ConfigurationError("author_shards must be >= 1")
-        if self.index_lag_median <= 0:
-            raise ConfigurationError("index_lag_median must be positive")
-        if self.noise_sd < 0:
-            raise ConfigurationError("noise_sd must be non-negative")
-        if self.noise_period <= 0:
-            raise ConfigurationError("noise_period must be positive")
-        if not 0.0 <= self.drop_prob <= 1.0:
-            raise ConfigurationError("drop_prob must be in [0, 1]")
+        check_params(
+            self,
+            probabilities=("drop_prob",),
+            positive=("index_lag_median", "noise_period", "retention"),
+            sigmas=("index_lag_sigma", "noise_sd"),
+            counts=("feed_size",),
+        )
 
 
 class RankedFeedStore:
@@ -146,7 +135,6 @@ class RankedFeedStore:
         #: noise}}``.  Simulated time only moves forward, so asking for
         #: an epoch retires every older one.
         self._noise_cache: dict[int, dict[tuple[str, str], float]] = {}
-        self._shard_map = AuthorShardMap(params.author_shards)
 
     @property
     def store(self) -> VersionedStore:
@@ -240,16 +228,8 @@ class RankedFeedStore:
         when = entry.origin_ts + lag
         # Per-author FIFO: never indexed before a session
         # predecessor.  (Entries are scanned in timestamp order, so
-        # predecessors are always sampled first.)  With author
-        # sharding the floor is per shard — one pipeline drains a
-        # whole shard's posts in order.
-        if self._params.author_shards > 1:
-            floor_key = (
-                reader,
-                f"shard:{self._shard_map.shard_of(entry.author)}",
-            )
-        else:
-            floor_key = (reader, entry.author)
+        # predecessors are always sampled first.)
+        floor_key = (reader, entry.author)
         floor = self._index_floor.get(floor_key, float("-inf"))
         when = max(when, floor)
         self._index_floor[floor_key] = when

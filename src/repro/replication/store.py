@@ -23,6 +23,9 @@ costs one tuple copy of that list (the new immutable version) instead
 of a sort plus a retention scan, and :meth:`VersionedStore.entries`
 costs a list copy.  ``seq`` breaks ``sort_key`` ties, which is the
 order a stable sort over arrival-ordered entries produces.
+
+:func:`check_params` is the one range check every substrate's
+``*Params`` runs in ``__post_init__``.
 """
 
 from __future__ import annotations
@@ -34,7 +37,34 @@ from typing import Any, Callable
 
 from repro.errors import ConfigurationError
 
-__all__ = ["StoredWrite", "VersionedStore", "DoublingPrune"]
+__all__ = ["StoredWrite", "VersionedStore", "DoublingPrune",
+           "check_params"]
+
+
+def check_params(params: Any, *, probabilities: tuple[str, ...] = (),
+                 positive: tuple[str, ...] = (),
+                 sigmas: tuple[str, ...] = (),
+                 counts: tuple[str, ...] = ()) -> None:
+    """Fail closed on a substrate ``*Params`` field outside its range.
+
+    Probabilities lie in [0, 1]; cadences, medians, means, delays,
+    timeouts and retention are > 0 (a zero cadence reschedules itself
+    at one instant forever); log-sigmas are >= 0; counts are >= 1.
+    NaN passes none of these.  The error names the class and field.
+    """
+    for names, holds, rule in (
+        (probabilities, lambda value: 0.0 <= value <= 1.0, "in [0, 1]"),
+        (positive, lambda value: value > 0, "> 0"),
+        (sigmas, lambda value: value >= 0, ">= 0"),
+        (counts, lambda value: value >= 1, ">= 1"),
+    ):
+        for name in names:
+            value = getattr(params, name)
+            if not holds(value):
+                raise ConfigurationError(
+                    f"{type(params).__name__}.{name} must be {rule}, "
+                    f"got {value!r}"
+                )
 
 
 class DoublingPrune:
@@ -81,7 +111,7 @@ class StoredWrite:
         service-side creation time used by ordering policies).
     seq:
         Arrival sequence number at *this* replica — monotonically
-        increasing, used by arrival-order and tie-break policies.
+        increasing; breaks ``sort_key`` ties.
     sort_key:
         The key this replica currently orders the write by.  Eventual
         substrates mutate this when a late write is "repaired" into its
@@ -92,11 +122,7 @@ class StoredWrite:
     author: str
     origin_ts: float
     seq: int
-    sort_key: tuple = ()
-
-    def __post_init__(self) -> None:
-        if not self.sort_key:
-            self.sort_key = (self.origin_ts, self.seq)
+    sort_key: tuple
 
 
 def _position(entry: StoredWrite) -> tuple[tuple, int]:
@@ -138,8 +164,8 @@ class VersionedStore:
     # -- Mutation -----------------------------------------------------------
 
     def insert(self, message_id: str, author: str, origin_ts: float,
-               sort_key: tuple | None = None) -> StoredWrite:
-        """Insert a write; duplicate ids are idempotently ignored.
+               sort_key: tuple) -> StoredWrite:
+        """Insert a write at ``sort_key``; duplicate ids are ignored.
 
         Idempotence matters because anti-entropy may deliver the same
         write through several paths.
@@ -152,7 +178,7 @@ class VersionedStore:
             author=author,
             origin_ts=origin_ts,
             seq=self._next_seq,
-            sort_key=sort_key if sort_key is not None else (),
+            sort_key=sort_key,
         )
         self._next_seq += 1
         self._entries[message_id] = entry

@@ -122,7 +122,8 @@ def scenario_params(spec: ScenarioSpec) -> Any | None:
     for path, value in spec.service.params:
         try:
             params = apply_assignment(params, {path: value})
-        except CalibrationError as exc:
+        except (CalibrationError, ConfigurationError) as exc:
+            # A bad path, or a value its ``*Params`` range-check refuses.
             raise ConfigurationError(
                 f"service.params.{path}: {exc}"
             ) from None

@@ -29,7 +29,6 @@ everything below a shard boundary is a pure function of the spec.
 """
 
 from repro.serve.hunt import (
-    ACTIVE_STATUSES,
     HUNT_STATUSES,
     TERMINAL_STATUSES,
     HuntSpec,
@@ -45,7 +44,6 @@ __all__ = [
     "HuntSpec",
     "HuntState",
     "HUNT_STATUSES",
-    "ACTIVE_STATUSES",
     "TERMINAL_STATUSES",
     "check_transition",
     "HuntStore",

@@ -44,7 +44,6 @@ __all__ = [
     "HuntSpec",
     "HuntState",
     "HUNT_STATUSES",
-    "ACTIVE_STATUSES",
     "TERMINAL_STATUSES",
     "STATUS_FIELDS",
     "check_transition",
@@ -54,9 +53,6 @@ __all__ = [
 #: Every status a hunt can be in, in lifecycle order.
 HUNT_STATUSES = ("queued", "running", "paused", "done", "cancelled",
                  "failed")
-
-#: Statuses with shard work outstanding.
-ACTIVE_STATUSES = frozenset({"queued", "running", "paused"})
 
 #: Statuses a hunt never leaves.
 TERMINAL_STATUSES = frozenset({"done", "cancelled", "failed"})
@@ -220,10 +216,6 @@ class HuntState:
     @property
     def is_terminal(self) -> bool:
         return self.status in TERMINAL_STATUSES
-
-    @property
-    def shards_remaining(self) -> int:
-        return self.shards_total - self.shards_done
 
     def advance(self, target: str, **changes: Any) -> "HuntState":
         """A copy in ``target`` status (legal transitions only)."""

@@ -85,15 +85,11 @@ class GooglePlusService(OnlineService):
         self._homes = dict(homes or DEFAULT_HOMES)
         self._place("gplus-dc-us", OREGON)
         self._place("gplus-dc-eu", IRELAND)
-        self._group = EventualGroup(
-            sim, network, rng.child("gplus"),
-            self._params.replication_us,
-            ["gplus-dc-us", "gplus-dc-eu"],
-            per_dc_params={
-                "gplus-dc-us": self._params.replication_us,
-                "gplus-dc-eu": self._params.replication_eu,
-            },
-        )
+        # Host order is peer order, which fixes the shipping order.
+        self._group = EventualGroup(sim, network, rng.child("gplus"), {
+            "gplus-dc-us": self._params.replication_us,
+            "gplus-dc-eu": self._params.replication_eu,
+        })
         # One shared account: "all agents shared the same account".
         self._shared_account = self._accounts.create_account(
             "shared-moments-user"

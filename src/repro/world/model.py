@@ -104,10 +104,11 @@ class WorldReplica:
     def _relay(self, key: str, message_id: str, arrival: float) -> None:
         """Forward a first-seen rumor to this replica's ring successors.
 
-        Fanout walks the replica ring (the author-sharded schedule from
-        :mod:`repro.replication.sharding`); latency draws come from
-        this replica's own stream so draw order — and therefore every
-        value — is independent of how replicas share shard simulators.
+        Fanout walks the replica ring from this replica (homes come
+        from :func:`repro.world.spec.author_shard`); latency draws
+        come from this replica's own stream so draw order — and
+        therefore every value — is independent of how replicas share
+        shard simulators.
         """
         send, draw, index = self._send, self._hop, self.index
         mu, sigma = self._mu, self.spec.hop_sigma

@@ -11,8 +11,8 @@ with equal spec + seed are byte-identical, whatever the shard count.
 Placement vocabulary (all derived, never stored):
 
 * a **session** ``s`` of cohort ``c`` is *homed* on a logical replica
-  chosen by a stable BLAKE2b hash (:mod:`repro.replication.sharding`)
-  — a function of the session identity and ``replicas`` only;
+  chosen by a stable BLAKE2b hash (:func:`author_shard`) — a function
+  of the session identity and ``replicas`` only;
 * a **cohort** of ``cohort_size`` sessions (one writer, the rest
   readers) is one measurement test; its trace is assembled on the
   writer's home replica;
@@ -24,13 +24,30 @@ Placement vocabulary (all derived, never stored):
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field, replace
 
 from repro.errors import SimulationError
 from repro.fleet.digest import canonical_json, sha256_hex
-from repro.replication.sharding import author_shard
 
-__all__ = ["WorldPartition", "WorldSpec"]
+__all__ = ["WorldPartition", "WorldSpec", "author_shard"]
+
+
+def author_shard(author: str, shards: int) -> int:
+    """The stable home shard of ``author`` among ``shards`` slots.
+
+    BLAKE2b over the author string — never Python's ``hash``, which
+    varies per process (``PYTHONHASHSEED``) and would break the
+    serial == sharded byte identity.  The slot depends only on
+    ``(author, shards)``, so re-cutting a world onto a different
+    number of physical shards moves no author.
+    """
+    if shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
+    digest = hashlib.blake2b(
+        author.encode("utf-8"), digest_size=8
+    ).digest()
+    return int.from_bytes(digest, "big") % shards
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,56 @@
 """Tests for the command-line interface."""
 
 import json
+import signal
+from contextlib import contextmanager
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.fleet import FleetSpec, run_fleet
 from repro.methodology import CampaignConfig
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail a call still running after ``seconds`` instead of waiting."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def builtin_scenario(tmp_path):
+    """Write a builtin pass-through scenario with one param override.
+
+    The CLI registers every ``--scenario`` it loads; the names are
+    forgotten afterwards so no other test sees them.
+    """
+    from repro.scenario import forget_scenario
+
+    names = []
+
+    def write(base, path, value):
+        name = f"{base}_override"
+        names.append(name)
+        scenario = tmp_path / f"{name}.toml"
+        scenario.write_text(
+            f'[scenario]\nschema_version = 1\nname = "{name}"\n'
+            f'[service]\narchetype = "builtin"\nbase = "{base}"\n'
+            f'[service.params]\n"{path}" = {value}\n',
+            encoding="utf-8")
+        return str(scenario)
+
+    yield write
+    for name in names:
+        forget_scenario(name)
 
 
 class TestParser:
@@ -108,21 +152,46 @@ class TestCommands:
         assert code == 2
         assert "unknown services" in capsys.readouterr().err
 
-    def test_fleet_rejects_clashing_scenario_names(self, tmp_path):
-        from repro.errors import ConfigurationError
-
+    def test_fleet_rejects_clashing_scenario_names(self, tmp_path,
+                                                   capsys):
         text = ('[scenario]\nschema_version = 1\nname = "probe"\n'
                 '[service]\narchetype = "gossip"\n')
         first, second = tmp_path / "a.toml", tmp_path / "b.toml"
         first.write_text(text, encoding="utf-8")
         second.write_text(text + 'regions = ["oregon"]\n',
                           encoding="utf-8")
-        with pytest.raises(ConfigurationError,
-                           match="duplicate scenario name") as err:
-            main(["fleet", "--scenario", str(first), "--scenario",
-                  str(second), "--tests", "2"])
-        assert str(first) in str(err.value)
-        assert str(second) in str(err.value)
+        code = main(["fleet", "--scenario", str(first), "--scenario",
+                     str(second), "--tests", "2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("fleet: ") and "duplicate scenario name" in err
+        assert str(first) in err
+        assert str(second) in err
+
+    @pytest.mark.parametrize("verb, base, path, owner", [
+        ("run", "facebook_group", "store.antientropy_interval",
+         "GroupStoreParams"),
+        ("fleet", "googleplus", "replication_eu.antientropy_interval",
+         "EventualParams"),
+    ])
+    def test_zero_interval_fails_closed_instead_of_hanging(
+            self, verb, base, path, owner, builtin_scenario, capsys):
+        scenario = builtin_scenario(base, path, 0.0)
+        with deadline(60):
+            code = main([verb, "--scenario", scenario, "--tests", "1",
+                         "--seed", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"{verb}: service.params.{path}: {owner}."
+            "antientropy_interval must be > 0, got 0.0\n")
+
+    def test_bad_param_path_is_one_line_not_a_traceback(
+            self, builtin_scenario, capsys):
+        scenario = builtin_scenario("googleplus", "replication_us.nope", 1)
+        assert main(["run", "--scenario", scenario, "--tests", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run: service.params.replication_us.nope: ")
+        assert err.count("\n") == 1
 
     def test_run_with_output_then_report(self, capsys, tmp_path):
         saved = tmp_path / "blogger.json"

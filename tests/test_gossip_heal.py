@@ -52,6 +52,20 @@ def make_ring(faults=None, seed=3, **overrides):
     return sim, group
 
 
+class TestRumorFanout:
+    def run_ring(self, seed):
+        sim, group = make_ring(seed=seed)
+        for index, author in enumerate(("alice", "bob", "carol", "dave")):
+            group.write_at(NODES[index % 3], f"M{index}", author)
+        sim.run_until(30.0)
+        return tuple(group.read_from(node) for node in NODES)
+
+    def test_fanout_converges_and_is_deterministic(self):
+        first = self.run_ring(seed=11)
+        assert first == self.run_ring(seed=11)
+        assert first == (("M0", "M1", "M2", "M3"),) * 3
+
+
 class TestAntiEntropyHeal:
     def test_reoffer_converges_isolated_replica(self):
         # Tokyo is cut off from both peers for [0, 20): the write's

@@ -145,7 +145,8 @@ class TestQuorumStore:
         net = Network(sim, LatencyModel(topo, rng, JitterParams()))
         with pytest.raises(ConfigurationError):
             QuorumStore(sim, net, QuorumParams(replicas=3),
-                        replica_hosts=["r0"], frontend_hosts=[])
+                        replica_hosts=["r0"], frontend_hosts=[],
+                        rng=rng)
 
     def test_unknown_frontend_rejected(self):
         sim, store = make_quorum_world(1, 1)

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.replication import RankedFeedParams, RankedFeedStore
-from repro.replication.sharding import AuthorShardMap
 from repro.replication.store import DoublingPrune
 from repro.sim import RandomSource, Simulator
 from repro.sim.random_source import GAUSS_MAX_SIGMAS
@@ -33,7 +32,6 @@ class ExhaustiveFeed:
         self.posts = []  # (origin_ts, message_id, author)
         self.visible_at = {}
         self.index_floor = {}
-        self.shard_map = AuthorShardMap(params.author_shards)
 
     def write(self, author, message_id):
         now = self.sim.now
@@ -51,9 +49,6 @@ class ExhaustiveFeed:
                 sigma=self.params.index_lag_sigma,
             )
             floor_key = (reader, author)
-            if self.params.author_shards > 1:
-                floor_key = (
-                    reader, f"shard:{self.shard_map.shard_of(author)}")
             when = max(when,
                        self.index_floor.get(floor_key, float("-inf")))
             self.index_floor[floor_key] = when
@@ -96,7 +91,6 @@ feed_params = st.builds(
     recency_weight=st.sampled_from([-1.0, 0.0, 0.01, 1.0]),
     # 5 s: posts cross the retention horizon inside one schedule.
     retention=st.sampled_from([5.0, 600.0]),
-    author_shards=st.sampled_from([1, 3]),
 )
 
 #: Seconds to let pass after an operation: 0 (same-instant posts have

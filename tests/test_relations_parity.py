@@ -269,9 +269,10 @@ class TestCliSurface:
     def test_run_rejects_unknown_metric(self, capsys):
         from repro.cli import main
 
-        with pytest.raises(ConfigurationError):
-            main(["run", "--service", "blogger", "--tests", "1",
-                  "--metrics", "bogus"])
+        code = main(["run", "--service", "blogger", "--tests", "1",
+                     "--metrics", "bogus"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("run: ")
 
 
 class TestStoreDigestMessages:

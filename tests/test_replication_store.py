@@ -5,20 +5,20 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.replication import (
     VersionedStore,
-    arrival_key,
     second_truncated_key,
     timestamp_key,
 )
 from repro.sim import Simulator
 
 
+def ts_key(origin_ts, message_id):
+    return timestamp_key(origin_ts, 0, message_id)
+
+
 class TestOrderingPolicies:
     def test_timestamp_key_orders_by_time_then_id(self):
         assert timestamp_key(1.0, 9, "A") < timestamp_key(2.0, 0, "B")
         assert timestamp_key(1.0, 0, "A") < timestamp_key(1.0, 0, "B")
-
-    def test_arrival_key_ignores_timestamps(self):
-        assert arrival_key(100.0, 0, "A") < arrival_key(1.0, 1, "B")
 
     def test_second_truncated_reverses_same_second(self):
         # Two writes 0.4s apart within one second: later sorts first.
@@ -45,15 +45,16 @@ class TestVersionedStore:
 
     def test_insert_and_view_now(self):
         _sim, store = self.make_store()
-        store.insert("M1", "a", 1.0)
-        store.insert("M2", "b", 2.0)
+        store.insert("M1", "a", 1.0, sort_key=ts_key(1.0, "M1"))
+        store.insert("M2", "b", 2.0, sort_key=ts_key(2.0, "M2"))
         assert store.view_now() == ("M1", "M2")
         assert len(store) == 2
 
     def test_insert_is_idempotent(self):
         _sim, store = self.make_store()
-        entry1 = store.insert("M1", "a", 1.0)
-        entry2 = store.insert("M1", "a", 5.0)  # duplicate delivery
+        entry1 = store.insert("M1", "a", 1.0, sort_key=ts_key(1.0, "M1"))
+        # Duplicate delivery.
+        entry2 = store.insert("M1", "a", 5.0, sort_key=ts_key(5.0, "M1"))
         assert entry1 is entry2
         assert len(store) == 1
 
@@ -67,9 +68,9 @@ class TestVersionedStore:
 
     def test_view_at_replays_history(self):
         sim, store = self.make_store()
-        store.insert("M1", "a", 0.0)
+        store.insert("M1", "a", 0.0, sort_key=ts_key(0.0, "M1"))
         sim.run_until(5.0)
-        store.insert("M2", "b", 5.0)
+        store.insert("M2", "b", 5.0, sort_key=ts_key(5.0, "M2"))
         assert store.view_at(0.0) == ("M1",)
         assert store.view_at(4.9) == ("M1",)
         assert store.view_at(5.0) == ("M1", "M2")
@@ -96,27 +97,27 @@ class TestVersionedStore:
 
     def test_same_instant_mutations_collapse(self):
         _sim, store = self.make_store()
-        store.insert("M1", "a", 0.0)
-        store.insert("M2", "b", 0.0)
+        store.insert("M1", "a", 0.0, sort_key=ts_key(0.0, "M1"))
+        store.insert("M2", "b", 0.0, sort_key=ts_key(0.0, "M2"))
         assert store.version_count == 1
         assert store.view_now() == ("M1", "M2")
 
     def test_retention_prunes_old_entries(self):
         sim, store = self.make_store(retention=10.0)
-        store.insert("old", "a", 0.0)
+        store.insert("old", "a", 0.0, sort_key=ts_key(0.0, "old"))
         sim.run_until(100.0)
-        store.insert("new", "b", 100.0)
+        store.insert("new", "b", 100.0, sort_key=ts_key(100.0, "new"))
         assert not store.contains("old")
         assert store.view_now() == ("new",)
 
     def test_entries_sorted_by_key(self):
         _sim, store = self.make_store()
-        store.insert("M2", "b", 2.0)
-        store.insert("M1", "a", 1.0)
+        store.insert("M2", "b", 2.0, sort_key=ts_key(2.0, "M2"))
+        store.insert("M1", "a", 1.0, sort_key=ts_key(1.0, "M1"))
         assert [e.message_id for e in store.entries()] == ["M1", "M2"]
 
     def test_entry_lookup(self):
         _sim, store = self.make_store()
-        store.insert("M1", "a", 1.0)
+        store.insert("M1", "a", 1.0, sort_key=ts_key(1.0, "M1"))
         assert store.entry("M1").author == "a"
         assert store.entry("nope") is None

@@ -88,8 +88,8 @@ class TestEventualGroup:
     def make_group(self, seed=2, faults=None, **overrides):
         sim, net, rng = make_world(seed=seed, faults=faults)
         params = EventualParams(**overrides)
-        group = EventualGroup(sim, net, rng.child("gplus"), params,
-                              ["dc-us", "dc-eu"])
+        group = EventualGroup(sim, net, rng.child("gplus"),
+                              {"dc-us": params, "dc-eu": params})
         group.set_home("oregon", "dc-us")
         group.set_home("tokyo", "dc-us")
         group.set_home("ireland", "dc-eu")
@@ -176,7 +176,23 @@ class TestEventualGroup:
     def test_needs_at_least_one_dc(self):
         sim, net, rng = make_world()
         with pytest.raises(ConfigurationError):
-            EventualGroup(sim, net, rng, EventualParams(), [])
+            EventualGroup(sim, net, rng, {})
+
+    def test_per_author_chunks_replicate_everything(self):
+        # Each author's chunk draws its own straggler fate; however the
+        # chunks overtake each other, every write reaches the peer.
+        sim, group = self.make_group(seed=5)
+        messages = []
+        for index, author in enumerate(
+            ("alice", "bob", "carol", "dave", "erin")
+        ):
+            message_id = f"W{index}"
+            group.replica("dc-us").accept_write(message_id, author)
+            messages.append(message_id)
+        sim.run_until(60.0)
+        remote = group.replica("dc-eu").store
+        for message_id in messages:
+            assert remote.contains(message_id)
 
 
 class TestGeoGroupStore:
@@ -270,6 +286,20 @@ class TestRankedFeed:
         rng = RandomSource(seed=seed)
         params = RankedFeedParams(**overrides)
         return sim, RankedFeedStore(sim, rng.child("feed"), params)
+
+    def test_index_floor_is_per_author(self):
+        # One FIFO floor per (reader, author): a post is never indexed
+        # before its author's earlier post, and other authors' posts
+        # are not held back by it.
+        sim, feed = self.make_feed(drop_prob=0.0, noise_sd=0.0)
+        feed.write("ann", "M1")
+        feed.write("bob", "M2")
+        feed.write("ann", "M3")
+        feed.read("reader")
+        assert set(feed._index_floor) == {("reader", "ann"),
+                                          ("reader", "bob")}
+        assert (feed._visible_at[("M3", "reader")]
+                >= feed._visible_at[("M1", "reader")])
 
     def test_post_eventually_visible_to_reader(self):
         sim, feed = self.make_feed(drop_prob=0.0)

@@ -408,6 +408,26 @@ class TestRegistry:
                 match=r"service\.params\.store\.viscosity"):
             scenario_params(spec)
 
+    def test_removed_author_shards_knob_fails_closed(self, tmp_path):
+        path = tmp_path / "sharded.toml"
+        path.write_text(MINIMAL_GOSSIP + '[service.params]\n'
+                        '"store.author_shards" = 2\n', encoding="utf-8")
+        with pytest.raises(
+                ConfigurationError,
+                match=r"^service\.params\.store\.author_shards: "):
+            scenario_params(load_scenario(path))
+
+    def test_out_of_range_param_cites_path_and_field(self):
+        spec = gossip_spec(service=ServiceSpec(
+            archetype="gossip", regions=("oregon",),
+            params=(("store.antientropy_interval", 0.0),),
+        ))
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "service.params.store.antientropy_interval: "
+                "GossipParams.antientropy_interval must be > 0, "
+                "got 0.0")):
+            scenario_params(spec)
+
     @pytest.mark.parametrize("path, value, reason", [
         ("store", 0.25, "is a table"),
         ("rate_limit", 5, "is a table"),

@@ -30,7 +30,7 @@ from repro.fleet.executor import execute_shard
 from repro.methodology import CampaignConfig
 from repro.obs.events import HuntShardRetried
 from repro.serve import (
-    ACTIVE_STATUSES,
+    HUNT_STATUSES,
     TERMINAL_STATUSES,
     CampaignService,
     HuntRun,
@@ -84,9 +84,8 @@ def markers(tmp_path, monkeypatch):
 
 class TestHuntModel:
     def test_lifecycle_tables_are_consistent(self):
-        assert ACTIVE_STATUSES | TERMINAL_STATUSES == {
-            "queued", "running", "paused", "done", "cancelled",
-            "failed",
+        assert set(HUNT_STATUSES) - TERMINAL_STATUSES == {
+            "queued", "running", "paused",
         }
         check_transition("queued", "running")
         check_transition("running", "paused")
@@ -128,7 +127,7 @@ class TestHuntModel:
         done = running.advance("done", shards_done=1,
                                fleet_signature="f" * 64)
         assert done.is_terminal
-        assert done.shards_remaining == 0
+        assert done.shards_done == done.shards_total
         with pytest.raises(InvalidRequestError):
             done.advance("running")
         with pytest.raises(ConfigurationError):

@@ -13,7 +13,7 @@ import bisect
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.replication import VersionedStore
+from repro.replication import VersionedStore, timestamp_key
 
 RETENTION = 10.0
 
@@ -32,10 +32,7 @@ class ResortingStore:
         if message_id not in self.entries:
             seq = self.next_seq
             self.next_seq += 1
-            self.entries[message_id] = [
-                sort_key if sort_key is not None else (origin_ts, seq),
-                origin_ts, seq,
-            ]
+            self.entries[message_id] = [sort_key, origin_ts, seq]
             self.record_version()
 
     def reorder(self, message_id, sort_key):
@@ -71,17 +68,17 @@ class ResortingStore:
 #: Few ids, so the same id is inserted twice (live: idempotent;
 #: after pruning: a new entry with a new seq).
 ids = st.sampled_from([f"M{n}" for n in range(5)])
-#: None = the default (origin_ts, seq) key.  One-element keys from a
-#: tiny set collide constantly, so arrival order has to break ties —
-#: also after a reorder moves an old entry among newer ones; 1.0 and
-#: 2.0 sort before every default key, 500.0 after.
-keys = st.sampled_from([None, (1.0,), (2.0,), (500.0,)])
+#: "ts" = the canonical ``timestamp_key`` of the write.  One-element
+#: keys from a tiny set collide constantly, so arrival order has to
+#: break ties — also after a reorder moves an old entry among newer
+#: ones; 1.0 and 2.0 sort before every timestamp key, 500.0 after.
+keys = st.sampled_from(["ts", (1.0,), (2.0,), (500.0,)])
 steps = st.one_of(
     # A write's age when it reaches this replica: fresh, replicated
     # late, about to expire, already past the horizon on arrival.
     st.tuples(st.just("insert"), ids,
               st.sampled_from([0.0, 0.5, 4.0, 9.9, 12.0]), keys),
-    st.tuples(st.just("reorder"), ids, keys.filter(bool)),
+    st.tuples(st.just("reorder"), ids, keys.filter(lambda k: k != "ts")),
     # 0 keeps the next mutation in the same instant (one version).
     st.tuples(st.just("advance"),
               st.sampled_from([0.0, 0.5, 3.0, 11.0])),
@@ -101,6 +98,8 @@ def test_maintained_order_equals_resorting_model(schedule):
             instants.add(clock[0])
         elif step[0] == "insert":
             _, message_id, age, sort_key = step
+            if sort_key == "ts":
+                sort_key = timestamp_key(clock[0] - age, 0, message_id)
             store.insert(message_id, "author", clock[0] - age,
                          sort_key=sort_key)
             model.insert(message_id, clock[0] - age, sort_key)

@@ -34,6 +34,7 @@ from repro.world import (
     run_world,
     world_from_scenario,
 )
+from repro.world.spec import author_shard
 
 SCENARIO = "examples/scenarios/gossip_world.toml"
 
@@ -116,6 +117,19 @@ class TestWorldSpec:
         moved = spec.with_topology(3)
         assert moved.shards == 3
         assert replace(moved, shards=1) == spec
+
+
+class TestAuthorShard:
+    def test_author_shard_is_stable_and_in_range(self):
+        for shards in (1, 2, 7):
+            for name in ("alice", "bob", "帯域"):
+                shard = author_shard(name, shards)
+                assert 0 <= shard < shards
+                assert shard == author_shard(name, shards)
+
+    def test_author_shard_rejects_zero_shards(self):
+        with pytest.raises(ValueError):
+            author_shard("alice", 0)
 
 
 class TestWorldBus:
