@@ -21,18 +21,6 @@ from repro.core import (
     WRITES_FOLLOW_READS,
 )
 
-#: Paper Figure 3 values (fractions of tests), as quoted in §V text.
-PAPER_FIG3 = {
-    "googleplus": {READ_YOUR_WRITES: 0.22, MONOTONIC_WRITES: 0.06,
-                   MONOTONIC_READS: 0.25},
-    "facebook_feed": {READ_YOUR_WRITES: 0.99, MONOTONIC_WRITES: 0.89,
-                      MONOTONIC_READS: 0.46},
-    "facebook_group": {READ_YOUR_WRITES: 0.0, MONOTONIC_WRITES: 0.93,
-                       ORDER_DIVERGENCE: 0.0},
-    "blogger": {},
-}
-
-
 def fractions(result):
     return {row.anomaly: row.fraction
             for row in prevalence_rows(result)}

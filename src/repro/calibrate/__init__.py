@@ -8,8 +8,11 @@ weighted-loss objectives computed by the existing figure code
 halving searcher (:mod:`~repro.calibrate.search`), a fleet-backed
 trial evaluator whose rungs resume from their fleet artifact stores
 (:mod:`~repro.calibrate.evaluator`), and measured-vs-paper reporting
-(:mod:`~repro.calibrate.report`).  Checked-in winners and the CI
-fidelity budgets live in :mod:`~repro.calibrate.winners`.
+(:mod:`~repro.calibrate.report`).  There is one model per service,
+its default profile: a search winner worth keeping is checked in as
+a scenario file (``examples/scenarios/googleplus_calibrated.toml``),
+and the CI fidelity gate (``tools/gates.py fidelity``) scores the
+default profile that every reported number comes from.
 
 Everything is a pure function of its inputs: there is no randomness
 and no wall clock anywhere — ``repro.lint`` enforces both, and
@@ -47,16 +50,9 @@ from repro.calibrate.targets import (
     paper_targets,
     target_services,
 )
-from repro.calibrate.winners import (
-    CALIBRATED_ASSIGNMENTS,
-    FIDELITY_BUDGETS,
-    calibrated_params,
-)
 
 __all__ = [
     "Axis",
-    "CALIBRATED_ASSIGNMENTS",
-    "FIDELITY_BUDGETS",
     "FidelityScore",
     "FidelityTerm",
     "FleetEvaluator",
@@ -70,7 +66,6 @@ __all__ = [
     "TrialResult",
     "apply_assignment",
     "base_params",
-    "calibrated_params",
     "comparison_table",
     "default_objective",
     "default_space",

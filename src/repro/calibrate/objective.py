@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 from repro.analysis.cdf import window_cdfs
 from repro.analysis.divergence import pair_divergence
+from repro.analysis.prevalence import assessing_test_type
 from repro.calibrate.targets import ServiceTargets, paper_targets
 from repro.core.anomalies import (
     ALL_ANOMALIES,
@@ -44,17 +45,6 @@ __all__ = [
     "Objective",
     "default_objective",
 ]
-
-#: Session anomalies are measured on Test 1, divergence on Test 2
-#: (the paper's split; also ``tools/calibrate.py``'s convention).
-SESSION_TEST_TYPE = "test1"
-DIVERGENCE_TEST_TYPE = "test2"
-
-
-def _test_type_for(anomaly: str) -> str:
-    return (DIVERGENCE_TEST_TYPE if "divergence" in anomaly
-            else SESSION_TEST_TYPE)
-
 
 #: Weight of each target family in the total loss (see module doc).
 PREVALENCE_WEIGHT = 1.0
@@ -123,7 +113,7 @@ def _scaled_term(name: str, measured: float, target: float,
 
 def _reads_per_agent(result: CampaignResult) -> float:
     """Mean reads per agent per Test 1 instance (Tables I/II)."""
-    records = result.of_type(SESSION_TEST_TYPE)
+    records = result.of_type("test1")
     if not records:
         return 0.0
     total = 0
@@ -181,7 +171,7 @@ class Objective:
             if anomaly not in self.targets.prevalence:
                 continue
             measured = result.prevalence(anomaly,
-                                         _test_type_for(anomaly))
+                                         assessing_test_type(anomaly))
             terms.append(_fraction_term(
                 f"prevalence.{anomaly}", measured,
                 self.targets.prevalence[anomaly],
@@ -205,8 +195,8 @@ class Objective:
         ):
             if not table:
                 continue
-            rates = pair_divergence(result, anomaly,
-                                    test_type=DIVERGENCE_TEST_TYPE)
+            rates = pair_divergence(
+                result, anomaly, test_type=assessing_test_type(anomaly))
             kind = "content" if anomaly == CONTENT_DIVERGENCE \
                 else "order"
             for pair, target in sorted(table.items()):
@@ -219,14 +209,16 @@ class Objective:
 
     def _window_terms(self, result) -> list[FidelityTerm]:
         terms = []
-        for kind, table in (
-            ("content", self.targets.content_window_median),
-            ("order", self.targets.order_window_median),
+        for kind, anomaly, table in (
+            ("content", CONTENT_DIVERGENCE,
+             self.targets.content_window_median),
+            ("order", ORDER_DIVERGENCE,
+             self.targets.order_window_median),
         ):
             if not table:
                 continue
             cdfs = window_cdfs(result, kind,
-                               test_type=DIVERGENCE_TEST_TYPE)
+                               test_type=assessing_test_type(anomaly))
             for pair, target in sorted(table.items()):
                 cdf = cdfs.cdf(pair)
                 measured = cdf.quantile(0.5) if cdf is not None \

@@ -273,10 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
              "runs 3x the previous one's)",
     )
     calibrate_cmd.add_argument("--seed", type=int, default=0)
-    calibrate_cmd.add_argument(
-        "--gap", type=float, default=15.0,
-        help="virtual cool-down between tests (seconds)",
-    )
     _add_out_flag(
         calibrate_cmd, "--store-out", metavar="DIR",
         help="directory of per-rung fleet stores (enables "
@@ -852,7 +848,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         print("calibrate needs exactly one of --service / "
               "--scenario", file=sys.stderr)
         return 2
-    base = CampaignConfig(seed=args.seed, inter_test_gap=args.gap)
+    base = CampaignConfig(seed=args.seed)
     space = objective = None
     if args.scenario is not None:
         from repro.scenario import scenario_objective, scenario_space

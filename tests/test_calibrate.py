@@ -13,8 +13,6 @@ import re
 import pytest
 
 from repro.calibrate import (
-    CALIBRATED_ASSIGNMENTS,
-    FIDELITY_BUDGETS,
     Axis,
     FidelityScore,
     FidelityTerm,
@@ -25,7 +23,6 @@ from repro.calibrate import (
     SuccessiveHalving,
     TrialResult,
     base_params,
-    calibrated_params,
     comparison_table,
     default_objective,
     default_space,
@@ -390,22 +387,6 @@ class TestSearchDeterminism:
 
 
 class TestWinnersAndReport:
-    def test_calibrated_params_apply_the_assignment(self):
-        params = calibrated_params("googleplus")
-        assignment = CALIBRATED_ASSIGNMENTS["googleplus"]
-        assert params.replication_eu.sync_interval == \
-            assignment["replication_eu.sync_interval"]
-        assert params.replication_us.sync_delay_median == \
-            assignment["replication_us.sync_delay_median"]
-
-    def test_every_service_has_winner_and_budget(self):
-        assert set(CALIBRATED_ASSIGNMENTS) == set(target_services())
-        assert set(FIDELITY_BUDGETS) == set(target_services())
-
-    def test_unknown_service_has_no_profile(self):
-        with pytest.raises(CalibrationError, match="no calibrated"):
-            calibrated_params("myspace")
-
     def test_tables_and_json_roundtrip(self, tmp_path):
         result = run_campaign("blogger", SMALL)
         score = default_objective("blogger").evaluate(result)

@@ -3,13 +3,16 @@
 
 The gates themselves run in CI (``python tools/gates.py``,
 ``python tools/bench_check.py``); here only the table, the argument
-handling and the baseline comparison are checked, which costs nothing.
+handling, the profile and budgets the fidelity gate scores and the
+baseline comparison are checked, which costs nothing.
 """
 
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from repro.calibrate import FidelityScore, target_services
 
 TOOLS = Path(__file__).parent.parent / "tools"
 
@@ -69,6 +72,25 @@ def test_named_gates_run_alone_and_a_failure_exits_1(gates, capsys,
     out = capsys.readouterr().out
     assert out.startswith("scenario check FAILED (")
     assert "  - gossip golden signature drifted" in out
+
+
+def test_fidelity_gate_scores_the_default_profile_of_every_service(
+        gates, monkeypatch):
+    seen = []
+
+    def record(service, params):
+        seen.append((service, params))
+        return FidelityScore(service=service, terms=(), total=0.0)
+
+    monkeypatch.setattr(gates, "_fidelity_score", record)
+    failures = []
+    gates.fidelity_gate(failures)
+    assert failures == []
+    assert seen == [(service, None) for service in target_services()]
+
+
+def test_every_service_has_a_fidelity_budget(gates):
+    assert set(gates.FIDELITY_BUDGETS) == set(target_services())
 
 
 @pytest.mark.parametrize("field", ["sessions_per_s",

@@ -749,7 +749,7 @@ class TestSelfApplication:
         assert LintConfig().in_package("repro.calibrate.objective")
         calibrate_dir = SRC / "repro" / "calibrate"
         result = lint_paths([calibrate_dir])
-        assert result.files_checked >= 8
+        assert result.files_checked >= 7
         assert result.ok, "\n".join(
             f"{f.location()}: {f.code} {f.message}"
             for f in result.findings)

@@ -46,6 +46,12 @@ RESILIENT_SIGNATURE = (
 POLICY_FREE_SIGNATURE = (
     "a6a24a9469ade97ca2e8bccb20607356cda8bbe3ff09724f7aebddc1dc1e7fc5"
 )
+#: googleplus_calibrated.toml at (num_tests=2, seed=3).  Its records
+#: equal, apart from the service name in test ids, those of a
+#: googleplus campaign with the same four params applied in code.
+GOOGLEPLUS_CALIBRATED_SIGNATURE = (
+    "2a860956cf8d29cecf9cc5fbd124a54111b45d4239a50a922d46ce0a041f3e31"
+)
 
 
 def load(stem):
@@ -62,6 +68,16 @@ class TestBuiltinEquivalence:
         plain = run_campaign(spec.service.base, config)
         assert campaign_signature(via_scenario) == \
             campaign_signature(plain)
+
+
+class TestCalibratedExample:
+    def test_campaign_signature(self):
+        spec = load("googleplus_calibrated")
+        assert spec.service.base == "googleplus"
+        config = CampaignConfig(num_tests=2, seed=3)
+        result = run_campaign(*scenario_campaign(spec, config))
+        assert campaign_signature(result) == \
+            GOOGLEPLUS_CALIBRATED_SIGNATURE
 
 
 class TestGossipGolden:

@@ -9,8 +9,8 @@ Thin shim over :mod:`repro.calibrate`: the paper's numbers live in
 the search and the CI fidelity gate), the scoring in
 ``repro.calibrate.objective``, and the rendering in
 ``repro.calibrate.report``.  Each service prints the measured-vs-paper
-term table for the *default* profile and, when a calibrated winner is
-checked in, a default-vs-calibrated comparison.
+term table for its default profile, the one model every reported
+number comes from.
 
 For the actual parameter search, use::
 
@@ -23,9 +23,6 @@ each rung from its fleet store).
 import sys
 
 from repro.calibrate import (
-    CALIBRATED_ASSIGNMENTS,
-    calibrated_params,
-    comparison_table,
     default_objective,
     fidelity_table,
     target_services,
@@ -41,22 +38,12 @@ def main():
     seed = int(args[1]) if len(args) > 1 else 7
     services = args[2:] or list(target_services())
     for service in services:
-        objective = default_objective(service)
-        default_score = objective.evaluate(run_campaign(
+        score = default_objective(service).evaluate(run_campaign(
             service, CampaignConfig(num_tests=num_tests, seed=seed)
         ))
         print(f"\n=== {service} ({num_tests} tests/type, "
               f"seed {seed}) ===")
-        if not CALIBRATED_ASSIGNMENTS[service]:
-            print(fidelity_table(default_score))
-            continue
-        calibrated_score = objective.evaluate(run_campaign(
-            service, CampaignConfig(
-                num_tests=num_tests, seed=seed,
-                service_params=calibrated_params(service),
-            )
-        ))
-        print(comparison_table(default_score, calibrated_score))
+        print(fidelity_table(score))
 
 
 if __name__ == "__main__":

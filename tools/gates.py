@@ -16,8 +16,8 @@ stream     every feed yields one record: per trace (live sequencer
            == sorted replay), per fleet, and when the ops archives
            replay standalone
 obs        obs exports are deterministic and merge-stable
-fidelity   checked-in calibrated profiles stay within budget and beat
-           their default profile
+fidelity   each service's default profile stays within its fidelity
+           budget
 scenario   every shipped scenario file validates and replays true
 relations  a fleet with all five spec-defined metrics is
            byte-identical at any worker count
@@ -28,8 +28,7 @@ world      the partitioned world is byte-identical to its serial run,
 
 The arguments are the constants CI has always run: the replicate
 fleet is four ``test1`` tests on two services under seeds 11 and 12;
-the fidelity budgets in ``repro.calibrate.winners`` are tied to 40
-tests per type under seed 7.
+the fidelity budgets are tied to 40 tests per type under seed 7.
 """
 
 import argparse
@@ -40,9 +39,6 @@ from pathlib import Path
 
 from repro.api import SubmitHuntRequest, submit_hunt
 from repro.calibrate import (
-    CALIBRATED_ASSIGNMENTS,
-    FIDELITY_BUDGETS,
-    calibrated_params,
     default_objective,
     fidelity_table,
     target_services,
@@ -310,11 +306,21 @@ def obs_gate(failures):
             "serial export, resume restores snapshots")
 
 
-# -- fidelity: calibrated profiles within budget -------------------------
+# -- fidelity: the default profiles within budget ------------------------
 
 #: The evaluation ``FIDELITY_BUDGETS`` are tied to.
 FIDELITY_TESTS = 40
 FIDELITY_SEED = 7
+
+#: Weighted-loss ceilings of each service's default profile at the
+#: evaluation above: the measured loss plus ~25% headroom for target
+#: revisions.
+FIDELITY_BUDGETS = {
+    "googleplus": 2.03,      # measured 1.6192
+    "blogger": 0.05,         # measured 0.0068
+    "facebook_feed": 1.90,   # measured 1.7299
+    "facebook_group": 0.30,  # measured 0.2703
+}
 
 
 def _fidelity_score(service, params):
@@ -327,47 +333,27 @@ def _fidelity_score(service, params):
 
 
 def fidelity_gate(failures):
-    """One fixed-seed evaluation campaign per profile, asserting:
-
-    1. **Budget** — the weighted fidelity loss of the checked-in
-       calibrated profile (``repro.calibrate.winners``) stays within
-       its ``FIDELITY_BUDGETS`` ceiling.  A model or analysis change
-       that drifts a service away from the paper's numbers fails CI
-       instead of silently degrading the reproduction.
-    2. **Improvement** — for every service whose calibrated
-       assignment is non-empty, the calibrated profile scores strictly
-       better than the default profile under the same evaluation.  A
-       winner that stops winning (because the model underneath it
-       changed) must be re-calibrated, not kept on faith.
-    """
+    """One fixed-seed evaluation campaign per service: the weighted
+    fidelity loss of its default profile — the model ``run``,
+    ``figures`` and every golden signature report — stays within its
+    ``FIDELITY_BUDGETS`` ceiling.  A model or analysis change that
+    drifts a service away from the paper's numbers fails CI instead of
+    silently degrading the reproduction."""
     for service in target_services():
         budget = FIDELITY_BUDGETS[service]
-        calibrated = _fidelity_score(service,
-                                     calibrated_params(service))
-        line = (f"{service}: calibrated loss {calibrated.total:.4f} "
-                f"(budget {budget:.2f})")
-        if calibrated.total > budget:
+        score = _fidelity_score(service, None)
+        print(f"{service}: loss {score.total:.4f} "
+              f"(budget {budget:.2f})")
+        if score.total > budget:
             failures.append(
-                f"{service}: calibrated loss {calibrated.total:.4f} "
+                f"{service}: loss {score.total:.4f} "
                 f"exceeds budget {budget:.2f}"
             )
-            print(fidelity_table(calibrated))
-        if CALIBRATED_ASSIGNMENTS[service]:
-            default = _fidelity_score(service, None)
-            line += f", default loss {default.total:.4f}"
-            if calibrated.total >= default.total:
-                failures.append(
-                    f"{service}: calibrated loss "
-                    f"{calibrated.total:.4f} is not better than the "
-                    f"default profile's {default.total:.4f}; "
-                    "re-calibrate the winner"
-                )
-        print(line)
+            print(fidelity_table(score))
     return ("",
             f"{len(target_services())} services "
             f"within budget at {FIDELITY_TESTS} tests/type, "
-            f"seed {FIDELITY_SEED}; "
-            "every non-empty winner beats its default profile")
+            f"seed {FIDELITY_SEED}")
 
 
 # -- scenario: files validate, goldens replay ----------------------------
