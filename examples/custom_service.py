@@ -23,7 +23,7 @@ from repro.methodology import (
 )
 from repro.net.topology import IRELAND, OREGON
 from repro.replication import EventualGroup, EventualParams
-from repro.services import SERVICE_CLASSES
+from repro.services import SERVICE_IMPORTS
 from repro.services.base import OnlineService, SessionRoutes
 from repro.webapi import (
     RateLimit,
@@ -107,8 +107,10 @@ class StickyCacheService(OnlineService):
 
 
 def main() -> None:
-    # Register the custom service so the standard runner can build it.
-    SERVICE_CLASSES[StickyCacheService.name] = StickyCacheService
+    # Register the custom service so the standard runner can build it:
+    # the registry maps a name to "module:Class" and imports on demand.
+    SERVICE_IMPORTS[StickyCacheService.name] = (
+        f"{__name__}:{StickyCacheService.__name__}")
     PAPER_PLANS[StickyCacheService.name] = ServicePlan(
         test1=PAPER_PLANS["googleplus"].test1,
         test2=PAPER_PLANS["googleplus"].test2,

@@ -29,46 +29,18 @@ Quickstart::
     print(prevalence_table({"googleplus": results}))
 """
 
-from repro._version import __version__
+from repro._facade import facade
 
-__all__ = [
-    "__version__",
-    "run_campaign",
-    "CampaignConfig",
-    "MeasurementWorld",
-    "check_all",
-    "prevalence_table",
-    "full_report",
-    "save_campaign",
-    "load_campaign",
-    "SERVICE_NAMES",
-]
-
-
-def __getattr__(name):
-    """Lazily re-export the high-level API.
-
-    Keeps ``import repro`` light while letting users write
-    ``repro.run_campaign(...)`` without hunting through subpackages.
-    """
-    if name in ("run_campaign", "CampaignConfig", "MeasurementWorld"):
-        import repro.methodology as methodology
-
-        return getattr(methodology, name)
-    if name == "check_all":
-        from repro.core import check_all
-
-        return check_all
-    if name in ("prevalence_table", "full_report"):
-        import repro.analysis as analysis
-
-        return getattr(analysis, name)
-    if name in ("save_campaign", "load_campaign"):
-        import repro.io as io
-
-        return getattr(io, name)
-    if name == "SERVICE_NAMES":
-        from repro.services import SERVICE_NAMES
-
-        return SERVICE_NAMES
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+# The high-level API, so users can write ``repro.run_campaign(...)``
+# without hunting through subpackages; ``import repro`` loads none of it.
+__all__, __getattr__, __dir__ = facade(__name__, {
+    "._version": ("__version__",),
+    ".methodology.runner": ("run_campaign",),
+    ".methodology.config": ("CampaignConfig",),
+    ".methodology.world": ("MeasurementWorld",),
+    ".core.anomalies.registry": ("check_all",),
+    ".analysis.prevalence": ("prevalence_table",),
+    ".analysis.report": ("full_report",),
+    ".io": ("save_campaign", "load_campaign"),
+    ".services.profiles": ("SERVICE_NAMES",),
+})

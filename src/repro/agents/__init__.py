@@ -1,6 +1,8 @@
 """Measurement agents and the coordinator (§IV deployment roles)."""
 
-from repro.agents.agent import MeasurementAgent
-from repro.agents.coordinator import Coordinator
+from repro._facade import facade
 
-__all__ = ["MeasurementAgent", "Coordinator"]
+__all__, __getattr__, __dir__ = facade(__name__, {
+    ".agent": ("MeasurementAgent",),
+    ".coordinator": ("Coordinator",),
+})

@@ -8,80 +8,30 @@
 * :mod:`repro.analysis.report` — one-call textual report of everything.
 """
 
-from repro.analysis.cdf import WindowCdf, window_cdf_table, window_cdfs
-from repro.analysis.correlation import (
-    CorrelationBreakdown,
-    correlation_table,
-    location_correlation,
-)
-from repro.analysis.distributions import (
-    DistributionPanel,
-    distribution_table,
-    occurrence_distribution,
-)
-from repro.analysis.divergence import (
-    PairPrevalence,
-    pair_divergence,
-    pair_divergence_table,
-)
-from repro.analysis.prevalence import (
-    PrevalenceRow,
-    prevalence_rows,
-    prevalence_table,
-    assessing_test_type,
-)
-from repro.analysis.latency import (
-    LatencyBreakdown,
-    latency_table,
-    operation_latencies,
-)
-from repro.analysis.metrics import (
-    MetricSummary,
-    metric_summaries,
-    metric_table,
-)
-from repro.analysis.plots import CdfSeries, render_cdf
-from repro.analysis.report import campaign_totals, full_report
-from repro.analysis.timeline import render_timeline
-from repro.analysis.validation import (
-    WindowErrorReport,
-    WindowErrorSample,
-    ground_truth_trace,
-    summarize_window_errors,
-    window_measurement_errors,
-)
+from repro._facade import facade
 
-__all__ = [
-    "PrevalenceRow",
-    "prevalence_rows",
-    "prevalence_table",
-    "assessing_test_type",
-    "DistributionPanel",
-    "occurrence_distribution",
-    "distribution_table",
-    "CorrelationBreakdown",
-    "location_correlation",
-    "correlation_table",
-    "PairPrevalence",
-    "pair_divergence",
-    "pair_divergence_table",
-    "WindowCdf",
-    "window_cdfs",
-    "window_cdf_table",
-    "campaign_totals",
-    "full_report",
-    "MetricSummary",
-    "metric_summaries",
-    "metric_table",
-    "CdfSeries",
-    "render_cdf",
-    "LatencyBreakdown",
-    "operation_latencies",
-    "latency_table",
-    "render_timeline",
-    "ground_truth_trace",
-    "WindowErrorSample",
-    "WindowErrorReport",
-    "window_measurement_errors",
-    "summarize_window_errors",
-]
+__all__, __getattr__, __dir__ = facade(__name__, {
+    ".prevalence": (
+        "PrevalenceRow", "prevalence_rows", "prevalence_table",
+        "assessing_test_type",
+    ),
+    ".distributions": (
+        "DistributionPanel", "occurrence_distribution", "distribution_table",
+    ),
+    ".correlation": (
+        "CorrelationBreakdown", "location_correlation", "correlation_table",
+    ),
+    ".divergence": (
+        "PairPrevalence", "pair_divergence", "pair_divergence_table",
+    ),
+    ".cdf": ("WindowCdf", "window_cdfs", "window_cdf_table"),
+    ".report": ("campaign_totals", "full_report"),
+    ".metrics": ("MetricSummary", "metric_summaries", "metric_table"),
+    ".plots": ("CdfSeries", "render_cdf"),
+    ".latency": ("LatencyBreakdown", "operation_latencies", "latency_table"),
+    ".timeline": ("render_timeline",),
+    ".validation": (
+        "ground_truth_trace", "WindowErrorSample", "WindowErrorReport",
+        "window_measurement_errors", "summarize_window_errors",
+    ),
+})

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.metrics import EmpiricalCDF
-from repro.methodology.runner import CampaignResult, Pair
+from repro.methodology.records import CampaignResult, Pair
 
 __all__ = ["WindowCdf", "window_cdfs", "window_cdf_table"]
 

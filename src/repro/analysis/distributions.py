@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.metrics import DEFAULT_BUCKETS, OccurrenceBuckets
-from repro.methodology.runner import CampaignResult
+from repro.methodology.records import CampaignResult
 
 __all__ = ["DistributionPanel", "occurrence_distribution",
            "distribution_table"]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.anomalies import CONTENT_DIVERGENCE, ORDER_DIVERGENCE
-from repro.methodology.runner import CampaignResult, Pair
+from repro.methodology.records import CampaignResult, Pair
 
 __all__ = ["PairPrevalence", "pair_divergence", "pair_divergence_table"]
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from repro.core.metrics import summarize
 from repro.core.trace import ReadOp, WriteOp
 from repro.errors import AnalysisError
-from repro.methodology.runner import CampaignResult
+from repro.methodology.records import CampaignResult
 
 __all__ = ["LatencyBreakdown", "operation_latencies", "latency_table"]
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.methodology.runner import CampaignResult
+from repro.methodology.records import CampaignResult
 from repro.relations.registry import resolve_metrics
 
 __all__ = ["MetricSummary", "metric_summaries", "metric_table"]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.anomalies import ALL_ANOMALIES, DIVERGENCE_ANOMALIES
-from repro.methodology.runner import CampaignResult
+from repro.methodology.records import CampaignResult
 
 __all__ = ["PrevalenceRow", "prevalence_rows", "prevalence_table",
            "assessing_test_type"]

@@ -28,7 +28,7 @@ from repro.core.anomalies import (
     ORDER_DIVERGENCE,
     SESSION_ANOMALIES,
 )
-from repro.methodology.runner import CampaignResult
+from repro.methodology.records import CampaignResult
 
 __all__ = ["campaign_totals", "full_report"]
 

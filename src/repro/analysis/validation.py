@@ -31,7 +31,7 @@ from repro.core.windows import (
     order_divergence_windows,
 )
 from repro.errors import AnalysisError
-from repro.methodology.runner import CampaignResult, Pair
+from repro.methodology.records import CampaignResult, Pair
 
 __all__ = [
     "ground_truth_trace",

@@ -37,7 +37,7 @@ from repro.core.anomalies import (
     ORDER_DIVERGENCE,
 )
 from repro.errors import CalibrationError
-from repro.methodology.runner import CampaignResult
+from repro.methodology.records import CampaignResult
 
 __all__ = [
     "FidelityTerm",

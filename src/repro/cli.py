@@ -39,21 +39,20 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from typing import TYPE_CHECKING
 
-from repro.analysis import full_report, prevalence_table
-from repro.clocksync import estimate_clock_delta
-from repro.methodology import (
-    CampaignConfig,
-    MeasurementWorld,
-    run_campaign,
-)
-from repro.services import EXTENSION_SERVICE_NAMES, SERVICE_NAMES
-from repro.sim import spawn
+if TYPE_CHECKING:  # each verb imports the subsystem it runs
+    from repro.methodology.config import CampaignConfig
 
 __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.services.profiles import (
+        EXTENSION_SERVICE_NAMES,
+        SERVICE_NAMES,
+    )
+
     parser = argparse.ArgumentParser(
         prog="repro-consistency",
         description=(
@@ -470,6 +469,11 @@ def _add_fleet_args(cmd: argparse.ArgumentParser) -> None:
 
 def _parse_services(raw: str) -> tuple[list[str], list[str]]:
     """Split a --services value; returns (services, unknown)."""
+    from repro.services.profiles import (
+        EXTENSION_SERVICE_NAMES,
+        SERVICE_NAMES,
+    )
+
     services = [name.strip() for name in raw.split(",")
                 if name.strip()]
     known = set(SERVICE_NAMES + EXTENSION_SERVICE_NAMES)
@@ -485,6 +489,8 @@ def _parse_metrics(raw: str | None) -> tuple[str, ...]:
 
 
 def _config(args: argparse.Namespace) -> CampaignConfig:
+    from repro.methodology.config import CampaignConfig
+
     return CampaignConfig(
         num_tests=args.tests, seed=args.seed,
         inter_test_gap=args.gap,
@@ -495,19 +501,23 @@ def _config(args: argparse.Namespace) -> CampaignConfig:
 
 def _load_cli_scenarios(paths) -> list:
     """Load + register scenario files named on the command line."""
-    from repro.scenario import load_scenarios, register_scenario
+    from repro.scenario.loader import load_scenarios
+    from repro.scenario.registry import register_scenario
 
     return [register_scenario(spec, replace=True)
             for spec in load_scenarios(paths).values()]
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.analysis.prevalence import prevalence_table
+    from repro.methodology.runner import run_campaign
+
     if (args.service is None) == (args.scenario is None):
         print("run needs exactly one of --service / --scenario",
               file=sys.stderr)
         return 2
     if args.scenario is not None:
-        from repro.scenario import scenario_campaign
+        from repro.scenario.registry import scenario_campaign
 
         (spec,) = _load_cli_scenarios([args.scenario])
         service, config = scenario_campaign(spec, _config(args))
@@ -540,7 +550,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print()
     print(prevalence_table({result.service: result}))
     if result.config.metrics:
-        from repro.analysis import metric_table
+        from repro.analysis.metrics import metric_table
 
         print()
         print(metric_table({result.service: result}))
@@ -553,6 +563,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.analysis.report import full_report
     from repro.io import load_campaign
 
     results = {}
@@ -574,6 +585,8 @@ def _resolve_fleet_services(args) -> tuple[list[str], list, int]:
     elif specs:
         services = []
     else:
+        from repro.services.profiles import SERVICE_NAMES
+
         services = list(SERVICE_NAMES)
     services += [spec.name for spec in specs
                  if spec.name not in services]
@@ -584,7 +597,9 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     services, scenario_specs, error = _resolve_fleet_services(args)
     if error:
         return error
-    from repro.fleet import FleetSpec, run_fleet
+    from repro.analysis.report import full_report
+    from repro.fleet.executor import run_fleet
+    from repro.fleet.spec import FleetSpec
 
     spec = FleetSpec(services=tuple(services),
                      base_config=_config(args),
@@ -599,7 +614,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 def _print_event(event) -> None:
     """The ``on_event`` of every verb that narrates a run."""
-    from repro.fleet import render_event
+    from repro.obs.events import render_event
 
     line = render_event(event)
     if line:
@@ -610,8 +625,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     services, scenario_specs, error = _resolve_fleet_services(args)
     if error:
         return error
-    from repro.fleet import FleetSpec, derive_fleet_seeds, run_fleet
-    from repro.methodology import prevalence_statistics
+    from repro.fleet.executor import run_fleet
+    from repro.fleet.spec import FleetSpec, derive_fleet_seeds
+    from repro.methodology.sweep import prevalence_statistics
 
     if args.seeds is not None:
         seeds = tuple(int(part) for part in args.seeds.split(",")
@@ -641,7 +657,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                   f"min {entry.minimum:6.3f}  "
                   f"max {entry.maximum:6.3f}")
         if any(result.config.metrics for result in results):
-            from repro.analysis import metric_summaries
+            from repro.analysis.metrics import metric_summaries
 
             per_metric: dict[str, list[float]] = {}
             for result in results:
@@ -689,14 +705,15 @@ def _follow_lines(handle, poll_interval: float = 0.5):
 
 def _cmd_stream(args: argparse.Namespace) -> int:
     from repro.io import iter_trace_events
-    from repro.stream import DEFAULT_HORIZON, OpIngest, StreamEngine
+    from repro.stream.engine import DEFAULT_HORIZON, StreamEngine
+    from repro.stream.ingest import OpIngest
     from repro.stream.ingest import feed_events
 
     horizon = (args.horizon if args.horizon is not None
                else DEFAULT_HORIZON)
     obs = None
     if args.obs_out:
-        from repro.obs import ObsContext
+        from repro.obs.context import ObsContext
 
         obs = ObsContext()
     metric_specs = ()
@@ -793,14 +810,14 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.errors import AnalysisError, FleetError
-    from repro.obs import merge_obs_snapshots
+    from repro.obs.context import merge_obs_snapshots
     from repro.obs.export import load_snapshot
     from repro.obs.report import render_obs_report
 
     path = Path(args.path)
     try:
         if path.is_dir():
-            from repro.fleet import ArtifactStore
+            from repro.fleet.store import ArtifactStore
 
             store = ArtifactStore(path)
             # Shard ids embed the zero-padded spec index, so sorted
@@ -843,6 +860,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         run_calibration,
         write_fidelity_json,
     )
+    from repro.methodology.config import CampaignConfig
 
     if (args.service is None) == (args.scenario is None):
         print("calibrate needs exactly one of --service / "
@@ -851,7 +869,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     base = CampaignConfig(seed=args.seed)
     space = objective = None
     if args.scenario is not None:
-        from repro.scenario import scenario_objective, scenario_space
+        from repro.scenario.registry import scenario_objective, scenario_space
 
         (scenario_spec,) = _load_cli_scenarios([args.scenario])
         service = scenario_spec.name
@@ -903,6 +921,10 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_clocksync(args: argparse.Namespace) -> int:
+    from repro.clocksync.cristian import estimate_clock_delta
+    from repro.methodology.world import MeasurementWorld
+    from repro.sim.process import spawn
+
     world = MeasurementWorld("blogger", seed=args.seed)
     print("Cristian-style delta estimation vs. simulator ground truth")
     print(f"{'agent':10s}{'true delta':>12s}{'estimate':>12s}"
@@ -966,6 +988,8 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
         return args.id
 
     if args.action == "submit":
+        from repro.services.profiles import SERVICE_NAMES
+
         services, unknown = _parse_services(
             args.services or ",".join(SERVICE_NAMES))
         if unknown:
@@ -1062,8 +1086,9 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
 def _cmd_world(args: argparse.Namespace) -> int:
     import json as json_module
 
-    from repro.scenario import load_scenario
-    from repro.world import run_world, world_from_scenario
+    from repro.scenario.loader import load_scenario
+    from repro.world.engine import run_world
+    from repro.world.scenario import world_from_scenario
 
     scenario = load_scenario(args.scenario)
     spec = world_from_scenario(

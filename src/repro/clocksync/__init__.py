@@ -6,16 +6,11 @@ Cristian-style protocol before every test (§IV).
 :func:`make_time_query_handler` is the agent-side responder.
 """
 
-from repro.clocksync.cristian import (
-    TIME_QUERY,
-    DeltaEstimate,
-    estimate_clock_delta,
-    make_time_query_handler,
-)
+from repro._facade import facade
 
-__all__ = [
-    "DeltaEstimate",
-    "estimate_clock_delta",
-    "make_time_query_handler",
-    "TIME_QUERY",
-]
+__all__, __getattr__, __dir__ = facade(__name__, {
+    ".cristian": (
+        "DeltaEstimate", "estimate_clock_delta", "make_time_query_handler",
+        "TIME_QUERY",
+    ),
+})

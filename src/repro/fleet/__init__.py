@@ -26,57 +26,21 @@ Quickstart::
         print(job.service, job.seed, result.summary())
 """
 
-from repro.fleet.digest import (
-    campaign_signature,
-    canonical_json,
-    fleet_signature,
-    records_digest,
-)
-from repro.fleet.executor import (
-    DEFAULT_MAX_RETRIES,
-    FleetOutcome,
-    execute_shard,
-    run_fleet,
-)
-from repro.fleet.spec import FleetSpec, ShardJob, derive_fleet_seeds
-from repro.fleet.store import ArtifactStore, STORE_VERSION
-from repro.obs.events import (
-    EventCallback,
-    FleetCompleted,
-    FleetEvent,
-    FleetStarted,
-    ShardCompleted,
-    ShardEvent,
-    ShardRetried,
-    ShardSkipped,
-    ShardStarted,
-    ShardTestChecked,
-    render_event,
-)
+from repro._facade import facade
 
-__all__ = [
-    "FleetSpec",
-    "ShardJob",
-    "derive_fleet_seeds",
-    "run_fleet",
-    "execute_shard",
-    "FleetOutcome",
-    "DEFAULT_MAX_RETRIES",
-    "ArtifactStore",
-    "STORE_VERSION",
-    "fleet_signature",
-    "campaign_signature",
-    "records_digest",
-    "canonical_json",
-    "FleetEvent",
-    "FleetStarted",
-    "FleetCompleted",
-    "ShardEvent",
-    "ShardStarted",
-    "ShardTestChecked",
-    "ShardCompleted",
-    "ShardRetried",
-    "ShardSkipped",
-    "EventCallback",
-    "render_event",
-]
+__all__, __getattr__, __dir__ = facade(__name__, {
+    ".spec": ("FleetSpec", "ShardJob", "derive_fleet_seeds"),
+    ".executor": (
+        "run_fleet", "execute_shard", "FleetOutcome", "DEFAULT_MAX_RETRIES",
+    ),
+    ".store": ("ArtifactStore", "STORE_VERSION"),
+    ".digest": (
+        "fleet_signature", "campaign_signature", "records_digest",
+        "canonical_json",
+    ),
+    "repro.obs.events": (
+        "FleetEvent", "FleetStarted", "FleetCompleted", "ShardEvent",
+        "ShardStarted", "ShardTestChecked", "ShardCompleted", "ShardRetried",
+        "ShardSkipped", "EventCallback", "render_event",
+    ),
+})

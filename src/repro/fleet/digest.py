@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Any, Iterable
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.methodology.runner import CampaignResult, TestRecord
+    from repro.methodology.records import CampaignResult, TestRecord
 
 __all__ = [
     "canonical",

@@ -38,13 +38,14 @@ from repro.fleet.pool import (
     ShardRunner,
     ShardTask,
     WorkPool,
+    import_for_workers,
     records_to_jsonable,
     result_from_records,
     run_shard,
 )
 from repro.fleet.spec import FleetSpec, ShardJob
 from repro.fleet.store import ArtifactStore
-from repro.methodology.runner import CampaignResult, TestRecord
+from repro.methodology.records import CampaignResult, TestRecord
 from repro.obs.events import (
     EventCallback,
     FleetCompleted,
@@ -247,6 +248,7 @@ def dispatch_runs(runs: Sequence[ShardRun], *,
     #: One entry per idle worker slot: the run it last served (its
     #: affinity), None until it has served one.
     idle: deque[ShardRun | None] = deque([None] * workers)
+    import_for_workers(task for run in runs for task in run.queue)
     with WorkPool(checked, timeout=shard_timeout) as pool:
         while pool.in_flight or any(_dispatchable(run) for run in runs):
             poll_control()
@@ -293,7 +295,7 @@ class FleetOutcome:
         runs.  Returns None if any shard is missing its snapshot
         (e.g. resumed from a store written before obs existed).
         """
-        from repro.obs import merge_obs_snapshots
+        from repro.obs.context import merge_obs_snapshots
 
         snapshots = [result.obs for result in self.results]
         if any(snapshot is None for snapshot in snapshots):

@@ -14,18 +14,17 @@ timeouts never reach a result.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 import traceback
 from dataclasses import KW_ONLY, dataclass
-from multiprocessing import connection
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.fleet.spec import ShardJob
-from repro.methodology.runner import CampaignResult, TestRecord
+from repro.methodology.records import CampaignResult, TestRecord
 
 __all__ = ["ShardRunner", "ShardTask", "Attempt", "WorkPool",
-           "run_shard", "records_to_jsonable", "result_from_records"]
+           "run_shard", "records_to_jsonable", "result_from_records",
+           "import_for_workers"]
 
 #: A shard runner: ShardJob -> CampaignResult.  Must be picklable
 #: (module-level) to cross the worker-process boundary.
@@ -177,8 +176,27 @@ def _worker(conn, task: ShardTask) -> None:
         conn.close()
 
 
+def import_for_workers(tasks: Iterable[ShardTask]) -> None:
+    """Import what ``tasks`` run, before the first worker forks.
+
+    A ``fork`` worker inherits the modules its parent has loaded, and
+    the package facades load nothing until a name is read, so without
+    this every worker would import the campaign stack again.
+    """
+    import repro.methodology.runner  # noqa: F401
+    from repro.services.profiles import SERVICE_IMPORTS, service_class
+
+    for task in tasks:
+        if task.runner is None:
+            import repro.stream.fleet  # noqa: F401
+        if task.job.service in SERVICE_IMPORTS:
+            service_class(task.job.service)
+
+
 def _mp_context():
     """Prefer fork (cheap, inherits the loaded package); fall back."""
+    import multiprocessing
+
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -251,6 +269,8 @@ class WorkPool:
         yielded attempt is already reaped (process joined, pipe
         closed), so the client may raise out of the loop.
         """
+        from multiprocessing import connection
+
         poll = POLL_SECONDS
         deadlines = [entry.deadline for entry in self._running.values()
                      if entry.deadline is not None]

@@ -104,11 +104,11 @@ class FleetSpec:
         if not self.services:
             raise ConfigurationError("fleet spec needs at least one "
                                      "service")
-        from repro.services import SERVICE_CLASSES
+        from repro.services.profiles import SERVICE_IMPORTS
 
         scenario_names = {spec.name for spec in self.scenarios}
         missing = [name for name in self.services
-                   if name not in SERVICE_CLASSES
+                   if name not in SERVICE_IMPORTS
                    and name not in scenario_names]
         if missing:
             from repro.scenario.registry import get_scenario

@@ -31,7 +31,7 @@ from repro.core.trace import Operation, ReadOp, TestTrace, WriteOp
 from repro.core.windows import WindowResult
 from repro.errors import AnalysisError
 from repro.methodology.config import CampaignConfig
-from repro.methodology.runner import CampaignResult, TestRecord
+from repro.methodology.records import CampaignResult, TestRecord
 from repro.relations.spec import MetricResult, MetricSample
 
 __all__ = [

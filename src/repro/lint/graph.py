@@ -4,7 +4,8 @@
 :mod:`repro.lint.summaries` into one queryable object:
 
 * a **call graph** — direct calls resolved through import aliases
-  (including one-hop re-exports, so ``repro.fleet.run_fleet`` links to
+  (including re-exports and lazy facade tables, so
+  ``repro.fleet.run_fleet`` links to
   ``repro.fleet.executor.run_fleet``), CHA-lite linking of method calls
   by name, ``Class(...)`` to ``Class.__init__``, and calls of a
   function's own nested defs,

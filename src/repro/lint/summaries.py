@@ -45,6 +45,9 @@ MUTATING_METHODS = frozenset({
     "popitem", "appendleft", "popleft",
 })
 
+#: The lazy-facade helper; its table is read as the imports it stands for.
+FACADE_HELPER = "repro._facade.facade"
+
 #: Constructor calls whose result is a mutable container; a module-level
 #: ``NAME = <one of these>`` is module-level mutable state.
 MUTABLE_CONSTRUCTORS = frozenset({
@@ -440,6 +443,40 @@ def _summarize_function(module: str, qualname: str,
     )
 
 
+def _facade_exports(node: ast.stmt, imports: dict[str, str],
+                    module: str, is_package: bool
+                    ) -> list[tuple[str, str]]:
+    """``(name, dotted origin)`` for each name a facade table exports.
+
+    A module-level ``... = facade(__name__, {".mod": ("name", ...)})``
+    (:mod:`repro._facade`) stands for ``from .mod import name``.
+    """
+    if not (isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and len(node.value.args) == 2
+            and isinstance(node.value.args[1], ast.Dict)):
+        return []
+    parts, root = _chain_parts(node.value.func)
+    if root is None or ".".join(
+            [imports.get(root, root)] + parts[1:]) != FACADE_HELPER:
+        return []
+    exports = []
+    table = node.value.args[1]
+    for key, names in zip(table.keys, table.values):
+        if not (isinstance(key, ast.Constant)
+                and isinstance(key.value, str)
+                and isinstance(names, ast.Tuple)):
+            continue
+        target = key.value.lstrip(".")
+        origin = _resolve_relative(module, is_package,
+                                   len(key.value) - len(target), target)
+        for name in names.elts:
+            if isinstance(name, ast.Constant) and \
+                    isinstance(name.value, str):
+                exports.append((name.value, f"{origin}.{name.value}"))
+    return exports
+
+
 def summarize_module(tree: ast.Module, module: str, path: str,
                      is_package: bool = False) -> ModuleSummary:
     """Distill one parsed module into its summary."""
@@ -459,6 +496,11 @@ def summarize_module(tree: ast.Module, module: str, path: str,
             for alias in node.names:
                 local = alias.asname or alias.name
                 imports.setdefault(local, f"{origin}.{alias.name}")
+
+    for node in tree.body:
+        for name, origin in _facade_exports(node, imports, module,
+                                            is_package):
+            imports.setdefault(name, origin)
 
     mutable_globals: dict[str, int] = {}
     classes: list[str] = []

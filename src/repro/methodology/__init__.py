@@ -7,60 +7,31 @@
 * :mod:`repro.methodology.test1` / ``test2`` — the two §IV test
   templates as simulation processes.
 * :mod:`repro.methodology.runner` — run many tests, check traces,
-  compute windows, return compact records.
+  compute windows, return compact records
+  (:mod:`repro.methodology.records`).
 """
 
-from repro.methodology.config import (
-    PAPER_PLANS,
-    CampaignConfig,
-    ServicePlan,
-    Test1Config,
-    Test2Config,
-)
-from repro.methodology.nemesis import (
-    CompositeNemesis,
-    LinkLossNemesis,
-    Nemesis,
-    PartitionStretchNemesis,
-    PeriodicPartitionNemesis,
-)
-from repro.methodology.runner import (
-    CampaignResult,
-    TestRecord,
-    analyze_trace,
-    run_campaign,
-)
-from repro.methodology.sweep import (
-    PrevalenceStats,
-    prevalence_statistics,
-    replicate,
-    sweep,
-)
-from repro.methodology.test1 import run_test1
-from repro.methodology.test2 import run_test2
-from repro.methodology.world import AGENT_REGIONS, MeasurementWorld
+from repro._facade import facade
 
-__all__ = [
-    "Test1Config",
-    "Test2Config",
-    "ServicePlan",
-    "PAPER_PLANS",
-    "CampaignConfig",
-    "MeasurementWorld",
-    "AGENT_REGIONS",
-    "run_test1",
-    "run_test2",
-    "Nemesis",
-    "PartitionStretchNemesis",
-    "PeriodicPartitionNemesis",
-    "LinkLossNemesis",
-    "CompositeNemesis",
-    "replicate",
-    "sweep",
-    "PrevalenceStats",
-    "prevalence_statistics",
-    "run_campaign",
-    "analyze_trace",
-    "TestRecord",
-    "CampaignResult",
-]
+# ``sweep`` names both a submodule and its function: importing the
+# submodule binds the module over a lazy name, so the function is bound
+# here, eagerly.
+from repro.methodology.sweep import sweep
+
+__all__, __getattr__, __dir__ = facade(__name__, {
+    ".config": (
+        "Test1Config", "Test2Config", "ServicePlan", "PAPER_PLANS",
+        "CampaignConfig",
+    ),
+    ".world": ("MeasurementWorld", "AGENT_REGIONS"),
+    ".test1": ("run_test1",),
+    ".test2": ("run_test2",),
+    ".nemesis": (
+        "Nemesis", "PartitionStretchNemesis", "PeriodicPartitionNemesis",
+        "LinkLossNemesis", "CompositeNemesis",
+    ),
+    ".sweep": ("replicate", "sweep", "PrevalenceStats",
+               "prevalence_statistics"),
+    ".runner": ("run_campaign", "analyze_trace"),
+    ".records": ("TestRecord", "CampaignResult"),
+})

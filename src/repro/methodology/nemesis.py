@@ -25,9 +25,13 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
-from repro.methodology.world import MeasurementWorld
+
+if TYPE_CHECKING:  # annotations only: scenario.schema imports this
+    # module, and reading a scenario file needs no simulator.
+    from repro.methodology.world import MeasurementWorld
 
 __all__ = [
     "Nemesis",

@@ -20,15 +20,12 @@ stretch); pass ``CampaignConfig(nemesis=...)`` for custom scenarios.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import replace
 
-from repro.core.anomalies import ALL_ANOMALIES
-from repro.core.anomalies.registry import TraceReport, check_all
+from repro.core.anomalies.registry import check_all
 from repro.core.stream import run_to_completion
 from repro.core.trace import TestTrace
 from repro.core.windows import (
-    WindowResult,
     content_divergence_windows,
     order_divergence_windows,
 )
@@ -38,101 +35,27 @@ from repro.methodology.config import (
     CampaignConfig,
     ServicePlan,
 )
+from repro.methodology.records import (
+    CampaignResult,
+    Pair,
+    TestRecord,
+    TraceAnalyzer,
+)
 from repro.methodology.test1 import run_test1
 from repro.methodology.test2 import run_test2
 from repro.methodology.world import MeasurementWorld
 from repro.obs.events import OperationObserver
 from repro.sim.process import spawn
+from repro.stream.engine import StreamEngine
 
 # ``check_all`` and the two window functions are re-exports nothing
 # here calls: the frozen ``bench/seams.py`` wraps them for a traced
-# run as ``vars(repro.methodology.runner)[name]``, so they stay.
+# run as ``vars(repro.methodology.runner)[name]``, so they stay.  The
+# record types are re-exported from :mod:`repro.methodology.records`.
 __all__ = ["TestRecord", "CampaignResult", "run_campaign",
            "analyze_trace", "OperationObserver", "TraceAnalyzer",
-           "check_all", "content_divergence_windows",
+           "Pair", "check_all", "content_divergence_windows",
            "order_divergence_windows"]
-
-#: Pair key type used throughout the analysis: sorted agent names.
-Pair = tuple[str, str]
-
-
-#: Distills a finished trace into a record; ``analyze_trace`` is the
-#: default, the streaming fast path substitutes one that hands back
-#: the record its engine already built online instead of re-checking.
-TraceAnalyzer = Callable[[TestTrace, bool], "TestRecord"]
-
-
-@dataclass(frozen=True)
-class TestRecord:
-    """Everything the analysis pipeline needs from one test instance."""
-
-    __test__ = False  # not a pytest class, despite the name
-
-    test_id: str
-    test_type: str
-    report: TraceReport
-    #: Content-divergence windows per agent pair.
-    content_windows: dict[Pair, WindowResult]
-    #: Order-divergence windows per agent pair.
-    order_windows: dict[Pair, WindowResult]
-    reads_per_agent: dict[str, int]
-    writes_per_agent: dict[str, int]
-    #: Test duration in reference-frame seconds.
-    duration: float
-    #: Full trace, retained only when the campaign asked for it.
-    trace: TestTrace | None = None
-    #: Relation-layer metric results
-    #: (:class:`repro.relations.spec.MetricResult`), present only when
-    #: the campaign requested metrics — absent, they never enter
-    #: record bytes, so golden signatures of metric-free campaigns
-    #: are untouched.
-    metrics: tuple = ()
-
-
-@dataclass
-class CampaignResult:
-    """All records of one service campaign plus convenience totals."""
-
-    service: str
-    config: CampaignConfig
-    records: list[TestRecord] = field(default_factory=list)
-    #: The campaign world's observability snapshot
-    #: (:meth:`repro.obs.ObsContext.snapshot`): metrics + spans from
-    #: the request hot path.  Telemetry, not a measured result: the
-    #: fleet signature digests records only, so this field never
-    #: perturbs golden signatures or resume digests.
-    obs: dict | None = None
-
-    def of_type(self, test_type: str) -> list[TestRecord]:
-        return [r for r in self.records if r.test_type == test_type]
-
-    @property
-    def total_tests(self) -> int:
-        return len(self.records)
-
-    @property
-    def total_reads(self) -> int:
-        return sum(sum(r.reads_per_agent.values()) for r in self.records)
-
-    @property
-    def total_writes(self) -> int:
-        return sum(sum(r.writes_per_agent.values())
-                   for r in self.records)
-
-    def prevalence(self, anomaly: str,
-                   test_type: str | None = None) -> float:
-        """Fraction of tests in which ``anomaly`` occurred at all."""
-        records = (self.records if test_type is None
-                   else self.of_type(test_type))
-        if not records:
-            return 0.0
-        hits = sum(1 for r in records if r.report.has(anomaly))
-        return hits / len(records)
-
-    def summary(self) -> dict[str, float]:
-        """Anomaly -> prevalence over the whole campaign."""
-        return {anomaly: self.prevalence(anomaly)
-                for anomaly in ALL_ANOMALIES}
 
 
 def analyze_trace(trace: TestTrace,
@@ -147,9 +70,6 @@ def analyze_trace(trace: TestTrace,
     the record additionally carries the relation-layer metric results
     (see :mod:`repro.relations`).
     """
-    # Function-level: the engine's module imports ``TestRecord``.
-    from repro.stream.engine import StreamEngine
-
     (record,) = run_to_completion(
         [StreamEngine(horizon=1, metrics=metrics)], trace
     )

@@ -28,7 +28,7 @@ from typing import Any, Iterable
 from repro.core.anomalies import ALL_ANOMALIES
 from repro.errors import ConfigurationError
 from repro.methodology.config import CampaignConfig
-from repro.methodology.runner import CampaignResult
+from repro.methodology.records import CampaignResult
 
 __all__ = ["replicate", "sweep", "PrevalenceStats",
            "prevalence_statistics"]

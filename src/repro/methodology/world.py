@@ -25,7 +25,7 @@ from repro.net.topology import (
     Region,
     paper_topology,
 )
-from repro.obs import ObsContext
+from repro.obs.context import ObsContext
 from repro.services.profiles import build_service
 from repro.sim.clock import DriftingClock, make_host_clock
 from repro.sim.event_loop import Simulator

@@ -11,32 +11,14 @@ paper's EC2 deployment (agents in Oregon/Tokyo/Ireland, coordinator in
 North Virginia, with the paper's measured coordinator RTTs).
 """
 
-from repro.net.latency import JitterParams, LatencyModel
-from repro.net.network import DEFAULT_RPC_TIMEOUT, Message, Network
-from repro.net.partition import FaultInjector, PartitionWindow
-from repro.net.topology import (
-    IRELAND,
-    OREGON,
-    TOKYO,
-    VIRGINIA,
-    Region,
-    Topology,
-    paper_topology,
-)
+from repro._facade import facade
 
-__all__ = [
-    "Topology",
-    "Region",
-    "paper_topology",
-    "OREGON",
-    "TOKYO",
-    "IRELAND",
-    "VIRGINIA",
-    "JitterParams",
-    "LatencyModel",
-    "Network",
-    "Message",
-    "DEFAULT_RPC_TIMEOUT",
-    "FaultInjector",
-    "PartitionWindow",
-]
+__all__, __getattr__, __dir__ = facade(__name__, {
+    ".topology": (
+        "Topology", "Region", "paper_topology", "OREGON", "TOKYO", "IRELAND",
+        "VIRGINIA",
+    ),
+    ".latency": ("JitterParams", "LatencyModel"),
+    ".network": ("Network", "Message", "DEFAULT_RPC_TIMEOUT"),
+    ".partition": ("FaultInjector", "PartitionWindow"),
+})

@@ -38,7 +38,7 @@ from typing import Any, Callable
 from repro.errors import HostUnreachableError, NetworkError
 from repro.net.latency import LatencyModel
 from repro.net.partition import FaultInjector
-from repro.obs import ObsContext
+from repro.obs.context import ObsContext
 from repro.obs.metrics import Counter
 from repro.sim.event_loop import Simulator
 from repro.sim.future import Future

@@ -33,56 +33,19 @@ the same seed export byte-identical files (the
 ``tools/gates.py obs`` CI gate).
 """
 
-from repro.obs.context import ObsContext, merge_obs_snapshots
-from repro.obs.events import (
-    EventCallback,
-    FleetCompleted,
-    FleetEvent,
-    FleetStarted,
-    ObsEvent,
-    OperationObserver,
-    ShardCompleted,
-    ShardEvent,
-    ShardRetried,
-    ShardSkipped,
-    ShardStarted,
-    ShardTestChecked,
-    WindowEvent,
-    render_event,
-)
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    merge_metric_snapshots,
-)
-from repro.obs.spans import Span, Tracer
+from repro._facade import facade
 
-__all__ = [
-    "ObsContext",
-    "merge_obs_snapshots",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "DEFAULT_LATENCY_BUCKETS",
-    "merge_metric_snapshots",
-    "Span",
-    "Tracer",
-    "ObsEvent",
-    "OperationObserver",
-    "WindowEvent",
-    "FleetEvent",
-    "FleetStarted",
-    "FleetCompleted",
-    "ShardEvent",
-    "ShardStarted",
-    "ShardTestChecked",
-    "ShardCompleted",
-    "ShardRetried",
-    "ShardSkipped",
-    "EventCallback",
-    "render_event",
-]
+__all__, __getattr__, __dir__ = facade(__name__, {
+    ".context": ("ObsContext", "merge_obs_snapshots"),
+    ".metrics": (
+        "MetricsRegistry", "Counter", "Gauge", "Histogram",
+        "DEFAULT_LATENCY_BUCKETS", "merge_metric_snapshots",
+    ),
+    ".spans": ("Span", "Tracer"),
+    ".events": (
+        "ObsEvent", "OperationObserver", "WindowEvent", "FleetEvent",
+        "FleetStarted", "FleetCompleted", "ShardEvent", "ShardStarted",
+        "ShardTestChecked", "ShardCompleted", "ShardRetried", "ShardSkipped",
+        "EventCallback", "render_event",
+    ),
+})

@@ -1,12 +1,11 @@
 """The unified typed event protocol of the observability layer.
 
-Three telemetry surfaces grew independently — the fleet executor's
-progress dataclasses (``repro.fleet.events``), the divergence-window
-tracker's :class:`WindowEvent`, and the campaign runner's
-:class:`OperationObserver` hook.  They are one concern: *typed events
-a running measurement emits for consumers that only watch*.  This
-module is their single home; the old import paths remain as thin
-backward-compat aliases for one release.
+The fleet executor's progress events, the divergence-window
+tracker's :class:`WindowEvent` and the campaign runner's
+:class:`OperationObserver` hook are one concern: *typed events a
+running measurement emits for consumers that only watch*.  This module
+is their only home; :mod:`repro.fleet` and :mod:`repro.stream`
+re-export some of them.
 
 Design rules shared by every event here:
 

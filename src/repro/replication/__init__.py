@@ -23,49 +23,15 @@ past versions), the ordering policies in
 What each piece is kept for: ``docs/replication.md``.
 """
 
-from repro.replication.eventual import (
-    DatacenterReplica,
-    EventualGroup,
-    EventualParams,
-)
-from repro.replication.gossip import (
-    GossipGroup,
-    GossipParams,
-    GossipReplica,
-)
-from repro.replication.group_store import (
-    GeoGroupStore,
-    GroupReplica,
-    GroupStoreParams,
-)
-from repro.replication.ordering import second_truncated_key, timestamp_key
-from repro.replication.quorum import (
-    QuorumParams,
-    QuorumReplica,
-    QuorumStore,
-)
-from repro.replication.ranking import RankedFeedParams, RankedFeedStore
-from repro.replication.store import StoredWrite, VersionedStore
-from repro.replication.strong import PrimaryBackupGroup
+from repro._facade import facade
 
-__all__ = [
-    "VersionedStore",
-    "StoredWrite",
-    "timestamp_key",
-    "second_truncated_key",
-    "PrimaryBackupGroup",
-    "EventualParams",
-    "DatacenterReplica",
-    "EventualGroup",
-    "GroupStoreParams",
-    "GroupReplica",
-    "GeoGroupStore",
-    "RankedFeedParams",
-    "RankedFeedStore",
-    "QuorumParams",
-    "QuorumReplica",
-    "QuorumStore",
-    "GossipParams",
-    "GossipReplica",
-    "GossipGroup",
-]
+__all__, __getattr__, __dir__ = facade(__name__, {
+    ".store": ("VersionedStore", "StoredWrite"),
+    ".ordering": ("timestamp_key", "second_truncated_key"),
+    ".strong": ("PrimaryBackupGroup",),
+    ".eventual": ("EventualParams", "DatacenterReplica", "EventualGroup"),
+    ".group_store": ("GroupStoreParams", "GroupReplica", "GeoGroupStore"),
+    ".ranking": ("RankedFeedParams", "RankedFeedStore"),
+    ".quorum": ("QuorumParams", "QuorumReplica", "QuorumStore"),
+    ".gossip": ("GossipParams", "GossipReplica", "GossipGroup"),
+})

@@ -16,64 +16,21 @@ store (:mod:`repro.scenario.engines` over
 layer (:mod:`repro.scenario.policies`).
 """
 
-from repro.scenario.loader import (
-    load_scenario,
-    load_scenarios,
-    scenario_from_mapping,
-)
-from repro.scenario.policies import (
-    CircuitOpenError,
-    PolicySpec,
-    ResilientSession,
-    apply_policy,
-)
-from repro.scenario.registry import (
-    build_scenario_service,
-    forget_scenario,
-    get_scenario,
-    register_scenario,
-    registered_scenarios,
-    scenario_campaign,
-    scenario_config,
-    scenario_nemesis,
-    scenario_objective,
-    scenario_params,
-    scenario_plan,
-    scenario_space,
-)
-from repro.scenario.schema import (
-    SCHEMA_VERSION,
-    CalibrationSpec,
-    NemesisSpec,
-    ScenarioSpec,
-    ServiceSpec,
-    WorkloadSpec,
-)
+from repro._facade import facade
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "ScenarioSpec",
-    "ServiceSpec",
-    "NemesisSpec",
-    "WorkloadSpec",
-    "CalibrationSpec",
-    "PolicySpec",
-    "CircuitOpenError",
-    "ResilientSession",
-    "apply_policy",
-    "load_scenario",
-    "load_scenarios",
-    "scenario_from_mapping",
-    "register_scenario",
-    "get_scenario",
-    "forget_scenario",
-    "registered_scenarios",
-    "scenario_campaign",
-    "scenario_config",
-    "scenario_params",
-    "scenario_plan",
-    "scenario_nemesis",
-    "scenario_space",
-    "scenario_objective",
-    "build_scenario_service",
-]
+__all__, __getattr__, __dir__ = facade(__name__, {
+    ".schema": (
+        "SCHEMA_VERSION", "ScenarioSpec", "ServiceSpec", "NemesisSpec",
+        "WorkloadSpec", "CalibrationSpec",
+    ),
+    ".policies": (
+        "PolicySpec", "CircuitOpenError", "ResilientSession", "apply_policy",
+    ),
+    ".loader": ("load_scenario", "load_scenarios", "scenario_from_mapping"),
+    ".registry": (
+        "register_scenario", "get_scenario", "forget_scenario",
+        "registered_scenarios", "scenario_campaign", "scenario_config",
+        "scenario_params", "scenario_plan", "scenario_nemesis",
+        "scenario_space", "scenario_objective", "build_scenario_service",
+    ),
+})

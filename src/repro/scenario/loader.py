@@ -27,7 +27,6 @@ import dataclasses
 import functools
 import json
 import math
-import tomllib
 import types
 import typing
 from pathlib import Path
@@ -320,6 +319,8 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
                 f"{source}: invalid JSON ({exc})"
             ) from None
     else:
+        import tomllib
+
         try:
             data = tomllib.loads(text)
         except tomllib.TOMLDecodeError as exc:

@@ -273,13 +273,12 @@ def build_scenario_service(spec: ScenarioSpec, sim, topology, network,
     effective = params if params is not None else \
         scenario_params(spec)
     if spec.service.archetype == "builtin":
-        from repro.services.profiles import SERVICE_CLASSES
+        from repro.services.profiles import service_class
 
-        service_class = SERVICE_CLASSES[spec.service.base]
+        model = service_class(spec.service.base)
         if effective is None:
-            return service_class(sim, topology, network, rng)
-        return service_class(sim, topology, network, rng,
-                             params=effective)
+            return model(sim, topology, network, rng)
+        return model(sim, topology, network, rng, params=effective)
     from repro.scenario.engines import GossipScenarioService
 
     return GossipScenarioService(spec, sim, topology, network, rng,

@@ -123,10 +123,10 @@ class ServiceSpec:
                 f"got {self.archetype!r}"
             )
         if self.archetype == "builtin":
-            from repro.services.profiles import SERVICE_CLASSES
+            from repro.services.profiles import SERVICE_IMPORTS
 
-            if self.base not in SERVICE_CLASSES:
-                known = tuple(sorted(SERVICE_CLASSES))
+            if self.base not in SERVICE_IMPORTS:
+                known = tuple(sorted(SERVICE_IMPORTS))
                 raise ConfigurationError(
                     f"service.base must name a built-in service "
                     f"{known}, got {self.base!r}"
@@ -344,9 +344,9 @@ class ScenarioSpec:
                 "letters, digits and underscores, starting with a "
                 "letter"
             )
-        from repro.services.profiles import SERVICE_CLASSES
+        from repro.services.profiles import SERVICE_IMPORTS
 
-        if self.name in SERVICE_CLASSES and not (
+        if self.name in SERVICE_IMPORTS and not (
                 self.service.archetype == "builtin"
                 and self.service.base == self.name):
             raise ConfigurationError(

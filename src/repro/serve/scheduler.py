@@ -30,7 +30,7 @@ from typing import Callable
 from repro.errors import ConfigurationError
 from repro.fleet.digest import fleet_signature
 from repro.fleet.executor import ShardRun, ShardRunner, dispatch_runs
-from repro.methodology.runner import CampaignResult
+from repro.methodology.records import CampaignResult
 from repro.obs.events import (
     HuntShardCompleted,
     HuntShardRetried,

@@ -23,12 +23,14 @@ depends on either.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Iterator, Mapping
 from urllib.parse import parse_qsl, urlsplit
 
+from repro.errors import ReproError
 from repro.obs.events import ObsEvent
 from repro.serve.httpapi import HuntApi
 from repro.serve.service import CampaignService
@@ -178,14 +180,20 @@ def serve_http(server: HuntServer, host: str = "127.0.0.1",
     A worker thread loops scheduling passes (``run_pending`` then a
     ``poll_interval`` sleep) while the listener thread answers API
     requests — submissions made over HTTP are picked up by the next
-    pass.  Blocks the calling thread; Ctrl-C shuts both down.
+    pass.  A pass that fails on a damaged hunt store prints
+    ``serve: <error>`` to stderr and the loop keeps polling, so a
+    repaired store is picked up.  Blocks the calling thread; Ctrl-C
+    shuts both down.
     """
     httpd = ThreadingHTTPServer((host, port), _make_handler(server))
     stop = threading.Event()
 
     def work() -> None:
         while not stop.is_set():
-            server.run_pending()
+            try:
+                server.run_pending()
+            except ReproError as exc:
+                print(f"serve: {exc}", file=sys.stderr)
             stop.wait(poll_interval)
 
     worker = threading.Thread(target=work, name="hunt-worker",

@@ -280,7 +280,7 @@ class CampaignService:
         whose telemetry is absent or damaged are listed in
         ``missing`` — obs files degrade, they never fail the query.
         """
-        from repro.obs import merge_obs_snapshots
+        from repro.obs.context import merge_obs_snapshots
 
         artifact_store, shard_ids = self._completed_shards(hunt_id)
         merged_ids: list[str] = []

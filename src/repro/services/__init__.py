@@ -13,45 +13,17 @@ Build one with :func:`build_service`; talk to it through the
 :class:`ServiceSession` returned by ``create_session``.
 """
 
-from repro.services.base import (
-    OnlineService,
-    ServiceSession,
-    SessionRoutes,
-)
-from repro.services.blogger import BloggerParams, BloggerService
-from repro.services.facebook_feed import (
-    FacebookFeedParams,
-    FacebookFeedService,
-)
-from repro.services.facebook_group import (
-    FacebookGroupParams,
-    FacebookGroupService,
-)
-from repro.services.googleplus import GooglePlusParams, GooglePlusService
-from repro.services.profiles import (
-    EXTENSION_SERVICE_NAMES,
-    SERVICE_CLASSES,
-    SERVICE_NAMES,
-    build_service,
-)
-from repro.services.quorum_kv import QuorumKvParams, QuorumKvService
+from repro._facade import facade
 
-__all__ = [
-    "OnlineService",
-    "ServiceSession",
-    "SessionRoutes",
-    "BloggerService",
-    "BloggerParams",
-    "GooglePlusService",
-    "GooglePlusParams",
-    "FacebookFeedService",
-    "FacebookFeedParams",
-    "FacebookGroupService",
-    "FacebookGroupParams",
-    "SERVICE_NAMES",
-    "EXTENSION_SERVICE_NAMES",
-    "QuorumKvService",
-    "QuorumKvParams",
-    "SERVICE_CLASSES",
-    "build_service",
-]
+__all__, __getattr__, __dir__ = facade(__name__, {
+    ".base": ("OnlineService", "ServiceSession", "SessionRoutes"),
+    ".blogger": ("BloggerService", "BloggerParams"),
+    ".googleplus": ("GooglePlusService", "GooglePlusParams"),
+    ".facebook_feed": ("FacebookFeedService", "FacebookFeedParams"),
+    ".facebook_group": ("FacebookGroupService", "FacebookGroupParams"),
+    ".quorum_kv": ("QuorumKvService", "QuorumKvParams"),
+    ".profiles": (
+        "SERVICE_NAMES", "EXTENSION_SERVICE_NAMES", "SERVICE_IMPORTS",
+        "service_class", "build_service",
+    ),
+})

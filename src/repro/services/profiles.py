@@ -4,33 +4,38 @@
 campaign runner, the CLI, and the examples.  Service-specific parameter
 objects can be passed through to override defaults (for ablations and
 what-if experiments).
+
+:data:`SERVICE_IMPORTS` names where each service class lives, and
+:func:`service_class` imports only that one module, so a campaign loads
+its own service and replication substrate, not all five.
 """
 
 from __future__ import annotations
 
-from typing import Any
+import importlib
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import ConfigurationError
-from repro.net.network import Network
-from repro.net.topology import Topology
-from repro.services.base import OnlineService
-from repro.services.blogger import BloggerService
-from repro.services.facebook_feed import FacebookFeedService
-from repro.services.facebook_group import FacebookGroupService
-from repro.services.googleplus import GooglePlusService
-from repro.services.quorum_kv import QuorumKvService
-from repro.sim.event_loop import Simulator
-from repro.sim.random_source import RandomSource
+
+if TYPE_CHECKING:  # annotations only: see service_class
+    from repro.net.network import Network
+    from repro.net.topology import Topology
+    from repro.services.base import OnlineService
+    from repro.sim.event_loop import Simulator
+    from repro.sim.random_source import RandomSource
 
 __all__ = ["SERVICE_NAMES", "EXTENSION_SERVICE_NAMES",
-           "SERVICE_CLASSES", "build_service"]
+           "SERVICE_IMPORTS", "service_class", "build_service"]
 
-SERVICE_CLASSES: dict[str, type[OnlineService]] = {
-    BloggerService.name: BloggerService,
-    GooglePlusService.name: GooglePlusService,
-    FacebookFeedService.name: FacebookFeedService,
-    FacebookGroupService.name: FacebookGroupService,
-    QuorumKvService.name: QuorumKvService,
+#: Service name -> ``"module:Class"`` of its model.  A new service
+#: registers here (``examples/custom_service.py``).
+SERVICE_IMPORTS: dict[str, str] = {
+    "blogger": "repro.services.blogger:BloggerService",
+    "googleplus": "repro.services.googleplus:GooglePlusService",
+    "facebook_feed": "repro.services.facebook_feed:FacebookFeedService",
+    "facebook_group":
+        "repro.services.facebook_group:FacebookGroupService",
+    "quorum_kv": "repro.services.quorum_kv:QuorumKvService",
 }
 
 #: The paper's four services, in its presentation order.
@@ -39,6 +44,12 @@ SERVICE_NAMES = ("googleplus", "blogger", "facebook_feed",
 
 #: Additional measurable services (the storage-system extension).
 EXTENSION_SERVICE_NAMES = ("quorum_kv",)
+
+
+def service_class(name: str) -> type[OnlineService]:
+    """The model class of the service ``name``, importing its module."""
+    module, _, attribute = SERVICE_IMPORTS[name].partition(":")
+    return getattr(importlib.import_module(module), attribute)
 
 
 def build_service(name: str, sim: Simulator, topology: Topology,
@@ -53,7 +64,7 @@ def build_service(name: str, sim: Simulator, topology: Topology,
     the scenario registry, so loaded scenarios plug in everywhere a
     service name is accepted.
     """
-    if scenario is None and name not in SERVICE_CLASSES:
+    if scenario is None and name not in SERVICE_IMPORTS:
         from repro.scenario.registry import get_scenario
 
         try:
@@ -69,7 +80,7 @@ def build_service(name: str, sim: Simulator, topology: Topology,
 
         return build_scenario_service(scenario, sim, topology,
                                       network, rng, params=params)
-    service_class = SERVICE_CLASSES[name]
+    model = service_class(name)
     if params is None:
-        return service_class(sim, topology, network, rng)
-    return service_class(sim, topology, network, rng, params=params)
+        return model(sim, topology, network, rng)
+    return model(sim, topology, network, rng, params=params)

@@ -16,21 +16,12 @@ Layout:
   print.
 """
 
-from repro.core.stream import StreamOp, TestMeta, stream_order
-from repro.obs.events import WindowEvent
-from repro.stream.engine import DEFAULT_HORIZON, Emission, StreamEngine
-from repro.stream.ingest import OpIngest, replay_trace
-from repro.stream.parity import record_mismatches
+from repro._facade import facade
 
-__all__ = [
-    "TestMeta",
-    "StreamOp",
-    "WindowEvent",
-    "DEFAULT_HORIZON",
-    "Emission",
-    "StreamEngine",
-    "OpIngest",
-    "replay_trace",
-    "stream_order",
-    "record_mismatches",
-]
+__all__, __getattr__, __dir__ = facade(__name__, {
+    "repro.core.stream": ("TestMeta", "StreamOp", "stream_order"),
+    "repro.obs.events": ("WindowEvent",),
+    ".engine": ("DEFAULT_HORIZON", "Emission", "StreamEngine"),
+    ".ingest": ("OpIngest", "replay_trace"),
+    ".parity": ("record_mismatches",),
+})

@@ -52,8 +52,8 @@ from repro.core.stream import StreamOp, TestMeta
 from repro.core.trace import TestTrace
 from repro.core.windows import window_results
 from repro.errors import AnalysisError
-from repro.methodology.runner import TestRecord
-from repro.obs import ObsContext
+from repro.methodology.records import TestRecord
+from repro.obs.context import ObsContext
 from repro.obs.events import WindowEvent
 from repro.relations.streaming import StreamingMetricEvaluator
 

@@ -27,11 +27,8 @@ from typing import Callable
 from repro.core.stream import TestMeta
 from repro.fleet.spec import ShardJob
 from repro.io import TraceEventWriter
-from repro.methodology.runner import (
-    CampaignResult,
-    TestRecord,
-    run_campaign,
-)
+from repro.methodology.records import CampaignResult, TestRecord
+from repro.methodology.runner import run_campaign
 from repro.relations.registry import resolve_metrics
 from repro.stream.engine import StreamEngine
 from repro.stream.ingest import OpIngest

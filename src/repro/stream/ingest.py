@@ -30,7 +30,7 @@ from repro.core.stream import StreamOp, TestMeta, run_to_completion
 from repro.core.trace import Operation, TestTrace, WriteOp
 from repro.errors import AnalysisError
 from repro.io import operation_from_dict, trace_from_meta_dict
-from repro.methodology.runner import TestRecord
+from repro.methodology.records import TestRecord
 from repro.stream.engine import Emission, StreamEngine
 
 __all__ = ["replay_trace", "OpIngest", "feed_events"]

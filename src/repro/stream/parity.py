@@ -10,7 +10,7 @@ empty list means the records are equal.
 
 from __future__ import annotations
 
-from repro.methodology.runner import TestRecord
+from repro.methodology.records import TestRecord
 
 __all__ = ["record_mismatches"]
 

@@ -11,31 +11,14 @@ ties them together over the simulated network
 (:mod:`repro.webapi.client`).
 """
 
-from repro.webapi.auth import Account, AccountRegistry
-from repro.webapi.client import ApiClient
-from repro.webapi.endpoint import EndpointStats, ServiceEndpoint
-from repro.webapi.http import ApiRequest, ApiResponse, error_response, ok
-from repro.webapi.pagination import DEFAULT_PAGE_SIZE, Page, paginate
-from repro.webapi.ratelimit import RateLimit, SlidingWindowRateLimiter
-from repro.webapi.router import Resource, RouteMatch, Router, RouteSpec
+from repro._facade import facade
 
-__all__ = [
-    "Router",
-    "RouteSpec",
-    "RouteMatch",
-    "Resource",
-    "Page",
-    "paginate",
-    "DEFAULT_PAGE_SIZE",
-    "ApiRequest",
-    "ApiResponse",
-    "ok",
-    "error_response",
-    "Account",
-    "AccountRegistry",
-    "ApiClient",
-    "ServiceEndpoint",
-    "EndpointStats",
-    "RateLimit",
-    "SlidingWindowRateLimiter",
-]
+__all__, __getattr__, __dir__ = facade(__name__, {
+    ".router": ("Router", "RouteSpec", "RouteMatch", "Resource"),
+    ".pagination": ("Page", "paginate", "DEFAULT_PAGE_SIZE"),
+    ".http": ("ApiRequest", "ApiResponse", "ok", "error_response"),
+    ".auth": ("Account", "AccountRegistry"),
+    ".client": ("ApiClient",),
+    ".endpoint": ("ServiceEndpoint", "EndpointStats"),
+    ".ratelimit": ("RateLimit", "SlidingWindowRateLimiter"),
+})

@@ -23,22 +23,13 @@ Layering:
   retired cohorts through one bounded-memory stream engine.
 """
 
-from repro.world.buffers import CohortBuffer
-from repro.world.bus import BusMessage, WorldBus
-from repro.world.engine import WorldEngine, WorldResult, run_world
-from repro.world.model import WorldReplica
-from repro.world.scenario import world_from_scenario
-from repro.world.spec import WorldPartition, WorldSpec
+from repro._facade import facade
 
-__all__ = [
-    "world_from_scenario",
-    "WorldSpec",
-    "WorldPartition",
-    "WorldBus",
-    "BusMessage",
-    "CohortBuffer",
-    "WorldReplica",
-    "WorldEngine",
-    "WorldResult",
-    "run_world",
-]
+__all__, __getattr__, __dir__ = facade(__name__, {
+    ".scenario": ("world_from_scenario",),
+    ".spec": ("WorldSpec", "WorldPartition"),
+    ".bus": ("WorldBus", "BusMessage"),
+    ".buffers": ("CohortBuffer",),
+    ".model": ("WorldReplica",),
+    ".engine": ("WorldEngine", "WorldResult", "run_world"),
+})

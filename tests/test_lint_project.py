@@ -496,6 +496,50 @@ class TestTRACE002:
         assert "pkg8.pipe.scrub" in trace[0].message
         assert "mutates parameter 'rec'" in trace[0].message
 
+    def test_mutation_through_a_lazy_facade_after_emission(self,
+                                                           tmp_path):
+        # The callee is reached through a package facade table, not an
+        # import statement: the call graph must still find it.
+        root = write_package(tmp_path, "pkg9", {
+            "__init__.py": """\
+                from repro._facade import facade
+
+                __all__, __getattr__, __dir__ = facade(__name__, {
+                    ".tidy": ("scrub",),
+                })
+            """,
+            "tidy.py": """\
+                __all__ = ["scrub"]
+
+
+                def scrub(rec):
+                    rec.pop("tmp")
+                    return rec
+            """,
+            "pipe.py": """\
+                import pkg9
+                from pkg9 import scrub
+
+                __all__ = ["publish", "relay"]
+
+
+                def publish(sink, record):
+                    sink.send(record)
+                    scrub(record)
+                    return record
+
+
+                def relay(sink, record):
+                    sink.send(record)
+                    pkg9.scrub(record)
+                    return record
+            """,
+        })
+        result = lint_paths([root], LintConfig())
+        trace = [f for f in result.findings if f.code == "TRACE002"]
+        assert len(trace) == 2
+        assert all("pkg9.tidy.scrub" in f.message for f in trace)
+
 
 class TestProjectSelfApplication:
     """The whole-program battery's verdict on this repository."""

@@ -293,3 +293,29 @@ class TestServeHttp:
         assert "JSON" in answer["error"]
         # The listener survived it.
         assert live.request("GET", "/v1/hunts")[0] == 200
+
+    def test_worker_survives_a_damaged_hunt_file(self, tmp_path,
+                                                  capsys):
+        before = set(threading.enumerate())
+        fresh = Live(tmp_path)
+        (worker,) = [thread for thread in threading.enumerate()
+                     if thread.name == "hunt-worker"
+                     and thread not in before]
+        first = fresh.request("POST", "/v1/hunts", params=TINY)[1]
+        _wait_done(fresh, first["hunt_id"])
+        target = fresh.server.service.store.state_path(first["hunt_id"])
+        intact = target.read_bytes()
+        target.write_bytes(intact[:-9])  # torn tail: every pass fails
+        deadline = time.monotonic() + 10.0
+        reported = ""
+        while "serve: " not in reported and time.monotonic() < deadline:
+            time.sleep(0.05)
+            reported += capsys.readouterr().err
+        assert "serve: unreadable hunt state" in reported
+        time.sleep(3 * 0.05)  # three poll intervals
+        assert worker.is_alive()
+        # Once the store is repaired, scheduling resumes.
+        target.write_bytes(intact)
+        second = fresh.request("POST", "/v1/hunts", params=TINY)
+        assert second[0] == 200
+        _wait_done(fresh, second[1]["hunt_id"])
