@@ -24,9 +24,10 @@ sequential on wall-clock.
 import time
 
 from repro.fleet import FleetSpec
+from repro.fleet.executor import ShardRun
 from repro.methodology import CampaignConfig
 from repro.methodology.runner import CampaignResult
-from repro.serve import HuntRun, run_hunts
+from repro.serve import run_hunts
 
 from benchmarks.conftest import BENCH_SEED
 
@@ -44,7 +45,7 @@ def sleep_shard_runner(job):
 
 
 def make_runs():
-    """Fresh HuntRuns for the skewed mix (no artifact stores)."""
+    """Fresh hunt runs for the skewed mix (no artifact stores)."""
     runs = []
     for index, shards in enumerate(HUNT_SHAPE):
         spec = FleetSpec(
@@ -53,8 +54,8 @@ def make_runs():
                                        test_types=("test1",)),
             seeds=tuple(range(BENCH_SEED, BENCH_SEED + shards)),
         )
-        runs.append(HuntRun(hunt_id=f"h{index:04d}",
-                            jobs=tuple(spec.jobs())))
+        runs.append(ShardRun(tuple(spec.jobs()),
+                             hunt_id=f"h{index:04d}"))
     return runs
 
 

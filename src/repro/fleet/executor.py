@@ -16,10 +16,10 @@ the same campaigns serially:
 
 The loop owns resume of digest-valid shards from each run's
 :class:`~repro.fleet.store.ArtifactStore`, persist on completion, the
-retry budget, control polling and dispatch order.  :func:`run_fleet`
-is the loop over one run, raising when it halts; the campaign
-service's ``run_hunts`` is the loop over many; each adds only the
-translation of the loop's notifications into its own event family.
+retry budget, control polling, dispatch order and the typed
+``Shard*`` events (:mod:`repro.obs.events`) that report all of it.
+:func:`run_fleet` is the loop over one run, raising when it halts; the
+campaign service's ``run_hunts`` is the loop over many.
 How a shard runs and how a failed attempt is classified belong to
 :mod:`repro.fleet.pool` (``docs/fleet.md``, "Failure policy").
 """
@@ -51,6 +51,7 @@ from repro.obs.events import (
     FleetCompleted,
     FleetStarted,
     ShardCompleted,
+    ShardEvent,
     ShardRetried,
     ShardSkipped,
     ShardStarted,
@@ -80,10 +81,12 @@ class ShardRun:
     store: ArtifactStore | None = None
     max_retries: int = DEFAULT_MAX_RETRIES
     #: Execute shards through the streaming engine, which reports
-    #: every closed test (``"checked"``).  Ignored when a custom
+    #: every closed test (``ShardTestChecked``).  Ignored when a custom
     #: ``shard_runner`` is injected — fault-injection runners replace
     #: the execution path wholesale.
     stream: bool = False
+    #: The run's name in its events: the hunt's id, empty for a fleet.
+    hunt_id: str = ""
 
     # -- filled by the loop ----------------------------------------------
     queue: deque = field(default_factory=deque, repr=False)
@@ -93,14 +96,6 @@ class ShardRun:
     halt: str | None = None  # "paused" | "cancelled" | error text
     #: Width 1 only: the campaign's own exception behind an error halt.
     error: Exception | None = None
-
-
-#: What the loop tells its caller: ``notify(what, run, task, **info)``.
-#: ``"resumed"`` (no task: ``run.skipped`` was loaded from the store,
-#: the rest queued), ``"started"``, ``"checked"`` (info: the streaming
-#: message's fields), ``"completed"`` (``result=``), ``"retried"``
-#: (``reason=``; ``task`` is the attempt just queued).
-Notify = Callable[..., None]
 
 
 def _resume(run: ShardRun, shard_runner: ShardRunner | None,
@@ -146,7 +141,7 @@ def dispatch_runs(runs: Sequence[ShardRun], *,
                   shard_runner: ShardRunner | None = None,
                   shard_timeout: float | None = None,
                   control: Callable[[ShardRun], str] | None = None,
-                  notify: Notify | None = None,
+                  on_event: EventCallback | None = None,
                   verdicts: Callable[[TestRecord], dict] | None = None
                   ) -> None:
     """Drain every run's shards over one pool of ``workers``.
@@ -156,10 +151,17 @@ def dispatch_runs(runs: Sequence[ShardRun], *,
     ``run.error``); ``>= 2`` is process-per-attempt with
     ``shard_timeout`` wall-clock seconds each.  ``shard_runner``
     overrides :func:`execute_shard` and ``verdicts`` adds fields to
-    each ``"checked"`` message; both run where the shard runs, so both
+    each ``ShardTestChecked``; both run where the shard runs, so both
     must be module-level.  ``control`` answers ``"run"`` / ``"pause"``
     / ``"cancel"`` between dispatches: pausing parks a run's queued
     shards, cancelling discards them; in-flight ones finish and persist.
+
+    ``on_event`` receives, each naming its run's ``hunt_id``: one
+    ``ShardSkipped`` per shard restored from a store (every run is
+    resumed before the first event), then ``ShardStarted`` per
+    attempt, ``ShardTestChecked`` per closed test of a streaming
+    shard, ``ShardCompleted`` once a result is merged and persisted,
+    and ``ShardRetried`` per re-queued attempt.
 
     The law, held by ``tests/test_dispatch_law.py``:
 
@@ -176,11 +178,21 @@ def dispatch_runs(runs: Sequence[ShardRun], *,
     * an unrecoverable shard halts its own run only: a failing or
       cancelled run never costs another run a shard.
     """
-    notify = notify or (lambda what, run, task=None, **info: None)
+    emit = on_event or (lambda event: None)
     control = control or (lambda run: "run")
+
+    def announce(cls: type[ShardEvent], run: ShardRun, job: ShardJob,
+                 **fields) -> None:
+        emit(cls(shard_id=job.shard_id, index=job.index,
+                 total=len(run.jobs), service=job.service, seed=job.seed,
+                 label=job.label, hunt_id=run.hunt_id, **fields))
+
     for run in runs:
         _resume(run, shard_runner, verdicts)
-        notify("resumed", run)
+    for run in runs:
+        for job in run.jobs:
+            if job.index in run.results:
+                announce(ShardSkipped, run, job)
 
     def poll_control() -> None:
         for run in runs:
@@ -194,7 +206,7 @@ def dispatch_runs(runs: Sequence[ShardRun], *,
                 run.halt = "cancelled"
 
     def checked(task: ShardTask, run: ShardRun, message: dict) -> None:
-        notify("checked", run, task, **message)
+        announce(ShardTestChecked, run, task.job, **message)
 
     def complete(run: ShardRun, task: ShardTask, result: CampaignResult,
                  records: list[dict] | None = None) -> None:
@@ -203,7 +215,8 @@ def dispatch_runs(runs: Sequence[ShardRun], *,
                 records = records_to_jsonable(result)
             run.store.write_shard(task.job, records, obs=result.obs)
         run.results[task.job.index] = result
-        notify("completed", run, task, result=result)
+        announce(ShardCompleted, run, task.job, attempts=task.attempt,
+                 records=len(result.records))
 
     def halt(run: ShardRun, text: str,
              error: Exception | None = None) -> None:
@@ -226,7 +239,8 @@ def dispatch_runs(runs: Sequence[ShardRun], *,
             run.retries += 1
             retry = replace(task, attempt=task.attempt + 1)
             run.queue.appendleft(retry)
-            notify("retried", run, retry, reason=done.detail)
+            announce(ShardRetried, run, retry.job,
+                     attempt=retry.attempt, reason=done.detail)
 
     if workers == 1:
         run = None
@@ -236,7 +250,7 @@ def dispatch_runs(runs: Sequence[ShardRun], *,
             if run is None:
                 return
             task = run.queue.popleft()
-            notify("started", run, task)
+            announce(ShardStarted, run, task.job, attempt=task.attempt)
             try:
                 result = run_shard(task, checked, run)
             except Exception as exc:  # noqa: BLE001 - halts this run only
@@ -259,7 +273,8 @@ def dispatch_runs(runs: Sequence[ShardRun], *,
                 idle.popleft()
                 task = run.queue.popleft()
                 pool.submit(task, run)
-                notify("started", run, task)
+                announce(ShardStarted, run, task.job,
+                         attempt=task.attempt)
             if not pool.in_flight:
                 break  # every remaining run halted, nothing running
             for done in pool.wait():
@@ -334,7 +349,8 @@ def run_fleet(spec: FleetSpec, *,
         of re-run, and newly completed shards are written back as
         they finish.
     on_event:
-        Telemetry callback receiving :mod:`repro.obs.events` events.
+        Telemetry callback: ``FleetStarted``, the loop's ``Shard*``
+        events (:func:`dispatch_runs`), then ``FleetCompleted``.
     shard_timeout:
         Wall-clock seconds one shard attempt may run (workers only);
         a timed-out worker is terminated and the shard retried.
@@ -377,34 +393,20 @@ def run_fleet(spec: FleetSpec, *,
         store.initialize(spec)
     run = ShardRun(tuple(spec.jobs()), store=store,
                    max_retries=max_retries, stream=stream)
+    started = False
 
-    def announce(cls, job: ShardJob, **extra) -> None:
-        emit(cls(shard_id=job.shard_id, index=job.index,
-                 total=len(run.jobs), service=job.service,
-                 seed=job.seed, label=job.label, **extra))
-
-    def notify(what, run, task=None, **info) -> None:
-        """The loop's notifications as the Shard* / Fleet* family."""
-        if what == "resumed":
+    def relay(event: ShardEvent) -> None:
+        """The loop's events, after one ``FleetStarted``: the loop
+        resumes before its first event, so ``run.skipped`` is final."""
+        nonlocal started
+        if not started:
+            started = True
             emit(FleetStarted(total_shards=len(run.jobs), jobs=jobs,
                               resumed=len(run.skipped)))
-            for job in run.jobs:
-                if job.index in run.results:
-                    announce(ShardSkipped, job,
-                             reason="complete in store")
-        elif what == "started":
-            announce(ShardStarted, task.job, attempt=task.attempt)
-        elif what == "checked":
-            announce(ShardTestChecked, task.job, **info)
-        elif what == "completed":
-            announce(ShardCompleted, task.job, attempts=task.attempt,
-                     records=len(info["result"].records))
-        elif what == "retried":
-            announce(ShardRetried, task.job, attempt=task.attempt,
-                     **info)
+        emit(event)
 
     dispatch_runs([run], workers=jobs, shard_runner=shard_runner,
-                  shard_timeout=shard_timeout, notify=notify)
+                  shard_timeout=shard_timeout, on_event=relay)
     if run.error is not None:
         raise run.error
     if run.halt is not None:

@@ -5,7 +5,9 @@ tracker's :class:`WindowEvent` and the campaign runner's
 :class:`OperationObserver` hook are one concern: *typed events a
 running measurement emits for consumers that only watch*.  This module
 is their only home; :mod:`repro.fleet` and :mod:`repro.stream`
-re-export some of them.
+re-export some of them.  The dispatch loop's ``Shard*`` events and the
+campaign service's ``Hunt*`` events are also a hunt's event feed:
+:func:`feed_record` is their one encoding.
 
 Design rules shared by every event here:
 
@@ -18,8 +20,8 @@ Design rules shared by every event here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Protocol
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Protocol
 
 if TYPE_CHECKING:  # annotations only: this module is a leaf that
     # repro.core.windows (the emitter of WindowEvent) imports.
@@ -41,10 +43,8 @@ __all__ = [
     "HuntEvent",
     "HuntSubmitted",
     "HuntStateChanged",
-    "HuntShardCompleted",
-    "HuntTestChecked",
-    "HuntShardRetried",
     "EventCallback",
+    "feed_record",
     "render_event",
 ]
 
@@ -99,7 +99,7 @@ class WindowEvent(ObsEvent):
     start: float | None = None
 
 
-# -- Fleet progress telemetry -------------------------------------------
+# -- Shard and fleet telemetry ------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ class FleetEvent(ObsEvent):
 
 @dataclass(frozen=True)
 class FleetStarted(FleetEvent):
-    """Emitted once, before any shard work."""
+    """Emitted once by ``run_fleet``, before any shard work."""
 
     total_shards: int
     jobs: int
@@ -119,7 +119,7 @@ class FleetStarted(FleetEvent):
 
 @dataclass(frozen=True)
 class FleetCompleted(FleetEvent):
-    """Emitted once, after the ordered merge."""
+    """Emitted once by ``run_fleet``, after the ordered merge."""
 
     executed: int
     skipped: int
@@ -128,7 +128,14 @@ class FleetCompleted(FleetEvent):
 
 @dataclass(frozen=True)
 class ShardEvent(FleetEvent):
-    """Base class of per-shard events; carries the shard's identity."""
+    """Base class of the dispatch loop's per-shard events.
+
+    Carries the shard's identity and ``hunt_id``, the run it belongs
+    to: the hunt's id under the campaign service, empty under
+    ``run_fleet``.  ``wire`` names the event's record in a hunt feed.
+    """
+
+    wire: ClassVar[str]
 
     shard_id: str
     index: int
@@ -136,10 +143,12 @@ class ShardEvent(FleetEvent):
     service: str
     seed: int
     label: str | None
+    hunt_id: str = ""
 
 
 @dataclass(frozen=True)
 class ShardStarted(ShardEvent):
+    wire = "shard.started"
     attempt: int = 1
 
 
@@ -147,95 +156,19 @@ class ShardStarted(ShardEvent):
 class ShardTestChecked(ShardEvent):
     """One test of a shard finished and was checked *online*.
 
-    Only the streaming fast path (``run_fleet(..., stream=True)``)
-    emits these — the batch path has nothing to report until a whole
-    shard returns.  ``anomalies`` maps anomaly kind to this test's
-    observation count (zero counts omitted); ``state_size`` is the
-    worker engine's retained-atom count right after the test closed.
+    Only streaming shards (``run_fleet(..., stream=True)``, a hunt
+    submitted with ``stream=True``) emit these — the batch path has
+    nothing to report until a whole shard returns.  ``anomalies`` maps
+    anomaly kind to this test's observation count (zero counts
+    omitted); ``state_size`` is the worker engine's retained-atom
+    count right after the test closed.  A hunt's shards also carry
+    ``windows``, the test's per-pair divergence-window verdicts
+    (``{"content": [...], "order": [...]}``, each entry ``{"pair",
+    "intervals", "converged"}``), so a follower of the feed sees *what
+    diverged and for how long*.
     """
 
-    test_id: str = ""
-    test_index: int = 0
-    anomalies: dict[str, int] | None = None
-    state_size: int = 0
-
-
-@dataclass(frozen=True)
-class ShardCompleted(ShardEvent):
-    attempts: int = 1
-    records: int = 0
-
-
-@dataclass(frozen=True)
-class ShardRetried(ShardEvent):
-    attempt: int = 1
-    reason: str = ""
-
-
-@dataclass(frozen=True)
-class ShardSkipped(ShardEvent):
-    reason: str = "complete in store"
-
-
-# -- Campaign-service (hunt) telemetry ----------------------------------
-
-
-@dataclass(frozen=True)
-class HuntEvent(ObsEvent):
-    """Base class of the campaign service's lifecycle events.
-
-    The serving layer (:mod:`repro.serve`) both forwards these to
-    ``on_event`` consumers and appends their JSONL rendering to the
-    hunt's ``events.jsonl`` feed — the same records the HTTP event
-    endpoint pages out.
-    """
-
-    hunt_id: str
-
-
-@dataclass(frozen=True)
-class HuntSubmitted(HuntEvent):
-    """A hunt entered the queue."""
-
-    services: tuple[str, ...] = ()
-    shards: int = 0
-
-
-@dataclass(frozen=True)
-class HuntStateChanged(HuntEvent):
-    """A hunt moved between lifecycle states."""
-
-    previous: str = ""
-    status: str = ""
-    #: The merged golden signature, on the transition to "done".
-    signature: str | None = None
-    #: Failure detail, on the transition to "failed".
-    error: str | None = None
-
-
-@dataclass(frozen=True)
-class HuntShardCompleted(HuntEvent):
-    """One shard of a hunt finished and persisted."""
-
-    shard_id: str = ""
-    done: int = 0
-    total: int = 0
-
-
-@dataclass(frozen=True)
-class HuntTestChecked(HuntEvent):
-    """One test of a streaming hunt shard was checked online.
-
-    Only hunts submitted with ``stream=True`` emit these — the batch
-    path has nothing to say until a shard completes.  ``windows``
-    carries the per-pair divergence-window verdicts of the test
-    (``{"content": [...], "order": [...]}``, each entry
-    ``{"pair", "intervals", "converged"}``) so a follow-mode consumer
-    of the hunt event feed sees *what diverged and for how long*, not
-    just lifecycle ticks.
-    """
-
-    shard_id: str = ""
+    wire = "test.checked"
     test_id: str = ""
     test_index: int = 0
     anomalies: dict[str, int] | None = None
@@ -244,20 +177,87 @@ class HuntTestChecked(HuntEvent):
 
 
 @dataclass(frozen=True)
-class HuntShardRetried(HuntEvent):
-    """A shard attempt died environmentally and was re-queued."""
+class ShardCompleted(ShardEvent):
+    """The shard's result is merged and, with a store, persisted."""
 
-    shard_id: str = ""
+    wire = "shard.completed"
+    attempts: int = 1
+    records: int = 0
+
+
+@dataclass(frozen=True)
+class ShardRetried(ShardEvent):
+    """An attempt died environmentally; ``attempt`` is the re-queued one."""
+
+    wire = "shard.retried"
     attempt: int = 1
     reason: str = ""
+
+
+@dataclass(frozen=True)
+class ShardSkipped(ShardEvent):
+    """Restored from the run's artifact store instead of executed."""
+
+    wire = "shard.skipped"
+    reason: str = "complete in store"
+
+
+# -- Campaign-service (hunt) telemetry ----------------------------------
+
+
+@dataclass(frozen=True)
+class HuntEvent(ObsEvent):
+    """Base class of the campaign service's lifecycle events."""
+
+    wire: ClassVar[str]
+
+    hunt_id: str
+
+
+@dataclass(frozen=True)
+class HuntSubmitted(HuntEvent):
+    """A hunt entered the queue."""
+
+    wire = "hunt.submitted"
+    services: tuple[str, ...] = ()
+    shards: int = 0
+
+
+@dataclass(frozen=True)
+class HuntStateChanged(HuntEvent):
+    """A hunt moved between lifecycle states."""
+
+    wire = "hunt.state"
+    previous: str = ""
+    status: str = ""
+    #: The merged golden signature, on the transition to "done".
+    signature: str | None = None
+    #: Failure detail, on the transition to "failed".
+    error: str | None = None
 
 
 EventCallback = Callable[[FleetEvent], None]
 
 
+def feed_record(event: ShardEvent | HuntEvent) -> dict[str, Any]:
+    """The hunt feed's record of ``event``, ``seq`` aside.
+
+    The campaign service appends this for every event it forwards, so
+    a hunt's ``events.jsonl`` is exactly its event sequence: the wire
+    name under ``"event"``, then every field, tuples as lists.
+    """
+    record: dict[str, Any] = {"event": event.wire}
+    for item in fields(event):
+        value = getattr(event, item.name)
+        record[item.name] = list(value) if isinstance(value, tuple) \
+            else value
+    return record
+
+
 def _shard_label(event: ShardEvent) -> str:
+    run = f"hunt {event.hunt_id}: " if event.hunt_id else ""
     extra = f" {event.label}" if event.label else ""
-    return (f"[{event.index + 1}/{event.total}] {event.service}"
+    return (f"{run}[{event.index + 1}/{event.total}] {event.service}"
             f"{extra} seed={event.seed}")
 
 
@@ -278,6 +278,12 @@ def render_event(event: FleetEvent) -> str | None:
                               in sorted(event.anomalies.items()))
         else:
             found = "clean"
+        open_windows = sum(
+            1 for results in (event.windows or {}).values()
+            for result in results if not result["converged"]
+        )
+        if open_windows:
+            found += f", {open_windows} unconverged window(s)"
         return (f"{_shard_label(event)} checked {event.test_id}: "
                 f"{found} (state={event.state_size})")
     if isinstance(event, ShardCompleted):
@@ -304,26 +310,4 @@ def render_event(event: FleetEvent) -> str | None:
             detail = f" ({event.error.splitlines()[0]})"
         return (f"hunt {event.hunt_id}: {event.previous} -> "
                 f"{event.status}{detail}")
-    if isinstance(event, HuntShardCompleted):
-        return (f"hunt {event.hunt_id}: shard {event.shard_id} done "
-                f"[{event.done}/{event.total}]")
-    if isinstance(event, HuntTestChecked):
-        if event.anomalies:
-            found = ", ".join(f"{kind}={count}" for kind, count
-                              in sorted(event.anomalies.items()))
-        else:
-            found = "clean"
-        open_windows = 0
-        if event.windows:
-            open_windows = sum(
-                1 for results in event.windows.values()
-                for result in results if not result["converged"]
-            )
-        diverged = (f", {open_windows} unconverged window(s)"
-                    if open_windows else "")
-        return (f"hunt {event.hunt_id}: {event.shard_id} checked "
-                f"{event.test_id}: {found}{diverged}")
-    if isinstance(event, HuntShardRetried):
-        return (f"hunt {event.hunt_id}: shard {event.shard_id} "
-                f"retrying (attempt {event.attempt} {event.reason})")
     return None

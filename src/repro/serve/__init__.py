@@ -35,7 +35,7 @@ from repro.serve.hunt import (
     HuntState,
     check_transition,
 )
-from repro.serve.scheduler import HuntOutcome, HuntRun, run_hunts
+from repro.serve.scheduler import HuntOutcome, run_hunts
 from repro.serve.server import HuntServer, follow_events, serve_http
 from repro.serve.service import CampaignService
 from repro.serve.store import HuntStore
@@ -47,7 +47,6 @@ __all__ = [
     "TERMINAL_STATUSES",
     "check_transition",
     "HuntStore",
-    "HuntRun",
     "HuntOutcome",
     "run_hunts",
     "CampaignService",

@@ -37,6 +37,7 @@ exception out of :meth:`HuntApi.dispatch`.
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import islice
 from typing import Any
 
 from repro.errors import (
@@ -56,7 +57,12 @@ from repro.webapi.http import (
     error_response,
     ok,
 )
-from repro.webapi.pagination import DEFAULT_PAGE_SIZE, Page, paginate
+from repro.webapi.pagination import (
+    DEFAULT_PAGE_SIZE,
+    Page,
+    page_limit,
+    paginate,
+)
 from repro.webapi.ratelimit import SlidingWindowRateLimiter
 from repro.webapi.router import Router, RouteSpec
 
@@ -220,20 +226,18 @@ class HuntApi:
         ``after`` is the last ``seq`` the caller has seen (-1 for the
         start); follow-mode is polling this endpoint with the returned
         ``last_seq``.  ``done`` tells the poller the feed will grow no
-        further (the hunt is terminal).
+        further: it was closed before this empty page was read.
         """
         hunt_id = request.require_param("hunt_id")
         after = int_field(request.params, "after", -1)
-        limit = int_field(request.params, "limit", EVENTS_PAGE_SIZE)
-        events: list[dict[str, Any]] = []
-        for record in self._service.events(hunt_id, after=after):
-            events.append(record)
-            if len(events) >= limit:
-                break
+        limit = page_limit(
+            int_field(request.params, "limit", EVENTS_PAGE_SIZE))
+        closed = self._service.feed_closed(hunt_id)
+        events = list(islice(self._service.events(hunt_id, after=after),
+                             limit))
         last_seq = events[-1]["seq"] if events else after
-        state = self._service.hunt(hunt_id)
         return {"events": events, "last_seq": last_seq,
-                "done": state.is_terminal and not events}
+                "done": closed and not events}
 
     def _artifacts(self, request: ApiRequest,
                    account: Account) -> dict[str, Any]:

@@ -8,12 +8,12 @@ call: a worker keeps drawing from the hunt it last served and, when
 that runs dry, **steals** from the hunt with the largest backlog
 (``BENCH_serve.json`` measures the gain on a skewed mix).
 
-Resume, persistence, retries and control polling are the loop's, so a
-hunt executed here is byte-identical to the same spec under
-``run_fleet`` (``tools/gates.py serve``).  This module adds the
-translation: the loop's notifications become the ``Hunt*`` event
-family, each closed test of a streaming hunt carries its
-:func:`window_verdicts`, and a halted run becomes a
+Resume, persistence, retries, control polling and the ``Shard*``
+events are the loop's, so a hunt executed here is byte-identical to
+the same spec under ``run_fleet`` (``tools/gates.py serve``) and
+reports through the same events, each naming its ``hunt_id``.  This
+module adds only that each closed test of a streaming hunt carries its
+:func:`window_verdicts`, and that a halted run becomes a
 :class:`HuntOutcome` — an unrecoverable shard fails its own hunt only.
 
 This is the serving shell: it runs on the host, outside any
@@ -24,29 +24,16 @@ shard executes, never what it computes.
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.fleet.digest import fleet_signature
 from repro.fleet.executor import ShardRun, ShardRunner, dispatch_runs
 from repro.methodology.records import CampaignResult
-from repro.obs.events import (
-    HuntShardCompleted,
-    HuntShardRetried,
-    HuntTestChecked,
-    ObsEvent,
-)
+from repro.obs.events import EventCallback
 
-__all__ = ["HuntRun", "HuntOutcome", "run_hunts"]
-
-
-@dataclass
-class HuntRun(ShardRun):
-    """One hunt's scheduling input: its jobs and its artifact store."""
-
-    _: KW_ONLY
-    hunt_id: str
+__all__ = ["HuntOutcome", "run_hunts"]
 
 
 @dataclass(frozen=True)
@@ -69,7 +56,7 @@ class HuntOutcome:
         return fleet_signature(list(self.results))
 
 
-def _outcome(run: HuntRun) -> HuntOutcome:
+def _outcome(run: ShardRun) -> HuntOutcome:
     if run.halt is None:
         return HuntOutcome(
             run.hunt_id, "done", skipped=run.skipped,
@@ -90,7 +77,7 @@ def window_verdicts(record) -> dict[str, dict[str, list[dict]]]:
     acts on: which agent pairs diverged, over which intervals, and
     whether they reconverged before the test closed.  Computed where
     the shard runs and carried to the host as the ``windows`` field of
-    each :class:`~repro.obs.events.HuntTestChecked`.
+    each :class:`~repro.obs.events.ShardTestChecked`.
     """
     def encode(windows) -> list[dict]:
         return [
@@ -104,14 +91,15 @@ def window_verdicts(record) -> dict[str, dict[str, list[dict]]]:
                         "order": encode(record.order_windows)}}
 
 
-def run_hunts(runs: list[HuntRun], *,
+def run_hunts(runs: list[ShardRun], *,
               workers: int = 1,
               shard_runner: ShardRunner | None = None,
               shard_timeout: float | None = None,
               control: Callable[[str], str] | None = None,
-              on_event: Callable[[ObsEvent], None] | None = None
+              on_event: EventCallback | None = None
               ) -> list[HuntOutcome]:
-    """Drain every hunt's shards over one worker pool.
+    """Drain every hunt's shards (one run per hunt, named by its
+    ``hunt_id``) over one worker pool.
 
     Parameters
     ----------
@@ -129,30 +117,14 @@ def run_hunts(runs: list[HuntRun], *,
         Pausing parks the hunt's queued shards (in-flight shards
         finish and persist); cancelling discards them.
     on_event:
-        Receives the :class:`~repro.obs.events.HuntShardCompleted` /
-        ``HuntShardRetried`` / ``HuntTestChecked`` telemetry.
+        Receives the loop's ``Shard*`` events
+        (:func:`~repro.fleet.executor.dispatch_runs`).
     """
     if workers < 1:
         raise ConfigurationError("workers must be >= 1")
-    emit = on_event or (lambda event: None)
-
-    def notify(what, run, task=None, **info) -> None:
-        """The loop's notifications as the Hunt* event family."""
-        if what == "checked":
-            emit(HuntTestChecked(hunt_id=run.hunt_id,
-                                 shard_id=task.job.shard_id, **info))
-        elif what == "completed":
-            emit(HuntShardCompleted(
-                hunt_id=run.hunt_id, shard_id=task.job.shard_id,
-                done=len(run.results), total=len(run.jobs)))
-        elif what == "retried":
-            emit(HuntShardRetried(
-                hunt_id=run.hunt_id, shard_id=task.job.shard_id,
-                attempt=task.attempt, **info))
-
     dispatch_runs(
         runs, workers=workers, shard_runner=shard_runner,
-        shard_timeout=shard_timeout, notify=notify,
+        shard_timeout=shard_timeout, on_event=on_event,
         verdicts=window_verdicts,
         control=control and (lambda run: control(run.hunt_id)),
     )

@@ -23,23 +23,22 @@ from dataclasses import replace
 from typing import Any, Callable, Iterator
 
 from repro.errors import InvalidRequestError, NotFoundError
-from repro.fleet.executor import DEFAULT_MAX_RETRIES, ShardRunner
+from repro.fleet.executor import DEFAULT_MAX_RETRIES, ShardRun, ShardRunner
 from repro.fleet.store import ArtifactStore
 from repro.obs.events import (
-    HuntShardCompleted,
-    HuntShardRetried,
+    HuntEvent,
     HuntStateChanged,
     HuntSubmitted,
-    HuntTestChecked,
-    ObsEvent,
+    ShardEvent,
+    feed_record,
 )
 from repro.serve.hunt import HuntSpec, HuntState
-from repro.serve.scheduler import HuntOutcome, HuntRun, run_hunts
+from repro.serve.scheduler import HuntOutcome, run_hunts
 from repro.serve.store import HuntStore
 
 __all__ = ["CampaignService"]
 
-EventFn = Callable[[ObsEvent], None]
+EventFn = Callable[[ShardEvent | HuntEvent], None]
 
 
 class CampaignService:
@@ -56,6 +55,9 @@ class CampaignService:
         #: hunt_id -> "pause" | "cancel", read by the scheduler's
         #: control poll; written by the API thread mid-pass.
         self._control: dict[str, str] = {}
+        #: Hunts a scheduling pass holds: it may still append to their
+        #: feeds, whatever their status says.
+        self._passing: set[str] = set()
         self._lock = threading.Lock()
 
     # -- Submission and lifecycle ---------------------------------------
@@ -69,14 +71,9 @@ class CampaignService:
                 shards_total=spec.total_shards, owner=owner,
             )
             self.store.save(state)
-            self.store.append_event(
-                state.hunt_id, "hunt.submitted",
-                services=list(spec.services),
-                shards=state.shards_total,
-            )
-        self._emit(HuntSubmitted(hunt_id=state.hunt_id,
-                                 services=spec.services,
-                                 shards=state.shards_total))
+            self._emit(HuntSubmitted(hunt_id=state.hunt_id,
+                                     services=spec.services,
+                                     shards=state.shards_total))
         return state
 
     def hunt(self, hunt_id: str) -> HuntState:
@@ -120,17 +117,15 @@ class CampaignService:
     def _transition(self, state: HuntState, target: str,
                     **changes: Any) -> HuntState:
         advanced = state.advance(target, **changes)
-        self.store.save(advanced)
-        self.store.append_event(
-            state.hunt_id, "hunt.state",
-            previous=state.status, status=advanced.status,
-        )
+        # Record first: whoever reads the new state finds its record
+        # already in the feed (see feed_closed).
         self._emit(HuntStateChanged(
             hunt_id=state.hunt_id, previous=state.status,
             status=advanced.status,
             signature=advanced.fleet_signature,
             error=advanced.error,
         ))
+        self.store.save(advanced)
         return advanced
 
     # -- Scheduling passes ----------------------------------------------
@@ -162,52 +157,33 @@ class CampaignService:
                     state.hunt_id
                 )
                 artifact_store.initialize(spec)
-                runs.append(HuntRun(
-                    hunt_id=state.hunt_id,
+                runs.append(ShardRun(
                     jobs=tuple(spec.jobs()),
                     store=artifact_store,
                     max_retries=self.max_retries,
                     stream=state.spec.stream,
+                    hunt_id=state.hunt_id,
                 ))
+            self._passing.update(run.hunt_id for run in runs)
         if not runs:
             return []
-        outcomes = run_hunts(
-            runs, workers=self.workers, shard_runner=shard_runner,
-            shard_timeout=shard_timeout,
-            control=self._control_verdict,
-            on_event=self._forward_scheduler_event,
-        )
-        with self._lock:
-            for outcome in outcomes:
-                self._finalize(outcome)
+        try:
+            outcomes = run_hunts(
+                runs, workers=self.workers, shard_runner=shard_runner,
+                shard_timeout=shard_timeout,
+                control=self._control_verdict, on_event=self._emit,
+            )
+            with self._lock:
+                for outcome in outcomes:
+                    self._finalize(outcome)
+        finally:
+            with self._lock:
+                self._passing.difference_update(
+                    run.hunt_id for run in runs)
         return outcomes
 
     def _control_verdict(self, hunt_id: str) -> str:
         return self._control.get(hunt_id, "run")
-
-    def _forward_scheduler_event(self, event: ObsEvent) -> None:
-        if isinstance(event, HuntShardCompleted):
-            self.store.append_event(
-                event.hunt_id, "shard.completed",
-                shard_id=event.shard_id, done=event.done,
-                total=event.total,
-            )
-        elif isinstance(event, HuntTestChecked):
-            self.store.append_event(
-                event.hunt_id, "test.checked",
-                shard_id=event.shard_id, test_id=event.test_id,
-                test_index=event.test_index,
-                anomalies=event.anomalies or {},
-                windows=event.windows or {},
-                state_size=event.state_size,
-            )
-        elif isinstance(event, HuntShardRetried):
-            self.store.append_event(
-                event.hunt_id, "shard.retried",
-                shard_id=event.shard_id, attempt=event.attempt,
-                reason=event.reason,
-            )
-        self._emit(event)
 
     def _finalize(self, outcome: HuntOutcome) -> None:
         state = self.store.load(outcome.hunt_id)
@@ -304,6 +280,13 @@ class CampaignService:
                after: int = -1) -> Iterator[dict[str, Any]]:
         return self.store.events(hunt_id, after=after)
 
+    def feed_closed(self, hunt_id: str) -> bool:
+        """Whether no record will be appended to the hunt's feed any
+        more: it is terminal and no pass holds it.  Read before the
+        feed, it makes a drained page of that feed final."""
+        return self.store.load(hunt_id).is_terminal and \
+            hunt_id not in self._passing
+
     def artifact_names(self, hunt_id: str) -> list[str]:
         return self.store.artifact_names(hunt_id)
 
@@ -312,5 +295,8 @@ class CampaignService:
             raise NotFoundError(f"no hunt {hunt_id!r}")
         return self.store.artifact_bytes(hunt_id, name)
 
-    def _emit(self, event: ObsEvent) -> None:
+    def _emit(self, event: ShardEvent | HuntEvent) -> None:
+        """Append ``event`` to its hunt's feed, then forward it: the
+        feed and ``on_event`` see one sequence."""
+        self.store.append_event(**feed_record(event))
         self._on_event(event)

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from repro.errors import InvalidRequestError
 
-__all__ = ["Page", "paginate", "DEFAULT_PAGE_SIZE"]
+__all__ = ["Page", "paginate", "page_limit", "DEFAULT_PAGE_SIZE"]
 
 #: Default page size for service list endpoints.
 DEFAULT_PAGE_SIZE = 25
@@ -39,6 +39,19 @@ class Page:
         return self.next_cursor is None
 
 
+def page_limit(limit: object) -> int:
+    """``limit`` if it is a page size — an ``int`` of at least 1.
+
+    Handlers pass the request's ``limit`` parameter straight through,
+    so anything else is the client's mistake (HTTP 400), checked
+    before it is compared.
+    """
+    if type(limit) is not int or limit < 1:
+        raise InvalidRequestError(
+            f"limit must be an integer >= 1, got {limit!r}")
+    return limit
+
+
 def paginate(items: Sequence[str], cursor: str | None = None,
              limit: int = DEFAULT_PAGE_SIZE) -> Page:
     """Slice one page out of ``items`` (already in response order).
@@ -51,14 +64,9 @@ def paginate(items: Sequence[str], cursor: str | None = None,
         None for the first page, else a value previously returned in
         :attr:`Page.next_cursor` (the id of the last item served).
     limit:
-        Maximum items per page; must be a positive ``int``.  Handlers
-        pass the request's ``limit`` parameter straight through, so
-        anything else is the client's mistake (HTTP 400), checked
-        before it is compared.
+        Maximum items per page (:func:`page_limit`).
     """
-    if type(limit) is not int or limit < 1:
-        raise InvalidRequestError(
-            f"limit must be an integer >= 1, got {limit!r}")
+    limit = page_limit(limit)
     start = 0
     if cursor is not None:
         try:

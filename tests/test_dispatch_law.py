@@ -34,6 +34,7 @@ from repro.fleet import ArtifactStore, FleetSpec, fleet_signature
 from repro.fleet.executor import ShardRun, dispatch_runs, execute_shard
 from repro.methodology import CampaignConfig
 from repro.methodology.runner import CampaignResult
+from repro.obs.events import ShardCompleted, ShardRetried, ShardStarted
 from tests.test_fleet import MARKER_ENV, crash_once_runner, hang_once_runner
 from tests.test_serve import crash_blogger_runner
 
@@ -46,19 +47,25 @@ def spec_for(seeds, services=("blogger",)):
 
 
 class Recorder:
-    """The loop's ``notify``: logs per run (keyed by identity)."""
+    """The loop's ``on_event``: logs per run (keyed by ``hunt_id``)."""
 
     def __init__(self):
         self.starts, self.completions, self.retries = [], [], []
 
-    def __call__(self, what, run, task=None, **info):
-        log = {"started": self.starts, "completed": self.completions,
-               "retried": self.retries}.get(what)
-        if log is not None:
-            log.append((id(run), task.job.index, task.attempt))
+    def __call__(self, event):
+        if isinstance(event, ShardStarted):
+            log, attempt = self.starts, event.attempt
+        elif isinstance(event, ShardCompleted):
+            log, attempt = self.completions, event.attempts
+        elif isinstance(event, ShardRetried):
+            log, attempt = self.retries, event.attempt
+        else:
+            return
+        log.append((event.hunt_id, event.index, attempt))
 
     def count(self, log, run):
-        return sum(1 for key, _index, _attempt in log if key == id(run))
+        return sum(1 for key, _index, _attempt in log
+                   if key == run.hunt_id)
 
 
 def status(run):
@@ -95,7 +102,7 @@ def check_law(runs, recorder):
 
         # Per-run FIFO: first attempts start in spec order.
         firsts = [index for key, index, attempt in recorder.starts
-                  if key == id(run) and attempt == 1]
+                  if key == run.hunt_id and attempt == 1]
         assert firsts == sorted(firsts)
 
 
@@ -152,7 +159,8 @@ def test_width_one_law(shapes, verdict_scripts):
             for r, spec in enumerate(specs):
                 store = ArtifactStore(Path(scratch) / f"run{r}")
                 store.initialize(spec)
-                runs.append(ShardRun(tuple(spec.jobs()), store=store))
+                runs.append(ShardRun(tuple(spec.jobs()), store=store,
+                                     hunt_id=f"r{r}"))
             return runs
 
         runs = fresh_runs()
@@ -165,7 +173,7 @@ def test_width_one_law(shapes, verdict_scripts):
 
         runner, recorder = Scripted(script), Recorder()
         dispatch_runs(runs, workers=1, shard_runner=runner,
-                      control=control, notify=recorder)
+                      control=control, on_event=recorder)
 
         check_law(runs, recorder)
         assert sum(runner.calls.values()) == len(recorder.starts)
@@ -217,7 +225,8 @@ def stored_runs(root, specs, **fields):
     for index, spec in enumerate(specs):
         store = ArtifactStore(root / f"run{index}")
         store.initialize(spec)
-        runs.append(ShardRun(tuple(spec.jobs()), store=store, **fields))
+        runs.append(ShardRun(tuple(spec.jobs()), store=store,
+                             hunt_id=f"r{index}", **fields))
     return runs
 
 
@@ -238,7 +247,7 @@ class TestWidthTwoLaw:
                                                  markers):
         specs = [spec_for((1, 2)), spec_for((3,))]
         runs, recorder = stored_runs(tmp_path, specs), Recorder()
-        dispatch_runs(runs, workers=2, notify=recorder,
+        dispatch_runs(runs, workers=2, on_event=recorder,
                       shard_runner=crash_once_runner)
         check_law(runs, recorder)
         assert [status(run) for run in runs] == ["done", "done"]
@@ -248,7 +257,7 @@ class TestWidthTwoLaw:
     def test_a_hang_is_timed_out_and_retried(self, markers):
         runs, recorder = [ShardRun(tuple(spec_for((1,)).jobs()))], \
             Recorder()
-        dispatch_runs(runs, workers=2, notify=recorder,
+        dispatch_runs(runs, workers=2, on_event=recorder,
                       shard_runner=hang_once_runner, shard_timeout=1.0)
         check_law(runs, recorder)
         assert status(runs[0]) == "done"
@@ -259,7 +268,7 @@ class TestWidthTwoLaw:
                  spec_for((1, 2, 3), services=("quorum_kv",))]
         runs = stored_runs(tmp_path, specs, max_retries=1)
         recorder = Recorder()
-        dispatch_runs(runs, workers=2, notify=recorder,
+        dispatch_runs(runs, workers=2, on_event=recorder,
                       shard_runner=crash_blogger_runner)
         check_law(runs, recorder)
         assert status(runs[0]) == "failed"
@@ -274,7 +283,7 @@ class TestWidthTwoLaw:
         # a retry nobody will dispatch, nor reported as one.
         runs, recorder = [ShardRun(tuple(spec_for((1, 2)).jobs()))], \
             Recorder()
-        dispatch_runs(runs, workers=2, notify=recorder,
+        dispatch_runs(runs, workers=2, on_event=recorder,
                       shard_runner=fail_fast_or_crash_late_runner)
         check_law(runs, recorder)
         assert len(recorder.starts) == 2
@@ -296,7 +305,7 @@ class TestWidthTwoLaw:
             return {id(runs[0]): "pause",
                     id(runs[1]): "cancel"}.get(id(run), "run")
 
-        dispatch_runs(runs, workers=2, notify=recorder,
+        dispatch_runs(runs, workers=2, on_event=recorder,
                       control=control)
         check_law(runs, recorder)
         assert [status(run) for run in runs] == \
@@ -304,7 +313,7 @@ class TestWidthTwoLaw:
         assert runs[0].queue and not runs[1].queue
 
         again, recorder = stored_runs(tmp_path, specs[:1]), Recorder()
-        dispatch_runs(again, workers=2, notify=recorder)
+        dispatch_runs(again, workers=2, on_event=recorder)
         check_law(again, recorder)
         assert status(again[0]) == "done"
         assert set(again[0].skipped) == {

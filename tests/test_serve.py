@@ -14,6 +14,8 @@ via an environment variable, as in ``test_fleet``.
 """
 
 import os
+import sys
+import threading
 import time
 from pathlib import Path
 
@@ -26,14 +28,13 @@ from repro.errors import (
     NotFoundError,
 )
 from repro.fleet import FleetSpec, run_fleet
-from repro.fleet.executor import execute_shard
+from repro.fleet.executor import ShardRun, execute_shard
 from repro.methodology import CampaignConfig
-from repro.obs.events import HuntShardRetried
+from repro.obs.events import ShardRetried, feed_record, render_event
 from repro.serve import (
     HUNT_STATUSES,
     TERMINAL_STATUSES,
     CampaignService,
-    HuntRun,
     HuntServer,
     HuntSpec,
     HuntState,
@@ -42,6 +43,8 @@ from repro.serve import (
     follow_events,
     run_hunts,
 )
+from repro.serve import scheduler
+from repro.serve.scheduler import window_verdicts
 from tests.test_fleet import MARKER_ENV as FLEET_MARKER_ENV
 from tests.test_fleet import hang_once_runner
 
@@ -72,6 +75,16 @@ def crash_blogger_runner(job):
 
 def failing_runner(job):
     raise ValueError("deterministic campaign failure")
+
+
+def crash_once_verdicts(record):
+    """The first worker to check a test dies; the rest report as usual."""
+    marker = Path(os.environ[MARKER_ENV]) / "verdicts"
+    try:
+        os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return window_verdicts(record)
+    os._exit(3)
 
 
 @pytest.fixture
@@ -477,11 +490,11 @@ class TestSchedulerPool:
         spec = HuntSpec(services=("blogger",), **TINY).fleet_spec()
         events = []
         outcomes = run_hunts(
-            [HuntRun(hunt_id="h0000", jobs=tuple(spec.jobs()))],
+            [ShardRun(tuple(spec.jobs()), hunt_id="h0000")],
             workers=2, shard_timeout=1.0,
             shard_runner=hang_once_runner, on_event=events.append,
         )
-        retried = [e for e in events if isinstance(e, HuntShardRetried)]
+        retried = [e for e in events if isinstance(e, ShardRetried)]
         assert len(retried) == 1
         assert "timed out" in retried[0].reason
         assert outcomes[0].status == "done"
@@ -663,3 +676,164 @@ class TestHuntServerApi:
         assert stats.requests_total == 2
         assert stats.responses_by_status[200] == 1
         assert stats.responses_by_status[404] == 1
+
+
+class TestEventFeed:
+    """A hunt's feed is its event sequence, and ``done`` is final."""
+
+    @pytest.fixture
+    def server(self, tmp_path):
+        return HuntServer(tmp_path)
+
+    @pytest.fixture
+    def token(self, server):
+        return server.issue_token()
+
+    def _submit(self, server, token, seeds=(1,)):
+        return server.handle("POST", "/v1/hunts", params={
+            "services": ["blogger"], "seeds": list(seeds),
+            "num_tests": 1, "test_types": ["test1"],
+        }, token=token).raise_for_status().body["hunt_id"]
+
+    def _page_to_end(self, server, token, hunt_id, after=-1):
+        """Every record after ``after``, and the empty page's ``done``."""
+        records = []
+        while True:
+            body = server.handle(
+                "GET", f"/v1/hunts/{hunt_id}/events",
+                params={"after": after}, token=token,
+            ).raise_for_status().body
+            records += body["events"]
+            after = body["last_seq"]
+            if not body["events"]:
+                return records, body["done"]
+
+    def test_done_waits_for_the_shard_a_cancel_left_running(
+            self, server, token):
+        hunt_id = self._submit(server, token, seeds=(1, 2))
+        polled = []
+
+        def cancelling_runner(job):
+            if not polled:
+                server.handle("POST", f"/v1/hunts/{hunt_id}/cancel",
+                              token=token).raise_for_status()
+                polled.append(self._page_to_end(server, token, hunt_id))
+            return execute_shard(job)
+
+        server.run_pending(shard_runner=cancelling_runner)
+        (records, done), = polled
+        assert records[-1]["event"] == "hunt.state"
+        assert records[-1]["status"] == "cancelled"
+        assert not done  # this very shard will still be recorded
+        rest, done = self._page_to_end(server, token, hunt_id,
+                                       after=records[-1]["seq"])
+        assert [record["event"] for record in rest] == \
+            ["shard.completed"]
+        assert done
+
+    def test_a_terminal_state_is_never_read_before_its_record(
+            self, server, token, monkeypatch):
+        hunt_id = self._submit(server, token)
+        save, polled = server.service.store.save, []
+
+        def save_then_poll(state):
+            save(state)
+            if state.is_terminal:
+                polled.append(self._page_to_end(server, token, hunt_id))
+
+        monkeypatch.setattr(server.service.store, "save", save_then_poll)
+        server.handle("POST", f"/v1/hunts/{hunt_id}/cancel",
+                      token=token).raise_for_status()
+        (records, done), = polled
+        assert done
+        assert records[-1]["event"] == "hunt.state"
+        assert records[-1]["status"] == "cancelled"
+
+    def test_followers_racing_a_pass_see_the_whole_feed(self, server,
+                                                         token):
+        hunt_ids = [self._submit(server, token, seeds=(1, 2))
+                    for _ in range(3)]
+        followed = {}
+
+        def follow(hunt_id):
+            records = []
+            while True:
+                more, done = self._page_to_end(
+                    server, token, hunt_id,
+                    after=records[-1]["seq"] if records else -1)
+                records += more
+                if done:
+                    followed[hunt_id] = records
+                    return
+
+        def cancelling_runner(job):
+            server.handle("POST", f"/v1/hunts/{hunt_ids[1]}/cancel",
+                          token=token)  # 400 once it is cancelled
+            return execute_shard(job)
+
+        followers = [threading.Thread(target=follow, args=(hunt_id,))
+                     for hunt_id in hunt_ids]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for follower in followers:
+                follower.start()
+            server.run_pending(shard_runner=cancelling_runner)
+            for follower in followers:
+                follower.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(follower.is_alive() for follower in followers)
+        for hunt_id in hunt_ids:
+            assert followed[hunt_id] == list(server.service.events(hunt_id))
+        assert [server.service.hunt(hunt_id).status
+                for hunt_id in hunt_ids] == ["done", "cancelled", "done"]
+
+    def test_the_terminal_record_says_how_the_hunt_ended(self, tmp_path):
+        service = CampaignService(tmp_path)
+        bad = service.submit(HuntSpec(services=("blogger",), **TINY))
+        good = service.submit(HuntSpec(services=("quorum_kv",), **TINY))
+
+        def runner(job):
+            if job.service == "blogger":
+                failing_runner(job)
+            return execute_shard(job)
+
+        service.run_pending(shard_runner=runner)
+        *_, done = service.events(good.hunt_id)
+        assert (done["event"], done["status"]) == ("hunt.state", "done")
+        assert done["signature"] == \
+            service.hunt(good.hunt_id).fleet_signature
+        *_, failed = service.events(bad.hunt_id)
+        assert (failed["event"], failed["status"]) == \
+            ("hunt.state", "failed")
+        assert "deterministic campaign failure" in failed["error"]
+        assert failed["error"] == service.hunt(bad.hunt_id).error
+
+    def test_the_feed_is_the_event_sequence(self, tmp_path, markers,
+                                            monkeypatch):
+        # A streaming hunt on two workers, one of which dies while
+        # checking a test: its shard is retried.
+        monkeypatch.setattr(scheduler, "window_verdicts",
+                            crash_once_verdicts)
+        events = []
+        service = CampaignService(tmp_path, workers=2,
+                                  on_event=events.append)
+        hunt_id = service.submit(HuntSpec(
+            services=("blogger",), seeds=(1, 2), stream=True, **TINY,
+        )).hunt_id
+        outcomes = service.run_pending()
+        assert [(outcome.status, outcome.retries)
+                for outcome in outcomes] == [("done", 1)]
+
+        feed = [{key: value for key, value in record.items()
+                 if key != "seq"}
+                for record in service.events(hunt_id)]
+        assert [feed_record(event) for event in events] == feed
+        assert all(render_event(event).startswith(f"hunt {hunt_id}: ")
+                   for event in events)
+        kinds = [record["event"] for record in feed]
+        assert kinds.count("shard.started") == 3
+        assert kinds.count("shard.retried") == 1
+        assert kinds.count("test.checked") == 2
+        assert kinds.count("shard.completed") == 2

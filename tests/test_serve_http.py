@@ -35,6 +35,8 @@ MALFORMED = [
     ("GET", "/v1/hunts/{id}/artifacts", {"limit": "1e3"}),
     ("GET", "/v1/hunts/{id}/events", {"after": "x"}),
     ("GET", "/v1/hunts/{id}/events", {"limit": "many"}),
+    ("GET", "/v1/hunts/{id}/events", {"limit": 0}),
+    ("GET", "/v1/hunts/{id}/events", {"limit": -3}),
     ("POST", "/v1/hunts", {**TINY, "num_tests": "abc"}),
     ("POST", "/v1/hunts", {**TINY, "num_tests": None}),
     ("POST", "/v1/hunts", {**TINY, "num_tests": 0}),

@@ -52,6 +52,7 @@ from repro.methodology import (
     prevalence_statistics,
     run_campaign,
 )
+from repro.obs.events import feed_record
 from repro.obs.export import export_snapshot
 from repro.relations.registry import metric_names
 from repro.scenario import load_scenario, scenario_campaign
@@ -494,6 +495,8 @@ def serve_gate(failures):
     * the event feed is complete and ordered (strictly monotonic
       ``seq``, one ``shard.completed`` per shard, terminal
       ``hunt.state``);
+    * the drained feed, ``seq`` aside, is the encoding of the events
+      the server's ``on_event`` received, in order;
     * a second scheduling pass over the finished hunt executes
       nothing.
     """
@@ -502,7 +505,9 @@ def serve_gate(failures):
 
     with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch)
-        server = HuntServer(root / "serve", workers=2)
+        received = []
+        server = HuntServer(root / "serve", workers=2,
+                            on_event=received.append)
         token = server.issue_token()
         submitted = submit_hunt(server.handle, SubmitHuntRequest(
             services=spec.services, seeds=spec.seeds,
@@ -559,6 +564,14 @@ def serve_gate(failures):
             failures.append(
                 f"feed did not end in a terminal hunt.state: "
                 f"{events[-1] if events else 'empty feed'}"
+            )
+        drained = [{key: value for key, value in event.items()
+                    if key != "seq"} for event in events]
+        encoded = [feed_record(event) for event in received]
+        if drained != encoded:
+            failures.append(
+                f"feed is not the on_event sequence: {len(drained)} "
+                f"records vs {len(encoded)} events"
             )
 
         rerun = server.run_pending()
