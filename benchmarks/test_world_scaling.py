@@ -9,10 +9,11 @@ things that must hold **exactly**: the signatures agree byte for byte
 than one open test however many thousand sessions were in flight (the
 bounded-memory contract that makes 10^5-session campaigns reachable).
 
-Wall-clock is reported, not gated hard: shards here are a placement
-of one simulated timeline, not parallel processes, so the interesting
-perf number is sessions/s throughput — ``tools/bench_check.py`` bands
-it against the checked-in baseline.  Beside it sits the bus alone:
+Wall-clock is reported, not gated hard: the sharded run's shards run
+in one process per usable core (group 0 here, the rest in worker
+processes), so ``sharded_over_serial`` depends on the machine's core
+count; the interesting perf number is sessions/s throughput —
+``tools/bench_check.py`` bands it against the checked-in baseline.  Beside it sits the bus alone:
 ``bus_messages_per_s`` is N ``send`` + ``drain_until`` on a bare
 :class:`~repro.world.WorldBus`, the isolated figure a change to the
 bus moves and a change to anything else does not.

@@ -386,9 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
             "Execute a scenario's [topology] through the sharded "
             "world engine (repro.world): author-sharded sessions and "
             "replicas on N shards joined by a deterministic message "
-            "bus.  The signature printed is byte-identical for every "
-            "--shards value — the contract tools/gates.py world gates "
-            "in CI."
+            "bus; the shards run in one process per usable core.  "
+            "The signature printed is byte-identical for every "
+            "--shards value and core count — the contract "
+            "tools/gates.py world gates in CI."
         ),
     )
     world_cmd.add_argument(
@@ -398,7 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     world_cmd.add_argument("--seed", type=int, default=0)
     world_cmd.add_argument(
         "--shards", type=int, default=None,
-        help="override topology.shards (placement only)",
+        help="override topology.shards (placement and parallelism: "
+             "the shards run in min(shards, cores) processes; "
+             "results do not change)",
     )
     world_cmd.add_argument(
         "--sessions", type=int, default=None,

@@ -10,10 +10,16 @@ shard is always ``run_campaign(service, config)`` underneath, so
 nothing here can change what a shard computes, only where and when:
 the pool runs on the host, outside the simulation, and its wall-clock
 timeouts never reach a result.
+
+:func:`start_worker` is the one place a worker process is made — for
+a shard attempt here, and for a shard group of the partitioned world
+(:mod:`repro.world.engine`) — and :func:`usable_cores` the one place
+the host's core count is read.
 """
 
 from __future__ import annotations
 
+import os
 import time
 import traceback
 from dataclasses import KW_ONLY, dataclass
@@ -24,7 +30,7 @@ from repro.methodology.records import CampaignResult, TestRecord
 
 __all__ = ["ShardRunner", "ShardTask", "Attempt", "WorkPool",
            "run_shard", "records_to_jsonable", "result_from_records",
-           "import_for_workers"]
+           "import_for_workers", "start_worker", "usable_cores"]
 
 #: A shard runner: ShardJob -> CampaignResult.  Must be picklable
 #: (module-level) to cross the worker-process boundary.
@@ -193,14 +199,37 @@ def import_for_workers(tasks: Iterable[ShardTask]) -> None:
             service_class(task.job.service)
 
 
-def _mp_context():
-    """Prefer fork (cheap, inherits the loaded package); fall back."""
+def usable_cores() -> int:
+    """The cores this process may run on: its affinity mask where the
+    platform has one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux platforms
+        return os.cpu_count() or 1
+
+
+def start_worker(target: Callable[..., None], args: tuple, *,
+                 name: str) -> tuple[Any, Any]:
+    """Start ``target(conn, *args)`` in a fresh worker process.
+
+    The one place a worker process is made.  Returns the process and
+    the host's end of a duplex pipe whose other end is ``conn``.
+    ``target`` and ``args`` cross the process boundary, so they must
+    be picklable (module-level callables; PAR001).  Prefers fork
+    (cheap, inherits the loaded package) and falls back to spawn.
+    """
     import multiprocessing
 
     try:
-        return multiprocessing.get_context("fork")
+        ctx = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context("spawn")
+        ctx = multiprocessing.get_context("spawn")
+    host, worker = ctx.Pipe()
+    process = ctx.Process(target=target, args=(worker, *args),
+                          daemon=True, name=name)
+    process.start()
+    worker.close()
+    return process, host
 
 
 @dataclass
@@ -225,7 +254,6 @@ class WorkPool:
                  timeout: float | None = None) -> None:
         self._on_test = on_test
         self._timeout = timeout
-        self._ctx = _mp_context()
         self._running: dict[Any, _Running] = {}
 
     def __enter__(self) -> "WorkPool":
@@ -241,13 +269,9 @@ class WorkPool:
 
     def submit(self, task: ShardTask, tag: Any = None) -> None:
         """Start one attempt of ``task`` in a fresh worker process."""
-        recv, send = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=_worker, args=(send, task), daemon=True,
-            name=f"shard-{task.job.shard_id}-{task.attempt}",
-        )
-        process.start()
-        send.close()
+        process, recv = start_worker(
+            _worker, (task,),
+            name=f"shard-{task.job.shard_id}-{task.attempt}")
         # Waived: the shard timeout is a host-side deadline on an OS
         # worker process, never a simulated quantity.
         deadline = (time.monotonic() + self._timeout  # repro-lint: disable=DET002

@@ -49,14 +49,17 @@ class LintConfig:
     #: A ``target:arg,arg`` suffix restricts the check to the named
     #: keyword arguments (``run_fleet`` keeps ``on_event`` host-side —
     #: only the shard runner is shipped to workers).  The repo's own
-    #: boundary is declared once, at the pool's entry — a ``ShardTask``
-    #: is what crosses the pipe — plus the public aliases through which
-    #: a caller hands the pool clients a runner.
+    #: boundaries are declared at the pool: a ``ShardTask`` is what
+    #: crosses a shard worker's pipe, and ``start_worker``'s target and
+    #: arguments (a world shard group's entry point among them) cross
+    #: into every worker — plus the public aliases through which a
+    #: caller hands the pool clients a runner.
     pipe_boundaries: tuple[str, ...] = (
         "multiprocessing.Process",
         "multiprocessing.get_context",
         "concurrent.futures.ProcessPoolExecutor",
         "repro.fleet.pool.ShardTask:runner,verdicts",
+        "repro.fleet.pool.start_worker",
         "repro.fleet.run_fleet:shard_runner",
         "repro.fleet.executor.run_fleet:shard_runner",
         "repro.fleet.executor.dispatch_runs:shard_runner,verdicts",

@@ -19,8 +19,11 @@ Layering:
   buffers, materialized to trace objects only at flush;
 * :mod:`repro.world.model` — replicas: feeds, cohort assembly,
   author-sharded rumor relay, state retirement;
-* :mod:`repro.world.engine` — the epoch-barrier driver flushing
-  retired cohorts through one bounded-memory stream engine.
+* :mod:`repro.world.engine` — the epoch-barrier driver: it runs the
+  shards in groups, one per usable core, group 0 in this process and
+  each other group in a worker process, and merges every group's
+  retired cohorts, flushed through bounded-memory stream engines,
+  into one signature.
 """
 
 from repro._facade import facade

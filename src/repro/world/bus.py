@@ -45,7 +45,7 @@ from typing import Any, NamedTuple, Sequence
 from repro.errors import SimulationError
 from repro.world.spec import WorldPartition
 
-__all__ = ["BusMessage", "WorldBus"]
+__all__ = ["BusMessage", "WorldBus", "Outbox"]
 
 
 class BusMessage(NamedTuple):
@@ -151,9 +151,44 @@ class WorldBus:
         self._drained_to = max(self._drained_to, horizon)
         return due
 
+    def replay(self, sends: Sequence[tuple]) -> None:
+        """:meth:`send` each call an :class:`Outbox` recorded, in order."""
+        send = self.send
+        for origin, target, send_time, latency, kind, payload in sends:
+            send(origin=origin, target=target, send_time=send_time,
+                 latency=latency, kind=kind, payload=payload)
+
     def stats(self) -> dict[str, Any]:
         return {
             "sent": self.sent_total,
             "deferred": self.deferred_total,
             "pending": len(self._pending),
         }
+
+
+class Outbox:
+    """The bus as a shard-group worker process sees it.
+
+    A worker's replicas send here; each call is kept as a plain tuple
+    ``(origin, target, send_time, latency, kind, payload)``, and at the
+    barrier the engine :meth:`WorldBus.replay` s them, in emission
+    order, into the one bus it owns.  Every origin lives in exactly one
+    group, so per-origin sequence numbers come out as if the replicas
+    had sent straight to the bus.
+    """
+
+    __slots__ = ("sent",)
+
+    def __init__(self) -> None:
+        self.sent: list[tuple] = []
+
+    def send(self, *, origin: int, target: int, send_time: float,
+             latency: float, kind: str, payload: tuple = ()) -> None:
+        self.sent.append(
+            (origin, target, send_time, latency, kind, payload))
+
+    def drain(self) -> list[tuple]:
+        """The sends recorded since the last drain; clears them."""
+        sent = self.sent
+        self.sent = []
+        return sent

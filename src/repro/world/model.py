@@ -30,7 +30,7 @@ from typing import Callable
 
 from repro.sim import RandomSource
 from repro.world.buffers import CohortBuffer
-from repro.world.bus import BusMessage, WorldBus
+from repro.world.bus import BusMessage, Outbox, WorldBus
 from repro.world.spec import WorldSpec
 
 __all__ = ["WorldReplica", "cohort_key"]
@@ -48,7 +48,8 @@ class WorldReplica:
                  "closed", "_clock", "_send", "_hop", "_ship", "_mu",
                  "_successors", "_peers")
 
-    def __init__(self, index: int, spec: WorldSpec, bus: WorldBus,
+    def __init__(self, index: int, spec: WorldSpec,
+                 bus: WorldBus | Outbox,
                  rng: RandomSource,
                  clock: Callable[[], float]) -> None:
         self.index = index

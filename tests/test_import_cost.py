@@ -32,7 +32,8 @@ CASES = {
             SIMULATOR + ("repro.net", "repro.methodology.runner")),
     "io": ("import repro.io", SIMULATOR),
     "stream": ("from repro.stream import StreamEngine", SIMULATOR),
-    "world": ("from repro.world import run_world", SIMULATOR),
+    "world": ("from repro.world import run_world",
+              SIMULATOR + ("multiprocessing",)),
     "fleet": ("from repro.fleet import run_fleet", ("multiprocessing",)),
     "campaign": (
         "from repro.methodology import CampaignConfig, run_campaign\n"

@@ -102,6 +102,13 @@ MUTATIONS = [
         "execute_shard))\n",
         "                ShardTask(job, runner=lambda j: "
         "shard_runner(j)))\n"),
+    # PAR001 — a closure as a world shard group's worker entry point.
+    Mutation(
+        "PAR001", "world/engine.py",
+        "                    _group_worker, (self.spec, self.seed, "
+        "block),\n",
+        "                    lambda *args: _group_worker(*args), "
+        "(self.spec, self.seed, block),\n"),
     # TRACE001 — missed at PR 20: trace-scopes still said
     # repro.core.anomalies, where no function takes a trace any more.
     Mutation(

@@ -10,6 +10,7 @@ whole — including a hypothesis sweep over randomized topologies and a
 regression for a partition nemesis spanning the shard cut.
 """
 
+import os
 from dataclasses import replace
 
 import pytest
@@ -23,6 +24,7 @@ from hypothesis.stateful import (
 )
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.fleet import pool
 from repro.scenario import load_scenario
 from repro.scenario.schema import ServiceSpec
 from repro.sim import Simulator
@@ -34,6 +36,7 @@ from repro.world import (
     run_world,
     world_from_scenario,
 )
+from repro.world.engine import ShardGroup, WorldEngine
 from repro.world.spec import author_shard
 
 SCENARIO = "examples/scenarios/gossip_world.toml"
@@ -50,6 +53,30 @@ SMALL = dict(
 
 def small_spec(**overrides) -> WorldSpec:
     return WorldSpec(name="w", **{**SMALL, **overrides})
+
+
+#: Side (0, 3) straddles every contiguous cut of 6 or 8 replicas into
+#: 2+ shards.
+CUT = WorldPartition(start=10.0, end=60.0, side=(0, 3))
+
+
+def pin_cores(monkeypatch, cores: int) -> None:
+    """Make the engine see ``cores`` usable cores."""
+    monkeypatch.setattr(pool, "usable_cores", lambda: cores)
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Every ``(process, conn)`` a world run started, in start order."""
+    started = []
+    original = pool.start_worker
+
+    def counting(*args, **kwargs):
+        started.append(original(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(pool, "start_worker", counting)
+    return started
 
 
 class TestWorldSpec:
@@ -404,6 +431,128 @@ class TestWorldParity:
         engine.run()
         with pytest.raises(SimulationError):
             engine.run()
+
+
+def logical(summary: dict) -> dict:
+    """A summary minus the two fields that name the physical cut."""
+    return {key: value for key, value in summary.items()
+            if key not in ("shards", "spec_digest")}
+
+
+class TestShardGroups:
+    """Shards run in ``min(shards, cores)`` groups, every group past
+    the first in a worker process; the result never shows it."""
+
+    @pytest.mark.parametrize("partitions", [(), (CUT,)],
+                             ids=["calm", "cut"])
+    def test_every_group_count_is_byte_identical(self, partitions,
+                                                 monkeypatch, workers):
+        spec = small_spec(replicas=8, partitions=partitions)
+        pin_cores(monkeypatch, 1)
+        reference = logical(run_world(spec, seed=7).summary())
+        assert (reference["bus_deferred"] > 0) == bool(partitions)
+        for cores in (1, 2, 4):
+            pin_cores(monkeypatch, cores)
+            for shards in (1, 2, 4, 8):
+                before = len(workers)
+                engine = WorldEngine(spec.with_topology(shards), seed=7)
+                summary = engine.run().summary()
+                groups = min(shards, cores)
+                assert len(engine.groups) == groups
+                assert len(workers) - before == groups - 1
+                assert summary["shards"] == shards
+                assert logical(summary) == reference, (cores, shards)
+        assert all(process.exitcode == 0 for process, _ in workers)
+
+    def test_groups_are_contiguous_shard_blocks(self, monkeypatch):
+        pin_cores(monkeypatch, 2)
+        engine = WorldEngine(small_spec(shards=5), seed=0)
+        engine.run()
+        assert engine.groups == [range(0, 2), range(2, 5)]
+
+    def test_an_injected_stream_engine_keeps_the_run_in_process(
+            self, monkeypatch, workers):
+        from repro.stream.engine import StreamEngine
+
+        pin_cores(monkeypatch, 4)
+        engine = WorldEngine(small_spec(shards=3), seed=7,
+                             stream_engine=StreamEngine(horizon=1))
+        result = engine.run()
+        assert engine.groups == [range(0, 3)] and workers == []
+        assert result.signature == run_world(small_spec(), seed=7).signature
+
+
+def die_in_workers(monkeypatch, how: str) -> None:
+    """Make every group worker fail at its barrier at t=30: raise, or
+    exit the process without a word."""
+    host = os.getpid()
+    step = ShardGroup.step
+
+    def failing(self, due, end):
+        if os.getpid() != host and end >= 30.0:
+            if how == "raise":
+                raise RuntimeError("group fell over")
+            os._exit(3)
+        return step(self, due, end)
+
+    monkeypatch.setattr(ShardGroup, "step", failing)
+
+
+def kill_workers_between_barriers(monkeypatch, workers) -> None:
+    """Kill every group worker while the engine drains the bus for the
+    barrier at t=30, so the engine finds them dead when it writes."""
+    drain = WorldBus.drain_until
+
+    def killing(self, horizon):
+        if horizon >= 30.0:
+            for process, _conn in workers:
+                process.kill()
+                process.join()
+        return drain(self, horizon)
+
+    monkeypatch.setattr(WorldBus, "drain_until", killing)
+
+
+class TestDeadWorker:
+    """A group worker that dies fails the run closed: one error naming
+    the group and its shards, every worker reaped, no signature."""
+
+    @pytest.mark.parametrize("how, detail", [
+        ("raise", "RuntimeError: group fell over"),
+        ("exit", "its worker exited with code 3"),
+        ("kill", "its worker exited before the barrier"),
+    ])
+    def test_the_run_raises_one_error_naming_the_group(
+            self, how, detail, monkeypatch, workers):
+        if how == "kill":
+            kill_workers_between_barriers(monkeypatch, workers)
+        else:
+            die_in_workers(monkeypatch, how)
+        pin_cores(monkeypatch, 3)
+        engine = WorldEngine(small_spec(shards=6), seed=7)
+        with pytest.raises(SimulationError) as raised:
+            engine.run()
+        assert str(raised.value) == \
+            f"world group 1 (shards 2-3) failed: {detail}"
+        assert engine.result.signature == ""
+        assert len(workers) == 2
+        assert not any(process.is_alive() for process, _ in workers)
+        assert all(conn.closed for _, conn in workers)
+
+    @pytest.mark.parametrize("how", ["raise", "exit"])
+    def test_the_cli_prints_one_line_and_exits_2(self, how, monkeypatch,
+                                                 capsys):
+        from repro.cli import main as repro_main
+
+        die_in_workers(monkeypatch, how)
+        pin_cores(monkeypatch, 2)
+        code = repro_main(["world", "--scenario", SCENARIO,
+                           "--sessions", "36", "--shards", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(
+            "world: world group 1 (shard 1) failed: ")
+        assert captured.err.count("\n") == 1
 
 
 @settings(max_examples=12, deadline=None)

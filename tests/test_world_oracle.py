@@ -11,6 +11,13 @@ bus became a heap and replicas / cohorts started carrying what they
 had been re-deriving per operation (PR 23); a world change that keeps
 the signature but moves one draw between streams, or swaps two
 deliveries inside a barrier, fails here.
+
+Shards run in worker processes when there are cores for them, and a
+replica's streams live in the process that hosts its group, so the
+stream-state digest is read with the core count pinned to 1 (one
+group, every replica in this process).  The forked run must match the
+same rows on everything the engine's process sees: the bus delivery
+sequence, the counters and the signature.
 """
 
 import hashlib
@@ -18,6 +25,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.fleet import pool
 from repro.scenario import load_scenario
 from repro.sim import RandomSource
 from repro.world import (
@@ -85,8 +93,10 @@ PINNED = {
 }
 
 
-def observe_world(spec, monkeypatch):
-    """Run the world; return what the streams, the bus and the engine did."""
+def observe_world(spec, monkeypatch, cores=1):
+    """Run the world on ``cores`` cores; return what the streams, the
+    bus and the engine did (the stream-state digest only on 1 core:
+    None otherwise)."""
     sources = {}
     deliveries = hashlib.sha256()
     original_child = RandomSource.child
@@ -109,16 +119,20 @@ def observe_world(spec, monkeypatch):
 
     monkeypatch.setattr(RandomSource, "child", child)
     monkeypatch.setattr(WorldBus, "drain_until", drain_until)
+    monkeypatch.setattr(pool, "usable_cores", lambda: cores)
     result = run_world(spec, seed=SEED)
 
-    assert sorted(sources) == list(range(spec.replicas))
-    states = hashlib.sha256()
-    for index in sorted(sources):
-        for name in ("hop", "ship"):
-            # A stream nobody drew from reads as its seeded state.
-            state = sources[index].stream(name).getstate()
-            states.update(f"{index} {name} {state!r}\n".encode())
-    return (states.hexdigest(), deliveries.hexdigest(),
+    states = None
+    if cores == 1:
+        assert sorted(sources) == list(range(spec.replicas))
+        states = hashlib.sha256()
+        for index in sorted(sources):
+            for name in ("hop", "ship"):
+                # A stream nobody drew from reads as its seeded state.
+                state = sources[index].stream(name).getstate()
+                states.update(f"{index} {name} {state!r}\n".encode())
+        states = states.hexdigest()
+    return (states, deliveries.hexdigest(),
             result.events_processed, result.bus_messages,
             result.bus_deferred, result.epochs, result.peak_open_state,
             result.max_stream_state, result.signature)
@@ -130,6 +144,17 @@ def test_streams_bus_order_and_counts_are_pinned(case, shards,
                                                  monkeypatch):
     spec = specs()[case].with_topology(shards)
     assert observe_world(spec, monkeypatch) == PINNED[case]
+
+
+@pytest.mark.parametrize("cores", [2, 4])
+@pytest.mark.parametrize("case", sorted(specs()))
+def test_forked_groups_match_the_pinned_rows(case, cores, monkeypatch):
+    """Shards 4 on 2 or 4 cores: the groups past the first run in
+    worker processes, and everything but the streams (which live
+    there) matches the same pinned row."""
+    spec = specs()[case].with_topology(4)
+    assert observe_world(spec, monkeypatch, cores)[1:] == \
+        PINNED[case][1:]
 
 
 def test_the_cut_bites_in_both_worlds():

@@ -23,7 +23,8 @@ relations  a fleet with all five spec-defined metrics is
            byte-identical at any worker count
 serve      a hunt through the campaign service == a direct fleet run
 world      the partitioned world is byte-identical to its serial run,
-           and 10^5 sessions run in bounded memory
+           in-process or in worker processes, and 10^5 sessions run
+           in bounded memory
 =========  ==========================================================
 
 The arguments are the constants CI has always run: the replicate
@@ -43,7 +44,7 @@ from repro.calibrate import (
     fidelity_table,
     target_services,
 )
-from repro.fleet import ArtifactStore, FleetSpec, run_fleet
+from repro.fleet import ArtifactStore, FleetSpec, pool, run_fleet
 from repro.fleet.digest import campaign_signature, canonical_json
 from repro.io import iter_trace_events, record_to_dict
 from repro.methodology import (
@@ -60,6 +61,7 @@ from repro.serve import HuntServer, HuntSpec, follow_events
 from repro.stream import OpIngest, record_mismatches
 from repro.stream.ingest import feed_events
 from repro.world import (
+    WorldEngine,
     WorldPartition,
     WorldSpec,
     run_world,
@@ -635,7 +637,10 @@ def world_gate(failures):
     * **scenario scale** — the checked-in ``gossip_world.toml`` at
       its full 10^5 sessions through the sharded engine, asserting
       the bounded-memory contract: the stream engine never holds more
-      than one open test and per-replica state was actually retired.
+      than one open test and per-replica state was actually retired;
+      then again with the core count pinned to 1, so every shard runs
+      in this process, which must give the same summary byte for byte
+      as the run whose shard groups ran in worker processes.
     """
     # 1. Shard sweep: every cut of the replica set, serial included.
     calm = _world_sweep("shard sweep", SMALL_WORLD, failures,
@@ -658,7 +663,20 @@ def world_gate(failures):
 
     # 3. Scenario scale: 10^5 sessions, memory stays bounded.
     spec = world_from_scenario(load_scenario(WORLD_SCENARIO))
-    full = run_world(spec, seed=SEED)
+    engine = WorldEngine(spec, seed=SEED)
+    full = engine.run()
+    cores = pool.usable_cores
+    pool.usable_cores = lambda: 1
+    try:
+        in_process = run_world(spec, seed=SEED)
+    finally:
+        pool.usable_cores = cores
+    if canonical_json(in_process.summary()) != \
+            canonical_json(full.summary()):
+        failures.append(
+            f"scale run: {len(engine.groups)} shard groups diverged "
+            "from the one-process run: "
+            f"{full.summary()} != {in_process.summary()}")
     if full.tests != spec.cohort_count:
         failures.append(
             f"scale run: {full.tests} tests for {spec.cohort_count} "
@@ -678,7 +696,8 @@ def world_gate(failures):
             f"shards 1..{SMALL_WORLD.replicas} byte-identical "
             f"(signature {calm.signature[:16]}), partition-spanning "
             f"nemesis identical ({partitioned.bus_deferred} deferrals), "
-            f"{spec.sessions:,} sessions at shards={spec.shards} with "
+            f"{spec.sessions:,} sessions at shards={spec.shards} in "
+            f"{len(engine.groups)} group(s) == 1 group, with "
             f"max stream state {full.max_stream_state} and peak open "
             f"state {full.peak_open_state:,}")
 
