@@ -15,9 +15,9 @@ none of them; the first read of a name imports its module (PEP 562).
 The returned ``__getattr__`` stores nothing in the package's globals
 (lint rule DET005), so every read through the facade repeats a
 ``sys.modules`` lookup.  Code that runs per operation imports from the
-defining module instead.  A name that is also a submodule's name is
-shadowed by that submodule once it is imported; such a package binds
-the name eagerly (``repro.methodology.sweep``).
+defining module instead.  A name that is also a submodule's name would be
+shadowed by that submodule once it is imported, so no facade exports
+one.
 
 ``repro.lint`` reads a facade table as the imports it stands for, so
 its call graph follows a re-export to the definition.

@@ -34,16 +34,6 @@ class MetricSummary:
     tests_affected: int
     total_tests: int
 
-    @property
-    def fraction(self) -> float:
-        if self.total_tests == 0:
-            return 0.0
-        return self.tests_affected / self.total_tests
-
-    @property
-    def percent(self) -> float:
-        return 100.0 * self.fraction
-
 
 def metric_summaries(result: CampaignResult) -> list[MetricSummary]:
     """Campaign-level rows, in the order the config names metrics."""

@@ -135,10 +135,6 @@ class AnomalyChecker(abc.ABC):
         (observations,) = run_to_completion([self], trace)
         return observations
 
-    def found_in(self, trace: TestTrace) -> bool:
-        """Convenience: does the anomaly occur at all in ``trace``?"""
-        return bool(self.check(trace))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} anomaly={self.anomaly!r}>"
 

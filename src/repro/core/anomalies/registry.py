@@ -127,38 +127,6 @@ class TraceReport:
             report.observations.setdefault(obs.anomaly, []).append(obs)
         return report
 
-    def merge(self, *others: "TraceReport") -> "TraceReport":
-        """Combine reports for the *same* test into a new report.
-
-        Per-anomaly observation lists are concatenated in argument
-        order — the shape produced when independent checkers (or
-        streaming shards of one test) each report a disjoint subset of
-        anomaly kinds.  Identity fields must agree across all inputs.
-        """
-        for other in others:
-            mismatched = [
-                name for name in
-                ("test_id", "service", "test_type", "agents")
-                if getattr(other, name) != getattr(self, name)
-            ]
-            if mismatched:
-                raise ValueError(
-                    f"cannot merge reports of different tests "
-                    f"(fields differ: {mismatched})"
-                )
-        merged = TraceReport(
-            test_id=self.test_id, service=self.service,
-            test_type=self.test_type, agents=self.agents,
-            observations={kind: list(obs_list) for kind, obs_list
-                          in self.observations.items()},
-        )
-        for other in others:
-            for kind, obs_list in other.observations.items():
-                merged.observations.setdefault(kind, []).extend(
-                    obs_list
-                )
-        return merged
-
 
 def check_all(trace: TestTrace) -> TraceReport:
     """Run every checker over ``trace`` (one pass) and bundle the results."""

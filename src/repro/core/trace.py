@@ -207,64 +207,11 @@ class TestTrace:
         return {op.message_id for op in self.operations
                 if isinstance(op, WriteOp)}
 
-    def author_of(self, message_id: str) -> str:
-        """The agent that wrote ``message_id``."""
-        for op in self.operations:
-            if isinstance(op, WriteOp) and op.message_id == message_id:
-                return op.agent
-        raise AnalysisError(f"no write produced message {message_id!r}")
-
     def agent_pairs(self) -> Iterator[tuple[str, str]]:
         """All unordered agent pairs, in a stable order."""
         for i, first in enumerate(self.agents):
             for second in self.agents[i + 1:]:
                 yield (first, second)
-
-    # -- Derived causal dependencies ----------------------------------------
-
-    def dependencies_of(self, write: WriteOp) -> frozenset[str]:
-        """Messages ``write`` causally depends on (for the WFR checker).
-
-        With an explicit trigger map (Test 1), the map wins.  Otherwise
-        dependencies are derived generically: every message the author
-        had observed in reads that *completed before* the write was
-        invoked (the paper's "w performed by c after observing S1").
-
-        A whole-trace query for inspection and tests.  The
-        writes-follow-reads checker derives the same sets incrementally
-        and, at the one exact tie canonical stream order defines (a
-        zero-duration write on its author's read's response instant,
-        :mod:`repro.core.stream`), its answer is the definition.
-        """
-        if self.wfr_triggers:
-            return self.wfr_triggers.get(write.message_id, frozenset())
-        observed: set[str] = set()
-        for read in self.reads_by(write.agent):
-            if read.response_local <= write.invoke_local:
-                observed.update(read.observed)
-        observed.discard(write.message_id)
-        return frozenset(observed)
-
-    # -- Sanity -----------------------------------------------------------
-
-    def validate(self) -> None:
-        """Raise :class:`AnalysisError` if the trace is malformed."""
-        ids_written: set[str] = set()
-        for op in self.operations:
-            if isinstance(op, WriteOp):
-                if op.message_id in ids_written:
-                    raise AnalysisError(
-                        f"message id {op.message_id!r} written twice"
-                    )
-                ids_written.add(op.message_id)
-        for op in self.operations:
-            if isinstance(op, ReadOp):
-                unknown = set(op.observed) - ids_written
-                if unknown:
-                    raise AnalysisError(
-                        f"read by {op.agent!r} observed message ids never "
-                        f"written in this test: {sorted(unknown)!r}"
-                    )
 
     def __len__(self) -> int:
         return len(self.operations)

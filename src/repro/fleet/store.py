@@ -153,10 +153,6 @@ class ArtifactStore:
             self._manifest = loaded
         return self._manifest
 
-    @property
-    def spec_hash(self) -> str:
-        return self.manifest["spec_hash"]
-
     def initialize(self, spec: "FleetSpec") -> None:
         """Bind the store to ``spec``, creating or validating it.
 

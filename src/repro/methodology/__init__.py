@@ -13,11 +13,6 @@
 
 from repro._facade import facade
 
-# ``sweep`` names both a submodule and its function: importing the
-# submodule binds the module over a lazy name, so the function is bound
-# here, eagerly.
-from repro.methodology.sweep import sweep
-
 __all__, __getattr__, __dir__ = facade(__name__, {
     ".config": (
         "Test1Config", "Test2Config", "ServicePlan", "PAPER_PLANS",
@@ -30,8 +25,7 @@ __all__, __getattr__, __dir__ = facade(__name__, {
         "Nemesis", "PartitionStretchNemesis", "PeriodicPartitionNemesis",
         "LinkLossNemesis", "CompositeNemesis",
     ),
-    ".sweep": ("replicate", "sweep", "PrevalenceStats",
-               "prevalence_statistics"),
+    ".sweep": ("PrevalenceStats", "prevalence_statistics"),
     ".runner": ("run_campaign", "analyze_trace"),
     ".records": ("TestRecord", "CampaignResult"),
 })

@@ -15,7 +15,7 @@ because rate limiting throttled some runs; we configure the midpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import ConfigurationError
@@ -216,16 +216,6 @@ class CampaignConfig:
             from repro.relations.registry import resolve_metrics
 
             resolve_metrics(self.metrics)
-
-    @classmethod
-    def from_scenario(cls, spec: Any,
-                      base: "CampaignConfig | None" = None
-                      ) -> "CampaignConfig":
-        """A config lowered from a scenario spec (see
-        :func:`repro.scenario.registry.scenario_config`)."""
-        from repro.scenario.registry import scenario_config
-
-        return scenario_config(spec, base)
 
     def effective_partition_tests(self) -> int:
         """Partition-stretch length after proportional auto-scaling."""

@@ -27,7 +27,7 @@ from repro.net.topology import (
 )
 from repro.obs.context import ObsContext
 from repro.services.profiles import build_service
-from repro.sim.clock import DriftingClock, make_host_clock
+from repro.sim.clock import make_host_clock
 from repro.sim.event_loop import Simulator
 from repro.sim.random_source import RandomSource
 
@@ -142,7 +142,3 @@ class MeasurementWorld:
             if agent.name == name:
                 return agent
         raise KeyError(name)
-
-    def true_clock(self) -> DriftingClock:
-        """A perfect clock for ground-truth validation."""
-        return DriftingClock(self.sim)

@@ -65,11 +65,6 @@ class Message:
     send_time: float
     deliver_time: float
 
-    @property
-    def transit_time(self) -> float:
-        """Seconds the message spent on the wire."""
-        return self.deliver_time - self.send_time
-
 
 class _Endpoint:
     """A host's attachment record."""

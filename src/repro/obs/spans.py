@@ -102,10 +102,6 @@ class Tracer:
         })
         return span
 
-    @property
-    def spans_finished(self) -> int:
-        return len(self.finished)
-
     def snapshot(self) -> list[dict]:
         """Finished spans' records, in finish order (read-only dicts).
 

@@ -144,7 +144,7 @@ class VersionedStore:
     """
 
     def __init__(self, now_fn: Callable[[], float],
-                 retention: float = 600.0) -> None:
+                 retention: float) -> None:
         if retention <= 0:
             raise ConfigurationError("retention must be positive")
         self._now_fn = now_fn

@@ -25,13 +25,15 @@ from repro.sim.future import AllOf, Future
 
 __all__ = ["PrimaryBackupGroup"]
 
+#: Seconds of version history the primary and every backup keep.
+RETENTION = 600.0
+
 
 class PrimaryBackupGroup:
     """A primary plus zero or more synchronously-updated backups."""
 
     def __init__(self, sim: Simulator, network: Network, primary_host: str,
-                 backup_hosts: list[str] | None = None,
-                 retention: float = 600.0) -> None:
+                 backup_hosts: list[str] | None = None) -> None:
         self._sim = sim
         self._network = network
         self.primary_host = primary_host
@@ -41,13 +43,13 @@ class PrimaryBackupGroup:
                 "primary cannot also be listed as a backup"
             )
         self._primary_store = VersionedStore(
-            now_fn=lambda: sim.now, retention=retention
+            now_fn=lambda: sim.now, retention=RETENTION
         )
         self._backup_stores: dict[str, VersionedStore] = {}
         network.attach(primary_host)  # participates as an RPC client
         for host in self.backup_hosts:
             store = VersionedStore(now_fn=lambda: sim.now,
-                                   retention=retention)
+                                   retention=RETENTION)
             self._backup_stores[host] = store
             network.attach(
                 host,

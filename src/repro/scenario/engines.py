@@ -116,10 +116,6 @@ class GossipScenarioService(OnlineService):
             )
             self._api_by_region[region_name] = api_host
 
-    @property
-    def group(self) -> GossipGroup:
-        return self._group
-
     # -- Route handlers ---------------------------------------------------
 
     def _make_post_handler(self, node: str):

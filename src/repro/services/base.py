@@ -123,51 +123,11 @@ class ServiceSession:
         stated over.  The paper's agents performed the same
         normalization when parsing responses; the probe only ever
         needs the current test's (newest) messages, so one page
-        suffices — use :meth:`fetch_history` to walk further back.
+        suffices.
         """
         self.reads_issued += 1
         return self._settle(self._client.get(self._fetch_path),
                             _chronological, "fetch.messages")
-
-    def fetch_history(self, max_pages: int = 4,
-                      page_limit: int | None = None) -> Future:
-        """Walk the cursor chain; resolves to the chronological tuple.
-
-        Issues up to ``max_pages`` successive GETs, following each
-        response's ``next_cursor``, then returns all collected ids
-        oldest-first.  Each page counts as one read request.
-        """
-        collected: list[str] = []
-        result: Future = Future(name="fetch.history")
-
-        def request_page(cursor, pages_left):
-            self.reads_issued += 1
-            params = {}
-            if cursor is not None:
-                params["cursor"] = cursor
-            if page_limit is not None:
-                params["limit"] = page_limit
-            page = self._unwrap(
-                self._client.get(self._fetch_path, params)
-            )
-            page.add_callback(
-                lambda f: on_page(f, pages_left)
-            )
-
-        def on_page(future, pages_left):
-            if future.failed:
-                result.fail(future.exception)
-                return
-            body = future.value
-            collected.extend(body.get("messages", ()))
-            next_cursor = body.get("next_cursor")
-            if next_cursor is None or pages_left <= 1:
-                result.resolve(tuple(reversed(collected)))
-            else:
-                request_page(next_cursor, pages_left - 1)
-
-        request_page(None, max(max_pages, 1))
-        return result
 
     @staticmethod
     def _unwrap(response_future: Future) -> Future:

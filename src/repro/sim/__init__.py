@@ -14,7 +14,7 @@ services; those layers live in :mod:`repro.net` and
 
 from repro.sim.clock import DriftingClock, PerfectClock, make_host_clock
 from repro.sim.event_loop import Simulator
-from repro.sim.future import AllOf, AnyOf, Future, Quorum, gather
+from repro.sim.future import AllOf, AnyOf, Future, Quorum
 from repro.sim.process import Process, spawn
 from repro.sim.random_source import RandomSource
 
@@ -24,7 +24,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Quorum",
-    "gather",
     "Process",
     "spawn",
     "DriftingClock",

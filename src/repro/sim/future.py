@@ -17,7 +17,7 @@ from typing import Any, Callable, Iterable
 
 from repro.errors import FutureError
 
-__all__ = ["Future", "AllOf", "AnyOf", "Quorum", "gather"]
+__all__ = ["Future", "AllOf", "AnyOf", "Quorum"]
 
 
 _PENDING = "pending"
@@ -218,8 +218,3 @@ class Quorum(Future):
         self._values.append(future.value)
         if len(self._values) == self._needed:
             self.resolve(list(self._values))
-
-
-def gather(*futures: Future) -> AllOf:
-    """Convenience wrapper: ``gather(f1, f2)`` == ``AllOf([f1, f2])``."""
-    return AllOf(futures)

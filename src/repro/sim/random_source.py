@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from typing import Iterator
 
 __all__ = ["RandomSource", "derive_seed", "GAUSS_MAX_SIGMAS"]
 
@@ -144,13 +143,6 @@ class RandomSource:
         if not options:
             raise ValueError("options must be non-empty")
         return self.stream(name).choice(options)
-
-    def iter_uniform(self, name: str, low: float,
-                     high: float) -> Iterator[float]:
-        """Infinite iterator of U(low, high) draws on stream ``name``."""
-        stream = self.stream(name)
-        while True:
-            yield stream.uniform(low, high)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"RandomSource(seed={self._seed}, "

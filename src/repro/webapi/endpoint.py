@@ -95,15 +95,6 @@ class EndpointStats:
     def rate_limited(self) -> int:
         return self.responses_by_status.get(429, 0)
 
-    def success_fraction(self) -> float:
-        total = sum(self.responses_by_status.values())
-        if total == 0:
-            return 1.0
-        ok = sum(count for status, count
-                 in self.responses_by_status.items()
-                 if 200 <= status < 300)
-        return ok / total
-
     def _record_request(self, method: str, path: str) -> None:
         self.requests_total += 1
         key = (method, path)

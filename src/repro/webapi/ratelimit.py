@@ -45,10 +45,6 @@ class SlidingWindowRateLimiter:
         self._now_fn = now_fn
         self._history: dict[str, deque[float]] = {}
 
-    @property
-    def limit(self) -> RateLimit:
-        return self._limit
-
     def check(self, token: str) -> None:
         """Record one request; raise 429 if the token is over limit."""
         now = self._now_fn()

@@ -33,7 +33,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping, Protocol, runtime_checkable
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Mapping,
+    Protocol,
+    runtime_checkable,
+)
 
 from repro.errors import ConfigurationError
 
@@ -100,10 +107,6 @@ class RouteSpec:
     def has_params(self) -> bool:
         return any(_is_param(part) for part in self.segments)
 
-    def param_names(self) -> tuple[str, ...]:
-        return tuple(part[1:-1] for part in self.segments
-                     if _is_param(part))
-
     def match(self, path_segments: tuple[str, ...]) -> dict | None:
         """Path parameters if ``path_segments`` matches, else None."""
         pattern = self.segments
@@ -151,8 +154,7 @@ class Router:
     ----------
     prefix:
         Optional path prefix (e.g. ``"/v1"``) prepended to every
-        registered pattern — the versioned-path mechanism.  Mounting a
-        router into another via :meth:`include` composes prefixes.
+        registered pattern — the versioned-path mechanism.
     """
 
     def __init__(self, prefix: str = "") -> None:
@@ -227,24 +229,6 @@ class Router:
         return tuple(self.add_route(spec)
                      for spec in resource.routes())
 
-    def include(self, other: "Router", prefix: str = "") -> None:
-        """Mount every route of ``other`` under ``prefix`` (then our
-        own prefix, applied by :meth:`add_route`)."""
-        if prefix and not prefix.startswith("/"):
-            raise ConfigurationError(
-                f"mount prefix must be absolute: {prefix!r}"
-            )
-        mount = prefix.rstrip("/")
-        for spec in other.routes():
-            self.add_route(RouteSpec(
-                method=spec.method,
-                pattern=mount + spec.pattern,
-                handler=spec.handler,
-                name=spec.name,
-                processing_delay_median=spec.processing_delay_median,
-                processing_delay_sigma=spec.processing_delay_sigma,
-            ))
-
     # -- Introspection --------------------------------------------------
 
     def routes(self) -> tuple[RouteSpec, ...]:
@@ -254,14 +238,6 @@ class Router:
              *self._dynamic),
             key=lambda spec: (spec.pattern, spec.method),
         ))
-
-    def route_named(self, name: str) -> RouteSpec:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise ConfigurationError(
-                f"no route named {name!r}"
-            ) from None
 
     def __len__(self) -> int:
         return len(self._exact) + len(self._dynamic)

@@ -6,10 +6,11 @@ from __future__ import annotations
 from random import Random  # repro-lint: disable=DET001
 
 from repro.core import ReadOp, TestTrace, WriteOp
+from repro.errors import AnalysisError
 from repro.sim.random_source import derive_seed
 
 __all__ = ["DEFAULT_AGENTS", "write", "read", "make_trace",
-           "scratch_stream"]
+           "assert_well_formed", "scratch_stream"]
 
 DEFAULT_AGENTS = ("oregon", "tokyo", "ireland")
 
@@ -50,6 +51,23 @@ def make_trace(operations, agents=DEFAULT_AGENTS, test_id="t-1",
     )
     trace.extend(operations)
     return trace
+
+
+def assert_well_formed(trace: TestTrace) -> None:
+    """Raise :class:`AnalysisError` if a write id repeats or a read
+    observed an id no write of this test produced."""
+    written: set[str] = set()
+    for op in trace.writes():
+        if op.message_id in written:
+            raise AnalysisError(
+                f"message id {op.message_id!r} written twice")
+        written.add(op.message_id)
+    for op in trace.reads():
+        unknown = set(op.observed) - written
+        if unknown:
+            raise AnalysisError(
+                f"read by {op.agent!r} observed message ids never "
+                f"written in this test: {sorted(unknown)!r}")
 
 
 def scratch_stream(seed: int, name: str) -> Random:

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core import ReadOp, TestTrace, WriteOp
+from repro.core import ReadOp, WriteOp
+from repro.core.anomalies import WritesFollowReadsChecker
 from repro.errors import AnalysisError
 
-from tests.helpers import make_trace, read, write
+from tests.helpers import assert_well_formed, make_trace, read, write
 
 
 class TestOperations:
@@ -72,9 +73,8 @@ class TestTraceViews:
     def test_message_ids_and_author(self):
         trace = self.make_simple_trace()
         assert trace.message_ids() == {"M1", "M2"}
-        assert trace.author_of("M2") == "tokyo"
-        with pytest.raises(AnalysisError):
-            trace.author_of("M99")
+        assert {w.message_id: w.agent for w in trace.writes()} == \
+            {"M1": "oregon", "M2": "tokyo"}
 
     def test_agent_pairs_stable_order(self):
         trace = self.make_simple_trace()
@@ -116,25 +116,39 @@ class TestClockCorrection:
 
 
 class TestDependencies:
+    """A write's dependency set, as the WFR checker derives it: a third
+    agent reads the dependent write alone, so every dependency is
+    missing from its view."""
+
+    @staticmethod
+    def missing(trace):
+        return [(o.details["write"], o.details["missing_dependencies"])
+                for o in WritesFollowReadsChecker().check(trace)]
+
     def test_trigger_map_wins(self):
+        # Tokyo read nothing before writing: generic mode would find
+        # no dependency, the trigger map names one.
+        trace = make_trace(
+            [
+                write("oregon", "M1", 0.0),
+                write("tokyo", "M2", 2.0),
+                read("ireland", ("M2",), 3.0),
+            ],
+            wfr_triggers={"M2": frozenset({"M1"})},
+        )
+        assert self.missing(trace) == [("M2", ("M1",))]
+
+    def test_trigger_map_empty_for_unlisted_write(self):
         trace = make_trace(
             [
                 write("oregon", "M1", 0.0),
                 read("tokyo", ("M1",), 1.0),
                 write("tokyo", "M2", 2.0),
+                read("ireland", ("M2",), 3.0),
             ],
-            wfr_triggers={"M2": frozenset({"M1"})},
-        )
-        (m2,) = trace.writes_by("tokyo")
-        assert trace.dependencies_of(m2) == frozenset({"M1"})
-
-    def test_trigger_map_empty_for_unlisted_write(self):
-        trace = make_trace(
-            [write("oregon", "M1", 0.0)],
             wfr_triggers={"M9": frozenset({"M1"})},
         )
-        (m1,) = trace.writes_by("oregon")
-        assert trace.dependencies_of(m1) == frozenset()
+        assert self.missing(trace) == []
 
     def test_generic_mode_uses_prior_reads(self):
         trace = make_trace([
@@ -143,20 +157,21 @@ class TestDependencies:
             write("tokyo", "M2", 2.0),            # after the read
             read("tokyo", ("M1", "M2"), 3.0),     # after the write
             write("tokyo", "M3", 4.0),
+            read("ireland", ("M2",), 5.0),
+            read("ireland", ("M3",), 6.0),
         ])
-        m2, m3 = trace.writes_by("tokyo")
-        assert trace.dependencies_of(m2) == frozenset({"M1"})
         # M3 depends on M1 and M2 (observed) but never on itself.
-        assert trace.dependencies_of(m3) == frozenset({"M1", "M2"})
+        assert self.missing(trace) == [("M2", ("M1",)),
+                                       ("M3", ("M1", "M2"))]
 
     def test_generic_mode_ignores_reads_completing_after_write(self):
         trace = make_trace([
             write("oregon", "M1", 0.0),
             read("tokyo", ("M1",), 5.0),   # completes at 5.1
             write("tokyo", "M2", 5.05),    # invoked before read completed
+            read("ireland", ("M2",), 6.0),
         ])
-        (m2,) = trace.writes_by("tokyo")
-        assert trace.dependencies_of(m2) == frozenset()
+        assert self.missing(trace) == []
 
 
 class TestValidation:
@@ -165,7 +180,7 @@ class TestValidation:
             write("oregon", "M1", 0.0),
             read("tokyo", ("M1",), 1.0),
         ])
-        trace.validate()
+        assert_well_formed(trace)
 
     def test_duplicate_write_id_rejected(self):
         trace = make_trace([
@@ -173,9 +188,9 @@ class TestValidation:
             write("tokyo", "M1", 1.0),
         ])
         with pytest.raises(AnalysisError, match="written twice"):
-            trace.validate()
+            assert_well_formed(trace)
 
     def test_read_of_unknown_message_rejected(self):
         trace = make_trace([read("oregon", ("M9",), 0.0)])
         with pytest.raises(AnalysisError, match="never"):
-            trace.validate()
+            assert_well_formed(trace)

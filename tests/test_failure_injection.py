@@ -7,8 +7,6 @@ log fewer operations, but campaigns complete and the analysis stays
 sound.
 """
 
-import pytest
-
 from repro.core import CONTENT_DIVERGENCE
 from repro.methodology import (
     PAPER_PLANS,
@@ -19,6 +17,8 @@ from repro.methodology import (
     run_test2,
 )
 from repro.sim import spawn
+
+from tests.helpers import assert_well_formed
 
 
 def drive(world, runner, *args):
@@ -39,7 +39,7 @@ class TestLossyLinks:
         # The test still finishes with all six writes logged (posts
         # retry is not needed; lost requests surface as timeouts and
         # the read loop keeps going).
-        trace.validate()
+        assert_well_formed(trace)
         assert len(trace.reads()) > 0
         failed = sum(agent.failed_requests for agent in world.agents)
         assert failed > 0, "loss injection should cause some failures"
@@ -55,7 +55,7 @@ class TestLossyLinks:
         configured = PAPER_PLANS["blogger"].test2.reads_per_agent
         for agent in trace.agents:
             assert len(trace.reads_by(agent)) <= configured
-        trace.validate()
+        assert_well_formed(trace)
 
 
 class TestAgentIsolation:
@@ -71,7 +71,7 @@ class TestAgentIsolation:
         # Oregon wrote M1/M2 fine; tokyo could not see M2 while
         # isolated, so the chain stalls until the isolation lifts or
         # the timeout fires — either way we get a valid trace.
-        trace.validate()
+        assert_well_formed(trace)
         assert any(w.agent == "oregon" for w in trace.writes())
 
     def test_campaign_survives_partition_stretch(self):

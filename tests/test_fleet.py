@@ -37,9 +37,7 @@ from repro.fleet import (
 from repro.methodology import (
     CampaignConfig,
     prevalence_statistics,
-    replicate,
     run_campaign,
-    sweep,
 )
 from repro.replication import QuorumParams
 from repro.services import QuorumKvParams
@@ -210,27 +208,32 @@ class TestGoldenSignatureParity:
                     / f"{job.shard_id}.ops.jsonl").is_file()
 
     def test_replicate_parallel_matches_serial(self):
-        serial = replicate("googleplus", SMALL, seeds=[1, 2])
-        parallel = replicate("googleplus", SMALL, seeds=[1, 2],
-                             jobs=2)
+        spec = FleetSpec(services=("googleplus",), base_config=SMALL,
+                         seeds=(1, 2))
+        serial = run_fleet(spec).results
+        parallel = run_fleet(spec, jobs=2).results
         assert fleet_signature(parallel) == fleet_signature(serial)
         assert prevalence_statistics(parallel) == \
             prevalence_statistics(serial)
 
     def test_sweep_parallel_matches_serial(self):
-        grid = {
-            "weak": QuorumKvParams(
-                quorum=QuorumParams(read_quorum=1, write_quorum=1)
+        spec = FleetSpec(
+            services=("quorum_kv",), base_config=SMALL,
+            seeds=(SMALL.seed,),
+            param_grid=(
+                ("weak", QuorumKvParams(
+                    quorum=QuorumParams(read_quorum=1, write_quorum=1)
+                )),
+                ("strict", QuorumKvParams(
+                    quorum=QuorumParams(read_quorum=2, write_quorum=2)
+                )),
             ),
-            "strict": QuorumKvParams(
-                quorum=QuorumParams(read_quorum=2, write_quorum=2)
-            ),
-        }
-        serial = sweep("quorum_kv", SMALL, grid)
-        parallel = sweep("quorum_kv", SMALL, grid, jobs=2)
-        assert list(parallel) == list(serial) == ["weak", "strict"]
-        assert fleet_signature(parallel.values()) == \
-            fleet_signature(serial.values())
+        )
+        serial = run_fleet(spec)
+        parallel = run_fleet(spec, jobs=2)
+        assert [job.label for job in parallel.jobs] == \
+            [job.label for job in serial.jobs] == ["weak", "strict"]
+        assert parallel.signature() == serial.signature()
 
 
 class TestResume:

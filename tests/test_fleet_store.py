@@ -39,7 +39,7 @@ class TestManifest:
         store.initialize(spec)
         assert (tmp_path / "store" / MANIFEST_NAME).is_file()
         assert store.shards_dir.is_dir()
-        assert store.spec_hash == spec.spec_hash()
+        assert store.manifest["spec_hash"] == spec.spec_hash()
         assert store.completed_shards() == []
 
     def test_round_trip_through_fresh_handle(self, tmp_path, spec):
@@ -49,7 +49,7 @@ class TestManifest:
         _, records, digest = write_one(store, job)
 
         reopened = ArtifactStore(tmp_path)
-        assert reopened.spec_hash == spec.spec_hash()
+        assert reopened.manifest["spec_hash"] == spec.spec_hash()
         assert reopened.shard_state(job.shard_id) == "complete"
         assert reopened.completed_shards() == [job.shard_id]
         entry = reopened.manifest["shards"][job.shard_id]

@@ -39,7 +39,8 @@ CASES = {
         "from repro.methodology import CampaignConfig, run_campaign\n"
         "run_campaign('blogger', CampaignConfig(num_tests=1, seed=1))",
         ("repro.services.googleplus", "repro.services.facebook_feed",
-         "repro.services.facebook_group", "repro.services.quorum_kv")),
+         "repro.services.facebook_group", "repro.services.quorum_kv",
+         "repro.methodology.sweep")),
 }
 
 PROBE = ("import json, sys\n{statement}\n"
@@ -106,9 +107,6 @@ def test_facade_agrees_with_its_submodules(name):
         getattr(package, export)  # every name resolves
     _all_submodules()
     for export in package.__all__:
-        # An imported submodule shadows a lazy name it shares
-        # (``repro.methodology.sweep``): what the package hands out
-        # must still be what the defining module holds.
         assert getattr(package, export) is package.__getattr__(export), \
             export
     assert set(package.__all__) <= set(dir(package))

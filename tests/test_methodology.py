@@ -17,6 +17,8 @@ from repro.methodology import (
 )
 from repro.sim import spawn
 
+from tests.helpers import assert_well_formed
+
 
 def run_one(world, runner, test_id, config):
     process = spawn(world.sim, runner, world, test_id, config)
@@ -99,7 +101,7 @@ class TestTest1:
         writers = [w.agent for w in trace.writes()]
         assert writers == ["oregon", "oregon", "tokyo", "tokyo",
                            "ireland", "ireland"]
-        trace.validate()
+        assert_well_formed(trace)
 
     def test_wfr_triggers_match_paper(self):
         world = MeasurementWorld("blogger", seed=2)

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.errors import InvalidRequestError
-from repro.webapi import DEFAULT_PAGE_SIZE, Page, paginate
+from repro.webapi import DEFAULT_PAGE_SIZE, ApiClient, Page, paginate
 
-from tests.test_services import AGENT_HOSTS, await_value, make_world
+from tests.test_services import await_value, make_world
 from repro.services import BloggerService
 
 
@@ -87,35 +87,43 @@ class TestServicePagination:
         session = service.create_session("oregon", "agent-oregon")
         for index in range(count):
             await_value(sim, session.post_message(f"P{index:02d}"))
-        return sim, session
+        return sim, net, service, session
+
+    @staticmethod
+    def walk_cursor_chain(sim, net, session, limit):
+        """Follow ``next_cursor`` with raw GETs -> (ids, page count)."""
+        client = ApiClient(net, "agent-oregon", session.routes.api_host,
+                           session.account.token)
+        collected, params, pages = [], {"limit": limit}, 0
+        while True:
+            body = await_value(
+                sim, client.get(session.routes.fetch_path, params)).body
+            collected.extend(body["messages"])
+            pages += 1
+            if body["next_cursor"] is None:
+                return collected, pages
+            params = {"limit": limit, "cursor": body["next_cursor"]}
 
     def test_single_page_fetch_returns_newest(self):
-        sim, session = self.make_blogger_with_posts(DEFAULT_PAGE_SIZE + 5)
+        sim, _, _, session = self.make_blogger_with_posts(
+            DEFAULT_PAGE_SIZE + 5)
         view = await_value(sim, session.fetch_messages())
         assert len(view) == DEFAULT_PAGE_SIZE
         # Chronological order, ending at the newest post.
         assert view[-1] == f"P{DEFAULT_PAGE_SIZE + 4:02d}"
         assert list(view) == sorted(view)
 
-    def test_fetch_history_walks_cursors(self):
-        sim, session = self.make_blogger_with_posts(12)
-        history = await_value(
-            sim, session.fetch_history(max_pages=4, page_limit=5)
-        )
-        assert history == tuple(f"P{i:02d}" for i in range(12))
-
-    def test_fetch_history_respects_max_pages(self):
-        sim, session = self.make_blogger_with_posts(12)
-        history = await_value(
-            sim, session.fetch_history(max_pages=2, page_limit=5)
-        )
-        assert len(history) == 10  # two pages of five
-        # The two newest pages, chronologically.
-        assert history == tuple(f"P{i:02d}" for i in range(2, 12))
+    def test_cursor_chain_walks_every_post(self):
+        sim, net, _, session = self.make_blogger_with_posts(12)
+        collected, pages = self.walk_cursor_chain(sim, net, session, 5)
+        assert pages == 3
+        # Newest first, every post exactly once.
+        assert collected == [f"P{i:02d}" for i in reversed(range(12))]
 
     def test_history_counts_each_page_as_a_read(self):
-        sim, session = self.make_blogger_with_posts(12)
-        before = session.reads_issued
-        await_value(sim, session.fetch_history(max_pages=3,
-                                               page_limit=5))
-        assert session.reads_issued == before + 3
+        sim, net, service, session = self.make_blogger_with_posts(12)
+        route = ("GET", session.routes.fetch_path)
+        stats = service._endpoint.stats
+        before = stats.requests_by_route.get(route, 0)
+        self.walk_cursor_chain(sim, net, session, 5)
+        assert stats.requests_by_route[route] == before + 3

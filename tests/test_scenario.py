@@ -13,7 +13,7 @@ import typing
 import pytest
 
 from repro.errors import CalibrationError, ConfigurationError
-from repro.world import WorldSpec
+from repro.world import WorldSpec, world_from_scenario
 from repro.methodology.config import CampaignConfig
 from repro.methodology.nemesis import (
     CompositeNemesis,
@@ -539,3 +539,43 @@ class TestRegistry:
             space = scenario_space(spec)
             assert space.params({"store.fanout": 2}).store.fanout == 2
         assert registered_scenarios() == ()
+
+
+WORLD_SCENARIO = "examples/scenarios/gossip_world.toml"
+
+#: (text added to the checked-in world scenario, the key it names).
+#: A world runs its [topology] only; each of these would change nothing
+#: it measures, so loading one fails closed.
+UNLOWERED_WORLD_TABLES = [
+    ('[service.params]\n"store.gossip_interval" = 99.0\n',
+     "service.params.store.gossip_interval"),
+    ("[workload]\nnum_tests = 7\n", "workload.num_tests"),
+    ('[[nemesis]]\nkind = "periodic_partition"\n'
+     'host_a = "node-oregon"\nhost_b = "node-tokyo"\n', "[[nemesis]]"),
+    ("[policy]\nretry_attempts = 2\n", "[policy]"),
+    ('[calibrate.axes]\n"store.fanout" = [1, 2]\n', "[calibrate]"),
+    ('metrics = ["read_your_writes"]\n', "metrics"),
+]
+
+
+class TestWorldLowering:
+    @pytest.fixture(scope="class")
+    def world_text(self):
+        with open(WORLD_SCENARIO, encoding="utf-8") as handle:
+            return handle.read()
+
+    def test_checked_in_world_scenario_lowers(self):
+        spec = world_from_scenario(load_scenario(WORLD_SCENARIO))
+        assert spec.name == "gossip_world"
+
+    @pytest.mark.parametrize("extra, key", UNLOWERED_WORLD_TABLES,
+                             ids=[key for _, key in UNLOWERED_WORLD_TABLES])
+    def test_table_the_world_ignores_fails_closed(self, tmp_path,
+                                                   world_text, extra, key):
+        path = tmp_path / "gossip_world.toml"
+        # Prepended: a top-level key must precede every table header.
+        path.write_text(extra + world_text, encoding="utf-8")
+        scenario = load_scenario(path)
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"sets {key}, which")):
+            world_from_scenario(scenario)

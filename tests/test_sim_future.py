@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import FutureError
-from repro.sim import AllOf, AnyOf, Future, gather
+from repro.sim import AllOf, AnyOf, Future
 
 
 class TestFuture:
@@ -88,13 +88,6 @@ class TestAllOf:
         a = Future()
         a.resolve(1)
         assert AllOf([a]).value == [1]
-
-    def test_gather_is_allof(self):
-        a, b = Future(), Future()
-        combined = gather(a, b)
-        a.resolve(1)
-        b.resolve(2)
-        assert combined.value == [1, 2]
 
 
 class TestAnyOf:

@@ -369,26 +369,3 @@ class TestTraceReportCombinators:
         assert report.has("monotonic_reads")
         assert not report.has("read_your_writes")
         assert "content_divergence" in report.observations
-
-    def test_merge_concatenates_in_argument_order(self):
-        base = TraceReport.from_observations(
-            "t", "unit", "test1", ("oregon",),
-            [self.obs("monotonic_reads", time=1.0)],
-        )
-        extra = TraceReport.from_observations(
-            "t", "unit", "test1", ("oregon",),
-            [self.obs("monotonic_reads", time=2.0)],
-        )
-        merged = base.merge(extra)
-        assert [o.time for o in
-                merged.observations["monotonic_reads"]] == [1.0, 2.0]
-
-    def test_merge_rejects_identity_mismatch(self):
-        base = TraceReport.from_observations(
-            "t", "unit", "test1", ("oregon",), [],
-        )
-        other = TraceReport.from_observations(
-            "t2", "unit", "test1", ("oregon",), [],
-        )
-        with pytest.raises(ValueError):
-            base.merge(other)

@@ -1,78 +1,91 @@
-"""Tests for campaign replication and parameter sweeps."""
+"""Tests for campaign replication and parameter sweeps.
+
+Both are fleet specs: replicates are ``FleetSpec(seeds=...)`` and a
+sweep is ``FleetSpec(param_grid=...)``, run by :func:`run_fleet`.
+"""
 
 import pytest
 
 from repro.core import READ_YOUR_WRITES
 from repro.errors import ConfigurationError
-from repro.methodology import (
-    CampaignConfig,
-    prevalence_statistics,
-    replicate,
-    sweep,
-)
+from repro.fleet import FleetSpec, run_fleet
+from repro.methodology import CampaignConfig, prevalence_statistics
 from repro.replication import QuorumParams
 from repro.services import QuorumKvParams
 
 SMALL = CampaignConfig(num_tests=3, seed=0, test_types=("test1",))
 
 
+def run_replicates(service, config, seeds, **kwargs):
+    spec = FleetSpec(services=(service,), base_config=config,
+                     seeds=tuple(seeds))
+    return run_fleet(spec, **kwargs).results
+
+
 class TestReplicate:
     def test_runs_one_campaign_per_seed(self):
-        results = replicate("blogger", SMALL, seeds=[1, 2, 3])
+        results = run_replicates("blogger", SMALL, seeds=[1, 2, 3])
         assert len(results) == 3
         assert [r.config.seed for r in results] == [1, 2, 3]
 
     def test_same_seed_reproduces(self):
-        (a,) = replicate("googleplus", SMALL, seeds=[5])
-        (b,) = replicate("googleplus", SMALL, seeds=[5])
+        (a,) = run_replicates("googleplus", SMALL, seeds=[5])
+        (b,) = run_replicates("googleplus", SMALL, seeds=[5])
         assert a.summary() == b.summary()
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ConfigurationError):
-            replicate("blogger", SMALL, seeds=[])
+            run_replicates("blogger", SMALL, seeds=[])
 
     def test_duplicate_seeds_rejected(self):
         # A duplicated seed re-runs the identical campaign and skews
         # prevalence_statistics sample counts.
         with pytest.raises(ConfigurationError,
                            match=r"duplicate seeds \[5\]"):
-            replicate("googleplus", SMALL, seeds=[5, 5])
+            run_replicates("googleplus", SMALL, seeds=[5, 5])
 
     def test_parallel_replicate_matches_serial(self):
-        serial = replicate("blogger", SMALL, seeds=[1, 2])
-        parallel = replicate("blogger", SMALL, seeds=[1, 2], jobs=2)
+        serial = run_replicates("blogger", SMALL, seeds=[1, 2])
+        parallel = run_replicates("blogger", SMALL, seeds=[1, 2],
+                                  jobs=2)
         assert [r.summary() for r in parallel] == \
             [r.summary() for r in serial]
 
 
 class TestSweep:
     def test_one_result_per_configuration(self):
-        grid = {
-            "weak": QuorumKvParams(
+        # The quorum R/W grid: one shard per labelled service_params.
+        grid = (
+            ("weak", QuorumKvParams(
                 quorum=QuorumParams(read_quorum=1, write_quorum=1)
-            ),
-            "strict": QuorumKvParams(
+            )),
+            ("strict", QuorumKvParams(
                 quorum=QuorumParams(read_quorum=2, write_quorum=2)
-            ),
-        }
-        results = sweep("quorum_kv", SMALL, grid)
-        assert set(results) == {"weak", "strict"}
+            )),
+        )
+        outcome = run_fleet(FleetSpec(
+            services=("quorum_kv",), base_config=SMALL,
+            seeds=(SMALL.seed,), param_grid=grid))
+        results = {job.label: result
+                   for job, result in zip(outcome.jobs, outcome.results)}
+        assert list(results) == ["weak", "strict"]
         weak = results["weak"].prevalence(READ_YOUR_WRITES)
         strict = results["strict"].prevalence(READ_YOUR_WRITES)
         assert strict == 0.0
         assert weak >= strict
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ConfigurationError):
-            sweep("blogger", SMALL, {})
+        with pytest.raises(ConfigurationError, match="param_grid"):
+            FleetSpec(services=("blogger",), base_config=SMALL,
+                      seeds=(SMALL.seed,), param_grid=())
 
 
 class TestPrevalenceStatistics:
     def test_aggregates_across_seeds(self):
-        results = replicate("googleplus",
-                            CampaignConfig(num_tests=5, seed=0,
-                                           test_types=("test1",)),
-                            seeds=[1, 2, 3])
+        results = run_replicates(
+            "googleplus",
+            CampaignConfig(num_tests=5, seed=0, test_types=("test1",)),
+            seeds=[1, 2, 3])
         stats = prevalence_statistics(results, test_type="test1")
         ryw = stats[READ_YOUR_WRITES]
         assert ryw.samples == 3
@@ -80,7 +93,7 @@ class TestPrevalenceStatistics:
         assert 0.0 <= ryw.spread <= 1.0
 
     def test_blogger_is_zero_everywhere(self):
-        results = replicate("blogger", SMALL, seeds=[1, 2])
+        results = run_replicates("blogger", SMALL, seeds=[1, 2])
         stats = prevalence_statistics(results)
         assert all(entry.mean == 0.0 for entry in stats.values())
 

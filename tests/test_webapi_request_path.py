@@ -24,7 +24,6 @@ from repro.errors import (
     InvalidRequestError,
     NotFoundError,
     RateLimitExceededError,
-    ReproError,
 )
 from repro.methodology import MeasurementWorld
 from repro.net import (
@@ -370,7 +369,6 @@ def session_calls(session):
     return {
         "post_message": lambda: session.post_message("M4"),
         "fetch_messages": session.fetch_messages,
-        "fetch_history": lambda: session.fetch_history(max_pages=2),
     }
 
 
@@ -385,8 +383,6 @@ class TestOneCallbackSameOutcomes:
         # Newest-first pages come back chronological.
         assert results["fetch_messages"].value in (("M2", "M3"),
                                                    ("M3", "M4"))
-        assert results["fetch_history"].value in (("M2", "M3"),
-                                                  ("M3", "M4"))
         assert isinstance(results["post_message"].value, dict)
 
     @pytest.mark.parametrize("error, expected", [
@@ -396,8 +392,7 @@ class TestOneCallbackSameOutcomes:
         (RateLimitExceededError("slow down", retry_after=1.25),
          RateLimitExceededError),
     ])
-    @pytest.mark.parametrize("call", ["post_message", "fetch_messages",
-                                      "fetch_history"])
+    @pytest.mark.parametrize("call", ["post_message", "fetch_messages"])
     def test_error_status_fails_with_the_typed_error(self, call, error,
                                                      expected):
         sim, _, session = make_session_world(error=error)
@@ -409,8 +404,7 @@ class TestOneCallbackSameOutcomes:
         if expected is RateLimitExceededError:
             assert future.exception.retry_after == 1.25
 
-    @pytest.mark.parametrize("call", ["post_message", "fetch_messages",
-                                      "fetch_history"])
+    @pytest.mark.parametrize("call", ["post_message", "fetch_messages"])
     def test_rpc_timeout_and_detached_host_fail_unreachable(self, call):
         faults = FaultInjector()
         faults.partition_pair("client", "api", 0.0, 60.0)
@@ -468,18 +462,12 @@ class TestNoHandlerExceptionEscapesTheEventLoop:
             session.post_message(message_id)
             sim.run_until(sim.now + 2.0)
         raw = client.get(POST_PATH, {"limit": limit})
-        walked = session.fetch_history(max_pages=1, page_limit=limit)
         sim.run_until(30.0)  # at the parent: TypeError out of _drain
         assert raw.value.status == status
         if status == 200:
             assert raw.value.body["messages"] == ["M3", "M2"]
-            # page_limit=None means "no limit parameter", a full page.
-            assert walked.value == ("M2", "M3")
-        elif limit is None:
-            assert walked.value == ("M1", "M2", "M3")
         else:
-            assert type(walked.exception) is InvalidRequestError
-            assert isinstance(walked.exception, ReproError)
+            assert "limit" in raw.value.body["error"]
         stats = service._endpoint.stats
         assert stats.requests_total == \
             sum(stats.responses_by_status.values())
@@ -491,12 +479,17 @@ class TestNoHandlerExceptionEscapesTheEventLoop:
         # handler call itself: the 400 has to survive that hop too.
         world = MeasurementWorld(service, seed=SEED)
         session = world.service.create_session("probe", "agent-oregon")
+        client = ApiClient(world.network, "agent-oregon",
+                           session.routes.api_host, session.account.token)
         session.post_message("M1")
         world.sim.run_until(5.0)
-        walked = session.fetch_history(max_pages=1, page_limit="abc")
+        replies = [client.get(session.routes.fetch_path, params)
+                   for params in ({"limit": "abc"},
+                                  {"limit": "abc", "cursor": "M1"})]
         world.sim.run_until(30.0)
-        assert type(walked.exception) is InvalidRequestError
-        assert "limit" in str(walked.exception)
+        for reply in replies:
+            assert reply.value.status == 400
+            assert "limit" in reply.value.body["error"]
 
     @pytest.mark.parametrize("median", [0.0, 0.05])
     def test_handler_bug_is_a_500_on_either_path(self, median):
