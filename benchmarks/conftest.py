@@ -1,16 +1,15 @@
 """Shared fixtures for the benchmark harness.
 
-Each benchmark regenerates one of the paper's tables or figures from a
-scaled-down campaign (default 60 tests per template vs. the paper's
-~1,000; set ``REPRO_BENCH_TESTS`` to scale).  Campaigns are run once
-per session and shared across benchmark files; the ``benchmark``
-fixture then times the *analysis* step, which is the code a downstream
-user re-runs repeatedly over collected data.
-
-Every benchmark prints the same rows/series the paper reports and
-asserts the paper's qualitative shape — who wins, by roughly what
-factor, where the asymmetries lie.  Absolute numbers need not match:
-the substrate is a simulator, not the authors' 2015 testbed.
+The ``campaigns`` fixture runs one scaled-down campaign per paper
+service (default 60 tests per template vs. the paper's ~1,000; set
+``REPRO_BENCH_TESTS`` to scale), once per session, at seed
+``BENCH_SEED``.  ``test_paper_claims.py`` evaluates every row of the
+paper's claims table (:mod:`repro.calibrate.claims`) on them: the
+paper's qualitative shape — who wins, by roughly what factor, where
+the asymmetries lie.  Absolute numbers need not match: the substrate
+is a simulator, not the authors' 2015 testbed.  The seed-stability
+and ablation files run campaigns of their own; the rest time one
+layer each and write ``BENCH_<name>.json`` results.
 """
 
 import json

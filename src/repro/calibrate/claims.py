@@ -1,0 +1,480 @@
+"""The paper's §V shape claims as one table of rows.
+
+:mod:`repro.calibrate.targets` holds the numbers §V publishes; each
+:class:`Claim` is one thing §V *claims* with them: a statistic of the
+per-service campaign results (a :class:`Measured` method), a
+comparator, and a bound — a constant, a ``(low, high)`` band, or
+another statistic times a factor ("Feed RYW > 2 × Google+ RYW").  Its
+``paper`` value is read from ``PAPER_TARGETS`` wherever that has one.
+An id reads ``<source>.<service>.<statistic>``, a ``vs_<service>``
+segment naming a second service the bound reads.  Bounds are shapes:
+the substrate is a simulator, not the authors' 2015 testbed.  A
+guarded row reports "n/a", and holds, while its guard is false.
+"""
+
+from __future__ import annotations
+
+import operator
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass
+from typing import Any
+
+from repro.analysis.cdf import window_cdfs
+from repro.analysis.correlation import location_correlation
+from repro.analysis.distributions import occurrence_distribution
+from repro.analysis.divergence import pair_divergence
+from repro.analysis.prevalence import assessing_test_type
+from repro.calibrate.targets import (
+    IRELAND_OREGON,
+    IRELAND_TOKYO,
+    OREGON_TOKYO,
+    PAPER_TARGETS,
+)
+from repro.core.anomalies import (
+    ALL_ANOMALIES,
+    CONTENT_DIVERGENCE,
+    MONOTONIC_READS,
+    MONOTONIC_WRITES,
+    ORDER_DIVERGENCE,
+    READ_YOUR_WRITES,
+    WRITES_FOLLOW_READS,
+)
+from repro.methodology.config import PAPER_PLANS
+from repro.methodology.records import CampaignResult
+
+__all__ = ["CLAIMS", "Claim", "Verdict", "claims_table",
+           "evaluate_claims"]
+
+GPLUS, BLOGGER = "googleplus", "blogger"
+FEED, GROUP = "facebook_feed", "facebook_group"
+AGENTS = ("ireland", "oregon", "tokyo")
+IRELAND_PAIRS = (IRELAND_OREGON, IRELAND_TOKYO)
+#: Oregon-Tokyo first: the order fixes the Fig. 10 share's float sum.
+ALL_PAIRS = (OREGON_TOKYO, IRELAND_OREGON, IRELAND_TOKYO)
+
+_OPS: dict[str, Callable[[Any, Any], bool]] = {
+    "==": operator.eq, "<": operator.lt, "<=": operator.le,
+    ">": operator.gt, ">=": operator.ge,
+    "in": lambda value, band: band[0] <= value <= band[1],
+}
+_SOURCES = {"table1": "Table I", "table2": "Table II", "totals": "§V"}
+
+
+class Measured:
+    """The statistics claims read, over per-service campaign results;
+    each figure's analysis runs once per service and arguments."""
+
+    def __init__(self, results: Mapping[str, CampaignResult]) -> None:
+        self.results = results
+        self._memo: dict[tuple, Any] = {}
+
+    def _once(self, analysis: Callable, service: str, *args) -> Any:
+        key = (analysis, service, args)
+        if key not in self._memo:
+            self._memo[key] = analysis(self.results[service], *args)
+        return self._memo[key]
+
+    def share(self, service: str, anomaly: str) -> float:
+        """Figure 3 prevalence, on the template assessing ``anomaly``."""
+        return self.results[service].prevalence(
+            anomaly, assessing_test_type(anomaly))
+
+    def located(self, service: str, anomaly: str, split: str) -> float:
+        """Anomalous tests seen by one agent ("local") or all three."""
+        breakdown = self._once(location_correlation, service, anomaly)
+        return (breakdown.fraction_exclusive() if split == "local"
+                else breakdown.fraction_global())
+
+    def anomalous(self, service: str, anomaly: str) -> int:
+        return self._once(location_correlation, service,
+                          anomaly).tests_with_anomaly
+
+    def bucketed(self, service: str, anomaly: str,
+                 labels: tuple[str, ...], agents=AGENTS) -> int:
+        """Agent-tests whose observation count falls in ``labels``."""
+        histograms = self._once(occurrence_distribution, service,
+                                anomaly).histograms
+        return sum(histograms[agent][label] for agent in agents
+                   if agent in histograms for label in labels)
+
+    def saw(self, service: str, anomaly: str, agent: str) -> bool:
+        return agent in self._once(occurrence_distribution, service,
+                                   anomaly).histograms
+
+    def pairs(self, service: str):
+        return self._once(pair_divergence, service)
+
+    def rate(self, service: str, pair: tuple[str, str]) -> float:
+        return self.pairs(service).fraction(pair)
+
+    def windows(self, service: str, kind: str):
+        return self._once(window_cdfs, service, kind)
+
+    def converged(self, service: str, pair: tuple[str, str],
+                  kind: str = "content", stuck: bool = False) -> int:
+        """Divergent tests that converged (``stuck``: or never did)."""
+        cdfs = self.windows(service, kind)
+        return (len(cdfs.samples.get(pair, []))
+                + (cdfs.unconverged.get(pair, 0) if stuck else 0))
+
+    def median(self, service: str, pair: tuple[str, str]):
+        """A pair's median content window; None if it never converged."""
+        cdf = self.windows(service, "content").cdf(pair)
+        return cdf.median if cdf is not None else None
+
+    def ireland_order_windows(self) -> list[float]:
+        samples = self.windows(GPLUS, "order").samples
+        return [value for pair, values in samples.items()
+                if "ireland" in pair for value in values]
+
+    def reads(self, service: str, test_type: str = "test1") -> float:
+        return self.results[service].reads_per_agent(test_type)
+
+    def total(self, service: str, name: str) -> int:
+        return getattr(self.results[service], name)
+
+    def off_design(self, service: str, test_type: str, writes: int) -> int:
+        """Tests of one template that did not log ``writes`` writes."""
+        return sum(1 for record in self.results[service].of_type(test_type)
+                   if sum(record.writes_per_agent.values()) != writes)
+
+
+#: A statistic: measured results -> value (None: nothing to measure).
+Stat = Callable[[Measured], Any]
+#: ``S("rate", service, pair)`` is the statistic ``m.rate(service, pair)``.
+S = operator.methodcaller
+
+
+def _over(reduce: Callable, stats: list[Stat]) -> Stat:
+    """``reduce`` (min / max) of statistics; None if any is None."""
+    def statistic(m):
+        values = [stat(m) for stat in stats]
+        return None if None in values else reduce(values)
+    return statistic
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One shape claim of §V and the check that reads it."""
+
+    id: str
+    statistic: Stat
+    op: str  # a key of _OPS
+    #: A constant, a ``(low, high)`` band, or a statistic.
+    bound: Any
+    #: With a statistic as ``bound``, the limit is ``factor * bound``.
+    factor: float | None = None
+    paper: Any = None
+    #: False for these results: the claim does not apply ("n/a").
+    guard: Callable[[Measured], bool] | None = None
+
+    @property
+    def source(self) -> str:
+        prefix = self.id.split(".")[0]
+        return _SOURCES.get(prefix, f"Fig. {prefix[3:]}")
+
+    @property
+    def services(self) -> tuple[str, ...]:
+        _, service, *rest = self.id.split(".")
+        return (service, *(part[3:] for part in rest
+                           if part.startswith("vs_")))
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """One claim evaluated on one set of campaign results."""
+
+    claim: Claim
+    value: Any = None
+    limit: Any = None
+    holds: bool = True
+    applies: bool = True
+
+
+def _check(claim: Claim, measured: Measured) -> Verdict:
+    if claim.guard is not None and not claim.guard(measured):
+        return Verdict(claim, applies=False)
+    value, limit = claim.statistic(measured), claim.bound
+    if callable(limit):
+        limit = limit(measured)
+        if limit is not None and claim.factor is not None:
+            limit = claim.factor * limit
+    holds = (value is not None and limit is not None
+             and _OPS[claim.op](value, limit))
+    return Verdict(claim, value, limit, holds)
+
+
+def evaluate_claims(results: Mapping[str, CampaignResult],
+                    ) -> list[Verdict]:
+    """Every claim whose services are all in ``results``, in order."""
+    measured = Measured(results)
+    return [_check(claim, measured) for claim in CLAIMS
+            if all(service in results for service in claim.services)]
+
+
+def _cell(value: Any) -> str:
+    if isinstance(value, float):
+        return f"{value:.3f}".rstrip("0").rstrip(".")
+    return "-" if value is None else str(value)
+
+
+def claims_table(verdicts: list[Verdict]) -> str:
+    """One line per verdict: claim, paper, measured, test, outcome."""
+    held = sum(1 for verdict in verdicts if verdict.holds)
+    header = (f"{'claim':64s}{'source':>9s}{'paper':>14s}"
+              f"{'measured':>10s}  {'test':18s}outcome")
+    lines = [f"{held} of {len(verdicts)} claims hold", header,
+             "-" * len(header)]
+    for verdict in verdicts:
+        claim, limit = verdict.claim, verdict.limit
+        test, outcome = "", "n/a"
+        if verdict.applies:
+            test = (f"in [{_cell(limit[0])}, {_cell(limit[1])}]"
+                    if claim.op == "in" else f"{claim.op} {_cell(limit)}")
+            outcome = "holds" if verdict.holds else "FAILS"
+        lines.append(f"{claim.id:64s}{claim.source:>9s}"
+                     f"{_cell(claim.paper):>14s}"
+                     f"{_cell(verdict.value):>10s}  {test:18s}{outcome}")
+    return "\n".join(lines)
+
+
+# -- Rows --------------------------------------------------------------
+
+def _prevalence(figure: str, service: str, anomaly: str, op: str, bound,
+                suffix: str = "", versus: str | None = None) -> Claim:
+    """A prevalence row; with ``versus``, the bound is that service's
+    prevalence of the anomaly, times ``bound`` unless it is None."""
+    factor = None
+    if versus is not None:
+        factor, bound, suffix = (bound, S("share", versus, anomaly),
+                                 f".vs_{versus}")
+    return Claim(f"{figure}.{service}.{anomaly}{suffix}",
+                 S("share", service, anomaly), op, bound, factor,
+                 paper=PAPER_TARGETS[service].prevalence[anomaly])
+
+
+def _located(figure: str, service: str, anomaly: str, split: str,
+             bound: float, guarded: bool = False) -> Claim:
+    """Guarded: read only once three tests show the anomaly."""
+    return Claim(f"{figure}.{service}.{anomaly}.{split}",
+                 S("located", service, anomaly, split), ">=", bound,
+                 paper=f"mostly {split}",
+                 guard=(lambda m: m.anomalous(service, anomaly) >= 3)
+                 if guarded else None)
+
+
+def _few_over_bursts(figure: str, service: str,
+                     anomaly: str) -> list[Claim]:
+    """Per agent that saw it: tests with 1-10 observations >= >10."""
+    return [Claim(f"{figure}.{service}.{anomaly}.{agent}.few_over_bursts",
+                  S("bucketed", service, anomaly, ("1", "2", "3-10"),
+                    (agent,)), ">=",
+                  S("bucketed", service, anomaly, (">10",), (agent,)),
+                  guard=S("saw", service, anomaly, agent))
+            for agent in AGENTS]
+
+
+def _per_pair(figure: str, service: str, suffix: str, stat: str, op: str,
+              bound, pairs: tuple, *args, paper=None) -> list[Claim]:
+    return [Claim(f"{figure}.{service}.{'_'.join(pair)}{suffix}",
+                  S(stat, service, pair, *args), op, bound,
+                  paper=None if paper is None else paper[pair])
+            for pair in pairs]
+
+
+def _figures() -> list[Claim]:
+    p, gplus = _prevalence, PAPER_TARGETS[GPLUS]
+    feed_rates = [S("rate", FEED, pair) for pair in ALL_PAIRS]
+    rows = [p("fig3", BLOGGER, anomaly, "==", 0.0)
+            for anomaly in ALL_ANOMALIES]
+    rows += [p("fig3", service, anomaly, ">", 0.0, ".present")
+             for service in (GPLUS, FEED) for anomaly in ALL_ANOMALIES]
+    return rows + [
+        p("fig3", GROUP, READ_YOUR_WRITES, "==", 0.0),
+        p("fig3", GROUP, ORDER_DIVERGENCE, "==", 0.0),
+        p("fig3", GROUP, MONOTONIC_WRITES, ">=", 0.80),
+        p("fig3", GROUP, MONOTONIC_READS, "<=", 0.10),
+        p("fig3", GROUP, WRITES_FOLLOW_READS, "<=", 0.10),
+        p("fig3", FEED, READ_YOUR_WRITES, ">=", 0.95),
+        p("fig3", FEED, READ_YOUR_WRITES, ">", 2, versus=GPLUS),
+        p("fig3", FEED, MONOTONIC_WRITES, ">", 4, versus=GPLUS),
+        p("fig3", GPLUS, MONOTONIC_WRITES, "<=", 0.20),
+        p("fig3", GPLUS, READ_YOUR_WRITES, "in", (0.05, 0.45)),
+        p("fig3", GPLUS, MONOTONIC_READS, "in", (0.05, 0.45)),
+        p("fig3", FEED, MONOTONIC_READS, ">=", 0.25),
+        p("fig3", FEED, ORDER_DIVERGENCE, ">=", 0.95),
+        p("fig3", FEED, CONTENT_DIVERGENCE, ">=", 0.50),
+        p("fig3", GPLUS, CONTENT_DIVERGENCE, ">=", 0.70),
+        p("fig3", GPLUS, ORDER_DIVERGENCE, "in", (0.02, 0.35)),
+        # Fig. 4: RYW mostly local on Google+, global on the Feed, and
+        # the Feed's seen once or twice per agent, not in bursts.
+        Claim("fig4.facebook_feed.read_your_writes.agent_tests",
+              S("bucketed", FEED, READ_YOUR_WRITES,
+                ("1", "2", "3-10", ">10")), ">", 0),
+        _located("fig4", GPLUS, READ_YOUR_WRITES, "local", 0.5),
+        _located("fig4", FEED, READ_YOUR_WRITES, "global", 0.5),
+        *_few_over_bursts("fig4", FEED, READ_YOUR_WRITES),
+        # Fig. 5: both Facebook services far above Google+; the Group's
+        # same-second reversal is seen by every agent.
+        p("fig5", FEED, MONOTONIC_WRITES, ">=", 0.60),
+        p("fig5", GPLUS, MONOTONIC_WRITES, "<=", 0.25),
+        p("fig5", GROUP, MONOTONIC_WRITES, ">", 3, versus=GPLUS),
+        _located("fig5", GROUP, MONOTONIC_WRITES, "global", 0.6),
+        _located("fig5", GPLUS, MONOTONIC_WRITES, "local", 0.5, True),
+        # Fig. 6: mostly local; the Feed's "mostly detected a single
+        # time per agent per test".
+        p("fig6", GPLUS, MONOTONIC_READS, "in", (0.05, 0.50)),
+        _located("fig6", GPLUS, MONOTONIC_READS, "local", 0.5, True),
+        _located("fig6", FEED, MONOTONIC_READS, "local", 0.5, True),
+        Claim("fig6.facebook_feed.monotonic_reads.singles_over_multis",
+              S("bucketed", FEED, MONOTONIC_READS, ("1",)), ">=",
+              S("bucketed", FEED, MONOTONIC_READS, ("3-10", ">10"))),
+        # Fig. 7: the Feed most affected, the Group essentially never,
+        # "only a few observations per agent in each test".
+        p("fig7", FEED, WRITES_FOLLOW_READS, ">=", None, versus=GPLUS),
+        p("fig7", FEED, WRITES_FOLLOW_READS, ">=", 0.10),
+        p("fig7", GROUP, WRITES_FOLLOW_READS, "<=", 0.05),
+        p("fig7", GPLUS, WRITES_FOLLOW_READS, ">=", 0.02),
+        *_few_over_bursts("fig7", FEED, WRITES_FOLLOW_READS),
+        # Fig. 8: Google+'s Ireland pairs near-ubiquitous, Oregon-Tokyo
+        # (one datacenter) far below; the Feed high and uniform; the
+        # Group rare and Tokyo-only; Blogger never.
+        Claim("fig8.blogger.diverged_pairs",
+              lambda m: len(m.pairs(BLOGGER).counts), "==", 0),
+        *_per_pair("fig8", GPLUS, "", "rate", ">=", 0.70, IRELAND_PAIRS,
+                   paper=gplus.pair_content),
+        Claim("fig8.googleplus.oregon_tokyo_vs_ireland",
+              S("rate", GPLUS, OREGON_TOKYO), "<",
+              _over(min, [S("rate", GPLUS, pair) for pair in IRELAND_PAIRS]),
+              0.5, paper=gplus.pair_content[OREGON_TOKYO]),
+        *_per_pair("fig8", FEED, "", "rate", ">=", 0.40, ALL_PAIRS,
+                   paper=PAPER_TARGETS[FEED].pair_content),
+        Claim("fig8.facebook_feed.pair_spread",
+              lambda m: (_over(max, feed_rates)(m)
+                         - _over(min, feed_rates)(m)),
+              "<=", 0.35, paper="uniform"),
+        Claim("fig8.facebook_group.diverged_pair_tests",
+              lambda m: sum(m.pairs(GROUP).counts.values()), "<=",
+              lambda m: m.pairs(GROUP).total_tests, 0.15),
+        Claim("fig8.facebook_group.pairs_without_tokyo",
+              lambda m: sum(1 for pair in m.pairs(GROUP).counts
+                            if "tokyo" not in pair), "==", 0),
+        # Fig. 9: Google+'s Ireland pairs converge in seconds and
+        # Oregon-Tokyo much faster (when it diverges at all); every Feed
+        # pair converges, no slower than Google+; Blogger has none.
+        *_per_pair("fig9", GPLUS, ".converged", "converged", ">", 0,
+                   IRELAND_PAIRS),
+        *_per_pair("fig9", GPLUS, ".median", "median", ">=", 0.5,
+                   IRELAND_PAIRS, paper=gplus.content_window_median),
+        Claim("fig9.googleplus.oregon_tokyo_vs_ireland",
+              S("median", GPLUS, OREGON_TOKYO), "<",
+              _over(min, [S("median", GPLUS, pair)
+                          for pair in IRELAND_PAIRS]),
+              0.7, paper=gplus.content_window_median[OREGON_TOKYO],
+              guard=lambda m: m.median(GPLUS, OREGON_TOKYO) is not None),
+        *_per_pair("fig9", FEED, ".converged", "converged", ">", 0,
+                   ALL_PAIRS),
+        Claim("fig9.facebook_feed.slowest_median.vs_googleplus",
+              _over(max, [S("median", FEED, pair) for pair in ALL_PAIRS]),
+              "<=", _over(max, [S("median", GPLUS, pair)
+                                for pair in IRELAND_PAIRS])),
+        Claim("fig9.blogger.window_pairs",
+              lambda m: len(m.windows(BLOGGER, "content").samples),
+              "==", 0),
+        # Fig. 10: order divergence only on Google+ and the Feed; Google+
+        # Ireland pairs take seconds, the Feed's often never converge.
+        *(Claim(f"fig10.{service}.{name}",
+                lambda m, service=service, field=field: len(getattr(
+                    m.windows(service, "order"), field)), "==", 0)
+          for service in (BLOGGER, GROUP)
+          for name, field in (("window_pairs", "samples"),
+                              ("unconverged_pairs", "unconverged"))),
+        Claim("fig10.googleplus.ireland_windows",
+              lambda m: len(m.ireland_order_windows()), ">", 0),
+        Claim("fig10.googleplus.longest_ireland_window",
+              lambda m: max(m.ireland_order_windows(), default=None),
+              ">=", 2.0, paper="over 10 s"),
+        *_per_pair("fig10", FEED, ".diverged", "converged", ">", 0,
+                   ALL_PAIRS, "order", True),
+        Claim("fig10.facebook_feed.unconverged_share",
+              lambda m: sum(m.windows(FEED, "order")
+                            .unconverged_fraction(pair)
+                            for pair in ALL_PAIRS) / len(ALL_PAIRS),
+              ">=", 0.3, paper="81-94%"),
+    ]
+
+
+#: Tables I/II: each template's ``PAPER_PLANS`` attributes, then per
+#: service the paper's values (gaps in minutes; Google+'s Test 2 reads
+#: per agent are the midpoint of the paper's 17-75).
+_PLANS = {
+    "table1": ("test1", ("read_period", "inter_test_gap",
+                         "paper_num_tests"), {
+        GPLUS: (0.3, 34, 1036), BLOGGER: (0.3, 20, 1028),
+        FEED: (0.3, 5, 1020), GROUP: (0.3, 5, 1027)}),
+    "table2": ("test2", ("fast_reads", "reads_per_agent",
+                         "inter_test_gap", "paper_num_tests",
+                         "fast_read_period", "slow_read_period"), {
+        GPLUS: (14, 45, 17, 922, 0.3, 1.0),
+        BLOGGER: (13, 20, 10, 1012, 0.3, 1.0),
+        FEED: (20, 40, 5, 1012, 0.3, 1.0),
+        GROUP: (20, 50, 5, 1126, 0.3, 1.0)}),
+}
+
+
+def _planned(table: str) -> list[Claim]:
+    """``PAPER_PLANS`` holds the paper's configuration exactly."""
+    template, attributes, services = _PLANS[table]
+    return [Claim(f"{table}.{service}.{attribute}",
+                  lambda m, plan=getattr(PAPER_PLANS[service], template),
+                  attribute=attribute: getattr(plan, attribute), "==",
+                  value * 60.0 if attribute == "inter_test_gap" else value,
+                  paper=(f"{value} min" if attribute == "inter_test_gap"
+                         else value))
+            for service, values in services.items()
+            for attribute, value in zip(attributes, values)]
+
+
+def _tables_and_totals() -> list[Claim]:
+    reads = {service: PAPER_TARGETS[service].reads_test1
+             for service in (GPLUS, BLOGGER, FEED, GROUP)}
+    # Google+ converges far slower, so its tests run the most reads;
+    # the fast services sit in the paper's ~10-20 band.
+    rows = _planned("table1") + [
+        Claim(f"table1.googleplus.reads.vs_{other}", S("reads", GPLUS),
+              ">", S("reads", other), factor, paper=reads[GPLUS])
+        for other, factor in ((BLOGGER, 2.0), (FEED, 1.5), (GROUP, 2.0))]
+    rows += [Claim(f"table1.{service}.reads", S("reads", service), "in",
+                   (5.0, 25.0), paper=reads[service])
+             for service in (BLOGGER, FEED, GROUP)]
+    # Agents complete exactly the configured number of reads.
+    rows += _planned("table2") + [
+        Claim(f"table2.{service}.reads", S("reads", service, "test2"),
+              "==", values[1], paper=values[1])
+        for service, values in _PLANS["table2"][2].items()]
+    # Write counts are fixed by the test designs (6 per Test 1, 3 per
+    # Test 2), and every campaign reads more than it writes.
+    for service in reads:
+        rows += [
+            Claim(f"totals.{service}.test1_writes_not_6",
+                  S("off_design", service, "test1", 6), "==", 0),
+            Claim(f"totals.{service}.test2_writes_not_3",
+                  S("off_design", service, "test2", 3), "==", 0),
+            Claim(f"totals.{service}.writes",
+                  S("total", service, "total_writes"), "==",
+                  lambda m, service=service: (
+                      6 * len(m.results[service].of_type("test1"))
+                      + 3 * len(m.results[service].of_type("test2")))),
+            Claim(f"totals.{service}.reads_over_writes",
+                  S("total", service, "total_reads"), ">",
+                  S("total", service, "total_writes")),
+        ]
+    # Google+ runs by far the most reads per Test 1 instance.
+    return rows + [Claim(f"totals.googleplus.reads.vs_{other}",
+                         S("reads", GPLUS), ">", S("reads", other),
+                         paper=reads[GPLUS])
+                   for other in (BLOGGER, FEED, GROUP)]
+
+
+#: Every claim, in the paper's order: Figs. 3-10, Tables I/II, totals.
+CLAIMS: tuple[Claim, ...] = (*_figures(), *_tables_and_totals())

@@ -111,22 +111,6 @@ def _scaled_term(name: str, measured: float, target: float,
                         loss=abs(measured - target) / scale)
 
 
-def _reads_per_agent(result: CampaignResult) -> float:
-    """Mean reads per agent per Test 1 instance (Tables I/II)."""
-    records = result.of_type("test1")
-    if not records:
-        return 0.0
-    total = 0
-    agents = 0
-    for record in records:
-        # Per-record dicts are tiny and integer-valued; sort anyway so
-        # the traversal order is spelled out.
-        for _, count in sorted(record.reads_per_agent.items()):
-            total += count
-            agents += 1
-    return total / agents if agents else 0.0
-
-
 @dataclass(frozen=True)
 class Objective:
     """Weighted fidelity loss of a campaign against paper targets."""
@@ -183,7 +167,7 @@ class Objective:
         if not self.targets.reads_test1:
             return []
         return [_scaled_term(
-            "reads.test1", _reads_per_agent(result),
+            "reads.test1", result.reads_per_agent("test1"),
             self.targets.reads_test1, READS_WEIGHT,
         )]
 

@@ -17,7 +17,9 @@ publishes about that service:
 
 These dicts are the *single source of truth*: ``tools/calibrate.py``
 renders them, :mod:`repro.calibrate.objective` scores against them,
-and ``tools/gates.py fidelity`` gates CI on them.  Prevalences and
+``tools/gates.py fidelity`` gates CI on them, and the claims table
+(:mod:`repro.calibrate.claims`) shows them as the paper's values of
+its rows.  Prevalences and
 read counts are the paper's stated values; per-pair rates and window
 medians are read off the published figures to the nearest sensible
 value (the paper prints CDFs, not tables), which is why the window

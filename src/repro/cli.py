@@ -612,6 +612,12 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     results = {job.service: result
                for job, result in zip(outcome.jobs, outcome.results)}
     print(full_report(results))
+    from repro.calibrate.claims import claims_table, evaluate_claims
+
+    verdicts = evaluate_claims(results)
+    if verdicts:
+        print("\n== Paper claims (§V): rows for these services ==")
+        print(claims_table(verdicts))
     return 0
 
 

@@ -98,6 +98,14 @@ class CampaignResult:
         hits = sum(1 for r in records if r.report.has(anomaly))
         return hits / len(records)
 
+    def reads_per_agent(self, test_type: str) -> float:
+        """Mean reads per agent per test of one template (Tables I/II)."""
+        total = agents = 0
+        for record in self.of_type(test_type):
+            total += sum(record.reads_per_agent.values())
+            agents += len(record.reads_per_agent)
+        return total / agents if agents else 0.0
+
     def summary(self) -> dict[str, float]:
         """Anomaly -> prevalence over the whole campaign."""
         return {anomaly: self.prevalence(anomaly)

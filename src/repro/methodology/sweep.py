@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis.prevalence import assessing_test_type
 from repro.core.anomalies import ALL_ANOMALIES
 from repro.errors import ConfigurationError
 from repro.methodology.records import CampaignResult
@@ -36,13 +37,17 @@ class PrevalenceStats:
 
 def prevalence_statistics(
     results: list[CampaignResult],
-    test_type: str | None = None,
 ) -> dict[str, PrevalenceStats]:
-    """Aggregate anomaly prevalence across replicated campaigns."""
+    """Aggregate anomaly prevalence across replicated campaigns.
+
+    Each anomaly is assessed on its own template, as Figure 3 does
+    (:func:`~repro.analysis.prevalence.assessing_test_type`).
+    """
     if not results:
         raise ConfigurationError("need at least one campaign result")
     stats: dict[str, PrevalenceStats] = {}
     for anomaly in ALL_ANOMALIES:
+        test_type = assessing_test_type(anomaly)
         values = [result.prevalence(anomaly, test_type)
                   for result in results]
         stats[anomaly] = PrevalenceStats(

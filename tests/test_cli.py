@@ -93,6 +93,11 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Figure 3" in out
         assert "Figure 9" in out
+        claims = out.split("== Paper claims (§V)")[1]
+        assert "claims hold" in claims
+        assert "fig3.blogger.read_your_writes" in claims
+        assert "table2.blogger.reads" in claims
+        assert "googleplus" not in claims
 
     def test_figures_rejects_unknown_service(self, capsys):
         code = main(["figures", "--services", "blogger,myspace",

@@ -6,7 +6,8 @@ sweep is ``FleetSpec(param_grid=...)``, run by :func:`run_fleet`.
 
 import pytest
 
-from repro.core import READ_YOUR_WRITES
+from repro.analysis import prevalence_rows
+from repro.core import MONOTONIC_WRITES, READ_YOUR_WRITES
 from repro.errors import ConfigurationError
 from repro.fleet import FleetSpec, run_fleet
 from repro.methodology import CampaignConfig, prevalence_statistics
@@ -86,7 +87,7 @@ class TestPrevalenceStatistics:
             "googleplus",
             CampaignConfig(num_tests=5, seed=0, test_types=("test1",)),
             seeds=[1, 2, 3])
-        stats = prevalence_statistics(results, test_type="test1")
+        stats = prevalence_statistics(results)
         ryw = stats[READ_YOUR_WRITES]
         assert ryw.samples == 3
         assert ryw.minimum <= ryw.mean <= ryw.maximum
@@ -96,6 +97,19 @@ class TestPrevalenceStatistics:
         results = run_replicates("blogger", SMALL, seeds=[1, 2])
         stats = prevalence_statistics(results)
         assert all(entry.mean == 0.0 for entry in stats.values())
+
+    def test_each_anomaly_is_assessed_on_its_own_template(self):
+        # Figure 3 assesses monotonic writes on Test 1 only: pooling
+        # the Test 2 records, which cannot show it, halves the mean.
+        (result,) = run_replicates(
+            "facebook_group", CampaignConfig(num_tests=4, seed=3),
+            seeds=[3])
+        stats = prevalence_statistics([result])
+        fig3 = {row.anomaly: row.fraction
+                for row in prevalence_rows(result)}
+        assert fig3[MONOTONIC_WRITES] > 0.0
+        assert {anomaly: entry.mean for anomaly, entry in stats.items()} \
+            == fig3
 
     def test_empty_results_rejected(self):
         with pytest.raises(ConfigurationError):
