@@ -819,7 +819,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.errors import AnalysisError, FleetError
-    from repro.obs.context import merge_obs_snapshots
     from repro.obs.export import load_snapshot
     from repro.obs.report import render_obs_report
 
@@ -832,20 +831,15 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             # Shard ids embed the zero-padded spec index, so sorted
             # file order *is* spec merge order.
             shard_ids = store.completed_shards()
-            snapshots = [store.load_shard_obs(shard_id)
-                         for shard_id in shard_ids]
-            missing = [shard_id for shard_id, snapshot
-                       in zip(shard_ids, snapshots)
-                       if snapshot is None]
+            snapshot, missing = store.merged_obs(shard_ids)
             if missing:
                 print(f"shards without obs snapshots: {missing}",
                       file=sys.stderr)
                 return 2
-            if not snapshots:
+            if not shard_ids:
                 print(f"no completed shards in {path}",
                       file=sys.stderr)
                 return 2
-            snapshot = merge_obs_snapshots(snapshots)
         else:
             snapshot = load_snapshot(path)
     except (AnalysisError, FleetError, OSError) as exc:

@@ -105,10 +105,9 @@ def _resume(run: ShardRun, shard_runner: ShardRunner | None,
     for job in run.jobs:
         if run.store is not None and \
                 run.store.shard_state(job.shard_id) == "complete":
+            # Records only: the obs snapshot waits for merged_obs().
             run.results[job.index] = result_from_records(
-                job, run.store.load_shard_records(job.shard_id),
-                obs=run.store.load_shard_obs(job.shard_id),
-            )
+                job, run.store.load_shard_records(job.shard_id))
             skipped.append(job.shard_id)
         elif shard_runner is not None or not run.stream:
             run.queue.append(
@@ -294,6 +293,9 @@ class FleetOutcome:
     skipped: tuple[str, ...] = ()
     executed: tuple[str, ...] = ()
     retries: int = 0
+    #: The run's artifact store; the skipped shards' snapshots live
+    #: there until :meth:`merged_obs` loads them.
+    store: ArtifactStore | None = None
 
     def signature(self) -> str:
         """The golden-signature digest of the merged results."""
@@ -307,12 +309,19 @@ class FleetOutcome:
         in spec order, the result is independent of worker scheduling
         — and for a single shard it is the shard's snapshot verbatim,
         which is what makes fleet exports byte-comparable with serial
-        runs.  Returns None if any shard is missing its snapshot
-        (e.g. resumed from a store written before obs existed).
+        runs.  An executed shard contributes its live snapshot; a
+        restored one is read from the store now, not at resume.
+        Returns None if any shard has no snapshot: a restored shard
+        whose export is absent (a store written before obs existed)
+        or damaged (even after this run wrote it).
         """
         from repro.obs.context import merge_obs_snapshots
 
-        snapshots = [result.obs for result in self.results]
+        snapshots = [
+            self.store.load_shard_obs(job.shard_id)
+            if job.shard_id in self.skipped else result.obs
+            for job, result in zip(self.jobs, self.results)
+        ]
         if any(snapshot is None for snapshot in snapshots):
             return None
         return merge_obs_snapshots(snapshots)
@@ -420,4 +429,5 @@ def run_fleet(spec: FleetSpec, *,
         spec=spec, jobs=run.jobs,
         results=[run.results[job.index] for job in run.jobs],
         skipped=run.skipped, executed=executed, retries=run.retries,
+        store=store,
     )

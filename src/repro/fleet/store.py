@@ -285,3 +285,20 @@ class ArtifactStore:
             return load_snapshot(path)
         except AnalysisError:
             return None
+
+    def merged_obs(self, shard_ids: Iterable[str]
+                   ) -> tuple[dict, list[str]]:
+        """The snapshots of ``shard_ids`` merged in the order given,
+        and the ids whose snapshot is absent or damaged (left out of
+        the merge)."""
+        from repro.obs.context import merge_obs_snapshots
+
+        snapshots: list[dict] = []
+        missing: list[str] = []
+        for shard_id in shard_ids:
+            snapshot = self.load_shard_obs(shard_id)
+            if snapshot is None:
+                missing.append(shard_id)
+            else:
+                snapshots.append(snapshot)
+        return merge_obs_snapshots(snapshots), missing

@@ -69,7 +69,9 @@ class CampaignResult:
     #: (:meth:`repro.obs.ObsContext.snapshot`): metrics + spans from
     #: the request hot path.  Telemetry, not a measured result: the
     #: fleet signature digests records only, so this field never
-    #: perturbs golden signatures or resume digests.
+    #: perturbs golden signatures or resume digests.  None for a shard
+    #: restored from a fleet store: resume reads records only, and
+    #: :meth:`repro.fleet.FleetOutcome.merged_obs` loads the snapshot.
     obs: dict | None = None
 
     def of_type(self, test_type: str) -> list[TestRecord]:

@@ -250,30 +250,21 @@ class CampaignService:
     def hunt_obs(self, hunt_id: str) -> dict[str, Any]:
         """The hunt's merged obs snapshot, in spec merge order.
 
-        Completed shards' obs exports are merged exactly the way
-        ``repro-consistency obs`` merges an artifact directory, so the
-        served snapshot is byte-identical to the offline one.  Shards
+        Completed shards' obs exports are merged by
+        :meth:`ArtifactStore.merged_obs`, the loader
+        ``repro-consistency obs`` runs over an artifact directory, so
+        the served snapshot is byte-identical to the offline one.  Shards
         whose telemetry is absent or damaged are listed in
         ``missing`` — obs files degrade, they never fail the query.
         """
-        from repro.obs.context import merge_obs_snapshots
-
         artifact_store, shard_ids = self._completed_shards(hunt_id)
-        merged_ids: list[str] = []
-        missing: list[str] = []
-        snapshots: list[dict] = []
-        for shard_id in shard_ids:
-            snapshot = artifact_store.load_shard_obs(shard_id)
-            if snapshot is None:
-                missing.append(shard_id)
-                continue
-            merged_ids.append(shard_id)
-            snapshots.append(snapshot)
+        snapshot, missing = artifact_store.merged_obs(shard_ids)
         return {
             "hunt_id": hunt_id,
-            "shards": merged_ids,
+            "shards": [shard_id for shard_id in shard_ids
+                       if shard_id not in missing],
             "missing": missing,
-            "snapshot": merge_obs_snapshots(snapshots),
+            "snapshot": snapshot,
         }
 
     def events(self, hunt_id: str,

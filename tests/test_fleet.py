@@ -275,6 +275,30 @@ class TestResume:
         assert len(again.skipped) == 1
         assert again.signature() == first.signature()
 
+    def test_resume_parses_no_telemetry(self, tmp_path, monkeypatch):
+        """Resume decodes records only; each restored shard's obs
+        snapshot is parsed once, when ``merged_obs()`` asks for it."""
+        import repro.obs.export
+
+        spec = FleetSpec(services=("blogger", "googleplus"),
+                         base_config=SMALL, seeds=(1, 2))
+        fresh = run_fleet(spec, out_dir=tmp_path)
+        calls = []
+        load_snapshot = repro.obs.export.load_snapshot
+
+        def counting(path):
+            calls.append(path)
+            return load_snapshot(path)
+
+        monkeypatch.setattr(repro.obs.export, "load_snapshot", counting)
+        outcome = run_fleet(spec, out_dir=tmp_path)
+        assert outcome.signature() == fresh.signature()
+        assert len(outcome.skipped) == spec.total_shards == 4
+        assert calls == []
+        merged = outcome.merged_obs()
+        assert len(calls) == len(outcome.skipped)
+        assert merged == fresh.merged_obs()
+
     def test_store_bound_to_other_spec_rejected(self, tmp_path):
         spec = FleetSpec(services=("blogger",), base_config=SMALL,
                          seeds=(1,))

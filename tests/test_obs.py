@@ -312,9 +312,17 @@ class TestExport:
             load_snapshot(path)
         assert str(path) in str(raised.value)
 
-    def test_a_malformed_shard_export_degrades_to_none(self, tmp_path):
-        spec = FleetSpec(services=("blogger",), base_config=TINY,
-                         seeds=(TINY.seed,))
+    def test_a_malformed_shard_export_degrades_to_none(self, tmp_path,
+                                                       capsys):
+        """Damaged after the run: the store still resumes every shard
+        to the same signature, and only the merged telemetry is
+        lost."""
+        # The config ``fleet --tests 2 --seed 11`` builds, so the CLI
+        # resumes the same store.
+        config = CampaignConfig(num_tests=2, seed=11,
+                                inter_test_gap=15.0)
+        spec = FleetSpec(services=("blogger",), base_config=config,
+                         seeds=(config.seed,))
         store_dir = tmp_path / "store"
         outcome = run_fleet(spec, out_dir=store_dir)
         (job,) = outcome.jobs
@@ -322,6 +330,23 @@ class TestExport:
         path = store.obs_path(job.shard_id)
         reheader(path, path.read_bytes().split(b"\n", 1)[1] + b"[1,2]\n")
         assert store.load_shard_obs(job.shard_id) is None
+
+        resumed = run_fleet(spec, out_dir=store_dir)
+        assert resumed.skipped == (job.shard_id,)
+        assert resumed.signature() == outcome.signature()
+        assert resumed.merged_obs() is None
+        capsys.readouterr()
+        export = tmp_path / "merged.obs.jsonl"
+        assert main(["fleet", "--services", "blogger", "--seeds", "11",
+                     "--tests", "2", "--seed", "11", "--quiet",
+                     "--store-out", str(store_dir),
+                     "--obs-out", str(export)]) == 0
+        captured = capsys.readouterr()
+        assert "obs export skipped: at least one shard has no " \
+            "snapshot" in captured.err
+        assert "1 campaigns, signature " \
+            f"{outcome.signature()[:16]}" in captured.out
+        assert not export.exists()
 
     @pytest.mark.parametrize("record, kind, drop, message", [
         ("metric", "counter", "value", "metric record lacks value"),

@@ -267,7 +267,8 @@ def _obs_merge_stability(failures):
 def _obs_serial_fleet_byte_parity(failures):
     """A single-shard fleet's merged obs export equals the bare
     ``run_campaign`` export byte for byte, and a resumed fleet
-    restores the identical snapshot from the store."""
+    restores the identical snapshot from the store — for two shards
+    too, merged in spec order."""
     config = CampaignConfig(num_tests=NUM_TESTS, seed=SEED)
     spec = FleetSpec(services=("blogger",), base_config=config,
                      seeds=(SEED,))
@@ -296,6 +297,22 @@ def _obs_serial_fleet_byte_parity(failures):
             failures.append("resumed fleet obs export != serial "
                             "campaign export")
 
+        pair = FleetSpec(services=SERVICES, base_config=config,
+                         seeds=(SEED,))
+        pair_dir = Path(tmp) / "pair"
+        fresh_bytes = _export_bytes(
+            run_fleet(pair, out_dir=pair_dir).merged_obs(), tmp,
+            "pair-fresh.jsonl")
+        resumed = run_fleet(pair, out_dir=pair_dir)
+        resumed_obs = resumed.merged_obs()
+        if len(resumed.skipped) != pair.total_shards:
+            failures.append("2-shard resume re-executed a complete "
+                            "shard")
+        elif resumed_obs is None or _export_bytes(
+                resumed_obs, tmp, "pair-resumed.jsonl") != fresh_bytes:
+            failures.append("resumed 2-shard fleet obs export != "
+                            "fresh fleet export")
+
 
 def obs_gate(failures):
     """Three escalating checks: export, merge, serial/fleet bytes."""
@@ -306,7 +323,7 @@ def obs_gate(failures):
             f"{campaigns} campaigns export "
             f"byte-identically, serial == 2-worker == streaming merge "
             f"over {shards} shards, single-shard fleet export == "
-            "serial export, resume restores snapshots")
+            "serial export, 1- and 2-shard resume restore snapshots")
 
 
 # -- fidelity: the default profiles within budget ------------------------
