@@ -214,9 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_cmd.add_argument(
         "--stream", action="store_true",
-        help="use the online detection fast path: identical results, "
-             "per-test anomaly telemetry while shards run, and (with "
-             "--out) archived per-shard operation streams",
+        help="report while shards run: identical results, plus "
+             "per-test anomaly telemetry and (with --store-out) "
+             "archived per-shard operation streams",
     )
     _add_campaign_args(fleet_cmd)
     _add_fleet_args(fleet_cmd)
@@ -1045,10 +1045,9 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
                 token=token,
             )
             for item in page.items:
-                record = item["record"]
-                anomalies = record.get("anomalies") or {}
+                observations = item["record"]["observations"]
                 flagged = ",".join(sorted(
-                    name for name, hit in anomalies.items() if hit
+                    kind for kind, found in observations.items() if found
                 )) or "-"
                 print(f"{item['key']:40s} {flagged}")
             if page.is_last:

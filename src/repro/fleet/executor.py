@@ -80,8 +80,8 @@ class ShardRun:
     jobs: tuple[ShardJob, ...]
     store: ArtifactStore | None = None
     max_retries: int = DEFAULT_MAX_RETRIES
-    #: Execute shards through the streaming engine, which reports
-    #: every closed test (``ShardTestChecked``).  Ignored when a custom
+    #: Report every closed test (``ShardTestChecked``) and, with a
+    #: store, archive each shard's operations.  Ignored when a custom
     #: ``shard_runner`` is injected — fault-injection runners replace
     #: the execution path wholesale.
     stream: bool = False
@@ -369,11 +369,9 @@ def run_fleet(spec: FleetSpec, *,
         Override of :func:`execute_shard`; must be a module-level
         callable when ``jobs >= 2`` (it crosses the process boundary).
     stream:
-        Use the online detection fast path
-        (:func:`repro.stream.fleet.run_stream_shard`): each shard's
-        records come from the streaming engine instead of the batch
-        re-check (bit-identical by the parity contract), every test
-        closure is reported incrementally as a
+        Report as shards run (:func:`repro.fleet.pool.run_shard`): the
+        shards compute exactly what the batch fleet does, and every
+        test closure is also reported as a
         :class:`~repro.obs.events.ShardTestChecked` event — piped
         from workers while shards are still running — and, with an
         output directory, each shard's operation stream is archived to

@@ -22,7 +22,8 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import KW_ONLY, dataclass, replace
+from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.fleet.spec import ShardJob
@@ -49,9 +50,9 @@ class ShardTask:
 
     job: ShardJob
     _: KW_ONLY
-    #: Batch shard runner; ``None`` runs the shard through the
-    #: streaming engine (:func:`repro.stream.fleet.run_stream_shard`),
-    #: which reports every closed test as an interim message.
+    #: Batch shard runner; ``None`` runs the batch campaign itself and
+    #: reports every closed test as an interim message
+    #: (:func:`run_shard`).
     runner: ShardRunner | None = None
     #: 1-based; the client's retry bookkeeping, unused by the worker.
     attempt: int = 1
@@ -130,18 +131,31 @@ def run_shard(task: ShardTask, on_test: OnTest,
     serialization, so ``keep_traces`` campaigns retain their traces
     and an exception inside a campaign propagates unwrapped; a pool
     worker calls it with ``on_test`` bound to its pipe.  A streaming
-    task reports each closed test to ``on_test`` as a dict of
-    ``test_id``, ``test_index`` (0-based within the shard),
-    ``anomalies``, ``state_size`` and the task's ``verdicts`` fields.
+    task is the batch campaign plus two reports: each closed test goes
+    to ``on_test`` as a dict of ``test_id``, ``test_index`` (0-based
+    within the shard), ``anomalies``, ``state_size`` (its engine's,
+    just closed) and the task's ``verdicts`` fields, and with a
+    ``trace_path`` every operation is archived there as it happens.
     """
     if task.runner is not None:
         return task.runner(task.job)
-    from repro.stream.fleet import run_stream_shard
+    from repro.core.stream import run_to_completion
+    from repro.io import TraceEventWriter
+    from repro.methodology.runner import run_campaign
+    from repro.relations.registry import resolve_metrics
+    from repro.stream.engine import StreamEngine
 
+    job = task.job
+    metrics = resolve_metrics(job.config.metrics)
     checked = 0
 
-    def closed(meta, record, engine):
+    def analyzer(trace, keep_trace: bool) -> TestRecord:
+        """``analyze_trace``, reporting the record and its engine."""
         nonlocal checked
+        engine = StreamEngine(horizon=1, metrics=metrics)
+        (record,) = run_to_completion([engine], trace)
+        if keep_trace:
+            record = replace(record, trace=trace)
         message = {"test_id": record.test_id,
                    "test_index": checked,
                    "anomalies": _anomaly_summary(record),
@@ -150,8 +164,16 @@ def run_shard(task: ShardTask, on_test: OnTest,
             message.update(task.verdicts(record))
         checked += 1
         on_test(task, tag, message)
+        return record
 
-    return run_stream_shard(task.job, closed, task.trace_path)
+    if task.trace_path is None:
+        return run_campaign(job.service, job.config, analyzer=analyzer)
+    path = Path(task.trace_path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8") as handle:
+        return run_campaign(job.service, job.config,
+                            observer=TraceEventWriter(handle),
+                            analyzer=analyzer)
 
 
 def _worker(conn, task: ShardTask) -> None:
@@ -193,8 +215,6 @@ def import_for_workers(tasks: Iterable[ShardTask]) -> None:
     from repro.services.profiles import SERVICE_IMPORTS, service_class
 
     for task in tasks:
-        if task.runner is None:
-            import repro.stream.fleet  # noqa: F401
         if task.job.service in SERVICE_IMPORTS:
             service_class(task.job.service)
 

@@ -50,12 +50,8 @@ STORE_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 
 
-def _file_digest(path: Path) -> str:
-    hasher = hashlib.sha256()
-    with path.open("rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            hasher.update(chunk)
-    return f"sha256:{hasher.hexdigest()}"
+def _digest(data: bytes) -> str:
+    return f"sha256:{hashlib.sha256(data).hexdigest()}"
 
 
 class ArtifactStore:
@@ -76,7 +72,7 @@ class ArtifactStore:
 
     @property
     def traces_dir(self) -> Path:
-        """Per-shard operation streams (streaming fast path only)."""
+        """Per-shard operation streams (``stream=True`` fleets only)."""
         return self.root / "traces"
 
     def trace_path(self, shard_id: str) -> Path:
@@ -213,16 +209,15 @@ class ArtifactStore:
         alongside as a digest-validated JSONL export.
         """
         self.shards_dir.mkdir(parents=True, exist_ok=True)
-        path = self.shard_path(job.shard_id)
         records = list(jsonable_records)
         lines = [canonical_json(record) for record in records]
-        path.write_text("\n".join(lines) + ("\n" if lines else ""),
-                        encoding="utf-8")
+        data = ("\n".join(lines) + ("\n" if lines else "")).encode()
+        self.shard_path(job.shard_id).write_bytes(data)
         if obs is not None:
             from repro.obs.export import export_snapshot
 
             export_snapshot(obs, self.obs_path(job.shard_id))
-        digest = _file_digest(path)
+        digest = _digest(data)
         self.manifest["shards"][job.shard_id] = {
             "status": "complete", "digest": digest,
             "records": len(records), "service": job.service,
@@ -239,15 +234,21 @@ class ArtifactStore:
         on disk no longer hash to the recorded digest (truncated write,
         tampering, partial copy); the executor re-runs such shards.
         """
+        return self._read_shard(shard_id)[0]
+
+    def _read_shard(self, shard_id: str) -> tuple[str, bytes]:
+        """The shard's state and the bytes it was judged on (empty
+        unless ``complete``)."""
         entry = self.manifest["shards"].get(shard_id)
         if entry is None or entry.get("status") != "complete":
-            return "missing"
+            return "missing", b""
         path = self.shard_path(shard_id)
         if not path.is_file():
-            return "missing"
-        if _file_digest(path) != entry.get("digest"):
-            return "corrupt"
-        return "complete"
+            return "missing", b""
+        data = path.read_bytes()
+        if _digest(data) != entry.get("digest"):
+            return "corrupt", b""
+        return "complete", data
 
     def completed_shards(self) -> list[str]:
         """Shard ids that are complete *and* digest-valid, sorted."""
@@ -257,16 +258,15 @@ class ArtifactStore:
         )
 
     def load_shard_records(self, shard_id: str) -> list[dict]:
-        """The JSON-safe record dicts of one digest-valid shard."""
-        state = self.shard_state(shard_id)
+        """The JSON-safe record dicts of one digest-valid shard,
+        parsed from the very bytes whose digest was checked."""
+        state, data = self._read_shard(shard_id)
         if state != "complete":
             raise FleetError(
                 f"shard {shard_id!r} is {state} in store {self.root}"
             )
-        path = self.shard_path(shard_id)
-        with path.open("r", encoding="utf-8") as handle:
-            return [json.loads(line) for line in handle
-                    if line.strip()]
+        return [json.loads(line) for line in data.decode().split("\n")
+                if line.strip()]
 
     def load_shard_obs(self, shard_id: str) -> dict | None:
         """One shard's obs snapshot, or None if absent or damaged.

@@ -26,8 +26,8 @@ Pair = tuple[str, str]
 
 
 #: Distills a finished trace into a record; ``analyze_trace`` is the
-#: default, the streaming fast path substitutes one that hands back
-#: the record its engine already built online instead of re-checking.
+#: default, a streaming fleet shard substitutes one that also reports
+#: each record as its test closes (:func:`repro.fleet.pool.run_shard`).
 TraceAnalyzer = Callable[[TestTrace, bool], "TestRecord"]
 
 

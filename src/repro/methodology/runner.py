@@ -86,8 +86,8 @@ def run_campaign(service_name: str,
 
     ``observer`` taps the live operation stream (see
     :class:`OperationObserver`); ``analyzer`` replaces the default
-    :func:`analyze_trace` — the streaming fast path passes one that
-    hands back the record its engine already built online.
+    :func:`analyze_trace` — a streaming fleet shard passes one that
+    also reports each record as its test closes.
     Neither affects what the campaign *executes*: they only watch, or
     re-derive, the analysis of each finished trace.
     """

@@ -154,18 +154,18 @@ class ShardStarted(ShardEvent):
 
 @dataclass(frozen=True)
 class ShardTestChecked(ShardEvent):
-    """One test of a shard finished and was checked *online*.
+    """One test of a shard finished and was checked.
 
     Only streaming shards (``run_fleet(..., stream=True)``, a hunt
     submitted with ``stream=True``) emit these — the batch path has
     nothing to report until a whole shard returns.  ``anomalies`` maps
     anomaly kind to this test's observation count (zero counts
-    omitted); ``state_size`` is the worker engine's retained-atom
-    count right after the test closed.  A hunt's shards also carry
-    ``windows``, the test's per-pair divergence-window verdicts
-    (``{"content": [...], "order": [...]}``, each entry ``{"pair",
-    "intervals", "converged"}``), so a follower of the feed sees *what
-    diverged and for how long*.
+    omitted); ``state_size`` is the retained-atom count of the engine
+    that checked the test, right after it closed.  A hunt's shards
+    also carry ``windows``, the test's per-pair divergence-window
+    verdicts (``{"content": [...], "order": [...]}``, each entry
+    ``{"pair", "intervals", "converged"}``), so a follower of the feed
+    sees *what diverged and for how long*.
     """
 
     wire = "test.checked"

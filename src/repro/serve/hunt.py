@@ -120,11 +120,10 @@ class HuntSpec:
     seeds: tuple[int, ...] = (0,)
     num_tests: int = 100
     test_types: tuple[str, ...] = ("test1", "test2")
-    #: Execute shards through the streaming engine, emitting a
-    #: per-test event (anomalies + divergence-window verdicts) into
-    #: the hunt's event feed as each test closes.  Execution detail
+    #: Emit a per-test event (anomalies + divergence-window verdicts)
+    #: into the hunt's event feed as each test closes.  Reporting
     #: only: the fleet spec, artifact store, and merged signature are
-    #: byte-identical either way (the stream parity contract).
+    #: byte-identical either way.
     stream: bool = False
 
     def __post_init__(self) -> None:

@@ -10,8 +10,8 @@ Layout:
 
 * :mod:`repro.stream.engine` — the fan-out hub and telemetry.
 * :mod:`repro.stream.ingest` — trace replay and the live watermark
-  sequencer (``OperationObserver`` implementation).
-* :mod:`repro.stream.fleet` — streaming shard execution for the fleet.
+  sequencer (``OperationObserver`` implementation) behind
+  ``stream --from-trace`` / ``--follow``.
 * :mod:`repro.stream.parity` — the record diff the feed-parity checks
   print.
 """

@@ -62,10 +62,12 @@ class _LiveTest:
 class OpIngest:
     """Live observer: true-time callbacks in, canonical stream out.
 
-    Wire into a campaign with ``run_campaign(observer=OpIngest(...))``;
-    to skip the end-of-test re-analysis entirely, also pass
-    :meth:`analyzer` so each finished trace's record comes from the
-    engine instead of a second pass over the trace.
+    The engine behind ``stream --from-trace`` / ``--follow``
+    (:func:`feed_events`); it also wires into a running campaign as
+    ``run_campaign(observer=OpIngest(...))``.  Each closed test's
+    record goes to ``on_record`` and into the engine's
+    horizon-bounded ``results`` ring; ``keep_traces`` embeds the
+    finished trace in it.
     """
 
     def __init__(self, engine: StreamEngine | None = None,
@@ -109,27 +111,6 @@ class OpIngest:
         )
         if self.on_record is not None:
             self.on_record(live.meta, record)
-
-    # -- analyzer fast path -------------------------------------------
-
-    def analyzer(self, trace: TestTrace,
-                 keep_trace: bool = False) -> TestRecord:
-        """Drop-in for ``analyze_trace`` when this observer is wired.
-
-        ``run_campaign`` calls the analyzer right after signalling
-        ``test_closed``, so the record is already the newest in the
-        engine's horizon-bounded ``results`` ring; the re-check is
-        skipped entirely.  (``keep_trace`` is honored via the
-        constructor's ``keep_traces`` — the engine embedded the trace.)
-        """
-        del keep_trace
-        for record in reversed(self.engine.results):
-            if record.test_id == trace.test_id:
-                return record
-        raise AnalysisError(
-            f"record of test {trace.test_id!r} already left the "
-            f"engine's eviction horizon"
-        )
 
     # -- sequencing ---------------------------------------------------
 

@@ -9,6 +9,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.fleet import FleetSpec, run_fleet
 from repro.methodology import CampaignConfig
+from repro.serve.store import HuntStore
 
 
 @contextmanager
@@ -332,6 +333,28 @@ class TestHuntVerbs:
         assert records[-1]["status"] == "done"
         code, out = self.run(capsys, "hunt", "list", *root)
         assert out.split() == ["h0000", "done", "2/2", "shards"]
+
+    def test_results_flag_each_records_observed_kinds(self, capsys,
+                                                      tmp_path):
+        root = ["--root", str(tmp_path)]
+        self.run(capsys, "hunt", "submit", *root,
+                 "--services", "facebook_feed", "--seeds", "1",
+                 "--tests", "3", "--test-types", "test1")
+        self.run(capsys, "serve", "--once", "--quiet", *root)
+        code, out = self.run(capsys, "hunt", "results", *root,
+                             "--id", "h0000")
+        assert code == 0
+        store = HuntStore(tmp_path).artifact_store("h0000")
+        (shard_id,) = store.completed_shards()
+        expected = [
+            [f"{shard_id}/{record['test_id']}",
+             ",".join(sorted(kind for kind, found
+                             in record["observations"].items()
+                             if found)) or "-"]
+            for record in store.load_shard_records(shard_id)
+        ]
+        assert [line.split() for line in out.splitlines()] == expected
+        assert any(flagged != "-" for _, flagged in expected)
 
     def test_verb_without_its_id_is_refused(self, tmp_path):
         with pytest.raises(SystemExit,

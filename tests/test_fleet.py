@@ -145,14 +145,20 @@ class TestSerialPath:
         assert [r.summary() for r in outcome.results] == \
             [r.summary() for r in direct]
 
-    def test_keeps_traces_in_process(self):
-        config = CampaignConfig(num_tests=1, seed=0,
+    @pytest.mark.parametrize("stream", [False, True],
+                             ids=["batch", "stream"])
+    def test_keeps_traces_in_process(self, stream):
+        config = CampaignConfig(num_tests=2, seed=0,
                                 test_types=("test1",),
                                 keep_traces=True)
         spec = FleetSpec(services=("blogger",), base_config=config,
                          seeds=(1,))
-        outcome = run_fleet(spec, jobs=1)
-        assert outcome.results[0].records[0].trace is not None
+        outcome = run_fleet(spec, jobs=1, stream=stream)
+        (result,) = outcome.results
+        assert len(result.records) == 2
+        assert all(record.trace is not None
+                   and record.trace.test_id == record.test_id
+                   for record in result.records)
 
     def test_rejects_bad_jobs(self):
         spec = FleetSpec(services=("blogger",), base_config=SMALL)

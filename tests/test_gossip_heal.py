@@ -13,7 +13,11 @@ by the heal before the trace ends.
 from pathlib import Path
 
 from repro.fleet.digest import campaign_signature
-from repro.methodology import CampaignConfig, run_campaign
+from repro.methodology import (
+    CampaignConfig,
+    CampaignResult,
+    run_campaign,
+)
 from repro.net import (
     IRELAND,
     OREGON,
@@ -128,11 +132,14 @@ class TestGossipPartitionedCampaign:
                 window_events.setdefault(meta.test_id, []).append(
                     event)
 
-        ingest = OpIngest(on_emission=on_emission)
-        result = run_campaign(*scenario_campaign(spec, config),
-                              observer=ingest,
-                              analyzer=ingest.analyzer)
-        return result, window_events
+        records = []
+        ingest = OpIngest(
+            on_emission=on_emission,
+            on_record=lambda meta, record: records.append(record))
+        batch = run_campaign(*scenario_campaign(spec, config),
+                             observer=ingest)
+        live = CampaignResult(batch.service, batch.config, records)
+        return live, window_events
 
     def test_campaign_golden_signature(self):
         result, _ = self.run_streamed()

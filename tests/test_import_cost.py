@@ -35,6 +35,14 @@ CASES = {
     "world": ("from repro.world import run_world",
               SIMULATOR + ("multiprocessing",)),
     "fleet": ("from repro.fleet import run_fleet", ("multiprocessing",)),
+    "fleet_stream": (
+        "from repro.fleet import FleetSpec, run_fleet\n"
+        "from repro.methodology import CampaignConfig\n"
+        "run_fleet(FleetSpec(services=('blogger',), seeds=(1,),\n"
+        "    base_config=CampaignConfig(num_tests=1,\n"
+        "                               test_types=('test1',))),\n"
+        "    stream=True)",
+        ("repro.stream.ingest",)),
     "campaign": (
         "from repro.methodology import CampaignConfig, run_campaign\n"
         "run_campaign('blogger', CampaignConfig(num_tests=1, seed=1))",

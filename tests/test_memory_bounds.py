@@ -11,9 +11,6 @@ import gc
 import io
 import types
 
-import pytest
-
-from repro.errors import AnalysisError
 from repro.io import TraceEventWriter, iter_trace_events
 from repro.methodology import CampaignConfig, MeasurementWorld, run_campaign
 from repro.methodology import PAPER_PLANS, TestRecord
@@ -100,8 +97,8 @@ def reachable_records(root) -> int:
 
 class TestFollowModeRetention:
     def test_feed_events_consumer_keeps_only_the_horizon(self):
-        """``stream --follow`` never calls ``analyzer``: every closed
-        record must still leave with the eviction horizon."""
+        """``stream --follow`` keeps no record past the eviction
+        horizon: every closed record must leave with it."""
         sink = io.StringIO()
         writer = TraceEventWriter(sink)
         for index in range(200):
@@ -119,7 +116,3 @@ class TestFollowModeRetention:
             pass
         assert ingest.engine.tests_closed == 200
         assert reachable_records(ingest) <= 4
-        # The analyzer fast path serves from that same ring.
-        assert ingest.analyzer(trace).test_id == "follow-199"
-        with pytest.raises(AnalysisError, match="eviction horizon"):
-            ingest.analyzer(make_trace([], test_id="follow-0"))

@@ -282,16 +282,20 @@ class TestOpIngest:
         assert ingest.state_size() == 0
         assert ingest.engine.operations_seen == 5
 
-    def test_analyzer_record_matches_batch(self):
+    def test_live_record_matches_batch(self):
         trace = ryw_trace()
-        ingest = OpIngest()
+        records = []
+        ingest = OpIngest(
+            on_record=lambda meta, record: records.append(record))
         self.feed(ingest, trace)
-        record = ingest.analyzer(trace)
+        (record,) = records
         assert record_mismatches(analyze_trace(trace), record) == []
 
     def test_interleaved_tests_stay_independent(self):
         first, second = ryw_trace("t-a"), divergent_trace("t-b")
-        ingest = OpIngest()
+        records = []
+        ingest = OpIngest(
+            on_record=lambda meta, record: records.append(record))
         ingest.test_opened(first)
         ingest.test_opened(second)
         for op in first.operations:
@@ -301,10 +305,9 @@ class TestOpIngest:
         assert ingest.engine.open_tests == 2
         ingest.test_closed(first)
         ingest.test_closed(second)
-        for trace in (first, second):
-            assert record_mismatches(
-                analyze_trace(trace), ingest.analyzer(trace)
-            ) == []
+        assert [record.test_id for record in records] == ["t-a", "t-b"]
+        for trace, record in zip((first, second), records):
+            assert record_mismatches(analyze_trace(trace), record) == []
 
 
 class TestTraceEventRoundTrip:
@@ -321,7 +324,9 @@ class TestTraceEventRoundTrip:
     def test_replay_reproduces_batch_records(self):
         traces = [ryw_trace(), divergent_trace()]
         payload = self.write_events(traces)
-        ingest = OpIngest()
+        records = []
+        ingest = OpIngest(
+            on_record=lambda meta, record: records.append(record))
         events = list(feed_events(
             iter_trace_events(payload.splitlines()), ingest
         ))
@@ -329,10 +334,10 @@ class TestTraceEventRoundTrip:
             "test_open", *(["op"] * 5), "test_close",
             "test_open", *(["op"] * 8), "test_close",
         ]
-        for trace in traces:
-            assert record_mismatches(
-                analyze_trace(trace), ingest.analyzer(trace)
-            ) == []
+        assert [record.test_id for record in records] == \
+            [trace.test_id for trace in traces]
+        for trace, record in zip(traces, records):
+            assert record_mismatches(analyze_trace(trace), record) == []
 
     def test_operation_dict_round_trip(self):
         for op in ryw_trace().operations:

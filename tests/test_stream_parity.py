@@ -32,7 +32,7 @@ from repro.methodology.runner import analyze_trace
 from repro.relations import metric_names, resolve_metrics
 from repro.sim.random_source import RandomSource
 from repro.stream import OpIngest, StreamEngine, record_mismatches
-from repro.stream.ingest import feed_events
+from repro.stream.ingest import feed_events, replay_trace
 from tests.helpers import make_trace, read, write
 
 AGENTS = ("oregon", "tokyo", "ireland")
@@ -131,18 +131,21 @@ def trace_feed_mismatches(trace, metrics=()) -> list[str]:
     """
     specs = resolve_metrics(metrics)
     sink = stdio.StringIO()
-    ingest = OpIngest(StreamEngine(horizon=1, metrics=specs))
+    records = []
+    ingest = OpIngest(
+        StreamEngine(horizon=1, metrics=specs),
+        on_record=lambda meta, record: records.append(record))
     live = Tee(TraceEventWriter(sink), ingest)
     live.test_opened(trace)
     for op in trace.operations:
         live.operation(trace, op)
     live.test_closed(trace)
     expected = analyze_trace(trace, metrics=specs)
+    (online,) = records
     (archived,) = archived_records(sink.getvalue(), specs)
     return [
         f"{feed}: {mismatch}"
-        for feed, record in (("live", ingest.analyzer(trace)),
-                             ("archived", archived))
+        for feed, record in (("live", online), ("archived", archived))
         for mismatch in record_mismatches(expected, record)
     ]
 
@@ -156,23 +159,24 @@ def campaign_feed_mismatches(service, config) -> tuple[list, list[str]]:
     """
     specs = resolve_metrics(config.metrics)
     sink = stdio.StringIO()
-    ingest = OpIngest(StreamEngine(horizon=1, metrics=specs),
-                      keep_traces=True)
+    records = []
+    ingest = OpIngest(
+        StreamEngine(horizon=1, metrics=specs), keep_traces=True,
+        on_record=lambda meta, record: records.append(record))
     result = run_campaign(
         service, config,
-        observer=Tee(TraceEventWriter(sink), ingest),
-        analyzer=ingest.analyzer)
+        observer=Tee(TraceEventWriter(sink), ingest))
     assert ingest.engine.open_tests == 0 and ingest.state_size() == 0
     archived = archived_records(sink.getvalue(), specs)
-    assert len(archived) == len(result.records) > 0
+    assert len(archived) == len(records) == len(result.records) > 0
     mismatches = []
-    for live, replayed in zip(result.records, archived):
+    for live, replayed in zip(records, archived):
         expected = analyze_trace(live.trace, metrics=specs)
         for feed, record in (("live", live), ("archived", replayed)):
             mismatches.extend(
                 f"{live.test_id} {feed}: {mismatch}"
                 for mismatch in record_mismatches(expected, record))
-    return result.records, mismatches
+    return records, mismatches
 
 
 class TestRandomizedParity:
@@ -228,14 +232,45 @@ class TestLiveIngestParity:
         """A campaign analyzed live by OpIngest (watermark sequencer,
         per-op observe) equals the default analyzer record-for-record."""
         config = CampaignConfig(num_tests=4, seed=17)
-        batch = run_campaign("googleplus", config)
-        ingest = OpIngest()
-        live = run_campaign("googleplus", config,
-                            observer=ingest, analyzer=ingest.analyzer)
-        assert len(live.records) == len(batch.records)
-        for expected, actual in zip(batch.records, live.records):
+        live = []
+        ingest = OpIngest(
+            on_record=lambda meta, record: live.append(record))
+        batch = run_campaign("googleplus", config, observer=ingest)
+        assert len(live) == len(batch.records)
+        for expected, actual in zip(batch.records, live):
             assert record_mismatches(expected, actual) == []
         # Everything closed and drained: no open tests, no buffered
         # ops waiting on the watermark.
         assert ingest.engine.open_tests == 0
         assert ingest.state_size() == 0
+
+    @pytest.mark.parametrize("service", ["blogger", "googleplus",
+                                         "facebook_feed",
+                                         "facebook_group"])
+    def test_live_close_equals_a_fresh_batch_engine(self, service):
+        """What a streaming fleet shard reports per test — the record
+        and ``state_size()`` of a fresh horizon-1 engine run over the
+        finished trace — is what a live ingest's engine reports at the
+        same test close, all five metrics on."""
+        specs = resolve_metrics(ALL_METRICS)
+        live = []
+        ingest = OpIngest(
+            StreamEngine(horizon=1, metrics=specs),
+            on_record=lambda meta, record: live.append(
+                (record, ingest.engine.state_size())))
+        batch = []
+
+        def analyzer(trace, keep_trace):
+            engine = StreamEngine(horizon=1, metrics=specs)
+            record = replay_trace(trace, engine)
+            batch.append((record, engine.state_size()))
+            return record
+
+        run_campaign(service, CampaignConfig(num_tests=3, seed=31,
+                                             metrics=ALL_METRICS),
+                     observer=ingest, analyzer=analyzer)
+        assert len(live) == len(batch) == 6
+        for (expected, expected_size), (record, size) in zip(batch,
+                                                             live):
+            assert record_mismatches(expected, record) == []
+            assert size == expected_size, record.test_id

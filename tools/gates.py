@@ -143,12 +143,17 @@ def _stream_trace_parity(failures):
     sequencer distilled while the campaign ran equals the one
     ``analyze_trace`` distills from the finished trace (sorted into
     canonical order), field for field."""
-    ingest = OpIngest(keep_traces=True)
+    live = []
+    ingest = OpIngest(keep_traces=True,
+                      on_record=lambda meta, record: live.append(record))
     result = run_campaign("blogger", CampaignConfig(
         num_tests=NUM_TESTS, seed=SEED,
-    ), observer=ingest, analyzer=ingest.analyzer)
+    ), observer=ingest)
+    if len(live) != len(result.records):
+        failures.append(f"live feed closed {len(live)} of "
+                        f"{len(result.records)} tests")
     checked = 0
-    for record in result.records:
+    for record in live:
         checked += 1
         for mismatch in record_mismatches(analyze_trace(record.trace),
                                           record):
