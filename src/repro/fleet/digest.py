@@ -32,10 +32,10 @@ Digests over that encoding are the engine's equality oracle:
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from typing import TYPE_CHECKING, Any, Iterable
 
+from repro._hash import sha256
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -133,12 +133,12 @@ def canonical_json(value: Any) -> str:
 
 def sha256_hex(text: str) -> str:
     """Hex SHA-256 of ``text`` encoded as UTF-8."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return sha256(text.encode("utf-8")).hexdigest()
 
 
 def records_digest(jsonable_records: Iterable[dict]) -> str:
     """Digest of an ordered stream of JSON-safe test-record dicts."""
-    hasher = hashlib.sha256()
+    hasher = sha256()
     for record in jsonable_records:
         hasher.update(canonical_json(record).encode("utf-8"))
         hasher.update(b"\n")
@@ -160,7 +160,7 @@ def fleet_signature(results: Iterable["CampaignResult"]) -> str:
     same spec must produce the same signature — this is the
     bit-identity contract the test suite and CI enforce.
     """
-    hasher = hashlib.sha256()
+    hasher = sha256()
     for result in results:
         hasher.update(campaign_signature(result).encode("ascii"))
         hasher.update(b"\n")

@@ -32,12 +32,12 @@ rung of a calibration search (``calibrate --store-out DIR`` keeps rung
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
+from repro._hash import tagged_sha256
 from repro.errors import FleetError
 from repro.fleet.digest import canonical_json
 
@@ -48,10 +48,6 @@ __all__ = ["ArtifactStore", "STORE_VERSION", "MANIFEST_NAME"]
 
 STORE_VERSION = 1
 MANIFEST_NAME = "manifest.json"
-
-
-def _digest(data: bytes) -> str:
-    return f"sha256:{hashlib.sha256(data).hexdigest()}"
 
 
 class ArtifactStore:
@@ -217,7 +213,7 @@ class ArtifactStore:
             from repro.obs.export import export_snapshot
 
             export_snapshot(obs, self.obs_path(job.shard_id))
-        digest = _digest(data)
+        digest = tagged_sha256(data)
         self.manifest["shards"][job.shard_id] = {
             "status": "complete", "digest": digest,
             "records": len(records), "service": job.service,
@@ -246,7 +242,7 @@ class ArtifactStore:
         if not path.is_file():
             return "missing", b""
         data = path.read_bytes()
-        if _digest(data) != entry.get("digest"):
+        if tagged_sha256(data) != entry.get("digest"):
             return "corrupt", b""
         return "complete", data
 

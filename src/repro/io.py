@@ -20,16 +20,17 @@ inside); loading restores everything the analysis pipeline consumes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
+from repro._hash import tagged_sha256
 from repro.core.anomalies.base import AnomalyObservation
 from repro.core.anomalies.registry import TraceReport
 from repro.core.trace import Operation, ReadOp, TestTrace, WriteOp
 from repro.core.windows import WindowResult
 from repro.errors import AnalysisError
+from repro.fleet.digest import _encode, _is_lowered, canonical_json
 from repro.methodology.config import CampaignConfig
 from repro.methodology.records import CampaignResult, TestRecord
 from repro.relations.spec import MetricResult, MetricSample
@@ -402,17 +403,11 @@ def write_digest_jsonl(path: str | Path, payloads: Iterable[dict], *,
     that sorts sets by value where ``canonical`` sorts them by their
     encoding, and files already written hold the by-value order.
     """
-    # Imported here: the repro.fleet package init loads the executor
-    # and multiprocessing, which reading a saved campaign never needs.
-    from repro.fleet.digest import _encode, _is_lowered, canonical_json
-
     lines = [_encode(payload) if _is_lowered(payload)
              else canonical_json(_jsonable(payload))
              for payload in payloads]
     body = "".join(line + "\n" for line in lines)
-    digest = "sha256:" + hashlib.sha256(
-        body.encode("utf-8")
-    ).hexdigest()
+    digest = tagged_sha256(body.encode("utf-8"))
     header = _encode({
         "kind": kind,
         "schema_version": schema_version,
@@ -440,8 +435,9 @@ def read_digest_jsonl(path: str | Path, *, kind: str,
     typed as a damaged one.
     """
     path = Path(path)
+    data = path.read_bytes()
     try:
-        text = path.read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise AnalysisError(f"{path}: not UTF-8 text: {exc}") from exc
     newline = text.find("\n")
@@ -467,18 +463,18 @@ def read_digest_jsonl(path: str | Path, *, kind: str,
             f"{header.get('schema_version')!r} "
             f"(expected {schema_version})"
         )
-    body = text[newline + 1:]
-    digest = "sha256:" + hashlib.sha256(
-        body.encode("utf-8")
-    ).hexdigest()
-    if digest != header.get("digest"):
+    # UTF-8 writes "\n" as the byte 0x0A and no other character uses
+    # that byte, so the body's bytes start after the first one.
+    body = data[data.index(b"\n") + 1:]
+    if tagged_sha256(body) != header.get("digest"):
         raise AnalysisError(
             f"{path}: body does not match its recorded digest "
             f"(truncated or tampered)"
         )
     payloads = []
     # Line 1 is the header; the body's first line is line 2.
-    for number, line in enumerate(body.splitlines(), start=2):
+    for number, line in enumerate(text[newline + 1:].splitlines(),
+                                  start=2):
         if not line.strip():
             continue
         try:

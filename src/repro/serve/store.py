@@ -31,13 +31,13 @@ applied to serving state:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
+from repro._hash import tagged_sha256
 from repro.errors import FleetError, NotFoundError
 from repro.fleet.digest import canonical_json
 from repro.fleet.store import ArtifactStore
@@ -53,8 +53,7 @@ ARTIFACTS_DIR = "store"
 
 
 def _payload_digest(payload: Mapping[str, Any]) -> str:
-    encoded = canonical_json(payload).encode("utf-8")
-    return f"sha256:{hashlib.sha256(encoded).hexdigest()}"
+    return tagged_sha256(canonical_json(payload).encode("utf-8"))
 
 
 class HuntStore:

@@ -20,9 +20,10 @@ simulations can run concurrently within one interpreter.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
+
+from repro._hash import blake2b
 
 __all__ = ["RandomSource", "derive_seed", "GAUSS_MAX_SIGMAS"]
 
@@ -43,7 +44,7 @@ def derive_seed(root_seed: int, name: str) -> int:
     Uses BLAKE2b rather than Python's ``hash`` so the derivation is
     stable across interpreter runs and ``PYTHONHASHSEED`` values.
     """
-    digest = hashlib.blake2b(
+    digest = blake2b(
         f"{root_seed}:{name}".encode("utf-8"), digest_size=8
     ).digest()
     return int.from_bytes(digest, "big")

@@ -8,9 +8,9 @@ account per agent, or one shared account whose token every agent uses.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
+from repro._hash import blake2b
 from repro.errors import AuthenticationError
 
 __all__ = ["Account", "AccountRegistry"]
@@ -46,7 +46,7 @@ class AccountRegistry:
         return account
 
     def _mint_token(self, user_id: str) -> str:
-        digest = hashlib.blake2b(
+        digest = blake2b(
             f"{self._service_name}:{user_id}".encode("utf-8"),
             digest_size=12,
         ).hexdigest()

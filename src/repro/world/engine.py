@@ -45,12 +45,12 @@ signature and aggregate tallies; whole records are never accumulated.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import traceback
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from repro._hash import sha256
 from repro.errors import SimulationError
 from repro.fleet import pool
 from repro.fleet.digest import canonical_json
@@ -310,7 +310,7 @@ class WorldEngine:
         self.seed = int(seed)
         self._stream_engine = stream_engine
         self._bus = WorldBus(spec.epoch, spec.partitions)
-        self._hasher = hashlib.sha256()
+        self._hasher = sha256()
         #: The shards of each group, group 0 first; set by :meth:`run`.
         self.groups: list[range] = []
         self.result = WorldResult(

@@ -24,9 +24,9 @@ Placement vocabulary (all derived, never stored):
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 
+from repro._hash import blake2b
 from repro.errors import SimulationError
 from repro.fleet.digest import canonical_json, sha256_hex
 
@@ -44,7 +44,7 @@ def author_shard(author: str, shards: int) -> int:
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
-    digest = hashlib.blake2b(
+    digest = blake2b(
         author.encode("utf-8"), digest_size=8
     ).digest()
     return int.from_bytes(digest, "big") % shards
