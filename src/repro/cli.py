@@ -91,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out_flag(
         run_cmd, "--obs-out",
         help="export the campaign's metrics/span snapshot as "
-             "digest-validated JSONL (input for 'obs')",
+             "digest-validated JSONL (input for 'obs'); spans are "
+             "recorded only when this is given",
     )
     _add_campaign_args(run_cmd)
 
@@ -534,7 +535,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         trace_file = open(args.trace_out, "w", encoding="utf-8")
         observer = TraceEventWriter(trace_file)
     try:
-        result = run_campaign(service, config, observer=observer)
+        result = run_campaign(service, config, observer=observer,
+                              spans=bool(args.obs_out))
     finally:
         if trace_file is not None:
             trace_file.close()

@@ -66,10 +66,14 @@ DEFAULT_MAX_RETRIES = 2
 
 
 def execute_shard(job: ShardJob) -> CampaignResult:
-    """Run one shard: a full campaign, pure in ``(service, config)``."""
+    """Run one shard: a full campaign, pure in ``(service, config)``.
+
+    Its spans are kept: a fleet's store and ``merged_obs()`` export
+    them.
+    """
     from repro.methodology.runner import run_campaign
 
-    return run_campaign(job.service, job.config)
+    return run_campaign(job.service, job.config, spans=True)
 
 
 @dataclass

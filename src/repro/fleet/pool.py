@@ -167,13 +167,14 @@ def run_shard(task: ShardTask, on_test: OnTest,
         return record
 
     if task.trace_path is None:
-        return run_campaign(job.service, job.config, analyzer=analyzer)
+        return run_campaign(job.service, job.config, analyzer=analyzer,
+                            spans=True)
     path = Path(task.trace_path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as handle:
         return run_campaign(job.service, job.config,
                             observer=TraceEventWriter(handle),
-                            analyzer=analyzer)
+                            analyzer=analyzer, spans=True)
 
 
 def _worker(conn, task: ShardTask) -> None:

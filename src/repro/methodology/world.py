@@ -53,7 +53,8 @@ class MeasurementWorld:
                  service_params: Any = None,
                  sync_samples: int = 8,
                  role_order: tuple[str, ...] | None = None,
-                 scenario: Any = None) -> None:
+                 scenario: Any = None,
+                 spans: bool = False) -> None:
         """Assemble one measurement world.
 
         ``role_order`` permutes which location plays which *role* in
@@ -67,6 +68,9 @@ class MeasurementWorld:
         ``scenario`` (a :class:`repro.scenario.schema.ScenarioSpec`)
         makes the world build the declared service model instead of
         looking ``service_name`` up in the built-in registry.
+
+        ``spans`` makes ``self.obs`` keep every finished span; by
+        default it keeps metrics only (``docs/obs.md``, "Cost model").
         """
         self.service_name = service_name
         self.sim = Simulator()
@@ -78,7 +82,7 @@ class MeasurementWorld:
         # of (seed, config) — and rides the network object down the
         # stack, so clients and substrates need no new parameters.
         sim = self.sim
-        self.obs = ObsContext(now_fn=lambda: sim.now)
+        self.obs = ObsContext(now_fn=lambda: sim.now, spans=spans)
         self.network = Network(
             self.sim,
             LatencyModel(self.topology, self.rng.child("net"),

@@ -33,12 +33,17 @@ OBS_SNAPSHOT_VERSION = 1
 
 
 class ObsContext:
-    """The metrics + tracing bundle one measurement runs inside."""
+    """The metrics + tracing bundle one measurement runs inside.
+
+    ``spans=False`` keeps metrics only: the tracer stores no finished
+    span, and :meth:`snapshot` lists none.
+    """
 
     def __init__(self,
-                 now_fn: Callable[[], float] | None = None) -> None:
+                 now_fn: Callable[[], float] | None = None,
+                 spans: bool = True) -> None:
         self.metrics = MetricsRegistry(now_fn)
-        self.tracer = Tracer(now_fn)
+        self.tracer = Tracer(now_fn, keep=spans)
 
     def now(self) -> float:
         return self.metrics.now()

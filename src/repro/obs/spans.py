@@ -16,12 +16,14 @@ Spans are deliberately coarse: one per *operation* (a write with its
 counters (:mod:`repro.obs.metrics`), which cost one integer add
 instead of an object allocation on the busiest path.
 
-A span is stored once (``docs/obs.md``, "Cost model"): the
-:class:`Span` object lives only while the span is open, and
-:meth:`Tracer.finish` keeps the span's snapshot record — one dict —
-which :meth:`Tracer.snapshot` hands out as it stands.  Every span with
-the same labels shares one ``labels`` dict; a record's ``attrs`` is
-the ``finish`` keyword dict itself.
+A span is stored at most once (``docs/obs.md``, "Cost model"): the
+:class:`Span` object lives only while the span is open, and a keeping
+tracer's :meth:`Tracer.finish` keeps the span's snapshot record — one
+dict — which :meth:`Tracer.snapshot` hands out as it stands.  Every
+span with the same labels shares one ``labels`` dict; a record's
+``attrs`` is the ``finish`` keyword dict itself.  A tracer built with
+``keep=False`` closes spans and stores nothing: a campaign whose
+caller exports no spans runs on one.
 """
 
 from __future__ import annotations
@@ -59,14 +61,18 @@ class Tracer:
     and their ``labels`` / ``attrs`` dicts are **read-only**: a
     snapshot hands out these very dicts, and one ``labels`` dict is
     shared by every span that carries the same label set.
+
+    With ``keep=False`` a span still gets its id and its end time, but
+    ``finish`` stores no record, so ``finished`` stays empty.
     """
 
     def __init__(self,
-                 now_fn: Callable[[], float] | None = None) -> None:
+                 now_fn: Callable[[], float] | None = None,
+                 keep: bool = True) -> None:
         self._now = now_fn if now_fn is not None else (lambda: 0.0)
         self._next_id = 1
+        self._keep = keep
         self.finished: list[dict] = []
-        self.spans_started = 0
         #: One labels dict per distinct ``(key, value)`` sequence.
         self._label_sets: dict[tuple[tuple[str, str], ...],
                                dict[str, str]] = {}
@@ -85,21 +91,21 @@ class Tracer:
             parent_id=None if parent is None else parent.span_id,
         )
         self._next_id += 1
-        self.spans_started += 1
         return span
 
     def finish(self, span: Span, at: float | None = None,
                **attrs: object) -> Span:
         span.end = end = self._now() if at is None else at
-        self.finished.append({
-            "span_id": span.span_id,
-            "parent_id": span.parent_id,
-            "name": span.name,
-            "labels": span.labels,
-            "start": span.start,
-            "end": end,
-            "attrs": attrs,
-        })
+        if self._keep:
+            self.finished.append({
+                "span_id": span.span_id,
+                "parent_id": span.parent_id,
+                "name": span.name,
+                "labels": span.labels,
+                "start": span.start,
+                "end": end,
+                "attrs": attrs,
+            })
         return span
 
     def snapshot(self) -> list[dict]:

@@ -9,6 +9,7 @@ and check the service-side state directly.
 
 import gc
 import io
+import tracemalloc
 import types
 
 from repro.io import TraceEventWriter, iter_trace_events
@@ -78,6 +79,36 @@ class TestRecordCompactness:
                 # Divergence anomalies: <= one per pair; session
                 # anomalies: bounded by reads x writers.
                 assert len(observations) <= max(total_reads * 6, 3)
+
+
+def retained_bytes(service: str, config: CampaignConfig,
+                   **options) -> int:
+    """Traced heap a finished campaign's result still holds, after
+    ``gc.collect()``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run_campaign(service, config, **options)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert result.records
+    return retained
+
+
+class TestTelemetryOnDemand:
+    def test_a_default_campaign_retains_a_third_of_a_traced_one(self):
+        """Spans are stored only for a caller that exports them: with
+        them, a 10-tests/type Blogger campaign retains ~0.63 MiB;
+        without them ~0.06 MiB.  The bound is a third."""
+        config = CampaignConfig(num_tests=10, seed=5)
+        # Warm imports and module-level caches outside the measurement.
+        run_campaign("blogger", CampaignConfig(num_tests=1, seed=5))
+        default = retained_bytes("blogger", config)
+        traced = retained_bytes("blogger", config, spans=True)
+        assert default <= traced / 3
 
 
 def reachable_records(root) -> int:

@@ -57,7 +57,7 @@ def export_digest(snapshot, tmp_path):
 
 @pytest.mark.parametrize("service", sorted(PINNED))
 def test_campaign_export_bytes_are_pinned(service, tmp_path):
-    snapshot = run_campaign(service, CONFIG).obs
+    snapshot = run_campaign(service, CONFIG, spans=True).obs
     assert export_digest(snapshot, tmp_path) == PINNED[service]
 
 

@@ -33,6 +33,7 @@ the fidelity budgets are tied to 40 tests per type under seed 7.
 """
 
 import argparse
+import json
 import sys
 import tempfile
 from dataclasses import replace
@@ -225,28 +226,46 @@ def stream_gate(failures):
 
 # -- obs: deterministic exports, fleet merge == serial -------------------
 
-def _export_bytes(snapshot, directory, name):
+def _export_bytes(snapshot, directory, name, failures):
+    """The export's bytes; one without a span line fails the gate, so
+    no comparison passes on two empty span lists."""
     path = Path(directory) / name
     export_snapshot(snapshot, path)
-    return path.read_bytes()
+    data = path.read_bytes()
+    if not any(json.loads(line)["record"] == "span"
+               for line in data.splitlines()[1:]):
+        failures.append(f"{name}: obs export holds no span line")
+    return data
 
 
 def _obs_export_determinism(failures):
-    """The same (service, config, seed) campaign run twice yields
-    byte-identical metrics/span exports."""
+    """The same (service, config, seed) campaign run twice with spans
+    yields byte-identical metrics/span exports, and run without spans
+    the same metrics and campaign signature."""
     campaigns = 0
     with tempfile.TemporaryDirectory() as tmp:
         for service in SERVICES:
             config = CampaignConfig(num_tests=NUM_TESTS, seed=SEED)
-            first = run_campaign(service, config)
-            second = run_campaign(service, config)
+            first = run_campaign(service, config, spans=True)
+            second = run_campaign(service, config, spans=True)
             campaigns += 2
-            if _export_bytes(first.obs, tmp, f"{service}-a.jsonl") \
+            if _export_bytes(first.obs, tmp, f"{service}-a.jsonl",
+                             failures) \
                     != _export_bytes(second.obs, tmp,
-                                     f"{service}-b.jsonl"):
+                                     f"{service}-b.jsonl", failures):
                 failures.append(
                     f"{service}: same-seed obs exports differ"
                 )
+            plain = run_campaign(service, config)
+            if plain.obs["spans"]:
+                failures.append(f"{service}: a span-less run kept "
+                                f"{len(plain.obs['spans'])} span(s)")
+            if plain.obs["metrics"] != first.obs["metrics"]:
+                failures.append(f"{service}: span-less run's metrics "
+                                "differ from the span-keeping run's")
+            if campaign_signature(plain) != campaign_signature(first):
+                failures.append(f"{service}: span-less run's campaign "
+                                "signature differs")
     return campaigns
 
 
@@ -259,6 +278,8 @@ def _obs_merge_stability(failures):
     if serial is None:
         failures.append("serial fleet produced no merged obs")
         return spec.total_shards
+    if not serial["spans"]:
+        failures.append("serial fleet's merged obs holds no span")
     parallel = run_fleet(spec, jobs=2).merged_obs()
     if parallel != serial:
         failures.append("2-worker merged obs differs from serial")
@@ -279,12 +300,13 @@ def _obs_serial_fleet_byte_parity(failures):
                      seeds=(SEED,))
     with tempfile.TemporaryDirectory() as tmp:
         serial_bytes = _export_bytes(
-            run_campaign("blogger", config).obs, tmp, "serial.jsonl"
+            run_campaign("blogger", config, spans=True).obs, tmp,
+            "serial.jsonl", failures,
         )
         store_dir = Path(tmp) / "store"
         fleet = run_fleet(spec, jobs=2, out_dir=store_dir)
         fleet_bytes = _export_bytes(fleet.merged_obs(), tmp,
-                                    "fleet.jsonl")
+                                    "fleet.jsonl", failures)
         if fleet_bytes != serial_bytes:
             failures.append(
                 "single-shard fleet merged obs export != serial "
@@ -297,8 +319,8 @@ def _obs_serial_fleet_byte_parity(failures):
         if resumed_obs is None:
             failures.append("resume did not restore obs snapshots "
                             "from the store")
-        elif _export_bytes(resumed_obs, tmp,
-                           "resumed.jsonl") != serial_bytes:
+        elif _export_bytes(resumed_obs, tmp, "resumed.jsonl",
+                           failures) != serial_bytes:
             failures.append("resumed fleet obs export != serial "
                             "campaign export")
 
@@ -307,14 +329,15 @@ def _obs_serial_fleet_byte_parity(failures):
         pair_dir = Path(tmp) / "pair"
         fresh_bytes = _export_bytes(
             run_fleet(pair, out_dir=pair_dir).merged_obs(), tmp,
-            "pair-fresh.jsonl")
+            "pair-fresh.jsonl", failures)
         resumed = run_fleet(pair, out_dir=pair_dir)
         resumed_obs = resumed.merged_obs()
         if len(resumed.skipped) != pair.total_shards:
             failures.append("2-shard resume re-executed a complete "
                             "shard")
         elif resumed_obs is None or _export_bytes(
-                resumed_obs, tmp, "pair-resumed.jsonl") != fresh_bytes:
+                resumed_obs, tmp, "pair-resumed.jsonl",
+                failures) != fresh_bytes:
             failures.append("resumed 2-shard fleet obs export != "
                             "fresh fleet export")
 
@@ -325,8 +348,9 @@ def obs_gate(failures):
     shards = _obs_merge_stability(failures)
     _obs_serial_fleet_byte_parity(failures)
     return (f"{campaigns} campaigns, {shards} shards",
-            f"{campaigns} campaigns export "
-            f"byte-identically, serial == 2-worker == streaming merge "
+            f"{campaigns} campaigns export spans "
+            f"byte-identically, span-less runs keep their metrics and "
+            f"signature, serial == 2-worker == streaming merge "
             f"over {shards} shards, single-shard fleet export == "
             "serial export, 1- and 2-shard resume restore snapshots")
 
