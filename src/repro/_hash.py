@@ -13,6 +13,8 @@ An interpreter built without the builtin SHA-256 falls back to
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 try:
     from _sha2 import sha256  # CPython 3.12+
 except ImportError:
@@ -25,6 +27,13 @@ from _blake2 import blake2b
 __all__ = ["sha256", "blake2b", "tagged_sha256"]
 
 
-def tagged_sha256(data: bytes) -> str:
-    """``"sha256:<hex>"`` of ``data``: the store and export digests."""
-    return f"sha256:{sha256(data).hexdigest()}"
+def tagged_sha256(data: bytes | Iterable[bytes]) -> str:
+    """``"sha256:<hex>"`` of ``data``: the store and export digests.
+
+    ``data`` may also be an iterable of chunks, hashed one by one as
+    the digest of their concatenation, so a writer need not join them.
+    """
+    hasher = sha256()
+    for chunk in (data,) if isinstance(data, bytes) else data:
+        hasher.update(chunk)
+    return f"sha256:{hasher.hexdigest()}"

@@ -46,6 +46,7 @@ def test_incremental_sha256_matches_hashlib(chunks):
         mine.update(chunk)
         theirs.update(chunk)
     assert mine.hexdigest() == theirs.hexdigest()
+    assert tagged_sha256(iter(chunks)) == "sha256:" + theirs.hexdigest()
 
 
 @pytest.mark.parametrize("data, digest", [
