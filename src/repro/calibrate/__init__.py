@@ -3,10 +3,11 @@
 Fits each service's profile knobs to the paper's published numbers
 (Figures 3/8/9/10, Tables I/II) with the shape of a hyperparameter
 tuner: declarative parameter spaces (:mod:`~repro.calibrate.space`),
-weighted-loss objectives computed by the existing figure code
-(:mod:`~repro.calibrate.objective`), a deterministic successive-
-halving searcher (:mod:`~repro.calibrate.search`), a fleet-backed
-trial evaluator whose rungs resume from their fleet artifact stores
+objectives that are weighted sums of the claims table's rows
+(:mod:`~repro.calibrate.claims`, :mod:`~repro.calibrate.objective`),
+a deterministic successive-halving searcher
+(:mod:`~repro.calibrate.search`), a fleet-backed trial evaluator whose
+rungs resume from their fleet artifact stores
 (:mod:`~repro.calibrate.evaluator`), and measured-vs-paper reporting
 (:mod:`~repro.calibrate.report`).  There is one model per service,
 its default profile: a search winner worth keeping is checked in as
@@ -22,7 +23,6 @@ and no wall clock anywhere — ``repro.lint`` enforces both, and
 from repro.calibrate.evaluator import FleetEvaluator, run_calibration
 from repro.calibrate.objective import (
     FidelityScore,
-    FidelityTerm,
     Objective,
     default_objective,
 )
@@ -54,7 +54,6 @@ from repro.calibrate.targets import (
 __all__ = [
     "Axis",
     "FidelityScore",
-    "FidelityTerm",
     "FleetEvaluator",
     "Objective",
     "PAPER_TARGETS",

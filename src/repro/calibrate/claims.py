@@ -10,6 +10,14 @@ An id reads ``<source>.<service>.<statistic>``, a ``vs_<service>``
 segment naming a second service the bound reads.  Bounds are shapes:
 the substrate is a simulator, not the authors' 2015 testbed.  A
 guarded row reports "n/a", and holds, while its guard is false.
+
+A row with a ``weight`` is also a term of its service's calibration
+objective (:mod:`repro.calibrate.objective`): every number
+``PAPER_TARGETS`` publishes is the ``paper`` value of exactly one
+weighted row.  Where no shape row reads a published number,
+:data:`FIT_ROWS` holds a *fit row* for it: weighted, with no
+comparator, and never a claim — ``evaluate_claims`` reads
+:data:`CLAIMS` only.
 """
 
 from __future__ import annotations
@@ -42,8 +50,8 @@ from repro.core.anomalies import (
 from repro.methodology.config import PAPER_PLANS
 from repro.methodology.records import CampaignResult
 
-__all__ = ["CLAIMS", "Claim", "Verdict", "claims_table",
-           "evaluate_claims"]
+__all__ = ["CLAIMS", "FIT_ROWS", "Claim", "Measured", "S", "Verdict",
+           "claims_table", "evaluate_claims", "score_row"]
 
 GPLUS, BLOGGER = "googleplus", "blogger"
 FEED, GROUP = "facebook_feed", "facebook_group"
@@ -51,6 +59,8 @@ AGENTS = ("ireland", "oregon", "tokyo")
 IRELAND_PAIRS = (IRELAND_OREGON, IRELAND_TOKYO)
 #: Oregon-Tokyo first: the order fixes the Fig. 10 share's float sum.
 ALL_PAIRS = (OREGON_TOKYO, IRELAND_OREGON, IRELAND_TOKYO)
+#: Figure 8's anomaly per divergence kind.
+_DIVERGENCE = {"content": CONTENT_DIVERGENCE, "order": ORDER_DIVERGENCE}
 
 _OPS: dict[str, Callable[[Any, Any], bool]] = {
     "==": operator.eq, "<": operator.lt, "<=": operator.le,
@@ -101,11 +111,12 @@ class Measured:
         return agent in self._once(occurrence_distribution, service,
                                    anomaly).histograms
 
-    def pairs(self, service: str):
-        return self._once(pair_divergence, service)
+    def pairs(self, service: str, kind: str = "content"):
+        return self._once(pair_divergence, service, _DIVERGENCE[kind])
 
-    def rate(self, service: str, pair: tuple[str, str]) -> float:
-        return self.pairs(service).fraction(pair)
+    def rate(self, service: str, pair: tuple[str, str],
+             kind: str = "content") -> float:
+        return self.pairs(service, kind).fraction(pair)
 
     def windows(self, service: str, kind: str):
         return self._once(window_cdfs, service, kind)
@@ -117,9 +128,10 @@ class Measured:
         return (len(cdfs.samples.get(pair, []))
                 + (cdfs.unconverged.get(pair, 0) if stuck else 0))
 
-    def median(self, service: str, pair: tuple[str, str]):
-        """A pair's median content window; None if it never converged."""
-        cdf = self.windows(service, "content").cdf(pair)
+    def median(self, service: str, pair: tuple[str, str],
+               kind: str = "content"):
+        """A pair's median window; None if it never converged."""
+        cdf = self.windows(service, kind).cdf(pair)
         return cdf.median if cdf is not None else None
 
     def ireland_order_windows(self) -> list[float]:
@@ -159,14 +171,16 @@ class Claim:
 
     id: str
     statistic: Stat
-    op: str  # a key of _OPS
+    op: str | None = None  # a key of _OPS; None for a fit row
     #: A constant, a ``(low, high)`` band, or a statistic.
-    bound: Any
+    bound: Any = None
     #: With a statistic as ``bound``, the limit is ``factor * bound``.
     factor: float | None = None
     paper: Any = None
     #: False for these results: the claim does not apply ("n/a").
     guard: Callable[[Measured], bool] | None = None
+    #: The row's share of its service's fit objective; 0.0: a shape only.
+    weight: float = 0.0
 
     @property
     def source(self) -> str:
@@ -189,6 +203,20 @@ class Verdict:
     limit: Any = None
     holds: bool = True
     applies: bool = True
+    #: A weighted row's distance to the paper (see :func:`score_row`).
+    loss: float | None = None
+
+
+def score_row(claim: Claim, measured: Measured) -> Verdict:
+    """A weighted row's ``|value - paper| / max(|paper|, 1)``.
+
+    A statistic with nothing to measure (None) scores as 0.0, and the
+    guard is not read: an objective scores every row every time.
+    """
+    value = claim.statistic(measured)
+    value = 0.0 if value is None else value
+    return Verdict(claim, value, loss=abs(value - claim.paper)
+                   / max(abs(claim.paper), 1.0))
 
 
 def _check(claim: Claim, measured: Measured) -> Verdict:
@@ -240,8 +268,9 @@ def claims_table(verdicts: list[Verdict]) -> str:
 
 # -- Rows --------------------------------------------------------------
 
-def _prevalence(figure: str, service: str, anomaly: str, op: str, bound,
-                suffix: str = "", versus: str | None = None) -> Claim:
+def _prevalence(figure: str, service: str, anomaly: str, op: str | None,
+                bound, suffix: str = "", versus: str | None = None,
+                weight: float = 0.0) -> Claim:
     """A prevalence row; with ``versus``, the bound is that service's
     prevalence of the anomaly, times ``bound`` unless it is None."""
     factor = None
@@ -250,7 +279,8 @@ def _prevalence(figure: str, service: str, anomaly: str, op: str, bound,
                                  f".vs_{versus}")
     return Claim(f"{figure}.{service}.{anomaly}{suffix}",
                  S("share", service, anomaly), op, bound, factor,
-                 paper=PAPER_TARGETS[service].prevalence[anomaly])
+                 paper=PAPER_TARGETS[service].prevalence[anomaly],
+                 weight=weight)
 
 
 def _located(figure: str, service: str, anomaly: str, split: str,
@@ -274,27 +304,31 @@ def _few_over_bursts(figure: str, service: str,
             for agent in AGENTS]
 
 
-def _per_pair(figure: str, service: str, suffix: str, stat: str, op: str,
-              bound, pairs: tuple, *args, paper=None) -> list[Claim]:
+def _per_pair(figure: str, service: str, suffix: str, stat: str,
+              op: str | None, bound, pairs, *args, paper=None,
+              weight: float = 0.0) -> list[Claim]:
     return [Claim(f"{figure}.{service}.{'_'.join(pair)}{suffix}",
                   S(stat, service, pair, *args), op, bound,
-                  paper=None if paper is None else paper[pair])
+                  paper=None if paper is None else paper[pair],
+                  weight=weight)
             for pair in pairs]
 
 
 def _figures() -> list[Claim]:
     p, gplus = _prevalence, PAPER_TARGETS[GPLUS]
     feed_rates = [S("rate", FEED, pair) for pair in ALL_PAIRS]
-    rows = [p("fig3", BLOGGER, anomaly, "==", 0.0)
+    # Weight 1.0: each Fig. 3 prevalence is fitted once, on the row
+    # that reads exactly it (Google+'s and the Feed's ".present").
+    rows = [p("fig3", BLOGGER, anomaly, "==", 0.0, weight=1.0)
             for anomaly in ALL_ANOMALIES]
-    rows += [p("fig3", service, anomaly, ">", 0.0, ".present")
+    rows += [p("fig3", service, anomaly, ">", 0.0, ".present", weight=1.0)
              for service in (GPLUS, FEED) for anomaly in ALL_ANOMALIES]
     return rows + [
-        p("fig3", GROUP, READ_YOUR_WRITES, "==", 0.0),
-        p("fig3", GROUP, ORDER_DIVERGENCE, "==", 0.0),
-        p("fig3", GROUP, MONOTONIC_WRITES, ">=", 0.80),
-        p("fig3", GROUP, MONOTONIC_READS, "<=", 0.10),
-        p("fig3", GROUP, WRITES_FOLLOW_READS, "<=", 0.10),
+        p("fig3", GROUP, READ_YOUR_WRITES, "==", 0.0, weight=1.0),
+        p("fig3", GROUP, ORDER_DIVERGENCE, "==", 0.0, weight=1.0),
+        p("fig3", GROUP, MONOTONIC_WRITES, ">=", 0.80, weight=1.0),
+        p("fig3", GROUP, MONOTONIC_READS, "<=", 0.10, weight=1.0),
+        p("fig3", GROUP, WRITES_FOLLOW_READS, "<=", 0.10, weight=1.0),
         p("fig3", FEED, READ_YOUR_WRITES, ">=", 0.95),
         p("fig3", FEED, READ_YOUR_WRITES, ">", 2, versus=GPLUS),
         p("fig3", FEED, MONOTONIC_WRITES, ">", 4, versus=GPLUS),
@@ -342,13 +376,13 @@ def _figures() -> list[Claim]:
         Claim("fig8.blogger.diverged_pairs",
               lambda m: len(m.pairs(BLOGGER).counts), "==", 0),
         *_per_pair("fig8", GPLUS, "", "rate", ">=", 0.70, IRELAND_PAIRS,
-                   paper=gplus.pair_content),
+                   paper=gplus.pair_content, weight=1.0),
         Claim("fig8.googleplus.oregon_tokyo_vs_ireland",
               S("rate", GPLUS, OREGON_TOKYO), "<",
               _over(min, [S("rate", GPLUS, pair) for pair in IRELAND_PAIRS]),
-              0.5, paper=gplus.pair_content[OREGON_TOKYO]),
+              0.5, paper=gplus.pair_content[OREGON_TOKYO], weight=1.0),
         *_per_pair("fig8", FEED, "", "rate", ">=", 0.40, ALL_PAIRS,
-                   paper=PAPER_TARGETS[FEED].pair_content),
+                   paper=PAPER_TARGETS[FEED].pair_content, weight=1.0),
         Claim("fig8.facebook_feed.pair_spread",
               lambda m: (_over(max, feed_rates)(m)
                          - _over(min, feed_rates)(m)),
@@ -362,16 +396,20 @@ def _figures() -> list[Claim]:
         # Fig. 9: Google+'s Ireland pairs converge in seconds and
         # Oregon-Tokyo much faster (when it diverges at all); every Feed
         # pair converges, no slower than Google+; Blogger has none.
+        # Window medians are read off CDF plots, so they weigh 0.1: a
+        # tiebreaker, not a force that drags the fit from stated numbers.
         *_per_pair("fig9", GPLUS, ".converged", "converged", ">", 0,
                    IRELAND_PAIRS),
         *_per_pair("fig9", GPLUS, ".median", "median", ">=", 0.5,
-                   IRELAND_PAIRS, paper=gplus.content_window_median),
+                   IRELAND_PAIRS, paper=gplus.content_window_median,
+                   weight=0.1),
         Claim("fig9.googleplus.oregon_tokyo_vs_ireland",
               S("median", GPLUS, OREGON_TOKYO), "<",
               _over(min, [S("median", GPLUS, pair)
                           for pair in IRELAND_PAIRS]),
               0.7, paper=gplus.content_window_median[OREGON_TOKYO],
-              guard=lambda m: m.median(GPLUS, OREGON_TOKYO) is not None),
+              guard=lambda m: m.median(GPLUS, OREGON_TOKYO) is not None,
+              weight=0.1),
         *_per_pair("fig9", FEED, ".converged", "converged", ">", 0,
                    ALL_PAIRS),
         Claim("fig9.facebook_feed.slowest_median.vs_googleplus",
@@ -445,7 +483,7 @@ def _tables_and_totals() -> list[Claim]:
               ">", S("reads", other), factor, paper=reads[GPLUS])
         for other, factor in ((BLOGGER, 2.0), (FEED, 1.5), (GROUP, 2.0))]
     rows += [Claim(f"table1.{service}.reads", S("reads", service), "in",
-                   (5.0, 25.0), paper=reads[service])
+                   (5.0, 25.0), paper=reads[service], weight=1.0)
              for service in (BLOGGER, FEED, GROUP)]
     # Agents complete exactly the configured number of reads.
     rows += _planned("table2") + [
@@ -476,5 +514,28 @@ def _tables_and_totals() -> list[Claim]:
                    for other in (BLOGGER, FEED, GROUP)]
 
 
+def _fit_rows() -> list[Claim]:
+    """A weighted row for each published number no claim reads."""
+    gplus, feed = PAPER_TARGETS[GPLUS], PAPER_TARGETS[FEED]
+    rows = [_prevalence("fig3", GROUP, CONTENT_DIVERGENCE, None, None,
+                        weight=1.0)]
+    for service, targets in ((GPLUS, gplus), (FEED, feed)):
+        rows += _per_pair("fig8", service, ".order", "rate", None, None,
+                          sorted(targets.pair_order), "order",
+                          paper=targets.pair_order, weight=1.0)
+    rows += _per_pair("fig9", FEED, ".median", "median", None, None,
+                      sorted(feed.content_window_median),
+                      paper=feed.content_window_median, weight=0.1)
+    for service, targets in ((GPLUS, gplus), (FEED, feed)):
+        rows += _per_pair("fig10", service, ".median", "median", None,
+                          None, sorted(targets.order_window_median), "order",
+                          paper=targets.order_window_median, weight=0.1)
+    # Every Google+ reads claim also reads a second service.
+    return rows + [Claim("table1.googleplus.reads", S("reads", GPLUS),
+                         paper=gplus.reads_test1, weight=1.0)]
+
+
 #: Every claim, in the paper's order: Figs. 3-10, Tables I/II, totals.
 CLAIMS: tuple[Claim, ...] = (*_figures(), *_tables_and_totals())
+#: The fit rows: objective terms only, in no claims table.
+FIT_ROWS: tuple[Claim, ...] = tuple(_fit_rows())

@@ -23,10 +23,13 @@ __all__ = [
 
 FIDELITY_SCHEMA_VERSION = 1
 
+#: Width of the term column: the longest row id, plus a gap.
+_TERM_WIDTH = 48
+
 
 def fidelity_table(score: FidelityScore) -> str:
-    """One service's terms as an aligned measured-vs-paper table."""
-    header = (f"{'term':34s}{'measured':>10s}{'paper':>10s}"
+    """One service's rows as an aligned measured-vs-paper table."""
+    header = (f"{'term':{_TERM_WIDTH}s}{'measured':>10s}{'paper':>10s}"
               f"{'weight':>8s}{'loss':>8s}")
     lines = [
         f"{score.service}: weighted fidelity loss "
@@ -35,22 +38,23 @@ def fidelity_table(score: FidelityScore) -> str:
         "-" * len(header),
     ]
     for term in score.terms:
+        row = term.claim
         lines.append(
-            f"{term.name:34s}{term.measured:10.3f}"
-            f"{term.target:10.3f}{term.weight:8.2f}{term.loss:8.3f}"
+            f"{row.id:{_TERM_WIDTH}s}{term.value:10.3f}"
+            f"{row.paper:10.3f}{row.weight:8.2f}{term.loss:8.3f}"
         )
     return "\n".join(lines)
 
 
 def comparison_table(baseline: FidelityScore,
                      calibrated: FidelityScore) -> str:
-    """Term-by-term paper / default / calibrated comparison.
+    """Row-by-row paper / default / calibrated comparison.
 
-    Both scores must come from the same objective (same term list);
-    the table shows, per term, whether calibration moved the measured
+    Both scores must come from the same objective (same rows); the
+    table shows, per row, whether calibration moved the measured
     value toward the paper.
     """
-    header = (f"{'term':34s}{'paper':>10s}{'default':>12s}"
+    header = (f"{'term':{_TERM_WIDTH}s}{'paper':>10s}{'default':>12s}"
               f"{'calibrated':>12s}")
     lines = [
         f"{calibrated.service}: fidelity loss default "
@@ -58,14 +62,14 @@ def comparison_table(baseline: FidelityScore,
         header,
         "-" * len(header),
     ]
-    calibrated_terms = {term.name: term for term in calibrated.terms}
+    calibrated_terms = {term.claim.id: term for term in calibrated.terms}
     for term in baseline.terms:
-        other = calibrated_terms.get(term.name)
-        cell = f"{other.measured:12.3f}" if other is not None \
+        other = calibrated_terms.get(term.claim.id)
+        cell = f"{other.value:12.3f}" if other is not None \
             else f"{'-':>12s}"
         lines.append(
-            f"{term.name:34s}{term.target:10.3f}"
-            f"{term.measured:12.3f}{cell}"
+            f"{term.claim.id:{_TERM_WIDTH}s}{term.claim.paper:10.3f}"
+            f"{term.value:12.3f}{cell}"
         )
     return "\n".join(lines)
 

@@ -15,15 +15,16 @@ publishes about that service:
 * **Tables I/II** — reads per agent per Test 1 instance, which pins
   each service's effective test duration and read cadence.
 
-These dicts are the *single source of truth*: ``tools/calibrate.py``
-renders them, :mod:`repro.calibrate.objective` scores against them,
-``tools/gates.py fidelity`` gates CI on them, and the claims table
-(:mod:`repro.calibrate.claims`) shows them as the paper's values of
-its rows.  Prevalences and
+These dicts are the *single source of truth*: the claims table
+(:mod:`repro.calibrate.claims`) reads them as the paper's values of
+its rows, and each number is the ``paper`` value of exactly one
+weighted row — so the objectives built from those rows
+(:mod:`repro.calibrate.objective`), ``tools/calibrate.py`` and
+``tools/gates.py fidelity`` score against them too.  Prevalences and
 read counts are the paper's stated values; per-pair rates and window
 medians are read off the published figures to the nearest sensible
 value (the paper prints CDFs, not tables), which is why the window
-medians carry a lower weight in the objective.
+medians' rows carry a lower weight.
 
 ``TARGETS_VERSION`` bumps whenever any number changes, so
 ``fidelity.json`` exports can be matched to the targets they were

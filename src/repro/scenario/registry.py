@@ -247,18 +247,22 @@ def scenario_space(spec: ScenarioSpec):
 
 
 def scenario_objective(spec: ScenarioSpec):
-    """The scenario's declared calibrate fit objective."""
+    """The scenario's declared calibrate fit objective: one Fig. 3
+    prevalence row per target, under the scenario's name."""
+    from repro.calibrate.claims import Claim, S
     from repro.calibrate.objective import Objective
-    from repro.calibrate.targets import ServiceTargets
+    from repro.core.anomalies import ALL_ANOMALIES
 
     if spec.calibration is None or not spec.calibration.prevalence:
         raise ConfigurationError(
             f"scenario {spec.name!r} declares no "
             "[calibrate.targets.prevalence]"
         )
-    return Objective(targets=ServiceTargets(
-        service=spec.name,
-        prevalence=dict(spec.calibration.prevalence),
+    targets = dict(spec.calibration.prevalence)
+    return Objective(rows=tuple(
+        Claim(f"fig3.{spec.name}.{anomaly}", S("share", spec.name, anomaly),
+              paper=targets[anomaly], weight=1.0)
+        for anomaly in ALL_ANOMALIES if anomaly in targets
     ))
 
 

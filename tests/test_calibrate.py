@@ -9,13 +9,13 @@ identical outcome instead of silently recomputing something else.
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from repro.calibrate import (
     Axis,
     FidelityScore,
-    FidelityTerm,
     FleetEvaluator,
     Objective,
     SearchSpace,
@@ -32,31 +32,49 @@ from repro.calibrate import (
     target_services,
     write_fidelity_json,
 )
+from repro.calibrate.claims import Claim, S
 from repro.calibrate.search import ETA
 from repro.cli import main as repro_main
 from repro.errors import CalibrationError, FleetError
 from repro.fleet import ArtifactStore
-from repro.methodology import CampaignConfig, run_campaign
-from repro.scenario import forget_scenario
+from repro.methodology import CampaignConfig, CampaignResult, run_campaign
+from repro.scenario import (
+    forget_scenario,
+    load_scenario,
+    scenario_campaign,
+    scenario_objective,
+)
+
+GOSSIP_MESH = (Path(__file__).parent.parent / "examples" / "scenarios"
+               / "gossip_mesh.toml")
 
 #: Smallest useful real evaluation: one test type, two tests.
 SMALL = CampaignConfig(num_tests=2, seed=0, test_types=("test1",))
 
+#: ``default_objective(s).evaluate(...).total`` on a 3-test, seed-7
+#: campaign, and the gossip_mesh scenario objective's on the same
+#: budget: recorded when the objective was four hand-built term
+#: families, before it became a weighted sum of claim rows.
+PINNED_TOTALS = {
+    "googleplus": 2.049713581998208,
+    "blogger": 0.0,
+    "facebook_feed": 1.8622190623326014,
+    "facebook_group": 0.7280808080808081,
+    "gossip_mesh": 0.20000000000000007,
+}
 
-def score_from_json(data):
-    """Rebuild a FidelityScore from its ``to_jsonable`` document."""
-    return FidelityScore(
-        service=data["service"],
-        terms=tuple(FidelityTerm(**term) for term in data["terms"]),
-        total=data["total"],
-    )
+
+def json_roundtrip(document):
+    return json.loads(json.dumps(document))
 
 
 class TestTargets:
     def test_every_target_service_has_an_objective(self):
         for service in target_services():
             objective = default_objective(service)
-            assert objective.targets.service == service
+            assert objective.service == service
+            assert all(row.weight > 0 and row.services == (service,)
+                       for row in objective.rows)
 
     def test_unknown_service_is_an_error(self):
         with pytest.raises(CalibrationError, match="no paper targets"):
@@ -144,28 +162,53 @@ class TestObjective:
 
     def test_term_order_is_fixed(self, blogger_result):
         score = default_objective("blogger").evaluate(blogger_result)
-        names = [term.name for term in score.terms]
+        names = [term.claim.id for term in score.terms]
         assert names == [
-            "prevalence.read_your_writes",
-            "prevalence.monotonic_writes",
-            "prevalence.monotonic_reads",
-            "prevalence.writes_follow_reads",
-            "prevalence.content_divergence",
-            "prevalence.order_divergence",
-            "reads.test1",
+            "fig3.blogger.read_your_writes",
+            "fig3.blogger.monotonic_writes",
+            "fig3.blogger.monotonic_reads",
+            "fig3.blogger.writes_follow_reads",
+            "fig3.blogger.content_divergence",
+            "fig3.blogger.order_divergence",
+            "table1.blogger.reads",
         ]
 
     def test_total_is_the_weighted_sum(self, blogger_result):
         score = default_objective("blogger").evaluate(blogger_result)
-        expected = sum(t.weight * t.loss for t in score.terms)
+        expected = sum(t.claim.weight * t.loss for t in score.terms)
         assert score.total == pytest.approx(expected)
 
     def test_score_roundtrips_through_json(self, blogger_result):
         score = default_objective("blogger").evaluate(blogger_result)
-        rebuilt = score_from_json(
-            json.loads(json.dumps(score.to_jsonable()))
-        )
-        assert rebuilt == score
+        document = score.to_jsonable()
+        assert json_roundtrip(document) == document
+        assert document["total"] == score.total
+        assert [(term["name"], term["measured"], term["target"],
+                 term["weight"], term["loss"])
+                for term in document["terms"]] == [
+            (term.claim.id, term.value, term.claim.paper,
+             term.claim.weight, term.loss) for term in score.terms]
+
+    @pytest.mark.parametrize("service", sorted(PINNED_TOTALS))
+    def test_totals_match_the_term_families_they_replace(self, service):
+        config = CampaignConfig(num_tests=3, seed=7)
+        if service == "gossip_mesh":
+            spec = load_scenario(GOSSIP_MESH)
+            objective = scenario_objective(spec)
+            result = run_campaign(*scenario_campaign(spec, config))
+        else:
+            objective = default_objective(service)
+            result = run_campaign(service, config)
+        total = objective.evaluate(result).total
+        assert abs(total - PINNED_TOTALS[service]) <= 1e-12
+
+    def test_a_statistic_with_nothing_to_measure_scores_zero(self):
+        (row,) = [row for row in default_objective("googleplus").rows
+                  if row.id == "fig9.googleplus.oregon_tokyo_vs_ireland"]
+        empty = CampaignResult(service="googleplus", config=SMALL)
+        (term,) = Objective(rows=(row,)).evaluate(empty).terms
+        # The row's guard is false here; the loss is scored regardless.
+        assert (term.value, term.loss) == (0.0, row.paper)
 
     def test_service_mismatch_is_an_error(self, blogger_result):
         objective = default_objective("googleplus")
@@ -174,7 +217,11 @@ class TestObjective:
 
     def test_empty_targets_are_rejected(self):
         with pytest.raises(CalibrationError, match="empty"):
-            Objective(targets=ServiceTargets(service="x"))
+            Objective(rows=())
+        shape_only = Claim("fig3.x.read_your_writes",
+                           S("share", "x", "read_your_writes"), "==", 0.0)
+        with pytest.raises(CalibrationError, match="not a weighted row"):
+            Objective(rows=(shape_only,))
 
 
 def scripted_evaluator(losses):
@@ -358,9 +405,11 @@ class TestSearchDeterminism:
     def test_edited_objective_rescores_the_stored_rung(self, tmp_path):
         first = run_blogger_search(tmp_path)
         space = default_space("blogger")
-        edited = Objective(targets=ServiceTargets(
-            service="blogger", prevalence={"read_your_writes": 0.5},
-        ))
+        edited = Objective(rows=(Claim(
+            "fig3.blogger.read_your_writes",
+            S("share", "blogger", "read_your_writes"),
+            paper=0.5, weight=1.0,
+        ),))
         messages = []
         evaluator = FleetEvaluator(
             space=space, objective=edited, base_config=SMALL,
@@ -391,7 +440,7 @@ class TestWinnersAndReport:
         result = run_campaign("blogger", SMALL)
         score = default_objective("blogger").evaluate(result)
         table = fidelity_table(score)
-        assert "reads.test1" in table
+        assert "table1.blogger.reads" in table
         assert f"{score.total:.4f}" in table
         comparison = comparison_table(score, score)
         assert "default" in comparison and "calibrated" in comparison
@@ -400,8 +449,8 @@ class TestWinnersAndReport:
                                    extra={"seed": 0})
         document = json.loads(path.read_text())
         assert document["extra"] == {"seed": 0}
-        rebuilt = score_from_json(document["scores"]["blogger"])
-        assert rebuilt == score
+        assert document["scores"]["blogger"] == \
+            json_roundtrip(score.to_jsonable())
 
 
 class TestCli:

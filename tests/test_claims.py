@@ -4,7 +4,9 @@ The table's contract: one row per claim id, every paper number a row
 shows is read from ``PAPER_TARGETS`` rather than restated, a guarded
 row reports "n/a" and holds exactly when its guard is false, and a
 subset of services evaluates and renders only the rows it can read.
-Whether the rows hold on the bench campaigns is
+As a calibration objective, every number ``PAPER_TARGETS`` publishes
+is fitted by exactly one weighted row, and the fit rows stay out of
+the claims.  Whether the rows hold on the bench campaigns is
 ``benchmarks/test_paper_claims.py``'s job.
 """
 
@@ -12,8 +14,14 @@ import re
 
 import pytest
 
+from repro._hash import sha256
 from repro.calibrate import PAPER_TARGETS
-from repro.calibrate.claims import CLAIMS, claims_table, evaluate_claims
+from repro.calibrate.claims import (
+    CLAIMS,
+    FIT_ROWS,
+    claims_table,
+    evaluate_claims,
+)
 from repro.core import ALL_ANOMALIES
 from repro.methodology import CampaignConfig, CampaignResult
 
@@ -36,6 +44,11 @@ TARGETED = (
     (r"(table1|totals)\.(?P<service>\w+)\.reads(\.vs_\w+)?",
      lambda targets, row: targets.reads_test1),
 )
+
+#: sha256 of the newline-joined ids ``evaluate_claims`` returns for the
+#: four services, recorded before the table gained weights and fit rows.
+CLAIM_IDS_SHA256 = (
+    "0490d4bb741d1fbe2ada2f40ee4b16280733dead100a8c5b52329d2d9b908795")
 
 GUARDED = ("fig5.googleplus.monotonic_writes.local",
            "fig6.googleplus.monotonic_reads.local",
@@ -125,3 +138,60 @@ def test_cross_service_rows_need_both_services():
 
 def test_no_paper_service_evaluates_no_row():
     assert evaluate_claims({"quorum_kv": empty("quorum_kv")}) == []
+
+
+def test_fit_rows_are_invisible_to_the_claims():
+    ids = [verdict.claim.id for verdict in evaluate_claims(
+        {service: empty(service) for service in SERVICES})]
+    assert len(ids) == 151
+    assert sha256("\n".join(ids).encode()).hexdigest() == CLAIM_IDS_SHA256
+    assert not {row.id for row in FIT_ROWS} & set(ids)
+    assert all(row.op is None and row.weight for row in FIT_ROWS)
+
+
+class _Probe:
+    """Stands in for measured results: a statistic returns the call it
+    makes, so ``S("rate", s, pair, "order")`` gives
+    ``("rate", s, pair, "order")``."""
+
+    def __getattr__(self, method):
+        return lambda *args: (method, *args)
+
+
+def published(service):
+    """(statistic call, paper number, weight) per PAPER_TARGETS number."""
+    targets = PAPER_TARGETS[service]
+    yield from ((("share", service, anomaly), number, 1.0)
+                for anomaly, number in targets.prevalence.items())
+    yield ("reads", service), targets.reads_test1, 1.0
+    for kind, rates, medians in (
+            ((), targets.pair_content, targets.content_window_median),
+            (("order",), targets.pair_order, targets.order_window_median)):
+        yield from ((("rate", service, pair, *kind), number, 1.0)
+                    for pair, number in rates.items())
+        yield from ((("median", service, pair, *kind), number, 0.1)
+                    for pair, number in medians.items())
+
+
+@pytest.mark.parametrize("service", SERVICES)
+def test_every_published_number_is_one_weighted_row(service):
+    rows = [row for row in (*CLAIMS, *FIT_ROWS)
+            if row.weight and service in row.services]
+    assert all(row.services == (service,) for row in rows)
+    calls = [row.statistic(_Probe()) for row in rows]
+    expected = list(published(service))
+    # As many rows as numbers, and each number on its own row: a target
+    # dropped or scored twice fails here.
+    assert len(rows) == len(expected)
+    for call, number, weight in expected:
+        (row,) = [row for row, made in zip(rows, calls) if made == call]
+        assert row.paper is number, row.id
+        assert row.weight == weight, row.id
+
+
+def test_a_repeated_statistic_is_weighted_once():
+    weighted = {row.id for row in (*CLAIMS, *FIT_ROWS) if row.weight}
+    assert "fig3.facebook_feed.monotonic_writes.present" in weighted
+    assert "fig5.facebook_feed.monotonic_writes" not in weighted
+    assert "fig3.facebook_group.writes_follow_reads" in weighted
+    assert "fig7.facebook_group.writes_follow_reads" not in weighted

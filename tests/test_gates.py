@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.calibrate import FidelityScore, target_services
+from repro.calibrate import FidelityScore, default_objective, target_services
+from repro.calibrate.claims import Verdict
 
 TOOLS = Path(__file__).parent.parent / "tools"
 
@@ -74,19 +75,43 @@ def test_named_gates_run_alone_and_a_failure_exits_1(gates, capsys,
     assert "  - gossip golden signature drifted" in out
 
 
+def fake_score(service, loss):
+    """A score whose every row of ``service``'s objective lost ``loss``."""
+    rows = default_objective(service).rows
+    return FidelityScore(
+        service=service,
+        terms=tuple(Verdict(row, row.paper, loss=loss) for row in rows),
+        total=sum(row.weight * loss for row in rows))
+
+
 def test_fidelity_gate_scores_the_default_profile_of_every_service(
         gates, monkeypatch):
     seen = []
 
     def record(service, params):
         seen.append((service, params))
-        return FidelityScore(service=service, terms=(), total=0.0)
+        return fake_score(service, 0.0)
 
     monkeypatch.setattr(gates, "_fidelity_score", record)
     failures = []
     gates.fidelity_gate(failures)
     assert failures == []
     assert seen == [(service, None) for service in target_services()]
+
+
+def test_an_over_budget_service_fails_and_prints_its_rows(
+        gates, monkeypatch, capsys):
+    monkeypatch.setattr(gates, "_fidelity_score",
+                        lambda service, params: fake_score(service, 1.0))
+    failures = []
+    gates.fidelity_gate(failures)
+    out = capsys.readouterr().out
+    assert [failure.split(":")[0] for failure in failures] == \
+        list(target_services())
+    assert "blogger: weighted fidelity loss 7.0000" in out
+    for service in target_services():
+        for row in default_objective(service).rows:
+            assert f"\n{row.id} " in out
 
 
 def test_every_service_has_a_fidelity_budget(gates):

@@ -524,10 +524,11 @@ class TestRegistry:
         assert space.service == "probe"
         assert [axis.path for axis in space.axes] == ["store.fanout"]
         objective = scenario_objective(spec)
-        assert objective.targets.service == "probe"
-        assert objective.targets.prevalence == {
-            "read_your_writes": 0.5,
-        }
+        assert objective.service == "probe"
+        assert [(row.id, row.paper, row.weight)
+                for row in objective.rows] == [
+            ("fig3.probe.read_your_writes", 0.5, 1.0),
+        ]
 
     def test_same_name_different_specs_each_get_a_space(self):
         calibration = CalibrationSpec(axes=(("store.fanout", (1, 2)),))

@@ -5,12 +5,13 @@ Run during development to eyeball a service's fit:
     python tools/calibrate.py [num_tests] [seed] [service ...]
 
 Thin shim over :mod:`repro.calibrate`: the paper's numbers live in
-``repro.calibrate.targets`` (the single source of truth, also used by
-the search and the CI fidelity gate), the scoring in
-``repro.calibrate.objective``, and the rendering in
+``repro.calibrate.targets`` (the single source of truth), the rows
+that read them in ``repro.calibrate.claims`` (the weighted ones are
+also what the search and the CI fidelity gate score), the weighted
+sum in ``repro.calibrate.objective``, and the rendering in
 ``repro.calibrate.report``.  Each service prints the measured-vs-paper
-term table for its default profile, the one model every reported
-number comes from.
+table of its weighted rows for its default profile, the one model
+every reported number comes from.
 
 For the actual parameter search, use::
 
