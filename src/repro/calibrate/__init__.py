@@ -20,57 +20,19 @@ and no wall clock anywhere — ``repro.lint`` enforces both, and
 (DET003) that no reduction runs over an unordered collection.
 """
 
-from repro.calibrate.evaluator import FleetEvaluator, run_calibration
-from repro.calibrate.objective import (
-    FidelityScore,
-    Objective,
-    default_objective,
-)
-from repro.calibrate.report import (
-    comparison_table,
-    fidelity_table,
-    write_fidelity_json,
-)
-from repro.calibrate.search import (
-    SearchOutcome,
-    SuccessiveHalving,
-    TrialResult,
-)
-from repro.calibrate.space import (
-    Axis,
-    SearchSpace,
-    apply_assignment,
-    base_params,
-    default_space,
-)
-from repro.calibrate.targets import (
-    PAPER_TARGETS,
-    TARGETS_VERSION,
-    ServiceTargets,
-    paper_targets,
-    target_services,
-)
+from repro._facade import facade
 
-__all__ = [
-    "Axis",
-    "FidelityScore",
-    "FleetEvaluator",
-    "Objective",
-    "PAPER_TARGETS",
-    "SearchOutcome",
-    "SearchSpace",
-    "ServiceTargets",
-    "SuccessiveHalving",
-    "TARGETS_VERSION",
-    "TrialResult",
-    "apply_assignment",
-    "base_params",
-    "comparison_table",
-    "default_objective",
-    "default_space",
-    "fidelity_table",
-    "paper_targets",
-    "run_calibration",
-    "target_services",
-    "write_fidelity_json",
-]
+__all__, __getattr__, __dir__ = facade(__name__, {
+    ".evaluator": ("FleetEvaluator", "run_calibration"),
+    ".objective": ("FidelityScore", "Objective", "default_objective"),
+    ".report": ("comparison_table", "fidelity_table", "write_fidelity_json"),
+    ".search": ("SearchOutcome", "SuccessiveHalving", "TrialResult"),
+    ".space": (
+        "Axis", "SearchSpace", "apply_assignment", "base_params",
+        "default_space",
+    ),
+    ".targets": (
+        "PAPER_TARGETS", "TARGETS_VERSION", "ServiceTargets",
+        "paper_targets", "target_services",
+    ),
+})

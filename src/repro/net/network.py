@@ -18,6 +18,11 @@ Two communication styles are offered:
   caller's future.  Used by the web-API layer and the clock-sync
   protocol.  RPCs carry a timeout so that partitions surface as
   :class:`~repro.errors.HostUnreachableError` rather than hung agents.
+  A timeout costs no event of its own, only an append to a deadline
+  FIFO and a pop.  Each timeout value (web-API clients' 10 s, a quorum
+  frontend's 5 s) has its own FIFO, which is then in deadline order,
+  with at most one armed expiry event; a shared FIFO would hold late
+  deadlines ahead of earlier ones.
 
 What a message needs that depends only on its ``(src, dst)`` pair — the
 link's request / datagram counter and the reply future's label — is
@@ -31,6 +36,7 @@ invalidation.
 
 from __future__ import annotations
 
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable
@@ -49,6 +55,8 @@ __all__ = ["Message", "Network", "DEFAULT_RPC_TIMEOUT"]
 #: RTTs so it only fires on genuine outages.
 DEFAULT_RPC_TIMEOUT = 10.0
 
+#: One timeout value's RPCs in issue order: (deadline, src, dst, reply).
+_Deadlines = deque[tuple[float, str, str, Future]]
 #: Handler invoked with each delivered datagram.
 MessageHandler = Callable[["Message"], None]
 #: Handler invoked with (payload, src_host); returns reply or Future.
@@ -98,6 +106,8 @@ class Network:
                               tuple[Counter | None, str]] = {}
         #: (src, dst) -> the link's ``net.datagrams_total`` counter.
         self._datagram_counters: dict[tuple[str, str], Counter] = {}
+        #: RPC timeout -> its FIFO; one ``_expire`` is armed iff non-empty.
+        self._deadlines: defaultdict[float, _Deadlines] = defaultdict(deque)
         self._messages_sent = 0
         self._messages_delivered = 0
 
@@ -165,7 +175,14 @@ class Network:
 
     def rpc(self, src: str, dst: str, payload: Any,
             timeout: float = DEFAULT_RPC_TIMEOUT) -> Future:
-        """Issue a request/response exchange; returns the reply future."""
+        """Issue a request/response exchange; returns the reply future.
+
+        Unanswered by ``now + timeout``, it fails then with
+        :class:`~repro.errors.HostUnreachableError`.  The first deadline
+        in an empty FIFO arms the expiry, which re-arms at the next open
+        one: its tie-break rank is when it was armed, so a reply due at
+        exactly a deadline armed after the reply was sent wins it.
+        """
         if not timeout >= 0:
             raise NetworkError(
                 f"RPC timeout must be a non-negative number of seconds, "
@@ -191,13 +208,17 @@ class Network:
             return reply
 
         self._messages_sent += 1
-        if not self._faults.should_drop(src, dst, self._sim.now):
+        now = self._sim.now
+        if not self._faults.should_drop(src, dst, now):
             self._sim.schedule_after(
                 self._latency.sample_one_way(src, dst),
                 self._serve_rpc, src, dst, payload, reply
             )
-        # Timeout covers both dropped requests and dropped replies.
-        self._sim.schedule_after(timeout, self._timeout_rpc, src, dst, reply)
+        # The deadline covers both dropped requests and dropped replies.
+        deadlines = self._deadlines[timeout]
+        if not deadlines:
+            self._sim.schedule_after(timeout, self._expire, deadlines)
+        deadlines.append((now + timeout, src, dst, reply))
         return reply
 
     def _serve_rpc(self, src: str, dst: str, payload: Any,
@@ -250,12 +271,18 @@ class Network:
         else:
             reply.resolve(value)
 
-    def _timeout_rpc(self, src: str, dst: str, reply: Future) -> None:
-        if reply.done:
-            return
-        reply.fail(HostUnreachableError(
-            f"RPC from {src!r} to {dst!r} timed out"
-        ))
+    def _expire(self, deadlines: _Deadlines) -> None:
+        """Fail the FIFO's overdue replies; re-arm at its next open one."""
+        now = self._sim.now
+        while deadlines:
+            deadline, src, dst, reply = deadlines[0]
+            if not reply.done:
+                if deadline > now:
+                    self._sim.schedule_at(deadline, self._expire, deadlines)
+                    return
+                reply.fail(HostUnreachableError(
+                    f"RPC from {src!r} to {dst!r} timed out"))
+            deadlines.popleft()
 
     # -- Stats ------------------------------------------------------------
 

@@ -14,13 +14,12 @@ The contract, in one place:
   time fire in FIFO order of scheduling and a run is deterministic for
   a fixed seed.
 * Every event enters through :meth:`Simulator.schedule_at`
-  (``schedule_after`` delegates to it), which returns ``seq`` as an
-  opaque token for :meth:`Simulator.cancel`.  A cancelled entry stays
-  in the heap until it reaches the head and is dropped there: it
-  neither fires, nor counts, nor stalls ``run_until`` — and an event
-  nobody cancels costs no handle object.
-* ``step``, ``run``, ``run_until`` and ``next_event_time`` are one
-  drain loop under different bounds.
+  (``schedule_after`` delegates to it), which returns nothing.  An
+  event cannot be cancelled and costs no handle object: a callback
+  that may have become moot checks its own state when it fires (the
+  network's RPC deadlines keep one armed event per timeout value).
+* ``step``, ``run`` and ``run_until`` are one drain loop under
+  different bounds; ``next_event_time`` reads the heap's head.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ class Simulator:
     -------
     >>> sim = Simulator()
     >>> fired = []
-    >>> _ = sim.schedule_after(1.5, fired.append, "hello")
+    >>> sim.schedule_after(1.5, fired.append, "hello")
     >>> sim.run()
     >>> sim.now, fired
     (1.5, ['hello'])
@@ -51,9 +50,6 @@ class Simulator:
         self._now = float(start_time)
         self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._scheduled = 0
-        #: Tokens of cancelled entries still in the heap.
-        self._cancelled: set[int] = set()
-        self._dropped = 0
         self._running = False
 
     # -- Clock -----------------------------------------------------------
@@ -65,77 +61,54 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        """Total number of events executed so far.
-
-        Every scheduled entry is pending, dropped as cancelled, or was
-        popped to fire (the one firing right now included), so the
-        loop keeps no counter of its own.
-        """
-        return self._scheduled - len(self._heap) - self._dropped
+        """Total number of events executed so far, the one firing now
+        included: every scheduled entry is pending or was popped."""
+        return self._scheduled - len(self._heap)
 
     @property
     def pending_events(self) -> int:
-        """Number of queued events, including cancelled ones not yet popped."""
+        """Number of queued events."""
         return len(self._heap)
 
     # -- Scheduling --------------------------------------------------------
 
     def schedule_at(self, time: float, callback: Callable[..., None],
-                    *args: Any) -> int:
+                    *args: Any) -> None:
         """Schedule ``callback(*args)`` at absolute virtual ``time``.
 
-        Returns the token :meth:`cancel` takes.  Scheduling in the past
-        is an error: discrete-event simulations that silently clamp
-        past events hide causality bugs.  (``not >=`` so that NaN, which
-        would break the heap order silently, fails the same check.)
+        Scheduling in the past is an error: discrete-event simulations
+        that silently clamp past events hide causality bugs.  (``not >=``
+        so that NaN, which would break the heap order silently, fails
+        the same check.)
         """
         if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule event at t={time:.6f}, "
                 f"before current time t={self._now:.6f}"
             )
-        self._scheduled = token = self._scheduled + 1
-        heappush(self._heap, (time, token, callback, args))
-        return token
+        self._scheduled = seq = self._scheduled + 1
+        heappush(self._heap, (time, seq, callback, args))
 
     def schedule_after(self, delay: float, callback: Callable[..., None],
-                       *args: Any) -> int:
+                       *args: Any) -> None:
         """Schedule ``callback(*args)`` after ``delay`` seconds."""
         if not delay >= 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self.schedule_at(self._now + delay, callback, *args)
-
-    def cancel(self, token: int) -> None:
-        """Prevent the event ``token`` names from firing.
-
-        O(1); cancelling an event that already fired is a no-op.
-        """
-        self._cancelled.add(token)
+        self.schedule_at(self._now + delay, callback, *args)
 
     # -- Execution --------------------------------------------------------
 
     def _drain(self, until: float, budget: float) -> float:
-        """Fire live events due by ``until``, at most ``budget`` of them.
-
-        Returns the unspent budget, and leaves a live entry (or
-        nothing) at the head of the heap.
-        """
-        heap, cancelled, pop = self._heap, self._cancelled, heappop
+        """Fire events due by ``until``, at most ``budget``; return the rest."""
+        heap, pop = self._heap, heappop
         while heap:
-            time, token, callback, args = heap[0]
-            if cancelled and token in cancelled:
-                pop(heap)
-                cancelled.discard(token)
-                self._dropped += 1
-                continue
+            time, _, callback, args = heap[0]
             if time > until or not budget:
                 return budget
             pop(heap)
             budget -= 1
             self._now = time
             callback(*args)
-        # Nothing is pending, so whatever is left names fired events.
-        cancelled.clear()
         return budget
 
     def step(self) -> bool:
@@ -179,14 +152,13 @@ class Simulator:
             self._running = False
 
     def next_event_time(self) -> float | None:
-        """Time of the earliest live pending event, or ``None`` if idle.
+        """Time of the earliest pending event, or ``None`` if idle.
 
         The public peek used by epoch-barrier drivers (the sharded
         world engine) to skip empty epochs: the next barrier is placed
         just past the earliest event across every shard's simulator
         instead of grinding through quiet quanta one by one.
         """
-        self._drain(inf, 0)  # fires nothing, drops cancelled heads
         return self._heap[0][0] if self._heap else None
 
     def _guard_reentrancy(self) -> None:

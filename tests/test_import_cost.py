@@ -24,6 +24,10 @@ import repro
 SRC = Path(__file__).resolve().parent.parent / "src"
 WORLD_SCENARIO = (SRC.parent / "examples" / "scenarios"
                   / "gossip_world.toml")
+#: A plain scenario with ``[service.params]``: lowering it reaches
+#: ``repro.calibrate.space`` and nothing else of that package.
+PARAMS_SCENARIO = (SRC.parent / "examples" / "scenarios"
+                   / "gossip_mesh.toml")
 
 #: The simulator side of the stack: what a record consumer never needs.
 SIMULATOR = ("repro.agents", "repro.services", "repro.webapi",
@@ -56,6 +60,14 @@ CASES = {
         ("repro.services.googleplus", "repro.services.facebook_feed",
          "repro.services.facebook_group", "repro.services.quorum_kv",
          "repro.methodology.sweep")),
+    "params_scenario": (
+        "from repro.methodology import CampaignConfig, run_campaign\n"
+        "from repro.scenario import load_scenario, scenario_campaign\n"
+        f"spec = load_scenario({str(PARAMS_SCENARIO)!r})\n"
+        "run_campaign(*scenario_campaign(\n"
+        "    spec, CampaignConfig(num_tests=1, seed=1)))",
+        tuple(f"repro.calibrate.{name}" for name in (
+            "evaluator", "search", "report", "objective", "claims"))),
     # What the benchmark's workloads module imports, spelled out so
     # the case does not depend on the benchmark package.
     "bench_workloads": (
@@ -116,7 +128,8 @@ PROBE = ("import json, sys\n{statement}\n"
 
 #: Every package whose ``__init__`` is a facade table.
 LAZY_PACKAGES = (
-    "repro", "repro.agents", "repro.analysis", "repro.clocksync",
+    "repro", "repro.agents", "repro.analysis", "repro.calibrate",
+    "repro.clocksync",
     "repro.fleet", "repro.methodology", "repro.net", "repro.obs",
     "repro.replication", "repro.scenario", "repro.services",
     "repro.stream", "repro.webapi", "repro.world",

@@ -1,6 +1,8 @@
 """Unit tests for the simulated network: datagrams, RPC, faults."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import HostUnreachableError, NetworkError
 from repro.net import (
@@ -15,11 +17,11 @@ from repro.obs import ObsContext
 from repro.sim import Future, RandomSource, Simulator
 
 
-def make_network(sim, sigma=0.0, faults=None, obs=None):
+def make_network(sim, sigma=0.0, faults=None, obs=None, rtt=0.100):
     topo = Topology()
     topo.add_region(Region("east"))
     topo.add_region(Region("west"))
-    topo.set_rtt("east", "west", 0.100)
+    topo.set_rtt("east", "west", rtt)
     topo.place_host("client", "east")
     topo.place_host("server", "west")
     topo.place_host("peer", "east")
@@ -302,3 +304,155 @@ class TestRpc:
         reply = net.rpc("client", "server", None, timeout=5.0)
         sim.run()  # runs past the timeout event
         assert reply.value == "ok"
+
+    def test_replies_in_time_schedule_no_event_each(self):
+        """A timeout value's deadlines share one armed expiry event:
+        100 answered RPCs cost their request and reply events plus one
+        expiry, not one timeout event each."""
+        sim = Simulator()
+        net = make_network(sim, sigma=0.0)
+        net.attach("client")
+        net.attach("server", rpc_handler=lambda p, s: p)
+        replies = [net.rpc("client", "server", n) for n in range(100)]
+        sim.run()
+        assert [reply.value for reply in replies] == list(range(100))
+        assert sim.events_processed == 100 + 100 + 1
+        assert sim.now == 10.0  # the expiry fired, found nothing overdue
+
+
+class TestTimeoutAtTheDeadline:
+    """A reply that arrives at exactly its deadline.
+
+    Events due at one instant fire in the order they were scheduled.
+    An RPC's expiry event is scheduled when its timeout's FIFO arms
+    it: at the RPC itself when the FIFO was empty, otherwise when the
+    expiry for an earlier deadline re-arms.  That arming time, not the
+    RPC's issue time, is the expiry's place in a same-instant tie —
+    the one place deadline FIFOs can order events differently from a
+    timer armed per RPC.  With one-way delays of 0.5 s and a 1 s
+    timeout, an immediate reply lands exactly at its deadline.
+    """
+
+    def test_expiry_armed_at_issue_fails_the_reply(self):
+        # Expected: the RPC times out.  Its expiry was scheduled at
+        # t=0, before its reply was (t=0.5), so it fires first at 1.0.
+        sim = Simulator()
+        net = make_network(sim, sigma=0.0, rtt=1.0)
+        net.attach("client")
+        net.attach("server", rpc_handler=lambda p, s: "pong")
+        reply = net.rpc("client", "server", "ping", timeout=1.0)
+        settled = []
+        reply.add_callback(lambda f: settled.append(sim.now))
+        sim.run()
+        assert reply.failed and settled == [1.0]
+        assert str(reply.exception) == \
+            "RPC from 'client' to 'server' timed out"
+
+    def test_expiry_rearmed_after_the_reply_was_sent_resolves_it(self):
+        # Expected: the second RPC (issued at 0.25, deadline 1.25)
+        # resolves at 1.25.  Its reply was scheduled at 0.75; its
+        # expiry was re-armed at 1.0, when the first deadline passed,
+        # so the reply fires first.  A timer armed at 0.25 would have
+        # failed it.
+        sim = Simulator()
+        net = make_network(sim, sigma=0.0, rtt=1.0)
+        net.attach("client")
+        net.attach("server", rpc_handler=lambda p, s: p)
+        replies, settled = [], []
+
+        def issue(payload):
+            reply = net.rpc("client", "server", payload, timeout=1.0)
+            reply.add_callback(lambda f: settled.append((payload, sim.now)))
+            replies.append(reply)
+
+        sim.schedule_at(0.0, issue, "first")
+        sim.schedule_at(0.25, issue, "second")
+        sim.run()
+        assert settled == [("first", 1.0), ("second", 1.25)]
+        assert replies[0].failed and replies[1].value == "second"
+
+
+class ScriptedFaults(FaultInjector):
+    """Drops the network's n-th message when ``script[n]`` is True."""
+
+    def __init__(self, script):
+        super().__init__()
+        self._script = list(script)
+
+    def should_drop(self, src, dst, now):
+        return self._script.pop(0) if self._script else False
+
+
+#: Instants on a 1/8 s grid, so deadlines, replies and detaches tie.
+instants = st.integers(0, 24).map(lambda k: k / 8)
+#: (issue time, timeout, what the server's handler does, how late a
+#: deferred reply resolves).  Off-grid issue times keep deadlines apart.
+rpc_plans = st.lists(
+    st.tuples(st.one_of(instants, st.floats(0.0, 3.0)),
+              st.sampled_from((0.0, 0.25, 1.0)),
+              st.sampled_from(("value", "raise", "late", "never")),
+              instants),
+    min_size=1, max_size=25)
+#: (host, detached at, re-attached this long after).
+flaps = st.lists(
+    st.tuples(st.sampled_from(("client", "server")), instants, instants),
+    max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rpc_plans, flaps,
+       st.lists(st.sampled_from((False, False, False, True)), max_size=60),
+       st.sampled_from((0.0, 0.4)))
+def test_every_rpc_settles_once_by_its_deadline(plans, flaps, drops,
+                                                sigma):
+    """Two timeout values (and zero) interleaved on one network, with
+    dropped requests and replies, hosts detaching mid-flight and
+    handlers that answer now, raise, answer late or never: every RPC
+    settles exactly once; a timed-out one at exactly issue time + its
+    timeout, any other outcome no later than that."""
+    sim = Simulator()
+    net = make_network(sim, sigma=sigma, faults=ScriptedFaults(drops),
+                       rtt=0.125)
+
+    def serve(index, src):
+        _, _, behaviour, late = plans[index]
+        if behaviour == "raise":
+            raise ValueError(index)
+        if behaviour == "value":
+            return index
+        deferred = Future()
+        if behaviour == "late":
+            sim.schedule_after(late, deferred.resolve, index)
+        return deferred
+
+    def attach(host):
+        net.attach(host, rpc_handler=serve if host == "server" else None)
+
+    issued = []  # (issue time, timeout, reply, [settle times])
+
+    def issue(index):
+        if not net.is_attached("client"):
+            return
+        _, timeout, _, _ = plans[index]
+        settled = []
+        reply = net.rpc("client", "server", index, timeout=timeout)
+        reply.add_callback(lambda f: settled.append(sim.now))
+        issued.append((sim.now, timeout, reply, settled))
+
+    attach("client")
+    attach("server")
+    for index, (at, _, _, _) in enumerate(plans):
+        sim.schedule_at(at, issue, index)
+    for host, at, down_for in flaps:
+        sim.schedule_at(at, net.detach, host)
+        sim.schedule_at(at + down_for, attach, host)
+    sim.run()
+
+    for issued_at, timeout, reply, settled in issued:
+        deadline = issued_at + timeout
+        assert reply.done and len(settled) == 1
+        if str(reply.exception).endswith("timed out"):
+            assert isinstance(reply.exception, HostUnreachableError)
+            assert settled == [deadline]
+        else:
+            assert settled[0] <= deadline

@@ -86,49 +86,6 @@ class TestScheduling:
         assert fired_at == [1.0, 2.0, 3.0]
 
 
-class TestCancellation:
-    def test_cancelled_event_does_not_fire(self):
-        sim = Simulator()
-        fired = []
-        token = sim.schedule_after(1.0, fired.append, "x")
-        sim.cancel(token)
-        sim.run()
-        assert fired == []
-        assert sim.now == 0.0  # a cancelled event does not move time
-        assert sim.pending_events == 0
-
-    def test_cancel_after_fire_is_noop(self):
-        sim = Simulator()
-        fired = []
-        token = sim.schedule_after(1.0, fired.append, "x")
-        sim.run()
-        assert fired == ["x"]
-        sim.cancel(token)  # must not raise
-        sim.schedule_after(1.0, fired.append, "y")
-        sim.run()
-        assert fired == ["x", "y"] and sim.events_processed == 2
-
-    def test_cancel_is_per_event_not_per_callback(self):
-        sim = Simulator()
-        fired = []
-        keep = sim.schedule_after(1.0, fired.append, "keep")
-        drop = sim.schedule_after(1.0, fired.append, "drop")
-        assert keep != drop
-        sim.cancel(drop)
-        sim.run()
-        assert fired == ["keep"]
-
-    def test_cancelled_events_do_not_stall_run_until(self):
-        sim = Simulator()
-        sim.cancel(sim.schedule_after(1.0, lambda: None))
-        sim.run_until(5.0)
-        assert sim.now == 5.0
-        # ... and do not count as activity in strict mode.
-        sim.cancel(sim.schedule_after(1.0, lambda: None))
-        with pytest.raises(DeadlockError):
-            sim.run_until(10.0, strict=True)
-
-
 class TestRunUntil:
     def test_advances_clock_even_with_no_events(self):
         sim = Simulator()
@@ -179,9 +136,9 @@ class TestAccounting:
     def test_events_processed_counts_only_fired(self):
         sim = Simulator()
         sim.schedule_after(1.0, lambda: None)
-        sim.cancel(sim.schedule_after(2.0, lambda: None))
-        sim.run()
-        assert sim.events_processed == 1
+        sim.schedule_after(2.0, lambda: None)
+        sim.run_until(1.5)
+        assert sim.events_processed == 1 and sim.pending_events == 1
 
     def test_events_processed_includes_the_event_firing_now(self):
         sim = Simulator()
@@ -228,23 +185,17 @@ class ModelSimulator:
 
     def __init__(self):
         self.now, self.events_processed = 0.0, 0
-        self.pending, self.inserted, self.cancelled = [], 0, set()
+        self.pending, self.inserted = [], 0
 
     def schedule_at(self, time, callback, *args):
         self.inserted += 1
         self.pending.append((time, self.inserted, callback, args))
-        return self.inserted
 
     def schedule_after(self, delay, callback, *args):
-        return self.schedule_at(self.now + delay, callback, *args)
-
-    def cancel(self, token):
-        self.cancelled.add(token)
+        self.schedule_at(self.now + delay, callback, *args)
 
     def live(self):
-        return sorted((entry for entry in self.pending
-                       if entry[1] not in self.cancelled),
-                      key=lambda entry: entry[:2])
+        return sorted(self.pending, key=lambda entry: entry[:2])
 
     def next_event_time(self):
         return self.live()[0][0] if self.live() else None
@@ -271,37 +222,33 @@ class ModelSimulator:
 def run_program(sim, seed):
     """A seeded random program against the ``Simulator`` interface.
 
-    Events are named by planting order, never by token, so the two
-    implementations may number their tokens however they like.
+    Events are named by planting order, so the two implementations
+    may break same-instant ties by whatever sequence they keep.
     """
     rng = RandomSource(seed).stream("program")
-    tokens, fired = [], []
+    planted, fired = 0, []
 
     def observe(label):
         fired.append((label, sim.now, sim.events_processed,
                       sim.next_event_time()))
 
     def plant():
+        nonlocal planted
         delay = rng.choice((0.0, 0.0, 0.25, 0.5, 1.0))  # ties are common
         if rng.random() < 0.5:
-            token = sim.schedule_after(delay, fire, len(tokens))
+            sim.schedule_after(delay, fire, planted)
         else:
-            token = sim.schedule_at(sim.now + delay, fire, len(tokens))
-        tokens.append(token)
+            sim.schedule_at(sim.now + delay, fire, planted)
+        planted += 1
 
     def fire(label):
         observe(label)
         for _ in range(rng.randrange(3)):
-            if len(tokens) < 80:
+            if planted < 80:
                 plant()
-        if rng.random() < 0.4:
-            # Fired, firing now, pending or already cancelled.
-            sim.cancel(rng.choice(tokens))
 
     for _ in range(rng.randrange(1, 8)):
         plant()
-    if rng.random() < 0.5:
-        sim.cancel(rng.choice(tokens))
     observe("planted")
     sim.run_until(rng.choice((0.0, 0.25, 1.0)))
     observe("run_until")

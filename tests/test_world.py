@@ -370,12 +370,12 @@ class TestSimulatorPeek:
     def test_next_event_time_tracks_the_live_head(self):
         sim = Simulator()
         assert sim.next_event_time() is None
-        token = sim.schedule_at(5.0, lambda: None)
         sim.schedule_at(9.0, lambda: None)
+        sim.schedule_at(5.0, lambda: None)
         assert sim.next_event_time() == 5.0
-        sim.cancel(token)
-        assert sim.next_event_time() == 9.0  # cancelled head skipped
         assert sim.now == 0.0 and sim.events_processed == 0  # a pure peek
+        sim.run_until(7.0)
+        assert sim.next_event_time() == 9.0
         sim.run_until(10.0)
         assert sim.next_event_time() is None
 
