@@ -13,6 +13,7 @@ from pathlib import Path
 
 from repro.calibrate.objective import FidelityScore
 from repro.calibrate.targets import TARGETS_VERSION
+from repro.io import replace_file
 
 __all__ = [
     "FIDELITY_SCHEMA_VERSION",
@@ -91,8 +92,5 @@ def write_fidelity_json(path: str | Path,
     }
     if extra:
         document["extra"] = extra
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(document, indent=1, sort_keys=True)
-                    + "\n", encoding="utf-8")
-    return path
+    return replace_file(
+        path, (json.dumps(document, indent=1, sort_keys=True) + "\n",))

@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_out_flag(
         run_cmd, "--campaign-out", legacy="--output",
-        help="save the campaign's records as JSON for later analysis",
+        help="save the campaign's records (digest JSONL) for 'report'",
     )
     _add_out_flag(
         run_cmd, "--trace-out",
@@ -715,6 +715,7 @@ def _follow_lines(handle, poll_interval: float = 0.5):
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
+    from repro.errors import AnalysisError
     from repro.io import iter_trace_events
     from repro.stream.engine import DEFAULT_HORIZON, StreamEngine
     from repro.stream.ingest import OpIngest
@@ -797,6 +798,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                           + (f", {counts}" if counts else ""))
     except KeyboardInterrupt:
         print("\ninterrupted")
+    except AnalysisError as exc:
+        raise AnalysisError(f"{args.trace}: {exc}") from exc
     print(f"\n== Stream summary ==")
     print(f"operations ingested: {engine.operations_seen}")
     print(f"tests closed:        {engine.tests_closed}")

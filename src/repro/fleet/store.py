@@ -20,9 +20,9 @@ That digest is what makes checkpoint/resume safe: a shard counts as
 done only if its manifest entry says ``complete`` *and* the file on
 disk still hashes to the recorded digest.  Anything else — missing
 entry, missing file, truncated or tampered bytes — classifies the
-shard as work to (re)do.  Manifest updates go through a
-write-to-temp-then-rename so a kill mid-update can never leave a
-half-written manifest claiming shards it does not have.
+shard as work to (re)do.  The manifest and shards are written
+temp-then-rename (:func:`repro.io.replace_file`), so a kill mid-update
+never leaves a half-written manifest claiming shards it does not have.
 
 This is the one digest-tracked checkpoint in the repository: a fleet
 run (``fleet --store-out``), each hunt of the serve daemon and each
@@ -33,13 +33,13 @@ rung of a calibration search (``calibrate --store-out DIR`` keeps rung
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 from repro._hash import tagged_sha256
 from repro.errors import FleetError
 from repro.fleet.digest import canonical_json
+from repro.io import replace_file
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fleet.spec import FleetSpec, ShardJob
@@ -125,13 +125,9 @@ class ArtifactStore:
 
     def _write_manifest(self) -> None:
         assert self._manifest is not None
-        self.root.mkdir(parents=True, exist_ok=True)
-        temp = self.manifest_path.with_suffix(".json.tmp")
-        temp.write_text(
-            json.dumps(self._manifest, indent=1, sort_keys=True),
-            encoding="utf-8",
-        )
-        os.replace(temp, self.manifest_path)
+        replace_file(self.manifest_path,
+                     (json.dumps(self._manifest, indent=1,
+                                 sort_keys=True),))
 
     @property
     def manifest(self) -> dict:
@@ -204,16 +200,15 @@ class ArtifactStore:
         ``obs`` (a :meth:`repro.obs.ObsContext.snapshot`) is archived
         alongside as a digest-validated JSONL export.
         """
-        self.shards_dir.mkdir(parents=True, exist_ok=True)
         records = list(jsonable_records)
-        lines = [canonical_json(record) for record in records]
-        data = ("\n".join(lines) + ("\n" if lines else "")).encode()
-        self.shard_path(job.shard_id).write_bytes(data)
+        text = "".join(canonical_json(record) + "\n"
+                       for record in records)
+        replace_file(self.shard_path(job.shard_id), (text,))
         if obs is not None:
             from repro.obs.export import export_snapshot
 
             export_snapshot(obs, self.obs_path(job.shard_id))
-        digest = tagged_sha256(data)
+        digest = tagged_sha256(text.encode())
         self.manifest["shards"][job.shard_id] = {
             "status": "complete", "digest": digest,
             "records": len(records), "service": job.service,

@@ -1,4 +1,4 @@
-"""Campaign persistence: save and reload results as JSON.
+"""Campaign persistence and the package's one file discipline.
 
 A measurement campaign is expensive relative to its analysis; the
 paper itself separates the month-long collection phase from the
@@ -9,18 +9,21 @@ archived, diffed across seeds, or re-analyzed without re-running the
 simulation:
 
     from repro.io import load_campaign, save_campaign
-    save_campaign(result, "gplus.json")
+    save_campaign(result, "gplus.jsonl")
     ...
-    result = load_campaign("gplus.json")
+    result = load_campaign("gplus.jsonl")
     print(prevalence_table({"googleplus": result}))
 
-The format is a stable, human-inspectable JSON document (schema version
-inside); loading restores everything the analysis pipeline consumes.
+A campaign file is digest JSONL (:func:`write_digest_jsonl`): the
+service and config, then one line per record in the fleet shard's
+encoding.  :func:`replace_file` is the package's one whole-file write.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
@@ -38,6 +41,7 @@ from repro.relations.spec import MetricResult, MetricSample
 __all__ = [
     "save_campaign",
     "load_campaign",
+    "replace_file",
     "record_to_dict",
     "record_from_dict",
     "SCHEMA_VERSION",
@@ -52,7 +56,7 @@ __all__ = [
     "read_digest_jsonl",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 TRACE_EVENT_SCHEMA_VERSION = 1
 
 
@@ -120,7 +124,14 @@ def _metric_result_from_dict(data: dict) -> MetricResult:
     )
 
 
-def _record_to_dict(record: TestRecord) -> dict:
+def record_to_dict(record: TestRecord) -> dict:
+    """Serialize one :class:`TestRecord` to a JSON-safe dict.
+
+    The inverse of :func:`record_from_dict`; the round trip is exact
+    for everything the analysis pipeline consumes (full traces are
+    never serialized).  Fleet shards and campaign files hold one
+    canonical-JSON line of this per record.
+    """
     return {
         "test_id": record.test_id,
         "test_type": record.test_type,
@@ -146,45 +157,29 @@ def _record_to_dict(record: TestRecord) -> dict:
     }
 
 
-def record_to_dict(record: TestRecord) -> dict:
-    """Serialize one :class:`TestRecord` to a JSON-safe dict.
-
-    The inverse of :func:`record_from_dict`; the round trip is exact
-    for everything the analysis pipeline consumes (full traces are
-    never serialized).  The fleet artifact store persists shards as
-    JSONL streams of these dicts.
-    """
-    return _record_to_dict(record)
-
-
-def record_from_dict(data: dict, service: str) -> TestRecord:
-    """Rebuild a :class:`TestRecord` from :func:`record_to_dict` output."""
-    return _record_from_dict(data, service)
-
-
 def save_campaign(result: CampaignResult, path: str | Path) -> Path:
-    """Write a campaign's records to ``path`` as JSON; returns the path.
+    """Write a campaign's records to ``path``; returns the path.
 
+    Digest JSONL of kind ``campaign``: one ``{"service", "config"}``
+    line, then one line per record in the fleet shard's encoding.
     Full traces (``keep_traces=True``) are intentionally not persisted
     — they are a debugging aid, not analysis input.
     """
-    document = {
-        "schema_version": SCHEMA_VERSION,
+    config = result.config
+    head = {
         "service": result.service,
         "config": {
-            "num_tests": result.config.num_tests,
-            "seed": result.config.seed,
-            "test_types": list(result.config.test_types),
-            "mask_sessions": result.config.mask_sessions,
-            **({"metrics": list(result.config.metrics)}
-               if result.config.metrics else {}),
+            "num_tests": config.num_tests,
+            "seed": config.seed,
+            "test_types": list(config.test_types),
+            "mask_sessions": config.mask_sessions,
+            **({"metrics": list(config.metrics)}
+               if config.metrics else {}),
         },
-        "records": [_record_to_dict(record)
-                    for record in result.records],
     }
-    path = Path(path)
-    path.write_text(json.dumps(document, indent=1, sort_keys=True))
-    return path
+    return write_digest_jsonl(
+        path, chain((head,), map(record_to_dict, result.records)),
+        kind="campaign", schema_version=SCHEMA_VERSION)
 
 
 # -- Deserialization -------------------------------------------------------
@@ -219,7 +214,8 @@ def _window_from_dict(data: dict) -> WindowResult:
     )
 
 
-def _record_from_dict(data: dict, service: str) -> TestRecord:
+def record_from_dict(data: dict, service: str) -> TestRecord:
+    """Rebuild a :class:`TestRecord` from :func:`record_to_dict` output."""
     report = TraceReport(
         test_id=data["test_id"],
         service=service,
@@ -359,34 +355,63 @@ class TraceEventWriter:
 def iter_trace_events(lines: Iterable[str]) -> Iterator[dict]:
     """Parse trace-event JSONL lines, skipping blanks.
 
-    Accepts any iterable of lines (an open file, a tail-follow
-    generator); schema versions newer than this reader rejects early
-    rather than mis-parsing.
+    Accepts any iterable of whole lines (an open file, a tail-follow
+    generator).  A line that is not one JSON object of a known schema
+    version raises :class:`~repro.errors.AnalysisError` naming it.
     """
-    for line in lines:
+    for number, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
-        event = json.loads(line)
+        try:
+            event = json.loads(line)
+        except ValueError as exc:
+            raise AnalysisError(
+                f"trace-event line {number}: unreadable JSON: {exc}"
+            ) from exc
+        if not isinstance(event, dict):
+            raise AnalysisError(
+                f"trace-event line {number}: not a JSON object")
         version = event.get("schema_version",
                             TRACE_EVENT_SCHEMA_VERSION)
         if version != TRACE_EVENT_SCHEMA_VERSION:
             raise AnalysisError(
-                f"unsupported trace-event schema version {version!r} "
-                f"(expected {TRACE_EVENT_SCHEMA_VERSION})"
+                f"trace-event line {number}: unsupported schema "
+                f"version {version!r} (expected "
+                f"{TRACE_EVENT_SCHEMA_VERSION})"
             )
         yield event
 
 
-# -- Digest-validated JSONL ------------------------------------------------
+# -- Files ------------------------------------------------------------------
 #
-# The artifact-store discipline, generalized: a JSONL file whose first
-# line is a header binding a kind tag, a schema version, and the
-# SHA-256 digest of the body lines.  A reader that validates the
-# header can trust the payload exactly as far as the digest reaches —
-# truncation, tampering, and version skew all fail loudly instead of
-# mis-parsing.  The observability exports (:mod:`repro.obs.export`)
-# are the first client.
+# :func:`replace_file` writes every whole file (only the streams that
+# append as they go are written another way).  Digest JSONL is the one
+# self-validating format: a header line binds a kind tag, a schema
+# version and the SHA-256 of the body lines, so truncation, tampering
+# and version skew fail loudly instead of mis-parsing.
+
+
+def replace_file(path: str | Path, chunks: Iterable[str]) -> Path:
+    """Write ``chunks`` (UTF-8 text) as the whole of ``path``.
+
+    They go to a sibling ``<name>.tmp`` that is then renamed onto
+    ``path`` (parent directory created), so a killed process leaves
+    the old file or the new one, never a torn one; on any exception
+    the temp file is removed.  No ``fsync``: a lost machine may lose
+    the write.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temp = path.with_name(path.name + ".tmp")
+    try:
+        with temp.open("w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+    return path
 
 
 def write_digest_jsonl(path: str | Path, payloads: Iterable[dict], *,
@@ -415,12 +440,7 @@ def write_digest_jsonl(path: str | Path, payloads: Iterable[dict], *,
         "lines": len(lines),
         "digest": tagged_sha256(line.encode("utf-8") for line in lines),
     })
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        handle.write(header + "\n")
-        handle.writelines(lines)
-    return path
+    return replace_file(path, chain((header + "\n",), lines))
 
 
 def read_digest_jsonl(path: str | Path, *, kind: str,
@@ -503,25 +523,32 @@ def read_digest_jsonl(path: str | Path, *, kind: str,
 
 
 def load_campaign(path: str | Path) -> CampaignResult:
-    """Load a campaign saved by :func:`save_campaign`."""
-    document = json.loads(Path(path).read_text())
-    version = document.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise AnalysisError(
-            f"unsupported campaign schema version {version!r} "
-            f"(expected {SCHEMA_VERSION})"
+    """Load a campaign saved by :func:`save_campaign`.
+
+    Beyond :func:`read_digest_jsonl`'s checks, a line the decoder
+    cannot rebuild (a missing key, a value of the wrong shape) raises
+    :class:`~repro.errors.AnalysisError` naming the file and the line.
+    """
+    payloads = read_digest_jsonl(path, kind="campaign",
+                                 schema_version=SCHEMA_VERSION)
+    number = 2  # line 1 is the header
+    try:
+        service = payloads[0]["service"]
+        config_data = payloads[0]["config"]
+        config = CampaignConfig(
+            num_tests=config_data["num_tests"],
+            seed=config_data["seed"],
+            test_types=tuple(config_data["test_types"]),
+            mask_sessions=config_data.get("mask_sessions", False),
+            metrics=tuple(config_data.get("metrics", ())),
         )
-    config_data = document["config"]
-    config = CampaignConfig(
-        num_tests=config_data["num_tests"],
-        seed=config_data["seed"],
-        test_types=tuple(config_data["test_types"]),
-        mask_sessions=config_data.get("mask_sessions", False),
-        metrics=tuple(config_data.get("metrics", ())),
-    )
-    result = CampaignResult(service=document["service"], config=config)
-    result.records.extend(
-        _record_from_dict(record, document["service"])
-        for record in document["records"]
-    )
+        result = CampaignResult(service=service, config=config)
+        for number, data in enumerate(payloads[1:], start=3):
+            result.records.append(record_from_dict(data, service))
+    except (AttributeError, IndexError, KeyError, TypeError,
+            ValueError) as exc:
+        raise AnalysisError(
+            f"{path}: line {number}: malformed campaign line: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
     return result

@@ -5,7 +5,7 @@ Layout under one service root::
     <root>/
       hunts/
         h0000/
-          hunt.json      # digest-validated HuntState snapshot
+          hunt.json      # HuntState snapshot (one-payload digest JSONL)
           events.jsonl   # append-only lifecycle feed (cursor = seq)
           store/         # the hunt's fleet ArtifactStore
             manifest.json
@@ -14,10 +14,10 @@ Layout under one service root::
 The discipline is the :class:`~repro.fleet.store.ArtifactStore`'s,
 applied to serving state:
 
-* ``hunt.json`` embeds the SHA-256 digest of its own canonical-JSON
-  payload; a load recomputes and compares, so truncated writes or
-  tampering classify the hunt as corrupt instead of silently feeding
-  the scheduler a wrong state.  Updates go write-temp-then-rename.
+* ``hunt.json`` is one-payload digest JSONL (:mod:`repro.io`), so
+  truncated writes or tampering classify the hunt as corrupt instead
+  of silently feeding the scheduler a wrong state.  Updates go
+  write-temp-then-rename.
 * ``events.jsonl`` is append-only with a per-hunt monotonic ``seq``;
   the HTTP event feed pages it with an ``after`` cursor, which is also
   what makes follow-mode (poll for ``seq > last``) race-free.  An
@@ -32,28 +32,28 @@ applied to serving state:
 from __future__ import annotations
 
 import json
-import os
 import threading
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator
 
-from repro._hash import tagged_sha256
-from repro.errors import FleetError, NotFoundError
+from repro.errors import (
+    AnalysisError,
+    FleetError,
+    InvalidRequestError,
+    NotFoundError,
+)
 from repro.fleet.digest import canonical_json
 from repro.fleet.store import ArtifactStore
+from repro.io import read_digest_jsonl, write_digest_jsonl
 from repro.serve.hunt import HuntState
 
 __all__ = ["HuntStore", "HUNT_STORE_VERSION"]
 
-HUNT_STORE_VERSION = 1
+HUNT_STORE_VERSION = 2
 
 HUNT_FILE = "hunt.json"
 EVENTS_FILE = "events.jsonl"
 ARTIFACTS_DIR = "store"
-
-
-def _payload_digest(payload: Mapping[str, Any]) -> str:
-    return tagged_sha256(canonical_json(payload).encode("utf-8"))
 
 
 class HuntStore:
@@ -91,47 +91,31 @@ class HuntStore:
 
     # -- Hunt state -----------------------------------------------------
 
+    def _states(self) -> Iterator[HuntState]:
+        """Every persisted hunt's state, in directory-name order."""
+        if self.hunts_dir.is_dir():
+            for entry in sorted(self.hunts_dir.iterdir()):
+                if (entry / HUNT_FILE).is_file():
+                    yield self.load(entry.name)
+
     def hunt_ids(self) -> list[str]:
         """Every persisted hunt id, in submission (seq) order."""
-        if not self.hunts_dir.is_dir():
-            return []
-        with_seq = []
-        for entry in sorted(self.hunts_dir.iterdir()):
-            if (entry / HUNT_FILE).is_file():
-                state = self.load(entry.name)
-                with_seq.append((state.seq, state.hunt_id))
-        return [hunt_id for _, hunt_id in sorted(with_seq)]
+        return [hunt_id for _, hunt_id in sorted(
+            (state.seq, state.hunt_id) for state in self._states())]
 
     def next_seq(self) -> int:
         """The submission sequence number for a new hunt."""
-        if not self.hunts_dir.is_dir():
-            return 0
-        best = -1
-        for entry in self.hunts_dir.iterdir():
-            if (entry / HUNT_FILE).is_file():
-                best = max(best, self.load(entry.name).seq)
-        return best + 1
+        return max((state.seq for state in self._states()),
+                   default=-1) + 1
 
     def exists(self, hunt_id: str) -> bool:
         return self.state_path(hunt_id).is_file()
 
     def save(self, state: HuntState) -> None:
         """Persist one hunt's state (write-temp-then-rename)."""
-        payload = state.to_dict()
-        document = {
-            "store_version": HUNT_STORE_VERSION,
-            "digest": _payload_digest(payload),
-            "hunt": payload,
-        }
-        directory = self.hunt_dir(state.hunt_id)
-        directory.mkdir(parents=True, exist_ok=True)
-        path = self.state_path(state.hunt_id)
-        temp = path.with_suffix(".json.tmp")
-        temp.write_text(
-            json.dumps(document, indent=1, sort_keys=True),
-            encoding="utf-8",
-        )
-        os.replace(temp, path)
+        write_digest_jsonl(self.state_path(state.hunt_id),
+                           (state.to_dict(),), kind="hunt",
+                           schema_version=HUNT_STORE_VERSION)
 
     def load(self, hunt_id: str) -> HuntState:
         """One hunt's digest-validated state."""
@@ -139,28 +123,15 @@ class HuntStore:
         if not path.is_file():
             raise NotFoundError(f"no hunt {hunt_id!r}")
         try:
-            document = json.loads(path.read_text(encoding="utf-8"))
-            if not isinstance(document, dict):
-                raise ValueError("not a JSON object")
-        except (OSError, ValueError) as exc:
-            raise FleetError(
-                f"unreadable hunt state {path}: {exc}"
-            ) from exc
-        version = document.get("store_version")
-        if version != HUNT_STORE_VERSION:
-            raise FleetError(
-                f"unsupported hunt store version {version!r} in "
-                f"{path} (expected {HUNT_STORE_VERSION})"
-            )
-        payload = document.get("hunt", {})
-        recorded = document.get("digest")
-        if recorded != _payload_digest(payload):
-            raise FleetError(
-                f"hunt state {path} failed digest validation "
-                "(truncated write or tampering); refusing to "
-                "schedule from it"
-            )
-        return HuntState.from_dict(payload)
+            (payload,) = read_digest_jsonl(
+                path, kind="hunt", schema_version=HUNT_STORE_VERSION)
+            return HuntState.from_dict(payload)
+        except AnalysisError as exc:  # its message names the path
+            raise FleetError(f"unreadable hunt state {exc}") from exc
+        except (OSError, KeyError, TypeError, ValueError,
+                InvalidRequestError) as exc:
+            raise FleetError(f"unreadable hunt state {path}: "
+                             f"{type(exc).__name__}: {exc}") from exc
 
     # -- Event feed -----------------------------------------------------
 

@@ -1,23 +1,35 @@
 """One contract for every on-disk store: damaged bytes fail closed.
 
 The fleet :class:`ArtifactStore` (which is also the checkpoint of
-every calibration rung) and the serve :class:`HuntStore` take bytes
-from outside the program.  Whatever is wrong with a file — not JSON,
-JSON of the wrong shape, a foreign binding, a digest that no longer
-verifies, a feed line torn by a kill mid-append — the store must
-raise its own typed error naming the file, never a bare
+every calibration rung), the serve :class:`HuntStore` and a saved
+campaign file (``run --campaign-out``, read back by ``report``) take
+bytes from outside the program.  Whatever is wrong with a file — not
+JSON, JSON of the wrong shape, a foreign binding, a digest that no
+longer verifies, a feed line torn by a kill mid-append — the store
+must raise its own typed error naming the file, never a bare
 ``AttributeError`` / ``KeyError`` / ``json.JSONDecodeError``.  One
-table holds both stores to that.
+table holds every store to that.
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
-from repro.errors import FleetError
+from repro.cli import main
+from repro.errors import AnalysisError, FleetError
 from repro.fleet import ArtifactStore, FleetSpec
-from repro.methodology import CampaignConfig
+from repro.io import (
+    SCHEMA_VERSION,
+    load_campaign,
+    save_campaign,
+    write_digest_jsonl,
+)
+from repro.methodology import CampaignConfig, run_campaign
+from repro.obs.export import export_snapshot
 from repro.serve import HuntSpec, HuntState, HuntStore
+from repro.serve.store import HUNT_STORE_VERSION
 
 SPEC = FleetSpec(
     services=("blogger",), seeds=(1,),
@@ -57,10 +69,56 @@ def probe_hunt(root):
     store.append_event("h0000", "tick")
 
 
+CAMPAIGN = run_campaign("blogger", CampaignConfig(
+    num_tests=1, seed=0, test_types=("test1",)))
+CAMPAIGN_FILE = "campaign.jsonl"
+
+
+def build_campaign(root):
+    save_campaign(CAMPAIGN, root / CAMPAIGN_FILE)
+
+
+def probe_campaign(root):
+    load_campaign(root / CAMPAIGN_FILE)
+
+
 STORES = {
     "fleet": (build_fleet, probe_fleet),
     "hunt": (build_hunt, probe_hunt),
+    "campaign": (build_campaign, probe_campaign),
 }
+
+
+def written(write) -> bytes:
+    """The bytes ``write(path)`` leaves at a fresh ``path``."""
+    with tempfile.TemporaryDirectory() as scratch:
+        return write(Path(scratch) / "f").read_bytes()
+
+
+def digest_valid(payloads, kind, schema_version) -> bytes:
+    return written(lambda path: write_digest_jsonl(
+        path, payloads, kind=kind, schema_version=schema_version))
+
+
+HUNT_LACKING_STATUS = digest_valid(
+    [{"hunt_id": "h0000", "spec": {"services": ["blogger"]}}],
+    "hunt", HUNT_STORE_VERSION)
+
+CAMPAIGN_BYTES = written(lambda path: save_campaign(CAMPAIGN, path))
+_, CAMPAIGN_HEAD, CAMPAIGN_RECORD = [
+    json.loads(line) for line in CAMPAIGN_BYTES.splitlines()]
+#: One byte of the last record line, flipped.
+FLIPPED = bytearray(CAMPAIGN_BYTES)
+FLIPPED[-3] ^= 1
+LACKING_DURATION = digest_valid(
+    [CAMPAIGN_HEAD, {key: value for key, value
+                     in CAMPAIGN_RECORD.items() if key != "duration"}],
+    "campaign", SCHEMA_VERSION)
+#: What ``save_campaign`` wrote before campaign files were digest JSONL.
+VERSION_ONE = json.dumps(
+    {"schema_version": 1, **CAMPAIGN_HEAD, "records": [CAMPAIGN_RECORD]},
+    indent=1, sort_keys=True).encode()
+OBS_EXPORT = written(lambda path: export_snapshot(CAMPAIGN.obs, path))
 
 
 def document(**fields):
@@ -101,6 +159,18 @@ DAMAGE_CASES = (
     ("hunt", EVENTS_FILE, EVENT + b'{"event": "tick"}\n',
      FleetError, "events.jsonl:2"),
     ("hunt", EVENTS_FILE, b"[]\n", FleetError, "events.jsonl:1"),
+    ("hunt", HUNT_FILE, HUNT_LACKING_STATUS, FleetError,
+     "hunt.json: KeyError: 'status'"),
+    ("campaign", CAMPAIGN_FILE, CAMPAIGN_BYTES[:-20], AnalysisError,
+     "digest"),
+    ("campaign", CAMPAIGN_FILE, bytes(FLIPPED), AnalysisError, "digest"),
+    ("campaign", CAMPAIGN_FILE, LACKING_DURATION, AnalysisError,
+     "campaign.jsonl: line 3: malformed campaign line: "
+     "KeyError: 'duration'"),
+    ("campaign", CAMPAIGN_FILE, VERSION_ONE, AnalysisError,
+     "campaign.jsonl: unreadable digest header"),
+    ("campaign", CAMPAIGN_FILE, OBS_EXPORT, AnalysisError,
+     "kind 'obs' is not 'campaign'"),
 )
 
 
@@ -119,3 +189,15 @@ def test_damaged_store_files_raise_the_typed_error(tmp_path):
         message = str(caught.value)
         assert names in message, f"{case}: {message}"
         assert str(root) in message, f"{case}: {message}"
+
+
+def test_report_on_a_damaged_campaign_file_is_one_line(tmp_path,
+                                                       capsys):
+    path = tmp_path / CAMPAIGN_FILE
+    path.write_bytes(CAMPAIGN_BYTES[:-20])
+    assert main(["report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("report: ")
+    assert str(path) in line

@@ -15,6 +15,7 @@ import tracemalloc
 
 import pytest
 
+from repro.cli import main
 from repro.core.anomalies import AnomalyObservation, TraceReport, pairwise
 from repro.core.windows import content_divergence_windows
 from repro.errors import AnalysisError
@@ -348,6 +349,32 @@ class TestTraceEventRoundTrip:
                 f'{TRACE_EVENT_SCHEMA_VERSION + 1}, "test_id": "t"}}')
         with pytest.raises(AnalysisError):
             list(iter_trace_events([line]))
+
+    @pytest.mark.parametrize("bad, complaint", [
+        ('{"event": "op", "test_id": "t-ry', "unreadable JSON"),
+        ('["event", "op"]', "not a JSON object"),
+    ])
+    def test_damaged_line_is_named_by_number(self, bad, complaint):
+        lines = self.write_events([ryw_trace()]).splitlines()
+        lines.insert(2, bad)
+        events = iter_trace_events(lines)
+        assert [next(events)["event"] for _ in range(2)] == \
+            ["test_open", "op"]
+        with pytest.raises(AnalysisError,
+                           match=f"trace-event line 3: {complaint}"):
+            next(events)
+
+    @pytest.mark.parametrize("tail", ['{"event": "op", "te', "[1]\n"])
+    def test_cli_replay_of_a_damaged_file_is_one_line(
+            self, tail, tmp_path, capsys):
+        path = tmp_path / "run.ops.jsonl"
+        payload = self.write_events([ryw_trace()])
+        path.write_text(payload + tail)
+        line_number = payload.count("\n") + 1
+        assert main(["stream", "--from-trace", str(path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(
+            f"stream: {path}: trace-event line {line_number}: ")
 
     def test_op_for_unknown_test_rejected(self):
         trace = ryw_trace()
