@@ -774,7 +774,12 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     ingest = OpIngest(engine, on_emission=on_emission,
                       on_record=on_record)
     try:
-        with open(args.trace, "r", encoding="utf-8") as handle:
+        handle = open(args.trace, "r", encoding="utf-8")
+    except OSError as exc:
+        raise AnalysisError(
+            f"{args.trace}: cannot read: {exc.strerror or exc}") from exc
+    try:
+        with handle:
             lines = (_follow_lines(handle) if args.follow
                      else iter(handle))
             ingested = 0

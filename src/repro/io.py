@@ -449,8 +449,9 @@ def read_digest_jsonl(path: str | Path, *, kind: str,
                       ) -> list[dict]:
     """Load a :func:`write_digest_jsonl` file, validating everything.
 
-    Raises :class:`~repro.errors.AnalysisError` on bytes that are not
-    UTF-8, a missing or malformed header, a kind or schema-version
+    Raises :class:`~repro.errors.AnalysisError` on a file that cannot
+    be read (missing, a directory), bytes that are not UTF-8, a missing
+    or malformed header, a kind or schema-version
     mismatch, body bytes that no longer hash to the recorded digest,
     a body line that is not one JSON object, or one that ``check``
     (payload -> complaint or None) complains about — the last two
@@ -458,7 +459,11 @@ def read_digest_jsonl(path: str | Path, *, kind: str,
     typed as a damaged one.
     """
     path = Path(path)
-    data = path.read_bytes()
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise AnalysisError(
+            f"{path}: cannot read: {exc.strerror or exc}") from exc
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -153,12 +153,17 @@ def feed_events(events: Iterable[dict],
     re-yielded after it has been applied, so a caller can interleave
     telemetry at any cadence.  Tests still open when the iterator is
     exhausted are left open: a follow-mode consumer may resume them.
+    An event that lacks a key or carries a mistyped value raises
+    :class:`~repro.errors.AnalysisError` naming its kind.
     """
     shells: dict[str, TestTrace] = {}
     for event in events:
         kind = event.get("event")
         if kind == "test_open":
-            shell = trace_from_meta_dict(event)
+            try:
+                shell = trace_from_meta_dict(event)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise _malformed(kind, exc) from exc
             shells[shell.test_id] = shell
             ingest.test_opened(shell)
         elif kind == "op":
@@ -169,9 +174,13 @@ def feed_events(events: Iterable[dict],
                     f"op event for unknown test "
                     f"{event.get('test_id')!r} (missing test_open?)"
                 ) from None
-            ingest.operation(shell, operation_from_dict(event))
+            try:
+                op = operation_from_dict(event)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise _malformed(kind, exc) from exc
+            ingest.operation(shell, op)
         elif kind == "test_close":
-            shell = shells.pop(event["test_id"], None)
+            shell = shells.pop(event.get("test_id"), None)
             if shell is None:
                 raise AnalysisError(
                     f"test_close for unknown test "
@@ -183,3 +192,10 @@ def feed_events(events: Iterable[dict],
                 f"unknown trace event kind {kind!r}"
             )
         yield event
+
+
+def _malformed(kind: str, exc: Exception) -> AnalysisError:
+    """The error for a ``kind`` event its decoder could not rebuild."""
+    if isinstance(exc, KeyError):
+        return AnalysisError(f"{kind} event lacks key {exc.args[0]!r}")
+    return AnalysisError(f"malformed {kind} event: {exc}")

@@ -191,6 +191,16 @@ def test_damaged_store_files_raise_the_typed_error(tmp_path):
         assert str(root) in message, f"{case}: {message}"
 
 
+def test_report_on_a_missing_campaign_file_is_one_line(tmp_path,
+                                                       capsys):
+    path = tmp_path / "nope.jsonl"
+    assert main(["report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"report: {path}: cannot read: ")
+
+
 def test_report_on_a_damaged_campaign_file_is_one_line(tmp_path,
                                                        capsys):
     path = tmp_path / CAMPAIGN_FILE

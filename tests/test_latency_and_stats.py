@@ -114,7 +114,7 @@ class TestEndpointStats:
                         PAPER_PLANS["blogger"].test1)
         while not process.completion.done:
             world.sim.run_until(world.sim.now + 60.0)
-        stats = world.service._endpoint.stats
+        stats = world.service._endpoints["blogger-api"].stats
         assert stats.requests_total > 30  # 6 writes + ~30 reads
         assert all(200 <= status < 300
                    for status in stats.responses_by_status)

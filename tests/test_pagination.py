@@ -123,7 +123,7 @@ class TestServicePagination:
     def test_history_counts_each_page_as_a_read(self):
         sim, net, service, session = self.make_blogger_with_posts(12)
         route = ("GET", session.routes.fetch_path)
-        stats = service._endpoint.stats
+        stats = service._endpoints["blogger-api"].stats
         before = stats.requests_by_route.get(route, 0)
         self.walk_cursor_chain(sim, net, session, 5)
         assert stats.requests_by_route[route] == before + 3

@@ -11,6 +11,7 @@ trace-event JSONL round trip.
 
 import gc
 import io as stdio
+import json
 import tracemalloc
 
 import pytest
@@ -375,6 +376,45 @@ class TestTraceEventRoundTrip:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(
             f"stream: {path}: trace-event line {line_number}: ")
+
+    def drop_key(self, event, key):
+        """The trace's event lines with ``key`` removed from the first
+        ``event`` line."""
+        lines = self.write_events([ryw_trace()]).splitlines()
+        index = next(number for number, line in enumerate(lines)
+                     if f'"event": "{event}"' in line)
+        payload = json.loads(lines[index])
+        del payload[key]
+        lines[index] = json.dumps(payload)
+        return lines
+
+    @pytest.mark.parametrize("event, key", [
+        ("test_open", "service"),
+        ("op", "agent"),
+    ])
+    def test_event_lacking_a_key_is_named(self, event, key):
+        lines = self.drop_key(event, key)
+        with pytest.raises(AnalysisError,
+                           match=f"{event} event lacks key '{key}'"):
+            list(feed_events(iter_trace_events(lines), OpIngest()))
+
+    def test_cli_replay_of_an_event_lacking_a_key_is_one_line(
+            self, tmp_path, capsys):
+        path = tmp_path / "run.ops.jsonl"
+        path.write_text('{"event":"test_open","test_id":"t"}\n')
+        assert main(["stream", "--from-trace", str(path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (f"stream: {path}: test_open event lacks key "
+                        "'service'")
+
+    def test_cli_replay_of_a_missing_file_is_one_line(self, tmp_path,
+                                                      capsys):
+        path = tmp_path / "nope.jsonl"
+        assert main(["stream", "--from-trace", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"stream: {path}: cannot read: ")
 
     def test_op_for_unknown_test_rejected(self):
         trace = ryw_trace()

@@ -468,7 +468,7 @@ class TestNoHandlerExceptionEscapesTheEventLoop:
             assert raw.value.body["messages"] == ["M3", "M2"]
         else:
             assert "limit" in raw.value.body["error"]
-        stats = service._endpoint.stats
+        stats = service._endpoints["blogger-api"].stats
         assert stats.requests_total == \
             sum(stats.responses_by_status.values())
 
