@@ -14,9 +14,9 @@ the public ``ephemeral`` seam.  That count follows the reply, not the
 store: it must be flat from 50 to 800 retained posts.
 
 What is reported and banded by ``tools/bench_check.py``: reads/s at
-each size and the 800-over-50 cost ratio.  The ordered draws a read
-owes every retained post (one index lookup, one ``drop`` draw) keep
-that ratio above 1; scoring no longer adds to it.
+each size and the 800-over-50 cost ratio.  The ordered draw a read
+owes every indexed post (one ``drop`` draw) keeps that ratio above 1;
+neither index sampling (new posts only) nor scoring adds to it.
 """
 
 import hashlib

@@ -70,9 +70,9 @@ def check_params(params: Any, *, probabilities: tuple[str, ...] = (),
 class DoublingPrune:
     """Amortised pruning of a side table that grows with the writes.
 
-    Substrates keep per-write bookkeeping (index times, backend
-    windows) that is dead weight once the write is older than the
-    retention horizon.  Scanning the table for stale values on every
+    A substrate may keep per-write bookkeeping (the eventual store's
+    backend windows) that is dead weight once the write is older than
+    the retention horizon.  Scanning the table for stale values on every
     insert is O(n) per insert for as long as it legitimately holds
     that many live keys, so a scan runs only when the table has
     reached ``floor`` keys *and* doubled since the last scan left it:

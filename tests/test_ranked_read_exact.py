@@ -172,13 +172,19 @@ class TestGaussBound:
 
 
 class CountingSource(RandomSource):
-    """Counts name-seeded generator constructions (a public seam)."""
+    """Counts name-seeded generator constructions and index-time
+    draws (``ephemeral`` and ``lognormal``, public seams)."""
 
     constructions = 0
+    index_draws = 0
 
     def ephemeral(self, name):
         self.constructions += 1
         return super().ephemeral(name)
+
+    def lognormal(self, name, median, sigma):
+        self.index_draws += 1
+        return super().lognormal(name, median, sigma)
 
 
 def test_noise_memo_survives_16384_pairs_within_an_epoch():
@@ -235,21 +241,175 @@ class TestAmortisedPrune:
         assert table.scans == 2 and sorted(table) == list(range(150, 160))
 
     def test_ranked_store_9001st_index_sample_does_not_scan(self):
-        # 9,000 live (post, reader) pairs inside one retention window:
-        # nothing is stale, and the old prune rescanned all of them on
-        # every new sample once past 8,192.
+        # 9,000 live (post, reader) pairs inside one retention window.
+        # The old index-time table rescanned all of them on every new
+        # sample once past 8,192.  Now a new post costs the reader
+        # that reads it one index draw and one item of its own state:
+        # no other reader's state is walked, and the store is not.
         sim = Simulator()
-        store = RankedFeedStore(sim, RandomSource(9), RankedFeedParams())
-        store._visible_at = ScanCountingDict()
+        rng = CountingSource(9)
+        store = RankedFeedStore(sim, rng, RankedFeedParams())
         for n in range(100):
             store.write("ann", f"M{n}")
         sim.run_until(5.0)
         for n in range(90):
             store.read(f"reader{n}")
-        assert len(store._visible_at) == 9_000
-        assert store._visible_at.scans == 1  # at 8,192, found nothing
+        assert held(store) == 9_000 and rng.index_draws == 9_000
         store.write("ann", "M100")
         sim.run_until(10.0)
+        lookups = []
+        entry = store.store.entry
+
+        def counted_entry(message_id):
+            lookups.append(message_id)
+            return entry(message_id)
+
+        def no_scan():
+            raise AssertionError("a read scanned the store")
+
+        store.store.entry = counted_entry
+        store.store.entries = no_scan
         store.read("reader0")
-        assert len(store._visible_at) == 9_001
-        assert store._visible_at.scans == 1
+        assert rng.index_draws == 9_001
+        assert held(store, "reader0") == 101 and held(store) == 9_001
+        # Membership checks: the front of reader0's indexed list, and
+        # the new post as it is promoted.
+        assert len(lookups) <= 2
+
+
+def held(store, *readers):
+    """Indexed plus pending entries of ``readers`` (default: all)."""
+    return sum(len(store._readers[reader].indexed)
+               + len(store._readers[reader].pending)
+               for reader in readers or store._readers)
+
+
+def replay_against_oracle(seed, params, steps):
+    """Run ``steps`` on both stores; check as the property test does.
+
+    A step is ``("write", author, message_id)``, ``("read", reader)``
+    or ``("wait", seconds)``.  Returns the shipped store.
+    """
+    sim, oracle_sim = Simulator(), Simulator()
+    rng, oracle_rng = RandomSource(seed), RandomSource(seed)
+    shipped = RankedFeedStore(sim, rng, params)
+    oracle = ExhaustiveFeed(oracle_sim, oracle_rng, params)
+    for step in steps:
+        if step[0] == "write":
+            shipped.write(*step[1:])
+            oracle.write(*step[1:])
+        elif step[0] == "read":
+            assert shipped.read(step[1]) == oracle.read(step[1])
+            for user in USERS:
+                for name in (f"index.{user}", f"drop.{user}"):
+                    assert (rng.stream(name).getstate()
+                            == oracle_rng.stream(name).getstate()), name
+        else:
+            sim.run_until(sim.now + step[1])
+            oracle_sim.run_until(oracle_sim.now + step[1])
+    return shipped
+
+
+#: Draw-order-sensitive settings: index lags spread around the gaps
+#: between reads, half the indexed posts dropped, and no noise, so
+#: same-instant posts rank by message id.
+CHURN = RankedFeedParams(index_lag_median=0.2, index_lag_sigma=1.0,
+                         noise_sd=0.0, drop_prob=0.5, feed_size=100)
+
+#: Reads every 0.1 s for a second: which post got which index time,
+#: and which drop draw, shows in the replies.
+POLL = [("wait", 0.1), ("read", "bob"), ("read", "ann")] * 10
+
+
+class TestOracleEdgeCases:
+    """Schedules the property test reaches only by chance."""
+
+    def test_same_instant_write_sorting_before_a_sampled_post(self):
+        # "M10" < "M9": the post written after bob's read sorts ahead
+        # of one bob has already sampled, and both are ann's, so the
+        # author floor follows sampling order, not store order.  M1,
+        # written at the same instant, sorts before M10.
+        for seed in range(40):
+            replay_against_oracle(seed, CHURN, [
+                ("wait", 1.0), ("write", "ann", "M9"), ("read", "bob"),
+                ("write", "ann", "M10"), ("write", "cyd", "M1"),
+                ("read", "bob"), *POLL,
+            ])
+
+    def test_write_at_the_instant_of_a_read(self):
+        for seed in range(40):
+            replay_against_oracle(seed, CHURN, [
+                ("write", "ann", "M1"), ("wait", 1.0),
+                ("read", "bob"), ("write", "cyd", "M2"),
+                ("read", "bob"), ("write", "bob", "M3"),
+                ("read", "cyd"), ("wait", 0.0), ("read", "bob"),
+                *POLL, ("read", "cyd"),
+            ])
+
+    def test_pending_post_pruned_before_its_index_time(self):
+        # Index lag ~10 s, retention 5 s: M1 is sampled at 0.1 s and
+        # pruned by M2's write at 6.1 s, before its index time.  cyd
+        # reads in between; bob next reads at 11.1 s, past M1's index
+        # time and before M2's.
+        params = RankedFeedParams(index_lag_median=10.0,
+                                  index_lag_sigma=0.01, noise_sd=0.0,
+                                  drop_prob=0.5, retention=5.0)
+        for seed in range(20):
+            shipped = replay_against_oracle(seed, params, [
+                ("write", "ann", "M1"), ("wait", 0.1), ("read", "bob"),
+                ("read", "cyd"), ("wait", 6.0), ("write", "cyd", "M2"),
+                ("read", "cyd"), ("wait", 5.0), ("read", "bob"),
+                ("read", "cyd"),
+            ])
+            for reader in ("bob", "cyd"):
+                feed = shipped._readers[reader]
+                assert feed.indexed == []
+                assert [entry.message_id
+                        for _when, _seq, entry in feed.pending] == ["M2"]
+
+
+def test_duplicate_message_id_is_sampled_and_returned_once():
+    # The store ignores a duplicate id; the oracle would not, so this
+    # case is checked directly.
+    sim = Simulator()
+    rng = CountingSource(3)
+    feed = RankedFeedStore(sim, rng, RankedFeedParams(
+        index_lag_median=0.01, drop_prob=0.0))
+    feed.write("ann", "M1")
+    feed.write("bob", "M1")
+    sim.run_until(1.0)
+    assert feed.read("cyd") == ("M1",)
+    assert rng.index_draws == 1
+    feed.write("ann", "M1")  # after cyd has sampled it
+    sim.run_until(2.0)
+    assert feed.read("cyd") == ("M1",)
+    assert rng.index_draws == 1
+    assert held(feed, "cyd") == 1
+
+
+def test_reader_state_stays_inside_the_retention_window():
+    # Posts cross a 5 s horizon while three readers poll; "dan" only
+    # writes.  After each read the reader's indexed and pending
+    # entries are all live, and so is every entry of the insert log.
+    sim = Simulator()
+    feed = RankedFeedStore(sim, RandomSource(11), RankedFeedParams(
+        retention=5.0, index_lag_sigma=1.5))
+    authors = USERS + ("dan",)
+
+    def live(entry):
+        return feed.store.entry(entry.message_id) is entry
+
+    for n in range(400):
+        feed.write(authors[n % len(authors)], f"M{n}")
+        sim.run_until(sim.now + 0.05 * (n % 7))
+        reader = USERS[n % len(USERS)]
+        feed.read(reader)
+        state = feed._readers[reader]
+        assert all(live(entry) for entry in state.indexed)
+        assert all(live(entry) for _when, _seq, entry in state.pending)
+        assert all(live(entry) for entry in feed._log)
+        assert held(feed, reader) <= len(feed.store)
+    assert sim.now > 10 * feed._params.retention
+    assert len(feed.store) < 400
+    assert set(feed._readers) == set(USERS)
+    assert {reader for reader, _author in feed._index_floor} == set(USERS)
