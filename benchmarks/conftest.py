@@ -7,9 +7,9 @@ service (default 60 tests per template vs. the paper's ~1,000; set
 paper's claims table (:mod:`repro.calibrate.claims`) on them: the
 paper's qualitative shape — who wins, by roughly what factor, where
 the asymmetries lie.  Absolute numbers need not match: the substrate
-is a simulator, not the authors' 2015 testbed.  The seed-stability
-and ablation files run campaigns of their own; the rest time one
-layer each and write ``BENCH_<name>.json`` results.
+is a simulator, not the authors' 2015 testbed.  Its seed-stability
+test and the ablation files run campaigns of their own; the rest time
+one layer each and write ``BENCH_<name>.json`` results.
 """
 
 import json

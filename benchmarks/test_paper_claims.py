@@ -10,8 +10,12 @@ once, so a ``-s`` run shows which claims hold and by what margin.
 
 import pytest
 
-from repro.calibrate.claims import CLAIMS, claims_table, evaluate_claims
-from repro.methodology import PAPER_PLANS
+from repro.calibrate.claims import (CLAIMS, claims_table, evaluate_claims,
+                                    evaluate_seeds)
+from repro.fleet import FleetSpec, run_fleet
+from repro.methodology import PAPER_PLANS, CampaignConfig, run_campaign
+
+from benchmarks.conftest import BENCH_SEED, bench_num_tests
 
 
 @pytest.fixture(scope="module")
@@ -28,11 +32,33 @@ def test_claim_holds(claim_id, verdicts):
     assert verdict.holds, claims_table([verdict])
 
 
+def test_signatures_are_seed_stable(benchmark):
+    # Against seed-overfitting: the paper's coarse orderings (not the
+    # rows' own bounds) at a second seed, read as `fleet --seeds` does.
+    seeds = (BENCH_SEED, BENCH_SEED + 1009)
+    outcome = benchmark.pedantic(run_fleet, args=(FleetSpec(
+        services=("googleplus", "facebook_group"), seeds=seeds,
+        base_config=CampaignConfig(
+            num_tests=max(bench_num_tests() // 2, 20))),),
+        rounds=1, iterations=1)
+    per_seed = evaluate_seeds(outcome)
+    assert tuple(per_seed) == seeds
+    for seed, verdicts in per_seed.items():
+        share = {verdict.claim.id.removeprefix("fig3."): verdict.value
+                 for verdict in verdicts}
+        group_mw = share["facebook_group.monotonic_writes"]
+        gplus_mw = share["googleplus.monotonic_writes"]
+        assert group_mw >= 0.75, seed
+        assert share["facebook_group.read_your_writes"] <= 0.05, seed
+        assert share["facebook_group.order_divergence"] == 0.0, seed
+        assert 0.05 <= share["googleplus.read_your_writes"] <= 0.5, seed
+        assert gplus_mw <= 0.25, seed
+        assert gplus_mw < group_mw, seed
+
+
 def test_adaptive_cadence_is_executed(campaigns, benchmark):
     # Verify the 300ms-then-1s schedule on actual blogger traces by
     # re-running one test with kept traces.
-    from repro.methodology import CampaignConfig, run_campaign
-
     result = benchmark.pedantic(
         run_campaign,
         args=("blogger", CampaignConfig(

@@ -18,20 +18,25 @@ weighted row.  Where no shape row reads a published number,
 :data:`FIT_ROWS` holds a *fit row* for it: weighted, with no
 comparator, and never a claim — ``evaluate_claims`` reads
 :data:`CLAIMS` only.
+
+Across seeds (``fleet --seeds``), :func:`across_seeds` reduces a row
+to its mean, spread and, from Figure 3 counts, a 95 % interval.
 """
 
 from __future__ import annotations
 
+import math
 import operator
+from collections import Counter
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.analysis.cdf import window_cdfs
 from repro.analysis.correlation import location_correlation
 from repro.analysis.distributions import occurrence_distribution
 from repro.analysis.divergence import pair_divergence
-from repro.analysis.prevalence import assessing_test_type
+from repro.analysis.prevalence import assessing_test_type, prevalence_rows
 from repro.calibrate.targets import (
     IRELAND_OREGON,
     IRELAND_TOKYO,
@@ -47,11 +52,14 @@ from repro.core.anomalies import (
     READ_YOUR_WRITES,
     WRITES_FOLLOW_READS,
 )
+from repro.errors import ConfigurationError
 from repro.methodology.config import PAPER_PLANS
 from repro.methodology.records import CampaignResult
 
 __all__ = ["CLAIMS", "FIT_ROWS", "Claim", "Measured", "S", "Verdict",
-           "claims_table", "evaluate_claims", "score_row"]
+           "across_seeds", "claims_table", "evaluate_claims",
+           "evaluate_seeds", "fig3_lines", "held_at", "score_row",
+           "seeds_table"]
 
 GPLUS, BLOGGER = "googleplus", "blogger"
 FEED, GROUP = "facebook_feed", "facebook_group"
@@ -68,6 +76,8 @@ _OPS: dict[str, Callable[[Any, Any], bool]] = {
     "in": lambda value, band: band[0] <= value <= band[1],
 }
 _SOURCES = {"table1": "Table I", "table2": "Table II", "totals": "§V"}
+#: The two-sided 95 % normal quantile of every interval.
+Z95 = 1.959963984540054
 
 
 class Measured:
@@ -205,6 +215,19 @@ class Verdict:
     applies: bool = True
     #: A weighted row's distance to the paper (see :func:`score_row`).
     loss: float | None = None
+    #: Across seeds (:func:`across_seeds`; ``value`` is the mean): min
+    #: and max, D, the 95 % interval and its kind.
+    spread: tuple[float, float] | None = None
+    dispersion: float | None = None
+    interval: tuple[float, float] | None = None
+    kind: str | None = None
+
+    @property
+    def paper_inside(self) -> bool | None:
+        """Whether the paper's number lies in :attr:`interval`."""
+        paper, interval = self.claim.paper, self.interval
+        return (None if interval is None or not isinstance(
+            paper, (int, float)) else interval[0] <= paper <= interval[1])
 
 
 def score_row(claim: Claim, measured: Measured) -> Verdict:
@@ -238,6 +261,85 @@ def evaluate_claims(results: Mapping[str, CampaignResult],
     measured = Measured(results)
     return [_check(claim, measured) for claim in CLAIMS
             if all(service in results for service in claim.services)]
+
+
+def evaluate_seeds(outcome) -> dict[int, list[Verdict]]:
+    """:func:`evaluate_claims` per seed of a fleet outcome, in order."""
+    by_seed: dict[int, dict[str, CampaignResult]] = {}
+    for job, result in zip(outcome.jobs, outcome.results):
+        by_seed.setdefault(job.seed, {})[job.service] = result
+    return {seed: evaluate_claims(results)
+            for seed, results in by_seed.items()}
+
+
+def held_at(per_seed: Mapping[int, list[Verdict]]
+            ) -> dict[str, tuple[int, int]]:
+    """Row id -> (seeds where it holds, seeds where it applies)."""
+    rows = [verdict for verdicts in per_seed.values()
+            for verdict in verdicts if verdict.applies]
+    held = Counter(verdict.claim.id for verdict in rows if verdict.holds)
+    return {row: (held[row], applies) for row, applies
+            in Counter(verdict.claim.id for verdict in rows).items()}
+
+
+def _wilson(p: float, n: float) -> tuple[float, float]:
+    """The Wilson score interval of a rate ``p`` over ``n`` trials."""
+    z2n = Z95 * Z95 / n
+    centre, half = (p + z2n / 2) / (1 + z2n), Z95 * math.sqrt(
+        p * (1 - p) / n + z2n / (4 * n)) / (1 + z2n)
+    return max(0.0, centre - half), min(1.0, centre + half)
+
+
+def across_seeds(claim: Claim, values: list[float],
+                 counts: list[tuple[int, int]] = ()) -> Verdict:
+    """A row's per-seed ``values`` as one verdict: mean, min-max and,
+    from each seed's ``(anomalous, tests)``, the pooled counts' Wilson
+    interval at n / max(1, D) ("pooled"; "dispersed" when D > 1)."""
+    if not values:
+        raise ConfigurationError("need at least one seed")
+    mean = sum(values) / len(values)
+    verdict = Verdict(claim, mean, spread=(min(values), max(values)))
+    tests = sum(total for _, total in counts)
+    if not tests:
+        return verdict
+    p, dispersion = sum(hits for hits, _ in counts) / tests, None
+    if 0.0 < p < 1.0 and len(values) > 1:
+        variance = (sum((value - mean) ** 2 for value in values)
+                    / (len(values) - 1))
+        binomial = p * (1 - p) * sum(1 / total for _, total in counts)
+        dispersion = variance * len(counts) / binomial
+    dispersed = dispersion is not None and dispersion > 1.0
+    return replace(verdict, dispersion=dispersion, interval=_wilson(
+        p, tests / dispersion if dispersed else tests),
+        kind="dispersed" if dispersed else "pooled")
+
+
+def fig3_lines(service: str, results: list[CampaignResult]) -> list[Verdict]:
+    """A service's Figure 3 cells over its per-seed results."""
+    targets = PAPER_TARGETS.get(service)
+    return [across_seeds(
+        Claim(f"fig3.{service}.{rows[0].anomaly}", None,
+              paper=targets and targets.prevalence[rows[0].anomaly]),
+        [row.fraction for row in rows],
+        [(row.tests_with_anomaly, row.total_tests) for row in rows])
+        for rows in zip(*map(prevalence_rows, results))]
+
+
+def seeds_table(verdicts: list[Verdict]) -> str:
+    """One line per across-seed verdict (see :func:`across_seeds`)."""
+    lines = [f"  {'':28s}{'mean':>8s}  {'min-max':17s}{'D':>6s}  "
+             f"{'95 % interval':17s}{'kind':10s}{'paper':>6s}  inside"]
+    for verdict in verdicts:
+        interval = ("-" if verdict.interval is None else
+                    "[{}, {}]".format(*map(_cell, verdict.interval)))
+        lines.append(
+            f"  {verdict.claim.id.split('.', 2)[-1]:28s}"
+            f"{_cell(verdict.value):>8s}  "
+            f"{'-'.join(map(_cell, verdict.spread)):17s}"
+            f"{_cell(verdict.dispersion):>6s}  {interval:17s}"
+            f"{verdict.kind or '-':10s}{_cell(verdict.claim.paper):>6s}  "
+            f"{ {None: '-', True: 'yes', False: 'NO'}[verdict.paper_inside]}")
+    return "\n".join(lines)
 
 
 def _cell(value: Any) -> str:

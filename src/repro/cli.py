@@ -636,16 +636,15 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     services, scenario_specs, error = _resolve_fleet_services(args)
     if error:
         return error
+    import repro.calibrate.claims as claims
     from repro.fleet.executor import run_fleet
     from repro.fleet.spec import FleetSpec, derive_fleet_seeds
-    from repro.methodology.sweep import prevalence_statistics
 
     if args.seeds is not None:
         seeds = tuple(int(part) for part in args.seeds.split(",")
                       if part.strip())
     else:
-        seeds = derive_fleet_seeds(args.seed,
-                                   args.replicates or 3)
+        seeds = derive_fleet_seeds(args.seed, args.replicates or 3)
     spec = FleetSpec(services=tuple(services),
                      base_config=_config(args), seeds=seeds,
                      scenarios=tuple(scenario_specs))
@@ -662,26 +661,21 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     for service, results in outcome.by_service().items():
         print(f"\n{service}: anomaly prevalence over "
               f"{len(results)} seed(s)")
-        stats = prevalence_statistics(results)
-        for anomaly, entry in stats.items():
-            print(f"  {anomaly:20s} mean {entry.mean:6.3f}  "
-                  f"min {entry.minimum:6.3f}  "
-                  f"max {entry.maximum:6.3f}")
+        print(claims.seeds_table(claims.fig3_lines(service, results)))
         if any(result.config.metrics for result in results):
             from repro.analysis.metrics import metric_summaries
 
-            per_metric: dict[str, list[float]] = {}
-            for result in results:
-                for row in metric_summaries(result):
-                    per_metric.setdefault(row.metric,
-                                          []).append(row.value)
             print(f"{service}: consistency metrics over "
                   f"{len(results)} seed(s)")
-            for metric, values in per_metric.items():
-                mean = sum(values) / len(values)
-                print(f"  {metric:28s} mean {mean:8.2f}  "
-                      f"min {min(values):8g}  "
-                      f"max {max(values):8g}")
+            print(claims.seeds_table([claims.across_seeds(
+                claims.Claim(f"metrics.{service}.{rows[0].metric}", None),
+                [row.value for row in rows])
+                for rows in zip(*map(metric_summaries, results))]))
+    per_seed = claims.evaluate_seeds(outcome)
+    failing = [f"  {row:64s} holds at {held} of {applies}" for row, (
+        held, applies) in claims.held_at(per_seed).items() if held < applies]
+    print("\nclaim rows that fail at some seed:", *failing or ["  none"],
+          sep="\n")
     if args.obs_out:
         merged = outcome.merged_obs()
         if merged is None:
@@ -693,6 +687,15 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             export_snapshot(merged, args.obs_out)
             print(f"merged obs snapshot written to {args.obs_out}")
     if args.store_out:
+        from repro.fleet.digest import canonical
+        from repro.io import write_digest_jsonl
+
+        write_digest_jsonl(f"{args.store_out}/claims.jsonl", [
+            {"config": canonical(spec.base_config)}, *(
+            {"seed": seed, "id": verdict.claim.id, "value": verdict.value,
+             "holds": verdict.holds, "applies": verdict.applies}
+            for seed, verdicts in per_seed.items() for verdict in verdicts)],
+            kind="claims", schema_version=1)
         print(f"\nartifacts stored in {args.store_out}")
     return 0
 

@@ -25,7 +25,6 @@ __all__, __getattr__, __dir__ = facade(__name__, {
         "Nemesis", "PartitionStretchNemesis", "PeriodicPartitionNemesis",
         "LinkLossNemesis", "CompositeNemesis",
     ),
-    ".sweep": ("PrevalenceStats", "prevalence_statistics"),
     ".runner": ("run_campaign", "analyze_trace"),
     ".records": ("TestRecord", "CampaignResult"),
 })

@@ -19,8 +19,14 @@ from repro.calibrate import PAPER_TARGETS
 from repro.calibrate.claims import (
     CLAIMS,
     FIT_ROWS,
+    Z95,
+    Claim,
+    across_seeds,
     claims_table,
     evaluate_claims,
+    Verdict,
+    held_at,
+    seeds_table,
 )
 from repro.core import ALL_ANOMALIES
 from repro.methodology import CampaignConfig, CampaignResult
@@ -195,3 +201,93 @@ def test_a_repeated_statistic_is_weighted_once():
     assert "fig5.facebook_feed.monotonic_writes" not in weighted
     assert "fig3.facebook_group.writes_follow_reads" in weighted
     assert "fig7.facebook_group.writes_follow_reads" not in weighted
+
+
+# -- Across seeds: the interval rule ------------------------------------
+
+CELL = Claim("fig3.googleplus.read_your_writes", None, paper=0.22)
+
+
+def seeds(*counts):
+    """``across_seeds`` of one Fig. 3 cell from per-seed counts."""
+    return across_seeds(CELL, [hits / tests for hits, tests in counts],
+                        list(counts))
+
+
+def textbook_wilson(p, n):
+    """Wilson (1927), written out as Newcombe (1998) states it."""
+    z2 = Z95 ** 2
+    root = Z95 * (z2 + 4 * n * p * (1 - p)) ** 0.5
+    return ((2 * n * p + z2 - root) / (2 * (n + z2)),
+            (2 * n * p + z2 + root) / (2 * (n + z2)))
+
+
+@pytest.mark.parametrize("hits, tests, low, high", [
+    (0, 1500, 0.0, 0.00255),     # z^2 / (n + z^2)
+    (81, 263, 0.2553, 0.3662),   # Newcombe (1998), Table I
+    (15, 148, 0.0624, 0.1605),   # Newcombe (1998), Table I
+    (0, 20, 0.0, 0.1611),        # Newcombe (1998), Table I
+])
+def test_one_seed_interval_is_the_textbook_wilson(hits, tests, low, high):
+    verdict = seeds((hits, tests))
+    assert verdict.kind == "pooled" and verdict.dispersion is None
+    assert verdict.interval == pytest.approx((low, high), abs=5e-5)
+
+
+def test_steady_seeds_pool_their_counts():
+    # Equal rates at every seed: D = 0 <= 1, so n is the pooled n.
+    verdict = seeds((10, 100), (10, 100), (10, 100))
+    assert verdict.dispersion == pytest.approx(0.0, abs=1e-12)
+    assert verdict.kind == "pooled"
+    assert verdict.interval == pytest.approx(textbook_wilson(0.1, 300))
+    assert verdict.spread == (0.1, 0.1)
+
+
+def test_dispersed_seeds_shrink_n_by_d():
+    # Rates 0.05 and 0.25 around p = 0.15: across-seed variance 0.02
+    # over a binomial 0.15 * 0.85 / 100.
+    verdict = seeds((5, 100), (25, 100))
+    d = 0.02 / (0.15 * 0.85 / 100)
+    assert verdict.dispersion == pytest.approx(d)
+    assert verdict.kind == "dispersed"
+    assert verdict.interval == pytest.approx(
+        textbook_wilson(0.15, 200 / d))
+    assert verdict.value == pytest.approx(0.15)
+    assert verdict.spread == (0.05, 0.25)
+
+
+@pytest.mark.parametrize("counts", [
+    ((0, 50), (0, 50)),     # a 0 cell
+    ((50, 50), (50, 50)),   # a 1 cell
+    ((7, 50),),             # one seed
+])
+def test_undefined_d_is_pooled_and_printed_as_a_dash(counts):
+    verdict = seeds(*counts)
+    assert verdict.dispersion is None and verdict.kind == "pooled"
+    (line,) = seeds_table([verdict]).splitlines()[1:]
+    assert line.split()[3] == "-"
+    assert line.split()[-3] == "pooled"
+
+
+def test_paper_inside_flag():
+    assert seeds((22, 100)).paper_inside is True
+    assert seeds((2, 100)).paper_inside is False
+    assert "NO" in seeds_table([seeds((2, 100))])
+    assert across_seeds(Claim("x", None), [0.5], [(1, 2)]) \
+        .paper_inside is None
+    assert across_seeds(CELL, [3.0, 5.0]).interval is None
+    assert across_seeds(CELL, [3.0, 5.0]).paper_inside is None
+
+
+def test_a_single_seed_verdict_keeps_its_defaults():
+    (verdict,) = evaluate_claims({"blogger": empty("blogger")})[:1]
+    assert (verdict.spread, verdict.dispersion, verdict.interval,
+            verdict.kind, verdict.paper_inside) == (None,) * 5
+
+
+def test_held_at_counts_only_the_seeds_a_row_applies_at():
+    row = Claim("fig6.x", None)
+    per_seed = {1: [Verdict(row, holds=True)],
+                2: [Verdict(row, holds=False)],
+                3: [Verdict(row, applies=False)]}
+    assert held_at(per_seed) == {"fig6.x": (1, 2)}

@@ -7,7 +7,9 @@ from contextlib import contextmanager
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import ALL_ANOMALIES
 from repro.fleet import FleetSpec, run_fleet
+from repro.io import read_digest_jsonl
 from repro.methodology import CampaignConfig
 from repro.serve.store import HuntStore
 
@@ -136,9 +138,21 @@ class TestCommands:
         assert "read_your_writes" in out
         signature = [line for line in out.splitlines()
                      if "signature" in line]
+        claims = tmp_path / "store" / "claims.jsonl"
+        written = claims.read_bytes()
+        head, *rows = read_digest_jsonl(claims, kind="claims",
+                                        schema_version=1)
+        assert head["config"]["num_tests"] == 2
+        assert head["config"]["inter_test_gap"] == 15.0
+        assert {(row["seed"], row["id"]) for row in rows} == {
+            (seed, row["id"]) for seed in (1, 2) for row in rows}
+        assert len(rows) == 2 * len({row["id"] for row in rows})
+        assert all(set(row) == {"seed", "id", "value", "holds", "applies"}
+                   for row in rows)
         code = main(argv)
         assert code == 0
         resumed = capsys.readouterr().out
+        assert claims.read_bytes() == written
         assert "2 resumed from store" in resumed
         assert "skipped: complete in store" in resumed
         assert "(0 executed, 2 skipped, 0 retries)" in resumed
@@ -152,6 +166,22 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "fleet:" not in out  # telemetry suppressed
         assert "anomaly prevalence over 2 seed(s)" in out
+
+    def test_fleet_prints_every_fig3_cell_of_a_non_paper_service(
+            self, capsys):
+        # quorum_kv has no paper values and a one-seed fleet no D:
+        # six Fig. 3 lines, each pooled, with "-" for D and the paper.
+        code = main(["fleet", "--services", "quorum_kv", "--seeds", "4",
+                     "--tests", "2", "--quiet"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "quorum_kv: anomaly prevalence over 1 seed(s)" in out
+        lines = [line.split() for line in out.splitlines()
+                 if line.split()[:1] and line.split()[0] in ALL_ANOMALIES]
+        assert [line[0] for line in lines] == list(ALL_ANOMALIES)
+        for line in lines:
+            assert line[3] == "-" and line[-3:] == ["pooled", "-", "-"]
+        assert "claim rows that fail at some seed:\n  none" in out
 
     def test_fleet_rejects_unknown_service(self, capsys):
         code = main(["fleet", "--services", "myspace", "--tests", "2"])

@@ -59,7 +59,7 @@ CASES = {
         "run_campaign('blogger', CampaignConfig(num_tests=1, seed=1))",
         ("repro.services.googleplus", "repro.services.facebook_feed",
          "repro.services.facebook_group", "repro.services.quorum_kv",
-         "repro.methodology.sweep")),
+         "repro.calibrate.claims")),
     "params_scenario": (
         "from repro.methodology import CampaignConfig, run_campaign\n"
         "from repro.scenario import load_scenario, scenario_campaign\n"

@@ -379,7 +379,7 @@ class TestDET004:
         # itself, and a package that does not exist yet.
         config = LintConfig()
         for module in ("repro.fleet.executor", "repro.analysis.cdf",
-                       "repro.io", "repro.methodology.sweep",
+                       "repro.io", "repro.calibrate.claims",
                        "repro.stream", "repro.stream.engine",
                        "repro.webapi.router", "repro.lint.engine",
                        "repro.newpkg.x"):

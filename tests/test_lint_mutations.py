@@ -73,9 +73,9 @@ MUTATIONS = [
         "        ordered = tuple(set(int(i) for i in self.side))\n"),
     # DET003 — order-sensitive float reduction (was DET004).
     Mutation(
-        "DET003", "methodology/sweep.py",
-        "            mean=sum(values) / len(values),\n",
-        "            mean=sum(set(values)) / len(values),\n"),
+        "DET003", "calibrate/claims.py",
+        "    mean = sum(values) / len(values)\n",
+        "    mean = sum(set(values)) / len(values)\n"),
     # DET003 — star-unpacking: missed at PR 20 by all three order rules.
     Mutation(
         "DET003", "calibrate/search.py",

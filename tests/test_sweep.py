@@ -7,10 +7,16 @@ sweep is ``FleetSpec(param_grid=...)``, run by :func:`run_fleet`.
 import pytest
 
 from repro.analysis import prevalence_rows
+from repro.calibrate.claims import (
+    Claim,
+    across_seeds,
+    evaluate_seeds,
+    fig3_lines,
+)
 from repro.core import MONOTONIC_WRITES, READ_YOUR_WRITES
 from repro.errors import ConfigurationError
 from repro.fleet import FleetSpec, run_fleet
-from repro.methodology import CampaignConfig, prevalence_statistics
+from repro.methodology import CampaignConfig
 from repro.replication import QuorumParams
 from repro.services import QuorumKvParams
 
@@ -40,7 +46,7 @@ class TestReplicate:
 
     def test_duplicate_seeds_rejected(self):
         # A duplicated seed re-runs the identical campaign and skews
-        # prevalence_statistics sample counts.
+        # the across-seed rows' sample counts.
         with pytest.raises(ConfigurationError,
                            match=r"duplicate seeds \[5\]"):
             run_replicates("googleplus", SMALL, seeds=[5, 5])
@@ -82,35 +88,51 @@ class TestSweep:
 
 
 class TestPrevalenceStatistics:
+    """Figure 3 across seeds, as `fleet --seeds` reports it: the
+    per-seed claim rows and their across-seed reduction."""
+
     def test_aggregates_across_seeds(self):
-        results = run_replicates(
-            "googleplus",
-            CampaignConfig(num_tests=5, seed=0, test_types=("test1",)),
-            seeds=[1, 2, 3])
-        stats = prevalence_statistics(results)
-        ryw = stats[READ_YOUR_WRITES]
-        assert ryw.samples == 3
-        assert ryw.minimum <= ryw.mean <= ryw.maximum
-        assert 0.0 <= ryw.spread <= 1.0
+        outcome = run_fleet(FleetSpec(
+            services=("googleplus",), seeds=(1, 2, 3),
+            base_config=CampaignConfig(num_tests=5, seed=0,
+                                       test_types=("test1",))))
+        assert list(evaluate_seeds(outcome)) == [1, 2, 3]
+        lines = fig3_lines("googleplus", outcome.results)
+        assert len(lines) == 6
+        for line in lines:
+            low, high = line.spread
+            assert 0.0 <= low <= line.value <= high <= 1.0
 
     def test_blogger_is_zero_everywhere(self):
-        results = run_replicates("blogger", SMALL, seeds=[1, 2])
-        stats = prevalence_statistics(results)
-        assert all(entry.mean == 0.0 for entry in stats.values())
+        outcome = run_fleet(FleetSpec(services=("blogger",),
+                                      base_config=SMALL, seeds=(1, 2)))
+        for verdicts in evaluate_seeds(outcome).values():
+            fig3 = [verdict for verdict in verdicts
+                    if verdict.claim.id.startswith("fig3.")]
+            assert len(fig3) == 6
+            assert all(verdict.value == 0.0 and verdict.holds
+                       for verdict in fig3)
+        assert all(line.value == 0.0 for line in
+                   fig3_lines("blogger", outcome.results))
 
     def test_each_anomaly_is_assessed_on_its_own_template(self):
         # Figure 3 assesses monotonic writes on Test 1 only: pooling
-        # the Test 2 records, which cannot show it, halves the mean.
-        (result,) = run_replicates(
-            "facebook_group", CampaignConfig(num_tests=4, seed=3),
-            seeds=[3])
-        stats = prevalence_statistics([result])
-        fig3 = {row.anomaly: row.fraction
+        # the Test 2 records, which cannot show it, halves the share.
+        outcome = run_fleet(FleetSpec(
+            services=("facebook_group",), seeds=(3,),
+            base_config=CampaignConfig(num_tests=4, seed=3)))
+        (result,) = outcome.results
+        fig3 = {f"fig3.facebook_group.{row.anomaly}": row.fraction
                 for row in prevalence_rows(result)}
-        assert fig3[MONOTONIC_WRITES] > 0.0
-        assert {anomaly: entry.mean for anomaly, entry in stats.items()} \
-            == fig3
+        assert fig3[f"fig3.facebook_group.{MONOTONIC_WRITES}"] > 0.0
+        (verdicts,) = evaluate_seeds(outcome).values()
+        rows = {verdict.claim.id: verdict.value for verdict in verdicts
+                if verdict.claim.id in fig3}
+        assert len(rows) == 5  # content divergence is a fit row
+        assert rows == {row: fig3[row] for row in rows}
+        assert {line.claim.id: line.value for line in fig3_lines(
+            "facebook_group", [result])} == fig3
 
     def test_empty_results_rejected(self):
         with pytest.raises(ConfigurationError):
-            prevalence_statistics([])
+            across_seeds(Claim("fig3.blogger.read_your_writes", None), [])

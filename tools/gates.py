@@ -45,13 +45,13 @@ from repro.calibrate import (
     fidelity_table,
     target_services,
 )
+from repro.calibrate.claims import evaluate_seeds
 from repro.fleet import ArtifactStore, FleetSpec, pool, run_fleet
 from repro.fleet.digest import campaign_signature, canonical_json
 from repro.io import iter_trace_events, record_to_dict
 from repro.methodology import (
     CampaignConfig,
     analyze_trace,
-    prevalence_statistics,
     run_campaign,
 )
 from repro.obs.events import feed_record
@@ -90,15 +90,6 @@ def _replicate_fleet():
 
 # -- fleet: serial == 2-worker == resumed --------------------------------
 
-def _prevalences(outcome):
-    table = {}
-    for service, results in outcome.by_service().items():
-        stats = prevalence_statistics(results)
-        table[service] = {anomaly: entry.mean
-                          for anomaly, entry in stats.items()}
-    return table
-
-
 def fleet_gate(failures):
     """Serial, two workers and a resume from the store all agree."""
     spec = _replicate_fleet()
@@ -123,11 +114,8 @@ def fleet_gate(failures):
             f"resume re-ran shards: executed={resumed.executed!r} "
             f"skipped={len(resumed.skipped)}/{spec.total_shards}"
         )
-    if _prevalences(parallel) != _prevalences(serial):
-        failures.append(
-            f"prevalence mismatch:\n  serial   {_prevalences(serial)}"
-            f"\n  parallel {_prevalences(parallel)}"
-        )
+    if evaluate_seeds(parallel) != evaluate_seeds(serial):
+        failures.append("claim rows differ per seed: serial != parallel")
 
     shards = spec.total_shards
     return (f"{shards} shards",
