@@ -6,7 +6,7 @@ Not a paper figure — the contributor-facing benchmark behind
 * **Cheap enough to leave on**: ``metrics_over_plain`` compares the
   same engine (``analyze_trace`` = ``StreamEngine`` run to
   completion) with and without the metric evaluator, so it is the
-  cost of all five spec-defined metrics and nothing else; the printed
+  cost of every spec-defined metric and nothing else; the printed
   traces/sec pair is the number to watch, the hard assertion only
   rules out a pathological cliff.
 * **Pinned values**: the deterministic totals and campaign
@@ -94,7 +94,7 @@ def test_metric_evaluation_throughput(benchmark, bench_json_writer):
     print(f"  written to {path}")
 
     assert all(record.metrics for record in records)
-    # Soft cost contract: five extra evaluators may cost a constant
+    # Soft cost contract: the metric evaluator may cost a constant
     # factor over the six checkers, never an order of magnitude.
     assert metrics_s < plain_s * 10.0, (
         f"metrics ran {metrics_s / plain_s:.1f}x slower than plain "

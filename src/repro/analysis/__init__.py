@@ -28,7 +28,6 @@ __all__, __getattr__, __dir__ = facade(__name__, {
     ".report": ("campaign_totals", "full_report"),
     ".metrics": ("MetricSummary", "metric_summaries", "metric_table"),
     ".plots": ("CdfSeries", "render_cdf"),
-    ".latency": ("LatencyBreakdown", "operation_latencies", "latency_table"),
     ".timeline": ("render_timeline",),
     ".validation": (
         "ground_truth_trace", "WindowErrorSample", "WindowErrorReport",

@@ -32,7 +32,7 @@ from repro.core.anomalies.base import AnomalyObservation
 from repro.core.anomalies.registry import TraceReport
 from repro.core.trace import Operation, ReadOp, TestTrace, WriteOp
 from repro.core.windows import WindowResult
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ConfigurationError
 from repro.fleet.digest import _encode, _is_lowered, canonical_json
 from repro.methodology.config import CampaignConfig
 from repro.methodology.records import CampaignResult, TestRecord
@@ -531,7 +531,9 @@ def load_campaign(path: str | Path) -> CampaignResult:
     """Load a campaign saved by :func:`save_campaign`.
 
     Beyond :func:`read_digest_jsonl`'s checks, a line the decoder
-    cannot rebuild (a missing key, a value of the wrong shape) raises
+    cannot rebuild (a missing key, a value of the wrong shape, a
+    config the current :class:`CampaignConfig` rejects — say, one
+    naming a metric that no longer exists) raises
     :class:`~repro.errors.AnalysisError` naming the file and the line.
     """
     payloads = read_digest_jsonl(path, kind="campaign",
@@ -550,8 +552,8 @@ def load_campaign(path: str | Path) -> CampaignResult:
         result = CampaignResult(service=service, config=config)
         for number, data in enumerate(payloads[1:], start=3):
             result.records.append(record_from_dict(data, service))
-    except (AttributeError, IndexError, KeyError, TypeError,
-            ValueError) as exc:
+    except (AttributeError, ConfigurationError, IndexError, KeyError,
+            TypeError, ValueError) as exc:
         raise AnalysisError(
             f"{path}: line {number}: malformed campaign line: "
             f"{type(exc).__name__}: {exc}"

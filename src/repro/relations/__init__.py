@@ -6,16 +6,16 @@ package grades on top of them: a declarative
 :class:`~repro.relations.spec.MetricSpec` either folds a checker's
 evidence (``missing`` specs) or is computed over the **visibility**
 and **arbitration** relations (ViSearch's relaxation score, the
-inversion count).  The vocabulary grows only when a second predicate
-needs a relation.
+inversion count), minimised over the admissible arbitrations.  The
+vocabulary grows only when a second predicate needs a relation.
 
 * :mod:`repro.relations.spec` — the spec vocabulary, sample/result
-  model, and the pure per-read relaxation/inversion core.
+  model, the minimal admissible arbitration and the pure per-read
+  relaxation/inversion core.
 * :mod:`repro.relations.registry` — the built-in specs
-  (``relaxed_consistency``, ``stale_read_inversions``, and the three
-  checker folds ``session_monotonicity_depth``, ``read_your_writes``,
-  ``monotonic_reads``) and name resolution for configs / scenario
-  files / ``--metrics``.
+  (``relaxed_consistency``, ``stale_read_inversions`` and the checker
+  fold ``session_monotonicity_depth``) and name resolution for
+  configs / scenario files / ``--metrics``.
 * :mod:`repro.relations.streaming` — the one evaluator: bounded-memory,
   incremental, hosted by the
   :class:`~repro.stream.engine.StreamEngine`.
@@ -37,8 +37,6 @@ from repro.core.anomalies.base import (
 from repro.relations.batch import evaluate_metrics
 from repro.relations.registry import (
     BUILTIN_SPECS,
-    MONOTONIC_READS_SPEC,
-    READ_YOUR_WRITES_SPEC,
     RELAXED_CONSISTENCY,
     SESSION_MONOTONICITY_DEPTH,
     STALE_READ_INVERSIONS,
@@ -47,12 +45,14 @@ from repro.relations.registry import (
 )
 from repro.relations.spec import (
     Arbitration,
+    LoggedWrite,
     MetricResult,
     MetricSample,
     MetricSpec,
     ReadContext,
     aggregate,
     evaluate_read,
+    minimal_arbitration,
 )
 from repro.relations.streaming import StreamingMetricEvaluator
 
@@ -60,7 +60,9 @@ __all__ = [
     "MetricSpec",
     "MetricSample",
     "MetricResult",
+    "LoggedWrite",
     "Arbitration",
+    "minimal_arbitration",
     "ReadContext",
     "evaluate_read",
     "aggregate",
@@ -68,8 +70,6 @@ __all__ = [
     "RELAXED_CONSISTENCY",
     "STALE_READ_INVERSIONS",
     "SESSION_MONOTONICITY_DEPTH",
-    "READ_YOUR_WRITES_SPEC",
-    "MONOTONIC_READS_SPEC",
     "metric_names",
     "resolve_metrics",
     "evaluate_metrics",

@@ -1,12 +1,12 @@
 """Built-in metric specs and name resolution.
 
-Five specs ship.  Two compute something no checker does — a
+Three specs ship.  Two compute something no checker does — a
 ViSearch-style relaxed-consistency bound and inversion-based staleness
-counts, both over the arbitration order.  Three are folds over the
-evidence of a §III checker (``violation="missing"``): read-your-writes
-and monotonic reads count that checker's observations, and
+counts, both minimised over the admissible arbitrations.  One folds
+the evidence of a §III checker (``violation="missing"``):
 per-session monotonicity depth takes the largest ``missing`` set the
-monotonic-reads checker reported.
+monotonic-reads checker reported.  The paper's predicates themselves
+are counted by their checkers, in every record.
 
 Campaign configs, scenario files, and the ``--metrics`` CLI flag all
 name metrics by these registry keys; :func:`resolve_metrics` turns
@@ -22,8 +22,6 @@ __all__ = [
     "RELAXED_CONSISTENCY",
     "STALE_READ_INVERSIONS",
     "SESSION_MONOTONICITY_DEPTH",
-    "READ_YOUR_WRITES_SPEC",
-    "MONOTONIC_READS_SPEC",
     "BUILTIN_SPECS",
     "metric_names",
     "resolve_metrics",
@@ -31,27 +29,29 @@ __all__ = [
 
 #: ViSearch almost-serializable score: per read, how many logged
 #: writes sit below the view's arbitration frontier yet are invisible;
-#: the test value is the worst read — the relaxation bound ``k`` at
-#: which the execution would pass a k-relaxed serializability check.
+#: the test value is the worst read under the admissible arbitration
+#: that makes it least — the relaxation bound ``k`` at which the
+#: execution would pass a k-relaxed serializability check.
 RELAXED_CONSISTENCY = MetricSpec(
     name="relaxed_consistency",
-    expect="visible",
     violation="relaxation",
     measure="max",
     description=("worst-read count of arbitration-skipped writes "
-                 "below the visible frontier (ViSearch k-relaxation)"),
+                 "below the visible frontier, minimised over "
+                 "admissible arbitrations (ViSearch k-relaxation)"),
 )
 
 #: Inversion-based staleness: per read, the number of visible write
 #: pairs returned in the opposite of arbitration order, summed over
-#: the test — a register-level staleness magnitude, not a boolean.
+#: the test and minimised over admissible arbitrations — a
+#: register-level staleness magnitude, not a boolean.
 STALE_READ_INVERSIONS = MetricSpec(
     name="stale_read_inversions",
-    expect="visible",
     violation="inversion",
     measure="sum",
     description=("total visible write pairs whose view order "
-                 "contradicts arbitration order"),
+                 "contradicts arbitration order, minimised over "
+                 "admissible arbitrations"),
 )
 
 #: Session monotonicity depth: per read, how many previously-seen ids
@@ -60,33 +60,10 @@ STALE_READ_INVERSIONS = MetricSpec(
 #: says how far the session was thrown back.
 SESSION_MONOTONICITY_DEPTH = MetricSpec(
     name="session_monotonicity_depth",
-    expect="seen_before",
     violation="missing",
     measure="max",
     description=("worst-read count of previously-observed ids "
                  "missing from the view"),
-)
-
-#: The paper's Read Your Writes predicate as a spec: a read violates
-#: when any own completed write is missing from its view.
-READ_YOUR_WRITES_SPEC = MetricSpec(
-    name="read_your_writes",
-    expect="own_completed",
-    violation="missing",
-    measure="count",
-    description=("reads missing at least one of the session's own "
-                 "completed writes (paper §III RYW)"),
-)
-
-#: The paper's Monotonic Reads predicate as a spec: a read violates
-#: when an id some earlier read of the session returned is gone.
-MONOTONIC_READS_SPEC = MetricSpec(
-    name="monotonic_reads",
-    expect="seen_before",
-    violation="missing",
-    measure="count",
-    description=("reads missing at least one previously-observed id "
-                 "(paper §III MR)"),
 )
 
 #: Registry, in presentation order.
@@ -96,8 +73,6 @@ BUILTIN_SPECS: dict[str, MetricSpec] = {
         RELAXED_CONSISTENCY,
         STALE_READ_INVERSIONS,
         SESSION_MONOTONICITY_DEPTH,
-        READ_YOUR_WRITES_SPEC,
-        MONOTONIC_READS_SPEC,
     )
 }
 

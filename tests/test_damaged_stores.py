@@ -114,6 +114,14 @@ LACKING_DURATION = digest_valid(
     [CAMPAIGN_HEAD, {key: value for key, value
                      in CAMPAIGN_RECORD.items() if key != "duration"}],
     "campaign", SCHEMA_VERSION)
+#: A digest-valid file whose config names a metric the registry no
+#: longer has (``read_your_writes`` was one until the checkers' own
+#: counts replaced it).
+NAMING_A_REMOVED_METRIC = digest_valid(
+    [{**CAMPAIGN_HEAD, "config": {**CAMPAIGN_HEAD["config"],
+                                  "metrics": ["read_your_writes"]}},
+     CAMPAIGN_RECORD],
+    "campaign", SCHEMA_VERSION)
 #: What ``save_campaign`` wrote before campaign files were digest JSONL.
 VERSION_ONE = json.dumps(
     {"schema_version": 1, **CAMPAIGN_HEAD, "records": [CAMPAIGN_RECORD]},
@@ -167,6 +175,10 @@ DAMAGE_CASES = (
     ("campaign", CAMPAIGN_FILE, LACKING_DURATION, AnalysisError,
      "campaign.jsonl: line 3: malformed campaign line: "
      "KeyError: 'duration'"),
+    ("campaign", CAMPAIGN_FILE, NAMING_A_REMOVED_METRIC, AnalysisError,
+     "campaign.jsonl: line 2: malformed campaign line: "
+     "ConfigurationError: unknown consistency metric "
+     "'read_your_writes'"),
     ("campaign", CAMPAIGN_FILE, VERSION_ONE, AnalysisError,
      "campaign.jsonl: unreadable digest header"),
     ("campaign", CAMPAIGN_FILE, OBS_EXPORT, AnalysisError,
@@ -211,3 +223,15 @@ def test_report_on_a_damaged_campaign_file_is_one_line(tmp_path,
     (line,) = captured.err.splitlines()
     assert line.startswith("report: ")
     assert str(path) in line
+
+
+def test_report_on_a_campaign_naming_a_removed_metric_is_one_line(
+        tmp_path, capsys):
+    path = tmp_path / CAMPAIGN_FILE
+    path.write_bytes(NAMING_A_REMOVED_METRIC)
+    assert main(["report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"report: {path}: line 2: ")
+    assert "read_your_writes" in line

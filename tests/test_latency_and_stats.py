@@ -1,71 +1,8 @@
-"""Tests for latency analysis and endpoint traffic statistics."""
+"""Tests for endpoint traffic statistics."""
 
-import pytest
-
-from repro.analysis import (
-    latency_table,
-    operation_latencies,
-)
-from repro.errors import AnalysisError
 from repro.methodology import CampaignConfig, run_campaign
-from repro.replication import QuorumParams
-from repro.services import QuorumKvParams
 
 from tests.test_webapi import make_endpoint_world, run_and_get
-
-
-class TestOperationLatencies:
-    @pytest.fixture(scope="class")
-    def campaign(self):
-        return run_campaign("blogger", CampaignConfig(
-            num_tests=3, seed=7, test_types=("test1",),
-            keep_traces=True,
-        ))
-
-    def test_breakdown_covers_all_agents(self, campaign):
-        breakdown = operation_latencies(campaign)
-        assert set(breakdown.writes) == {"oregon", "tokyo", "ireland"}
-        assert set(breakdown.reads) == {"oregon", "tokyo", "ireland"}
-
-    def test_latencies_are_positive_and_plausible(self, campaign):
-        breakdown = operation_latencies(campaign)
-        for agent in breakdown.writes:
-            stats = breakdown.write_stats(agent)
-            # Blogger writes pay RTT + processing + sync replication.
-            assert 0.1 < stats["median"] < 2.0
-        for agent in breakdown.reads:
-            stats = breakdown.read_stats(agent)
-            assert 0.0 < stats["median"] < 1.0
-
-    def test_writes_cost_more_than_reads_on_blogger(self, campaign):
-        breakdown = operation_latencies(campaign)
-        assert (breakdown.overall_write_mean()
-                > breakdown.overall_read_mean())
-
-    def test_quorum_write_latency_scales_with_w(self):
-        means = {}
-        for w in (1, 3):
-            params = QuorumKvParams(quorum=QuorumParams(
-                read_quorum=1, write_quorum=w,
-            ))
-            result = run_campaign("quorum_kv", CampaignConfig(
-                num_tests=4, seed=9, test_types=("test1",),
-                keep_traces=True, service_params=params,
-            ))
-            means[w] = operation_latencies(result).overall_write_mean()
-        assert means[3] > means[1]
-
-    def test_requires_kept_traces(self):
-        result = run_campaign("blogger", CampaignConfig(
-            num_tests=1, seed=7, test_types=("test1",),
-        ))
-        with pytest.raises(AnalysisError, match="keep_traces"):
-            operation_latencies(result)
-
-    def test_table_renders(self, campaign):
-        text = latency_table(operation_latencies(campaign))
-        assert "write" in text and "read" in text
-        assert "oregon" in text
 
 
 class TestEndpointStats:

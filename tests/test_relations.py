@@ -2,24 +2,33 @@
 
 These tests exercise :mod:`repro.relations` on hand-built traces whose
 visibility and arbitration relations can be worked out on paper, so
-each metric's semantics is pinned by a human-checkable example — and,
-for the three ``missing``-class metrics, by the order-free §III
-transcriptions of ``tests/test_checker_oracle.py``: there is one
-evaluation of those predicates in ``src/``, so the reference lives
-here.
+each metric's semantics is pinned by a human-checkable example — and
+by two references, kept here because there is one evaluation of each
+in ``src/``:
+
+* the ``missing``-class metric against the order-free §III
+  transcription of ``tests/test_checker_oracle.py``;
+* the two arbitration metrics against a brute force over every
+  admissible arbitration (``itertools.permutations`` of at most six
+  writes, filtered by session order and real time), valued with the
+  plain frontier and pair scans.
 """
 
+import itertools
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.io import record_from_dict, record_to_dict
+from repro.cli import main
+from repro.io import TraceEventWriter, record_from_dict, record_to_dict
+from repro.methodology import CampaignConfig, run_campaign
 from repro.methodology.runner import analyze_trace
 from repro.relations import (
     BUILTIN_SPECS,
     Arbitration,
+    LoggedWrite,
     MetricResult,
     MetricSample,
     MetricSpec,
@@ -29,48 +38,42 @@ from repro.relations import (
     evaluate_metrics,
     evaluate_read,
     metric_names,
+    minimal_arbitration,
     resolve_metrics,
     session_anomaly_kinds,
 )
 from tests.helpers import make_trace, read, write
-from tests.test_checker_oracle import oracle_mr, oracle_ryw, skewed_traces
+from tests.test_checker_oracle import (
+    gridded_traces,
+    oracle_mr,
+    skewed_traces,
+)
 from tests.test_stream_parity import random_trace
+
+SERVICES = ("blogger", "googleplus", "facebook_feed", "facebook_group")
+GRADED = ("relaxed_consistency", "stale_read_inversions")
 
 
 class TestMetricSpec:
     def test_builtin_specs_are_valid_and_named(self):
-        assert len(BUILTIN_SPECS) >= 5
+        assert metric_names() == (
+            "relaxed_consistency", "stale_read_inversions",
+            "session_monotonicity_depth")
         for name, spec in BUILTIN_SPECS.items():
             assert spec.name == name
             assert spec.description
 
-    def test_rejects_unknown_expect(self):
-        with pytest.raises(ConfigurationError):
-            MetricSpec(name="x", expect="bogus", violation="missing",
-                       measure="count")
-
     def test_rejects_unknown_violation(self):
         with pytest.raises(ConfigurationError):
-            MetricSpec(name="x", expect="visible", violation="bogus",
-                       measure="count")
+            MetricSpec(name="x", violation="bogus", measure="sum")
 
     def test_rejects_unknown_measure(self):
         with pytest.raises(ConfigurationError):
-            MetricSpec(name="x", expect="visible", violation="missing",
-                       measure="bogus")
-
-    def test_arbitration_violations_require_visible_expectation(self):
-        with pytest.raises(ConfigurationError):
-            MetricSpec(name="x", expect="own_completed",
-                       violation="relaxation", measure="max")
-        with pytest.raises(ConfigurationError):
-            MetricSpec(name="x", expect="seen_before",
-                       violation="inversion", measure="sum")
+            MetricSpec(name="x", violation="missing", measure="count")
 
     def test_needs_arbitration(self):
         assert BUILTIN_SPECS["relaxed_consistency"].needs_arbitration
         assert BUILTIN_SPECS["stale_read_inversions"].needs_arbitration
-        assert not BUILTIN_SPECS["read_your_writes"].needs_arbitration
         assert not BUILTIN_SPECS[
             "session_monotonicity_depth"].needs_arbitration
 
@@ -82,45 +85,86 @@ class TestRegistry:
         assert names == tuple(BUILTIN_SPECS)
 
     def test_resolve_preserves_request_order(self):
-        specs = resolve_metrics(("monotonic_reads",
+        specs = resolve_metrics(("session_monotonicity_depth",
                                  "relaxed_consistency"))
         assert [spec.name for spec in specs] == \
-            ["monotonic_reads", "relaxed_consistency"]
+            ["session_monotonicity_depth", "relaxed_consistency"]
 
     def test_resolve_rejects_unknown_name(self):
         with pytest.raises(ConfigurationError,
                            match="unknown consistency metric"):
-            resolve_metrics(("monotonic_reads", "nope"))
+            resolve_metrics(("relaxed_consistency", "nope"))
 
     def test_resolve_rejects_duplicates(self):
         with pytest.raises(ConfigurationError, match="duplicate"):
-            resolve_metrics(("monotonic_reads", "monotonic_reads"))
+            resolve_metrics(("relaxed_consistency",
+                             "relaxed_consistency"))
 
     def test_anomaly_kind_views(self):
         assert set(session_anomaly_kinds()) < set(anomaly_kinds())
 
 
 class TestArbitration:
-    def test_from_keyed_orders_by_corrected_invoke_then_seq(self):
-        arb = Arbitration.from_keyed([
-            (2.0, 5, "c"), (1.0, 1, "a"), (1.0, 3, "b"),
-        ])
+    """The minimal admissible arbitration, on histories small enough
+    to order by hand."""
+
+    @staticmethod
+    def order(writes, views=(), violation="inversion"):
+        views = Counter(tuple(view) for view in views)
+        return minimal_arbitration(writes, views, violation).order
+
+    def test_ties_break_toward_invoke_then_seq(self):
+        writes = [LoggedWrite(2.0, 5, "c", "oregon", 9.0),
+                  LoggedWrite(1.0, 1, "a", "tokyo", 9.0),
+                  LoggedWrite(1.0, 3, "b", "ireland", 9.0)]
+        arb = minimal_arbitration(writes, {}, "inversion")
         assert arb.order == ("a", "b", "c")
         assert arb.rank == {"a": 0, "b": 1, "c": 2}
 
+    def test_overlapping_writes_take_the_order_reads_show(self):
+        # m1 and m2 overlap, so either order is admissible; the one
+        # the read shows costs nothing.
+        writes = [LoggedWrite(0.0, 0, "m1", "oregon", 2.0),
+                  LoggedWrite(1.0, 1, "m2", "tokyo", 3.0)]
+        assert self.order(writes, [("m2", "m1")]) == ("m2", "m1")
+        assert self.order(writes, [("m2",)], "relaxation") == \
+            ("m2", "m1")
+
+    def test_real_time_is_kept(self):
+        # m1 responded before m2 was invoked: m1 first, whatever the
+        # reads show.
+        writes = [LoggedWrite(0.0, 0, "m1", "oregon", 1.0),
+                  LoggedWrite(2.0, 1, "m2", "tokyo", 3.0)]
+        assert self.order(writes, [("m2", "m1")]) == ("m1", "m2")
+
+    def test_session_order_is_kept(self):
+        # One agent's overlapping writes keep their issue order.
+        writes = [LoggedWrite(0.0, 0, "m1", "oregon", 5.0),
+                  LoggedWrite(1.0, 1, "m2", "oregon", 6.0)]
+        assert self.order(writes, [("m2", "m1")]) == ("m1", "m2")
+
+    def test_relaxation_spares_the_reads_after_the_worst(self):
+        # m3 follows m0 in its session, so the read of m3 alone skips
+        # m0 whatever the order: k = 1.  Placing m2 before m1 then
+        # spares the second read, which (invoke, seq) order would not.
+        writes = [LoggedWrite(0.0, 0, "m0", "oregon", 9.0),
+                  LoggedWrite(0.0, 1, "m1", "tokyo", 9.0),
+                  LoggedWrite(0.0, 2, "m2", "ireland", 9.0),
+                  LoggedWrite(0.0, 3, "m3", "oregon", 9.0)]
+        views = [("m3",), ("m2", "m3", "m0")]
+        assert self.order(writes, views, "relaxation") == \
+            ("m0", "m3", "m2", "m1")
+
+    def test_inversions_weigh_reads_not_views(self):
+        # Two reads show m2 before m1 and one shows m1 before m2: the
+        # minimum follows the majority of reads.
+        writes = [LoggedWrite(0.0, 0, "m1", "oregon", 2.0),
+                  LoggedWrite(1.0, 1, "m2", "tokyo", 3.0)]
+        views = [("m2", "m1"), ("m2", "m1"), ("m1", "m2")]
+        assert self.order(writes, views) == ("m2", "m1")
+
 
 class TestEvaluateRead:
-    def test_missing_own_completed_counts_and_orders(self):
-        trace = make_trace([
-            write("oregon", "m1", at=0.0), write("oregon", "m2", at=0.5),
-            write("oregon", "m3", at=1.0), read("oregon", ["m2"], at=3.0),
-        ])
-        (result,) = evaluate_metrics(
-            trace, (BUILTIN_SPECS["read_your_writes"],))
-        (sample,) = result.samples
-        assert sample.value == 2
-        assert sample.details["missing"] == ("m1", "m3")
-
     def test_missing_seen_before_max_depth(self):
         trace = make_trace([
             read("oregon", ["m1", "m2", "m4"], at=2.0),
@@ -135,10 +179,7 @@ class TestEvaluateRead:
     def test_relaxation_counts_skips_below_frontier(self):
         # Arbitration m1 < m2 < m3 < m4; the read sees only m3, so
         # the frontier is m3 and {m1, m2} are skipped: k = 2.
-        arb = Arbitration.from_keyed([
-            (1.0, 0, "m1"), (2.0, 1, "m2"),
-            (3.0, 2, "m3"), (4.0, 3, "m4"),
-        ])
+        arb = Arbitration(("m1", "m2", "m3", "m4"))
         ctx = ReadContext(agent="tokyo", time=5.0,
                           observed=frozenset({"m3"}))
         spec = BUILTIN_SPECS["relaxed_consistency"]
@@ -148,9 +189,7 @@ class TestEvaluateRead:
         assert details["skipped"] == ("m1", "m2")
 
     def test_relaxation_zero_for_prefix_view(self):
-        arb = Arbitration.from_keyed([
-            (1.0, 0, "m1"), (2.0, 1, "m2"), (3.0, 2, "m3"),
-        ])
+        arb = Arbitration(("m1", "m2", "m3"))
         ctx = ReadContext(agent="tokyo", time=5.0,
                           observed=frozenset({"m1", "m2"}))
         spec = BUILTIN_SPECS["relaxed_consistency"]
@@ -160,9 +199,7 @@ class TestEvaluateRead:
     def test_inversion_counts_out_of_order_pairs(self):
         # View order follows the read's observed tuple order via the
         # arbitration ranks: seeing {m3, m1} only inverts one pair.
-        arb = Arbitration.from_keyed([
-            (1.0, 0, "m1"), (2.0, 1, "m2"), (3.0, 2, "m3"),
-        ])
+        arb = Arbitration(("m1", "m2", "m3"))
         spec = BUILTIN_SPECS["stale_read_inversions"]
         value, details = evaluate_read(
             spec,
@@ -174,7 +211,7 @@ class TestEvaluateRead:
         assert details["inverted"] == (("m3", "m1"),)
 
     def test_unlogged_observed_ids_are_ignored(self):
-        arb = Arbitration.from_keyed([(1.0, 0, "m1")])
+        arb = Arbitration(("m1",))
         spec = BUILTIN_SPECS["stale_read_inversions"]
         value, _ = evaluate_read(
             spec,
@@ -234,27 +271,176 @@ class TestEvaluateReadShortcuts:
     )
     def test_shortcuts_equal_the_unshortened_scan(
             self, logged, observed, violation):
-        arb = Arbitration.from_keyed(
-            [(float(at), at, mid) for at, mid in enumerate(logged)])
+        arb = Arbitration(tuple(logged))
         if isinstance(observed, int):
             observed = list(arb.order[:observed])
-        spec = MetricSpec(name="x", expect="visible",
-                          violation=violation, measure="sum")
+        spec = MetricSpec(name="x", violation=violation, measure="sum")
         ctx = ReadContext("tokyo", 5.0, tuple(observed))
         assert evaluate_read(spec, ctx, arb) == \
             unshortened_scan(spec, ctx, arb)
 
 
+# -- The brute-force reference ---------------------------------------------
+
+
+def admissible_orders(trace):
+    """Every arbitration of the trace's writes that keeps each agent's
+    issue order and real time, by enumerating all orders.
+
+    ``w`` must precede ``w'`` when the same agent issued it first
+    (earlier local invocation, then recording index) or when ``w``
+    responded before ``w'`` was invoked, both instants corrected by
+    the trace's clock deltas.
+    """
+    writes = [(index, op) for index, op in enumerate(trace.operations)
+              if op.is_write]
+
+    def must_precede(first, second):
+        (i, w), (j, v) = first, second
+        if w.agent == v.agent and \
+                (w.invoke_local, i) < (v.invoke_local, j):
+            return True
+        return trace.corrected_response(w) < trace.corrected_invoke(v)
+
+    for order in itertools.permutations(writes):
+        if not any(must_precede(later, earlier)
+                   for k, earlier in enumerate(order)
+                   for later in order[k + 1:]):
+            yield Arbitration(tuple(w.message_id for _, w in order))
+
+
+def invocation_order(trace):
+    """The fixed order the metrics once used: by corrected invocation,
+    then recording index."""
+    keyed = sorted((trace.corrected_invoke(op), index, op.message_id)
+                   for index, op in enumerate(trace.operations)
+                   if op.is_write)
+    return Arbitration(tuple(mid for _, _, mid in keyed))
+
+
+def scanned(spec, trace, arbitration):
+    """Every nonzero read under one arbitration, by the plain scans:
+    ``(agent, corrected response, value, details)``."""
+    out = Counter()
+    for r in trace.reads():
+        value, details = unshortened_scan(
+            spec, ReadContext(r.agent, 0.0, r.observed), arbitration)
+        if value:
+            out[r.agent, trace.corrected_response(r), value,
+                tuple(sorted(details.items()))] += 1
+    return out
+
+
+def folded(spec, samples):
+    values = [value for (_, _, value, _), reads in samples.items()
+              for _ in range(reads)]
+    if spec.measure == "max":
+        return max(values, default=0)
+    return sum(values)
+
+
+def assert_minimal_over_admissible(trace):
+    """Both graded metrics equal their brute-force minimum, read by
+    read, and never exceed the invocation-order value; when that
+    order's inversion count is the minimum, the samples are its."""
+    assert len(trace.writes()) <= 6
+    orders = list(admissible_orders(trace))
+    assert orders
+    results = evaluate_metrics(trace, resolve_metrics(GRADED))
+    for spec, result in zip(resolve_metrics(GRADED), results):
+        by_order = [scanned(spec, trace, arb) for arb in orders]
+        least = min(folded(spec, reads) for reads in by_order)
+        assert result.value == least, spec.name
+        samples = Counter(
+            (s.agent, s.time, s.value, tuple(sorted(s.details.items())))
+            for s in result.samples)
+        assert samples in by_order, spec.name
+        fixed = scanned(spec, trace, invocation_order(trace))
+        assert result.value <= folded(spec, fixed)
+        if spec.violation == "inversion" and \
+                result.value == folded(spec, fixed):
+            assert samples == fixed
+
+
+def kept_traces(service, **config):
+    result = run_campaign(service, CampaignConfig(
+        keep_traces=True, **config))
+    return [record.trace for record in result.records]
+
+
+class TestGradedMetricsAreAdmissibleMinima:
+    @settings(max_examples=120, deadline=None)
+    @given(trace=skewed_traces())
+    def test_skewed_arbitrary_traces(self, trace):
+        assert_minimal_over_admissible(trace)
+
+    @settings(max_examples=120, deadline=None)
+    @given(trace=gridded_traces())
+    def test_heavily_tied_traces(self, trace):
+        assume(len(trace.writes()) <= 6)
+        assert_minimal_over_admissible(trace)
+
+    @pytest.mark.parametrize("service", SERVICES)
+    def test_substrate_traces(self, service):
+        for trace in kept_traces(service, num_tests=3, seed=11):
+            assert_minimal_over_admissible(trace)
+
+    def test_blogger_test2_traces(self):
+        for trace in kept_traces("blogger", num_tests=10, seed=11,
+                                 test_types=("test2",)):
+            assert_minimal_over_admissible(trace)
+
+
+class TestBloggerReadsZero:
+    """Blogger is synchronous primary-backup: some admissible order
+    explains every read, so both graded metrics read 0 on every test."""
+
+    @pytest.mark.parametrize("seed", [11, 301, 302, 303, 304])
+    def test_every_record_is_zero(self, seed):
+        result = run_campaign("blogger", CampaignConfig(
+            num_tests=10, seed=seed, metrics=GRADED))
+        assert {(m.metric, m.value) for record in result.records
+                for m in record.metrics} == {(name, 0) for name in GRADED}
+
+
+def test_stream_from_trace_orders_many_overlapping_writes(
+        tmp_path, capsys):
+    """Three sessions of eight writes that all overlap have
+    24! / (8!)^3 admissible orders; the search walks at most 9^3 sets
+    of placed writes, so the outside trace replays at once."""
+    agents = ("oregon", "tokyo", "ireland")
+    operations = [write(agent, f"{agent}{k}", at=0.1 * k, response=10.0)
+                  for agent in agents for k in range(8)]
+    ids = [op.message_id for op in operations]
+    operations += [read(agent, ids[::-1], at=11.0 + k)
+                   for k, agent in enumerate(agents)]
+    trace = make_trace(operations, agents=agents, test_id="wide")
+    path = tmp_path / "wide.ops.jsonl"
+    with path.open("w", encoding="utf-8") as sink:
+        writer = TraceEventWriter(sink)
+        writer.test_opened(trace)
+        for op in trace.operations:
+            writer.operation(trace, op)
+        writer.test_closed(trace)
+    assert main(["stream", "--from-trace", str(path), "--quiet",
+                 "--metrics", ",".join(GRADED)]) == 0
+    capsys.readouterr()
+    relaxed, inversions = evaluate_metrics(trace, resolve_metrics(GRADED))
+    # Each session's writes keep their issue order, which every read
+    # reverses: 3 x C(8, 2) pairs per read, whatever the sessions'
+    # interleaving; the sessions' order can follow the reads.
+    assert inversions.value == 3 * 3 * 28
+    assert relaxed.value == 0
+
+
 class TestAggregate:
-    def test_count_sum_max(self):
+    def test_sum_and_max(self):
         samples = (
             MetricSample(agent="a", time=1.0, value=2),
             MetricSample(agent="b", time=2.0, value=5),
         )
-        count_spec = BUILTIN_SPECS["read_your_writes"]
         sum_spec = BUILTIN_SPECS["stale_read_inversions"]
         max_spec = BUILTIN_SPECS["relaxed_consistency"]
-        assert aggregate(count_spec, samples) == 2
         assert aggregate(sum_spec, samples) == 7
         assert aggregate(max_spec, samples) == 5
 
@@ -264,15 +450,15 @@ class TestAggregate:
 
 
 class TestEvaluateMetrics:
-    def test_read_your_writes_spec_on_violating_trace(self):
+    def test_depth_spec_on_violating_trace(self):
         trace = make_trace([
             write("oregon", "m1", at=1.0),
-            read("oregon", [], at=2.0),
-            read("oregon", ["m1"], at=3.0),
+            read("oregon", ["m1"], at=2.0),
+            read("oregon", [], at=3.0),
         ])
         (result,) = evaluate_metrics(
-            trace, resolve_metrics(("read_your_writes",)))
-        assert result.metric == "read_your_writes"
+            trace, resolve_metrics(("session_monotonicity_depth",)))
+        assert result.metric == "session_monotonicity_depth"
         assert result.value == 1
         (sample,) = result.samples
         assert sample.agent == "oregon"
@@ -284,10 +470,10 @@ class TestEvaluateMetrics:
             read("tokyo", ["m1"], at=2.0),
         ])
         results = evaluate_metrics(
-            trace, resolve_metrics(("monotonic_reads",
+            trace, resolve_metrics(("session_monotonicity_depth",
                                     "relaxed_consistency")))
         assert [r.metric for r in results] == \
-            ["monotonic_reads", "relaxed_consistency"]
+            ["session_monotonicity_depth", "relaxed_consistency"]
         assert all(r.value == 0 and r.samples == () for r in results)
 
     def test_samples_only_for_violating_reads(self):
@@ -298,43 +484,38 @@ class TestEvaluateMetrics:
             read("ireland", ["m1"], at=4.0),
         ])
         (result,) = evaluate_metrics(
-            trace, resolve_metrics(("monotonic_reads",)))
+            trace, resolve_metrics(("session_monotonicity_depth",)))
         assert result.value == 1
         (sample,) = result.samples
         assert sample.time == read("ireland", [], at=3.0).response_local
 
 
 def assert_missing_metrics_match_oracles(trace):
-    """Value and every sample of the three ``missing``-class metrics.
+    """Value and every sample of the ``missing``-class metric.
 
-    The oracles name each violating read as ``(agent, time, missing)``
+    The oracle names each violating read as ``(agent, time, missing)``
     without ever sorting the trace; the sample's view must be that of
     a read the agent completed at that instant, its value the size of
     its ``missing`` set, and samples arrive in canonical read order —
     so reference times never step back.
     """
-    ryw, mr, depth = evaluate_metrics(trace, resolve_metrics((
-        "read_your_writes", "monotonic_reads",
-        "session_monotonicity_depth")))
+    (depth,) = evaluate_metrics(trace, resolve_metrics((
+        "session_monotonicity_depth",)))
     views = Counter((r.agent, trace.corrected_response(r), r.observed)
                     for r in trace.reads())
-    for result, oracle in ((ryw, oracle_ryw), (mr, oracle_mr),
-                           (depth, oracle_mr)):
-        expected = oracle(trace)
-        samples = result.samples
-        assert Counter((s.agent, s.time, s.details["missing"])
-                       for s in samples) == expected
-        assert not Counter((s.agent, s.time, s.details["observed"])
-                           for s in samples) - views
-        for s in samples:
-            assert s.value == len(s.details["missing"]) > 0
-            assert not set(s.details["missing"]) & set(
-                s.details["observed"])
-        times = [s.time for s in samples]
-        assert times == sorted(times)
-        assert result.value == (
-            max((len(missing) for _, _, missing in expected), default=0)
-            if result is depth else sum(expected.values()))
+    expected = oracle_mr(trace)
+    samples = depth.samples
+    assert Counter((s.agent, s.time, s.details["missing"])
+                   for s in samples) == expected
+    assert not Counter((s.agent, s.time, s.details["observed"])
+                       for s in samples) - views
+    for s in samples:
+        assert s.value == len(s.details["missing"]) > 0
+        assert not set(s.details["missing"]) & set(s.details["observed"])
+    times = [s.time for s in samples]
+    assert times == sorted(times)
+    assert depth.value == max(
+        (len(missing) for _, _, missing in expected), default=0)
 
 
 class TestMissingMetricsMatchOracles:
@@ -352,18 +533,19 @@ class TestRecordCodec:
     def _record(self, metrics):
         trace = make_trace([
             write("oregon", "m1", at=1.0),
-            read("oregon", [], at=2.0),
+            read("oregon", ["m1"], at=2.0),
+            read("oregon", [], at=3.0),
         ])
         return analyze_trace(trace, metrics=metrics)
 
     def test_metrics_round_trip(self):
-        record = self._record(resolve_metrics(("read_your_writes",
-                                               "monotonic_reads")))
+        record = self._record(resolve_metrics(metric_names()))
         data = record_to_dict(record)
         restored = record_from_dict(data, "unit")
         assert restored.metrics == record.metrics
-        assert isinstance(restored.metrics[0], MetricResult)
-        assert isinstance(restored.metrics[0].samples[0], MetricSample)
+        depth = restored.metrics[-1]
+        assert isinstance(depth, MetricResult)
+        assert isinstance(depth.samples[0], MetricSample)
 
     def test_metrics_key_absent_when_unused(self):
         # Records from metric-less campaigns must serialize to the

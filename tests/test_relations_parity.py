@@ -6,8 +6,8 @@ Three equalities make spec-defined metrics trustworthy:
   (values, samples, details) must be the same whether a test reaches
   it by sorted replay (``analyze_trace``), through the live watermark
   sequencer, or from archived trace events;
-* **fold identity** — the two paper predicates offered as metrics are
-  folds over their checkers' evidence, so each must report exactly
+* **fold identity** — ``session_monotonicity_depth`` folds the
+  monotonic-reads checker's evidence, so its samples must be exactly
   the (agent, time, evidence) reads ``check_all`` reports;
 * **serial == parallel** — a fleet run with metrics enabled must
   produce byte-identical records at any job count.
@@ -81,7 +81,7 @@ class TestStreamingBatchParity:
         from repro.stream import StreamEngine, replay_trace
 
         specs = resolve_metrics(("stale_read_inversions",
-                                 "read_your_writes"))
+                                 "session_monotonicity_depth"))
         obs = ObsContext()
         engine = StreamEngine(horizon=1, obs=obs, metrics=specs)
         traces = campaign_traces("facebook_feed")
@@ -100,11 +100,12 @@ class TestStreamingBatchParity:
     def test_record_mismatches_reports_metric_field(self):
         trace = make_trace([
             write("oregon", "m1", at=1.0),
-            read("oregon", [], at=2.0),
+            read("oregon", ["m1"], at=2.0),
+            read("oregon", [], at=3.0),
         ])
         from repro.methodology.runner import analyze_trace
 
-        specs = resolve_metrics(("read_your_writes",))
+        specs = resolve_metrics(("session_monotonicity_depth",))
         with_metrics = analyze_trace(trace, metrics=specs)
         without = analyze_trace(trace)
         mismatches = record_mismatches(without, with_metrics)
@@ -112,7 +113,8 @@ class TestStreamingBatchParity:
 
 
 def assert_metrics_fold_the_report(trace):
-    """Each predicate-as-metric counts its checker's observations.
+    """The depth metric's samples are the monotonic-reads checker's
+    observations, each valued by its ``missing`` set.
 
     Element order differs by construction (the report groups by
     agent, samples follow canonical read order), so both sides are
@@ -123,11 +125,13 @@ def assert_metrics_fold_the_report(trace):
                        item.details["missing"],
                        item.details["observed"]) for item in items)
 
-    report = check_all(trace)
-    for kind in ("read_your_writes", "monotonic_reads"):
-        (result,) = evaluate_metrics(trace, resolve_metrics((kind,)))
-        assert result.value == report.count(kind)
-        assert keys(result.samples) == keys(report.observations[kind])
+    observations = check_all(trace).observations["monotonic_reads"]
+    (result,) = evaluate_metrics(
+        trace, resolve_metrics(("session_monotonicity_depth",)))
+    assert keys(result.samples) == keys(observations)
+    assert result.value == max(
+        (len(obs.details["missing"]) for obs in observations),
+        default=0)
 
 
 class TestLegacyEquivalence:
@@ -175,12 +179,12 @@ class TestConfigValidation:
             CampaignConfig(metrics=("bogus",))
 
     def test_config_normalizes_metrics_to_tuple(self):
-        config = CampaignConfig(metrics=["monotonic_reads"])
-        assert config.metrics == ("monotonic_reads",)
+        config = CampaignConfig(metrics=["relaxed_consistency"])
+        assert config.metrics == ("relaxed_consistency",)
 
 
 SCENARIO_WITH_METRICS = """
-metrics = ["read_your_writes", "session_monotonicity_depth"]
+metrics = ["relaxed_consistency", "session_monotonicity_depth"]
 
 [scenario]
 schema_version = 1
@@ -206,12 +210,12 @@ class TestScenarioMetrics:
 
     def test_loader_parses_metrics_key(self, tmp_path):
         spec = self._load(tmp_path, SCENARIO_WITH_METRICS)
-        assert spec.metrics == ("read_your_writes",
+        assert spec.metrics == ("relaxed_consistency",
                                 "session_monotonicity_depth")
 
     def test_loader_rejects_unknown_metric(self, tmp_path):
         bad = SCENARIO_WITH_METRICS.replace(
-            "read_your_writes", "not_a_metric")
+            "relaxed_consistency", "not_a_metric")
         with pytest.raises(ConfigurationError,
                            match="unknown consistency metric"):
             self._load(tmp_path, bad)
@@ -221,7 +225,7 @@ class TestScenarioMetrics:
         plain = self._load(
             tmp_path,
             SCENARIO_WITH_METRICS.replace(
-                'metrics = ["read_your_writes", '
+                'metrics = ["relaxed_consistency", '
                 '"session_monotonicity_depth"]\n', ""))
         assert spec.metrics and not plain.metrics
         assert spec.digest() != plain.digest()
@@ -237,9 +241,9 @@ class TestScenarioMetrics:
         from repro.scenario import scenario_config
 
         spec = self._load(tmp_path, SCENARIO_WITH_METRICS)
-        base = CampaignConfig(metrics=("monotonic_reads",))
+        base = CampaignConfig(metrics=("stale_read_inversions",))
         config = scenario_config(spec, base)
-        assert config.metrics == ("monotonic_reads",)
+        assert config.metrics == ("stale_read_inversions",)
 
     def test_scenario_campaign_computes_metrics(self, tmp_path):
         from repro.scenario import scenario_campaign
@@ -249,7 +253,7 @@ class TestScenarioMetrics:
         result = run_campaign(service, config)
         for record in result.records:
             assert [m.metric for m in record.metrics] == \
-                ["read_your_writes", "session_monotonicity_depth"]
+                ["relaxed_consistency", "session_monotonicity_depth"]
 
 
 class TestCliSurface:

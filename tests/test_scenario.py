@@ -555,7 +555,7 @@ UNLOWERED_WORLD_TABLES = [
      'host_a = "node-oregon"\nhost_b = "node-tokyo"\n', "[[nemesis]]"),
     ("[policy]\nretry_attempts = 2\n", "[policy]"),
     ('[calibrate.axes]\n"store.fanout" = [1, 2]\n', "[calibrate]"),
-    ('metrics = ["read_your_writes"]\n', "metrics"),
+    ('metrics = ["relaxed_consistency"]\n', "metrics"),
 ]
 
 

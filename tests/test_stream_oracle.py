@@ -12,7 +12,7 @@ and each live emission by its ``repr``.  The corpus:
 * ``run_campaign(service, CampaignConfig(num_tests=2, seed=11))``
   traces of the four services, every test of a service open at once
   and interleaved by stream time, on one engine with a horizon of 3
-  (so the ring evicts) and all five relation metrics;
+  (so the ring evicts) and every relation metric;
 * two hand-built traces: agents' first writes arriving in reverse
   agent order with one read violating every writer session (monotonic
   writes lists writers in agent order within one read), and
@@ -24,7 +24,12 @@ file pins their *order* and the engine's atom accounting.  The values
 below were recorded before the per-test checker state became lazily
 allocated and the pair table a shared layout; a change that keeps
 every signature but reorders one record's observations, or moves one
-``state_size()`` reading, fails here.
+``state_size()`` reading, fails here.  The four ``campaign/*`` cases'
+record digests, size digests and maxima were re-recorded once, when
+the graded metrics became minima over admissible arbitrations and the
+two metrics that re-counted checker observations went: their records
+without the ``metrics`` key hash as before, and their ``state_size()``
+readings, less the metric layer's own atoms, are unchanged.
 """
 
 import hashlib
@@ -202,33 +207,33 @@ PINNED = {
     ),
     "campaign/blogger": (
         4,
-        "4256b5bbe4c62e60c0b221dbcada9f0e90b3d52e9d970576b52c817d59c60142",
+        "cd865e338d4e4f378b3238f88cbead41a2814f1e6d40afccce01ea51036167e8",
         207,
-        "a83a66a5e11560ef0e4705e7d9677b51a24572b1f0dc5c2d3431e98552c2a294",
-        174,
+        "e2fbd93055b612738dcbcc390936b0d8e88efcab7823daf4fd30ff8d1b534227",
+        170,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "campaign/googleplus": (
         4,
-        "2f12caafb686bd0776eb165fb9b78eec33f535bf891e7c643dfa97b6e57a3818",
+        "173ed9c840000f0484954ef26940b7e4a0fc94bb7caa8c0c067535433a241fe6",
         502,
-        "6ccaf5328ae6babd13ee4a9923c826600ab63a3a24bfad88bcd6c479df1070db",
-        343,
+        "267ae66138f0dc178b589064474a3490f0413470af52bf740eac0ab65c1e758b",
+        269,
         "53f54bf92d69008c297b41ee009058ef368b3c7ab172dcb76000e8572a17fdd2",
     ),
     "campaign/facebook_feed": (
         4,
-        "ad56f400770df76b0e0ac322d63a9acc8392028a0b870990f0cd6d0b5becdada",
+        "5e76bb34f5d351ac7dc9a0fb3372a3fd5a826f508fba0054f431acdfd8d01fbe",
         363,
-        "96e2ff646a26864668a7f1b7fdef14b62c65fdb876995a20355b18f581eed386",
-        458,
+        "a4aa800d4e1258660a8a63a517d5492b0e2519eadfaf7461ea76574c395e0b4d",
+        431,
         "f950d6150a5e48f850e8fd85008ef21222dae9de3716e1e43f913e49e763537a",
     ),
     "campaign/facebook_group": (
         4,
-        "d81d6017a3a04b2fa172c0b77aca9eddb74ae0211bf221cdb157930856387ae7",
+        "06eb38e5b730c109afb40dfdfd28bdf9847463001eb3a215857bb5d4dce6f933",
         380,
-        "eb22b43f45323029d05b1cf602d28a3344efed6e3a6763a36bd4e31f5a1e0e60",
+        "82adc89211c49b17de99fda297910117f3f4340c5ef9cd3702c5217e61c0e263",
         461,
         "f45c81143b7498d52a2db9b93ddf0df0cab1932c8ee0d2e867c1deea901e2757",
     ),

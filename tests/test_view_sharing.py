@@ -176,10 +176,12 @@ class TestSharingChangesNothing:
         stream does (a checker's own close order is agent-major)."""
         trace = make_trace([
             write("oregon", "m1", 0.0), write("tokyo", "m2", 0.0),
+            read("tokyo", ("m1", "m2"), 0.5),
+            read("oregon", ("m1", "m2"), 0.7),
             read("tokyo", (), 1.0), read("oregon", (), 2.0),
             read("tokyo", (), 3.0), read("oregon", (), 4.0),
         ])
-        specs = resolve_metrics(("read_your_writes",))
+        specs = resolve_metrics(("session_monotonicity_depth",))
         (result,) = analyze_trace(trace, metrics=specs).metrics
         assert [sample.agent for sample in result.samples] == \
             ["tokyo", "oregon", "tokyo", "oregon"]

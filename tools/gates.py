@@ -19,7 +19,7 @@ obs        obs exports are deterministic and merge-stable
 fidelity   each service's default profile stays within its fidelity
            budget
 scenario   every shipped scenario file validates and replays true
-relations  a fleet with all five spec-defined metrics is
+relations  a fleet with every spec-defined metric is
            byte-identical at any worker count
 serve      a hunt through the campaign service == a direct fleet run
 world      the partitioned world is byte-identical to its serial run,
@@ -464,7 +464,7 @@ def scenario_gate(failures):
             f"signature {GOSSIP_MESH_SIGNATURE[:16]} replayed")
 
 
-# -- relations: serial == 4-worker with all five metrics ----------------
+# -- relations: serial == 4-worker with every metric --------------------
 
 RELATIONS_TESTS = 3
 
@@ -500,9 +500,10 @@ def _relations_fleet_identity(failures):
 
 
 def relations_gate(failures):
-    """Fleet identity over :mod:`repro.relations` (the metrics fold
-    the checkers' evidence; ``tests/test_relations.py`` holds them to
-    the §III oracles)."""
+    """Fleet identity over :mod:`repro.relations`
+    (``tests/test_relations.py`` holds the depth fold to the §III
+    oracle and the graded metrics to a brute-force minimum over
+    admissible arbitrations)."""
     shards, signature = _relations_fleet_identity(failures)
     return (f"{shards} shards",
             f"serial == 4-worker over {shards} shards with all "
