@@ -4,14 +4,17 @@ Every row of :data:`repro.calibrate.claims.CLAIMS` — Figure 3
 prevalences, the Figures 4–7 local/global splits, the Figure 8
 Oregon–Tokyo asymmetry, the Figures 9–10 windows, the Tables I/II
 configuration and reads, the §V totals — is evaluated once on the
-shared bench campaigns and asserted here by id.  The table is printed
-once, so a ``-s`` run shows which claims hold and by what margin.
+shared bench campaigns and asserted here by id, as are EXPERIMENTS.md's
+holds cells.  A ``-s`` run prints the table with each row's margin.
 """
+
+from pathlib import Path
 
 import pytest
 
 from repro.calibrate.claims import (CLAIMS, claims_table, evaluate_claims,
-                                    evaluate_seeds)
+                                    evaluate_seeds, experiments_region,
+                                    region_disagreements)
 from repro.fleet import FleetSpec, run_fleet
 from repro.methodology import PAPER_PLANS, CampaignConfig, run_campaign
 
@@ -30,6 +33,13 @@ def verdicts(campaigns):
 def test_claim_holds(claim_id, verdicts):
     verdict = verdicts[claim_id]
     assert verdict.holds, claims_table([verdict])
+
+
+def test_experiments_md_agrees(campaigns, verdicts):
+    text = (Path(__file__).parents[1] / "EXPERIMENTS.md").read_text("utf-8")
+    assert region_disagreements(text, experiments_region(
+        {BENCH_SEED: list(verdicts.values())},
+        {service: [result] for service, result in campaigns.items()})) == []
 
 
 def test_signatures_are_seed_stable(benchmark):

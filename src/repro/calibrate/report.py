@@ -1,9 +1,8 @@
 """Fidelity rendering: measured-vs-paper tables and ``fidelity.json``.
 
-Two consumers share this module: the ``repro-consistency calibrate``
-subcommand (search winner vs. baseline) and ``tools/calibrate.py``
-(the thin development shim).  The machine-readable export is a plain
-sorted-keys JSON document so CI diffs stay readable.
+The ``repro-consistency calibrate`` subcommand (search winner vs.
+baseline) and ``tools/gates.py fidelity`` print these tables.  The
+export is plain sorted-keys JSON, so CI diffs stay readable.
 """
 
 from __future__ import annotations

@@ -19,12 +19,11 @@ These dicts are the *single source of truth*: the claims table
 (:mod:`repro.calibrate.claims`) reads them as the paper's values of
 its rows, and each number is the ``paper`` value of exactly one
 weighted row — so the objectives built from those rows
-(:mod:`repro.calibrate.objective`), ``tools/calibrate.py`` and
-``tools/gates.py fidelity`` score against them too.  Prevalences and
-read counts are the paper's stated values; per-pair rates and window
-medians are read off the published figures to the nearest sensible
-value (the paper prints CDFs, not tables), which is why the window
-medians' rows carry a lower weight.
+(:mod:`repro.calibrate.objective`) and ``tools/gates.py fidelity``
+score against them too.  Prevalences and read counts are the paper's
+stated values; per-pair rates and window medians are read off the
+published figures to the nearest sensible value (the paper prints
+CDFs, not tables), hence the lower weight of the window medians' rows.
 
 ``TARGETS_VERSION`` bumps whenever any number changes, so
 ``fidelity.json`` exports can be matched to the targets they were

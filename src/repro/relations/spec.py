@@ -44,7 +44,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
-from repro.errors import ConfigurationError
+from repro.errors import AnalysisError, ConfigurationError
 
 __all__ = [
     "VIOLATION_KINDS",
@@ -62,6 +62,10 @@ __all__ = [
 
 VIOLATION_KINDS = ("missing", "relaxation", "inversion")
 MEASURE_KINDS = ("sum", "max")
+#: The most sets :func:`minimal_arbitration` may reach, far above a
+#: campaign test's 27 (three agents of two writes): five sessions of six
+#: overlapping writes reach 16,807 (~0.2 s), each further session 7x.
+MAX_ARBITRATION_SETS = 20_000
 
 
 @dataclass(frozen=True)
@@ -150,6 +154,7 @@ def minimal_arbitration(
     writes: Iterable[LoggedWrite],
     views: Mapping[tuple[str, ...], int],
     violation: str,
+    test_id: str = "?",
 ) -> Arbitration:
     """The admissible order with the least test value.  Pure.
 
@@ -172,6 +177,8 @@ def minimal_arbitration(
     the minimum keeps that order.  For relaxation it minimises, from
     every set on the way, the worst read still to come, so it may
     leave the invocation order even where that order reaches ``k``.
+    Past :data:`MAX_ARBITRATION_SETS` sets it raises AnalysisError
+    naming ``test_id``.
     """
     ordered = sorted(writes)
     index = {write.message_id: x for x, write in enumerate(ordered)}
@@ -229,6 +236,11 @@ def minimal_arbitration(
                 if not placed >> x & 1 and pred[x] & ~placed == 0]
             for x in fits:
                 reached[placed | 1 << x] = None
+            if len(moves) + len(reached) > MAX_ARBITRATION_SETS:
+                raise AnalysisError(
+                    f"test {test_id}: {len(session)} sessions of "
+                    f"{len(ordered)} writes reach over "
+                    f"{MAX_ARBITRATION_SETS:,} arbitration sets")
         layer = list(reached)
     # Backward: the least cost of completing each set.
     full = (1 << len(ordered)) - 1

@@ -121,7 +121,7 @@ class StreamingMetricEvaluator:
         for spec in self.specs:
             if spec.needs_arbitration:
                 arbitration = minimal_arbitration(
-                    state.writes, views, spec.violation)
+                    state.writes, views, spec.violation, meta.test_id)
                 samples = []
                 valued: dict[tuple[str, ...], tuple[int, dict]] = {}
                 for ctx in state.pending:

@@ -52,14 +52,22 @@ TARGETED = (
 )
 
 #: sha256 of the newline-joined ids ``evaluate_claims`` returns for the
-#: four services, recorded before the table gained weights and fit rows.
+#: four services, recorded before the table gained weights and fit rows
+#: and before the rows of :data:`ADDED` were added.
 CLAIM_IDS_SHA256 = (
     "0490d4bb741d1fbe2ada2f40ee4b16280733dead100a8c5b52329d2d9b908795")
+#: The Figs. 5a, 8, 9 and 10 cells that had no row at that point.
+ADDED = ("fig5.googleplus.monotonic_writes.multis_over_singles",
+         "fig8.facebook_group.oregon_tokyo.present",
+         "fig8.facebook_group.ireland_tokyo.present",
+         "fig9.facebook_group.tokyo_windows",
+         "fig10.googleplus.oregon_tokyo.order")
 
 GUARDED = ("fig5.googleplus.monotonic_writes.local",
            "fig6.googleplus.monotonic_reads.local",
            "fig6.facebook_feed.monotonic_reads.local",
-           "fig9.googleplus.oregon_tokyo_vs_ireland")
+           "fig9.googleplus.oregon_tokyo_vs_ireland",
+           "fig5.googleplus.monotonic_writes.multis_over_singles")
 
 
 def empty(service):
@@ -149,8 +157,10 @@ def test_no_paper_service_evaluates_no_row():
 def test_fit_rows_are_invisible_to_the_claims():
     ids = [verdict.claim.id for verdict in evaluate_claims(
         {service: empty(service) for service in SERVICES})]
-    assert len(ids) == 151
-    assert sha256("\n".join(ids).encode()).hexdigest() == CLAIM_IDS_SHA256
+    recorded = [row for row in ids if row not in ADDED]
+    assert len(recorded) == 151 and len(ids) == 151 + len(ADDED)
+    assert sha256("\n".join(recorded).encode()).hexdigest() \
+        == CLAIM_IDS_SHA256
     assert not {row.id for row in FIT_ROWS} & set(ids)
     assert all(row.op is None and row.weight for row in FIT_ROWS)
 

@@ -15,6 +15,7 @@ in ``src/``:
 """
 
 import itertools
+import time
 from collections import Counter
 
 import pytest
@@ -42,6 +43,7 @@ from repro.relations import (
     resolve_metrics,
     session_anomaly_kinds,
 )
+from repro.relations.spec import MAX_ARBITRATION_SETS
 from tests.helpers import make_trace, read, write
 from tests.test_checker_oracle import (
     gridded_traces,
@@ -403,14 +405,12 @@ class TestBloggerReadsZero:
                 for m in record.metrics} == {(name, 0) for name in GRADED}
 
 
-def test_stream_from_trace_orders_many_overlapping_writes(
-        tmp_path, capsys):
-    """Three sessions of eight writes that all overlap have
-    24! / (8!)^3 admissible orders; the search walks at most 9^3 sets
-    of placed writes, so the outside trace replays at once."""
-    agents = ("oregon", "tokyo", "ireland")
+def overlapping_trace(tmp_path, agents, writes):
+    """Each agent's ``writes`` writes, all overlapping every other
+    write, then one read per agent showing them all in reverse; the
+    trace and its operation-stream file."""
     operations = [write(agent, f"{agent}{k}", at=0.1 * k, response=10.0)
-                  for agent in agents for k in range(8)]
+                  for agent in agents for k in range(writes)]
     ids = [op.message_id for op in operations]
     operations += [read(agent, ids[::-1], at=11.0 + k)
                    for k, agent in enumerate(agents)]
@@ -422,6 +422,16 @@ def test_stream_from_trace_orders_many_overlapping_writes(
         for op in trace.operations:
             writer.operation(trace, op)
         writer.test_closed(trace)
+    return trace, path
+
+
+def test_stream_from_trace_orders_many_overlapping_writes(
+        tmp_path, capsys):
+    """Three sessions of eight writes that all overlap have
+    24! / (8!)^3 admissible orders; the search walks at most 9^3 sets
+    of placed writes, so the outside trace replays at once."""
+    trace, path = overlapping_trace(
+        tmp_path, ("oregon", "tokyo", "ireland"), 8)
     assert main(["stream", "--from-trace", str(path), "--quiet",
                  "--metrics", ",".join(GRADED)]) == 0
     capsys.readouterr()
@@ -431,6 +441,22 @@ def test_stream_from_trace_orders_many_overlapping_writes(
     # interleaving; the sessions' order can follow the reads.
     assert inversions.value == 3 * 3 * 28
     assert relaxed.value == 0
+
+
+def test_stream_from_trace_refuses_an_unbounded_arbitration_search(
+        tmp_path, capsys):
+    """Seven sessions of six overlapping writes reach 7^7 sets; the
+    search stops at MAX_ARBITRATION_SETS with one named error."""
+    agents = tuple(f"site{k}" for k in range(7))
+    _, path = overlapping_trace(tmp_path, agents, 6)
+    started = time.perf_counter()
+    assert main(["stream", "--from-trace", str(path), "--quiet",
+                 "--metrics", ",".join(GRADED)]) == 2
+    assert time.perf_counter() - started < 1.0
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == (f"stream: {path}: test wide: 7 sessions of 42 "
+                    f"writes reach over {MAX_ARBITRATION_SETS:,} "
+                    "arbitration sets")
 
 
 class TestAggregate:
