@@ -1,88 +1,111 @@
-"""Design ablation: Test 2's adaptive read cadence (§IV).
+"""Design ablation: Test 2's read cadence as the detector's recall curve.
 
-The paper's Test 2 reads fast (300 ms) during the initial burst —
-"This allows for a higher resolution in the period when the writes are
-more likely to become visible" — then drops to 1 s to respect rate
-limits.  This bench quantifies that design choice: the same Google+
-campaign run with the paper's adaptive schedule versus a flat 1 s
-cadence (same number of reads per agent).
-
-The window-edge detection error equals the gap between consecutive
-reads around the edge, so the flat schedule inflates the measured
-content-divergence windows and misses the sub-second ones entirely.
+The paper's Test 2 reads every 300 ms during the initial burst — "This
+allows for a higher resolution in the period when the writes are more
+likely to become visible" — then every 1 s.  This bench runs Google+
+Test 2 at that schedule and at flat periods over its ≈ 35 s span (18–59
+reads per agent, inside Table II's 17–75): one point each of the
+content-divergence detector's recall curve, §VI's "white-box testing"
+as a number.  Per schedule it prints the Figure 3 cell
+(``claims.fig3_lines``), the share of tests with a content window
+(views that overlapped in time) and, on the simulator's timeline
+(``analysis.validation.ground_truth_trace``), that share and the
+Ireland-pair window medians.  A window edge is known to within the read
+gap around it, so flat periods slower than the paper's slowest inflate
+the measured windows; at a flat 1 s they alias to whole seconds, on
+either side of the paper schedule's median depending on the seed.
 """
 
+from dataclasses import replace
+
 from repro.analysis import window_cdfs
+from repro.analysis.validation import ground_truth_trace
+from repro.calibrate.claims import fig3_lines
+from repro.core import CONTENT_DIVERGENCE
 from repro.methodology import (
-    CampaignConfig,
     PAPER_PLANS,
-    ServicePlan,
-    Test2Config,
+    CampaignConfig,
+    analyze_trace,
     run_campaign,
 )
+from repro.methodology.records import CampaignResult
 
 from benchmarks.conftest import BENCH_SEED, bench_num_tests
 
-
-def run_with_cadence(fast_reads, fast_period, num_tests):
-    base = PAPER_PLANS["googleplus"].test2
-    plan = ServicePlan(
-        test1=PAPER_PLANS["googleplus"].test1,
-        test2=Test2Config(
-            fast_read_period=fast_period,
-            fast_reads=fast_reads,
-            slow_read_period=1.0,
-            reads_per_agent=base.reads_per_agent,
-            inter_test_gap=base.inter_test_gap,
-            paper_num_tests=base.paper_num_tests,
-        ),
-    )
-    return run_campaign("googleplus", CampaignConfig(
-        num_tests=num_tests, seed=BENCH_SEED,
-        test_types=("test2",),
-    ), plan=plan)
+PLAN = PAPER_PLANS["googleplus"]
+IRELAND_PAIRS = (("ireland", "oregon"), ("ireland", "tokyo"))
+SPAN = 35.2  # s: the paper schedule's 14 reads at 0.3 s, then 31 at 1 s
+SCHEDULES = {"paper": PLAN.test2, **{
+    f"flat {period} s": replace(PLAN.test2, fast_reads=0,
+                                slow_read_period=period,
+                                reads_per_agent=int(SPAN / period) + 1)
+    for period in (0.6, 1.0, 1.5, 2.0)}}
 
 
-def median_window(result, pair):
-    cdf_set = window_cdfs(result, kind="content")
-    cdf = cdf_set.cdf(pair)
-    return cdf.median if cdf is not None else None
+def run_with_cadence(test2, num_tests):
+    """One schedule's black-box campaign and its ground-truth twin."""
+    result = run_campaign("googleplus", CampaignConfig(
+        num_tests=num_tests, seed=BENCH_SEED, test_types=("test2",),
+        keep_traces=True,
+    ), plan=replace(PLAN, test2=test2))
+    return result, CampaignResult(result.service, result.config, [
+        analyze_trace(ground_truth_trace(record.trace))
+        for record in result.records])
+
+
+def windows(result):
+    """(share of tests with a content window, Ireland-pair medians)."""
+    cdfs = window_cdfs(result, kind="content")
+    return (sum(any(window.diverged
+                    for window in record.content_windows.values())
+                for record in result.records) / result.total_tests,
+            [None if cdf is None else cdf.median
+             for cdf in map(cdfs.cdf, IRELAND_PAIRS)])
+
+
+def curve_point(result, truth):
+    (cd,) = [verdict for verdict in fig3_lines("googleplus", [result])
+             if verdict.claim.id.endswith(CONTENT_DIVERGENCE)]
+    return result.reads_per_agent("test2"), cd, windows(result), \
+        windows(truth)
 
 
 def test_cadence_ablation(benchmark):
     num_tests = max(bench_num_tests() // 2, 10)
-    adaptive = run_with_cadence(fast_reads=14, fast_period=0.3,
-                                num_tests=num_tests)
-    flat = run_with_cadence(fast_reads=0, fast_period=1.0,
-                            num_tests=num_tests)
+    runs = {name: run_with_cadence(test2, num_tests)
+            for name, test2 in SCHEDULES.items()}
+    curve = benchmark(lambda: {name: curve_point(*run)
+                               for name, run in runs.items()})
 
-    medians = benchmark(lambda: {
-        "adaptive": {
-            pair: median_window(adaptive, pair)
-            for pair in (("ireland", "oregon"), ("ireland", "tokyo"))
-        },
-        "flat": {
-            pair: median_window(flat, pair)
-            for pair in (("ireland", "oregon"), ("ireland", "tokyo"))
-        },
-    })
+    print(f"\nGoogle+ Test 2 recall curve ({num_tests} tests, seed "
+          f"{BENCH_SEED}): reads per agent, content-divergence cell, "
+          "then the share with a window and the Ireland-oregon / -tokyo "
+          "medians (s), black-box | ground truth")
+    for name, (reads, cd, *frames) in curve.items():
+        print(f"  {name:11s}{reads:4.0f}{cd.value:7.3f} [{cd.interval[0]:.3f}"
+              f", {cd.interval[1]:.3f}] {cd.kind:10s}" + " | ".join(
+                  f"{share:.3f} " + " / ".join(
+                      "n/a" if m is None else f"{m:.2f}" for m in medians)
+                  for share, medians in frames))
 
-    print("\nAdaptive vs flat read cadence "
-          "(Google+ test 2 content windows):")
-    for schedule, by_pair in medians.items():
-        for pair, value in by_pair.items():
-            shown = "n/a" if value is None else f"{value:.2f}s"
-            print(f"  {schedule:9s} {pair[0]}-{pair[1]}: "
-                  f"median window {shown}")
+    for name, (_, cd, _, (truth, _)) in curve.items():
+        # An all-diverged cell's upper end rounds to 1 - 1e-16.
+        low, high = (round(end, 9) for end in cd.interval)
+        assert low <= truth <= high, (
+            f"{name}: ground-truth share {truth:.3f} outside the "
+            f"black-box interval [{low:.3f}, {high:.3f}]")
+    # The paper's "up to 85 %" lies within the curve's intervals.
+    cells = [cd for _, cd, _, _ in curve.values()]
+    assert min(cd.interval[0] for cd in cells) <= cells[0].claim.paper \
+        <= max(cd.interval[1] for cd in cells)
 
-    for pair in (("ireland", "oregon"), ("ireland", "tokyo")):
-        fine = medians["adaptive"][pair]
-        coarse = medians["flat"][pair]
-        assert fine is not None, "adaptive schedule must detect windows"
-        if coarse is None:
-            continue  # flat cadence missed the pair entirely: QED
-        # The flat schedule's 1s granularity inflates measured windows.
-        assert coarse > fine, (
-            f"{pair}: flat cadence should coarsen the measured window "
-            f"(flat {coarse:.2f}s vs adaptive {fine:.2f}s)"
-        )
+    fine = curve["paper"][2][1]
+    assert None not in fine, "adaptive schedule must detect windows"
+    for name in ("flat 1.5 s", "flat 2.0 s"):  # slower than 1 s
+        for pair, adaptive, coarse in zip(IRELAND_PAIRS, fine,
+                                          curve[name][2][1]):
+            if coarse is None:
+                continue  # the flat cadence missed the pair entirely
+            assert coarse > adaptive, (
+                f"{pair}: {name} cadence should coarsen the measured "
+                f"window ({coarse:.2f}s vs {adaptive:.2f}s)")

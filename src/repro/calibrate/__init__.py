@@ -10,10 +10,10 @@ a deterministic successive-halving searcher
 rungs resume from their fleet artifact stores
 (:mod:`~repro.calibrate.evaluator`), and measured-vs-paper reporting
 (:mod:`~repro.calibrate.report`).  There is one model per service,
-its default profile: a search winner worth keeping is checked in as
-a scenario file (``examples/scenarios/googleplus_calibrated.toml``),
-and the CI fidelity gate (``tools/gates.py fidelity``) scores the
-default profile that every reported number comes from.
+its default profile: a search winner is either promoted into it, in
+its own change that moves the goldens, or dropped, and the CI
+fidelity gate (``tools/gates.py fidelity``) scores the default profile
+that every reported number comes from.
 
 Everything is a pure function of its inputs: there is no randomness
 and no wall clock anywhere — ``repro.lint`` enforces both, and

@@ -5,7 +5,8 @@ Three load-bearing properties of the scenario DSL:
 * **equivalence** — a builtin-archetype scenario file is byte-for-byte
   the service it names: identical ``campaign_signature`` to a plain
   ``run_campaign`` at the same config (the scenario spec rides in the
-  config but never enters record bytes);
+  config but never enters record bytes), and with ``[service.params]``
+  to one with those params applied in code;
 * **golden signatures** — the gossip engine and the resilience-policy
   layer are deterministic, and the policy measurably shifts anomaly
   prevalence versus its policy-free twin;
@@ -31,6 +32,7 @@ from repro.scenario import (
     scenario_campaign,
     scenario_nemesis,
 )
+from repro.services.googleplus import GooglePlusParams
 
 SCENARIO_DIR = Path(__file__).parent.parent / "examples" / "scenarios"
 
@@ -45,12 +47,6 @@ RESILIENT_SIGNATURE = (
 )
 POLICY_FREE_SIGNATURE = (
     "a6a24a9469ade97ca2e8bccb20607356cda8bbe3ff09724f7aebddc1dc1e7fc5"
-)
-#: googleplus_calibrated.toml at (num_tests=2, seed=3).  Its records
-#: equal, apart from the service name in test ids, those of a
-#: googleplus campaign with the same four params applied in code.
-GOOGLEPLUS_CALIBRATED_SIGNATURE = (
-    "2a860956cf8d29cecf9cc5fbd124a54111b45d4239a50a922d46ce0a041f3e31"
 )
 
 
@@ -69,15 +65,27 @@ class TestBuiltinEquivalence:
         assert campaign_signature(via_scenario) == \
             campaign_signature(plain)
 
-
-class TestCalibratedExample:
-    def test_campaign_signature(self):
-        spec = load("googleplus_calibrated")
-        assert spec.service.base == "googleplus"
+    def test_params_file_equals_service_with_params_in_code(self):
+        # A builtin base's [service.params] replace those fields of the
+        # base service's defaults, and nothing else.
+        spec = load("googleplus")
+        spec = dataclasses.replace(spec, service=dataclasses.replace(
+            spec.service, params=(("replication_eu.sync_interval", 0.05),
+                                  ("replication_us.sync_delay_median",
+                                   4.5))))
+        defaults = GooglePlusParams()
+        params = dataclasses.replace(
+            defaults,
+            replication_eu=dataclasses.replace(defaults.replication_eu,
+                                               sync_interval=0.05),
+            replication_us=dataclasses.replace(defaults.replication_us,
+                                               sync_delay_median=4.5))
         config = CampaignConfig(num_tests=2, seed=3)
-        result = run_campaign(*scenario_campaign(spec, config))
-        assert campaign_signature(result) == \
-            GOOGLEPLUS_CALIBRATED_SIGNATURE
+        in_code = dataclasses.replace(config, service_params=params)
+        assert campaign_signature(run_campaign(
+            *scenario_campaign(spec, config))) == campaign_signature(
+            run_campaign("googleplus", in_code)) != campaign_signature(
+            run_campaign("googleplus", config))
 
 
 class TestGossipGolden:
