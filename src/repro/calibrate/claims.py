@@ -285,11 +285,16 @@ def held_at(per_seed: Mapping[int, list[Verdict]]
 
 
 def _wilson(p: float, n: float) -> tuple[float, float]:
-    """The Wilson score interval of a rate ``p`` over ``n`` trials."""
+    """The Wilson score interval of a rate ``p`` over ``n`` trials.
+
+    A rate of exactly 0 (1) gets a lower (upper) end of exactly 0 (1),
+    which the floating-point difference only approximates.
+    """
     z2n = Z95 * Z95 / n
     centre, half = (p + z2n / 2) / (1 + z2n), Z95 * math.sqrt(
         p * (1 - p) / n + z2n / (4 * n)) / (1 + z2n)
-    return max(0.0, centre - half), min(1.0, centre + half)
+    return (0.0 if p <= 0.0 else max(0.0, centre - half),
+            1.0 if p >= 1.0 else min(1.0, centre + half))
 
 
 def across_seeds(claim: Claim, values: list[float],

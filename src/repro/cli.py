@@ -37,7 +37,6 @@ Quantify the Cristian clock-sync protocol's accuracy::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from typing import TYPE_CHECKING
 
@@ -295,90 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     sync_cmd.add_argument("--seed", type=int, default=0)
     sync_cmd.add_argument("--samples", type=int, default=8,
                           help="time queries per estimate")
-
-    serve_cmd = sub.add_parser(
-        "serve",
-        help="run the long-running campaign service (hunts) over HTTP",
-        description=(
-            "Serve the hunt API: submit, pause, resume, and cancel "
-            "fleet campaigns as long-running hunts; a worker loop "
-            "fans queued shards across the pool with work stealing.  "
-            "A hunt's artifact store and signature are byte-identical "
-            "to a direct 'fleet' run of the same spec."
-        ),
-    )
-    serve_cmd.add_argument(
-        "--root", required=True, metavar="DIR",
-        help="hunt-store directory (state, event feeds, artifacts)",
-    )
-    serve_cmd.add_argument("--host", default="127.0.0.1")
-    serve_cmd.add_argument("--port", type=int, default=8321)
-    serve_cmd.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="shard worker pool width (1 = in-process execution)",
-    )
-    serve_cmd.add_argument(
-        "--once", action="store_true",
-        help="run one scheduling pass over queued hunts and exit "
-             "instead of serving HTTP (cron-style operation)",
-    )
-    serve_cmd.add_argument(
-        "--quiet", action="store_true",
-        help="suppress hunt lifecycle telemetry",
-    )
-
-    hunt_cmd = sub.add_parser(
-        "hunt",
-        help="submit and manage hunts in a campaign-service root",
-        description=(
-            "Operate on a 'serve' root directly (in-process, no "
-            "server needed): submit hunts, inspect status and "
-            "results, follow the live event feed, pause/resume/"
-            "cancel."
-        ),
-    )
-    hunt_cmd.add_argument(
-        "action",
-        choices=("submit", "list", "status", "results", "events",
-                 "pause", "resume", "cancel"),
-    )
-    hunt_cmd.add_argument(
-        "--root", required=True, metavar="DIR",
-        help="the campaign service's hunt-store directory",
-    )
-    hunt_cmd.add_argument(
-        "--id", default=None, metavar="HUNT",
-        help="hunt id (status/results/events/pause/resume/cancel)",
-    )
-    hunt_cmd.add_argument(
-        "--services", default=None,
-        help="comma-separated service names (submit)",
-    )
-    hunt_cmd.add_argument(
-        "--seeds", default="0", metavar="S1,S2,...",
-        help="comma-separated campaign seeds (submit)",
-    )
-    hunt_cmd.add_argument(
-        "--tests", type=int, default=50,
-        help="tests per test type (submit)",
-    )
-    hunt_cmd.add_argument(
-        "--test-types", default="test1,test2", metavar="T1,T2",
-        help="comma-separated test types (submit)",
-    )
-    hunt_cmd.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker pool width for the scheduling passes "
-             "'events --follow' drives",
-    )
-    hunt_cmd.add_argument(
-        "--follow", action="store_true",
-        help="events: poll the feed until the hunt is terminal",
-    )
-    hunt_cmd.add_argument(
-        "--after", type=int, default=-1, metavar="SEQ",
-        help="events: resume the feed after this sequence number",
-    )
 
     world_cmd = sub.add_parser(
         "world",
@@ -962,142 +877,6 @@ def _cmd_clocksync(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import HuntServer, serve_http
-
-    server = HuntServer(
-        args.root, workers=args.workers,
-        on_event=None if args.quiet else _print_event,
-    )
-    if args.once:
-        outcomes = server.run_pending()
-        for outcome in outcomes:
-            suffix = ""
-            if outcome.status == "done":
-                suffix = f"  signature {outcome.signature()[:16]}"
-            elif outcome.error:
-                suffix = f"  {outcome.error}"
-            print(f"{outcome.hunt_id}: {outcome.status}"
-                  f"  ({len(outcome.results)} shards this pass,"
-                  f" {outcome.retries} retries){suffix}")
-        if not outcomes:
-            print("nothing runnable")
-        return 0
-    token = server.issue_token()
-    print(f"hunt API on http://{args.host}:{args.port}/v1 "
-          f"(root {args.root})")
-    print(f"bearer token: {token}")
-    serve_http(server, host=args.host, port=args.port)
-    return 0
-
-
-def _cmd_hunt(args: argparse.Namespace) -> int:
-    from repro.serve import HuntServer, follow_events
-
-    server = HuntServer(args.root, workers=args.workers,
-                        on_event=_print_event)
-    token = server.issue_token()
-
-    def require_id() -> str:
-        if not args.id:
-            raise SystemExit(f"hunt {args.action} requires --id")
-        return args.id
-
-    if args.action == "submit":
-        from repro.services.profiles import SERVICE_NAMES
-
-        services, unknown = _parse_services(
-            args.services or ",".join(SERVICE_NAMES))
-        if unknown:
-            print(f"unknown services: {unknown}", file=sys.stderr)
-            return 2
-        from repro.api import SubmitHuntRequest, submit_hunt
-
-        response = submit_hunt(server.handle, SubmitHuntRequest(
-            services=tuple(services),
-            seeds=tuple(int(part) for part in args.seeds.split(",")
-                        if part.strip()),
-            num_tests=args.tests,
-            test_types=tuple(part.strip()
-                             for part in args.test_types.split(",")
-                             if part.strip()),
-        ), token=token)
-        print(f"submitted {response.hunt_id} "
-              f"({response.shards_total} shards)")
-        return 0
-
-    if args.action == "list":
-        response = server.handle("GET", "/v1/hunts",
-                                 token=token).raise_for_status()
-        for item in response.body["hunts"]:
-            print(f"{item['hunt_id']:8s} {item['status']:10s} "
-                  f"{item['shards_done']}/{item['shards_total']} "
-                  f"shards")
-        if not response.body["hunts"]:
-            print("no hunts")
-        return 0
-
-    hunt_id = require_id()
-    if args.action == "status":
-        from repro.api import HuntStatusRequest, hunt_status
-
-        status = hunt_status(server.handle, HuntStatusRequest(hunt_id),
-                             token=token)
-        for key, value in dataclasses.asdict(status).items():
-            print(f"{key}: {value}")
-        return 0
-
-    if args.action == "results":
-        from repro.api import HuntResultsRequest, hunt_results
-
-        cursor = None
-        while True:
-            page = hunt_results(
-                server.handle,
-                HuntResultsRequest(hunt_id=hunt_id, cursor=cursor),
-                token=token,
-            )
-            for item in page.items:
-                observations = item["record"]["observations"]
-                flagged = ",".join(sorted(
-                    kind for kind, found in observations.items() if found
-                )) or "-"
-                print(f"{item['key']:40s} {flagged}")
-            if page.is_last:
-                return 0
-            cursor = page.next_cursor
-
-    if args.action == "events":
-        import json as _json
-
-        if args.follow:
-            # Follow-mode drives scheduling passes between empty
-            # pages, so `hunt events --follow` doubles as a worker.
-            for record in follow_events(server, hunt_id, token,
-                                        after=args.after,
-                                        poll=server.run_pending):
-                print(_json.dumps(record, sort_keys=True))
-            return 0
-        after = args.after
-        while True:
-            response = server.handle(
-                "GET", f"/v1/hunts/{hunt_id}/events",
-                params={"after": after}, token=token,
-            ).raise_for_status()
-            for record in response.body["events"]:
-                print(_json.dumps(record, sort_keys=True))
-            if not response.body["events"]:
-                return 0
-            after = response.body["last_seq"]
-
-    # pause / resume / cancel
-    response = server.handle(
-        "POST", f"/v1/hunts/{hunt_id}/{args.action}", token=token,
-    ).raise_for_status()
-    print(f"{response.body['hunt_id']}: {response.body['status']}")
-    return 0
-
-
 def _cmd_world(args: argparse.Namespace) -> int:
     import json as json_module
 
@@ -1152,8 +931,6 @@ def main(argv: list[str] | None = None) -> int:
         "calibrate": _cmd_calibrate,
         "obs": _cmd_obs,
         "clocksync": _cmd_clocksync,
-        "serve": _cmd_serve,
-        "hunt": _cmd_hunt,
         "world": _cmd_world,
         "lint": _cmd_lint,
     }

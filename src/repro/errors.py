@@ -106,9 +106,8 @@ class InvalidRequestError(ServiceError):
 class NotFoundError(ServiceError):
     """The request referenced an object that does not exist (HTTP 404).
 
-    Raised by the campaign service when a hunt id or artifact name
-    does not resolve; distinct from :class:`InvalidRequestError`
-    because the request itself is well-formed.
+    Distinct from :class:`InvalidRequestError` because the request
+    itself is well-formed.
     """
 
     status_code = 404

@@ -1,6 +1,6 @@
 """Deterministic parallel campaign execution: the one dispatch loop.
 
-Every shard in this repository is dispatched by :func:`dispatch_runs`,
+Every shard in this repository is dispatched by :func:`dispatch_run`,
 and three properties make its merged output bit-identical to running
 the same campaigns serially:
 
@@ -14,12 +14,11 @@ the same campaigns serially:
    scheduling (and retries after crashes or timeouts) can reorder
    *execution* but never *output*.
 
-The loop owns resume of digest-valid shards from each run's
+The loop owns resume of digest-valid shards from the run's
 :class:`~repro.fleet.store.ArtifactStore`, persist on completion, the
-retry budget, control polling, dispatch order and the typed
-``Shard*`` events (:mod:`repro.obs.events`) that report all of it.
-:func:`run_fleet` is the loop over one run, raising when it halts; the
-campaign service's ``run_hunts`` is the loop over many.
+retry budget, dispatch order and the typed ``Shard*`` events
+(:mod:`repro.obs.events`) that report all of it; :func:`run_fleet`
+runs it over one spec's shards and raises when it halts.
 How a shard runs and how a failed attempt is classified belong to
 :mod:`repro.fleet.pool` (``docs/fleet.md``, "Failure policy").
 """
@@ -29,7 +28,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.errors import ConfigurationError, FleetError
 from repro.fleet.digest import fleet_signature
@@ -58,7 +57,7 @@ from repro.obs.events import (
     ShardTestChecked,
 )
 
-__all__ = ["run_fleet", "dispatch_runs", "ShardRun", "execute_shard",
+__all__ = ["run_fleet", "dispatch_run", "ShardRun", "execute_shard",
            "FleetOutcome", "ShardRunner", "DEFAULT_MAX_RETRIES"]
 
 #: Extra attempts granted to a shard after a worker crash or timeout.
@@ -89,16 +88,14 @@ class ShardRun:
     #: ``shard_runner`` is injected — fault-injection runners replace
     #: the execution path wholesale.
     stream: bool = False
-    #: The run's name in its events: the hunt's id, empty for a fleet.
-    hunt_id: str = ""
 
     # -- filled by the loop ----------------------------------------------
     queue: deque = field(default_factory=deque, repr=False)
     results: dict = field(default_factory=dict, repr=False)
     skipped: tuple[str, ...] = ()
     retries: int = 0
-    halt: str | None = None  # "paused" | "cancelled" | error text
-    #: Width 1 only: the campaign's own exception behind an error halt.
+    halt: str | None = None  # the error text of a failed run
+    #: Width 1 only: the campaign's own exception behind the halt.
     error: Exception | None = None
 
 
@@ -124,30 +121,14 @@ def _resume(run: ShardRun, shard_runner: ShardRunner | None,
     run.skipped = tuple(skipped)
 
 
-def _dispatchable(run: ShardRun) -> bool:
-    return bool(run.queue) and run.halt is None
-
-
-def _next_run(runs: Sequence[ShardRun],
-              affinity: ShardRun | None) -> ShardRun | None:
-    """The run the next free worker draws from: the one it last served
-    while that has work, else the dispatchable run with the largest
-    backlog (ties: submission order)."""
-    if affinity is not None and _dispatchable(affinity):
-        return affinity
-    return max((run for run in runs if _dispatchable(run)),
-               key=lambda run: len(run.queue), default=None)
-
-
-def dispatch_runs(runs: Sequence[ShardRun], *,
-                  workers: int = 1,
-                  shard_runner: ShardRunner | None = None,
-                  shard_timeout: float | None = None,
-                  control: Callable[[ShardRun], str] | None = None,
-                  on_event: EventCallback | None = None,
-                  verdicts: Callable[[TestRecord], dict] | None = None
-                  ) -> None:
-    """Drain every run's shards over one pool of ``workers``.
+def dispatch_run(run: ShardRun, *,
+                 workers: int = 1,
+                 shard_runner: ShardRunner | None = None,
+                 shard_timeout: float | None = None,
+                 on_event: EventCallback | None = None,
+                 verdicts: Callable[[TestRecord], dict] | None = None
+                 ) -> None:
+    """Drain ``run``'s shards over a pool of ``workers``.
 
     ``workers=1`` executes in-process (no worker processes, no
     environmental failures, the campaign's exception kept on
@@ -155,133 +136,92 @@ def dispatch_runs(runs: Sequence[ShardRun], *,
     ``shard_timeout`` wall-clock seconds each.  ``shard_runner``
     overrides :func:`execute_shard` and ``verdicts`` adds fields to
     each ``ShardTestChecked``; both run where the shard runs, so both
-    must be module-level.  ``control`` answers ``"run"`` / ``"pause"``
-    / ``"cancel"`` between dispatches: pausing parks a run's queued
-    shards, cancelling discards them; in-flight ones finish and persist.
+    must be module-level.
 
-    ``on_event`` receives, each naming its run's ``hunt_id``: one
-    ``ShardSkipped`` per shard restored from a store (every run is
-    resumed before the first event), then ``ShardStarted`` per
-    attempt, ``ShardTestChecked`` per closed test of a streaming
-    shard, ``ShardCompleted`` once a result is merged and persisted,
-    and ``ShardRetried`` per re-queued attempt.
+    ``on_event`` receives one ``ShardSkipped`` per shard restored from
+    the store (the run is resumed before the first event), then
+    ``ShardStarted`` per attempt, ``ShardTestChecked`` per closed test
+    of a streaming shard, ``ShardCompleted`` once a result is merged
+    and persisted, and ``ShardRetried`` per re-queued attempt.
 
     The law, held by ``tests/test_dispatch_law.py``:
 
-    * every run ends in exactly one of done (``halt is None``) /
-      ``"paused"`` / ``"cancelled"`` / failed (``halt`` is the error
-      text);
+    * the run ends either done (``halt is None``) or failed (``halt``
+      is the error text);
     * done ⇒ ``results`` covers ``jobs``;
-    * paused ⇒ ``results`` ∪ the parked ``queue`` = ``jobs``, and a
-      second pass over the same store finishes it to the signature an
-      uninterrupted pass produces;
     * attempts started = completed + retried + halting + abandoned,
-      where only an attempt that outlives its cancelled or failed run
-      and ends without a result is abandoned;
-    * an unrecoverable shard halts its own run only: a failing or
-      cancelled run never costs another run a shard.
+      where only an attempt that outlives its failed run and ends
+      without a result is abandoned.
     """
     emit = on_event or (lambda event: None)
-    control = control or (lambda run: "run")
 
-    def announce(cls: type[ShardEvent], run: ShardRun, job: ShardJob,
-                 **fields) -> None:
+    def announce(cls: type[ShardEvent], job: ShardJob, **fields) -> None:
         emit(cls(shard_id=job.shard_id, index=job.index,
                  total=len(run.jobs), service=job.service, seed=job.seed,
-                 label=job.label, hunt_id=run.hunt_id, **fields))
+                 label=job.label, **fields))
 
-    for run in runs:
-        _resume(run, shard_runner, verdicts)
-    for run in runs:
-        for job in run.jobs:
-            if job.index in run.results:
-                announce(ShardSkipped, run, job)
+    _resume(run, shard_runner, verdicts)
+    for job in run.jobs:
+        if job.index in run.results:
+            announce(ShardSkipped, job)
 
-    def poll_control() -> None:
-        for run in runs:
-            if run.halt is not None:
-                continue
-            verdict = control(run)
-            if verdict == "pause" and run.queue:
-                run.halt = "paused"
-            elif verdict == "cancel":
-                run.queue.clear()
-                run.halt = "cancelled"
+    def checked(task: ShardTask, message: dict) -> None:
+        announce(ShardTestChecked, task.job, **message)
 
-    def checked(task: ShardTask, run: ShardRun, message: dict) -> None:
-        announce(ShardTestChecked, run, task.job, **message)
-
-    def complete(run: ShardRun, task: ShardTask, result: CampaignResult,
+    def complete(task: ShardTask, result: CampaignResult,
                  records: list[dict] | None = None) -> None:
         if run.store is not None:
             if records is None:  # in-process: nothing crossed a pipe
                 records = records_to_jsonable(result)
             run.store.write_shard(task.job, records, obs=result.obs)
         run.results[task.job.index] = result
-        announce(ShardCompleted, run, task.job, attempts=task.attempt,
+        announce(ShardCompleted, task.job, attempts=task.attempt,
                  records=len(result.records))
 
-    def halt(run: ShardRun, text: str,
-             error: Exception | None = None) -> None:
+    def halt(text: str, error: Exception | None = None) -> None:
         run.queue.clear()
         run.halt, run.error = text, error
 
     def settle(done: Attempt) -> None:
-        run, task = done.tag, done.task
+        task = done.task
         shard = f"shard {task.job.shard_id!r}"
         if done.kind == "result":
-            complete(run, task, done.result, done.records)
-        elif run.halt not in (None, "paused"):
-            pass  # abandoned: its run was cancelled or already failed
+            complete(task, done.result, done.records)
+        elif run.halt is not None:
+            pass  # abandoned: the run already failed
         elif done.kind == "error":
-            halt(run, f"{shard} campaign failed:\n{done.detail}")
+            halt(f"{shard} campaign failed:\n{done.detail}")
         elif task.attempt > run.max_retries:
-            halt(run, f"{shard} failed after {task.attempt} attempts: "
-                      f"{done.detail}")
+            halt(f"{shard} failed after {task.attempt} attempts: "
+                 f"{done.detail}")
         else:
             run.retries += 1
             retry = replace(task, attempt=task.attempt + 1)
             run.queue.appendleft(retry)
-            announce(ShardRetried, run, retry.job,
-                     attempt=retry.attempt, reason=done.detail)
+            announce(ShardRetried, retry.job, attempt=retry.attempt,
+                     reason=done.detail)
 
     if workers == 1:
-        run = None
-        while True:
-            poll_control()
-            run = _next_run(runs, run)
-            if run is None:
-                return
+        while run.queue:
             task = run.queue.popleft()
-            announce(ShardStarted, run, task.job, attempt=task.attempt)
+            announce(ShardStarted, task.job, attempt=task.attempt)
             try:
-                result = run_shard(task, checked, run)
-            except Exception as exc:  # noqa: BLE001 - halts this run only
-                halt(run, f"shard {task.job.shard_id!r} campaign "
-                          f"failed: {exc}", exc)
-                continue
-            complete(run, task, result)
+                result = run_shard(task, checked)
+            except Exception as exc:  # noqa: BLE001 - halts the run
+                halt(f"shard {task.job.shard_id!r} campaign failed: "
+                     f"{exc}", exc)
+                return
+            complete(task, result)
+        return
 
-    #: One entry per idle worker slot: the run it last served (its
-    #: affinity), None until it has served one.
-    idle: deque[ShardRun | None] = deque([None] * workers)
-    import_for_workers(task for run in runs for task in run.queue)
+    import_for_workers(run.queue)
     with WorkPool(checked, timeout=shard_timeout) as pool:
-        while pool.in_flight or any(_dispatchable(run) for run in runs):
-            poll_control()
-            while idle:
-                run = _next_run(runs, idle[0])
-                if run is None:
-                    break
-                idle.popleft()
+        while run.queue or pool.in_flight:
+            while run.queue and pool.in_flight < workers:
                 task = run.queue.popleft()
-                pool.submit(task, run)
-                announce(ShardStarted, run, task.job,
-                         attempt=task.attempt)
-            if not pool.in_flight:
-                break  # every remaining run halted, nothing running
+                pool.submit(task)
+                announce(ShardStarted, task.job, attempt=task.attempt)
             for done in pool.wait():
-                idle.append(done.tag)
                 settle(done)
 
 
@@ -348,8 +288,9 @@ def run_fleet(spec: FleetSpec, *,
               stream: bool = False) -> FleetOutcome:
     """Execute every shard of ``spec`` and merge in spec order.
 
-    :func:`dispatch_runs` over one run; the first unrecoverable shard
-    ends the fleet with :class:`~repro.errors.FleetError`.
+    :func:`dispatch_run` over the spec's shards; the first
+    unrecoverable shard ends the fleet with
+    :class:`~repro.errors.FleetError`.
 
     Parameters
     ----------
@@ -363,7 +304,7 @@ def run_fleet(spec: FleetSpec, *,
         they finish.
     on_event:
         Telemetry callback: ``FleetStarted``, the loop's ``Shard*``
-        events (:func:`dispatch_runs`), then ``FleetCompleted``.
+        events (:func:`dispatch_run`), then ``FleetCompleted``.
     shard_timeout:
         Wall-clock seconds one shard attempt may run (workers only);
         a timed-out worker is terminated and the shard retried.
@@ -416,7 +357,7 @@ def run_fleet(spec: FleetSpec, *,
                               resumed=len(run.skipped)))
         emit(event)
 
-    dispatch_runs([run], workers=jobs, shard_runner=shard_runner,
+    dispatch_run(run, workers=jobs, shard_runner=shard_runner,
                   shard_timeout=shard_timeout, on_event=relay)
     if run.error is not None:
         raise run.error

@@ -1,8 +1,7 @@
 """The one work pool: everything process-shaped about running shards.
 
-The dispatch loop (:func:`repro.fleet.executor.dispatch_runs`, under
-both ``run_fleet`` and ``run_hunts``) decides *which* shard runs next;
-this module is *how* a shard runs — in this process
+The dispatch loop (:func:`repro.fleet.executor.dispatch_run`, under
+``run_fleet``) decides *which* shard runs next; this module is *how* a shard runs — in this process
 (:func:`run_shard`) or in a worker process (:class:`WorkPool`) — and
 how an attempt that did not end in a result is classified
 (:class:`Attempt`; ``docs/fleet.md``, "Failure policy").  A
@@ -38,7 +37,7 @@ __all__ = ["ShardRunner", "ShardTask", "Attempt", "WorkPool",
 ShardRunner = Callable[[ShardJob], CampaignResult]
 
 #: Longest the host sleeps in :meth:`WorkPool.wait` with no deadline
-#: due, so a client's control polling stays responsive.
+#: due.
 POLL_SECONDS = 0.5
 
 
@@ -84,8 +83,6 @@ class Attempt:
     """
 
     task: ShardTask
-    #: The client's bookkeeping, exactly as given to ``submit``.
-    tag: Any
     kind: str
     result: CampaignResult | None = None
     #: The result's records as they crossed the pipe (store-ready).
@@ -118,13 +115,12 @@ def _anomaly_summary(record: TestRecord) -> dict[str, int]:
             in record.report.observations.items() if observations}
 
 
-#: Interim-message callback: ``(task, tag, message)`` for each closed
-#: test of a streaming task, while its shard is still running.
-OnTest = Callable[[ShardTask, Any, dict], None]
+#: Interim-message callback: ``(task, message)`` for each closed test
+#: of a streaming task, while its shard is still running.
+OnTest = Callable[[ShardTask, dict], None]
 
 
-def run_shard(task: ShardTask, on_test: OnTest,
-              tag: Any = None) -> CampaignResult:
+def run_shard(task: ShardTask, on_test: OnTest) -> CampaignResult:
     """Run one shard in this process and return its live result.
 
     The loop's width-1 path calls this directly — no
@@ -163,7 +159,7 @@ def run_shard(task: ShardTask, on_test: OnTest,
         if task.verdicts is not None:
             message.update(task.verdicts(record))
         checked += 1
-        on_test(task, tag, message)
+        on_test(task, message)
         return record
 
     if task.trace_path is None:
@@ -184,7 +180,7 @@ def _worker(conn, task: ShardTask) -> None:
     have abandoned this attempt (timeout), and the final send's
     failure handling covers the result itself.
     """
-    def send_test(_task, _tag, message: dict) -> None:
+    def send_test(_task, message: dict) -> None:
         try:
             conn.send(message)
         except OSError:
@@ -256,7 +252,6 @@ def start_worker(target: Callable[..., None], args: tuple, *,
 @dataclass
 class _Running:
     task: ShardTask
-    tag: Any
     process: Any
     deadline: float | None
 
@@ -288,7 +283,7 @@ class WorkPool:
     def in_flight(self) -> int:
         return len(self._running)
 
-    def submit(self, task: ShardTask, tag: Any = None) -> None:
+    def submit(self, task: ShardTask) -> None:
         """Start one attempt of ``task`` in a fresh worker process."""
         process, recv = start_worker(
             _worker, (task,),
@@ -297,7 +292,7 @@ class WorkPool:
         # worker process, never a simulated quantity.
         deadline = (time.monotonic() + self._timeout  # repro-lint: disable=DET002
                     if self._timeout is not None else None)
-        self._running[recv] = _Running(task, tag, process, deadline)
+        self._running[recv] = _Running(task, process, deadline)
 
     def _reap(self, conn, kill: bool = False) -> _Running:
         entry = self._running.pop(conn)
@@ -332,21 +327,21 @@ class WorkPool:
                 payload = None
             if payload is not None and "ok" not in payload:
                 # Interim message; the shard is still running.
-                self._on_test(entry.task, entry.tag, payload)
+                self._on_test(entry.task, payload)
                 continue
             self._reap(conn)
             if payload is None:
-                yield Attempt(entry.task, entry.tag, "failure",
+                yield Attempt(entry.task, "failure",
                               detail="worker crashed (exit code "
                                      f"{entry.process.exitcode})")
             elif payload["ok"]:
                 result = result_from_records(
                     entry.task.job, payload["records"],
                     obs=payload["obs"])
-                yield Attempt(entry.task, entry.tag, "result",
+                yield Attempt(entry.task, "result",
                               result=result, records=payload["records"])
             else:
-                yield Attempt(entry.task, entry.tag, "error",
+                yield Attempt(entry.task, "error",
                               detail=payload["error"])
 
         # Waived: compared against the host-side shard deadlines only.
@@ -355,5 +350,5 @@ class WorkPool:
             if entry.deadline is not None and now > entry.deadline:
                 self._reap(conn, kill=True)
                 yield Attempt(
-                    entry.task, entry.tag, "failure",
+                    entry.task, "failure",
                     detail=f"timed out after {self._timeout:.1f}s")

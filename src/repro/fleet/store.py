@@ -25,9 +25,9 @@ temp-then-rename (:func:`repro.io.replace_file`), so a kill mid-update
 never leaves a half-written manifest claiming shards it does not have.
 
 This is the one digest-tracked checkpoint in the repository: a fleet
-run (``fleet --store-out``), each hunt of the serve daemon and each
-rung of a calibration search (``calibrate --store-out DIR`` keeps rung
-``r`` in ``DIR/r<r>``) all resume through it.
+run (``fleet --store-out``) and each rung of a calibration search
+(``calibrate --store-out DIR`` keeps rung ``r`` in ``DIR/r<r>``) both
+resume through it.
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ class LintConfig:
     #: crosses a shard worker's pipe, and ``start_worker``'s target and
     #: arguments (a world shard group's entry point among them) cross
     #: into every worker — plus the public aliases through which a
-    #: caller hands the pool clients a runner.
+    #: caller hands the pool client a runner.
     pipe_boundaries: tuple[str, ...] = (
         "multiprocessing.Process",
         "multiprocessing.get_context",
@@ -62,9 +62,7 @@ class LintConfig:
         "repro.fleet.pool.start_worker",
         "repro.fleet.run_fleet:shard_runner",
         "repro.fleet.executor.run_fleet:shard_runner",
-        "repro.fleet.executor.dispatch_runs:shard_runner,verdicts",
-        "repro.serve.run_hunts:shard_runner",
-        "repro.serve.scheduler.run_hunts:shard_runner",
+        "repro.fleet.executor.dispatch_run:shard_runner,verdicts",
     )
     #: Method names through which a trace/operation record is *emitted*
     #: to observers or across a pipe; TRACE002 forbids mutating a

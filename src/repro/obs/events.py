@@ -5,9 +5,7 @@ tracker's :class:`WindowEvent` and the campaign runner's
 :class:`OperationObserver` hook are one concern: *typed events a
 running measurement emits for consumers that only watch*.  This module
 is their only home; :mod:`repro.fleet` and :mod:`repro.stream`
-re-export some of them.  The dispatch loop's ``Shard*`` events and the
-campaign service's ``Hunt*`` events are also a hunt's event feed:
-:func:`feed_record` is their one encoding.
+re-export some of them.
 
 Design rules shared by every event here:
 
@@ -20,8 +18,8 @@ Design rules shared by every event here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Any, Callable, ClassVar, Protocol
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Protocol
 
 if TYPE_CHECKING:  # annotations only: this module is a leaf that
     # repro.core.windows (the emitter of WindowEvent) imports.
@@ -40,11 +38,7 @@ __all__ = [
     "ShardCompleted",
     "ShardRetried",
     "ShardSkipped",
-    "HuntEvent",
-    "HuntSubmitted",
-    "HuntStateChanged",
     "EventCallback",
-    "feed_record",
     "render_event",
 ]
 
@@ -128,14 +122,8 @@ class FleetCompleted(FleetEvent):
 
 @dataclass(frozen=True)
 class ShardEvent(FleetEvent):
-    """Base class of the dispatch loop's per-shard events.
-
-    Carries the shard's identity and ``hunt_id``, the run it belongs
-    to: the hunt's id under the campaign service, empty under
-    ``run_fleet``.  ``wire`` names the event's record in a hunt feed.
-    """
-
-    wire: ClassVar[str]
+    """Base class of the dispatch loop's per-shard events: the
+    shard's identity."""
 
     shard_id: str
     index: int
@@ -143,12 +131,10 @@ class ShardEvent(FleetEvent):
     service: str
     seed: int
     label: str | None
-    hunt_id: str = ""
 
 
 @dataclass(frozen=True)
 class ShardStarted(ShardEvent):
-    wire = "shard.started"
     attempt: int = 1
 
 
@@ -156,19 +142,17 @@ class ShardStarted(ShardEvent):
 class ShardTestChecked(ShardEvent):
     """One test of a shard finished and was checked.
 
-    Only streaming shards (``run_fleet(..., stream=True)``, a hunt
-    submitted with ``stream=True``) emit these — the batch path has
-    nothing to report until a whole shard returns.  ``anomalies`` maps
-    anomaly kind to this test's observation count (zero counts
-    omitted); ``state_size`` is the retained-atom count of the engine
-    that checked the test, right after it closed.  A hunt's shards
-    also carry ``windows``, the test's per-pair divergence-window
-    verdicts (``{"content": [...], "order": [...]}``, each entry
-    ``{"pair", "intervals", "converged"}``), so a follower of the feed
-    sees *what diverged and for how long*.
+    Only streaming shards (``run_fleet(..., stream=True)``) emit
+    these — the batch path has nothing to report until a whole shard
+    returns.  ``anomalies`` maps anomaly kind to this test's
+    observation count (zero counts omitted); ``state_size`` is the
+    retained-atom count of the engine that checked the test, right
+    after it closed.  ``windows`` is filled only by a dispatch loop
+    given ``verdicts``: the test's per-pair divergence-window results
+    (``{"content": [...], "order": [...]}``, each entry
+    ``{"pair", "intervals", "converged"}``).
     """
 
-    wire = "test.checked"
     test_id: str = ""
     test_index: int = 0
     anomalies: dict[str, int] | None = None
@@ -180,7 +164,6 @@ class ShardTestChecked(ShardEvent):
 class ShardCompleted(ShardEvent):
     """The shard's result is merged and, with a store, persisted."""
 
-    wire = "shard.completed"
     attempts: int = 1
     records: int = 0
 
@@ -189,7 +172,6 @@ class ShardCompleted(ShardEvent):
 class ShardRetried(ShardEvent):
     """An attempt died environmentally; ``attempt`` is the re-queued one."""
 
-    wire = "shard.retried"
     attempt: int = 1
     reason: str = ""
 
@@ -198,66 +180,15 @@ class ShardRetried(ShardEvent):
 class ShardSkipped(ShardEvent):
     """Restored from the run's artifact store instead of executed."""
 
-    wire = "shard.skipped"
     reason: str = "complete in store"
-
-
-# -- Campaign-service (hunt) telemetry ----------------------------------
-
-
-@dataclass(frozen=True)
-class HuntEvent(ObsEvent):
-    """Base class of the campaign service's lifecycle events."""
-
-    wire: ClassVar[str]
-
-    hunt_id: str
-
-
-@dataclass(frozen=True)
-class HuntSubmitted(HuntEvent):
-    """A hunt entered the queue."""
-
-    wire = "hunt.submitted"
-    services: tuple[str, ...] = ()
-    shards: int = 0
-
-
-@dataclass(frozen=True)
-class HuntStateChanged(HuntEvent):
-    """A hunt moved between lifecycle states."""
-
-    wire = "hunt.state"
-    previous: str = ""
-    status: str = ""
-    #: The merged golden signature, on the transition to "done".
-    signature: str | None = None
-    #: Failure detail, on the transition to "failed".
-    error: str | None = None
 
 
 EventCallback = Callable[[FleetEvent], None]
 
 
-def feed_record(event: ShardEvent | HuntEvent) -> dict[str, Any]:
-    """The hunt feed's record of ``event``, ``seq`` aside.
-
-    The campaign service appends this for every event it forwards, so
-    a hunt's ``events.jsonl`` is exactly its event sequence: the wire
-    name under ``"event"``, then every field, tuples as lists.
-    """
-    record: dict[str, Any] = {"event": event.wire}
-    for item in fields(event):
-        value = getattr(event, item.name)
-        record[item.name] = list(value) if isinstance(value, tuple) \
-            else value
-    return record
-
-
 def _shard_label(event: ShardEvent) -> str:
-    run = f"hunt {event.hunt_id}: " if event.hunt_id else ""
     extra = f" {event.label}" if event.label else ""
-    return (f"{run}[{event.index + 1}/{event.total}] {event.service}"
+    return (f"[{event.index + 1}/{event.total}] {event.service}"
             f"{extra} seed={event.seed}")
 
 
@@ -298,16 +229,4 @@ def render_event(event: FleetEvent) -> str | None:
     if isinstance(event, FleetCompleted):
         return (f"fleet: done ({event.executed} executed, "
                 f"{event.skipped} skipped, {event.retries} retries)")
-    if isinstance(event, HuntSubmitted):
-        services = ",".join(event.services)
-        return (f"hunt {event.hunt_id}: submitted ({services}, "
-                f"{event.shards} shards)")
-    if isinstance(event, HuntStateChanged):
-        detail = ""
-        if event.signature:
-            detail = f" signature={event.signature[:12]}..."
-        elif event.error:
-            detail = f" ({event.error.splitlines()[0]})"
-        return (f"hunt {event.hunt_id}: {event.previous} -> "
-                f"{event.status}{detail}")
     return None

@@ -14,7 +14,7 @@ ties them together over the simulated network
 from repro._facade import facade
 
 __all__, __getattr__, __dir__ = facade(__name__, {
-    ".router": ("Router", "RouteSpec", "RouteMatch", "Resource"),
+    ".router": ("Router", "RouteSpec"),
     ".pagination": ("Page", "paginate", "DEFAULT_PAGE_SIZE"),
     ".http": ("ApiRequest", "ApiResponse", "ok", "error_response"),
     ".auth": ("Account", "AccountRegistry"),

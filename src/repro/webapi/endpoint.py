@@ -29,21 +29,17 @@ route registered while the endpoint is serving is dispatched with its
 own parameters from its first request on.
 
 Routes are declared on a :class:`~repro.webapi.router.Router` passed at
-construction (the declarative surface every service and the campaign
-service share).
+construction (the declarative surface every service shares).
 
 Route handlers receive ``(request, account)`` and return either a body
 mapping (wrapped into 200) or a :class:`~repro.sim.future.Future` of
 one, for operations that finish later (e.g. a strongly-consistent write
-waiting for backup acks).  For parameterized routes the bound path
-parameters are merged into the request's params (path wins on
-collision), so handlers read them with ``request.param("hunt_id")``.
+waiting for backup acks).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from functools import partial
 from typing import Any, Callable, Mapping
 
@@ -161,20 +157,14 @@ class ServiceEndpoint:
         if self._rate_limiter is not None:
             self._rate_limiter.check(account.token)
         method, path = request.method, request.path
-        match = self._router.resolve(method, path)
-        if match is None:
+        route = self._router.resolve(method, path)
+        if route is None:
             raise InvalidRequestError(f"no route for {method} {path}")
         dispatch = self._dispatch.get((method, path))
-        if dispatch is None or dispatch[0] is not match.route:
+        if dispatch is None or dispatch[0] is not route:
             dispatch = self._dispatch[method, path] = (
-                self._resolve_dispatch(match.route, method, path))
-        route, median, draw, label = dispatch
-        if match.path_params:
-            # Path parameters join the query/body params (path wins),
-            # so handlers read them uniformly via request.param().
-            request = replace(request, params={
-                **request.params, **match.path_params,
-            })
+                self._resolve_dispatch(route, method, path))
+        _, median, draw, label = dispatch
         reply = Future(label)
         delay = median if draw is None else draw()
         if delay <= 0.0:

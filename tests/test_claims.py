@@ -242,6 +242,13 @@ def test_one_seed_interval_is_the_textbook_wilson(hits, tests, low, high):
     verdict = seeds((hits, tests))
     assert verdict.kind == "pooled" and verdict.dispersion is None
     assert verdict.interval == pytest.approx((low, high), abs=5e-5)
+    # At every size, an all-zero rate's interval starts at exactly 0
+    # and an all-positive rate's ends at exactly 1.
+    for n in range(1, 2001):
+        none, every = seeds((0, n)).interval, seeds((n, n)).interval
+        assert none[0] == 0.0 and every[1] == 1.0, n
+        assert none[1] == pytest.approx(textbook_wilson(0.0, n)[1])
+        assert every[0] == pytest.approx(textbook_wilson(1.0, n)[0])
 
 
 def test_steady_seeds_pool_their_counts():

@@ -8,10 +8,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.core import ALL_ANOMALIES
-from repro.fleet import FleetSpec, run_fleet
 from repro.io import read_digest_jsonl
-from repro.methodology import CampaignConfig
-from repro.serve.store import HuntStore
 
 
 @contextmanager
@@ -279,126 +276,3 @@ class TestFollowLines:
         with path.open("r", encoding="utf-8") as handle:
             lines = list(itertools.islice(_follow_lines(handle), 2))
         assert lines == [first, second]
-
-
-class TestHuntVerbs:
-    """``hunt`` / ``serve --once`` on one root, no HTTP."""
-
-    SUBMIT = ["--services", "blogger", "--seeds", "1,2",
-              "--tests", "1", "--test-types", "test1"]
-
-    def run(self, capsys, *argv):
-        code = main(list(argv))
-        return code, capsys.readouterr().out
-
-    def test_submit_schedule_and_inspect(self, capsys, tmp_path):
-        root = ["--root", str(tmp_path)]
-        code, out = self.run(capsys, "hunt", "list", *root)
-        assert (code, out) == (0, "no hunts\n")
-        code, out = self.run(capsys, "serve", "--once", *root)
-        assert (code, out) == (0, "nothing runnable\n")
-
-        code, out = self.run(capsys, "hunt", "submit", *root,
-                             *self.SUBMIT)
-        assert code == 0
-        assert "submitted h0000 (2 shards)" in out
-        code, out = self.run(capsys, "hunt", "list", *root)
-        assert out.split() == ["h0000", "queued", "0/2", "shards"]
-
-        # A paused hunt is not runnable; resuming re-queues it.
-        code, out = self.run(capsys, "hunt", "pause", *root,
-                             "--id", "h0000")
-        assert out.endswith("h0000: paused\n")
-        code, out = self.run(capsys, "serve", "--once", *root)
-        assert out == "nothing runnable\n"
-        code, out = self.run(capsys, "hunt", "resume", *root,
-                             "--id", "h0000")
-        assert out.endswith("h0000: queued\n")
-
-        code, out = self.run(capsys, "serve", "--once", "--quiet",
-                             *root)
-        assert code == 0
-        assert out.startswith(
-            "h0000: done  (2 shards this pass, 0 retries)  signature ")
-
-        direct = run_fleet(FleetSpec(
-            services=("blogger",), seeds=(1, 2),
-            base_config=CampaignConfig(num_tests=1,
-                                       test_types=("test1",)),
-        ))
-        assert out.split()[-1] == direct.signature()[:16]
-        code, out = self.run(capsys, "hunt", "status", *root,
-                             "--id", "h0000")
-        assert "status: done\n" in out
-        assert "shards_done: 2\n" in out
-        assert f"fleet_signature: {direct.signature()}\n" in out
-        code, out = self.run(capsys, "hunt", "results", *root,
-                             "--id", "h0000")
-        assert code == 0
-        assert len(out.splitlines()) == 2  # one test per shard
-
-        code, out = self.run(capsys, "hunt", "events", *root,
-                             "--id", "h0000", "--after", "1")
-        records = [json.loads(line) for line in out.splitlines()]
-        assert records[0]["seq"] == 2
-        assert records[-1]["event"] == "hunt.state"
-        assert records[-1]["status"] == "done"
-
-    def test_events_follow_doubles_as_the_worker(self, capsys,
-                                                 tmp_path):
-        root = ["--root", str(tmp_path)]
-        self.run(capsys, "hunt", "submit", *root, *self.SUBMIT)
-        code, out = self.run(capsys, "hunt", "events", *root,
-                             "--id", "h0000", "--follow")
-        assert code == 0
-        # Telemetry lines ("hunt h0000: ...") interleave with the
-        # feed's JSON records.
-        records = [json.loads(line) for line in out.splitlines()
-                   if line.startswith("{")]
-        assert [record["seq"] for record in records] == \
-            list(range(len(records)))
-        kinds = [record["event"] for record in records]
-        assert kinds[0] == "hunt.submitted"
-        assert kinds.count("shard.completed") == 2
-        assert records[-1]["status"] == "done"
-        code, out = self.run(capsys, "hunt", "list", *root)
-        assert out.split() == ["h0000", "done", "2/2", "shards"]
-
-    def test_results_flag_each_records_observed_kinds(self, capsys,
-                                                      tmp_path):
-        root = ["--root", str(tmp_path)]
-        self.run(capsys, "hunt", "submit", *root,
-                 "--services", "facebook_feed", "--seeds", "1",
-                 "--tests", "3", "--test-types", "test1")
-        self.run(capsys, "serve", "--once", "--quiet", *root)
-        code, out = self.run(capsys, "hunt", "results", *root,
-                             "--id", "h0000")
-        assert code == 0
-        store = HuntStore(tmp_path).artifact_store("h0000")
-        (shard_id,) = store.completed_shards()
-        expected = [
-            [f"{shard_id}/{record['test_id']}",
-             ",".join(sorted(kind for kind, found
-                             in record["observations"].items()
-                             if found)) or "-"]
-            for record in store.load_shard_records(shard_id)
-        ]
-        assert [line.split() for line in out.splitlines()] == expected
-        assert any(flagged != "-" for _, flagged in expected)
-
-    def test_verb_without_its_id_is_refused(self, tmp_path):
-        with pytest.raises(SystemExit,
-                           match="hunt status requires --id"):
-            main(["hunt", "status", "--root", str(tmp_path)])
-
-    @pytest.mark.parametrize("argv", [
-        ["hunt", "run"],
-        ["hunt", "list", "--policy", "sequential"],
-        ["serve", "--once", "--policy", "stealing"],
-    ])
-    def test_removed_spellings_are_usage_errors(self, argv, tmp_path):
-        # 'hunt run' was a second spelling of 'serve --once'; --policy
-        # selected a dispatch order nothing but a benchmark used.
-        with pytest.raises(SystemExit) as exit_info:
-            main([*argv, "--root", str(tmp_path)])
-        assert exit_info.value.code == 2

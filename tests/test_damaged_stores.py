@@ -1,12 +1,11 @@
 """One contract for every on-disk store: damaged bytes fail closed.
 
 The fleet :class:`ArtifactStore` (which is also the checkpoint of
-every calibration rung), the serve :class:`HuntStore` and a saved
-campaign file (``run --campaign-out``, read back by ``report``) take
-bytes from outside the program.  Whatever is wrong with a file — not
-JSON, JSON of the wrong shape, a foreign binding, a digest that no
-longer verifies, a feed line torn by a kill mid-append — the store
-must raise its own typed error naming the file, never a bare
+every calibration rung) and a saved campaign file (``run
+--campaign-out``, read back by ``report``) take bytes from outside the
+program.  Whatever is wrong with a file — not JSON, JSON of the wrong
+shape, a foreign binding, a digest that no longer verifies, a line
+torn by a kill mid-write — the store must raise its own typed error naming the file, never a bare
 ``AttributeError`` / ``KeyError`` / ``json.JSONDecodeError``.  One
 table holds every store to that.
 """
@@ -28,8 +27,6 @@ from repro.io import (
 )
 from repro.methodology import CampaignConfig, run_campaign
 from repro.obs.export import export_snapshot
-from repro.serve import HuntSpec, HuntState, HuntStore
-from repro.serve.store import HUNT_STORE_VERSION
 
 SPEC = FleetSpec(
     services=("blogger",), seeds=(1,),
@@ -38,8 +35,6 @@ SPEC = FleetSpec(
 )
 JOB = SPEC.jobs()[0]
 SHARD_FILE = f"shards/{JOB.shard_id}.jsonl"
-HUNT_FILE = "hunts/h0000/hunt.json"
-EVENTS_FILE = "hunts/h0000/events.jsonl"
 
 
 def build_fleet(root):
@@ -52,21 +47,6 @@ def probe_fleet(root):
     store = ArtifactStore(root)
     store.initialize(SPEC)
     store.load_shard_records(JOB.shard_id)
-
-
-def build_hunt(root):
-    store = HuntStore(root)
-    spec = HuntSpec(services=("blogger",), num_tests=1,
-                    test_types=("test1",))
-    store.save(HuntState(hunt_id="h0000", spec=spec))
-    store.append_event("h0000", "tick")
-
-
-def probe_hunt(root):
-    store = HuntStore(root)
-    store.load("h0000")
-    list(store.events("h0000"))
-    store.append_event("h0000", "tick")
 
 
 CAMPAIGN = run_campaign("blogger", CampaignConfig(
@@ -84,7 +64,6 @@ def probe_campaign(root):
 
 STORES = {
     "fleet": (build_fleet, probe_fleet),
-    "hunt": (build_hunt, probe_hunt),
     "campaign": (build_campaign, probe_campaign),
 }
 
@@ -99,10 +78,6 @@ def digest_valid(payloads, kind, schema_version) -> bytes:
     return written(lambda path: write_digest_jsonl(
         path, payloads, kind=kind, schema_version=schema_version))
 
-
-HUNT_LACKING_STATUS = digest_valid(
-    [{"hunt_id": "h0000", "spec": {"services": ["blogger"]}}],
-    "hunt", HUNT_STORE_VERSION)
 
 CAMPAIGN_BYTES = written(lambda path: save_campaign(CAMPAIGN, path))
 _, CAMPAIGN_HEAD, CAMPAIGN_RECORD = [
@@ -133,8 +108,6 @@ def document(**fields):
     return json.dumps(fields).encode("utf-8")
 
 
-EVENT = b'{"event":"tick","hunt_id":"h0000","seq":0}\n'
-
 #: (store, file, bytes written over it, expected error, what the
 #: message must name).
 DAMAGE_CASES = (
@@ -155,20 +128,6 @@ DAMAGE_CASES = (
      FleetError, "belongs to spec ffffffffffff"),
     ("fleet", SHARD_FILE, b'{"test_id": "tampered"}\n',
      FleetError, "corrupt"),
-    ("hunt", HUNT_FILE, b"{not json", FleetError, "hunt.json"),
-    ("hunt", HUNT_FILE, b"[]", FleetError, "hunt.json"),
-    ("hunt", HUNT_FILE, document(store_version=99),
-     FleetError, "hunt.json"),
-    ("hunt", HUNT_FILE,
-     document(store_version=1, digest="sha256:0", hunt={}),
-     FleetError, "hunt.json"),
-    ("hunt", EVENTS_FILE, EVENT + b'{"seq": 1, "eve',
-     FleetError, "events.jsonl:2"),
-    ("hunt", EVENTS_FILE, EVENT + b'{"event": "tick"}\n',
-     FleetError, "events.jsonl:2"),
-    ("hunt", EVENTS_FILE, b"[]\n", FleetError, "events.jsonl:1"),
-    ("hunt", HUNT_FILE, HUNT_LACKING_STATUS, FleetError,
-     "hunt.json: KeyError: 'status'"),
     ("campaign", CAMPAIGN_FILE, CAMPAIGN_BYTES[:-20], AnalysisError,
      "digest"),
     ("campaign", CAMPAIGN_FILE, bytes(FLIPPED), AnalysisError, "digest"),

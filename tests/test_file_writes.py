@@ -6,7 +6,7 @@ never a torn one.  Any other write call in the package — ``os.replace``
 or ``os.rename``, ``Path.write_text`` / ``write_bytes``, an ``open``
 in a writing mode — would bypass that, so this walks the package's
 syntax trees and fails on one.  The allow-list holds ``replace_file``
-itself and the three streams that must append as they go (a reader
+itself and the two streams that must append as they go (a reader
 follows them while they grow).
 """
 
@@ -22,8 +22,6 @@ ALLOWED = {
         "run --trace-out: operations appended as they happen",
     ("repro.fleet.pool", "run_shard"):
         "a stream shard's operations archive, appended as it runs",
-    ("repro.serve.store", "HuntStore.append_event"):
-        "the events.jsonl feed, appended one event at a time",
 }
 
 

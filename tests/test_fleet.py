@@ -66,6 +66,13 @@ def hang_once_runner(job):
     return execute_shard(job)
 
 
+def crash_blogger_runner(job):
+    """Every attempt at a blogger shard dies; others run normally."""
+    if job.service == "blogger":
+        os._exit(3)
+    return execute_shard(job)
+
+
 def failing_runner(job):
     raise ValueError("deterministic campaign failure")
 

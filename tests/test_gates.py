@@ -46,11 +46,11 @@ def compare():
     return compare
 
 
-def test_list_names_exactly_the_eight_gates(gates, capsys):
+def test_list_names_exactly_the_seven_gates(gates, capsys):
     assert gates.main(["--list"]) == 0
     assert capsys.readouterr().out.split() == [
         "fleet", "stream", "obs", "fidelity", "scenario",
-        "relations", "serve", "world",
+        "relations", "world",
     ]
 
 

@@ -629,7 +629,7 @@ class TestConfig:
         for module in ("repro", "repro.replication.eventual",
                        "repro.core.anomalies.monotonic_reads",
                        "repro.core.windows", "repro.world.engine",
-                       "repro.serve.server", "repro.lint.engine"):
+                       "repro.fleet.pool", "repro.lint.engine"):
             assert config.in_package(module)
         assert config.pipe_boundary("repro.fleet.run_fleet") == (
             "shard_runner",)

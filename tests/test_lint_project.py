@@ -414,32 +414,35 @@ class TestPAR001:
         assert len(par) == 1
         assert "argument 'runner'" in par[0].message
 
-    def test_default_boundaries_cover_both_pool_clients(self, tmp_path):
-        # A lambda handed to either pool client is shipped to worker
-        # processes; host-side callbacks stay free to be closures.
+    def test_default_boundaries_cover_both_run_fleet_names(self,
+                                                           tmp_path):
+        # A lambda handed to the pool client, by either of its public
+        # names, is shipped to worker processes; host-side callbacks
+        # stay free to be closures.
         root = write_package(tmp_path, "pkg6b", {
             "__init__.py": '"""pkg6b."""\n\n__all__ = []\n',
             "caller.py": """\
+                import repro.fleet.executor
                 from repro.fleet import run_fleet
-                from repro.serve import run_hunts
 
                 __all__ = ["go"]
 
 
-                def go(spec, runs):
+                def go(spec):
                     run_fleet(spec, jobs=2,
                               shard_runner=lambda job: None,
                               on_event=lambda event: None)
-                    return run_hunts(runs, workers=2,
-                                     shard_runner=lambda job: None,
-                                     on_event=lambda event: None)
+                    return repro.fleet.executor.run_fleet(
+                        spec, jobs=2, shard_runner=lambda job: None,
+                        on_event=lambda event: None)
             """,
         })
         result = lint_paths([root], LintConfig())
         par = [f for f in result.findings if f.code == "PAR001"]
         assert len(par) == 2
         assert "boundary call 'run_fleet()'" in par[0].message
-        assert "boundary call 'run_hunts()'" in par[1].message
+        assert ("boundary call 'repro.fleet.executor.run_fleet()'"
+                in par[1].message)
         assert all("argument 'shard_runner'" in f.message for f in par)
 
 
@@ -557,5 +560,4 @@ class TestProjectSelfApplication:
             ("pool.py", "DET002"), ("pool.py", "DET002"),
             ("pool.py", "DET002"), ("registry.py", "DET005"),
             ("registry.py", "DET005"), ("rules.py", "DET005"),
-            ("server.py", "DET002"),
         ]

@@ -1,7 +1,6 @@
 """Tests for the work pool (repro.fleet.pool) on its own.
 
-``run_fleet`` and ``run_hunts`` are tested through their public
-surfaces elsewhere; here the pool's own contract is pinned with stub
+``run_fleet`` is tested through its public surface elsewhere; here the pool's own contract is pinned with stub
 runners: every pooled attempt ends as exactly one of *result*,
 *error* (deterministic, raised inside the campaign) or *failure*
 (environmental: crash, timeout), and the in-process ``run_shard`` is
@@ -49,7 +48,7 @@ def shout(record):
     return {"shouted": record.test_id.upper()}
 
 
-def ignore_test(task, tag, message):
+def ignore_test(task, message):
     raise AssertionError("batch tasks send no interim messages")
 
 
@@ -69,17 +68,16 @@ class TestClassification:
         with WorkPool(ignore_test, timeout=0.5) as pool:
             for index, case in enumerate(cases):
                 pool.submit(ShardTask(JOB, runner=case["runner"],
-                                      attempt=index + 1), tag=index)
+                                      attempt=index + 1))
             assert pool.in_flight == len(cases)
             while pool.in_flight and time.monotonic() < give_up:
                 for done in pool.wait():
-                    ended[done.tag] = done
+                    ended[done.task.attempt - 1] = done
         assert sorted(ended) == list(range(len(cases)))
         for index, case in enumerate(cases):
             done = ended[index]
             assert done.kind == case["kind"], case
             assert case["detail"] in done.detail, case
-            assert done.task.attempt == index + 1
             # Only a result carries a result (and its wire records).
             assert (done.result is not None) == (done.kind == "result")
             assert (done.records is not None) == (done.kind == "result")
@@ -97,13 +95,11 @@ class TestRunShard:
     def test_streaming_task_reports_each_closed_test(self):
         seen = []
         task = ShardTask(JOB, verdicts=shout)
-        result = run_shard(
-            task, lambda *args: seen.append(args), tag="mine")
-        assert [message["test_index"] for _, _, message in seen] == \
+        result = run_shard(task, lambda *args: seen.append(args))
+        assert [message["test_index"] for _, message in seen] == \
             list(range(len(result.records)))
-        for (got_task, tag, message), record in zip(seen,
-                                                    result.records):
-            assert got_task is task and tag == "mine"
+        for (got_task, message), record in zip(seen, result.records):
+            assert got_task is task
             assert message["test_id"] == record.test_id
             assert message["shouted"] == record.test_id.upper()
             assert set(message) == {"test_id", "test_index",
@@ -118,9 +114,9 @@ class TestRunShard:
     def test_pooled_streaming_matches_in_process(self):
         local, piped = [], []
         task = ShardTask(JOB, verdicts=shout)
-        result = run_shard(task, lambda t, tag, m: local.append(m))
+        result = run_shard(task, lambda t, m: local.append(m))
         give_up = time.monotonic() + 60.0
-        with WorkPool(lambda t, tag, m: piped.append(m)) as pool:
+        with WorkPool(lambda t, m: piped.append(m)) as pool:
             pool.submit(task)
             ended = []
             while pool.in_flight and time.monotonic() < give_up:

@@ -11,8 +11,8 @@ replaced; any drift here moves the golden signatures too.
 
 The second half walks the syntax trees of ``src/repro`` and
 ``examples``: a ``ServiceEndpoint`` is constructed only in
-``repro.services.base``, and a ``Router`` only there, in the campaign
-service (``repro.serve``) and in ``repro.webapi`` itself.
+``repro.services.base``, and a ``Router`` only there and in
+``repro.webapi`` itself.
 """
 
 import ast
@@ -130,7 +130,7 @@ def test_service_hosts_are_pinned(monkeypatch, service):
 #: class constructed -> modules (or packages, by prefix) that may.
 BUILDERS = {
     "ServiceEndpoint": ("repro.services.base",),
-    "Router": ("repro.services.base", "repro.serve", "repro.webapi"),
+    "Router": ("repro.services.base", "repro.webapi"),
 }
 
 

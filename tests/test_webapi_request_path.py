@@ -222,45 +222,6 @@ class TestLateRegistration:
         assert rng.asked == ["processing.api./early",
                              "processing.api./late"]
 
-    def test_parameterised_route_binds_params_per_concrete_path(self):
-        sim, network, endpoint, rng, client = self.make_endpoint()
-        seen = []
-
-        def hunt(request, account):
-            seen.append((request.param("hunt_id"), sim.now))
-            return {"hunt": request.param("hunt_id")}
-
-        endpoint.router.add("GET", "/v1/hunts/{hunt_id}", hunt,
-                            processing_delay_median=0.2)
-        oracles = {
-            hunt_id: delay_oracle(SEED, "api", f"/v1/hunts/{hunt_id}",
-                                  0.2, 0.3)
-            for hunt_id in ("h1", "h2")
-        }
-        for hunt_id in ("h1", "h2", "h1", "h1", "h2"):
-            response, arrived = self.serve(sim, network, client,
-                                           f"/v1/hunts/{hunt_id}")
-            assert response.body == {"hunt": hunt_id}
-            assert seen[-1] == (hunt_id,
-                                arrived + next(oracles[hunt_id]))
-
-    def test_exact_route_registered_later_shadows_the_parameterised(self):
-        sim, network, endpoint, rng, client = self.make_endpoint()
-        endpoint.router.add("GET", "/v1/hunts/{hunt_id}",
-                            lambda r, a: {"via": "param"},
-                            processing_delay_median=0.2)
-        response, _ = self.serve(sim, network, client, "/v1/hunts/all")
-        assert response.body == {"via": "param"}
-        fired = []
-        endpoint.router.add(
-            "GET", "/v1/hunts/all",
-            lambda r, a: fired.append(sim.now) or {"via": "exact"},
-            processing_delay_median=0.0)
-        response, arrived = self.serve(sim, network, client,
-                                       "/v1/hunts/all")
-        assert response.body == {"via": "exact"}
-        assert fired == [arrived]  # its own (zero) delay, not 0.2
-
 
 #: ``api.responses_total`` after :func:`drive_status_mix`, recorded at
 #: the commit before the counters were memoised per status.

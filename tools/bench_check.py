@@ -121,7 +121,7 @@ def run_benchmark(name: str, out_dir: Path) -> Path | None:
     module = REPO_ROOT / "benchmarks" / f"test_{name}.py"
     if not module.is_file():
         # A benchmark module may carry a longer name than the JSON it
-        # writes (test_serve_scheduler.py -> BENCH_serve.json).
+        # writes (test_world_scaling.py -> BENCH_world.json).
         candidates = sorted(
             (REPO_ROOT / "benchmarks").glob(f"test_{name}_*.py"))
         if candidates:

@@ -21,7 +21,6 @@ fidelity   each service's default profile stays within its fidelity
 scenario   every shipped scenario file validates and replays true
 relations  a fleet with every spec-defined metric is
            byte-identical at any worker count
-serve      a hunt through the campaign service == a direct fleet run
 world      the partitioned world is byte-identical to its serial run,
            in-process or in worker processes, and 10^5 sessions run
            in bounded memory
@@ -39,7 +38,6 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-from repro.api import SubmitHuntRequest, submit_hunt
 from repro.calibrate import (
     default_objective,
     fidelity_table,
@@ -54,11 +52,9 @@ from repro.methodology import (
     analyze_trace,
     run_campaign,
 )
-from repro.obs.events import feed_record
 from repro.obs.export import export_snapshot
 from repro.relations.registry import metric_names
 from repro.scenario import load_scenario, scenario_campaign
-from repro.serve import HuntServer, HuntSpec, follow_events
 from repro.stream import OpIngest, record_mismatches
 from repro.stream.ingest import feed_events
 from repro.world import (
@@ -511,120 +507,6 @@ def relations_gate(failures):
             f"(signature {signature[:16]})")
 
 
-# -- serve: hunt via the campaign service == direct fleet ----------------
-
-def _artifact_files(root):
-    return {
-        str(path.relative_to(root)): path.read_bytes()
-        for path in sorted(root.rglob("*")) if path.is_file()
-    }
-
-
-def serve_gate(failures):
-    """Drives the full serving stack in-process — submit a hunt over
-    the ``/v1`` API, drain its JSONL event feed in follow-mode (the
-    poll hook runs the scheduling passes on a 2-worker pool), then
-    compare the result against a direct ``run_fleet`` of the same
-    spec:
-
-    * merged ``fleet_signature`` identical;
-    * artifact stores byte-identical, file for file;
-    * the event feed is complete and ordered (strictly monotonic
-      ``seq``, one ``shard.completed`` per shard, terminal
-      ``hunt.state``);
-    * the drained feed, ``seq`` aside, is the encoding of the events
-      the server's ``on_event`` received, in order;
-    * a second scheduling pass over the finished hunt executes
-      nothing.
-    """
-    spec = HuntSpec(services=SERVICES, seeds=(SEED, SEED + 1),
-                    num_tests=NUM_TESTS, test_types=("test1",))
-
-    with tempfile.TemporaryDirectory() as scratch:
-        root = Path(scratch)
-        received = []
-        server = HuntServer(root / "serve", workers=2,
-                            on_event=received.append)
-        token = server.issue_token()
-        submitted = submit_hunt(server.handle, SubmitHuntRequest(
-            services=spec.services, seeds=spec.seeds,
-            num_tests=spec.num_tests, test_types=spec.test_types,
-        ), token=token)
-
-        events = list(follow_events(server, submitted.hunt_id, token,
-                                    poll=server.run_pending))
-
-        direct = run_fleet(spec.fleet_spec(), jobs=1,
-                           out_dir=root / "direct")
-        state = server.service.hunt(submitted.hunt_id)
-
-        if state.status != "done":
-            failures.append(
-                f"hunt ended {state.status!r}: {state.error}"
-            )
-        if state.fleet_signature != direct.signature():
-            failures.append(
-                f"signature mismatch: direct {direct.signature()} "
-                f"!= hunt {state.fleet_signature}"
-            )
-
-        served = _artifact_files(
-            server.service.store.artifact_root(submitted.hunt_id)
-        )
-        expected = _artifact_files(root / "direct")
-        if set(served) != set(expected):
-            failures.append(
-                "artifact listing mismatch: "
-                f"only-served={sorted(set(served) - set(expected))} "
-                f"only-direct={sorted(set(expected) - set(served))}"
-            )
-        else:
-            differing = [name for name in sorted(expected)
-                         if served[name] != expected[name]]
-            if differing:
-                failures.append(
-                    f"artifact bytes differ: {differing}"
-                )
-
-        seqs = [event["seq"] for event in events]
-        if seqs != sorted(set(seqs)):
-            failures.append(f"event seq not monotonic: {seqs}")
-        completed = [event for event in events
-                     if event["event"] == "shard.completed"]
-        if len(completed) != spec.total_shards:
-            failures.append(
-                f"feed reported {len(completed)} shard completions, "
-                f"expected {spec.total_shards}"
-            )
-        if not events or events[-1]["event"] != "hunt.state" or \
-                events[-1]["status"] != "done":
-            failures.append(
-                f"feed did not end in a terminal hunt.state: "
-                f"{events[-1] if events else 'empty feed'}"
-            )
-        drained = [{key: value for key, value in event.items()
-                    if key != "seq"} for event in events]
-        encoded = [feed_record(event) for event in received]
-        if drained != encoded:
-            failures.append(
-                f"feed is not the on_event sequence: {len(drained)} "
-                f"records vs {len(encoded)} events"
-            )
-
-        rerun = server.run_pending()
-        if rerun:
-            failures.append(
-                f"pass over a finished hunt ran again: {rerun}"
-            )
-
-    shards = spec.total_shards
-    return (f"{shards} shards",
-            f"{shards} shards via the hunt "
-            f"API == direct fleet run "
-            f"(signature {direct.signature()[:16]}), "
-            f"{len(events)} feed events, artifacts byte-identical")
-
-
 # -- world: sharded world == serial, 1e5 sessions bounded ----------------
 
 WORLD_SCENARIO = SCENARIO_DIR / "gossip_world.toml"
@@ -747,7 +629,6 @@ GATES = {
     "fidelity": ("fidelity check", fidelity_gate),
     "scenario": ("scenario check", scenario_gate),
     "relations": ("relations parity check", relations_gate),
-    "serve": ("serve parity check", serve_gate),
     "world": ("world parity check", world_gate),
 }
 
