@@ -43,7 +43,7 @@ from repro.methodology import (
 )
 from repro.methodology.records import CampaignResult
 
-from benchmarks.conftest import BENCH_SEED, bench_num_tests
+from benchmarks.conftest import BENCH_SEED
 
 PLAN = PAPER_PLANS["googleplus"]
 IRELAND_PAIRS = (("ireland", "oregon"), ("ireland", "tokyo"))
@@ -100,7 +100,7 @@ def curve_point(result, truth):
 
 
 def test_cadence_ablation(benchmark):
-    num_tests = max(bench_num_tests() // 2, 10)
+    num_tests = 30
     runs = {name: run_with_cadence(test2, num_tests)
             for name, test2 in SCHEDULES.items()}
     curve = benchmark(lambda: {name: curve_point(*run)

@@ -17,13 +17,13 @@ from repro.calibrate import (
 )
 from repro.methodology import CampaignConfig
 
-from benchmarks.conftest import BENCH_SEED, bench_num_tests
+from benchmarks.conftest import BENCH_SEED
 
 WORKERS = 2
 
 
 def test_trial_evaluation_throughput(benchmark, bench_json_writer):
-    num_tests = max(bench_num_tests() // 4, 5)
+    num_tests = 15
     space = default_space("blogger")
     candidates = list(enumerate(space.assignments()))
     base_config = CampaignConfig(seed=BENCH_SEED,

@@ -15,14 +15,14 @@ import time
 from repro.fleet import FleetSpec, run_fleet
 from repro.methodology import CampaignConfig
 
-from benchmarks.conftest import BENCH_SEED, bench_num_tests
+from benchmarks.conftest import BENCH_SEED
 
 WORKERS = 2
 
 
 def test_two_worker_fleet_matches_serial_wall_clock(
         benchmark, bench_json_writer):
-    num_tests = max(bench_num_tests() // 4, 5)
+    num_tests = 15
     spec = FleetSpec(
         services=("blogger", "googleplus"),
         base_config=CampaignConfig(num_tests=num_tests,

@@ -23,7 +23,7 @@ from repro.methodology import CampaignConfig, run_campaign
 from repro.replication import QuorumParams
 from repro.services import QuorumKvParams
 
-from benchmarks.conftest import BENCH_SEED, bench_num_tests
+from benchmarks.conftest import BENCH_SEED
 
 SWEEP = ((1, 1), (2, 2), (3, 1), (1, 3))
 
@@ -38,7 +38,7 @@ def run_config(read_quorum, write_quorum, num_tests):
 
 
 def test_quorum_knob(benchmark):
-    num_tests = max(bench_num_tests() // 3, 8)
+    num_tests = 20
     results = {
         (r, w): run_config(r, w, num_tests) for r, w in SWEEP
     }

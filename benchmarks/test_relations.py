@@ -23,16 +23,16 @@ from repro.methodology.runner import analyze_trace
 from repro.relations import resolve_metrics
 from repro.relations.registry import metric_names
 
-from benchmarks.conftest import BENCH_SEED, bench_num_tests
+from benchmarks.conftest import BENCH_SEED
 
 SERVICES = ("blogger", "facebook_feed", "quorum_kv")
+NUM_TESTS = 6
 
 
 def kept_campaigns():
-    num_tests = max(bench_num_tests() // 10, 3)
     return {
         service: run_campaign(service, CampaignConfig(
-            num_tests=num_tests, seed=BENCH_SEED, keep_traces=True,
+            num_tests=NUM_TESTS, seed=BENCH_SEED, keep_traces=True,
             metrics=metric_names(),
         ))
         for service in SERVICES
@@ -78,7 +78,7 @@ def test_metric_evaluation_throughput(benchmark, bench_json_writer):
         totals[service] = per_metric
 
     path = bench_json_writer("relations", {
-        "num_tests": max(bench_num_tests() // 10, 3),
+        "num_tests": NUM_TESTS,
         "seed": BENCH_SEED,
         "metrics": list(metric_names()),
         "traces": len(traces),

@@ -22,7 +22,7 @@ from repro.scenario import (
     register_scenario,
 )
 
-from benchmarks.conftest import BENCH_SEED, bench_num_tests
+from benchmarks.conftest import BENCH_SEED
 
 SCENARIO_DIR = Path(__file__).parent.parent / "examples" / "scenarios"
 
@@ -52,7 +52,7 @@ def test_scenario_load_and_gossip_throughput(
     load_s = time.perf_counter() - t0
     loads_per_s = rounds * len(paths) / load_s
 
-    num_tests = max(bench_num_tests() // 8, 3)
+    num_tests = 7
     register_scenario(load_scenario(SCENARIO_DIR / "gossip_mesh.toml"),
                       replace=True)
     try:

@@ -36,11 +36,11 @@ from tests.helpers import make_trace, read, write
 from tests.test_stream_parity import random_trace
 from tests.test_view_sharing import count_engine_predicates
 
-from benchmarks.conftest import BENCH_SEED, bench_num_tests
+from benchmarks.conftest import BENCH_SEED
 
 
 def kept_traces():
-    num_tests = max(bench_num_tests() // 4, 5)
+    num_tests = 15
     result = run_campaign("blogger", CampaignConfig(
         num_tests=num_tests, seed=BENCH_SEED, keep_traces=True,
     ))

@@ -1,7 +1,7 @@
 """World scaling: the partitioned world vs. its serial replay.
 
 Runs one gossip-archetype world (``examples/scenarios/
-gossip_world.toml``, session count scaled by ``REPRO_BENCH_TESTS``)
+gossip_world.toml``, at ``SESSIONS`` sessions)
 serially and cut into its scenario-declared shards, records both
 wall-clocks and the engine's memory discipline, and asserts the two
 things that must hold **exactly**: the signatures agree byte for byte
@@ -26,14 +26,13 @@ import pytest
 from repro.scenario import load_scenario
 from repro.world import WorldBus, run_world, world_from_scenario
 
-from benchmarks.conftest import BENCH_SEED, bench_num_tests
+from benchmarks.conftest import BENCH_SEED
 
 SCENARIO = "examples/scenarios/gossip_world.toml"
 
-#: Sessions per REPRO_BENCH_TESTS unit: the default 60 benches a
-#: 6,000-session world (~1s/run); the checked-in scenario itself
+#: A 6,000-session world (~1s/run); the checked-in scenario itself
 #: carries the paper-scale 100,000.
-SESSIONS_PER_UNIT = 100
+SESSIONS = 6000
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +74,7 @@ def test_bus_throughput(benchmark, world_rows):
 
 def test_sharded_world_matches_serial_at_scale(benchmark, world_rows):
     scenario = load_scenario(SCENARIO)
-    sessions = bench_num_tests() * SESSIONS_PER_UNIT
+    sessions = SESSIONS
     sharded_spec = world_from_scenario(scenario, sessions=sessions)
     serial_spec = world_from_scenario(scenario, sessions=sessions,
                                       shards=1)

@@ -20,7 +20,10 @@ comparator, and never a claim — ``evaluate_claims`` reads
 :data:`CLAIMS` only.
 
 Across seeds (``fleet --seeds``), :func:`across_seeds` reduces a row
-to its mean, spread and, from Figure 3 counts, a 95 % interval.
+to its mean, spread and, from Figure 3 counts, a 95 % interval, and
+:func:`decision_size` to the tests per template that decide it.  A
+row no campaign of the paper's size (~1,000 tests per template)
+decides is not a claim: a weighted one is a fit row instead.
 """
 
 from __future__ import annotations
@@ -58,9 +61,10 @@ from repro.methodology.config import PAPER_PLANS
 from repro.methodology.records import CampaignResult
 
 __all__ = ["CLAIMS", "FIT_ROWS", "Claim", "Measured", "S", "Verdict",
-           "across_seeds", "claims_table", "evaluate_claims",
-           "evaluate_seeds", "experiments_region", "fig3_lines", "held_at",
-           "region_disagreements", "score_row", "seeds_table"]
+           "across_seeds", "claims_table", "decision_size",
+           "evaluate_claims", "evaluate_seeds", "experiments_region",
+           "fig3_lines", "held_at", "region_disagreements", "score_row",
+           "seeds_table"]
 
 GPLUS, BLOGGER = "googleplus", "blogger"
 FEED, GROUP = "facebook_feed", "facebook_group"
@@ -321,6 +325,52 @@ def across_seeds(claim: Claim, values: list[float],
         kind="dispersed" if dispersed else "pooled")
 
 
+def _margin(verdict: Verdict) -> float:
+    """How far a verdict's value lies on the holding side of its limit
+    (negative: on the failing side); for a band, from the nearer edge."""
+    value, limit, op = verdict.value, verdict.limit, verdict.claim.op
+    if op == "in":
+        return min(value - limit[0], limit[1] - value)
+    return value - limit if op in (">", ">=") else limit - value
+
+
+def decision_size(verdicts: list[Verdict], tests: int) -> float | None:
+    """A row's n*: the tests per template at which one seed's 95 %
+    interval no longer reaches the failing side of its limit.
+
+    ``verdicts`` are the row's verdicts at each seed of a fleet of
+    ``tests`` tests per template.  Each applying seed's margin m is
+    its value's distance from the failing side of that seed's own
+    limit, and n* = ⌈tests · (Z95 · sd(m) / mean(m))²⌉, at least 1: a
+    margin every seed shares (a property that holds by construction)
+    gives 1.  The assumption is that mean(m) / sd(m) grows as √n, as
+    for a rate against a constant or a count against 0; for a Figure 3
+    rate, n* is the size at which the normal half-width of
+    :func:`across_seeds`' interval at n / D equals the margin.  An
+    ``==`` row's n* is 1 if it holds at every seed with one value,
+    else ``math.inf`` ("never"), as is any row whose mean margin is
+    not positive or that has nothing to measure at some seed.  None:
+    fewer than two seeds apply.
+    """
+    rows = [verdict for verdict in verdicts if verdict.applies]
+    if len(rows) < 2:
+        return None
+    if any(verdict.value is None or verdict.limit is None
+           for verdict in rows):
+        return math.inf
+    if rows[0].claim.op == "==":
+        steady = len({verdict.value for verdict in rows}) == 1
+        return 1 if steady and all(verdict.holds for verdict in rows) \
+            else math.inf
+    margins = [_margin(verdict) for verdict in rows]
+    mean = sum(margins) / len(margins)
+    if mean <= 0:
+        return math.inf
+    variance = (sum((margin - mean) ** 2 for margin in margins)
+                / (len(margins) - 1))
+    return max(1, math.ceil(tests * Z95 * Z95 * variance / (mean * mean)))
+
+
 def fig3_lines(service: str, results: list[CampaignResult]) -> list[Verdict]:
     """A service's Figure 3 cells over its per-seed results."""
     targets = PAPER_TARGETS.get(service)
@@ -354,13 +404,15 @@ def experiments_region(per_seed: Mapping[int, list[Verdict]],
                        ) -> str:
     """EXPERIMENTS.md's generated region: each service's Figure 3
     cells as ``fleet --seeds`` prints them, then a table line per row
-    with its across-seed mean, min-max and "holds at k of n"."""
+    with its across-seed mean, min-max, :func:`decision_size` and
+    "holds at k of n"."""
     lines, held = ["```"], held_at(per_seed)
     for service, results in by_service.items():
         lines += [f"{service}: anomaly prevalence over {len(results)} "
                   "seed(s)", seeds_table(fig3_lines(service, results)), ""]
+    tests = next(iter(by_service.values()))[0].config.num_tests
     lines[-1:] = ["```", "", "| Row | Source | Paper | Mean | Min-max "
-                  "| Holds |", "|---|---|---|---:|---:|---|"]
+                  "| n* | Holds |", "|---|---|---|---:|---:|---:|---|"]
     for verdicts in zip(*per_seed.values()):  # one row across seeds
         claim = verdicts[0].claim
         values = [verdict.value for verdict in verdicts
@@ -368,9 +420,11 @@ def experiments_region(per_seed: Mapping[int, list[Verdict]],
         row = across_seeds(claim, values) if values else Verdict(
             claim, spread=(None,))
         k, n = held.get(claim.id, (0, 0))
+        size = decision_size(list(verdicts), tests)
         lines.append(f"| `{claim.id}` | {claim.source} | "
                      f"{_cell(claim.paper)} | {_cell(row.value)} | "
                      f"{'-'.join(map(_cell, row.spread))} | "
+                     f"{'never' if size == math.inf else _cell(size)} | "
                      f"{f'at {k} of {n}' if n else 'n/a'} |")
     return "\n".join(lines) + "\n"
 
@@ -479,7 +533,6 @@ def _figures() -> list[Claim]:
     rows += [p("fig3", service, anomaly, ">", 0.0, ".present", weight=1.0)
              for service in (GPLUS, FEED) for anomaly in ALL_ANOMALIES]
     return rows + [
-        p("fig3", GROUP, READ_YOUR_WRITES, "==", 0.0, weight=1.0),
         p("fig3", GROUP, ORDER_DIVERGENCE, "==", 0.0, weight=1.0),
         p("fig3", GROUP, MONOTONIC_WRITES, ">=", 0.80, weight=1.0),
         p("fig3", GROUP, MONOTONIC_READS, "<=", 0.10, weight=1.0),
@@ -510,12 +563,6 @@ def _figures() -> list[Claim]:
         p("fig5", GROUP, MONOTONIC_WRITES, ">", 3, versus=GPLUS),
         _located("fig5", GROUP, MONOTONIC_WRITES, "global", 0.6),
         _located("fig5", GPLUS, MONOTONIC_WRITES, "local", 0.5, True),
-        # Fig. 5a: Google+'s MW is "often observed several times".
-        Claim("fig5.googleplus.monotonic_writes.multis_over_singles",
-              S("bucketed", GPLUS, MONOTONIC_WRITES, ("2", "3-10", ">10")),
-              ">=", S("bucketed", GPLUS, MONOTONIC_WRITES, ("1",)),
-              paper="several times",
-              guard=lambda m: m.anomalous(GPLUS, MONOTONIC_WRITES) >= 3),
         # Fig. 6: mostly local; the Feed's "mostly detected a single
         # time per agent per test".
         p("fig6", GPLUS, MONOTONIC_READS, "in", (0.05, 0.50)),
@@ -548,6 +595,9 @@ def _figures() -> list[Claim]:
               lambda m: (_over(max, feed_rates)(m)
                          - _over(min, feed_rates)(m)),
               "<=", 0.35, paper="uniform"),
+        # At least two pair-tests at any size (the partition stretch's
+        # one-test floor): the row fails below ~14 tests per template,
+        # whatever its n* says.
         Claim("fig8.facebook_group.diverged_pair_tests",
               lambda m: sum(m.pairs(GROUP).counts.values()), "<=",
               lambda m: m.pairs(GROUP).total_tests, 0.15),
@@ -555,7 +605,7 @@ def _figures() -> list[Claim]:
               lambda m: sum(1 for pair in m.pairs(GROUP).counts
                             if "tokyo" not in pair), "==", 0),
         # Both Tokyo pairs diverge, but not at most the paper's ~1 %: the
-        # partition stretch floors at one test (1.7 % at 60 tests).
+        # partition stretch floors at one test (0.6 % at 180 tests).
         *_per_pair("fig8", GROUP, ".present", "rate", ">", 0.0,
                    TOKYO_PAIRS, paper=dict.fromkeys(TOKYO_PAIRS, "~1% each")),
         # Fig. 9: Google+'s Ireland pairs converge in seconds and
@@ -687,10 +737,14 @@ def _tables_and_totals() -> list[Claim]:
 
 
 def _fit_rows() -> list[Claim]:
-    """A weighted row for each published number no claim reads."""
+    """A weighted row for each published number no claim reads.
+
+    The Group's RYW is one: its ``== 0`` reads 0-0.007 across seeds, so
+    no campaign decides it (:func:`decision_size` "never").
+    """
     gplus, feed = PAPER_TARGETS[GPLUS], PAPER_TARGETS[FEED]
-    rows = [_prevalence("fig3", GROUP, CONTENT_DIVERGENCE, None, None,
-                        weight=1.0)]
+    rows = [_prevalence("fig3", GROUP, anomaly, None, None, weight=1.0)
+            for anomaly in (READ_YOUR_WRITES, CONTENT_DIVERGENCE)]
     for service, targets in ((GPLUS, gplus), (FEED, feed)):
         rows += _per_pair("fig8", service, ".order", "rate", None, None,
                           sorted(targets.pair_order), "order",

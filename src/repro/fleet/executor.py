@@ -28,7 +28,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable
 
 from repro.errors import ConfigurationError, FleetError
 from repro.fleet.digest import fleet_signature
@@ -44,7 +43,7 @@ from repro.fleet.pool import (
 )
 from repro.fleet.spec import FleetSpec, ShardJob
 from repro.fleet.store import ArtifactStore
-from repro.methodology.records import CampaignResult, TestRecord
+from repro.methodology.records import CampaignResult
 from repro.obs.events import (
     EventCallback,
     FleetCompleted,
@@ -99,8 +98,7 @@ class ShardRun:
     error: Exception | None = None
 
 
-def _resume(run: ShardRun, shard_runner: ShardRunner | None,
-            verdicts: Callable[[TestRecord], dict] | None) -> None:
+def _resume(run: ShardRun, shard_runner: ShardRunner | None) -> None:
     """Load digest-valid completed shards; queue the rest (FIFO)."""
     skipped = []
     for job in run.jobs:
@@ -116,8 +114,7 @@ def _resume(run: ShardRun, shard_runner: ShardRunner | None,
         else:
             trace_path = (str(run.store.trace_path(job.shard_id))
                           if run.store is not None else None)
-            run.queue.append(ShardTask(job, trace_path=trace_path,
-                                       verdicts=verdicts))
+            run.queue.append(ShardTask(job, trace_path=trace_path))
     run.skipped = tuple(skipped)
 
 
@@ -125,18 +122,15 @@ def dispatch_run(run: ShardRun, *,
                  workers: int = 1,
                  shard_runner: ShardRunner | None = None,
                  shard_timeout: float | None = None,
-                 on_event: EventCallback | None = None,
-                 verdicts: Callable[[TestRecord], dict] | None = None
-                 ) -> None:
+                 on_event: EventCallback | None = None) -> None:
     """Drain ``run``'s shards over a pool of ``workers``.
 
     ``workers=1`` executes in-process (no worker processes, no
     environmental failures, the campaign's exception kept on
     ``run.error``); ``>= 2`` is process-per-attempt with
     ``shard_timeout`` wall-clock seconds each.  ``shard_runner``
-    overrides :func:`execute_shard` and ``verdicts`` adds fields to
-    each ``ShardTestChecked``; both run where the shard runs, so both
-    must be module-level.
+    overrides :func:`execute_shard`; it runs where the shard runs, so
+    it must be module-level.
 
     ``on_event`` receives one ``ShardSkipped`` per shard restored from
     the store (the run is resumed before the first event), then
@@ -160,7 +154,7 @@ def dispatch_run(run: ShardRun, *,
                  total=len(run.jobs), service=job.service, seed=job.seed,
                  label=job.label, **fields))
 
-    _resume(run, shard_runner, verdicts)
+    _resume(run, shard_runner)
     for job in run.jobs:
         if job.index in run.results:
             announce(ShardSkipped, job)

@@ -57,9 +57,6 @@ class ShardTask:
     attempt: int = 1
     #: Streaming only: archive the shard's operation stream here.
     trace_path: str | None = None
-    #: Streaming only: extra interim-message fields computed from each
-    #: closed test's record where the shard runs.
-    verdicts: Callable[[TestRecord], dict] | None = None
 
 
 @dataclass(frozen=True)
@@ -129,9 +126,9 @@ def run_shard(task: ShardTask, on_test: OnTest) -> CampaignResult:
     worker calls it with ``on_test`` bound to its pipe.  A streaming
     task is the batch campaign plus two reports: each closed test goes
     to ``on_test`` as a dict of ``test_id``, ``test_index`` (0-based
-    within the shard), ``anomalies``, ``state_size`` (its engine's,
-    just closed) and the task's ``verdicts`` fields, and with a
-    ``trace_path`` every operation is archived there as it happens.
+    within the shard), ``anomalies`` and ``state_size`` (its
+    engine's, just closed), and with a ``trace_path`` every operation
+    is archived there as it happens.
     """
     if task.runner is not None:
         return task.runner(task.job)
@@ -156,8 +153,6 @@ def run_shard(task: ShardTask, on_test: OnTest) -> CampaignResult:
                    "test_index": checked,
                    "anomalies": _anomaly_summary(record),
                    "state_size": engine.state_size()}
-        if task.verdicts is not None:
-            message.update(task.verdicts(record))
         checked += 1
         on_test(task, message)
         return record

@@ -58,11 +58,11 @@ class LintConfig:
         "multiprocessing.Process",
         "multiprocessing.get_context",
         "concurrent.futures.ProcessPoolExecutor",
-        "repro.fleet.pool.ShardTask:runner,verdicts",
+        "repro.fleet.pool.ShardTask:runner",
         "repro.fleet.pool.start_worker",
         "repro.fleet.run_fleet:shard_runner",
         "repro.fleet.executor.run_fleet:shard_runner",
-        "repro.fleet.executor.dispatch_run:shard_runner,verdicts",
+        "repro.fleet.executor.dispatch_run:shard_runner",
     )
     #: Method names through which a trace/operation record is *emitted*
     #: to observers or across a pipe; TRACE002 forbids mutating a

@@ -147,16 +147,12 @@ class ShardTestChecked(ShardEvent):
     returns.  ``anomalies`` maps anomaly kind to this test's
     observation count (zero counts omitted); ``state_size`` is the
     retained-atom count of the engine that checked the test, right
-    after it closed.  ``windows`` is filled only by a dispatch loop
-    given ``verdicts``: the test's per-pair divergence-window results
-    (``{"content": [...], "order": [...]}``, each entry
-    ``{"pair", "intervals", "converged"}``).
+    after it closed.
     """
 
     test_id: str = ""
     test_index: int = 0
     anomalies: dict[str, int] | None = None
-    windows: dict[str, list] | None = None
     state_size: int = 0
 
 
@@ -209,12 +205,6 @@ def render_event(event: FleetEvent) -> str | None:
                               in sorted(event.anomalies.items()))
         else:
             found = "clean"
-        open_windows = sum(
-            1 for results in (event.windows or {}).values()
-            for result in results if not result["converged"]
-        )
-        if open_windows:
-            found += f", {open_windows} unconverged window(s)"
         return (f"{_shard_label(event)} checked {event.test_id}: "
                 f"{found} (state={event.state_size})")
     if isinstance(event, ShardCompleted):

@@ -10,6 +10,7 @@ the claims.  Whether the rows hold on the bench campaigns is
 ``benchmarks/test_paper_claims.py``'s job.
 """
 
+import math
 import re
 
 import pytest
@@ -25,6 +26,8 @@ from repro.calibrate.claims import (
     claims_table,
     evaluate_claims,
     Verdict,
+    _OPS,
+    decision_size,
     held_at,
     seeds_table,
 )
@@ -56,18 +59,21 @@ TARGETED = (
 #: and before the rows of :data:`ADDED` were added.
 CLAIM_IDS_SHA256 = (
     "0490d4bb741d1fbe2ada2f40ee4b16280733dead100a8c5b52329d2d9b908795")
-#: The Figs. 5a, 8, 9 and 10 cells that had no row at that point.
-ADDED = ("fig5.googleplus.monotonic_writes.multis_over_singles",
-         "fig8.facebook_group.oregon_tokyo.present",
+#: The Figs. 8, 9 and 10 cells that had no row at that point.
+ADDED = ("fig8.facebook_group.oregon_tokyo.present",
          "fig8.facebook_group.ireland_tokyo.present",
          "fig9.facebook_group.tokyo_windows",
          "fig10.googleplus.oregon_tokyo.order")
+#: Recorded rows that became fit rows, no campaign of the paper's size
+#: deciding them (``decision_size`` "never"), each with the recorded
+#: row it preceded.
+MOVED = (("fig3.facebook_group.read_your_writes",
+          "fig3.facebook_group.order_divergence"),)
 
 GUARDED = ("fig5.googleplus.monotonic_writes.local",
            "fig6.googleplus.monotonic_reads.local",
            "fig6.facebook_feed.monotonic_reads.local",
-           "fig9.googleplus.oregon_tokyo_vs_ireland",
-           "fig5.googleplus.monotonic_writes.multis_over_singles")
+           "fig9.googleplus.oregon_tokyo_vs_ireland")
 
 
 def empty(service):
@@ -86,14 +92,15 @@ def test_ids_are_unique():
 
 def test_paper_numbers_are_read_from_the_targets():
     matched = set()
-    for claim in CLAIMS:
+    for claim in (*CLAIMS, *FIT_ROWS):
         for pattern, lookup in TARGETED:
             row = re.fullmatch(pattern, claim.id)
             if row:
                 targets = PAPER_TARGETS[row["service"]]
                 assert claim.paper is lookup(targets, row), claim.id
                 matched.add(claim.id)
-    fig3 = {claim.id for claim in CLAIMS if claim.id.startswith("fig3.")}
+    fig3 = {claim.id for claim in (*CLAIMS, *FIT_ROWS)
+            if claim.id.startswith("fig3.")}
     assert fig3 <= matched
     assert len(matched) >= 60
 
@@ -158,9 +165,13 @@ def test_fit_rows_are_invisible_to_the_claims():
     ids = [verdict.claim.id for verdict in evaluate_claims(
         {service: empty(service) for service in SERVICES})]
     recorded = [row for row in ids if row not in ADDED]
-    assert len(recorded) == 151 and len(ids) == 151 + len(ADDED)
+    for row, before in MOVED:
+        recorded.insert(recorded.index(before), row)
+    assert len(recorded) == 151
+    assert len(ids) == 151 - len(MOVED) + len(ADDED)
     assert sha256("\n".join(recorded).encode()).hexdigest() \
         == CLAIM_IDS_SHA256
+    assert {row for row, _ in MOVED} <= {row.id for row in FIT_ROWS}
     assert not {row.id for row in FIT_ROWS} & set(ids)
     assert all(row.op is None and row.weight for row in FIT_ROWS)
 
@@ -308,3 +319,64 @@ def test_held_at_counts_only_the_seeds_a_row_applies_at():
                 2: [Verdict(row, holds=False)],
                 3: [Verdict(row, applies=False)]}
     assert held_at(per_seed) == {"fig6.x": (1, 2)}
+
+
+# -- Decision size: n* ---------------------------------------------------
+
+def sized(op, values, limits, tests=300):
+    """``decision_size`` of a row with per-seed values and limits."""
+    claim = Claim("fig3.x", None, op)
+    return decision_size([Verdict(claim, value, limit,
+                                  _OPS[op](value, limit))
+                          for value, limit in zip(values, limits)], tests)
+
+
+def test_a_constant_positive_margin_decides_at_one_test():
+    assert sized(">=", [0.9] * 5, [0.5] * 5) == 1
+    assert sized("==", [0.3] * 5, [0.3] * 5) == 1  # a Table I plan
+    assert sized("in", [10.0, 10.0], [(5.0, 25.0)] * 2) == 1
+
+
+def test_no_positive_mean_margin_is_never_decided():
+    assert sized(">=", [0.4, 0.6], [0.5, 0.5]) == math.inf  # mean 0
+    assert sized("<=", [0.2, 0.3], [0.1, 0.1]) == math.inf
+    assert sized("in", [0.5, 0.6], [(0.05, 0.45)] * 2) == math.inf
+
+
+def test_a_varying_equality_row_is_never_decided():
+    # The Group's RYW at seeds 201-205: 0 at three, above 0 at two.
+    assert sized("==", [0.003, 0.0, 0.0, 0.0, 0.007],
+                 [0.0] * 5) == math.inf
+    assert sized("==", [0.5, 0.5], [0.4, 0.4]) == math.inf  # fails
+
+
+def test_fewer_than_two_applying_seeds_give_no_size():
+    claim = Claim("fig3.x", None, ">")
+    assert decision_size([Verdict(claim, 1.0, 0.0)], 300) is None
+    assert decision_size([Verdict(claim, 1.0, 0.0),
+                          Verdict(claim, applies=False)], 300) is None
+
+
+def test_a_statistic_bound_reads_each_seeds_own_limit():
+    # "a < b": margin b - a per seed, 0.2 and 0.3, not against one
+    # shared limit; n* = ceil(300 (Z * sd / mean)^2).
+    sd, mean = math.sqrt(0.005), 0.25
+    assert sized("<", [0.1, 0.2], [0.3, 0.5]) \
+        == math.ceil(300 * (Z95 * sd / mean) ** 2) == 93
+    # The same values against one shared limit give another n*.
+    assert sized("<", [0.1, 0.2], [0.5, 0.5]) == 48
+
+
+def test_a_rate_row_is_the_interval_closed_form():
+    # A Fig. 3 rate against a constant: n* = Z^2 D p (1 - p) / m^2, the
+    # size at which across_seeds' normal half-width at n / D is m.
+    counts = [(21, 100), (30, 100), (24, 100), (33, 100)]
+    rates = [hits / tests for hits, tests in counts]
+    cell = seeds(*counts)
+    p, d, m = cell.value, cell.dispersion, cell.value - 0.2
+    assert d > 1
+    closed = Z95 ** 2 * d * p * (1 - p) / m ** 2
+    assert sized(">", rates, [0.2] * 4, tests=100) == math.ceil(closed)
+    assert closed == pytest.approx(
+        100 * (Z95 * math.sqrt(sum((r - p) ** 2 for r in rates) / 3)
+               / m) ** 2)

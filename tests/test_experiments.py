@@ -1,18 +1,20 @@
 """EXPERIMENTS.md's generated region and the check that holds it.
 
-``experiments_region`` renders per-seed claim rows (what
-``tools/experiments.py`` writes between the file's markers);
-``region_disagreements`` is the comparison
+``experiments_region`` renders per-seed claim rows, each with its
+decision size n* (what ``tools/experiments.py`` writes between the
+file's markers); ``region_disagreements`` is the comparison
 ``benchmarks/test_paper_claims.py::test_experiments_md_agrees`` makes
 between the checked-in region and a regeneration.
 """
 
+import math
 import re
 
 import pytest
 
 from repro.calibrate.claims import (
     CLAIMS,
+    decision_size,
     evaluate_seeds,
     experiments_region,
     held_at,
@@ -22,14 +24,19 @@ from repro.fleet import FleetSpec, run_fleet
 from repro.methodology import CampaignConfig
 from repro.services import SERVICE_NAMES
 
-ROW = re.compile(r"^\| `([^`]+)` \|.*\| (at \d+ of \d+|n/a) \|$", re.M)
+ROW = re.compile(
+    r"^\| `([^`]+)` \|.*\| ([^|]+) \| (at \d+ of \d+|n/a) \|$", re.M)
 
 
 @pytest.fixture(scope="module")
-def fleet():
-    outcome = run_fleet(FleetSpec(
+def outcome():
+    return run_fleet(FleetSpec(
         services=SERVICE_NAMES, seeds=(1, 2),
         base_config=CampaignConfig(num_tests=2)))
+
+
+@pytest.fixture(scope="module")
+def fleet(outcome):
     per_seed = evaluate_seeds(outcome)
     return per_seed, experiments_region(per_seed, outcome.by_service())
 
@@ -40,14 +47,23 @@ def cell(region, row):
     return line
 
 
-def test_every_row_once_with_its_seeds_held(fleet):
+def test_every_row_once_with_its_seeds_held(fleet, outcome):
     per_seed, region = fleet
     rows = ROW.findall(region)
-    assert [row for row, _ in rows] == [claim.id for claim in CLAIMS]
+    assert [row for row, _, _ in rows] == [claim.id for claim in CLAIMS]
     held = held_at(per_seed)
-    for row, holds in rows:
+    sizes = [decision_size(list(verdicts), 2)
+             for verdicts in zip(*per_seed.values())]
+    for (row, size, holds), n_star in zip(rows, sizes):
         k, n = held.get(row, (0, 0))
         assert holds == (f"at {k} of {n}" if n else "n/a"), row
+        assert size == {None: "-", math.inf: "never"}.get(
+            n_star, str(n_star)), row
+    # One seed decides nothing: every n* cell is "-".
+    one_seed = experiments_region({1: per_seed[1]}, {
+        service: results[:1]
+        for service, results in outcome.by_service().items()})
+    assert {size for _, size, _ in ROW.findall(one_seed)} == {"-"}
 
 
 def test_every_figure3_cell_is_printed(fleet):

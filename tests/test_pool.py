@@ -44,10 +44,6 @@ def hanging_runner(job):
     time.sleep(60.0)
 
 
-def shout(record):
-    return {"shouted": record.test_id.upper()}
-
-
 def ignore_test(task, message):
     raise AssertionError("batch tasks send no interim messages")
 
@@ -94,17 +90,15 @@ class TestClassification:
 class TestRunShard:
     def test_streaming_task_reports_each_closed_test(self):
         seen = []
-        task = ShardTask(JOB, verdicts=shout)
+        task = ShardTask(JOB)
         result = run_shard(task, lambda *args: seen.append(args))
         assert [message["test_index"] for _, message in seen] == \
             list(range(len(result.records)))
         for (got_task, message), record in zip(seen, result.records):
             assert got_task is task
             assert message["test_id"] == record.test_id
-            assert message["shouted"] == record.test_id.upper()
             assert set(message) == {"test_id", "test_index",
-                                    "anomalies", "state_size",
-                                    "shouted"}
+                                    "anomalies", "state_size"}
 
     def test_campaign_exception_propagates_unwrapped(self):
         with pytest.raises(ValueError, match="boom"):
@@ -113,7 +107,7 @@ class TestRunShard:
 
     def test_pooled_streaming_matches_in_process(self):
         local, piped = [], []
-        task = ShardTask(JOB, verdicts=shout)
+        task = ShardTask(JOB)
         result = run_shard(task, lambda t, m: local.append(m))
         give_up = time.monotonic() + 60.0
         with WorkPool(lambda t, m: piped.append(m)) as pool:

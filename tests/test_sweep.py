@@ -128,7 +128,7 @@ class TestPrevalenceStatistics:
         (verdicts,) = evaluate_seeds(outcome).values()
         rows = {verdict.claim.id: verdict.value for verdict in verdicts
                 if verdict.claim.id in fig3}
-        assert len(rows) == 5  # content divergence is a fit row
+        assert len(rows) == 4  # RYW and content divergence: fit rows
         assert rows == {row: fig3[row] for row in rows}
         assert {line.claim.id: line.value for line in fig3_lines(
             "facebook_group", [result])} == fig3

@@ -43,11 +43,6 @@ THROUGHPUT_SUFFIXES = ("_per_s", "_per_second")
 #: is better.
 COST_MARKERS = ("_seconds", "_over_", "elapsed")
 
-#: The REPRO_BENCH_TESTS scale baselines are recorded at.  Fixed so a
-#: fresh run is comparable: deterministic fields depend on it.
-BASELINE_BENCH_TESTS = "60"
-
-
 def perf_class(key: str) -> str | None:
     """``"throughput"`` | ``"cost"`` | ``None`` (deterministic)."""
     if key.endswith(THROUGHPUT_SUFFIXES):
@@ -117,7 +112,6 @@ def run_benchmark(name: str, out_dir: Path) -> Path | None:
     """Run one benchmark module; returns the fresh JSON path."""
     env = dict(os.environ)
     env["REPRO_BENCH_OUT"] = str(out_dir)
-    env.setdefault("REPRO_BENCH_TESTS", BASELINE_BENCH_TESTS)
     module = REPO_ROOT / "benchmarks" / f"test_{name}.py"
     if not module.is_file():
         # A benchmark module may carry a longer name than the JSON it
