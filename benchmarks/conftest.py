@@ -2,7 +2,8 @@
 
 The ``campaigns`` fixture runs one scaled-down campaign per paper
 service (``BENCH_TESTS`` tests per template vs. the paper's ~1,000),
-once per session, at seed ``BENCH_SEED``.  ``test_paper_claims.py``
+once per session, at seed ``BENCH_SEED``, with the graded metrics
+(``claims.GRADED``) the extension rows read.  ``test_paper_claims.py``
 evaluates every row of the paper's claims table
 (:mod:`repro.calibrate.claims`) on them: the paper's qualitative
 shape — who wins, by roughly what factor, where the asymmetries lie.
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.calibrate.claims import GRADED
 from repro.methodology import CampaignConfig, run_campaign
 from repro.services import SERVICE_NAMES
 
@@ -55,7 +57,7 @@ def campaigns():
     """One scaled-down campaign per service, keyed by service name."""
     return {
         service: run_campaign(service, CampaignConfig(
-            num_tests=BENCH_TESTS, seed=BENCH_SEED,
+            num_tests=BENCH_TESTS, seed=BENCH_SEED, metrics=GRADED,
         ))
         for service in SERVICE_NAMES
     }

@@ -44,6 +44,16 @@ def test_claim_holds(claim_id, verdicts):
     assert verdict.holds, claims_table([verdict])
 
 
+def test_graded_rows_apply(verdicts):
+    # A campaign without the graded metrics prints these rows "n/a" and
+    # holds them: each must apply on the bench campaigns.
+    graded = [verdict for row, verdict in verdicts.items()
+              if row.startswith("graded.")]
+    assert graded
+    assert [claims_table([verdict]) for verdict in graded
+            if not verdict.applies] == []
+
+
 def test_experiments_md_agrees(campaigns, verdicts):
     text = EXPERIMENTS.read_text("utf-8")
     assert region_disagreements(text, experiments_region(
@@ -54,13 +64,15 @@ def test_experiments_md_agrees(campaigns, verdicts):
 def test_bench_size_decides_every_row():
     # BENCH_TESTS is the smallest multiple of 10 at or above every
     # row's n* in the checked-in region: no row is asserted below the
-    # size that decides it, and none needs a bigger run.
+    # size that decides it, and none needs a bigger run.  Every n* is a
+    # number: "never" is no size, and "-" (fewer than two seeds apply)
+    # is a row the region never sized.
     sizes = dict(SIZED_ROW.findall(EXPERIMENTS.read_text("utf-8")))
     assert sorted(sizes) == sorted(claim.id for claim in CLAIMS)
     decided = {row: int(size) for row, size in sizes.items()
                if size.isdigit()}
     assert [f"{row}: n* {size}" for row, size in sizes.items()
-            if size == "never" or decided.get(row, 0) > BENCH_TESTS] == []
+            if row not in decided or decided[row] > BENCH_TESTS] == []
     assert max(decided.values()) > BENCH_TESTS - 10
 
 

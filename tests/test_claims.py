@@ -12,6 +12,7 @@ the claims.  Whether the rows hold on the bench campaigns is
 
 import math
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,8 +21,10 @@ from repro.calibrate import PAPER_TARGETS
 from repro.calibrate.claims import (
     CLAIMS,
     FIT_ROWS,
+    GRADED,
     Z95,
     Claim,
+    Measured,
     across_seeds,
     claims_table,
     evaluate_claims,
@@ -32,7 +35,8 @@ from repro.calibrate.claims import (
     seeds_table,
 )
 from repro.core import ALL_ANOMALIES
-from repro.methodology import CampaignConfig, CampaignResult
+from repro.methodology import CampaignConfig, CampaignResult, run_campaign
+from repro.relations.spec import MetricResult
 
 SERVICES = tuple(PAPER_TARGETS)
 
@@ -59,11 +63,23 @@ TARGETED = (
 #: and before the rows of :data:`ADDED` were added.
 CLAIM_IDS_SHA256 = (
     "0490d4bb741d1fbe2ada2f40ee4b16280733dead100a8c5b52329d2d9b908795")
-#: The Figs. 8, 9 and 10 cells that had no row at that point.
+#: The graded-metric extension rows, each guarded on its metric.
+GRADED_ROWS = ("graded.blogger.test1.relaxed_consistency",
+               "graded.blogger.test1.stale_read_inversions",
+               "graded.blogger.test2.relaxed_consistency",
+               "graded.blogger.test2.stale_read_inversions",
+               "graded.facebook_feed.test1.relaxed_consistency",
+               "graded.facebook_feed.test2.stale_read_inversions",
+               "graded.googleplus.test2.relaxed_consistency.over_1",
+               "graded.facebook_group.test1.stale_read_inversions",
+               "graded.facebook_group.test1.relaxed_consistency")
+#: The Figs. 8, 9 and 10 cells that had no row at that point, and the
+#: extension rows.
 ADDED = ("fig8.facebook_group.oregon_tokyo.present",
          "fig8.facebook_group.ireland_tokyo.present",
          "fig9.facebook_group.tokyo_windows",
-         "fig10.googleplus.oregon_tokyo.order")
+         "fig10.googleplus.oregon_tokyo.order",
+         *GRADED_ROWS)
 #: Recorded rows that became fit rows, no campaign of the paper's size
 #: deciding them (``decision_size`` "never"), each with the recorded
 #: row it preceded.
@@ -73,7 +89,8 @@ MOVED = (("fig3.facebook_group.read_your_writes",
 GUARDED = ("fig5.googleplus.monotonic_writes.local",
            "fig6.googleplus.monotonic_reads.local",
            "fig6.facebook_feed.monotonic_reads.local",
-           "fig9.googleplus.oregon_tokyo_vs_ireland")
+           "fig9.googleplus.oregon_tokyo_vs_ireland",
+           *GRADED_ROWS)
 
 
 def empty(service):
@@ -214,6 +231,37 @@ def test_every_published_number_is_one_weighted_row(service):
         (row,) = [row for row, made in zip(rows, calls) if made == call]
         assert row.paper is number, row.id
         assert row.weight == weight, row.id
+
+
+def test_graded_rows_apply_and_hold_on_campaigns_carrying_the_metrics():
+    # 20 tests per template: above every graded row's n* (largest 10).
+    verdicts = by_id(evaluate_claims({
+        service: run_campaign(service, CampaignConfig(
+            num_tests=20, seed=3, metrics=GRADED))
+        for service in SERVICES}))
+    for row in GRADED_ROWS:
+        verdict = verdicts[row]
+        assert verdict.applies and verdict.holds, claims_table([verdict])
+        assert verdict.claim.source == "extension"
+        assert verdict.claim.paper is None
+
+
+def test_graded_counts_only_values_strictly_above():
+    result = CampaignResult(service="googleplus", config=CampaignConfig(
+        num_tests=1, seed=0, metrics=GRADED), records=[
+        SimpleNamespace(test_type=test_type, metrics=(
+            MetricResult("relaxed_consistency", value),
+            MetricResult("stale_read_inversions", 5)))
+        for test_type, value in (("test2", 0), ("test2", 1),
+                                 ("test2", 2), ("test1", 7))])
+    graded = Measured({"googleplus": result}).graded
+    assert [graded("googleplus", "test2", "relaxed_consistency", above)
+            for above in (0, 1, 2)] == [2 / 3, 1 / 3, 0.0]
+    assert graded("googleplus", "test1", "relaxed_consistency") == 1.0
+    assert graded("googleplus", "test2", "stale_read_inversions",
+                  above=5) == 0.0
+    assert Measured({"googleplus": empty("googleplus")}).graded(
+        "googleplus", "test2", "relaxed_consistency") is None
 
 
 def test_a_repeated_statistic_is_weighted_once():
