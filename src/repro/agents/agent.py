@@ -43,7 +43,11 @@ class MeasurementAgent:
         self.host = host
         self.clock = clock
         self.session = session
-        self._obs = network.obs
+        obs = network.obs
+        #: The tracer this agent's operation spans go to, or None when
+        #: nobody keeps them: a span no one stores is not opened.
+        self._tracer = (obs.tracer if obs is not None and obs.tracer.keeps
+                        else None)
         # Answer the coordinator's Cristian time queries.
         network.attach(host, rpc_handler=make_time_query_handler(clock))
         self._trace: TestTrace | None = None
@@ -88,10 +92,10 @@ class MeasurementAgent:
         """
         invoke_local = self.clock.now()
         true_invoke = self._sim.now
+        tracer = self._tracer
         span = None
-        if self._obs is not None:
-            span = self._obs.tracer.start("agent.write",
-                                          agent=self.name)
+        if tracer is not None:
+            span = tracer.start("agent.write", agent=self.name)
         attempt = 0
         wire_requests = 0
         ok = False
@@ -116,7 +120,7 @@ class MeasurementAgent:
             ok = True
         finally:
             if span is not None:
-                self._obs.tracer.finish(
+                tracer.finish(
                     span, message_id=message_id,
                     attempts=wire_requests, rate_limited=attempt,
                     ok=ok,
@@ -141,10 +145,10 @@ class MeasurementAgent:
         """
         invoke_local = self.clock.now()
         true_invoke = self._sim.now
+        tracer = self._tracer
         span = None
-        if self._obs is not None:
-            span = self._obs.tracer.start("agent.read",
-                                          agent=self.name)
+        if tracer is not None:
+            span = tracer.start("agent.read", agent=self.name)
         status = "error"
         try:
             try:
@@ -161,12 +165,12 @@ class MeasurementAgent:
             status = "ok"
         finally:
             if span is not None:
-                self._obs.tracer.finish(
+                tracer.finish(
                     span, attempts=1, status=status,
                     ok=status == "ok",
                 )
-        filtered = tuple(mid for mid in observed
-                         if mid in self._message_filter)
+        filtered = tuple(filter(self._message_filter.__contains__,
+                                observed))
         self.total_reads += 1
         if self._trace is not None:
             self._trace.record(ReadOp(

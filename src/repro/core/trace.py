@@ -32,7 +32,7 @@ from repro.errors import AnalysisError
 __all__ = ["WriteOp", "ReadOp", "Operation", "TestTrace"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WriteOp:
     """One write request issued by an agent.
 
@@ -67,7 +67,7 @@ class WriteOp:
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReadOp:
     """One read request and the sequence of message ids it returned."""
 

@@ -9,6 +9,7 @@ measurement agents (Oregon / Tokyo / Ireland), and the coordinator
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any
 
 from repro.agents.agent import MeasurementAgent
@@ -81,8 +82,10 @@ class MeasurementWorld:
         # every metric timestamp and span boundary is a pure function
         # of (seed, config) — and rides the network object down the
         # stack, so clients and substrates need no new parameters.
-        sim = self.sim
-        self.obs = ObsContext(now_fn=lambda: sim.now, spans=spans)
+        # The clock is a C-level attribute read of ``sim.now``: every
+        # un-timed counter update and span boundary calls it.
+        self.obs = ObsContext(now_fn=partial(getattr, self.sim, "now"),
+                              spans=spans)
         self.network = Network(
             self.sim,
             LatencyModel(self.topology, self.rng.child("net"),

@@ -63,7 +63,7 @@ MessageHandler = Callable[["Message"], None]
 RpcHandler = Callable[[Any, str], Any]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Message:
     """One delivered datagram, with ground-truth timing attached."""
 

@@ -44,9 +44,8 @@ class ObsContext:
                  spans: bool = True) -> None:
         self.metrics = MetricsRegistry(now_fn)
         self.tracer = Tracer(now_fn, keep=spans)
-
-    def now(self) -> float:
-        return self.metrics.now()
+        #: The registry's clock, called directly.
+        self.now: Callable[[], float] = self.metrics.now
 
     def snapshot(self) -> dict:
         """Everything observed so far, as one JSON-safe, read-only dict.

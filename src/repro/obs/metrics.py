@@ -180,13 +180,13 @@ class MetricsRegistry:
 
     def __init__(self,
                  now_fn: Callable[[], float] | None = None) -> None:
-        self._now = now_fn if now_fn is not None else (lambda: 0.0)
+        #: The clock itself (``now_fn``), so ``registry.now()`` and a
+        #: caller that binds it once add no call frame of their own.
+        self.now: Callable[[], float] = (
+            now_fn if now_fn is not None else (lambda: 0.0))
         self._counters: dict[MetricKey, Counter] = {}
         self._gauges: dict[MetricKey, Gauge] = {}
         self._histograms: dict[MetricKey, Histogram] = {}
-
-    def now(self) -> float:
-        return self._now()
 
     def _check_unique(self, key: MetricKey, kind: str) -> None:
         kinds = {"counter": self._counters, "gauge": self._gauges,
@@ -204,7 +204,7 @@ class MetricsRegistry:
         instrument = self._counters.get(key)
         if instrument is None:
             self._check_unique(key, "counter")
-            instrument = Counter(name, key[1], self._now)
+            instrument = Counter(name, key[1], self.now)
             self._counters[key] = instrument
         return instrument
 
@@ -213,7 +213,7 @@ class MetricsRegistry:
         instrument = self._gauges.get(key)
         if instrument is None:
             self._check_unique(key, "gauge")
-            instrument = Gauge(name, key[1], self._now)
+            instrument = Gauge(name, key[1], self.now)
             self._gauges[key] = instrument
         return instrument
 
@@ -224,7 +224,7 @@ class MetricsRegistry:
         instrument = self._histograms.get(key)
         if instrument is None:
             self._check_unique(key, "histogram")
-            instrument = Histogram(name, key[1], buckets, self._now)
+            instrument = Histogram(name, key[1], buckets, self.now)
             self._histograms[key] = instrument
         elif instrument.buckets != tuple(buckets):
             raise ConfigurationError(

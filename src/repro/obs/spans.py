@@ -23,7 +23,8 @@ dict — which :meth:`Tracer.snapshot` hands out as it stands.  Every
 span with the same labels shares one ``labels`` dict; a record's
 ``attrs`` is the ``finish`` keyword dict itself.  A tracer built with
 ``keep=False`` closes spans and stores nothing: a campaign whose
-caller exports no spans runs on one.
+caller exports no spans runs on one, and its agents and substrates
+open no span at all (:attr:`Tracer.keeps`).
 """
 
 from __future__ import annotations
@@ -76,6 +77,16 @@ class Tracer:
         #: One labels dict per distinct ``(key, value)`` sequence.
         self._label_sets: dict[tuple[tuple[str, str], ...],
                                dict[str, str]] = {}
+
+    @property
+    def keeps(self) -> bool:
+        """True when :meth:`finish` stores a record (``keep``).
+
+        A caller whose spans only matter as records may skip
+        ``start`` / ``finish`` on a tracer that keeps nothing; the
+        tracer itself still numbers every span it is asked for.
+        """
+        return self._keep
 
     def start(self, name: str, parent: Span | None = None,
               at: float | None = None, **labels: str) -> Span:

@@ -47,11 +47,14 @@ This module implements that inferred design:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping
 
 from repro.errors import ConfigurationError
 from repro.net.network import Message, Network
+from repro.obs.metrics import Counter
 from repro.replication.ordering import timestamp_key
 from repro.replication.store import (
     DoublingPrune,
@@ -62,6 +65,9 @@ from repro.sim.event_loop import Simulator
 from repro.sim.random_source import RandomSource
 
 __all__ = ["EventualParams", "DatacenterReplica", "EventualGroup"]
+
+#: A ``(message_id, author, origin_ts)`` log record's timestamp.
+_ORIGIN_TS = itemgetter(2)
 
 
 @dataclass(frozen=True)
@@ -176,8 +182,13 @@ class DatacenterReplica:
         #: Writes accepted here and not yet shipped to peers.
         self._outbox: list[tuple[str, str, float]] = []
         #: All locally-accepted writes within retention, re-offered by
-        #: anti-entropy so partitions only delay replication.
+        #: anti-entropy so partitions only delay replication.  Appended
+        #: at the accepting instant, so it is in ``origin_ts`` order.
         self._local_log: list[tuple[str, str, float]] = []
+        #: ``replication.writes_total`` / ``antientropy_rounds_total``
+        #: for this host, resolved at first use (when instrumented).
+        self._writes_total: Counter | None = None
+        self._rounds_total: Counter | None = None
         self._peers: list[str] = []
         #: Per-(peer, author) earliest allowed arrival (FIFO shipping
         #: of each author's session).
@@ -213,8 +224,11 @@ class DatacenterReplica:
         origin_ts = self._sim.now
         obs = self._network.obs
         if obs is not None:
-            obs.metrics.counter("replication.writes_total",
-                                host=self.host).inc()
+            counter = self._writes_total
+            if counter is None:
+                counter = self._writes_total = obs.metrics.counter(
+                    "replication.writes_total", host=self.host)
+            counter.inc()
         self._store.insert(
             message_id, author, origin_ts,
             sort_key=timestamp_key(origin_ts, 0, message_id),
@@ -265,14 +279,19 @@ class DatacenterReplica:
         """
         obs = self._network.obs
         if obs is not None:
-            obs.metrics.counter("replication.antientropy_rounds_total",
-                                host=self.host).inc()
-        horizon = self._sim.now - self._params.retention
-        self._local_log = [record for record in self._local_log
-                           if record[2] >= horizon]
-        aged = [record for record in self._local_log
-                if record[2] <= self._sim.now
-                - self._params.antientropy_min_age]
+            counter = self._rounds_total
+            if counter is None:
+                counter = self._rounds_total = obs.metrics.counter(
+                    "replication.antientropy_rounds_total",
+                    host=self.host)
+            counter.inc()
+        log = self._local_log
+        # The log is in origin_ts order: trim and cut it by bisection.
+        del log[:bisect_left(log, self._sim.now - self._params.retention,
+                             key=_ORIGIN_TS)]
+        aged = log[:bisect_right(
+            log, self._sim.now - self._params.antientropy_min_age,
+            key=_ORIGIN_TS)]
         if aged:
             for peer in self._peers:
                 # Plain re-offer: no FIFO floor needed — the receiver
@@ -424,12 +443,18 @@ class DatacenterReplica:
 
     # -- Reads ------------------------------------------------------------
 
-    def read(self) -> tuple[str, ...]:
+    def read(self, newest: int | None = None) -> tuple[str, ...]:
         """Serve one read from a uniformly chosen backend.
 
         The backend's view is the DC's order filtered to the writes
         already visible on that backend; occasionally a backend serves
         an older consistent snapshot instead (stale_snapshot_prob).
+
+        With ``newest=k`` the read returns only the last ``k`` ids of
+        that view (still oldest first) and stops walking the view once
+        it has them, so a one-page read costs the page, not the store.
+        The ``lb`` / ``stale`` draws come first either way: the draw
+        sequence does not depend on ``newest``.
         """
         now = self._sim.now
         backend = self._rng.stream(f"lb.{self.host}").randrange(
@@ -443,14 +468,19 @@ class DatacenterReplica:
                 self._params.stale_snapshot_age_mean,
             )
         backend_visible = self._backend_visible
+        view = self._store.view_at(as_of)
+        wanted = len(view) if newest is None else newest
         served: list[str] = []
-        for message_id in self._store.view_at(as_of):
+        for message_id in reversed(view):
+            if len(served) == wanted:
+                break
             # No visibility record means the entry predates it (e.g.
             # pruned): treat as fully propagated.
             visible = backend_visible.get(message_id)
             if visible is not None and as_of < visible[backend]:
                 continue
             served.append(message_id)
+        served.reverse()
         return tuple(served)
 
 

@@ -83,8 +83,9 @@ class PrimaryBackupGroup:
         if obs is not None:
             obs.metrics.counter("replication.writes_total",
                                 host=self.primary_host).inc()
-            span = obs.tracer.start("replication.write",
-                                    host=self.primary_host)
+            if obs.tracer.keeps:
+                span = obs.tracer.start("replication.write",
+                                        host=self.primary_host)
         self._primary_store.insert(
             message_id, client, origin_ts,
             sort_key=timestamp_key(origin_ts, 0, message_id),

@@ -45,7 +45,11 @@ from repro.webapi.auth import Account, AccountRegistry
 from repro.webapi.client import ApiClient
 from repro.webapi.endpoint import RouteHandler, ServiceEndpoint
 from repro.webapi.http import ApiRequest, ApiResponse
-from repro.webapi.pagination import DEFAULT_PAGE_SIZE, paginate
+from repro.webapi.pagination import (
+    DEFAULT_PAGE_SIZE,
+    newest_needed,
+    paginate,
+)
 from repro.webapi.ratelimit import RateLimit, SlidingWindowRateLimiter
 from repro.webapi.router import Router
 
@@ -255,6 +259,14 @@ class OnlineService(abc.ABC):
                         request.param("limit", DEFAULT_PAGE_SIZE))
         return {"messages": list(page.items),
                 "next_cursor": page.next_cursor}
+
+    @staticmethod
+    def _page_need(request: ApiRequest) -> int | None:
+        """How many of the newest ids :meth:`_list_body` reads for
+        ``request`` (:func:`~repro.webapi.pagination.newest_needed`;
+        None: all of them)."""
+        return newest_needed(request.param("cursor"),
+                             request.param("limit", DEFAULT_PAGE_SIZE))
 
     def _serve_host(self, routes: SessionRoutes, region: Region,
                     on_post: RouteHandler, on_get: RouteHandler,

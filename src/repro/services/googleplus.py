@@ -123,9 +123,11 @@ class GooglePlusService(OnlineService):
 
     def _make_list_handler(self, dc_host: str):
         def handler(request: ApiRequest, account: Account):
-            # Moments are listed most recent first, paginated.
+            # Moments are listed most recent first, paginated; the
+            # replica walks its view no further back than the page.
+            replica = self._group.replica(dc_host)
             return self._list_body(
-                self._group.replica(dc_host).read()[::-1], request)
+                replica.read(self._page_need(request))[::-1], request)
         return handler
 
     # -- Sessions -----------------------------------------------------------

@@ -36,6 +36,10 @@ __all__ = ["Simulator"]
 class Simulator:
     """A deterministic discrete-event simulator with a virtual clock.
 
+    The clock is the plain attribute :attr:`now`, written only by the
+    drain loop (to each event's time as it fires) and by
+    :meth:`run_until` (to its target); everything else reads it.
+
     Example
     -------
     >>> sim = Simulator()
@@ -47,17 +51,15 @@ class Simulator:
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+        #: Current virtual time in seconds (the simulation ground
+        #: truth).  A plain attribute, so a read costs no call frame;
+        #: only the drain loop and :meth:`run_until` write it.
+        self.now = float(start_time)
         self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._scheduled = 0
         self._running = False
 
     # -- Clock -----------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds (the simulation ground truth)."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -81,10 +83,10 @@ class Simulator:
         so that NaN, which would break the heap order silently, fails
         the same check.)
         """
-        if not time >= self._now:
+        if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule event at t={time:.6f}, "
-                f"before current time t={self._now:.6f}"
+                f"before current time t={self.now:.6f}"
             )
         self._scheduled = seq = self._scheduled + 1
         heappush(self._heap, (time, seq, callback, args))
@@ -94,7 +96,7 @@ class Simulator:
         """Schedule ``callback(*args)`` after ``delay`` seconds."""
         if not delay >= 0:
             raise SimulationError(f"negative delay {delay!r}")
-        self.schedule_at(self._now + delay, callback, *args)
+        self.schedule_at(self.now + delay, callback, *args)
 
     # -- Execution --------------------------------------------------------
 
@@ -107,7 +109,7 @@ class Simulator:
                 return budget
             pop(heap)
             budget -= 1
-            self._now = time
+            self.now = time
             callback(*args)
         return budget
 
@@ -134,20 +136,20 @@ class Simulator:
         should persist (e.g. a read loop that must still be running).
         """
         self._guard_reentrancy()
-        if not time >= self._now:
+        if not time >= self.now:
             raise SimulationError(
                 f"cannot run backwards to t={time:.6f} "
-                f"from t={self._now:.6f}"
+                f"from t={self.now:.6f}"
             )
         self._running = True
         try:
             self._drain(time, inf)
             if strict and not self._heap:
                 raise DeadlockError(
-                    f"event queue drained at t={self._now:.6f} "
+                    f"event queue drained at t={self.now:.6f} "
                     f"before reaching t={time:.6f}"
                 )
-            self._now = max(self._now, time)
+            self.now = max(self.now, time)
         finally:
             self._running = False
 
@@ -169,5 +171,5 @@ class Simulator:
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Simulator t={self._now:.6f} pending={self.pending_events} "
+        return (f"<Simulator t={self.now:.6f} pending={self.pending_events} "
                 f"processed={self.events_processed}>")

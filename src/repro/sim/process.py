@@ -124,7 +124,7 @@ class Process:
             yielded.add_callback(self._on_future_done)
         elif (kind is float or kind is int) and yielded >= 0:
             sim = self._sim
-            sim.schedule_at(sim._now + yielded, self._advance, None, None)
+            sim.schedule_at(sim.now + yielded, self._advance, None, None)
         else:
             self._dispatch(yielded)
 
@@ -149,7 +149,7 @@ class Process:
         # A settled future holds (value, None) or (None, exception):
         # exactly the pair ``_advance`` takes.
         sim = self._sim
-        sim.schedule_at(sim._now, self._advance, future._value,
+        sim.schedule_at(sim.now, self._advance, future._value,
                         future._exception)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

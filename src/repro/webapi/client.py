@@ -17,7 +17,8 @@ Counter handles are resolved once per client — ``api.requests_total``
 per method, ``api.responses_total`` per status label — and a status's
 series appears with the first response that carries it, exactly where
 a per-response registry lookup would have created it.  ``Network.obs``
-is read at construction and fixed from then on.
+is read at construction and fixed from then on, and so is its
+registry's clock, which times each request's latency.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ class ApiClient:
             labels = {"service": service or "unknown",
                       "host": service_host}
             self._labels = labels
+            #: The registry's clock, bound once.
+            self._now = self._obs.metrics.now
             self._request_counters = {
                 method: self._obs.metrics.counter(
                     "api.requests_total", method=method, **labels
@@ -98,10 +101,11 @@ class ApiClient:
             )
             self._request_counters[method] = counter
         counter.inc()
-        started = self._obs.now()
+        now = self._now
+        started = now()
 
         def on_done(future: Future) -> None:
-            finished = self._obs.now()
+            finished = now()
             self._latency.observe(finished - started, at=finished)
             if future.failed:
                 status = "unreachable"

@@ -18,7 +18,7 @@ from repro.errors import ServiceError
 __all__ = ["ApiRequest", "ApiResponse", "ok", "error_response"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ApiRequest:
     """One API call as it travels over the simulated network."""
 
@@ -47,7 +47,7 @@ def _missing_param(name: str) -> ServiceError:
     return InvalidRequestError(f"missing required parameter {name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ApiResponse:
     """A status code plus JSON-like body."""
 

@@ -20,13 +20,14 @@ from typing import Sequence
 
 from repro.errors import InvalidRequestError
 
-__all__ = ["Page", "paginate", "page_limit", "DEFAULT_PAGE_SIZE"]
+__all__ = ["Page", "paginate", "page_limit", "newest_needed",
+           "DEFAULT_PAGE_SIZE"]
 
 #: Default page size for service list endpoints.
 DEFAULT_PAGE_SIZE = 25
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Page:
     """One page of results plus the cursor for the next page."""
 
@@ -50,6 +51,22 @@ def page_limit(limit: object) -> int:
         raise InvalidRequestError(
             f"limit must be an integer >= 1, got {limit!r}")
     return limit
+
+
+def newest_needed(cursor: object, limit: object) -> int | None:
+    """How many of the newest items :func:`paginate` reads for a page.
+
+    A first page (no ``cursor``) of a valid ``limit`` reads the newest
+    ``limit + 1``: the page, plus one more to decide whether the page
+    is the last.  Any other request reads every item (None): a cursor
+    may anchor anywhere in the sequence, and a bad ``limit`` must still
+    fail in :func:`paginate`.  A source that can stop early — a replica
+    walking its view newest first — serves the same page from that
+    many items as from all of them.
+    """
+    if cursor is None and type(limit) is int and limit >= 1:
+        return limit + 1
+    return None
 
 
 def paginate(items: Sequence[str], cursor: str | None = None,

@@ -13,12 +13,14 @@ import hashlib
 import json
 import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.agents.agent import MeasurementAgent
 from repro.cli import build_parser, main
 from repro.errors import AnalysisError, ConfigurationError
 from repro.fleet import (
@@ -507,6 +509,41 @@ class TestCampaignObs:
                              spans=False).obs
         assert plain["spans"] == []
         assert plain["metrics"] == traced["metrics"]
+
+    @pytest.mark.parametrize("service", ["blogger", "googleplus"])
+    def test_a_span_nobody_keeps_is_never_opened(self, service,
+                                                 monkeypatch):
+        """A campaign that stores no span calls ``Tracer.start`` zero
+        times; one that stores them calls it once per agent operation
+        (plus once per primary-backup write), once per exported record.
+        The records themselves are pinned by ``test_obs_oracle.py``."""
+        starts, operations = Counter(), Counter()
+        original_start = Tracer.start
+
+        def start(self, name, *args, **kwargs):
+            starts[name] += 1
+            return original_start(self, name, *args, **kwargs)
+
+        monkeypatch.setattr(Tracer, "start", start)
+        for method in ("timed_post", "timed_fetch"):
+            def counted(self, *args, _method=method,
+                        _original=getattr(MeasurementAgent, method),
+                        **kwargs):
+                operations[_method] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(MeasurementAgent, method, counted)
+        plain = run_campaign(service, TINY, spans=False)
+        assert not starts and operations["timed_fetch"] > 0
+        untraced_operations = dict(operations)
+        operations.clear()
+        traced = run_campaign(service, TINY, spans=True)
+        assert dict(operations) == untraced_operations
+        assert starts["agent.read"] == operations["timed_fetch"]
+        assert starts["agent.write"] == operations["timed_post"]
+        assert starts == Counter(span["name"]
+                                 for span in traced.obs["spans"])
+        assert plain.obs["metrics"] == traced.obs["metrics"]
 
     def test_requests_reconcile_with_responses(self):
         snapshot = run_campaign("blogger", TINY).obs
